@@ -9,6 +9,8 @@ divisor in the normalized Gromov-Hausdorff sense.
 
 __version__ = "0.1.0"
 
-from . import ambient, cli, maps, metgeo, polytope, reduction
+# cli is left out on purpose: importing it here would make
+# `python -m wsdlab.cli` find it already loaded and warn
+from . import ambient, maps, metgeo, polytope, reduction
 
 __all__ = ["ambient", "cli", "maps", "metgeo", "polytope", "reduction", "__version__"]

@@ -14,7 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# the package's one source of these constants; every other module imports them
 TWO_PI = 2.0 * math.pi
+PI2 = math.pi**2
 FOUR_PI2 = 4.0 * math.pi**2
 
 

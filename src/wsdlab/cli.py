@@ -68,8 +68,8 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be lo:hi:count, got {text!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1 or lo <= 0 or hi <= 0:
-        raise ValueError("grid endpoints must be positive and count >= 1")
+    if count < 1 or not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise ValueError("grid endpoints must be positive and finite, and count >= 1")
     return np.geomspace(lo, hi, count)
 
 
@@ -77,7 +77,19 @@ def _parse_list(text: str) -> list[float]:
     vals = [float(tok) for tok in text.split(",") if tok]
     if not vals:
         raise ValueError("empty value list")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"values must be finite, got {text!r}")
     return vals
+
+
+def _check_scalars(args) -> None:
+    """Reject the scalar options no command can run on."""
+    if getattr(args, "samples", 1) < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    for name in ("rho1", "rho2"):
+        val = getattr(args, name, None)
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ValueError(f"--{name} must be finite, got {val}")
 
 
 def _regular_or_die(spec: LevelSetSpec) -> int | None:
@@ -166,7 +178,7 @@ def cmd_limit_kahler(args) -> int:
         for rho1 in grid:
             spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
             pts = sample_points(spec, args.samples, args.seed)
-            fiber = max(flat_torus_diameter(pi1_fiber_torus(p), "exact_small_n")
+            fiber = max(flat_torus_diameter(pi1_fiber_torus(p))
                         for p in pts)
             bound = pi1_fiber_bound(pts[0])
             z = np.array([project_pi1(p).z for p in pts])
@@ -231,7 +243,7 @@ def cmd_limit_complex(args) -> int:
         for rho1 in grid:
             spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
             pts = sample_points(spec, args.samples, args.seed)
-            fiber = max(flat_torus_diameter(pi2_fiber_torus(p), "exact_small_n")
+            fiber = max(flat_torus_diameter(pi2_fiber_torus(p))
                         for p in pts)
             imgs = [project_pi2(p) for p in pts]
             res = max(pi2_image_residual(q) for q in imgs)
@@ -354,7 +366,7 @@ def _kernel_dict(m) -> dict:
     kd = kernel_data(m)
     return {"connected_rank": kd.connected_rank,
             "torsion_invariants": list(kd.torsion_invariants),
-            "finite_part_order": kd.order_of_finite_part,
+            "finite_part_order": kd.component_group_order,
             "order": kd.component_group_order if kd.is_finite else None}
 
 
@@ -438,6 +450,7 @@ def main(argv=None) -> int:
     if args.n < 1:
         ap.error(f"--n must be >= 1, got {args.n}")
     try:
+        _check_scalars(args)
         return args.fn(args)
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

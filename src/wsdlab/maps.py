@@ -1,25 +1,20 @@
 """Projections to projective space and its finite quotient, the chart
 diffeomorphism between level sets, complex structures, and the scaling flow.
 
-Projective points are stored as explicit representatives z in C^{n+1}; the
-quotient structure (global phase, finite phase group, torus actions) only
-enters through the distance functions.
+Projective points of both charts are CPnPoint representatives z in C^{n+1};
+the quotient structure (global phase, finite phase group) only enters
+through the distances, which live in metgeo beside its distance kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .ambient import AmbientPoint, ambient_tensors_at
-from .polytope import finite_coset_representatives, lattice_maps
+from .ambient import PI2, TWO_PI, AmbientPoint, ambient_tensors_at
 from .reduction import LevelSetSpec, ReducedPoint, _require_regular
-
-TWO_PI = 2.0 * math.pi
-PI2 = math.pi**2
 
 
 def _as_complex(z, label: str) -> np.ndarray:
@@ -33,7 +28,10 @@ def _as_complex(z, label: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CPnPoint:
-    """Representative z on the sphere sum |z|^2 = lam, up to the diagonal circle."""
+    """Representative z on the sphere sum |z|^2 = lam, up to the diagonal circle.
+
+    Both charts use it: CP^n and its quotient by the dual-simplex phase group
+    differ only in the distance taken between representatives."""
 
     z: np.ndarray
     lam: float
@@ -55,32 +53,6 @@ class CPnPoint:
 
     def normalized(self) -> "CPnPoint":
         return CPnPoint(self.z * math.sqrt(self.lam / self.norm2()), self.lam)
-
-
-@dataclass(frozen=True)
-class HnPoint:
-    """Representative modulo the dual-simplex phase group; same storage as CPnPoint."""
-
-    z: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", _as_complex(self.z, "HnPoint.z"))
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.z.size - 1
-
-    def norm2(self) -> float:
-        return float(np.sum(np.abs(self.z) ** 2))
-
-    def normalization_residual(self) -> float:
-        return abs(self.norm2() - self.lam) / self.lam
-
-    def normalized(self) -> "HnPoint":
-        return HnPoint(self.z * math.sqrt(self.lam / self.norm2()), self.lam)
 
 
 # -- the two fibrations ------------------------------------------------------
@@ -109,23 +81,11 @@ def pi1_image_residual(z, rho2: float) -> float:
     return abs(prod - math.exp(-4.0 * PI2 * rho2 * rho2) * scale) / scale
 
 
-def _fs(z: np.ndarray, w: np.ndarray, rho: float) -> float:
-    overlap = abs(np.vdot(z, w)) / (np.linalg.norm(z) * np.linalg.norm(w))
-    return rho * math.acos(min(1.0, overlap))
-
-
-def fubini_study_distance(z: CPnPoint, w: CPnPoint, rho: float | None = None) -> float:
-    """Distance rho * arccos(|<z,w>| / (|z||w|)); rho defaults to sqrt(lam)."""
-    if rho is None:
-        rho = math.sqrt(z.lam)
-    return _fs(z.z, w.z, rho)
-
-
-def project_pi2(p: ReducedPoint) -> HnPoint:
+def project_pi2(p: ReducedPoint) -> CPnPoint:
     """Second projection: |z_i| = sqrt(log(rho1/r_i) / (2 pi^2)), phase e^{-2 pi i eta_i}.
 
     Representatives are stored at scale lam = rho2^2, the normalization under
-    which hn_distance defaults to the right scale; the unit-sphere
+    which metgeo.hn_distance defaults to the right scale; the unit-sphere
     representative is this one divided by rho2.
     """
     _require_regular(p.spec)
@@ -135,71 +95,15 @@ def project_pi2(p: ReducedPoint) -> HnPoint:
         raise ValueError("point outside the fibration domain: some r_i >= rho1")
     mod = np.sqrt(np.log(rho1 / amb.r) / (2.0 * PI2))
     z = mod * np.exp(-2j * math.pi * amb.eta)
-    return HnPoint(z, p.spec.rho2 ** 2)
+    return CPnPoint(z, p.spec.rho2 ** 2)
 
 
 def pi2_image_residual(z) -> float:
     """Defect of the image equation sum_i e^{-4 pi^2 |z_i|^2} = 1.
 
-    Accepts an HnPoint or a bare array; values of order 1 or more mean the
+    Accepts a CPnPoint or a bare array; values of order 1 or more mean the
     point is far off the image (the zero vector scores n)."""
     return abs(float(np.sum(np.exp(-4.0 * PI2 * np.abs(_rep_of(z)) ** 2))) - 1.0)
-
-
-def _golden_min(fn, lo: float, hi: float, xtol: float = 1e-10) -> float:
-    """Golden-section minimum of fn on [lo, hi]; safe on flat objectives."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = fn(d)
-    return min(fc, fd)
-
-
-@lru_cache(maxsize=16)
-def _quotient_phases(n: int) -> np.ndarray:
-    """Finite phase-group representatives for the dual-simplex quotient, rows in [0,1)^{n+1}."""
-    reps = finite_coset_representatives(lattice_maps(n).dual)
-    return np.array([[float(f) for f in rep] for rep in reps])
-
-
-def hn_distance(p: HnPoint, q: HnPoint, rho: float | None = None,
-                grid: int = 256) -> float:
-    """Quotient distance: min of the scaled projective distance over the orbit of q.
-
-    The orbit is the finite phase group (enumerated exactly) times the diagonal
-    circle; the circle factor is scanned on a coarse grid and refined by
-    golden-section search, although it can only act through a global phase that
-    the projective overlap ignores.
-    """
-    if abs(p.lam - q.lam) > 1e-8 * max(p.lam, q.lam):
-        raise ValueError("quotient distance needs representatives at the same scale")
-    if rho is None:
-        rho = math.sqrt(p.lam)
-    best = math.inf
-    ts = np.arange(grid) / grid
-    for phase in _quotient_phases(p.n):
-        w = q.z * np.exp(2j * math.pi * phase)
-        overlap = np.vdot(p.z, w)
-
-        def val(t, _o=overlap):
-            mag = abs(_o * np.exp(-2j * math.pi * t))
-            mag /= np.linalg.norm(p.z) * np.linalg.norm(w)
-            return rho * math.acos(min(1.0, mag))
-
-        coarse = np.abs(overlap * np.exp(-2j * math.pi * ts))
-        t0 = float(ts[int(np.argmax(coarse))])
-        best = min(best, _golden_min(val, t0 - 1.0 / grid, t0 + 1.0 / grid))
-    return best
 
 
 # -- the chart diffeomorphism ------------------------------------------------

@@ -1,6 +1,12 @@
-"""Finite-sample metric geometry: diameters, Hausdorff and Gromov-Hausdorff
-bounds, flat fiber tori and their covering radii, and samplers for the
-hypersurfaces the limit experiments compare against.
+"""Finite-sample metric geometry: the distances of the two projective charts,
+diameters, Hausdorff and Gromov-Hausdorff bounds, flat fiber tori and their
+diameters, and samplers for the hypersurfaces the limit experiments compare
+against.
+
+Each chart has one distance kernel: fs_matrix for CP^n and hn_matrix for its
+quotient by the dual-simplex phase group.  hn_distance is the 1x1 case of
+hn_matrix; fubini_study_distance stays a scalar arccos formula, the
+independent reference the kernels are tested against.
 
 Gromov-Hausdorff distances are never claimed exactly; every comparison ships
 as a certified (lower, upper) interval.
@@ -11,18 +17,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .maps import _quotient_phases
-from .polytope import lattice_maps, smith_normal_form
-from .reduction import ReducedPoint
-
-TWO_PI = 2.0 * math.pi
-FOUR_PI2 = 4.0 * math.pi**2
+from .ambient import FOUR_PI2
+from .polytope import finite_coset_representatives, lattice_maps, smith_normal_form
+from .reduction import ReducedPoint, _stream
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,13 @@ def _angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ang
 
 
+@lru_cache(maxsize=16)
+def _quotient_phases(n: int) -> np.ndarray:
+    """Finite phase-group representatives for the dual-simplex quotient, rows in [0,1)^{n+1}."""
+    reps = finite_coset_representatives(lattice_maps(n).dual)
+    return np.array([[float(f) for f in rep] for rep in reps])
+
+
 def fs_matrix(z: np.ndarray, rho: float, w: np.ndarray | None = None) -> np.ndarray:
     """Scaled projective distances between rows of z (and rows of w if given)."""
     u = _unit_rows(z)
@@ -114,6 +125,25 @@ def hn_matrix(z: np.ndarray, rho: float, n: int, w: np.ndarray | None = None) ->
         np.fill_diagonal(d, 0.0)
         d = 0.5 * (d + d.T)
     return d
+
+
+def fubini_study_distance(z, w, rho: float | None = None) -> float:
+    """Distance rho * arccos(|<z,w>| / (|z||w|)) between two maps.CPnPoint;
+    rho defaults to sqrt(z.lam)."""
+    if rho is None:
+        rho = math.sqrt(z.lam)
+    overlap = abs(np.vdot(z.z, w.z)) / (np.linalg.norm(z.z) * np.linalg.norm(w.z))
+    return rho * math.acos(min(1.0, overlap))
+
+
+def hn_distance(p, q, rho: float | None = None) -> float:
+    """Quotient distance between two maps.CPnPoint at the same scale: the 1x1
+    case of hn_matrix; rho defaults to sqrt(lam)."""
+    if abs(p.lam - q.lam) > 1e-8 * max(p.lam, q.lam):
+        raise ValueError("quotient distance needs representatives at the same scale")
+    if rho is None:
+        rho = math.sqrt(p.lam)
+    return float(hn_matrix(p.z[None, :], rho, p.n, q.z[None, :])[0, 0])
 
 
 def projective_sample(z: np.ndarray, lam: float, chart: str) -> FiniteMetricSample:
@@ -303,8 +333,26 @@ def _candidate_vectors(basis: np.ndarray, box: int = 1) -> np.ndarray:
     return coeffs @ basis.T
 
 
-def covering_radius_exact(spec: FlatTorusSpec) -> float:
-    """Covering radius of a rank <= 3 lattice: max norm over Voronoi vertices.
+def _dist_to_lattice(points: np.ndarray, basis: np.ndarray, box: int = 2) -> np.ndarray:
+    """Distance of each row to the lattice, via rounding plus a local coefficient box.
+
+    Brute force and independent of the Voronoi computation, so the tests use
+    it as the oracle for flat_torus_diameter."""
+    coeff = np.linalg.lstsq(basis, points.T, rcond=None)[0].T
+    base = np.floor(coeff)
+    k = basis.shape[1]
+    offsets = np.array(list(itertools.product(range(-box, box + 2), repeat=k)))
+    best = None
+    for off in offsets:
+        delta = points - (base + off) @ basis.T
+        d = np.sum(delta * delta, axis=1)
+        best = d if best is None else np.minimum(best, d)
+    return np.sqrt(best)
+
+
+def flat_torus_diameter(spec: FlatTorusSpec) -> float:
+    """Diameter of the flat torus, which is the covering radius of its period
+    lattice: the max norm over the Voronoi vertices, for rank <= 3.
 
     The basis is greedy-reduced first; relevant vectors of a reduced basis in
     rank <= 3 live in the unit coefficient box, and every Voronoi vertex is an
@@ -329,42 +377,6 @@ def covering_radius_exact(spec: FlatTorusSpec) -> float:
     if not np.any(inside):
         raise ArithmeticError("no Voronoi vertex found; lattice data degenerate")
     return float(np.max(np.linalg.norm(verts[inside], axis=1)))
-
-
-def _dist_to_lattice(points: np.ndarray, basis: np.ndarray, box: int = 2) -> np.ndarray:
-    """Distance of each row to the lattice, via rounding plus a local coefficient box."""
-    coeff = np.linalg.lstsq(basis, points.T, rcond=None)[0].T
-    base = np.floor(coeff)
-    k = basis.shape[1]
-    offsets = np.array(list(itertools.product(range(-box, box + 2), repeat=k)))
-    best = None
-    for off in offsets:
-        delta = points - (base + off) @ basis.T
-        d = np.sum(delta * delta, axis=1)
-        best = d if best is None else np.minimum(best, d)
-    return np.sqrt(best)
-
-
-def flat_torus_diameter(spec: FlatTorusSpec, mode: str = "exact_small_n",
-                        mc_samples: int = 2048, seed: int = 0) -> float:
-    """Diameter of the flat torus (= covering radius of its period lattice).
-
-    Modes: "exact_small_n" (rank <= 3 Voronoi-vertex computation),
-    "upper_bound" (half the box diagonal, a nearest-plane certificate),
-    "monte_carlo" (max distance to the lattice over mc_samples random points,
-    a lower witness reported with the sample count fixed by the caller).
-    """
-    if mode == "exact_small_n":
-        return covering_radius_exact(spec)
-    if mode == "upper_bound":
-        return 0.5 * math.sqrt(float(np.sum(spec.euclidean_basis() ** 2)))
-    if mode == "monte_carlo":
-        basis = _greedy_reduce(spec.euclidean_basis()).T  # rows now
-        rng = np.random.default_rng(seed)
-        t = rng.uniform(0.0, 1.0, (mc_samples, spec.rank))
-        pts = t @ basis
-        return float(np.max(_dist_to_lattice(pts, basis.T)))
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _saturated_image_basis(mat) -> np.ndarray:
@@ -407,11 +419,6 @@ def pi1_fiber_bound(p: ReducedPoint) -> float:
 
 # -- hypersurface samplers -----------------------------------------------------
 
-def _philox(seed: int, *path: int) -> np.random.Generator:
-    entropy = (int(seed) % (1 << 63),) + tuple(int(x) for x in path)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
 def anticanonical_sample(n: int, chart: str, lam: float, count: int,
                          seed: int = 0) -> FiniteMetricSample:
     """Sample the union of coordinate hyperplane sections {z_j = 0} on the
@@ -421,7 +428,7 @@ def anticanonical_sample(n: int, chart: str, lam: float, count: int,
     rows = np.empty((count, n + 1), dtype=complex)
     for idx in range(count):
         j = idx % (n + 1)
-        rng = _philox(seed, idx, 11)
+        rng = _stream(seed, idx, 11)
         z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         z[j] = 0.0
         z *= math.sqrt(lam) / np.linalg.norm(z)
@@ -443,7 +450,7 @@ def cy_hypersurface_sample(n: int, rho1: float, rho2: float, count: int,
     eps = math.exp(-4.0 * math.pi**2 * rho2**2)
     rows = np.empty((count, n + 1), dtype=complex)
     for idx in range(count):
-        rng = _philox(seed, idx, 13)
+        rng = _stream(seed, idx, 13)
         slot = idx % (n + 1)  # round-robin the solved coordinate for coverage
         for _ in range(retries):
             tail = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -50,7 +50,7 @@ class Polytope:
         """Dimension of the affine span of the vertex set."""
         v0 = self.vertices[0]
         rows = [[Fraction(x - y) for x, y in zip(v, v0)] for v in self.vertices[1:]]
-        return _fraction_rank(rows)
+        return _eliminate(rows)[0]
 
 
 def simplex_pair(n: int) -> tuple[Polytope, Polytope]:
@@ -254,10 +254,6 @@ class SubgroupData:
         return math.prod(self.torsion_invariants) if self.torsion_invariants else 1
 
     @property
-    def order_of_finite_part(self) -> int:
-        return self.component_group_order
-
-    @property
     def is_finite(self) -> bool:
         return self.connected_rank == 0
 
@@ -315,41 +311,30 @@ def connected_kernel_generators(m) -> tuple[tuple[int, ...], ...]:
 # Exact rational linear algebra helpers.
 
 
-def _fraction_rank(rows) -> int:
+def _eliminate(rows) -> tuple[int, Fraction, list[Fraction] | None]:
+    """Gauss-Jordan elimination over Q: (rank, determinant, a null vector).
+
+    The determinant is the product of the pivots signed by the row swaps; it
+    is 0 when some column has no pivot, and means nothing unless the input is
+    square.  The null vector comes from the first column without a pivot, or
+    is None when every column has one.
+    """
     a = [list(map(Fraction, r)) for r in rows]
     if not a:
-        return 0
+        return 0, Fraction(1), None
     m, n = len(a), len(a[0])
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _null_vector(rows):
-    """A nonzero rational vector in the null space, or None if trivial."""
-    a = [list(map(Fraction, r)) for r in rows]
-    m = len(a)
-    n = len(a[0])
+    det = Fraction(1)
     pivots = []
-    rank = 0
     for col in range(n):
+        rank = len(pivots)
         piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
         if piv is None:
+            det = Fraction(0)
             continue
-        a[rank], a[piv] = a[piv], a[rank]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        det *= a[rank][col]
         inv = 1 / a[rank][col]
         a[rank] = [x * inv for x in a[rank]]
         for i in range(m):
@@ -357,16 +342,14 @@ def _null_vector(rows):
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    c = free[0]
-    x = [Fraction(0)] * n
-    x[c] = Fraction(1)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        return len(pivots), det, None
+    null = [Fraction(0)] * n
+    null[free] = Fraction(1)
     for r, pc in enumerate(pivots):
-        x[pc] = -a[r][c]
-    return x
+        null[pc] = -a[r][free]
+    return len(pivots), det, null
 
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -404,7 +387,7 @@ def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
     facets: dict[tuple, Facet] = {}
     for subset in itertools.combinations(range(len(verts)), n):
         rows = [list(verts[i]) + [-1] for i in subset]
-        null = _null_vector(rows)
+        null = _eliminate(rows)[2]
         if null is None:
             continue
         if all(x == 0 for x in null[:n]):
@@ -422,7 +405,7 @@ def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
         on = tuple(i for i, val in enumerate(vals) if val == b)
         touching = [verts[i] for i in on]
         v0 = touching[0]
-        rank = _fraction_rank([[x - y for x, y in zip(v, v0)] for v in touching[1:]])
+        rank = _eliminate([[x - y for x, y in zip(v, v0)] for v in touching[1:]])[0]
         if rank != n - 1:
             continue
         facets[(c, b)] = Facet(c, b, on)
@@ -472,27 +455,6 @@ def _matmul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _det_int(mat: IntMatrix) -> int:
-    a = [list(map(Fraction, row)) for row in mat]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    assert det.denominator == 1
-    return int(det)
-
-
 def verify_duality_identities(n: int) -> DualityReport:
     """Exact check of the composite-map identities for the simplex pair."""
     maps = lattice_maps(n)
@@ -527,7 +489,7 @@ def verify_duality_identities(n: int) -> DualityReport:
             f"kernel order {order}, expected {(n + 1) ** n}",
         )
     )
-    det = abs(_det_int(composite))
+    det = abs(int(_eliminate(composite)[1]))
     ident.append(
         (
             "determinant_matches_kernel_order",
@@ -582,7 +544,7 @@ def has_property_sd(p: Polytope) -> SdVerdict:
 
     counts = len(dual) == p.vertex_count
     v0 = dual[0]
-    dual_rank = _fraction_rank([[x - y for x, y in zip(v, v0)] for v in dual[1:]])
+    dual_rank = _eliminate([[x - y for x, y in zip(v, v0)] for v in dual[1:]])[0]
     dims = dual_rank == p.affine_rank()
     clauses["counts_and_dims_match"] = counts and dims
     if not counts:

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ambient import (
+    TWO_PI,
     AmbientPoint,
     ambient_adapted_frame,
     ambient_tensors_at,
@@ -24,9 +25,6 @@ from .ambient import (
     convert_parameters_inverse,
 )
 from .polytope import lattice_maps
-
-TWO_PI = 2.0 * math.pi
-FOUR_PI2 = 4.0 * math.pi**2
 
 DEGENERACY_GUARD = 1e-8  # relative margin on |X1|^2 |X2|^2 - (n+1)^2
 

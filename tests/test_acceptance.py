@@ -21,10 +21,10 @@ from wsdlab import cli
 from wsdlab import metgeo as mg
 from wsdlab.ambient import (AmbientPoint, ambient_adapted_frame,
                             exterior_derivative_residual, leaf_volume)
-from wsdlab.maps import (alpha_deform, fubini_study_distance, hn_distance,
-                         phi_pullback_check, pi1_image_residual,
+from wsdlab.maps import (alpha_deform, phi_pullback_check, pi1_image_residual,
                          pi2_image_residual, project_pi1, project_pi2,
                          psi_pullback_residuals)
+from wsdlab.metgeo import fubini_study_distance, hn_distance
 from wsdlab.polytope import has_property_sd, simplex_pair, verify_duality_identities
 from wsdlab.reduction import (LevelSetSpec, induced_structure_at,
                               omega_d_degenerate_block, sample_points,
@@ -226,7 +226,7 @@ def test_criterion_6_fiber_diameter_bound():
         for rho1 in np.geomspace(1.0, 1e3, 7):
             spec = LevelSetSpec.from_rho(n, float(rho1), 0.6)
             for p in sample_points(spec, 25, seed=31 + n):
-                exact = mg.flat_torus_diameter(mg.pi1_fiber_torus(p), "exact_small_n")
+                exact = mg.flat_torus_diameter(mg.pi1_fiber_torus(p))
                 worst = max(worst, exact / mg.pi1_fiber_bound(p))
     ok = worst <= 1.0 + 1e-6
     _report(6, "eta-fiber diameter against the closed-form bound", ok,
@@ -333,7 +333,7 @@ def test_criterion_8_metric_bound_self_tests():
     specs.append(mg.FlatTorusSpec(br, np.ones(2)))
     worst_gap = 0.0
     for spec in specs:
-        exact = mg.covering_radius_exact(spec)
+        exact = mg.flat_torus_diameter(spec)
         oracle = _zoom_covering(spec, levels=7, res=33)
         gap = abs(exact - oracle) / max(1.0, exact)
         worst_gap = max(worst_gap, gap)

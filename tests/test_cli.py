@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wsdlab
 from wsdlab.cli import main
 
 
@@ -183,3 +188,31 @@ def test_sweep_deterministic(tmp_path):
     args = ("limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2",
             "--samples", "12")
     assert run(tmp_path, *args)[1] == run(tmp_path, *args)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--rho2", "0.5", "--samples", "0"],
+    ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "0"],
+    ["verify", "--n", "2", "--rho2", "nan", "--samples", "4"],
+    ["verify", "--n", "2", "--rho2", "inf", "--samples", "4"],
+    ["verify", "--n", "2", "--rho1", "nan", "--rho2", "0.5", "--samples", "4"],
+    ["boundary", "--n", "2", "--side", "B", "--rho2=-inf", "--samples", "4"],
+    ["limit-kahler", "--n", "2", "--rho2", "0.6,nan", "--grid", "1:10:2", "--samples", "4"],
+    ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:inf:2", "--samples", "4"],
+], ids=["verify-samples-0", "kahler-samples-0", "rho2-nan", "rho2-inf", "rho1-nan",
+        "boundary-rho2-neg-inf", "rho2-list-nan", "grid-inf"])
+def test_rejects_unusable_input_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+
+
+def test_module_entry_point_runs_without_warnings():
+    env = dict(os.environ, PYTHONPATH=str(Path(wsdlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "wsdlab.cli", "polytope-report", "--n", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["n"] == 1

@@ -7,11 +7,8 @@ from wsdlab.ambient import AmbientPoint, exterior_derivative_residual, moment_ma
 from wsdlab.maps import (
     CPnPoint,
     DeformationParams,
-    HnPoint,
     alpha_deform,
     complex_structure_at,
-    fubini_study_distance,
-    hn_distance,
     phi_inverse,
     phi_map,
     phi_pullback_check,
@@ -23,6 +20,7 @@ from wsdlab.maps import (
     psi_pullback_residuals,
     psi_scale,
 )
+from wsdlab.metgeo import _quotient_phases, fubini_study_distance, hn_distance
 from wsdlab.polytope import lattice_maps
 from wsdlab.reduction import LevelSetSpec, ReducedPoint, feasibility, sample_points
 
@@ -39,7 +37,7 @@ def test_point_type_validation():
     with pytest.raises(ValueError):
         CPnPoint([1, 0], 0.0)
     with pytest.raises(ValueError):
-        HnPoint([1], 1.0)
+        CPnPoint([1], 1.0)
     p = CPnPoint([3.0, 4.0], 1.0)
     assert p.normalization_residual() > 1.0
     q = p.normalized()
@@ -219,24 +217,23 @@ def test_hn_distance_quotient():
     lam = 0.3
     for n in (1, 2, 3):
         z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        p = HnPoint(z, lam).normalized()
+        p = CPnPoint(z, lam).normalized()
         assert hn_distance(p, p) < 1e-12
-        from wsdlab.maps import _quotient_phases
         phases = _quotient_phases(n)
         for row in phases:
             shift = np.exp(2j * PI * (row + 0.37))  # orbit: finite rep + circle
-            q = HnPoint(p.z * shift, lam)
+            q = CPnPoint(p.z * shift, lam)
             assert hn_distance(p, q) < 1e-6
             raw = fubini_study_distance(CPnPoint(p.z, lam), CPnPoint(q.z, lam))
             assert hn_distance(p, q) <= raw + 1e-12
     with pytest.raises(ValueError, match="scale"):
-        hn_distance(HnPoint([1, 0], 1.0), HnPoint([1, 0], 2.0))
+        hn_distance(CPnPoint([1, 0], 1.0), CPnPoint([1, 0], 2.0))
 
 
 def test_hn_distance_nontrivial_value():
     # distinct projective points stay separated in the quotient
-    p = HnPoint([1.0, 0.0, 0.0], 1.0)
-    q = HnPoint([0.0, 1.0, 0.0], 1.0)
+    p = CPnPoint([1.0, 0.0, 0.0], 1.0)
+    q = CPnPoint([0.0, 1.0, 0.0], 1.0)
     d = hn_distance(p, q)
     assert abs(d - PI / 2) < 1e-9  # orbit phases never mix coordinates
 
@@ -333,5 +330,5 @@ def test_pi2_equivariance():
     shifted = ReducedPoint(s, p.base_r, p.torus_s, p.torus_t + delta)
     z = project_pi2(p)
     zs = project_pi2(shifted)
-    acted = HnPoint(z.z * np.exp(-2j * PI * (rows @ delta)), z.lam)
+    acted = CPnPoint(z.z * np.exp(-2j * PI * (rows @ delta)), z.lam)
     assert hn_distance(zs, acted) < 1e-8

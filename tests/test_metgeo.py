@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wsdlab import metgeo as mg
-from wsdlab.maps import HnPoint, hn_distance
+from wsdlab.maps import CPnPoint
 from wsdlab.reduction import LevelSetSpec, sample_points
 
 
@@ -170,17 +170,16 @@ def test_ngh_scale_invariance():
 
 
 def test_covering_radius_square_and_interval():
-    assert mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(2), np.ones(2)),
-                                  "exact_small_n") == pytest.approx(math.sqrt(2) / 2, rel=1e-14)
+    assert mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(2), np.ones(2))) == pytest.approx(math.sqrt(2) / 2, rel=1e-14)
     one = mg.FlatTorusSpec(np.array([[2.5]]), np.ones(1))
-    assert mg.flat_torus_diameter(one, "exact_small_n") == 1.25
+    assert mg.flat_torus_diameter(one) == 1.25
 
 
 def test_covering_radius_hex_and_cubic():
     hexb = np.array([[1.0, 0.5], [0.0, math.sqrt(3) / 2]])
-    got = mg.flat_torus_diameter(mg.FlatTorusSpec(hexb, np.ones(2)), "exact_small_n")
+    got = mg.flat_torus_diameter(mg.FlatTorusSpec(hexb, np.ones(2)))
     assert got == pytest.approx(1 / math.sqrt(3), rel=1e-12)
-    got = mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(3), np.ones(3)), "exact_small_n")
+    got = mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(3), np.ones(3)))
     assert got == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
 
 
@@ -193,8 +192,8 @@ def test_covering_radius_basis_invariance():
                 b = rng.uniform(-1, 1, (k, k))
             u = np.eye(k)
             u[0, -1] = 7.0  # unimodular shear
-            r1 = mg.flat_torus_diameter(mg.FlatTorusSpec(b, np.ones(k)), "exact_small_n")
-            r2 = mg.flat_torus_diameter(mg.FlatTorusSpec(b @ u, np.ones(k)), "exact_small_n")
+            r1 = mg.flat_torus_diameter(mg.FlatTorusSpec(b, np.ones(k)))
+            r2 = mg.flat_torus_diameter(mg.FlatTorusSpec(b @ u, np.ones(k)))
             assert r1 == pytest.approx(r2, rel=1e-11)
 
 
@@ -227,7 +226,7 @@ def test_covering_radius_zoom_oracle_2d():
             b = rng.uniform(-1, 1, (2, 2))
         specs.append(mg.FlatTorusSpec(b, np.ones(2)))
     for spec in specs:
-        exact = mg.flat_torus_diameter(spec, "exact_small_n")
+        exact = mg.flat_torus_diameter(spec)
         oracle = _zoom_covering(spec, levels=7, res=33)
         assert abs(exact - oracle) < 1e-6 * max(1.0, exact)
 
@@ -235,7 +234,7 @@ def test_covering_radius_zoom_oracle_2d():
 def test_covering_radius_zoom_oracle_3d():
     b = np.array([[1.0, 0.3, -0.2], [0.0, 0.9, 0.4], [0.0, 0.0, 1.1]])
     spec = mg.FlatTorusSpec(b, np.array([1.0, 2.0, 0.7]))
-    exact = mg.flat_torus_diameter(spec, "exact_small_n")
+    exact = mg.flat_torus_diameter(spec)
     oracle = _zoom_covering(spec, levels=6, res=21)
     assert abs(exact - oracle) < 1e-5 * max(1.0, exact)
 
@@ -245,22 +244,17 @@ def test_mode_ordering_and_rejection():
     for k in (2, 3):
         b = rng.uniform(-1, 1, (k, k)) + 2 * np.eye(k)
         spec = mg.FlatTorusSpec(b, np.ones(k))
-        exact = mg.flat_torus_diameter(spec, "exact_small_n")
-        upper = mg.flat_torus_diameter(spec, "upper_bound")
-        witness = mg.flat_torus_diameter(spec, "monte_carlo", mc_samples=500, seed=2)
+        exact = mg.flat_torus_diameter(spec)
+        basis = spec.euclidean_basis()
+        # half the box diagonal: every point of the cell is that close to a corner
+        upper = 0.5 * math.sqrt(float(np.sum(basis ** 2)))
+        # the farthest of 500 random points from the lattice is a lower witness
+        pts = np.random.default_rng(2).uniform(0.0, 1.0, (500, k)) @ basis.T
+        witness = float(np.max(mg._dist_to_lattice(pts, basis)))
         assert witness <= exact + 1e-12
         assert exact <= upper + 1e-12
     with pytest.raises(ValueError):
-        mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(4), np.ones(4)), "exact_small_n")
-    with pytest.raises(ValueError):
-        mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(2), np.ones(2)), "typo")
-
-
-def test_monte_carlo_deterministic():
-    spec = mg.FlatTorusSpec(np.eye(2), np.ones(2))
-    a = mg.flat_torus_diameter(spec, "monte_carlo", mc_samples=256, seed=5)
-    b = mg.flat_torus_diameter(spec, "monte_carlo", mc_samples=256, seed=5)
-    assert a == b
+        mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(4), np.ones(4)))
 
 
 def test_fiber_tori_and_closed_form_bound():
@@ -269,11 +263,11 @@ def test_fiber_tori_and_closed_form_bound():
         for p in sample_points(spec, 8, seed=21):
             t1 = mg.pi1_fiber_torus(p)
             assert t1.rank == n
-            d1 = mg.flat_torus_diameter(t1, "exact_small_n")
+            d1 = mg.flat_torus_diameter(t1)
             assert d1 <= mg.pi1_fiber_bound(p) * (1 + 1e-9)
             t2 = mg.pi2_fiber_torus(p)
             assert t2.rank == n
-            assert mg.flat_torus_diameter(t2, "upper_bound") > 0
+            assert mg.flat_torus_diameter(t2) > 0
 
 
 def test_fiber_bound_scale():
@@ -282,8 +276,8 @@ def test_fiber_bound_scale():
     b = LevelSetSpec.from_rho(2, 4.0, 0.6)
     pa = sample_points(a, 1, seed=3)[0]
     pb = sample_points(b, 1, seed=3)[0]
-    da = mg.flat_torus_diameter(mg.pi1_fiber_torus(pa), "exact_small_n")
-    db = mg.flat_torus_diameter(mg.pi1_fiber_torus(pb), "exact_small_n")
+    da = mg.flat_torus_diameter(mg.pi1_fiber_torus(pa))
+    db = mg.flat_torus_diameter(mg.pi1_fiber_torus(pb))
     assert db == pytest.approx(da / 4.0, rel=1e-9)
     assert mg.pi1_fiber_bound(pb) == pytest.approx(mg.pi1_fiber_bound(pa) / 4.0, rel=1e-12)
 
@@ -330,8 +324,25 @@ def test_hn_matrix_matches_pointwise_quotient_distance():
     d = mg.hn_matrix(z, 1.0, 2)
     for i in range(6):
         for j in range(i + 1, 6):
-            ref = hn_distance(HnPoint(z[i], 1.0), HnPoint(z[j], 1.0))
+            # independent reference: the scalar projective distance minimized
+            # over the finite phase group by hand
+            ref = min(mg.fubini_study_distance(CPnPoint(z[i], 1.0),
+                                               CPnPoint(z[j] * np.exp(2j * math.pi * g), 1.0))
+                      for g in mg._quotient_phases(2))
             assert abs(d[i, j] - ref) < 1e-9
+
+
+def test_hn_distance_vanishes_on_phase_group_orbits():
+    # arccos of an overlap one ulp below 1 is 1.5e-8; the kernel's arcsin
+    # branch resolves these pairs to rounding level
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        for _ in range(5):
+            z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            p = CPnPoint(z, 1.0).normalized()
+            for g in mg._quotient_phases(n):
+                q = CPnPoint(p.z * np.exp(2j * math.pi * g), 1.0)
+                assert mg.hn_distance(p, q) < 1e-12
 
 
 def test_cy_sampler_residuals_and_determinism():
