@@ -2,7 +2,7 @@
 and exact polytope reports, emitted as deterministic CSV or JSON.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 infeasible or invalid
-configuration.
+configuration, or a numerical failure (a sampler or solver gave up).
 """
 
 from __future__ import annotations
@@ -82,10 +82,16 @@ def _parse_list(text: str) -> list[float]:
     return vals
 
 
+# a limit sweep compares sample sets by distances between their points
+_MIN_SAMPLES = {"limit-kahler": 2, "limit-complex": 2}
+
+
 def _check_scalars(args) -> None:
     """Reject the scalar options no command can run on."""
-    if getattr(args, "samples", 1) < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    least = _MIN_SAMPLES.get(args.command, 1)
+    if getattr(args, "samples", least) < least:
+        raise ValueError(f"--samples must be >= {least} for {args.command}, "
+                         f"got {args.samples}")
     for name in ("rho1", "rho2"):
         val = getattr(args, name, None)
         if isinstance(val, float) and not math.isfinite(val):
@@ -454,6 +460,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

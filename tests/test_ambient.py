@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wsdlab.ambient import (
@@ -220,6 +222,70 @@ def test_exterior_derivative_step_warning():
     p = section_point(1, [0.01, 5.0])
     with pytest.warns(UserWarning, match="step"):
         exterior_derivative_residual("omegaD", p, h=0.005)
+
+
+def _dense_synthetic(p):
+    # every coefficient varies along every r axis, so for n >= 2 the three
+    # terms of a cyclic sum over r axes are all nonzero and their order of
+    # addition shows in the rounding
+    dim = p.dim
+    s = 0.37 * float(p.r @ np.arange(1.0, p.n + 2.0))
+    k = np.arange(dim)
+    w = np.sin(np.add.outer(k + 1.0, 2.0 * k) * s)
+    return w - w.T
+
+
+def _looped_residual(form, p, h):
+    """Reference: one AmbientPoint per shifted axis, then the scalar triple fold."""
+    fn = form if callable(form) else (lambda q: getattr(ambient_tensors_at(q), form))
+    m, dim = p.n + 1, p.dim
+    grad = np.empty((dim, dim, dim))
+    for a in range(dim):
+        shifted = []
+        for delta in (h, -h):
+            arrays = [p.theta.copy(), p.r.copy(), p.eta.copy()]
+            arrays[a // m][a % m] += delta
+            shifted.append(fn(AmbientPoint(p.n, *arrays)))
+        grad[a] = (shifted[0] - shifted[1]) / (2.0 * h)
+    worst = 0.0
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            for c in range(b + 1, dim):
+                t = grad[a][b, c] + grad[b][c, a] + grad[c][a, b]
+                worst = max(worst, abs(t))
+    return worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), data=st.data(),
+       form=st.sampled_from(["omega1", "omega2", "omegaD", _closed_synthetic,
+                             _dense_synthetic]),
+       step=st.one_of(st.none(), st.floats(1e-8, 0.05)))
+def test_exterior_derivative_matches_looped_reference_bitwise(n, data, form, step):
+    log_r = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n + 1, max_size=n + 1))
+    angles = st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1)
+    p = AmbientPoint(n, data.draw(angles), np.power(10.0, log_r), data.draw(angles))
+    if step is None:  # the default step
+        got, h = exterior_derivative_residual(form, p), 1e-5 * min(1.0, float(np.min(p.r)))
+    else:
+        h = step * float(np.min(p.r))
+        got = exterior_derivative_residual(form, p, h)
+    assert got == _looped_residual(form, p, h)
+
+
+@pytest.mark.parametrize("form", ["omega1", _closed_synthetic])
+@pytest.mark.parametrize("factor", [1.0, 3.0])
+def test_exterior_derivative_step_past_min_radius_raises(form, factor):
+    p = section_point(2, [0.02, 1.0, 40.0])
+    with pytest.warns(UserWarning, match="step"), \
+            pytest.raises(ValueError, match="strictly positive"):
+        exterior_derivative_residual(form, p, h=factor * 0.02)
+
+
+def test_exterior_derivative_non_finite_is_not_closed():
+    p = section_point(1, [1.0, 2.0])
+    got = exterior_derivative_residual(lambda q: np.full((q.dim, q.dim), np.nan), p)
+    assert not math.isfinite(got)
 
 
 def test_auxiliary_vectors_example():

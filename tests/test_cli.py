@@ -199,13 +199,25 @@ def test_sweep_deterministic(tmp_path):
     ["boundary", "--n", "2", "--side", "B", "--rho2=-inf", "--samples", "4"],
     ["limit-kahler", "--n", "2", "--rho2", "0.6,nan", "--grid", "1:10:2", "--samples", "4"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:inf:2", "--samples", "4"],
+    ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "1"],
+    ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "0.1:1:2", "--samples", "1"],
 ], ids=["verify-samples-0", "kahler-samples-0", "rho2-nan", "rho2-inf", "rho1-nan",
-        "boundary-rho2-neg-inf", "rho2-list-nan", "grid-inf"])
+        "boundary-rho2-neg-inf", "rho2-list-nan", "grid-inf", "kahler-samples-1",
+        "complex-samples-1"])
 def test_rejects_unusable_input_with_one_line(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+
+
+def test_sampler_failure_exits_2_with_one_line(capsys):
+    # feasible, but the base projection cannot reach radii this deep
+    assert main(["verify", "--n", "2", "--rho2", "2.5", "--samples", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_module_entry_point_runs_without_warnings():
