@@ -92,7 +92,7 @@ def _check_scalars(args) -> None:
     if getattr(args, "samples", least) < least:
         raise ValueError(f"--samples must be >= {least} for {args.command}, "
                          f"got {args.samples}")
-    for name in ("rho1", "rho2"):
+    for name in ("rho1", "rho2", "tol"):
         val = getattr(args, name, None)
         if isinstance(val, float) and not math.isfinite(val):
             raise ValueError(f"--{name} must be finite, got {val}")
@@ -109,6 +109,14 @@ def _regular_or_die(spec: LevelSetSpec) -> int | None:
 
 
 # -- verify ---------------------------------------------------------------
+
+def _check(name: str, residual: float, tol: float, ok: bool = True) -> dict:
+    """One report entry; a non-finite residual is written as null and fails,
+    so the report stays strict JSON."""
+    finite = math.isfinite(residual)
+    return {"name": name, "max_residual": float(_e(residual)) if finite else None,
+            "tol": tol, "pass": bool(ok and finite and residual < tol)}
+
 
 def cmd_verify(args) -> int:
     spec = LevelSetSpec.from_rho(args.n, args.rho1, args.rho2)
@@ -135,16 +143,11 @@ def cmd_verify(args) -> int:
                                for f in ("omega1", "omega2", "omegaD")))
 
     checks = [
-        {"name": "wsd_axioms", "max_residual": float(_e(ax_res)),
-         "tol": args.tol, "pass": bool(ax_ok and ax_res < args.tol)},
-        {"name": "aij_consistency", "max_residual": float(_e(aij_res)),
-         "tol": 1e-10, "pass": bool(aij_res < 1e-10)},
-        {"name": "restricted_norm", "max_residual": float(_e(norm_res)),
-         "tol": 1e-9, "pass": bool(norm_res < 1e-9)},
-        {"name": "leaf_volume", "max_residual": float(_e(leaf_res)),
-         "tol": 1e-10, "pass": bool(leaf_res < 1e-10)},
-        {"name": "exterior_derivative", "max_residual": float(_e(fd_res)),
-         "tol": 1e-6, "pass": bool(fd_res < 1e-6)},
+        _check("wsd_axioms", ax_res, args.tol, ax_ok),
+        _check("aij_consistency", aij_res, 1e-10),
+        _check("restricted_norm", norm_res, 1e-9),
+        _check("leaf_volume", leaf_res, 1e-10),
+        _check("exterior_derivative", fd_res, 1e-6),
     ]
     report = {
         "config": {"n": args.n, "rho1": args.rho1, "rho2": args.rho2,
@@ -153,7 +156,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "version": __version__,
     }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", args.out)
     return 0 if all(c["pass"] for c in checks) else 1
 
 

@@ -326,11 +326,24 @@ def _greedy_reduce(basis: np.ndarray, rounds: int = 60) -> np.ndarray:
     return b[:, np.argsort(np.sum(b * b, axis=0))]
 
 
-def _candidate_vectors(basis: np.ndarray, box: int = 1) -> np.ndarray:
-    k = basis.shape[1]
-    coeffs = np.array(list(itertools.product(range(-box, box + 1), repeat=k)))
+@lru_cache(maxsize=None)
+def _box_systems(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-box candidates of a rank-k lattice and the bisector systems worth solving.
+
+    coeffs: the nonzero rows of {-1,0,1}^k in itertools.product order.
+    labels: labels[i] in 0..2^k-2 numbers the nonzero coset of Z^k/2Z^k holding coeffs[i].
+    systems: the index k-tuples, in itertools.combinations order, whose
+    coefficient rows have nonzero integer determinant; the others are singular
+    for every basis.  All three are read-only.
+    """
+    coeffs = np.array(list(itertools.product(range(-1, 2), repeat=k)))
     coeffs = coeffs[np.any(coeffs != 0, axis=1)]
-    return coeffs @ basis.T
+    labels = np.abs(coeffs) @ (1 << np.arange(k)) - 1
+    systems = np.array(list(itertools.combinations(range(len(coeffs)), k)))
+    systems = systems[np.rint(np.linalg.det(coeffs[systems].astype(float))) != 0]
+    for arr in (coeffs, labels, systems):
+        arr.flags.writeable = False
+    return coeffs, labels, systems
 
 
 def _dist_to_lattice(points: np.ndarray, basis: np.ndarray, box: int = 2) -> np.ndarray:
@@ -355,18 +368,30 @@ def flat_torus_diameter(spec: FlatTorusSpec) -> float:
     lattice: the max norm over the Voronoi vertices, for rank <= 3.
 
     The basis is greedy-reduced first; relevant vectors of a reduced basis in
-    rank <= 3 live in the unit coefficient box, and every Voronoi vertex is an
-    intersection of `rank` bisectors, solved in batch.
+    rank <= 3 live in the unit coefficient box.  By Voronoi's criterion a
+    relevant vector is a strict shortest vector of its coset of L/2L, so only
+    box vectors within relative 1e-9 of their coset's shortest (ties kept) can
+    bound a cell, and a Voronoi vertex is an intersection of `rank` of their
+    bisectors, solved in batch and kept if no box vector's bisector cuts it off.
     """
     k = spec.rank
     if k > 3:
         raise ValueError("exact covering radius is implemented for rank <= 3 only")
-    basis = _greedy_reduce(spec.euclidean_basis())
+    try:
+        frame = spec.euclidean_basis()
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"flat torus Gram matrix is numerically singular ({exc})") from exc
+    basis = _greedy_reduce(frame)
     if k == 1:
         return 0.5 * float(np.linalg.norm(basis[:, 0]))
-    cands = _candidate_vectors(basis, box=1)
+    coeffs, labels, systems = _box_systems(k)
+    cands = coeffs @ basis.T
     half = 0.5 * np.sum(cands * cands, axis=1)
-    combos = np.array(list(itertools.combinations(range(len(cands)), k)))
+    coset_min = np.full(2**k - 1, np.inf)
+    np.minimum.at(coset_min, labels, half)
+    floor = coset_min[labels]
+    short = half - floor <= 1e-9 * floor
+    combos = systems[np.all(short[systems], axis=1)]
     mats = cands[combos]                      # (ncomb, k, k)
     rhs = half[combos]                        # (ncomb, k)
     dets = np.abs(np.linalg.det(mats))
@@ -379,8 +404,10 @@ def flat_torus_diameter(spec: FlatTorusSpec) -> float:
     return float(np.max(np.linalg.norm(verts[inside], axis=1)))
 
 
+@lru_cache(maxsize=32)
 def _saturated_image_basis(mat) -> np.ndarray:
-    """Basis (columns) of span(mat) intersected with the integer lattice.
+    """Basis (columns) of span(mat) intersected with the integer lattice,
+    cached per (hashable) matrix and returned read-only.
 
     With U M V = D the points M s landing in Z^{rows} are exactly
     s in V diag(1/d_i) Z^{cols}, so the subtorus period lattice picks up the
@@ -392,23 +419,32 @@ def _saturated_image_basis(mat) -> np.ndarray:
     scale = np.array(snf.diagonal, dtype=float)
     if np.any(scale == 0):
         raise ValueError("embedding matrix must have full column rank")
-    return f @ (v / scale[None, :])
+    basis = f @ (v / scale[None, :])
+    basis.flags.writeable = False
+    return basis
+
+
+def _fiber_torus(mat, weights: np.ndarray) -> FlatTorusSpec:
+    """The saturated image of mat is exactly full rank, so a rejected spec means
+    the weights left the Gram matrix numerically singular."""
+    basis = _saturated_image_basis(mat)
+    try:
+        return FlatTorusSpec(basis, weights)
+    except ValueError as exc:
+        raise ArithmeticError(f"fiber torus metric is numerically degenerate ({exc})") from exc
 
 
 def pi1_fiber_torus(p: ReducedPoint) -> FlatTorusSpec:
     """Fiber torus of the first projection at p: the eta-subtorus with the
     induced diagonal metric deta_i^2 / (4 pi^2 r_i^2)."""
-    basis = _saturated_image_basis(lattice_maps(p.spec.n).primal_t.matrix)
-    weights = 1.0 / (FOUR_PI2 * p.base_r**2)
-    return FlatTorusSpec(basis, weights)
+    return _fiber_torus(lattice_maps(p.spec.n).primal_t.matrix,
+                        1.0 / (FOUR_PI2 * p.base_r**2))
 
 
 def pi2_fiber_torus(p: ReducedPoint) -> FlatTorusSpec:
     """Fiber torus of the second projection: the theta-subtorus, metric
     4 pi^2 r_i^2 dtheta_i^2."""
-    basis = _saturated_image_basis(lattice_maps(p.spec.n).dual_t.matrix)
-    weights = FOUR_PI2 * p.base_r**2
-    return FlatTorusSpec(basis, weights)
+    return _fiber_torus(lattice_maps(p.spec.n).dual_t.matrix, FOUR_PI2 * p.base_r**2)
 
 
 def pi1_fiber_bound(p: ReducedPoint) -> float:

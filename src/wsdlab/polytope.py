@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 MAX_DIM = 8
@@ -110,8 +111,10 @@ class LatticeMaps:
     dual_t: LatticeMap
 
 
+@lru_cache(maxsize=None)
 def lattice_maps(n: int) -> LatticeMaps:
-    """The four lattice maps attached to the simplex pair in dimension n.
+    """The four lattice maps attached to the simplex pair in dimension n
+    (frozen and tuple-only, so one cached instance per n is shared).
 
     primal sends the i-th domain coordinate to the i-th dual-simplex vertex
     (x -> (x_1 - x_{n+1}, ..., x_n - x_{n+1})); dual does the same with the
@@ -378,7 +381,8 @@ def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
     """All facets of a full-dimensional polytope, by exhaustive hyperplane search.
 
     Exhaustive over vertex subsets of size dim, so only suitable at desk
-    scale (dim <= 6, a few dozen vertices), which is all this package needs.
+    scale (dim <= 6 with a few dozen vertices, or a simplex up to dim 8),
+    which is all this package needs.
     """
     n = p.dim
     verts = p.vertices
@@ -525,8 +529,9 @@ def has_property_sd(p: Polytope) -> SdVerdict:
     vertex/opposite-facet pairing.  For other polytopes the finiteness
     verdict can in principle depend on that identification.
     """
-    if p.dim > MAX_SD_DIM:
-        raise ValueError(f"property SD check limited to dim <= {MAX_SD_DIM}")
+    if p.dim > MAX_SD_DIM and p.vertex_count != p.dim + 1:
+        raise ValueError(f"property SD check limited to dim <= {MAX_SD_DIM} "
+                         "for polytopes other than simplices")
     if p.affine_rank() != p.dim:
         raise ValueError("polytope is not full-dimensional")
     try:

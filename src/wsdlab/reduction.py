@@ -40,6 +40,8 @@ class LevelSetSpec:
     def __post_init__(self):
         if int(self.n) < 1:
             raise ValueError("n must be >= 1")
+        if not (math.isfinite(self.k1) and math.isfinite(self.k2)):
+            raise ValueError(f"k1 and k2 must be finite, got {self.k1}, {self.k2}")
         if not self.k1 < 0:
             raise ValueError("k1 must be negative")
 

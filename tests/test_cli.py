@@ -196,13 +196,14 @@ def test_sweep_deterministic(tmp_path):
     ["verify", "--n", "2", "--rho2", "nan", "--samples", "4"],
     ["verify", "--n", "2", "--rho2", "inf", "--samples", "4"],
     ["verify", "--n", "2", "--rho1", "nan", "--rho2", "0.5", "--samples", "4"],
+    ["verify", "--n", "2", "--rho2", "0.5", "--tol", "inf", "--samples", "4"],
     ["boundary", "--n", "2", "--side", "B", "--rho2=-inf", "--samples", "4"],
     ["limit-kahler", "--n", "2", "--rho2", "0.6,nan", "--grid", "1:10:2", "--samples", "4"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:inf:2", "--samples", "4"],
     ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "1"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "0.1:1:2", "--samples", "1"],
 ], ids=["verify-samples-0", "kahler-samples-0", "rho2-nan", "rho2-inf", "rho1-nan",
-        "boundary-rho2-neg-inf", "rho2-list-nan", "grid-inf", "kahler-samples-1",
+        "tol-inf", "boundary-rho2-neg-inf", "rho2-list-nan", "grid-inf", "kahler-samples-1",
         "complex-samples-1"])
 def test_rejects_unusable_input_with_one_line(argv, capsys):
     assert main(argv) == 2
@@ -218,6 +219,44 @@ def test_sampler_failure_exits_2_with_one_line(capsys):
     assert out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n,rho2", [(2, "1.0"), (3, "1.2")])
+def test_deep_rho2_fiber_degeneracy_exits_2_with_one_line(n, rho2, capsys):
+    # regular level sets whose fiber Gram matrix is numerically singular
+    argv = ["limit-kahler", "--n", str(n), "--rho2", rho2, "--grid", "1:10:2",
+            "--samples", "12"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_verify_non_finite_residual_is_strict_json(monkeypatch, capsys):
+    monkeypatch.setattr("wsdlab.cli.exterior_derivative_residual",
+                        lambda form, point: math.inf)
+    assert main(["verify", "--n", "2", "--rho2", "0.5", "--samples", "2"]) == 1
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+    check = {c["name"]: c for c in rep["checks"]}["exterior_derivative"]
+    assert check["max_residual"] is None and check["pass"] is False
+    assert all(c["pass"] for c in rep["checks"] if c is not check)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_polytope_report_simplex_past_general_sd_limit(tmp_path, n):
+    rc, text = run(tmp_path, "polytope-report", "--n", str(n))
+    assert rc == 0
+    rep = json.loads(text)
+    assert all(c["pass"] for c in rep["identity_checks"])
+    assert rep["self_dual"]["holds"] is True
+    order = (n + 1) ** n
+    assert rep["self_dual"]["diagnostic"].endswith(f"(kernel order {order})")
+    check = {c["name"]: c for c in rep["identity_checks"]}
+    assert check["composite_kernel_order"]["detail"] == f"kernel order {order}, expected {order}"
 
 
 def test_module_entry_point_runs_without_warnings():

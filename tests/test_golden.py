@@ -30,6 +30,9 @@ GOLDEN = [
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:4",
       "--samples", "60", "--seed", "3"),
      "1d1f0ac207f61afbc8197ea9b59e95d08e348f5c1a6575225452d28546b960d0"),
+    (("limit-complex", "--n", "3", "--rho2", "0.7", "--grid", "1e-3:1:3",
+      "--samples", "24"),
+     "af6e0f53b1c50137a3ffc64ff531378c5c2b9e93ffe331a47d96062b901b38b6"),
     (("boundary", "--side", "all", "--n", "2", "--samples", "24"),
      "d919a63e08d3456b6ac3fd3cf045028fd3671cb084add35504a6abb76d57233e"),
     (("polytope-report", "--n", "1"),

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsdlab import metgeo as mg
 from wsdlab.maps import CPnPoint
+from wsdlab.polytope import lattice_maps
 from wsdlab.reduction import LevelSetSpec, sample_points
 
 
@@ -255,6 +258,110 @@ def test_mode_ordering_and_rejection():
         assert exact <= upper + 1e-12
     with pytest.raises(ValueError):
         mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(4), np.ones(4)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("role", ["primal_t", "dual_t"])
+def test_covering_radius_equal_weight_root_lattice(n, role):
+    # both saturated images are A_n; its covering radius is sqrt(a(n+1-a)/(n+1)),
+    # a = floor((n+1)/2) (SPLAG ch. 4), and its vertices sit on many bisectors
+    basis = mg._saturated_image_basis(getattr(lattice_maps(n), role).matrix)
+    a = (n + 1) // 2
+    got = mg.flat_torus_diameter(mg.FlatTorusSpec(basis, np.ones(n + 1)))
+    assert got == pytest.approx(math.sqrt(a * (n + 1 - a) / (n + 1)), rel=1e-12)
+
+
+def test_saturated_basis_is_cached_read_only():
+    mat = lattice_maps(3).primal_t.matrix
+    basis = mg._saturated_image_basis(mat)
+    assert mg._saturated_image_basis(mat) is basis
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
+    p = sample_points(LevelSetSpec.from_rho(3, 1.0, 0.7), 1, seed=5)[0]
+    assert not mg.pi1_fiber_torus(p).lattice_basis.flags.writeable
+
+
+def _box_enumeration_diameter(spec):
+    """The covering radius from all bisector k-subsets of the 3^k - 1 unit-box
+    vectors, with no coset pruning: the reference the pruned search must match."""
+    k = spec.rank
+    basis = mg._greedy_reduce(spec.euclidean_basis())
+    if k == 1:
+        return 0.5 * float(np.linalg.norm(basis[:, 0]))
+    coeffs = np.array(list(itertools.product(range(-1, 2), repeat=k)))
+    coeffs = coeffs[np.any(coeffs != 0, axis=1)]
+    cands = coeffs @ basis.T
+    half = 0.5 * np.sum(cands * cands, axis=1)
+    combos = np.array(list(itertools.combinations(range(len(cands)), k)))
+    mats = cands[combos]
+    rhs = half[combos]
+    dets = np.abs(np.linalg.det(mats))
+    good = dets > 1e-10 * float(np.max(np.abs(cands))) ** k
+    verts = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
+    inside = np.all(verts @ cands.T <= half[None, :] + 1e-9 * np.max(half), axis=1)
+    if not np.any(inside):
+        raise ArithmeticError("no Voronoi vertex found; lattice data degenerate")
+    return float(np.max(np.linalg.norm(verts[inside], axis=1)))
+
+
+def _assert_fiber_tori_match_enumeration(n, rho1s, rho2s, samples, seed):
+    for rho2 in rho2s:
+        for rho1 in rho1s:
+            spec = LevelSetSpec.from_rho(n, float(rho1), rho2)
+            for p in sample_points(spec, samples, seed):
+                for torus in (mg.pi1_fiber_torus(p), mg.pi2_fiber_torus(p)):
+                    assert mg.flat_torus_diameter(torus) == _box_enumeration_diameter(torus)
+
+
+# (n, rho1 grid, rho2 list, samples, seed) of the limit sweeps in test_golden
+GOLDEN_SWEEPS = [
+    (2, np.geomspace(1, 1e3, 4), [0.55, 0.7], 24, 3),
+    (3, np.geomspace(1, 1e3, 3), [0.7], 12, 0),
+    (2, np.geomspace(1e-3, 1, 4), [0.6], 60, 3),
+    (3, np.geomspace(1e-3, 1, 3), [0.7], 24, 0),
+]
+
+
+@pytest.mark.parametrize("sweep", GOLDEN_SWEEPS,
+                         ids=["kahler-n2", "kahler-n3", "complex-n2", "complex-n3"])
+def test_coset_pruning_is_bitwise_on_golden_sample_sets(sweep):
+    _assert_fiber_tori_match_enumeration(*sweep)
+
+
+# the limit sweeps of the benchmark workloads, at any --seed (dense's 400
+# samples are cut to 48: the points are per-index streams, so a prefix of the
+# set is the set at a smaller --samples)
+@settings(max_examples=4, deadline=None)
+@given(sweep=st.sampled_from([
+    (3, np.geomspace(1, 1e3, 7), [0.55, 0.7], 60),
+    (2, np.geomspace(1e-3, 1, 7), [0.6], 48),
+]), data=st.data(), seed=st.integers(0, (1 << 31) - 1))
+def test_coset_pruning_is_bitwise_on_benchmark_sample_sets(sweep, data, seed):
+    n, rho1s, rho2s, samples = sweep
+    rho1 = data.draw(st.sampled_from(list(rho1s)))
+    rho2 = data.draw(st.sampled_from(rho2s))
+    _assert_fiber_tori_match_enumeration(n, [rho1], [rho2], samples, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 3), extra=st.integers(0, 1), data=st.data())
+def test_coset_pruning_matches_enumeration_on_random_specs(k, extra, data):
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    rows = k + extra
+    b = np.array(data.draw(st.lists(entries, min_size=rows * k, max_size=rows * k)))
+    log_w = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=rows, max_size=rows)))
+    try:
+        spec = mg.FlatTorusSpec(b.reshape(rows, k), 10.0 ** log_w)
+    except ValueError:  # dependent columns
+        return
+    try:
+        old = _box_enumeration_diameter(spec)
+    except (ArithmeticError, np.linalg.LinAlgError):  # numerically singular Gram
+        with pytest.raises(ArithmeticError):
+            mg.flat_torus_diameter(spec)
+        return
+    assert abs(mg.flat_torus_diameter(spec) - old) <= 1e-9 * old
 
 
 def test_fiber_tori_and_closed_form_bound():

@@ -217,7 +217,7 @@ def test_facet_enumeration_square():
     )
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_simplices_have_property_sd(n):
     p, _ = simplex_pair(n)
     verdict = has_property_sd(p)
@@ -259,6 +259,14 @@ def test_property_sd_scaled_simplex_fails_integrality():
 def test_dual_polytope_raises_without_interior_origin():
     with pytest.raises(DegenerateDualError):
         dual_polytope(Polytope(((0, 0), (1, 0), (0, 1))))
+
+
+def test_property_sd_dimension_guard_still_limits_other_polytopes():
+    # the exhaustive facet search stays limited for other polytopes past dim 6
+    cross = Polytope(tuple(tuple(s * (j == i) for j in range(7))
+                           for i in range(7) for s in (1, -1)))
+    with pytest.raises(ValueError, match="simplices"):
+        has_property_sd(cross)
 
 
 def test_not_full_dimensional_rejected():

@@ -37,6 +37,19 @@ def test_spec_construction_and_properties():
         LevelSetSpec(0, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("k1,k2", [(-1.0, math.nan), (-1.0, math.inf), (-1.0, -math.inf),
+                                   (-math.inf, 0.0), (math.nan, 0.0)])
+def test_spec_rejects_non_finite_levels(k1, k2):
+    with pytest.raises(ValueError, match="finite"):
+        LevelSetSpec(2, k1, k2)
+
+
+def test_nan_rho2_is_not_classified():
+    # nan compares false against the threshold, so it must never get that far
+    with pytest.raises(ValueError, match="finite"):
+        feasibility(LevelSetSpec.from_rho(2, 1.0, math.nan))
+
+
 def test_feasibility_trichotomy():
     thr = feasibility_threshold(2)  # 0.288937, five-digit roundings land below it
     assert spec_rho(2, 1.0, thr).classification == "degenerate"
