@@ -49,14 +49,6 @@ class AmbientPoint:
     def dim(self) -> int:
         return 3 * (self.n + 1)
 
-    def replace(self, theta=None, r=None, eta=None) -> "AmbientPoint":
-        return AmbientPoint(
-            self.n,
-            self.theta if theta is None else theta,
-            self.r if r is None else r,
-            self.eta if eta is None else eta,
-        )
-
 
 def section_point(n: int, r) -> AmbientPoint:
     """Point on the zero section theta = eta = 0 over the given radii."""
@@ -112,9 +104,6 @@ class TensorsAt:
     omega2: np.ndarray
     omegaD: np.ndarray
     basis_order: tuple = field(default=())
-
-    def all_forms(self):
-        return {"omega1": self.omega1, "omega2": self.omega2, "omegaD": self.omegaD}
 
 
 _FORM_IDS = ("omega1", "omega2", "omegaD")

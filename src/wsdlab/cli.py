@@ -2,7 +2,8 @@
 and exact polytope reports, emitted as deterministic CSV or JSON.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 infeasible or invalid
-configuration, or a numerical failure (a sampler or solver gave up).
+configuration, or a numerical failure (a solver gave up, a float overflowed
+or went nan, or the sampled radii underflowed).
 """
 
 from __future__ import annotations
@@ -460,12 +461,15 @@ def main(argv=None) -> int:
         ap.error(f"--n must be >= 1, got {args.n}")
     try:
         _check_scalars(args)
-        return args.fn(args)
+        # a float overflow, division by zero or nan is a numerical failure,
+        # never a warning followed by a result computed from it
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(args)
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

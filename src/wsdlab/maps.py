@@ -288,9 +288,6 @@ class DeformationParams:
     def on_point(self, p: AmbientPoint) -> AmbientPoint:
         return AmbientPoint(p.n, p.theta, self.t * p.r, p.eta)
 
-    def on_rho(self, rho1: float, rho2: float) -> tuple[float, float]:
-        return self.t * rho1, rho2
-
 
 def alpha_deform(spec: LevelSetSpec, t: float) -> LevelSetSpec:
     return DeformationParams(t).on_spec(spec)

@@ -1,9 +1,12 @@
 """Reduced level sets of the doubled-torus moment map and their induced structure.
 
 The base of a level set lives in shape coordinates x = r / rho1, where the two
-constraints read sum x^2 = 1 and sum log x = -2 pi^2 rho2^2.  Working in shape
-coordinates makes the sampler exactly covariant under the rescaling family
-(rho1 -> t rho1 at fixed rho2), which downstream limit sweeps rely on.
+constraints read sum x^2 = 1 and sum log x = -2 pi^2 rho2^2.  The sampler
+solves them in log coordinates u = log x, where the product constraint is a
+hyperplane and the sphere a convex level set, so each sample is the one root
+of a convex function along a ray.  Working in shape coordinates makes the
+sampler exactly covariant under the rescaling family (rho1 -> t rho1 at fixed
+rho2), which downstream limit sweeps rely on.
 """
 
 from __future__ import annotations
@@ -81,47 +84,6 @@ def feasibility(spec: LevelSetSpec, rel_tol: float = 1e-12) -> str:
     return "regular"
 
 
-def _shape_constraints(x: np.ndarray, log_target: float) -> np.ndarray:
-    return np.array([float(x @ x) - 1.0,
-                     math.fsum(math.log(v) for v in x) - log_target])
-
-
-def _project_shape(x: np.ndarray, log_target: float,
-                   tol: float = 1e-12, max_iter: int = 50) -> np.ndarray | None:
-    """Newton projection onto {sum x^2 = 1, sum log x = log_target}, x > 0.
-
-    Uses the constraint-Jacobian pseudo-inverse with step damping; returns None
-    if the iteration stalls (caller resamples the proposal).
-    """
-    x = np.asarray(x, dtype=float).copy()
-    scale = max(1.0, abs(log_target))
-    f = _shape_constraints(x, log_target)
-    for _ in range(max_iter):
-        err = np.max(np.abs(f))
-        if err <= tol * scale:
-            return x
-        jac = np.vstack([2.0 * x, 1.0 / x])
-        gram = jac @ jac.T
-        try:
-            delta = -jac.T @ np.linalg.solve(gram, f)
-        except np.linalg.LinAlgError:
-            return None
-        step = 1.0
-        for _ in range(40):
-            x_new = x + step * delta
-            if np.all(x_new > 0):
-                f_new = _shape_constraints(x_new, log_target)
-                if np.max(np.abs(f_new)) < err or np.max(np.abs(f_new)) <= tol * scale:
-                    break
-            step *= 0.5
-        else:
-            return None
-        x, f = x_new, f_new
-    if np.max(np.abs(f)) <= tol * scale:
-        return x
-    return None
-
-
 def _stream(seed: int, *path: int) -> np.random.Generator:
     # counter-based per-index streams: determinism independent of draw order
     entropy = (int(seed) % (1 << 63),) + tuple(int(p) for p in path)
@@ -134,14 +96,47 @@ def _require_regular(spec: LevelSetSpec) -> None:
         raise ValueError(f"level set is {cls}; a regular spec is required")
 
 
-def sample_base(spec: LevelSetSpec, count: int, seed: int = 0,
-                retries: int = 40) -> np.ndarray:
+def _log_ray_roots(centre: float, d: np.ndarray) -> np.ndarray:
+    """Per row of d, the root t > 0 of logsumexp(2 (centre + t d)) = 0.
+
+    Requires centre < 0 with m e^{2 centre} < 1 and max d > 0.  The function
+    is convex and increasing in t on the root's side, so Newton started at
+    t = -centre / max d (where the largest term is e^0 and the function is
+    >= 0) decreases t monotonically onto the root.  Each row stops on its own
+    test, the first step that no longer lowers t, so a row's result does not
+    depend on the rest of the batch.
+    """
+    t = -centre / np.max(d, axis=1)
+    live = np.arange(len(d))
+    while live.size:
+        dl, tl = d[live], t[live]
+        a = 2.0 * (centre + tl[:, None] * dl)
+        top = np.max(a, axis=1)
+        e = np.exp(a - top[:, None])
+        s = np.sum(e, axis=1)
+        f = top + np.log(s)
+        slope = 2.0 * np.sum(e * dl, axis=1) / s
+        t_new = tl - f / slope
+        down = t_new < tl
+        t[live[down]] = t_new[down]
+        live = live[down]
+    return t
+
+
+def sample_base(spec: LevelSetSpec, count: int, seed: int = 0) -> np.ndarray:
     """Sample `count` radii vectors on the base constraint set, rows r in R^{n+1}.
 
-    Proposals are log-uniform directions on the simplex of r^2, Newton-projected
-    onto the constraints; each sample index has its own RNG stream.  For n = 1
-    the base is the finite solution set of a quadratic and is enumerated
-    exactly instead.
+    In log coordinates u = log(r / rho1) the base is the hyperplane
+    sum u = L = -2 pi^2 rho2^2 cut by the convex level set logsumexp(2u) = 0.
+    Its centre u = L/m (m = n+1) lies strictly inside the sphere exactly when
+    the spec is regular, so every sum-zero direction d meets the base once,
+    at a ray parameter t > 0 solved per row (`_log_ray_roots`).  Each sample
+    index draws its direction from its own RNG stream, log-uniform weights
+    centred to sum zero.  For n = 1 the base is the finite solution set of a
+    quadratic and is enumerated exactly instead.
+
+    Raises ArithmeticError when a radius underflows to 0, which happens for
+    rho2 of about 8 and beyond.
     """
     _require_regular(spec)
     m = spec.n + 1
@@ -159,21 +154,15 @@ def sample_base(spec: LevelSetSpec, count: int, seed: int = 0,
         pts = np.array([[hi, lo], [lo, hi]]) * rho1
         return pts[np.arange(count) % 2]
 
-    out = np.empty((count, m))
-    for idx in range(count):
-        rng = _stream(seed, idx)
-        width = 3.0
-        for _ in range(retries):
-            logw = rng.uniform(-width, width, m)
-            x0 = np.exp(0.5 * logw)
-            x0 /= math.sqrt(float(x0 @ x0))
-            x = _project_shape(x0, log_target)
-            if x is not None:
-                break
-            width *= 0.7
-        else:
-            raise RuntimeError(f"base projection failed for sample {idx}: retry budget exhausted")
-        out[idx] = rho1 * x
+    logw = np.array([_stream(seed, idx).uniform(-3.0, 3.0, m)
+                     for idx in range(count)]).reshape(count, m)
+    d = logw - np.mean(logw, axis=1, keepdims=True)
+    centre = log_target / m
+    t = _log_ray_roots(centre, d)
+    out = rho1 * np.exp(centre + t[:, None] * d)
+    if not np.all(out > 0):
+        raise ArithmeticError(f"base radii underflow at rho2 = {spec.rho2:.6g}: "
+                              "a radius rounds to 0 in double precision")
     return out
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,15 +214,15 @@ def test_rejects_unusable_input_with_one_line(argv, capsys):
 
 
 def test_sampler_failure_exits_2_with_one_line(capsys):
-    # feasible, but the base projection cannot reach radii this deep
-    assert main(["verify", "--n", "2", "--rho2", "2.5", "--samples", "3"]) == 2
+    # feasible, but the base radii underflow to 0 in double precision
+    assert main(["verify", "--n", "2", "--rho2", "30", "--samples", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n,rho2", [(2, "1.0"), (3, "1.2")])
+@pytest.mark.parametrize("n,rho2", [(2, "1.3"), (3, "1.2")])
 def test_deep_rho2_fiber_degeneracy_exits_2_with_one_line(n, rho2, capsys):
     # regular level sets whose fiber Gram matrix is numerically singular
     argv = ["limit-kahler", "--n", str(n), "--rho2", rho2, "--grid", "1:10:2",
@@ -230,6 +231,33 @@ def test_deep_rho2_fiber_degeneracy_exits_2_with_one_line(n, rho2, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+DEEP_COMMANDS = {
+    "verify": ["verify", "--samples", "3"],
+    "limit-kahler": ["limit-kahler", "--grid", "1:10:2", "--samples", "6"],
+    "limit-complex": ["limit-complex", "--grid", "0.1:1:2", "--samples", "16"],
+    "boundary": ["boundary", "--side", "all", "--grid", "0.1:1:2", "--samples", "4"],
+}
+
+
+@pytest.mark.parametrize("rho2", ["2.5", "5", "8", "30"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("command", list(DEEP_COMMANDS))
+def test_deep_rho2_gives_result_or_one_line(command, n, rho2, capsys):
+    # every sampled command: a result, or exit 2 with one classified line
+    argv = DEEP_COMMANDS[command] + ["--n", str(n), "--rho2", rho2]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert rc in (0, 1, 2)
+    assert "Warning" not in err and "Traceback" not in err
+    assert err.count("\n") <= 1
+    if rc == 2:
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 def test_verify_non_finite_residual_is_strict_json(monkeypatch, capsys):

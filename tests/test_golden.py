@@ -1,11 +1,12 @@
 """Golden CLI outputs: sha256 of stdout for fixed-seed runs of every command.
 
-The digests pin the exact bytes each command prints, so a refactor that
-claims "same behaviour" must leave every one of them unchanged.  They were
-recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1, and were the same
-with BLAS at 1 and at 2 threads.  A different numpy/scipy/BLAS build may
-round differently in the last printed digit; in that case re-record them on
-the parent revision before judging a change against them.
+The digests pin the exact bytes each command prints, and each command runs
+twice to show those bytes repeat, so a refactor that claims "same behaviour"
+must leave every one of them unchanged.  They were recorded with Python
+3.11.7, numpy 2.4.6 and scipy 1.17.1, and were the same with BLAS at 1 and
+at 2 threads.  A different numpy/scipy/BLAS build may round differently in
+the last printed digit; in that case re-record them on the parent revision
+before judging a change against them.
 """
 
 import contextlib
@@ -18,23 +19,23 @@ from wsdlab.cli import main
 
 GOLDEN = [
     (("verify", "--n", "2", "--rho2", "0.5", "--samples", "20"),
-     "425ae32a4fd4f218863b0acf384c9cdb0a3ba4900545a0ec0a8da35e501daf8b"),
+     "c246450fb3581b973beb246edbde643d5ae346e5fb237f374447a1f733109182"),
     (("verify", "--n", "3", "--rho2", "0.5", "--samples", "10"),
-     "d1d74661f4d5f9f9058620728c8edf52235f948de7cee0458ceb180864b5b338"),
+     "3bb04717e58bba18a181a7e8bd015f1d58e0bc9e0b3f35566e78cf186668b42b"),
     (("limit-kahler", "--n", "2", "--rho2", "0.55,0.7", "--grid", "1:1e3:4",
       "--samples", "24", "--seed", "3"),
-     "d9d0b6d385c5dfb4eb82fce03d33a4ccf1d9250d6fd75d40a551bb7a760f4761"),
+     "c638071f1b4eac8e79e2fe19150e285adfbe2bb58390bfccc9d0bc4158c361fb"),
     (("limit-kahler", "--n", "3", "--rho2", "0.7", "--grid", "1:1e3:3",
       "--samples", "12"),
-     "4f58a219ff68710d0661d975a634fb52c0b3117521528babd7b18d59393f75e8"),
+     "f59f0dfeff34558ff96d3d5f3933ac6c35a6e1e7619cdcbda3889e2a96bceb2f"),
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:4",
       "--samples", "60", "--seed", "3"),
-     "1d1f0ac207f61afbc8197ea9b59e95d08e348f5c1a6575225452d28546b960d0"),
+     "1afd9dbda031b7e1a4b3cf87cba75e08cb23b7e04644e43db81fe66c14e1de43"),
     (("limit-complex", "--n", "3", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "af6e0f53b1c50137a3ffc64ff531378c5c2b9e93ffe331a47d96062b901b38b6"),
+     "989162e79647d6c4e08e746f7248f567ed7bc1ca7650165fc4f55aebe55f3200"),
     (("boundary", "--side", "all", "--n", "2", "--samples", "24"),
-     "d919a63e08d3456b6ac3fd3cf045028fd3671cb084add35504a6abb76d57233e"),
+     "ad033268337439b5e61e0c172f1f4443d473178813fc1092da1d0588343ce20e"),
     (("polytope-report", "--n", "1"),
      "426244f1bf993bec766b3fe2aa4ab2a9e479c96d002a1c7c7f66c5480658407d"),
     (("polytope-report", "--n", "2"),
@@ -52,8 +53,11 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_cli_stdout_matches_golden_digest(argv, digest):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = main(list(argv))
-    assert rc == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    outputs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(list(argv)) == 0
+        outputs.append(buf.getvalue())
+    assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == digest

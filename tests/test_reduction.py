@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wsdlab.ambient import AmbientPoint, feasibility_threshold, moment_map, section_point
 from wsdlab.polytope import lattice_maps
@@ -106,6 +108,32 @@ def test_sample_base_scale_covariance():
     a = sample_base(lo, 12, seed=3) / lo.rho1
     b = sample_base(hi, 12, seed=3) / hi.rho1
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 6), data=st.data(), seed=st.integers(0, (1 << 31) - 1),
+       rho1=st.floats(1e-3, 1e3), count=st.integers(1, 24))
+def test_sample_base_properties(n, data, seed, rho1, count):
+    rho2 = data.draw(st.floats(1.0001 * feasibility_threshold(n), 4.0))
+    unit = spec_rho(n, 1.0, rho2)
+    x = sample_base(unit, count, seed=seed)
+    assert x.shape == (count, n + 1)
+    assert np.all(np.isfinite(x)) and np.all(x > 0)
+    # unit rho1: the rows are the shapes, on sum x^2 = 1 and sum log x = -2 pi k2
+    assert np.max(np.abs(np.sum(x**2, axis=1) - 1.0)) <= 1e-12
+    level = -2 * PI * unit.k2
+    assert np.max(np.abs(np.sum(np.log(x), axis=1) - level)) <= 1e-12 * abs(level)
+    head = data.draw(st.integers(1, count))
+    assert np.array_equal(sample_base(unit, head, seed=seed), x[:head])
+    # the shape depends on rho2 alone, which (k1, k2) carry exactly only sometimes
+    scaled = spec_rho(n, rho1, rho2)
+    assume(scaled.rho2 == unit.rho2)
+    assert np.array_equal(sample_base(scaled, count, seed=seed), scaled.rho1 * x)
+
+
+def test_sample_base_underflow_is_arithmetic_error():
+    with pytest.raises(ArithmeticError, match="base radii underflow"):
+        sample_base(spec_rho(2, 1.0, 30.0), 3)
 
 
 def test_sample_base_n1_enumeration():
