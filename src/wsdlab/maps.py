@@ -91,8 +91,12 @@ def project_pi2(p: ReducedPoint) -> CPnPoint:
     _require_regular(p.spec)
     amb = p.ambient_point()
     rho1 = p.spec.rho1
-    if np.any(amb.r >= rho1):
-        raise ValueError("point outside the fibration domain: some r_i >= rho1")
+    if np.any(amb.r > rho1):
+        raise ValueError("point outside the fibration domain: some r_i > rho1")
+    if np.any(amb.r == rho1):
+        # on a regular level set every r_i < rho1: equality means the shape
+        # coordinate r_i/rho1 rounded to 1, the others being below ~1e-8
+        raise ArithmeticError("a base radius rounded to rho1; the pi2 modulus vanishes")
     mod = np.sqrt(np.log(rho1 / amb.r) / (2.0 * PI2))
     z = mod * np.exp(-2j * math.pi * amb.eta)
     return CPnPoint(z, p.spec.rho2 ** 2)

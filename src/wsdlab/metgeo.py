@@ -367,6 +367,9 @@ def flat_torus_diameter(spec: FlatTorusSpec) -> float:
     """Diameter of the flat torus, which is the covering radius of its period
     lattice: the max norm over the Voronoi vertices, for rank <= 3.
 
+    It serves generic specs and acceptance gates 6 and 8; the fiber tori of
+    the limit sweeps take the closed form root_lattice_covering_radius.
+
     The basis is greedy-reduced first; relevant vectors of a reduced basis in
     rank <= 3 live in the unit coefficient box.  By Voronoi's criterion a
     relevant vector is a strict shortest vector of its coset of L/2L, so only
@@ -424,6 +427,40 @@ def _saturated_image_basis(mat) -> np.ndarray:
     return basis
 
 
+def root_lattice_covering_radius(weights: np.ndarray) -> np.ndarray:
+    """Covering radius of A_n = {x in Z^m : sum x = 0} under the diagonal
+    metric w, for each row w of an (N, m) weight array:
+
+        R = sqrt(W - (m mod 2) / H) / 2,   W = sum w_i,  H = sum 1/w_i.
+
+    The relevant vectors of weighted A_n are the circuits +-(e_i - e_j) of the
+    two-vertex graph with m parallel edges (Bacher, de la Harpe and
+    Nagnibeda, Bull. SMF 1997), and no other lattice vector v cuts the cell:
+    for integer v, <y, v>_w <= sum w_i |v_i| / 2 <= |v|_w^2 / 2.  In z_i = w_i y_i
+    the Voronoi cell is {z : z_i - z_j <= (w_i + w_j)/2, sum z_i / w_i = 0}.
+    Two tight bisectors i -> j -> k cannot chain (their sum breaks i -> k), so
+    every vertex comes from a split of the coordinates into nonempty S and
+    its complement: z_i = lam + w_i/2 on S, z_i = lam - w_i/2 off it, with lam
+    fixed by the sum constraint.  Its squared norm is
+    W/4 - (m - 2|S|)^2 / (4H), largest at |S| = floor(m/2); there are
+    2^m - 2 vertices (6 for the hexagon, 14 for the rhombic dodecahedron).
+    The flat torus R^{m-1}/A_n has this covering radius as its diameter.
+    """
+    w = np.asarray(weights, dtype=float)
+    m = w.shape[-1]
+    return 0.5 * np.sqrt(np.sum(w, axis=-1) - (m % 2) / np.sum(1.0 / w, axis=-1))
+
+
+def _pi1_weights(base_r: np.ndarray) -> np.ndarray:
+    """First-projection fiber metric deta_i^2 / (4 pi^2 r_i^2), per radius."""
+    return 1.0 / (FOUR_PI2 * base_r**2)
+
+
+def _pi2_weights(base_r: np.ndarray) -> np.ndarray:
+    """Second-projection fiber metric 4 pi^2 r_i^2 dtheta_i^2, per radius."""
+    return FOUR_PI2 * base_r**2
+
+
 def _fiber_torus(mat, weights: np.ndarray) -> FlatTorusSpec:
     """The saturated image of mat is exactly full rank, so a rejected spec means
     the weights left the Gram matrix numerically singular."""
@@ -437,14 +474,13 @@ def _fiber_torus(mat, weights: np.ndarray) -> FlatTorusSpec:
 def pi1_fiber_torus(p: ReducedPoint) -> FlatTorusSpec:
     """Fiber torus of the first projection at p: the eta-subtorus with the
     induced diagonal metric deta_i^2 / (4 pi^2 r_i^2)."""
-    return _fiber_torus(lattice_maps(p.spec.n).primal_t.matrix,
-                        1.0 / (FOUR_PI2 * p.base_r**2))
+    return _fiber_torus(lattice_maps(p.spec.n).primal_t.matrix, _pi1_weights(p.base_r))
 
 
 def pi2_fiber_torus(p: ReducedPoint) -> FlatTorusSpec:
     """Fiber torus of the second projection: the theta-subtorus, metric
     4 pi^2 r_i^2 dtheta_i^2."""
-    return _fiber_torus(lattice_maps(p.spec.n).dual_t.matrix, FOUR_PI2 * p.base_r**2)
+    return _fiber_torus(lattice_maps(p.spec.n).dual_t.matrix, _pi2_weights(p.base_r))
 
 
 def pi1_fiber_bound(p: ReducedPoint) -> float:

@@ -7,11 +7,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import wsdlab
 from wsdlab.cli import main
+from wsdlab.reduction import LevelSetSpec, sample_points
 
 
 def run(tmp_path, *argv):
@@ -222,15 +224,66 @@ def test_sampler_failure_exits_2_with_one_line(capsys):
     assert "Traceback" not in err
 
 
+def _mp_pi1_fiber_diameter(base_r):
+    """60-digit closed-form diameter of the first-projection fiber torus,
+    weights 1 / (4 pi^2 r_i^2), from its radii."""
+    with mpmath.workdps(60):
+        w = [1 / (4 * mpmath.pi**2 * mpmath.mpf(float(r)) ** 2) for r in base_r]
+        total, harmonic = mpmath.fsum(w), mpmath.fsum(1 / x for x in w)
+        return mpmath.sqrt(total - (len(w) % 2) / harmonic) / 2
+
+
 @pytest.mark.parametrize("n,rho2", [(2, "1.3"), (3, "1.2")])
-def test_deep_rho2_fiber_degeneracy_exits_2_with_one_line(n, rho2, capsys):
-    # regular level sets whose fiber Gram matrix is numerically singular
-    argv = ["limit-kahler", "--n", str(n), "--rho2", rho2, "--grid", "1:10:2",
-            "--samples", "12"]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+def test_deep_rho2_kahler_sweep_matches_60_digit_closed_form(tmp_path, n, rho2):
+    # regular level sets whose fiber Gram matrix is numerically singular: the
+    # sweep forms no Gram matrix, so it runs and prints the closed form
+    rc, text = run(tmp_path, "limit-kahler", "--n", str(n), "--rho2", rho2,
+                   "--grid", "1:10:2", "--samples", "12")
+    assert rc == 0
+    rows = rows_of(text)
+    assert len(rows) == 2
+    for row in rows:
+        spec = LevelSetSpec.from_rho(n, float(row["rho1"]), float(rho2))
+        exact = max(_mp_pi1_fiber_diameter(p.base_r) for p in sample_points(spec, 12, 0))
+        assert abs(float(row["fiber_diam_max"]) - exact) <= 1e-12 * exact
+        assert float(row["fiber_ratio"]) <= 1.0
+
+
+def _sweep_rows(tmp_path, command, n, rho2, grid):
+    rc, text = run(tmp_path, command, "--n", str(n), "--rho2", rho2, "--grid", grid,
+                   "--samples", "24")
+    assert rc == 0
+    return rows_of(text)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_limit_kahler_runs_past_rank_3(tmp_path, n):
+    rows = _sweep_rows(tmp_path, "limit-kahler", n, "0.6,0.9", "1:1e3:4")
+    assert len(rows) == 8
+    assert all(float(r["fiber_ratio"]) <= 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_limit_complex_c_witness_closed_form(tmp_path, n):
+    # the closed form gives c = pi sqrt(1 - (m mod 2) / sum x_i^-2), x = r / rho1;
+    # c is printed to 13 digits, so it may round up to 3.14159265359
+    rows = _sweep_rows(tmp_path, "limit-complex", n, "0.6,0.9", "1e-3:1:4")
+    assert len(rows) == 8
+    for r in rows:
+        c = float(r["c_witness"])
+        assert c <= math.pi + 0.5e-12
+        if (n + 1) % 2 == 0:
+            assert abs(c - math.pi) <= 1e-12
+
+
+def test_limit_kahler_deep_n3_full_grid(tmp_path):
+    # first-projection fiber weights span up to ~1e15 here
+    rc, text = run(tmp_path, "limit-kahler", "--n", "3", "--rho2", "1.0",
+                   "--grid", "1:1e3:7", "--samples", "60")
+    assert rc == 0
+    rows = rows_of(text)
+    assert len(rows) == 7
+    assert all(float(r["fiber_ratio"]) <= 1.0 for r in rows)
 
 
 DEEP_COMMANDS = {

@@ -34,6 +34,14 @@ GOLDEN = [
     (("limit-complex", "--n", "3", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
      "989162e79647d6c4e08e746f7248f567ed7bc1ca7650165fc4f55aebe55f3200"),
+    # rank-4 fiber tori: recorded with the closed-form covering radius (the
+    # Voronoi search these sweeps used before stops at rank 3 and exits 2)
+    (("limit-kahler", "--n", "4", "--rho2", "0.7", "--grid", "1:1e3:3",
+      "--samples", "12"),
+     "26982583d4a3fbd82b6abf437f06b7ca7cb08af6525f2ad5fdf54647df954274"),
+    (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
+      "--samples", "24"),
+     "7655251a4092dc6671fbe39206cecd4018c745dd93e67d158e5f98b583a827de"),
     (("boundary", "--side", "all", "--n", "2", "--samples", "24"),
      "ad033268337439b5e61e0c172f1f4443d473178813fc1092da1d0588343ce20e"),
     (("polytope-report", "--n", "1"),

@@ -204,6 +204,15 @@ def test_project_pi2_domain_guard():
         project_pi2(p)
 
 
+def test_project_pi2_radius_rounded_to_rho1_is_numerical():
+    # a shape coordinate that rounded to exactly 1 is a rounding failure on a
+    # valid level set, not a point outside the fibration domain
+    s = spec_rho(2, 1.0, 2.5)
+    p = ReducedPoint(s, [1.0, 1e-9, 1e-9], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ArithmeticError, match="rho1"):
+        project_pi2(p)
+
+
 def test_pi2_image_residual_landmarks():
     for n in (1, 2, 3):
         mag2 = math.log(n + 1) / (4 * PI**2)

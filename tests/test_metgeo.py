@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,136 @@ def test_covering_radius_equal_weight_root_lattice(n, role):
     a = (n + 1) // 2
     got = mg.flat_torus_diameter(mg.FlatTorusSpec(basis, np.ones(n + 1)))
     assert got == pytest.approx(math.sqrt(a * (n + 1 - a) / (n + 1)), rel=1e-12)
+
+
+# -- closed-form covering radius of weighted A_n --------------------------------
+
+def _split_vertices(w):
+    """The 2^m - 2 vertices of the weighted A_n Voronoi cell as (split, y)
+    pairs, one per split of the coordinates into nonempty S (bits 1) and its
+    complement, built as in root_lattice_covering_radius's proof:
+    z_i = lam +- w_i/2, y = z / w.  Plain arithmetic, so weights given as
+    mpmath numbers give the vertices at the working precision."""
+    m = len(w)
+    h = sum(1 / x for x in w)
+    out = []
+    for bits in itertools.product((0, 1), repeat=m):
+        if 0 < sum(bits) < m:
+            lam = (m - 2 * sum(bits)) / (2 * h)
+            out.append((bits, [(lam + x / 2 if b else lam - x / 2) / x
+                               for x, b in zip(w, bits)]))
+    return out
+
+
+def _mp_split_vertex_radius(weights):
+    """Largest split-vertex norm in 60-digit arithmetic, from the weights as given."""
+    with mpmath.workdps(60):
+        w = [mpmath.mpf(float(x)) for x in weights]
+        return mpmath.sqrt(max(mpmath.fsum(x * yi * yi for x, yi in zip(w, y))
+                               for _, y in _split_vertices(w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(2, 4), role=st.sampled_from(["primal_t", "dual_t"]),
+       data=st.data())
+def test_closed_form_covering_radius_matches_voronoi_search(m, role, data):
+    log_w = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=m, max_size=m)))
+    w = 10.0 ** log_w
+    basis = mg._saturated_image_basis(getattr(lattice_maps(m - 1), role).matrix)
+    closed = float(mg.root_lattice_covering_radius(w))
+    try:
+        search = mg.flat_torus_diameter(mg.FlatTorusSpec(basis, w))
+    except (ArithmeticError, ValueError):  # numerically singular Gram matrix
+        return
+    # the search keeps every true vertex, so it never falls below the closed form
+    assert search >= closed * (1 - 1e-12)
+    # its `inside` test has the absolute slack 1e-9 max|v|^2/2, which admits
+    # points just outside the cell once the weights span ~7e8 or more (up to
+    # 2.3e-8 relative at m = 4): agreement is exact below a spread of 1e8
+    if np.max(w) / np.min(w) <= 1e8:
+        assert search <= closed * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_split_vertices_satisfy_every_short_bisector(m):
+    coeffs = np.array(list(itertools.product(range(-2, 3), repeat=m)))
+    vecs = coeffs[(coeffs.sum(axis=1) == 0) & np.any(coeffs != 0, axis=1)]
+    circuits = vecs[np.sum(np.abs(vecs), axis=1) == 2]
+    assert len(circuits) == m * (m - 1)
+    rng = np.random.default_rng(40 + m)
+    for w in [np.ones(m), *(10.0 ** rng.uniform(-6.0, 6.0, m) for _ in range(4))]:
+        pairs = _split_vertices(w)
+        splits = np.array([bits for bits, _ in pairs], dtype=bool)
+        verts = np.array([y for _, y in pairs])
+        assert len(verts) == 2**m - 2
+        # in the span of A_n
+        assert np.all(np.abs(verts.sum(axis=1)) <= 1e-12 * np.abs(verts).sum(axis=1))
+        # Voronoi's inequality <y, v>_w <= |v|_w^2 / 2 for every vector of A_n
+        # with coefficients in -2..2
+        half = 0.5 * (vecs**2) @ w
+        assert np.all(verts @ (w[:, None] * vecs.T) <= half * (1 + 1e-12))
+        # each vertex lies on exactly the |S| |T| bisectors of e_i - e_j, i in S,
+        # j off it
+        tight = np.isclose(verts @ (w[:, None] * circuits.T),
+                           0.5 * (circuits**2) @ w, rtol=1e-12, atol=0.0)
+        sizes = splits.sum(axis=1)
+        assert np.array_equal(tight.sum(axis=1), sizes * (m - sizes))
+        norms = np.sqrt(np.sum(w * verts**2, axis=1))
+        assert np.max(norms) == pytest.approx(
+            float(mg.root_lattice_covering_radius(w)), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_unit_weights_is_root_lattice_covering_radius(n):
+    m = n + 1
+    a = m // 2
+    got = float(mg.root_lattice_covering_radius(np.ones(m)))
+    assert abs(got - math.sqrt(a * (m - a) / m)) <= 1e-14
+
+
+def test_closed_form_on_deep_fiber_tori_matches_60_digits():
+    # n = 3 at rho2 1.0 and 1.1: tori on which the Voronoi search gives up
+    raised = 0
+    for rho2 in (1.0, 1.1):
+        for seed in (0, 1):
+            pts = sample_points(LevelSetSpec.from_rho(3, 1.0, rho2), 60, seed)
+            base_r = np.array([p.base_r for p in pts])
+            for weights, tori in ((mg._pi1_weights, mg.pi1_fiber_torus),
+                                  (mg._pi2_weights, mg.pi2_fiber_torus)):
+                w = weights(base_r)
+                got = mg.root_lattice_covering_radius(w)
+                for row, value, p in zip(w, got, pts):
+                    exact = _mp_split_vertex_radius(row)
+                    assert abs(value - exact) <= 1e-15 * exact
+                    try:
+                        mg.flat_torus_diameter(tori(p))
+                    except ArithmeticError:
+                        raised += 1
+    assert raised > 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_matches_search_on_gate_6_samples(n):
+    # the sample sets of acceptance gate 6, which still runs the Voronoi search
+    for rho1 in np.geomspace(1.0, 1e3, 7):
+        pts = sample_points(LevelSetSpec.from_rho(n, float(rho1), 0.6), 25, seed=31 + n)
+        closed = mg.root_lattice_covering_radius(
+            mg._pi1_weights(np.array([p.base_r for p in pts])))
+        search = np.array([mg.flat_torus_diameter(mg.pi1_fiber_torus(p)) for p in pts])
+        assert np.all(np.abs(closed - search) <= 1e-12 * search)
+
+
+@pytest.mark.parametrize("n,rho2", [(2, 1.3), (3, 1.2)])
+def test_pi1_fiber_torus_degenerate_at_depth(n, rho2):
+    # the library keeps classifying a numerically singular fiber Gram matrix
+    raised = 0
+    for p in sample_points(LevelSetSpec.from_rho(n, 1.0, rho2), 12, seed=0):
+        try:
+            mg.pi1_fiber_torus(p)
+        except ArithmeticError as exc:
+            assert "numerically degenerate" in str(exc)
+            raised += 1
+    assert raised > 0
 
 
 def test_saturated_basis_is_cached_read_only():
