@@ -21,10 +21,10 @@ from . import __version__
 from .ambient import (FOUR_PI2, ambient_tensors_at, exterior_derivative_residual,
                       feasibility_threshold, leaf_volume)
 from .maps import alpha_deform, pi2_image_residual, project_pi1, project_pi2
-from .metgeo import (FiniteMetricSample, _pi1_weights, _pi2_weights,
-                     anticanonical_sample, fs_matrix, hausdorff_from_cross,
-                     hn_matrix, ngh_distance, pi1_fiber_bound,
-                     riemannian_knn_distances, root_lattice_covering_radius)
+from .metgeo import (FiniteMetricSample, anticanonical_sample, fs_matrix,
+                     hausdorff_from_cross, hn_matrix, ngh_distance,
+                     pi1_fiber_bound, pi1_fiber_diameters, pi2_fiber_diameters,
+                     riemannian_knn_distances)
 from .polytope import (has_property_sd, kernel_data, lattice_maps, simplex_pair,
                        verify_duality_identities)
 from .reduction import (LevelSetSpec, feasibility, induced_structure_at,
@@ -189,7 +189,7 @@ def cmd_limit_kahler(args) -> int:
             spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
             pts = sample_points(spec, args.samples, args.seed)
             base_r = np.array([p.base_r for p in pts])
-            fiber = float(np.max(root_lattice_covering_radius(_pi1_weights(base_r))))
+            fiber = float(np.max(pi1_fiber_diameters(base_r)))
             bound = pi1_fiber_bound(pts[0])
             z = np.array([project_pi1(p).z for p in pts])
             anti = anticanonical_sample(args.n, "cpn", spec.rho1**2,
@@ -254,7 +254,7 @@ def cmd_limit_complex(args) -> int:
             spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
             pts = sample_points(spec, args.samples, args.seed)
             base_r = np.array([p.base_r for p in pts])
-            fiber = float(np.max(root_lattice_covering_radius(_pi2_weights(base_r))))
+            fiber = float(np.max(pi2_fiber_diameters(base_r)))
             imgs = [project_pi2(p) for p in pts]
             res = max(pi2_image_residual(q) for q in imgs)
             w = np.array([q.z for q in imgs])

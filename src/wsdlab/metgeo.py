@@ -1,12 +1,16 @@
 """Finite-sample metric geometry: the distances of the two projective charts,
-diameters, Hausdorff and Gromov-Hausdorff bounds, flat fiber tori and their
-diameters, and samplers for the hypersurfaces the limit experiments compare
-against.
+diameters, Hausdorff and Gromov-Hausdorff bounds, flat-torus diameters, and a
+sampler for the anticanonical divisor the limit experiments compare against.
 
 Each chart has one distance kernel: fs_matrix for CP^n and hn_matrix for its
 quotient by the dual-simplex phase group.  hn_distance is the 1x1 case of
 hn_matrix; fubini_study_distance stays a scalar arccos formula, the
 independent reference the kernels are tested against.
+
+Every flat-torus diameter is one covering-radius formula,
+root_lattice_covering_radius for the weighted root lattice A_n: both fiber
+lattices are A_n, and a planar lattice is a weighted A_2 through its obtuse
+superbase (flat_torus_diameter).
 
 Gromov-Hausdorff distances are never claimed exactly; every comparison ships
 as a certified (lower, upper) interval.
@@ -25,7 +29,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .ambient import FOUR_PI2
-from .polytope import finite_coset_representatives, lattice_maps, smith_normal_form
+from .polytope import finite_coset_representatives, lattice_maps
 from .reduction import ReducedPoint, _stream
 
 
@@ -303,54 +307,24 @@ class FlatTorusSpec:
         return np.linalg.cholesky(self.gram()).T
 
 
-def _greedy_reduce(basis: np.ndarray, rounds: int = 60) -> np.ndarray:
-    """Greedy (Lagrange-style) length reduction; Minkowski-reduced for rank <= 3."""
-    b = basis.copy()
-    k = b.shape[1]
-    for _ in range(rounds):
-        changed = False
-        order = np.argsort(np.sum(b * b, axis=0))
-        b = b[:, order]
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                c = round(float(b[:, i] @ b[:, j]) / float(b[:, j] @ b[:, j]))
-                if c != 0:
-                    cand = b[:, i] - c * b[:, j]
-                    if cand @ cand < b[:, i] @ b[:, i]:
-                        b[:, i] = cand
-                        changed = True
-        if not changed:
-            break
-    return b[:, np.argsort(np.sum(b * b, axis=0))]
-
-
-@lru_cache(maxsize=None)
-def _box_systems(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit-box candidates of a rank-k lattice and the bisector systems worth solving.
-
-    coeffs: the nonzero rows of {-1,0,1}^k in itertools.product order.
-    labels: labels[i] in 0..2^k-2 numbers the nonzero coset of Z^k/2Z^k holding coeffs[i].
-    systems: the index k-tuples, in itertools.combinations order, whose
-    coefficient rows have nonzero integer determinant; the others are singular
-    for every basis.  All three are read-only.
-    """
-    coeffs = np.array(list(itertools.product(range(-1, 2), repeat=k)))
-    coeffs = coeffs[np.any(coeffs != 0, axis=1)]
-    labels = np.abs(coeffs) @ (1 << np.arange(k)) - 1
-    systems = np.array(list(itertools.combinations(range(len(coeffs)), k)))
-    systems = systems[np.rint(np.linalg.det(coeffs[systems].astype(float))) != 0]
-    for arr in (coeffs, labels, systems):
-        arr.flags.writeable = False
-    return coeffs, labels, systems
+def _greedy_reduce(basis: np.ndarray) -> np.ndarray:
+    """Lagrange (greedy) reduction of a rank-2 basis: columns a, b with
+    |a| <= |b| and |a.b| <= |a|^2 / 2.  Every swap shortens a, so it ends."""
+    a, b = basis.T.copy()
+    if a @ a > b @ b:
+        a, b = b, a
+    while True:
+        b = b - round(float(a @ b) / float(a @ a)) * a
+        if b @ b >= a @ a:
+            return np.column_stack([a, b])
+        a, b = b, a
 
 
 def _dist_to_lattice(points: np.ndarray, basis: np.ndarray, box: int = 2) -> np.ndarray:
     """Distance of each row to the lattice, via rounding plus a local coefficient box.
 
-    Brute force and independent of the Voronoi computation, so the tests use
-    it as the oracle for flat_torus_diameter."""
+    Brute force and independent of the covering-radius formula, so the tests
+    use it as the oracle for flat_torus_diameter and the closed form."""
     coeff = np.linalg.lstsq(basis, points.T, rcond=None)[0].T
     base = np.floor(coeff)
     k = basis.shape[1]
@@ -361,70 +335,6 @@ def _dist_to_lattice(points: np.ndarray, basis: np.ndarray, box: int = 2) -> np.
         d = np.sum(delta * delta, axis=1)
         best = d if best is None else np.minimum(best, d)
     return np.sqrt(best)
-
-
-def flat_torus_diameter(spec: FlatTorusSpec) -> float:
-    """Diameter of the flat torus, which is the covering radius of its period
-    lattice: the max norm over the Voronoi vertices, for rank <= 3.
-
-    It serves generic specs and acceptance gates 6 and 8; the fiber tori of
-    the limit sweeps take the closed form root_lattice_covering_radius.
-
-    The basis is greedy-reduced first; relevant vectors of a reduced basis in
-    rank <= 3 live in the unit coefficient box.  By Voronoi's criterion a
-    relevant vector is a strict shortest vector of its coset of L/2L, so only
-    box vectors within relative 1e-9 of their coset's shortest (ties kept) can
-    bound a cell, and a Voronoi vertex is an intersection of `rank` of their
-    bisectors, solved in batch and kept if no box vector's bisector cuts it off.
-    """
-    k = spec.rank
-    if k > 3:
-        raise ValueError("exact covering radius is implemented for rank <= 3 only")
-    try:
-        frame = spec.euclidean_basis()
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"flat torus Gram matrix is numerically singular ({exc})") from exc
-    basis = _greedy_reduce(frame)
-    if k == 1:
-        return 0.5 * float(np.linalg.norm(basis[:, 0]))
-    coeffs, labels, systems = _box_systems(k)
-    cands = coeffs @ basis.T
-    half = 0.5 * np.sum(cands * cands, axis=1)
-    coset_min = np.full(2**k - 1, np.inf)
-    np.minimum.at(coset_min, labels, half)
-    floor = coset_min[labels]
-    short = half - floor <= 1e-9 * floor
-    combos = systems[np.all(short[systems], axis=1)]
-    mats = cands[combos]                      # (ncomb, k, k)
-    rhs = half[combos]                        # (ncomb, k)
-    dets = np.abs(np.linalg.det(mats))
-    good = dets > 1e-10 * float(np.max(np.abs(cands))) ** k
-    verts = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
-    # keep vertices inside the cell: <x, v> <= |v|^2/2 for every candidate
-    inside = np.all(verts @ cands.T <= half[None, :] + 1e-9 * np.max(half), axis=1)
-    if not np.any(inside):
-        raise ArithmeticError("no Voronoi vertex found; lattice data degenerate")
-    return float(np.max(np.linalg.norm(verts[inside], axis=1)))
-
-
-@lru_cache(maxsize=32)
-def _saturated_image_basis(mat) -> np.ndarray:
-    """Basis (columns) of span(mat) intersected with the integer lattice,
-    cached per (hashable) matrix and returned read-only.
-
-    With U M V = D the points M s landing in Z^{rows} are exactly
-    s in V diag(1/d_i) Z^{cols}, so the subtorus period lattice picks up the
-    quotient identifications the plain column lattice misses.
-    """
-    snf = smith_normal_form(mat)
-    f = np.array(mat, dtype=float)
-    v = np.array(snf.v, dtype=float)
-    scale = np.array(snf.diagonal, dtype=float)
-    if np.any(scale == 0):
-        raise ValueError("embedding matrix must have full column rank")
-    basis = f @ (v / scale[None, :])
-    basis.flags.writeable = False
-    return basis
 
 
 def root_lattice_covering_radius(weights: np.ndarray) -> np.ndarray:
@@ -451,6 +361,35 @@ def root_lattice_covering_radius(weights: np.ndarray) -> np.ndarray:
     return 0.5 * np.sqrt(np.sum(w, axis=-1) - (m % 2) / np.sum(1.0 / w, axis=-1))
 
 
+def flat_torus_diameter(spec: FlatTorusSpec) -> float:
+    """Diameter of a flat torus of rank 1 or 2, which is the covering radius of
+    its period lattice.
+
+    Rank 1 is half the generator.  In rank 2 a Lagrange-reduced basis a, b
+    with a.b <= 0 (flip b if needed) gives the obtuse superbase a, b, -(a+b)
+    (Conway and Sloane, Low-dimensional lattices VI, Proc. R. Soc. A 1992).
+    Its Selling parameters w = (-a.b, |a|^2 + a.b, |b|^2 + a.b) are >= 0, and
+    e_0 - e_1, e_2 - e_0 in the weighted A_2 with these weights have the Gram
+    matrix of a, b, so the two lattices are isometric and
+    root_lattice_covering_radius gives the answer.  A rectangular lattice has
+    a zero parameter; the formula's limit there, sqrt(sum w) / 2, is what
+    1/inf = 0 gives.
+    """
+    if spec.rank > 2:
+        raise ValueError("flat torus diameter is implemented for rank <= 2 only")
+    try:
+        frame = spec.euclidean_basis()
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"flat torus Gram matrix is numerically singular ({exc})") from exc
+    if spec.rank == 1:
+        return 0.5 * float(np.linalg.norm(frame[:, 0]))
+    a, b = _greedy_reduce(frame).T
+    ab = abs(float(a @ b))
+    weights = np.array([ab, float(a @ a) - ab, float(b @ b) - ab])
+    with np.errstate(divide="ignore"):
+        return float(root_lattice_covering_radius(weights))
+
+
 def _pi1_weights(base_r: np.ndarray) -> np.ndarray:
     """First-projection fiber metric deta_i^2 / (4 pi^2 r_i^2), per radius."""
     return 1.0 / (FOUR_PI2 * base_r**2)
@@ -461,26 +400,18 @@ def _pi2_weights(base_r: np.ndarray) -> np.ndarray:
     return FOUR_PI2 * base_r**2
 
 
-def _fiber_torus(mat, weights: np.ndarray) -> FlatTorusSpec:
-    """The saturated image of mat is exactly full rank, so a rejected spec means
-    the weights left the Gram matrix numerically singular."""
-    basis = _saturated_image_basis(mat)
-    try:
-        return FlatTorusSpec(basis, weights)
-    except ValueError as exc:
-        raise ArithmeticError(f"fiber torus metric is numerically degenerate ({exc})") from exc
+def pi1_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
+    """Diameters of the first-projection fiber tori, one per row of an (N, n+1)
+    radius array: the eta-subtorus, period lattice A_n, with the induced
+    diagonal metric deta_i^2 / (4 pi^2 r_i^2)."""
+    return root_lattice_covering_radius(_pi1_weights(base_r))
 
 
-def pi1_fiber_torus(p: ReducedPoint) -> FlatTorusSpec:
-    """Fiber torus of the first projection at p: the eta-subtorus with the
-    induced diagonal metric deta_i^2 / (4 pi^2 r_i^2)."""
-    return _fiber_torus(lattice_maps(p.spec.n).primal_t.matrix, _pi1_weights(p.base_r))
-
-
-def pi2_fiber_torus(p: ReducedPoint) -> FlatTorusSpec:
-    """Fiber torus of the second projection: the theta-subtorus, metric
+def pi2_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
+    """Diameters of the second-projection fiber tori, one per row of an
+    (N, n+1) radius array: the theta-subtorus, period lattice A_n, with metric
     4 pi^2 r_i^2 dtheta_i^2."""
-    return _fiber_torus(lattice_maps(p.spec.n).dual_t.matrix, _pi2_weights(p.base_r))
+    return root_lattice_covering_radius(_pi2_weights(base_r))
 
 
 def pi1_fiber_bound(p: ReducedPoint) -> float:
@@ -489,7 +420,7 @@ def pi1_fiber_bound(p: ReducedPoint) -> float:
     return math.pi * n ** (-(n - 1) / 2.0) * math.exp(2.0 * math.pi**2 * p.spec.rho2**2) / p.spec.rho1
 
 
-# -- hypersurface samplers -----------------------------------------------------
+# -- anticanonical divisor sampler ----------------------------------------------
 
 def anticanonical_sample(n: int, chart: str, lam: float, count: int,
                          seed: int = 0) -> FiniteMetricSample:
@@ -506,70 +437,6 @@ def anticanonical_sample(n: int, chart: str, lam: float, count: int,
         z *= math.sqrt(lam) / np.linalg.norm(z)
         rows[idx] = z
     return projective_sample(rows, lam, chart)
-
-
-def cy_hypersurface_sample(n: int, rho1: float, rho2: float, count: int,
-                           seed: int = 0, retries: int = 20) -> FiniteMetricSample:
-    """Sample the hypersurface prod z_i = e^{-4 pi^2 rho2^2} sum z_i^{n+1} in CP^n.
-
-    Random rays fix z_1..z_n; the remaining coordinate solves a degree-(n+1)
-    polynomial (numpy companion roots plus one Newton polish).  Both sides are
-    homogeneous of the same degree, so representatives rescale freely onto the
-    rho1^2-sphere.
-    """
-    if count <= 0:
-        raise ValueError("count must be positive")
-    eps = math.exp(-4.0 * math.pi**2 * rho2**2)
-    rows = np.empty((count, n + 1), dtype=complex)
-    for idx in range(count):
-        rng = _stream(seed, idx, 13)
-        slot = idx % (n + 1)  # round-robin the solved coordinate for coverage
-        for _ in range(retries):
-            tail = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            prod_tail = complex(np.prod(tail))
-            power_tail = complex(np.sum(tail ** (n + 1)))
-            # eps t^{n+1} - prod_tail t + eps power_tail = 0 for the free coordinate t
-            poly = np.zeros(n + 2, dtype=complex)
-            poly[0] = eps
-            poly[-2] = -prod_tail
-            poly[-1] = eps * power_tail
-            roots = np.roots(poly)
-            roots = roots[np.isfinite(roots)]
-            if roots.size == 0:
-                continue
-            # ray-to-curve pushforward piles up on the branches through the
-            # corner points; weight branches by angular spread to compensate
-            w = 1.0 / (1.0 + np.abs(roots) ** 2 / float(np.sum(np.abs(tail) ** 2)))
-            if not np.all(np.isfinite(w)) or w.sum() == 0:
-                continue
-            t = roots[int(rng.choice(roots.size, p=w / w.sum()))]
-            # a few Newton steps sharpen the companion-matrix root
-            for _ in range(3):
-                f = eps * t ** (n + 1) - prod_tail * t + eps * power_tail
-                df = (n + 1) * eps * t**n - prod_tail
-                if df == 0:
-                    break
-                t -= f / df
-            z = np.insert(tail, slot, t)
-            norm = np.linalg.norm(z)
-            if not np.isfinite(norm) or norm == 0:
-                continue
-            z *= rho1 / norm
-            if cy_residual(z, rho2) < 1e-9:
-                rows[idx] = z
-                break
-        else:
-            raise RuntimeError(f"hypersurface sampling failed for index {idx}")
-    return projective_sample(rows, rho1**2, "cpn")
-
-
-def cy_residual(z: np.ndarray, rho2: float) -> float:
-    """Scale-normalized modulus of prod z_i - e^{-4 pi^2 rho2^2} sum z_i^{n+1}."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    eps = math.exp(-4.0 * math.pi**2 * rho2**2)
-    val = complex(np.prod(z)) - eps * complex(np.sum(z ** z.size))
-    scale = float(np.sum(np.abs(z) ** 2)) ** (z.size / 2.0)
-    return abs(val) / scale
 
 
 # -- graph geodesics -----------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wsdlab import metgeo as mg
 from wsdlab.maps import CPnPoint
-from wsdlab.polytope import lattice_maps
+from wsdlab.polytope import _eliminate, lattice_maps
 from wsdlab.reduction import LevelSetSpec, sample_points
 
 
@@ -183,22 +183,18 @@ def test_covering_radius_hex_and_cubic():
     hexb = np.array([[1.0, 0.5], [0.0, math.sqrt(3) / 2]])
     got = mg.flat_torus_diameter(mg.FlatTorusSpec(hexb, np.ones(2)))
     assert got == pytest.approx(1 / math.sqrt(3), rel=1e-12)
-    got = mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(3), np.ones(3)))
-    assert got == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
 
 
 def test_covering_radius_basis_invariance():
     rng = np.random.default_rng(12)
-    for k in (2, 3):
-        for _ in range(5):
-            b = rng.uniform(-1, 1, (k, k))
-            while abs(np.linalg.det(b)) < 0.1:
-                b = rng.uniform(-1, 1, (k, k))
-            u = np.eye(k)
-            u[0, -1] = 7.0  # unimodular shear
-            r1 = mg.flat_torus_diameter(mg.FlatTorusSpec(b, np.ones(k)))
-            r2 = mg.flat_torus_diameter(mg.FlatTorusSpec(b @ u, np.ones(k)))
-            assert r1 == pytest.approx(r2, rel=1e-11)
+    for _ in range(5):
+        b = rng.uniform(-1, 1, (2, 2))
+        while abs(np.linalg.det(b)) < 0.1:
+            b = rng.uniform(-1, 1, (2, 2))
+        u = np.array([[1.0, 7.0], [0.0, 1.0]])  # unimodular shear
+        r1 = mg.flat_torus_diameter(mg.FlatTorusSpec(b, np.ones(2)))
+        r2 = mg.flat_torus_diameter(mg.FlatTorusSpec(b @ u, np.ones(2)))
+        assert r1 == pytest.approx(r2, rel=1e-11)
 
 
 def _zoom_covering(spec, levels, res):
@@ -235,17 +231,24 @@ def test_covering_radius_zoom_oracle_2d():
         assert abs(exact - oracle) < 1e-6 * max(1.0, exact)
 
 
+def _root_basis(n):
+    """Basis e_i - e_{n+1}, i = 1..n, of A_n = {x in Z^{n+1} : sum x = 0}, as columns."""
+    return np.vstack([np.eye(n), -np.ones(n)])
+
+
 def test_covering_radius_zoom_oracle_3d():
-    b = np.array([[1.0, 0.3, -0.2], [0.0, 0.9, 0.4], [0.0, 0.0, 1.1]])
-    spec = mg.FlatTorusSpec(b, np.array([1.0, 2.0, 0.7]))
-    exact = mg.flat_torus_diameter(spec)
-    oracle = _zoom_covering(spec, levels=6, res=21)
-    assert abs(exact - oracle) < 1e-5 * max(1.0, exact)
+    # rank 3 has only the closed form, so the brute-force oracle checks it on
+    # weighted A_3 directly
+    rng = np.random.default_rng(41)
+    for w in [np.ones(4), *(10.0 ** rng.uniform(-1.0, 1.0, 4) for _ in range(2))]:
+        closed = float(mg.root_lattice_covering_radius(w))
+        oracle = _zoom_covering(mg.FlatTorusSpec(_root_basis(3), w), levels=6, res=21)
+        assert abs(closed - oracle) < 1e-6 * closed
 
 
 def test_mode_ordering_and_rejection():
     rng = np.random.default_rng(14)
-    for k in (2, 3):
+    for k in (1, 2):
         b = rng.uniform(-1, 1, (k, k)) + 2 * np.eye(k)
         spec = mg.FlatTorusSpec(b, np.ones(k))
         exact = mg.flat_torus_diameter(spec)
@@ -257,19 +260,36 @@ def test_mode_ordering_and_rejection():
         witness = float(np.max(mg._dist_to_lattice(pts, basis)))
         assert witness <= exact + 1e-12
         assert exact <= upper + 1e-12
-    with pytest.raises(ValueError):
-        mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(4), np.ones(4)))
+    with pytest.raises(ValueError, match="rank <= 2"):
+        mg.flat_torus_diameter(mg.FlatTorusSpec(np.eye(3), np.ones(3)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fiber_lattices_are_root_lattices(n):
+    # what licenses pi1/pi2_fiber_diameters: the columns of either fiber map
+    # lie in A_n (each sums to 0) and span n dimensions, so the saturation of
+    # their span, the fiber torus's period lattice, is exactly A_n
+    maps = lattice_maps(n)
+    for mat in (maps.primal_t.matrix, maps.dual_t.matrix):
+        assert len(mat) == n + 1
+        assert all(sum(col) == 0 for col in zip(*mat))
+        assert _eliminate(mat)[0] == n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("role", ["primal_t", "dual_t"])
-def test_covering_radius_equal_weight_root_lattice(n, role):
-    # both saturated images are A_n; its covering radius is sqrt(a(n+1-a)/(n+1)),
-    # a = floor((n+1)/2) (SPLAG ch. 4), and its vertices sit on many bisectors
-    basis = mg._saturated_image_basis(getattr(lattice_maps(n), role).matrix)
+@pytest.mark.parametrize("diameters", [mg.pi1_fiber_diameters, mg.pi2_fiber_diameters],
+                         ids=["primal_t", "dual_t"])
+def test_covering_radius_equal_weight_root_lattice(n, diameters):
+    # the fiber lattice of either role is A_n; its covering radius is
+    # sqrt(a(n+1-a)/(n+1)), a = floor((n+1)/2) (SPLAG ch. 4), and its
+    # vertices sit on many bisectors.  Radii 1/(2 pi) give unit weights in
+    # both fiber metrics.
     a = (n + 1) // 2
-    got = mg.flat_torus_diameter(mg.FlatTorusSpec(basis, np.ones(n + 1)))
-    assert got == pytest.approx(math.sqrt(a * (n + 1 - a) / (n + 1)), rel=1e-12)
+    want = math.sqrt(a * (n + 1 - a) / (n + 1))
+    assert float(diameters(np.full(n + 1, 0.5 / math.pi))) == pytest.approx(want, rel=1e-12)
+    if n <= 2:  # the planar route, on a basis of A_n
+        got = mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(n), np.ones(n + 1)))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # -- closed-form covering radius of weighted A_n --------------------------------
@@ -300,24 +320,37 @@ def _mp_split_vertex_radius(weights):
 
 
 @settings(max_examples=200, deadline=None)
-@given(m=st.integers(2, 4), role=st.sampled_from(["primal_t", "dual_t"]),
-       data=st.data())
-def test_closed_form_covering_radius_matches_voronoi_search(m, role, data):
+@given(m=st.integers(2, 3), data=st.data())
+def test_closed_form_covering_radius_matches_planar_route(m, data):
+    # the planar route reduces the Gram matrix of the weighted A_1 or A_2 and
+    # reads weights back from its obtuse superbase; it must agree with the
+    # closed form on the weights themselves at every spread the spec accepts
     log_w = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=m, max_size=m)))
     w = 10.0 ** log_w
-    basis = mg._saturated_image_basis(getattr(lattice_maps(m - 1), role).matrix)
     closed = float(mg.root_lattice_covering_radius(w))
     try:
-        search = mg.flat_torus_diameter(mg.FlatTorusSpec(basis, w))
-    except (ArithmeticError, ValueError):  # numerically singular Gram matrix
+        spec = mg.FlatTorusSpec(_root_basis(m - 1), w)
+    except ValueError:  # numerically singular Gram matrix
         return
-    # the search keeps every true vertex, so it never falls below the closed form
-    assert search >= closed * (1 - 1e-12)
-    # its `inside` test has the absolute slack 1e-9 max|v|^2/2, which admits
-    # points just outside the cell once the weights span ~7e8 or more (up to
-    # 2.3e-8 relative at m = 4): agreement is exact below a spread of 1e8
-    if np.max(w) / np.min(w) <= 1e8:
-        assert search <= closed * (1 + 1e-12)
+    planar = mg.flat_torus_diameter(spec)
+    assert abs(planar - closed) <= 1e-12 * closed
+
+
+def test_planar_route_on_deep_a2_fiber_tori_matches_60_digits():
+    # n = 2 first-projection fiber tori whose weights span up to ~1e16: an
+    # absolute tolerance anywhere in the planar route shows here
+    for rho2 in (0.9, 1.0, 1.1, 1.2):
+        checked = 0
+        for p in sample_points(LevelSetSpec.from_rho(2, 1.0, rho2), 60, seed=0):
+            w = mg._pi1_weights(p.base_r)
+            try:
+                spec = mg.FlatTorusSpec(_root_basis(2), w)
+            except ValueError:  # numerically singular Gram matrix
+                continue
+            exact = _mp_split_vertex_radius(w)
+            assert abs(mg.flat_torus_diameter(spec) - exact) <= 1e-14 * exact
+            checked += 1
+        assert checked >= 45
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -358,154 +391,39 @@ def test_closed_form_unit_weights_is_root_lattice_covering_radius(n):
 
 
 def test_closed_form_on_deep_fiber_tori_matches_60_digits():
-    # n = 3 at rho2 1.0 and 1.1: tori on which the Voronoi search gives up
-    raised = 0
+    # n = 3 at rho2 1.0 and 1.1, where the weights span up to ~1e13
     for rho2 in (1.0, 1.1):
         for seed in (0, 1):
             pts = sample_points(LevelSetSpec.from_rho(3, 1.0, rho2), 60, seed)
             base_r = np.array([p.base_r for p in pts])
-            for weights, tori in ((mg._pi1_weights, mg.pi1_fiber_torus),
-                                  (mg._pi2_weights, mg.pi2_fiber_torus)):
-                w = weights(base_r)
-                got = mg.root_lattice_covering_radius(w)
-                for row, value, p in zip(w, got, pts):
+            for weights, diameters in ((mg._pi1_weights, mg.pi1_fiber_diameters),
+                                       (mg._pi2_weights, mg.pi2_fiber_diameters)):
+                for row, value in zip(weights(base_r), diameters(base_r)):
                     exact = _mp_split_vertex_radius(row)
                     assert abs(value - exact) <= 1e-15 * exact
-                    try:
-                        mg.flat_torus_diameter(tori(p))
-                    except ArithmeticError:
-                        raised += 1
-    assert raised > 0
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_closed_form_matches_search_on_gate_6_samples(n):
-    # the sample sets of acceptance gate 6, which still runs the Voronoi search
+def test_closed_form_matches_planar_route_on_gate_6_samples():
+    # the n = 2 sample sets of acceptance gate 6, through the planar route
     for rho1 in np.geomspace(1.0, 1e3, 7):
-        pts = sample_points(LevelSetSpec.from_rho(n, float(rho1), 0.6), 25, seed=31 + n)
-        closed = mg.root_lattice_covering_radius(
-            mg._pi1_weights(np.array([p.base_r for p in pts])))
-        search = np.array([mg.flat_torus_diameter(mg.pi1_fiber_torus(p)) for p in pts])
-        assert np.all(np.abs(closed - search) <= 1e-12 * search)
-
-
-@pytest.mark.parametrize("n,rho2", [(2, 1.3), (3, 1.2)])
-def test_pi1_fiber_torus_degenerate_at_depth(n, rho2):
-    # the library keeps classifying a numerically singular fiber Gram matrix
-    raised = 0
-    for p in sample_points(LevelSetSpec.from_rho(n, 1.0, rho2), 12, seed=0):
-        try:
-            mg.pi1_fiber_torus(p)
-        except ArithmeticError as exc:
-            assert "numerically degenerate" in str(exc)
-            raised += 1
-    assert raised > 0
-
-
-def test_saturated_basis_is_cached_read_only():
-    mat = lattice_maps(3).primal_t.matrix
-    basis = mg._saturated_image_basis(mat)
-    assert mg._saturated_image_basis(mat) is basis
-    assert not basis.flags.writeable
-    with pytest.raises(ValueError):
-        basis[0, 0] = 1.0
-    p = sample_points(LevelSetSpec.from_rho(3, 1.0, 0.7), 1, seed=5)[0]
-    assert not mg.pi1_fiber_torus(p).lattice_basis.flags.writeable
-
-
-def _box_enumeration_diameter(spec):
-    """The covering radius from all bisector k-subsets of the 3^k - 1 unit-box
-    vectors, with no coset pruning: the reference the pruned search must match."""
-    k = spec.rank
-    basis = mg._greedy_reduce(spec.euclidean_basis())
-    if k == 1:
-        return 0.5 * float(np.linalg.norm(basis[:, 0]))
-    coeffs = np.array(list(itertools.product(range(-1, 2), repeat=k)))
-    coeffs = coeffs[np.any(coeffs != 0, axis=1)]
-    cands = coeffs @ basis.T
-    half = 0.5 * np.sum(cands * cands, axis=1)
-    combos = np.array(list(itertools.combinations(range(len(cands)), k)))
-    mats = cands[combos]
-    rhs = half[combos]
-    dets = np.abs(np.linalg.det(mats))
-    good = dets > 1e-10 * float(np.max(np.abs(cands))) ** k
-    verts = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
-    inside = np.all(verts @ cands.T <= half[None, :] + 1e-9 * np.max(half), axis=1)
-    if not np.any(inside):
-        raise ArithmeticError("no Voronoi vertex found; lattice data degenerate")
-    return float(np.max(np.linalg.norm(verts[inside], axis=1)))
-
-
-def _assert_fiber_tori_match_enumeration(n, rho1s, rho2s, samples, seed):
-    for rho2 in rho2s:
-        for rho1 in rho1s:
-            spec = LevelSetSpec.from_rho(n, float(rho1), rho2)
-            for p in sample_points(spec, samples, seed):
-                for torus in (mg.pi1_fiber_torus(p), mg.pi2_fiber_torus(p)):
-                    assert mg.flat_torus_diameter(torus) == _box_enumeration_diameter(torus)
-
-
-# (n, rho1 grid, rho2 list, samples, seed) of the limit sweeps in test_golden
-GOLDEN_SWEEPS = [
-    (2, np.geomspace(1, 1e3, 4), [0.55, 0.7], 24, 3),
-    (3, np.geomspace(1, 1e3, 3), [0.7], 12, 0),
-    (2, np.geomspace(1e-3, 1, 4), [0.6], 60, 3),
-    (3, np.geomspace(1e-3, 1, 3), [0.7], 24, 0),
-]
-
-
-@pytest.mark.parametrize("sweep", GOLDEN_SWEEPS,
-                         ids=["kahler-n2", "kahler-n3", "complex-n2", "complex-n3"])
-def test_coset_pruning_is_bitwise_on_golden_sample_sets(sweep):
-    _assert_fiber_tori_match_enumeration(*sweep)
-
-
-# the limit sweeps of the benchmark workloads, at any --seed (dense's 400
-# samples are cut to 48: the points are per-index streams, so a prefix of the
-# set is the set at a smaller --samples)
-@settings(max_examples=4, deadline=None)
-@given(sweep=st.sampled_from([
-    (3, np.geomspace(1, 1e3, 7), [0.55, 0.7], 60),
-    (2, np.geomspace(1e-3, 1, 7), [0.6], 48),
-]), data=st.data(), seed=st.integers(0, (1 << 31) - 1))
-def test_coset_pruning_is_bitwise_on_benchmark_sample_sets(sweep, data, seed):
-    n, rho1s, rho2s, samples = sweep
-    rho1 = data.draw(st.sampled_from(list(rho1s)))
-    rho2 = data.draw(st.sampled_from(rho2s))
-    _assert_fiber_tori_match_enumeration(n, [rho1], [rho2], samples, seed)
-
-
-@settings(max_examples=200, deadline=None)
-@given(k=st.integers(1, 3), extra=st.integers(0, 1), data=st.data())
-def test_coset_pruning_matches_enumeration_on_random_specs(k, extra, data):
-    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
-    rows = k + extra
-    b = np.array(data.draw(st.lists(entries, min_size=rows * k, max_size=rows * k)))
-    log_w = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=rows, max_size=rows)))
-    try:
-        spec = mg.FlatTorusSpec(b.reshape(rows, k), 10.0 ** log_w)
-    except ValueError:  # dependent columns
-        return
-    try:
-        old = _box_enumeration_diameter(spec)
-    except (ArithmeticError, np.linalg.LinAlgError):  # numerically singular Gram
-        with pytest.raises(ArithmeticError):
-            mg.flat_torus_diameter(spec)
-        return
-    assert abs(mg.flat_torus_diameter(spec) - old) <= 1e-9 * old
+        pts = sample_points(LevelSetSpec.from_rho(2, float(rho1), 0.6), 25, seed=33)
+        base_r = np.array([p.base_r for p in pts])
+        closed = mg.pi1_fiber_diameters(base_r)
+        planar = np.array([mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(2), w))
+                           for w in mg._pi1_weights(base_r)])
+        assert np.all(np.abs(closed - planar) <= 1e-12 * planar)
 
 
 def test_fiber_tori_and_closed_form_bound():
     for n, rho2 in [(2, 0.55), (2, 0.8), (3, 0.55)]:
-        spec = LevelSetSpec.from_rho(n, 1.0, rho2)
-        for p in sample_points(spec, 8, seed=21):
-            t1 = mg.pi1_fiber_torus(p)
-            assert t1.rank == n
-            d1 = mg.flat_torus_diameter(t1)
-            assert d1 <= mg.pi1_fiber_bound(p) * (1 + 1e-9)
-            t2 = mg.pi2_fiber_torus(p)
-            assert t2.rank == n
-            assert mg.flat_torus_diameter(t2) > 0
+        pts = sample_points(LevelSetSpec.from_rho(n, 1.0, rho2), 8, seed=21)
+        base_r = np.array([p.base_r for p in pts])
+        d1 = mg.pi1_fiber_diameters(base_r)
+        assert d1.shape == (8,)
+        assert np.all(d1 <= mg.pi1_fiber_bound(pts[0]) * (1 + 1e-9))
+        d2 = mg.pi2_fiber_diameters(base_r)
+        assert d2.shape == (8,)
+        assert np.all(d2 > 0)
 
 
 def test_fiber_bound_scale():
@@ -514,8 +432,8 @@ def test_fiber_bound_scale():
     b = LevelSetSpec.from_rho(2, 4.0, 0.6)
     pa = sample_points(a, 1, seed=3)[0]
     pb = sample_points(b, 1, seed=3)[0]
-    da = mg.flat_torus_diameter(mg.pi1_fiber_torus(pa))
-    db = mg.flat_torus_diameter(mg.pi1_fiber_torus(pb))
+    da = float(mg.pi1_fiber_diameters(pa.base_r))
+    db = float(mg.pi1_fiber_diameters(pb.base_r))
     assert db == pytest.approx(da / 4.0, rel=1e-9)
     assert mg.pi1_fiber_bound(pb) == pytest.approx(mg.pi1_fiber_bound(pa) / 4.0, rel=1e-12)
 
@@ -581,38 +499,6 @@ def test_hn_distance_vanishes_on_phase_group_orbits():
             for g in mg._quotient_phases(n):
                 q = CPnPoint(p.z * np.exp(2j * math.pi * g), 1.0)
                 assert mg.hn_distance(p, q) < 1e-12
-
-
-def test_cy_sampler_residuals_and_determinism():
-    s = mg.cy_hypersurface_sample(2, 1.0, 0.5, 25, seed=6)
-    for row in s.coords:
-        assert mg.cy_residual(row, 0.5) < 1e-9
-    norms = np.linalg.norm(s.coords, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-10
-    again = mg.cy_hypersurface_sample(2, 1.0, 0.5, 25, seed=6)
-    assert np.array_equal(s.coords, again.coords)
-
-
-def test_cy_sampler_n1_closed_form():
-    rho2 = 0.3
-    eps = math.exp(-4 * math.pi**2 * rho2**2)
-    disc = complex(1 - 4 * eps**2) ** 0.5
-    roots = [(1 + disc) / (2 * eps), (1 - disc) / (2 * eps)]
-    s = mg.cy_hypersurface_sample(1, 1.0, rho2, 12, seed=7)
-    for z0, z1 in s.coords:
-        t = z0 / z1
-        assert min(abs(t - r) for r in roots) < 1e-8 * max(1.0, abs(t))
-
-
-def test_cy_clusters_near_divisor_for_large_rho2():
-    anti = mg.anticanonical_sample(2, "cpn", 1.0, 210, seed=8)
-    hs = [mg.hausdorff_distance(mg.cy_hypersurface_sample(2, 1.0, r2, 210, seed=9), anti)
-          for r2 in (0.2, 0.25, 0.8)]
-    assert hs[0] > hs[1] > hs[2]
-    # at large rho2 every sample hugs some hyperplane component
-    cy = mg.cy_hypersurface_sample(2, 1.0, 0.8, 90, seed=10)
-    mods = np.min(np.abs(cy.coords), axis=1)
-    assert np.max(mods) < 0.05
 
 
 def test_knn_geodesics_circle():
