@@ -21,15 +21,15 @@ from . import __version__
 from .ambient import (FOUR_PI2, ambient_tensors_at, exterior_derivative_residual,
                       feasibility_threshold, leaf_volume)
 from .maps import alpha_deform, pi2_image_residual, project_pi1, project_pi2
-from .metgeo import (FiniteMetricSample, anticanonical_sample, fs_matrix,
-                     hausdorff_from_cross, hn_matrix, ngh_distance,
+from .metgeo import (FiniteMetricSample, anticanonical_normals, anticanonical_points,
+                     fs_matrix, hausdorff_from_cross, hn_matrix, ngh_distance,
                      pi1_fiber_bound, pi1_fiber_diameters, pi2_fiber_diameters,
                      riemannian_knn_distances)
 from .polytope import (has_property_sd, kernel_data, lattice_maps, simplex_pair,
                        verify_duality_identities)
-from .reduction import (LevelSetSpec, feasibility, induced_structure_at,
-                        omega_d_degenerate_block, sample_base, sample_points,
-                        verify_wsd_axioms)
+from .reduction import (LevelSetSpec, assemble_points, draw_directions, draw_torus,
+                        feasibility, induced_structure_at, omega_d_degenerate_block,
+                        sample_points, solve_base, verify_wsd_axioms)
 
 
 def _e(x) -> str:
@@ -162,6 +162,10 @@ def cmd_verify(args) -> int:
 
 
 # -- limit sweeps -----------------------------------------------------------
+#
+# Every sample's random numbers depend on (seed, index) alone, so each command
+# draws them once, before its loops, and every grid point solves and
+# assembles its samples from the same read-only rows.
 
 KAHLER_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
                  "fiber_diam_max", "fiber_bound", "fiber_ratio",
@@ -180,6 +184,9 @@ KAHLER_DOC = [
 def cmd_limit_kahler(args) -> int:
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))
+    directions = draw_directions(args.n, args.samples, args.seed)
+    torus = draw_torus(args.n, args.samples, args.seed)
+    normals = anticanonical_normals(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
         rc = _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
@@ -187,14 +194,13 @@ def cmd_limit_kahler(args) -> int:
             return rc
         for rho1 in grid:
             spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
-            pts = sample_points(spec, args.samples, args.seed)
-            base_r = np.array([p.base_r for p in pts])
+            base_r = solve_base(spec, directions)
+            pts = assemble_points(spec, base_r, torus)
             fiber = float(np.max(pi1_fiber_diameters(base_r)))
             bound = pi1_fiber_bound(pts[0])
             z = np.array([project_pi1(p).z for p in pts])
-            anti = anticanonical_sample(args.n, "cpn", spec.rho1**2,
-                                        args.samples, args.seed)
-            h_img = hausdorff_from_cross(fs_matrix(z, spec.rho1, anti.coords))
+            anti = anticanonical_points(normals, spec.rho1**2)
+            h_img = hausdorff_from_cross(fs_matrix(z, spec.rho1, anti))
             h_tot = h_img + fiber
             rows.append({
                 "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),
@@ -244,21 +250,24 @@ def _degenerate_metric_at(n: int, rho1: float, rho2: float):
 def cmd_limit_complex(args) -> int:
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))[::-1]
+    directions = draw_directions(args.n, args.samples, args.seed)
+    torus = draw_torus(args.n, args.samples, args.seed)
+    normals = anticanonical_normals(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
         rc = _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
         if rc is not None:
             return rc
-        anti = anticanonical_sample(args.n, "hn", rho2**2, args.samples, args.seed)
+        anti = anticanonical_points(normals, rho2**2)
         for rho1 in grid:
             spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
-            pts = sample_points(spec, args.samples, args.seed)
-            base_r = np.array([p.base_r for p in pts])
+            base_r = solve_base(spec, directions)
+            pts = assemble_points(spec, base_r, torus)
             fiber = float(np.max(pi2_fiber_diameters(base_r)))
             imgs = [project_pi2(p) for p in pts]
             res = max(pi2_image_residual(q) for q in imgs)
             w = np.array([q.z for q in imgs])
-            h_quot = hausdorff_from_cross(hn_matrix(w, rho2, args.n, anti.coords))
+            h_quot = hausdorff_from_cross(hn_matrix(w, rho2, args.n, anti))
 
             # the degenerate metric lives on the phi-domain chart, whose radial
             # variable is the Gaussian-profile preimage |z|/rho2, not base_r
@@ -311,6 +320,8 @@ def _base_diameter(base: np.ndarray) -> float:
 
 def cmd_boundary(args) -> int:
     sides = ["T", "B", "A"] if args.side == "all" else [args.side]
+    directions = draw_directions(args.n, args.samples, args.seed)
+    torus = draw_torus(args.n, args.samples, args.seed) if "B" in sides else None
     rows = []
     for side in sides:
         grid = _parse_grid(args.grid) if args.grid else _parse_grid(DEFAULT_GRIDS[side])
@@ -321,7 +332,7 @@ def cmd_boundary(args) -> int:
             for delta in np.sort(grid)[::-1]:
                 rho2 = math.sqrt(thr2 * (1.0 + float(delta)))
                 spec = LevelSetSpec.from_rho(args.n, args.rho1, rho2)
-                base = sample_base(spec, args.samples, args.seed)
+                base = solve_base(spec, directions)
                 diam = _base_diameter(base)
                 row = dict(blank, side=side, n=args.n, param=_e(delta),
                            rho1=_e(args.rho1), rho2=_e(rho2),
@@ -337,7 +348,7 @@ def cmd_boundary(args) -> int:
             for rho1 in np.sort(grid)[::-1]:
                 spec = LevelSetSpec.from_rho(args.n, float(rho1), args.rho2)
                 ratio = 0.0
-                for p in sample_points(spec, args.samples, args.seed):
+                for p in assemble_points(spec, solve_base(spec, directions), torus):
                     g = ambient_tensors_at(p.ambient_point()).g
                     m = args.n + 1
                     theta_norm = np.linalg.norm(g[:m, :m])
@@ -355,7 +366,7 @@ def cmd_boundary(args) -> int:
                 return rc
             for t in np.sort(grid):
                 spec = alpha_deform(spec0, float(t))
-                base = sample_base(spec, args.samples, args.seed)
+                base = solve_base(spec, directions)
                 sums = np.sum(base / spec.rho1, axis=1)
                 row = dict(blank, side=side, n=args.n, param=_e(t),
                            rho1=_e(spec.rho1), rho2=_e(spec.rho2),

@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .ambient import FOUR_PI2
 from .polytope import finite_coset_representatives, lattice_maps
-from .reduction import ReducedPoint, _stream
+from .reduction import ReducedPoint, stream_rows
 
 
 @dataclass(frozen=True)
@@ -203,12 +203,30 @@ def _profiles(dist: np.ndarray, k: int = 33) -> np.ndarray:
     return np.vstack([np.interp(grid, xs, row) for row in srt])
 
 
+_COST_BLOCK = 16  # rows of the profile cost filled per step
+
+
+def _profile_cost(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of pa and pb, filled _COST_BLOCK
+    rows at a time in one reused block x nb x k buffer, never the full
+    na x nb x k difference.  Each entry is squared, summed and rooted as
+    np.linalg.norm(pa[:, None] - pb[None], axis=2) does it, so the result is
+    bitwise the same."""
+    cost = np.empty((len(pa), len(pb)))
+    buf = np.empty((_COST_BLOCK, len(pb), pa.shape[1]))
+    for lo in range(0, len(pa), _COST_BLOCK):
+        diff = buf[:min(_COST_BLOCK, len(pa) - lo)]
+        np.subtract(pa[lo:lo + len(diff), None, :], pb[None, :, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.add.reduce(diff, axis=2), out=cost[lo:lo + len(diff)])
+    return cost
+
+
 def _greedy_correspondence(da: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full correspondence (index arrays into A and B) from greedy profile matching."""
     pa, pb = _profiles(da), _profiles(db)
-    cost = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-    na, nb = cost.shape
-    work = cost.copy()
+    work = _profile_cost(pa, pb)
+    na, nb = work.shape
     pairs = []
     for _ in range(min(na, nb)):
         i, j = np.unravel_index(np.argmin(work), work.shape)
@@ -289,10 +307,13 @@ class FlatTorusSpec:
         w = np.asarray(self.metric_diag, dtype=float).reshape(b.shape[0])
         if np.any(w <= 0):
             raise ValueError("metric weights must be positive")
+        # positive weights cannot make independent columns dependent, so the
+        # rank is tested on the basis itself: the weighted Gram's singular
+        # values spread with the weights, not with any dependence
+        if np.linalg.matrix_rank(b) < b.shape[1]:
+            raise ValueError("lattice basis must have independent columns")
         object.__setattr__(self, "lattice_basis", b)
         object.__setattr__(self, "metric_diag", w)
-        if np.linalg.matrix_rank(self.gram()) < b.shape[1]:
-            raise ValueError("lattice basis must have independent columns")
 
     @property
     def rank(self) -> int:
@@ -422,20 +443,34 @@ def pi1_fiber_bound(p: ReducedPoint) -> float:
 
 # -- anticanonical divisor sampler ----------------------------------------------
 
+def anticanonical_normals(n: int, count: int, seed: int = 0) -> np.ndarray:
+    """The divisor sampler's draws for samples 0..count-1: per index, the
+    real and imaginary parts of a complex Gaussian in C^{n+1} from stream
+    (seed, idx, 11), as read-only (count, 2(n+1)) rows."""
+    return stream_rows(seed, count, 2 * (n + 1),
+                       lambda rng, k: rng.standard_normal(k), 11)
+
+
+def anticanonical_points(normals: np.ndarray, lam: float) -> np.ndarray:
+    """Points of the union of coordinate hyperplane sections {z_j = 0} on the
+    lam-sphere, one per row of `anticanonical_normals`: row idx lies on
+    component j = idx mod (n+1), uniformly within it."""
+    count, m = normals.shape[0], normals.shape[1] // 2
+    rows = normals[:, :m] + 1j * normals[:, m:]
+    rows[np.arange(count), np.arange(count) % m] = 0.0
+    # row by row, as one drawn point: a batched norm sums in another order
+    norms = np.array([np.linalg.norm(z) for z in rows])
+    return rows * (math.sqrt(lam) / norms)[:, None]
+
+
 def anticanonical_sample(n: int, chart: str, lam: float, count: int,
                          seed: int = 0) -> FiniteMetricSample:
     """Sample the union of coordinate hyperplane sections {z_j = 0} on the
-    lam-sphere, round-robin over the n+1 components, uniformly per component."""
+    lam-sphere, round-robin over the n+1 components, uniformly per component,
+    with its distance matrix in `chart`."""
     if count <= 0:
         raise ValueError("count must be positive")
-    rows = np.empty((count, n + 1), dtype=complex)
-    for idx in range(count):
-        j = idx % (n + 1)
-        rng = _stream(seed, idx, 11)
-        z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        z[j] = 0.0
-        z *= math.sqrt(lam) / np.linalg.norm(z)
-        rows[idx] = z
+    rows = anticanonical_points(anticanonical_normals(n, count, seed), lam)
     return projective_sample(rows, lam, chart)
 
 
@@ -469,4 +504,6 @@ def riemannian_knn_distances(points: np.ndarray, metric_at: Callable,
     entries = w[rowidx, colidx]
     graph = csr_matrix((entries, (rowidx, colidx)), shape=(npts, npts))
     graph = graph.maximum(graph.T)
-    return shortest_path(graph, method="D", directed=False)
+    # the graph is symmetric already, so the directed search finds the same
+    # distances without relaxing every edge from both ends
+    return shortest_path(graph, method="D", directed=True)

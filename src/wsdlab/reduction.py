@@ -7,6 +7,13 @@ hyperplane and the sphere a convex level set, so each sample is the one root
 of a convex function along a ray.  Working in shape coordinates makes the
 sampler exactly covariant under the rescaling family (rho1 -> t rho1 at fixed
 rho2), which downstream limit sweeps rely on.
+
+The random numbers behind sample idx come from its own counter-based stream
+(`_stream(seed, idx, ...)`) and do not depend on the level set.  A sweep over
+many level sets therefore draws them once (`draw_directions`, `draw_torus`)
+and hands the read-only rows to the per-spec solve (`solve_base`,
+`assemble_points`); `sample_base` and `sample_points` are the one-spec
+compositions of the two steps.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -90,6 +98,23 @@ def _stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def stream_rows(seed: int, count: int, width: int,
+                draw: Callable[[np.random.Generator, int], np.ndarray],
+                *tag: int) -> np.ndarray:
+    """Rows draw(_stream(seed, idx, *tag), width) for idx = 0..count-1, as one
+    read-only (count, width) array.
+
+    Each row is a pure function of (seed, idx, tag), so rows drawn once serve
+    every level set of a sweep; read-only, so no caller can change them under
+    a later one.
+    """
+    rows = np.empty((count, width))
+    for idx in range(count):
+        rows[idx] = draw(_stream(seed, idx, *tag), width)
+    rows.setflags(write=False)
+    return rows
+
+
 def _require_regular(spec: LevelSetSpec) -> None:
     cls = feasibility(spec)
     if cls != "regular":
@@ -123,22 +148,37 @@ def _log_ray_roots(centre: float, d: np.ndarray) -> np.ndarray:
     return t
 
 
-def sample_base(spec: LevelSetSpec, count: int, seed: int = 0) -> np.ndarray:
-    """Sample `count` radii vectors on the base constraint set, rows r in R^{n+1}.
+def draw_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
+    """The base sampler's ray directions for samples 0..count-1: per index,
+    log-uniform weights on [-3, 3] from stream (seed, idx), centred to sum
+    zero.  Read-only (count, n+1) rows; for n = 1 the base is enumerated and
+    draws nothing, so the rows are empty, (count, 0)."""
+    if n == 1:
+        d = np.empty((count, 0))
+    else:
+        logw = stream_rows(seed, count, n + 1, lambda rng, k: rng.uniform(-3.0, 3.0, k))
+        d = logw - np.mean(logw, axis=1, keepdims=True)
+    d.setflags(write=False)
+    return d
+
+
+def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
+    """Radii vectors on the base constraint set, one row r in R^{n+1} per row
+    of `directions` (from `draw_directions(spec.n, count, seed)`).
 
     In log coordinates u = log(r / rho1) the base is the hyperplane
     sum u = L = -2 pi^2 rho2^2 cut by the convex level set logsumexp(2u) = 0.
     Its centre u = L/m (m = n+1) lies strictly inside the sphere exactly when
     the spec is regular, so every sum-zero direction d meets the base once,
-    at a ray parameter t > 0 solved per row (`_log_ray_roots`).  Each sample
-    index draws its direction from its own RNG stream, log-uniform weights
-    centred to sum zero.  For n = 1 the base is the finite solution set of a
-    quadratic and is enumerated exactly instead.
+    at a ray parameter t > 0 solved per row (`_log_ray_roots`).  For n = 1
+    the base is the finite solution set of a quadratic and is enumerated
+    exactly instead, alternating its two points.
 
     Raises ArithmeticError when a radius underflows to 0, which happens for
     rho2 of about 8 and beyond.
     """
     _require_regular(spec)
+    count = len(directions)
     m = spec.n + 1
     rho1 = spec.rho1
     log_target = -2.0 * math.pi**2 * spec.rho2**2
@@ -154,16 +194,19 @@ def sample_base(spec: LevelSetSpec, count: int, seed: int = 0) -> np.ndarray:
         pts = np.array([[hi, lo], [lo, hi]]) * rho1
         return pts[np.arange(count) % 2]
 
-    logw = np.array([_stream(seed, idx).uniform(-3.0, 3.0, m)
-                     for idx in range(count)]).reshape(count, m)
-    d = logw - np.mean(logw, axis=1, keepdims=True)
     centre = log_target / m
-    t = _log_ray_roots(centre, d)
-    out = rho1 * np.exp(centre + t[:, None] * d)
+    t = _log_ray_roots(centre, directions)
+    out = rho1 * np.exp(centre + t[:, None] * directions)
     if not np.all(out > 0):
         raise ArithmeticError(f"base radii underflow at rho2 = {spec.rho2:.6g}: "
                               "a radius rounds to 0 in double precision")
     return out
+
+
+def sample_base(spec: LevelSetSpec, count: int, seed: int = 0) -> np.ndarray:
+    """Sample `count` radii vectors on the base constraint set (`solve_base`
+    along the directions `draw_directions` gives for `seed`)."""
+    return solve_base(spec, draw_directions(spec.n, count, seed))
 
 
 @lru_cache(maxsize=32)
@@ -214,16 +257,24 @@ class ReducedPoint:
         return r1, r2
 
 
+def draw_torus(n: int, count: int, seed: int = 0) -> np.ndarray:
+    """Uniform torus coordinates for samples 0..count-1, from stream
+    (seed, idx, 1): read-only (count, 2n) rows, s in the first n columns and
+    t in the last n."""
+    return stream_rows(seed, count, 2 * n, lambda rng, k: rng.uniform(0.0, 1.0, k), 1)
+
+
+def assemble_points(spec: LevelSetSpec, base: np.ndarray,
+                    torus: np.ndarray) -> list[ReducedPoint]:
+    """Reduced points from base radii rows and `draw_torus` rows."""
+    n = spec.n
+    return [ReducedPoint(spec, r, st[:n], st[n:]) for r, st in zip(base, torus)]
+
+
 def sample_points(spec: LevelSetSpec, count: int, seed: int = 0) -> list[ReducedPoint]:
     """Sample reduced points: base radii plus uniform torus coordinates."""
     base = sample_base(spec, count, seed)
-    pts = []
-    for idx in range(count):
-        rng = _stream(seed, idx, 1)
-        pts.append(ReducedPoint(spec, base[idx],
-                                rng.uniform(0.0, 1.0, spec.n),
-                                rng.uniform(0.0, 1.0, spec.n)))
-    return pts
+    return assemble_points(spec, base, draw_torus(spec.n, count, seed))
 
 
 def _degenerate_pair(p: AmbientPoint) -> tuple[np.ndarray, np.ndarray, object]:

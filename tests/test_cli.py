@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import wsdlab
+from wsdlab import metgeo, reduction
 from wsdlab.cli import main
 from wsdlab.reduction import LevelSetSpec, sample_points
 
@@ -348,3 +349,30 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["n"] == 1
+
+
+@pytest.mark.parametrize("argv,per_sample", [
+    (["limit-kahler", "--n", "3", "--rho2", "0.7", "--grid", "1:1e3:2"], 3),
+    (["limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid", "1:1e3:5"], 3),
+    (["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3"], 3),
+    (["limit-complex", "--n", "2", "--rho2", "0.6,0.7", "--grid", "1e-3:1:2"], 3),
+    (["boundary", "--side", "all", "--n", "2"], 2),
+])
+def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample):
+    # a sample's random numbers depend on (seed, index) alone: a command builds
+    # each stream it needs once, whatever its grid and rho2 list, and samples
+    # every level set from the same rows
+    built = []
+    fresh = reduction._stream
+
+    def counted(seed, *path):
+        built.append(path)
+        return fresh(seed, *path)
+
+    monkeypatch.setattr(reduction, "_stream", counted)
+    # a stream helper bound directly in metgeo would be counted too
+    monkeypatch.setattr(metgeo, "_stream", counted, raising=False)
+    samples = 16
+    rc, _ = run(tmp_path, *argv, "--samples", str(samples), "--seed", "4")
+    assert rc == 0
+    assert len(built) == len(set(built)) == per_sample * samples

@@ -1,11 +1,14 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from wsdlab import metgeo as mg
 from wsdlab.maps import CPnPoint
@@ -145,6 +148,33 @@ def test_gh_bounds_sandwich_brute_force():
             assert hi >= exact - 1e-12
 
 
+@pytest.mark.parametrize("na,nb", [(37, 23), (5, 40), (16, 16), (33, 1)])
+def test_profile_cost_blocks_equal_the_broadcast(na, nb):
+    rng = np.random.default_rng(na * 100 + nb)
+    pa = rng.uniform(0.0, 3.0, (na, 33))
+    pb = rng.uniform(0.0, 3.0, (nb, 33))
+    full = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    assert np.array_equal(mg._profile_cost(pa, pb), full)
+
+
+def test_gh_bounds_memory_stays_below_the_broadcast():
+    # the N x N x 33 profile difference and its square take ~190 MB at N = 600
+    count = 600
+    rng = np.random.default_rng(12)
+    pa = rng.uniform(0.0, 1.0, (count, 3))
+    pb = rng.uniform(0.0, 1.0, (count, 3))
+    a = _abstract(np.sqrt(np.sum((pa[:, None] - pa[None]) ** 2, axis=2)))
+    b = _abstract(np.sqrt(np.sum((pb[:, None] - pb[None]) ** 2, axis=2)))
+    tracemalloc.start()
+    try:
+        lo, hi = mg.gh_bounds(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= lo <= hi
+    assert peak < 190e6 / 4
+
+
 def test_ngh_normalization_and_guards():
     pt = _abstract([[0.0]])
     res = mg.ngh_distance(pt, pt)
@@ -246,6 +276,17 @@ def test_covering_radius_zoom_oracle_3d():
         assert abs(closed - oracle) < 1e-6 * closed
 
 
+def test_flat_torus_spec_tests_rank_on_the_basis():
+    # weights spanning 1e16 and 1e17 leave the columns of A_2 independent,
+    # though the weighted Gram matrix's singular values spread as far
+    for w in ([1e16, 1.0, 1.0], [1.0, 1e17, 3.0]):
+        got = mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(2), np.array(w)))
+        exact = _mp_split_vertex_radius(w)
+        assert abs(got - exact) <= 1e-15 * exact
+    with pytest.raises(ValueError, match="independent columns"):
+        mg.FlatTorusSpec(np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]), np.ones(3))
+
+
 def test_mode_ordering_and_rejection():
     rng = np.random.default_rng(14)
     for k in (1, 2):
@@ -329,10 +370,9 @@ def test_closed_form_covering_radius_matches_planar_route(m, data):
     w = 10.0 ** log_w
     closed = float(mg.root_lattice_covering_radius(w))
     try:
-        spec = mg.FlatTorusSpec(_root_basis(m - 1), w)
-    except ValueError:  # numerically singular Gram matrix
+        planar = mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(m - 1), w))
+    except ArithmeticError:  # numerically singular Gram matrix
         return
-    planar = mg.flat_torus_diameter(spec)
     assert abs(planar - closed) <= 1e-12 * closed
 
 
@@ -344,13 +384,13 @@ def test_planar_route_on_deep_a2_fiber_tori_matches_60_digits():
         for p in sample_points(LevelSetSpec.from_rho(2, 1.0, rho2), 60, seed=0):
             w = mg._pi1_weights(p.base_r)
             try:
-                spec = mg.FlatTorusSpec(_root_basis(2), w)
-            except ValueError:  # numerically singular Gram matrix
+                got = mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(2), w))
+            except ArithmeticError:  # numerically singular Gram matrix
                 continue
             exact = _mp_split_vertex_radius(w)
-            assert abs(mg.flat_torus_diameter(spec) - exact) <= 1e-14 * exact
+            assert abs(got - exact) <= 1e-14 * exact
             checked += 1
-        assert checked >= 45
+        assert checked >= 55
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -521,3 +561,22 @@ def test_knn_geodesics_flat_patch():
     euclid = np.sqrt(np.sum((grid[:, None] - grid[None]) ** 2, axis=2))
     assert np.all(d >= euclid - 1e-12)
     assert np.max(d - euclid) < 0.12 * np.max(euclid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, (1 << 31) - 1), count=st.integers(2, 60),
+       dim=st.integers(1, 3), k=st.integers(1, 12), periodic=st.booleans())
+def test_knn_directed_search_equals_undirected(seed, count, dim, k, periodic):
+    # the kNN graph is symmetrized before the search, so searching it as a
+    # directed graph must give the undirected distances bit for bit
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, (count, dim))
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, dim)
+    metric = lambda x: np.diag(scales * (1.0 + x**2))
+    flags = np.array([periodic] + [False] * (dim - 1))
+    got = mg.riemannian_knn_distances(pts, metric, k=k, periodic=flags)
+    undirected = lambda graph, method, directed: shortest_path(graph, method=method,
+                                                               directed=False)
+    with mock.patch.object(mg, "shortest_path", undirected):
+        want = mg.riemannian_knn_distances(pts, metric, k=k, periodic=flags)
+    assert np.array_equal(got, want)

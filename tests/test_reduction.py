@@ -6,11 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wsdlab.ambient import AmbientPoint, feasibility_threshold, moment_map, section_point
+from wsdlab.metgeo import anticanonical_normals
 from wsdlab.polytope import lattice_maps
 from wsdlab.reduction import (
     LevelSetSpec,
     ReducedPoint,
+    _stream,
     ambient_structure_at,
+    assemble_points,
+    draw_directions,
+    draw_torus,
     feasibility,
     induced_structure_at,
     omega_d_degenerate_block,
@@ -18,6 +23,7 @@ from wsdlab.reduction import (
     reduced_tangent_frame,
     sample_base,
     sample_points,
+    solve_base,
     verify_wsd_axioms,
 )
 
@@ -129,6 +135,49 @@ def test_sample_base_properties(n, data, seed, rho1, count):
     scaled = spec_rho(n, rho1, rho2)
     assume(scaled.rho2 == unit.rho2)
     assert np.array_equal(sample_base(scaled, count, seed=seed), scaled.rho1 * x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, (1 << 63) - 1), count=st.integers(0, 12))
+def test_drawn_rows_equal_fresh_per_index_draws(n, seed, count):
+    # the reference draws each index from a fresh stream, in the order the
+    # one-point samplers used: n values of s then n of t, and the real parts
+    # of the divisor sampler's Gaussian before its imaginary parts
+    m = n + 1
+    torus = [np.concatenate([rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
+             for rng in (_stream(seed, idx, 1) for idx in range(count))]
+    assert np.array_equal(draw_torus(n, count, seed), np.array(torus).reshape(count, 2 * n))
+    normals = [np.concatenate([rng.standard_normal(m), rng.standard_normal(m)])
+               for rng in (_stream(seed, idx, 11) for idx in range(count))]
+    assert np.array_equal(anticanonical_normals(n, count, seed),
+                          np.array(normals).reshape(count, 2 * m))
+    directions = draw_directions(n, count, seed)
+    if n == 1:  # the base is enumerated: nothing to draw
+        assert directions.shape == (count, 0)
+        return
+    logw = np.array([_stream(seed, idx).uniform(-3.0, 3.0, m)
+                     for idx in range(count)]).reshape(count, m)
+    assert np.array_equal(directions, logw - np.mean(logw, axis=1, keepdims=True))
+
+
+def test_drawn_rows_are_read_only():
+    s = spec_rho(3, 1.0, 0.7)
+    directions, torus = draw_directions(3, 6, seed=2), draw_torus(3, 6, seed=2)
+    normals = anticanonical_normals(3, 6, seed=2)
+    for rows in (directions, torus, normals, draw_directions(1, 6, seed=2)):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 0.0
+    pts = assemble_points(s, solve_base(s, directions), torus)
+    with pytest.raises(ValueError, match="read-only"):
+        pts[0].torus_s[0] = 0.5
+    # one draw serves every level set: the solve returns fresh radii and the
+    # rows it read stay as drawn
+    before = directions.copy()
+    for rho1 in (1.0, 10.0):
+        spec = spec_rho(3, rho1, 0.7)
+        assert np.array_equal(solve_base(spec, directions), sample_base(spec, 6, seed=2))
+    assert np.array_equal(directions, before)
 
 
 def test_sample_base_underflow_is_arithmetic_error():
