@@ -11,7 +11,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,6 +91,13 @@ def feasibility_threshold(n: int) -> float:
     return math.sqrt((n + 1) * math.log(n + 1)) / TWO_PI
 
 
+def torus_metric_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal coefficients of the metric on the two angle blocks at radii r
+    of any shape: (4 pi^2 r^2 on dtheta^2, 1 / (4 pi^2 r^2) on deta^2)."""
+    theta_w = FOUR_PI2 * r**2
+    return theta_w, 1.0 / theta_w
+
+
 def _block_indices(n: int):
     m = n + 1
     return np.arange(m), np.arange(m, 2 * m), np.arange(2 * m, 3 * m)
@@ -103,7 +110,6 @@ class TensorsAt:
     omega1: np.ndarray
     omega2: np.ndarray
     omegaD: np.ndarray
-    basis_order: tuple = field(default=())
 
 
 _FORM_IDS = ("omega1", "omega2", "omegaD")
@@ -140,16 +146,11 @@ def ambient_tensors_at(p: AmbientPoint) -> TensorsAt:
     m = n + 1
     th, rr, et = _block_indices(n)
     g = np.zeros((3 * m, 3 * m))
-    g[th, th] = FOUR_PI2 * r**2
+    g[th, th], g[et, et] = torus_metric_weights(r)
     g[rr, rr] = 1.0
-    g[et, et] = 1.0 / (FOUR_PI2 * r**2)
 
     omega1, omega2, omegaD = (_form_stack(form, r) for form in _FORM_IDS)
-
-    labels = tuple(
-        (blk, i) for blk in ("theta", "r", "eta") for i in range(m)
-    )
-    return TensorsAt(n, g, omega1, omega2, omegaD, labels)
+    return TensorsAt(n, g, omega1, omega2, omegaD)
 
 
 @dataclass(frozen=True)
@@ -188,25 +189,12 @@ def _canonical_blocks(m: int, dim: int):
 def frame_residuals(tensors: TensorsAt, frame: np.ndarray, m: int) -> dict:
     """Deviation of a candidate adapted frame from the canonical shapes.
 
-    The first 3m columns must be g-orthonormal; any trailing degenerate pair
-    only has to stay g-orthogonal to everything.  Block targets follow the
-    (x | y1 | y2 | z w) ordering.
+    The frame has 3m columns, which must be g-orthonormal.  Block targets
+    follow the (x | y1 | y2) ordering.
     """
-    dim = frame.shape[1]
     gram = frame.T @ tensors.g @ frame
-    resid = {}
-    core = gram[: 3 * m, : 3 * m] - np.eye(3 * m)
-    resid["gram_orthonormal"] = float(np.max(np.abs(core))) if 3 * m else 0.0
-    if dim > 3 * m:
-        off = gram.copy()
-        off[: 3 * m, : 3 * m] = 0.0
-        tail = np.arange(3 * m, dim)
-        off[tail, tail] = 0.0
-        if dim - 3 * m == 2:
-            off[3 * m, 3 * m + 1] = 0.0
-            off[3 * m + 1, 3 * m] = 0.0
-        resid["gram_orthogonal_tail"] = float(np.max(np.abs(off)))
-    o1t, o2t, oDt = _canonical_blocks(m, dim)
+    resid = {"gram_orthonormal": float(np.max(np.abs(gram - np.eye(3 * m))))}
+    o1t, o2t, oDt = _canonical_blocks(m, 3 * m)
     for name, mat, target in (
         ("omega1_block", tensors.omega1, o1t),
         ("omega2_block", tensors.omega2, o2t),
@@ -334,32 +322,32 @@ class AuxiliaryVectors:
     X2_flat: np.ndarray
     Y1_flat: np.ndarray
     Y2_flat: np.ndarray
-    degenerate: bool
 
     @property
     def norm_product(self) -> float:
         return self.norm2_X1 * self.norm2_X2
 
 
-def auxiliary_vectors(p: AmbientPoint, degenerate_tol: float = 1e-9) -> AuxiliaryVectors:
+def auxiliary_vectors(p: AmbientPoint) -> AuxiliaryVectors:
     """X1 = sum d/dtheta_i, X2 = (1/4pi^2) sum r_i^-2 d/dtheta_i and the eta-side
     mirrors Y1 = sum d/deta_i, Y2 = 4pi^2 sum r_i^2 d/deta_i, with their g-data.
 
     By Cauchy-Schwarz |X1|^2 |X2|^2 >= (n+1)^2 with equality exactly on the
-    equal-radii locus; `degenerate` flags that locus (relative tolerance).
+    equal-radii locus.
     """
     n, r = p.n, p.r
     m = n + 1
     dim = 3 * m
     th, rr, et = _block_indices(n)
+    theta_w, eta_w = torus_metric_weights(r)
     X1 = np.zeros(dim)
     X1[th] = 1.0
     X2 = np.zeros(dim)
-    X2[th] = 1.0 / (FOUR_PI2 * r**2)
+    X2[th] = eta_w
     Y1 = np.zeros(dim)
     Y1[et] = 1.0
     Y2 = np.zeros(dim)
-    Y2[et] = FOUR_PI2 * r**2
+    Y2[et] = theta_w
 
     g = ambient_tensors_at(p).g
     n2x1 = float(X1 @ g @ X1)
@@ -368,9 +356,7 @@ def auxiliary_vectors(p: AmbientPoint, degenerate_tol: float = 1e-9) -> Auxiliar
     n2y2 = float(Y2 @ g @ Y2)
     ix = float(X1 @ g @ X2)
     iy = float(Y1 @ g @ Y2)
-    s = float(m * m)
-    degenerate = (n2x1 * n2x2 - s) <= degenerate_tol * s
     return AuxiliaryVectors(
         n, X1, X2, Y1, Y2, n2x1, n2x2, n2y1, n2y2, ix, iy,
-        g @ X1, g @ X2, g @ Y1, g @ Y2, degenerate,
+        g @ X1, g @ X2, g @ Y1, g @ Y2,
     )

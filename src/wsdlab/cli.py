@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ambient import (FOUR_PI2, ambient_tensors_at, exterior_derivative_residual,
-                      feasibility_threshold, leaf_volume)
+from .ambient import (FOUR_PI2, exterior_derivative_residual, feasibility_threshold,
+                      leaf_volume, torus_metric_weights)
 from .maps import alpha_deform, pi2_image_residual, project_pi1, project_pi2
 from .metgeo import (FiniteMetricSample, anticanonical_normals, anticanonical_points,
                      fs_matrix, hausdorff_from_cross, hn_matrix, ngh_distance,
@@ -27,9 +27,9 @@ from .metgeo import (FiniteMetricSample, anticanonical_normals, anticanonical_po
                      riemannian_knn_distances)
 from .polytope import (has_property_sd, kernel_data, lattice_maps, simplex_pair,
                        verify_duality_identities)
-from .reduction import (LevelSetSpec, assemble_points, draw_directions, draw_torus,
-                        feasibility, induced_structure_at, omega_d_degenerate_block,
-                        sample_points, solve_base, verify_wsd_axioms)
+from .reduction import (LevelSetSpec, draw_directions, draw_torus, feasibility,
+                        induced_structure_at, omega_d_degenerate_block, sample_points,
+                        solve_base, verify_wsd_axioms)
 
 
 def _e(x) -> str:
@@ -99,14 +99,16 @@ def _check_scalars(args) -> None:
             raise ValueError(f"--{name} must be finite, got {val}")
 
 
-def _regular_or_die(spec: LevelSetSpec) -> int | None:
+class EmptyLevelSet(Exception):
+    """The level set a command needs is not regular; `main` prints it as one
+    `empty level set:` line and exits 2."""
+
+
+def _regular_or_die(spec: LevelSetSpec) -> None:
     cls = feasibility(spec)
     if cls != "regular":
-        print(f"empty level set: n={spec.n} rho2={spec.rho2:.6g} classified "
-              f"{cls!r} (threshold {feasibility_threshold(spec.n):.6g})",
-              file=sys.stderr)
-        return 2
-    return None
+        raise EmptyLevelSet(f"n={spec.n} rho2={spec.rho2:.6g} classified {cls!r} "
+                            f"(threshold {feasibility_threshold(spec.n):.6g})")
 
 
 # -- verify ---------------------------------------------------------------
@@ -121,9 +123,7 @@ def _check(name: str, residual: float, tol: float, ok: bool = True) -> dict:
 
 def cmd_verify(args) -> int:
     spec = LevelSetSpec.from_rho(args.n, args.rho1, args.rho2)
-    rc = _regular_or_die(spec)
-    if rc is not None:
-        return rc
+    _regular_or_die(spec)
     points = sample_points(spec, args.samples, args.seed)
 
     ax_res, ax_ok = 0.0, True
@@ -164,8 +164,9 @@ def cmd_verify(args) -> int:
 # -- limit sweeps -----------------------------------------------------------
 #
 # Every sample's random numbers depend on (seed, index) alone, so each command
-# draws them once, before its loops, and every grid point solves and
-# assembles its samples from the same read-only rows.
+# draws them once, before its loops.  Every grid point solves its radii from
+# the same read-only rows and pushes the whole sample array through the
+# projections; no per-sample point object is built.
 
 KAHLER_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
                  "fiber_diam_max", "fiber_bound", "fiber_ratio",
@@ -185,20 +186,17 @@ def cmd_limit_kahler(args) -> int:
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))
     directions = draw_directions(args.n, args.samples, args.seed)
-    torus = draw_torus(args.n, args.samples, args.seed)
+    torus_s = draw_torus(args.n, args.samples, args.seed)[:, :args.n]
     normals = anticanonical_normals(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
-        rc = _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
-        if rc is not None:
-            return rc
+        _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
         for rho1 in grid:
             spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
             base_r = solve_base(spec, directions)
-            pts = assemble_points(spec, base_r, torus)
             fiber = float(np.max(pi1_fiber_diameters(base_r)))
-            bound = pi1_fiber_bound(pts[0])
-            z = np.array([project_pi1(p).z for p in pts])
+            bound = pi1_fiber_bound(spec)
+            z = project_pi1(spec, base_r, torus_s)
             anti = anticanonical_points(normals, spec.rho1**2)
             h_img = hausdorff_from_cross(fs_matrix(z, spec.rho1, anti))
             h_tot = h_img + fiber
@@ -251,28 +249,23 @@ def cmd_limit_complex(args) -> int:
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))[::-1]
     directions = draw_directions(args.n, args.samples, args.seed)
-    torus = draw_torus(args.n, args.samples, args.seed)
+    torus_t = draw_torus(args.n, args.samples, args.seed)[:, args.n:]
     normals = anticanonical_normals(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
-        rc = _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
-        if rc is not None:
-            return rc
+        _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
         anti = anticanonical_points(normals, rho2**2)
         for rho1 in grid:
             spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
             base_r = solve_base(spec, directions)
-            pts = assemble_points(spec, base_r, torus)
             fiber = float(np.max(pi2_fiber_diameters(base_r)))
-            imgs = [project_pi2(p) for p in pts]
-            res = max(pi2_image_residual(q) for q in imgs)
-            w = np.array([q.z for q in imgs])
+            w = project_pi2(spec, base_r, torus_t)
+            res = float(np.max(pi2_image_residual(w)))
             h_quot = hausdorff_from_cross(hn_matrix(w, rho2, args.n, anti))
 
             # the degenerate metric lives on the phi-domain chart, whose radial
             # variable is the Gaussian-profile preimage |z|/rho2, not base_r
-            coords = np.array([np.concatenate([np.abs(q.z) / rho2, p.torus_t])
-                               for p, q in zip(pts, imgs)])
+            coords = np.hstack([np.abs(w) / rho2, torus_t])
             periodic = np.array([False] * (args.n + 1) + [True] * args.n)
             d_deg = riemannian_knn_distances(
                 coords, _degenerate_metric_at(args.n, spec.rho1, rho2),
@@ -321,7 +314,6 @@ def _base_diameter(base: np.ndarray) -> float:
 def cmd_boundary(args) -> int:
     sides = ["T", "B", "A"] if args.side == "all" else [args.side]
     directions = draw_directions(args.n, args.samples, args.seed)
-    torus = draw_torus(args.n, args.samples, args.seed) if "B" in sides else None
     rows = []
     for side in sides:
         grid = _parse_grid(args.grid) if args.grid else _parse_grid(DEFAULT_GRIDS[side])
@@ -341,19 +333,14 @@ def cmd_boundary(args) -> int:
                            base_diam_over_rho1=_e(diam / args.rho1))
                 rows.append(row)
         elif side == "B":
-            spec0 = LevelSetSpec.from_rho(args.n, 1.0, args.rho2)
-            rc = _regular_or_die(spec0)
-            if rc is not None:
-                return rc
+            _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, args.rho2))
             for rho1 in np.sort(grid)[::-1]:
                 spec = LevelSetSpec.from_rho(args.n, float(rho1), args.rho2)
-                ratio = 0.0
-                for p in assemble_points(spec, solve_base(spec, directions), torus):
-                    g = ambient_tensors_at(p.ambient_point()).g
-                    m = args.n + 1
-                    theta_norm = np.linalg.norm(g[:m, :m])
-                    eta_norm = np.linalg.norm(g[2 * m:, 2 * m:])
-                    ratio = max(ratio, theta_norm / eta_norm)
+                theta_w, eta_w = torus_metric_weights(solve_base(spec, directions))
+                # the Frobenius norm of each diagonal block of g, taken on the
+                # square block: the norm of its diagonal alone sums in another order
+                ratio = max(np.linalg.norm(np.diag(a)) / np.linalg.norm(np.diag(b))
+                            for a, b in zip(theta_w, eta_w))
                 row = dict(blank, side=side, n=args.n, param=_e(rho1),
                            rho1=_e(rho1), rho2=_e(args.rho2),
                            samples=args.samples, seed=args.seed, version=__version__,
@@ -361,9 +348,7 @@ def cmd_boundary(args) -> int:
                 rows.append(row)
         else:
             spec0 = LevelSetSpec.from_rho(args.n, args.rho1, args.rho2)
-            rc = _regular_or_die(spec0)
-            if rc is not None:
-                return rc
+            _regular_or_die(spec0)
             for t in np.sort(grid):
                 spec = alpha_deform(spec0, float(t))
                 base = solve_base(spec, directions)
@@ -476,6 +461,9 @@ def main(argv=None) -> int:
         # never a warning followed by a result computed from it
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.fn(args)
+    except EmptyLevelSet as exc:
+        print(f"empty level set: {exc}", file=sys.stderr)
+        return 2
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

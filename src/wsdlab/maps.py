@@ -1,9 +1,11 @@
 """Projections to projective space and its finite quotient, the chart
 diffeomorphism between level sets, complex structures, and the scaling flow.
 
-Projective points of both charts are CPnPoint representatives z in C^{n+1};
-the quotient structure (global phase, finite phase group) only enters
-through the distances, which live in metgeo beside its distance kernels.
+Each projection is one formula on sample arrays: base radii (..., n+1) and
+torus rows (..., n) with any leading shape give representatives z in C^{n+1}
+as a complex (..., n+1) array.  The quotient structure (global phase, finite
+phase group) only enters through the distances, which live in metgeo beside
+its distance kernels.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import PI2, TWO_PI, AmbientPoint, ambient_tensors_at
-from .reduction import LevelSetSpec, ReducedPoint, _require_regular
+from .reduction import LevelSetSpec, _require_regular, embedded_angles
 
 
 def _as_complex(z, label: str) -> np.ndarray:
@@ -57,57 +59,54 @@ class CPnPoint:
 
 # -- the two fibrations ------------------------------------------------------
 
-def project_pi1(p: ReducedPoint) -> CPnPoint:
-    """First projection: z_i = r_i e^{2 pi i theta_i}, on the sphere of radius rho1."""
-    _require_regular(p.spec)
-    amb = p.ambient_point()
-    z = amb.r * np.exp(2j * math.pi * amb.theta)
-    return CPnPoint(z, p.spec.rho1 ** 2)
+def project_pi1(spec: LevelSetSpec, base_r, torus_s) -> np.ndarray:
+    """First projection z_i = r_i e^{2 pi i theta_i}, theta = F_theta s: the
+    representatives lie on the sphere sum |z_i|^2 = rho1^2."""
+    _require_regular(spec)
+    theta = np.mod(embedded_angles(spec.n, torus_s, "theta"), 1.0)
+    return np.asarray(base_r, dtype=float) * np.exp(2j * math.pi * theta)
 
 
-def _rep_of(z) -> np.ndarray:
-    return z.z if hasattr(z, "z") else np.asarray(z, dtype=complex).reshape(-1)
-
-
-def pi1_image_residual(z, rho2: float) -> float:
+def pi1_image_residual(z, rho2: float) -> np.ndarray:
     """Defect of the image equation prod |z_i|^2 = e^{-4 pi^2 rho2^2} (sum |z_i|^2)^{n+1},
     normalized by (sum |z_i|^2)^{n+1} so the result is scale invariant.
 
-    Accepts a CPnPoint or a bare coefficient array (off-image probes included)."""
-    sq = np.abs(_rep_of(z)) ** 2
-    total = float(np.sum(sq))
-    prod = float(np.prod(sq))
-    scale = total ** sq.size
-    return abs(prod - math.exp(-4.0 * PI2 * rho2 * rho2) * scale) / scale
+    One value per representative z of shape (..., n+1), off-image probes
+    included."""
+    sq = np.abs(np.asarray(z, dtype=complex)) ** 2
+    scale = np.sum(sq, axis=-1) ** sq.shape[-1]
+    return np.abs(np.prod(sq, axis=-1) - math.exp(-4.0 * PI2 * rho2 * rho2) * scale) / scale
 
 
-def project_pi2(p: ReducedPoint) -> CPnPoint:
-    """Second projection: |z_i| = sqrt(log(rho1/r_i) / (2 pi^2)), phase e^{-2 pi i eta_i}.
+def project_pi2(spec: LevelSetSpec, base_r, torus_t) -> np.ndarray:
+    """Second projection: |z_i| = sqrt(log(rho1/r_i) / (2 pi^2)), phase
+    e^{-2 pi i eta_i}, eta = F_eta t.
 
-    Representatives are stored at scale lam = rho2^2, the normalization under
-    which metgeo.hn_distance defaults to the right scale; the unit-sphere
-    representative is this one divided by rho2.
+    The representatives lie at scale sum |z_i|^2 = rho2^2, the normalization
+    under which metgeo.hn_distance defaults to the right scale; the
+    unit-sphere representative is this one divided by rho2.  The domain is
+    checked once for the whole stack.
     """
-    _require_regular(p.spec)
-    amb = p.ambient_point()
-    rho1 = p.spec.rho1
-    if np.any(amb.r > rho1):
+    _require_regular(spec)
+    r = np.asarray(base_r, dtype=float)
+    rho1 = spec.rho1
+    if np.any(r > rho1):
         raise ValueError("point outside the fibration domain: some r_i > rho1")
-    if np.any(amb.r == rho1):
+    if np.any(r == rho1):
         # on a regular level set every r_i < rho1: equality means the shape
         # coordinate r_i/rho1 rounded to 1, the others being below ~1e-8
         raise ArithmeticError("a base radius rounded to rho1; the pi2 modulus vanishes")
-    mod = np.sqrt(np.log(rho1 / amb.r) / (2.0 * PI2))
-    z = mod * np.exp(-2j * math.pi * amb.eta)
-    return CPnPoint(z, p.spec.rho2 ** 2)
+    mod = np.sqrt(np.log(rho1 / r) / (2.0 * PI2))
+    eta = np.mod(embedded_angles(spec.n, torus_t, "eta"), 1.0)
+    return mod * np.exp(-2j * math.pi * eta)
 
 
-def pi2_image_residual(z) -> float:
-    """Defect of the image equation sum_i e^{-4 pi^2 |z_i|^2} = 1.
-
-    Accepts a CPnPoint or a bare array; values of order 1 or more mean the
-    point is far off the image (the zero vector scores n)."""
-    return abs(float(np.sum(np.exp(-4.0 * PI2 * np.abs(_rep_of(z)) ** 2))) - 1.0)
+def pi2_image_residual(z) -> np.ndarray:
+    """Defect of the image equation sum_i e^{-4 pi^2 |z_i|^2} = 1, one value
+    per representative z of shape (..., n+1); values of order 1 or more mean
+    the point is far off the image (the zero vector scores n)."""
+    sq = np.abs(np.asarray(z, dtype=complex)) ** 2
+    return np.abs(np.sum(np.exp(-4.0 * PI2 * sq), axis=-1) - 1.0)
 
 
 # -- the chart diffeomorphism ------------------------------------------------

@@ -28,9 +28,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .ambient import FOUR_PI2
+from .ambient import torus_metric_weights
 from .polytope import finite_coset_representatives, lattice_maps
-from .reduction import ReducedPoint, stream_rows
+from .reduction import LevelSetSpec, stream_rows
 
 
 @dataclass(frozen=True)
@@ -411,34 +411,24 @@ def flat_torus_diameter(spec: FlatTorusSpec) -> float:
         return float(root_lattice_covering_radius(weights))
 
 
-def _pi1_weights(base_r: np.ndarray) -> np.ndarray:
-    """First-projection fiber metric deta_i^2 / (4 pi^2 r_i^2), per radius."""
-    return 1.0 / (FOUR_PI2 * base_r**2)
-
-
-def _pi2_weights(base_r: np.ndarray) -> np.ndarray:
-    """Second-projection fiber metric 4 pi^2 r_i^2 dtheta_i^2, per radius."""
-    return FOUR_PI2 * base_r**2
-
-
 def pi1_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
     """Diameters of the first-projection fiber tori, one per row of an (N, n+1)
     radius array: the eta-subtorus, period lattice A_n, with the induced
     diagonal metric deta_i^2 / (4 pi^2 r_i^2)."""
-    return root_lattice_covering_radius(_pi1_weights(base_r))
+    return root_lattice_covering_radius(torus_metric_weights(base_r)[1])
 
 
 def pi2_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
     """Diameters of the second-projection fiber tori, one per row of an
     (N, n+1) radius array: the theta-subtorus, period lattice A_n, with metric
     4 pi^2 r_i^2 dtheta_i^2."""
-    return root_lattice_covering_radius(_pi2_weights(base_r))
+    return root_lattice_covering_radius(torus_metric_weights(base_r)[0])
 
 
-def pi1_fiber_bound(p: ReducedPoint) -> float:
+def pi1_fiber_bound(spec: LevelSetSpec) -> float:
     """Closed-form fiber-diameter bound pi n^{-(n-1)/2} e^{2 pi^2 rho2^2} / rho1."""
-    n = p.spec.n
-    return math.pi * n ** (-(n - 1) / 2.0) * math.exp(2.0 * math.pi**2 * p.spec.rho2**2) / p.spec.rho1
+    n = spec.n
+    return math.pi * n ** (-(n - 1) / 2.0) * math.exp(2.0 * math.pi**2 * spec.rho2**2) / spec.rho1
 
 
 # -- anticanonical divisor sampler ----------------------------------------------

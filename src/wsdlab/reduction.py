@@ -11,9 +11,9 @@ rho2), which downstream limit sweeps rely on.
 The random numbers behind sample idx come from its own counter-based stream
 (`_stream(seed, idx, ...)`) and do not depend on the level set.  A sweep over
 many level sets therefore draws them once (`draw_directions`, `draw_torus`)
-and hands the read-only rows to the per-spec solve (`solve_base`,
-`assemble_points`); `sample_base` and `sample_points` are the one-spec
-compositions of the two steps.
+and hands the read-only rows to the per-spec solve (`solve_base`) and, as
+arrays, to the projections in maps; `sample_base` and `sample_points` are the
+one-spec compositions.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class LevelSetSpec:
     @property
     def rho2(self) -> float:
         return convert_parameters(self.n, self.k1, self.k2)[1]
-
-    @property
-    def classification(self) -> str:
-        return feasibility(self)
 
 
 def feasibility(spec: LevelSetSpec, rel_tol: float = 1e-12) -> str:
@@ -210,12 +206,19 @@ def sample_base(spec: LevelSetSpec, count: int, seed: int = 0) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _torus_embeddings(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(theta embedding, eta embedding): rows are primal resp. dual vertices."""
+def _torus_embeddings(n: int) -> dict[str, np.ndarray]:
+    """The theta and eta embeddings: rows are primal resp. dual vertices."""
     maps = lattice_maps(n)
-    f_theta = np.array(maps.dual_t.matrix, dtype=float)
-    f_eta = np.array(maps.primal_t.matrix, dtype=float)
-    return f_theta, f_eta
+    return {"theta": np.array(maps.dual_t.matrix, dtype=float),
+            "eta": np.array(maps.primal_t.matrix, dtype=float)}
+
+
+def embedded_angles(n: int, torus: np.ndarray, block: str) -> np.ndarray:
+    """Ambient angles, before reduction mod 1, of torus rows (..., n):
+    theta = F_theta s for block "theta", eta = F_eta t for block "eta".  Each
+    row is its own matrix-vector product, so a stack gives each row's bits."""
+    x = np.asarray(torus, dtype=float)
+    return np.matmul(_torus_embeddings(n)[block], x[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -244,9 +247,9 @@ class ReducedPoint:
                            np.asarray(self.torus_t, dtype=float).reshape(self.spec.n))
 
     def ambient_point(self) -> AmbientPoint:
-        f_theta, f_eta = _torus_embeddings(self.spec.n)
-        return AmbientPoint(self.spec.n, f_theta @ self.torus_s, self.base_r,
-                            f_eta @ self.torus_t)
+        n = self.spec.n
+        return AmbientPoint(n, embedded_angles(n, self.torus_s, "theta"), self.base_r,
+                            embedded_angles(n, self.torus_t, "eta"))
 
     def moment_residual(self) -> tuple[float, float]:
         """Relative deviations of (mu1, mu2) from (k1, k2)."""
@@ -264,17 +267,12 @@ def draw_torus(n: int, count: int, seed: int = 0) -> np.ndarray:
     return stream_rows(seed, count, 2 * n, lambda rng, k: rng.uniform(0.0, 1.0, k), 1)
 
 
-def assemble_points(spec: LevelSetSpec, base: np.ndarray,
-                    torus: np.ndarray) -> list[ReducedPoint]:
-    """Reduced points from base radii rows and `draw_torus` rows."""
-    n = spec.n
-    return [ReducedPoint(spec, r, st[:n], st[n:]) for r, st in zip(base, torus)]
-
-
 def sample_points(spec: LevelSetSpec, count: int, seed: int = 0) -> list[ReducedPoint]:
     """Sample reduced points: base radii plus uniform torus coordinates."""
+    n = spec.n
     base = sample_base(spec, count, seed)
-    return assemble_points(spec, base, draw_torus(spec.n, count, seed))
+    return [ReducedPoint(spec, r, st[:n], st[n:])
+            for r, st in zip(base, draw_torus(n, count, seed))]
 
 
 def _degenerate_pair(p: AmbientPoint) -> tuple[np.ndarray, np.ndarray, object]:

@@ -21,7 +21,7 @@ from wsdlab import cli
 from wsdlab import metgeo as mg
 from wsdlab.ambient import (AmbientPoint, ambient_adapted_frame,
                             exterior_derivative_residual, leaf_volume)
-from wsdlab.maps import (alpha_deform, phi_pullback_check, pi1_image_residual,
+from wsdlab.maps import (CPnPoint, alpha_deform, phi_pullback_check, pi1_image_residual,
                          pi2_image_residual, project_pi1, project_pi2,
                          psi_pullback_residuals)
 from wsdlab.metgeo import fubini_study_distance, hn_distance
@@ -161,6 +161,14 @@ def test_criterion_3_wsd_axioms_and_degenerate_block():
     )
 
 
+def _pi1_point(p) -> CPnPoint:
+    return CPnPoint(project_pi1(p.spec, p.base_r, p.torus_s), p.spec.rho1**2)
+
+
+def _pi2_point(p) -> CPnPoint:
+    return CPnPoint(project_pi2(p.spec, p.base_r, p.torus_t), p.spec.rho2**2)
+
+
 def test_criterion_4_projection_residuals_and_fiber_collapse():
     rng = np.random.default_rng(23)
     worst_p1 = 0.0
@@ -170,15 +178,15 @@ def test_criterion_4_projection_residuals_and_fiber_collapse():
         spec = LevelSetSpec.from_rho(n, 1.0, 0.5)
         pts = sample_points(spec, 60, seed=17 + n)
         for p in pts:
-            worst_p1 = max(worst_p1, pi1_image_residual(project_pi1(p), 0.5))
-            worst_p2 = max(worst_p2, pi2_image_residual(project_pi2(p)))
+            worst_p1 = max(worst_p1, pi1_image_residual(_pi1_point(p).z, 0.5))
+            worst_p2 = max(worst_p2, pi2_image_residual(_pi2_point(p).z))
         for p in pts[:10]:
             q_eta = replace(p, torus_t=rng.uniform(0, 1, n))
             worst_fib = max(worst_fib,
-                            fubini_study_distance(project_pi1(p), project_pi1(q_eta)))
+                            fubini_study_distance(_pi1_point(p), _pi1_point(q_eta)))
             q_theta = replace(p, torus_s=rng.uniform(0, 1, n))
             worst_fib = max(worst_fib,
-                            hn_distance(project_pi2(p), project_pi2(q_theta)))
+                            hn_distance(_pi2_point(p), _pi2_point(q_theta)))
     ok = worst_p1 < 1e-10 and worst_p2 < 1e-9 and worst_fib < 1e-6
     _report(4, "projection image equations and fiber collapse", ok,
             f"pi1 {worst_p1:.1e}, pi2 {worst_p2:.1e}, collapse {worst_fib:.1e}")
@@ -227,7 +235,7 @@ def test_criterion_6_fiber_diameter_bound():
             spec = LevelSetSpec.from_rho(n, float(rho1), 0.6)
             pts = sample_points(spec, 25, seed=31 + n)
             exact = mg.pi1_fiber_diameters(np.array([p.base_r for p in pts]))
-            worst = max(worst, float(np.max(exact)) / mg.pi1_fiber_bound(pts[0]))
+            worst = max(worst, float(np.max(exact)) / mg.pi1_fiber_bound(spec))
     ok = worst <= 1.0 + 1e-6
     _report(6, "eta-fiber diameter against the closed-form bound", ok,
             f"worst ratio {worst:.9f}")

@@ -19,6 +19,7 @@ from wsdlab.ambient import (
     leaf_volume,
     moment_map,
     section_point,
+    torus_metric_weights,
 )
 
 PI = math.pi
@@ -106,9 +107,26 @@ def test_tensors_diagonal_example():
     assert abs(t.omega1[0, 2] + 2 * PI) < 1e-14
     assert abs(t.omega2[2, 4] - 1 / (2 * PI)) < 1e-14
     assert abs(t.omegaD[0, 4] - 1.0) < 1e-14
-    assert t.basis_order[0] == ("theta", 0)
-    assert t.basis_order[2] == ("r", 0)
-    assert t.basis_order[4] == ("eta", 0)
+
+
+def test_torus_metric_weights_are_the_angle_blocks_of_g():
+    rng = np.random.default_rng(59)
+    for n in (1, 2, 3, 5):
+        m = n + 1
+        r = random_radii(rng, n, 1e-8, 1e8)
+        theta_w, eta_w = torus_metric_weights(r)
+        assert np.array_equal(theta_w, 4.0 * PI**2 * r**2)
+        assert np.array_equal(eta_w, 1.0 / (4.0 * PI**2 * r**2))
+        diag = np.diag(ambient_tensors_at(section_point(n, r)).g)
+        assert np.array_equal(diag[:m], theta_w)
+        assert np.array_equal(diag[2 * m:], eta_w)
+        aux = auxiliary_vectors(section_point(n, r))
+        assert np.array_equal(aux.X2[:m], eta_w)
+        assert np.array_equal(aux.Y2[2 * m:], theta_w)
+        # any leading shape, row by row
+        stacked = torus_metric_weights(np.tile(r, (2, 3, 1)))
+        assert np.array_equal(stacked[0], np.tile(theta_w, (2, 3, 1)))
+        assert np.array_equal(stacked[1], np.tile(eta_w, (2, 3, 1)))
 
 
 def test_metric_positive_definite_bulk():
@@ -297,7 +315,6 @@ def test_auxiliary_vectors_example():
     assert abs(aux.norm_product - 4.0) < 1e-12
     assert abs(aux.inner_X - 2.0) < 1e-12
     assert abs(aux.inner_Y - 2.0) < 1e-12
-    assert aux.degenerate  # equal radii
 
 
 def test_auxiliary_vectors_bulk_identities():
@@ -315,9 +332,9 @@ def test_auxiliary_vectors_bulk_identities():
         # Cauchy-Schwarz with equality iff radii coincide
         assert aux.norm_product >= m * m * (1 - 1e-12)
         if np.ptp(r) > 1e-3 * np.max(r):
-            assert not aux.degenerate
             assert aux.norm_product > m * m
-    assert auxiliary_vectors(section_point(3, [2.0] * 4)).degenerate
+    equal = auxiliary_vectors(section_point(3, [2.0] * 4))
+    assert abs(equal.norm_product - 16.0) <= 1e-9 * 16.0
 
 
 def test_auxiliary_vector_duals():

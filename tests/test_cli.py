@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import wsdlab
-from wsdlab import metgeo, reduction
+from wsdlab import ambient, maps, metgeo, reduction
+from wsdlab.ambient import ambient_tensors_at, feasibility_threshold, section_point
 from wsdlab.cli import main
-from wsdlab.reduction import LevelSetSpec, sample_points
+from wsdlab.reduction import LevelSetSpec, sample_base, sample_points
 
 
 def run(tmp_path, *argv):
@@ -51,6 +52,22 @@ def test_verify_infeasible_exits_2(tmp_path, capsys):
     rc = main(["verify", "--n", "2", "--rho2", "0.2", "--samples", "5"])
     assert rc == 2
     assert "empty level set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rho2", "0.2"],
+    ["limit-kahler", "--rho2", "0.6,0.2", "--grid", "1:10:2"],
+    ["limit-complex", "--rho2", "0.2", "--grid", "0.1:1:2"],
+    ["boundary", "--side", "B", "--rho2", "0.2"],
+    ["boundary", "--side", "all", "--rho2", "0.2"],
+], ids=["verify", "limit-kahler", "limit-complex", "boundary-B", "boundary-all"])
+def test_empty_level_set_is_one_line_exit_2(argv, capsys):
+    # every command that needs a regular level set prints the same one line
+    assert main(argv + ["--n", "2", "--samples", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"empty level set: n=2 rho2=0.2 classified 'empty' "
+                   f"(threshold {feasibility_threshold(2):.6g})\n")
 
 
 def test_verify_tight_tolerance_fails(tmp_path):
@@ -356,7 +373,7 @@ def test_module_entry_point_runs_without_warnings():
     (["limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid", "1:1e3:5"], 3),
     (["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3"], 3),
     (["limit-complex", "--n", "2", "--rho2", "0.6,0.7", "--grid", "1e-3:1:2"], 3),
-    (["boundary", "--side", "all", "--n", "2"], 2),
+    (["boundary", "--side", "all", "--n", "2"], 1),
 ])
 def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample):
     # a sample's random numbers depend on (seed, index) alone: a command builds
@@ -376,3 +393,40 @@ def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample)
     rc, _ = run(tmp_path, *argv, "--samples", str(samples), "--seed", "4")
     assert rc == 0
     assert len(built) == len(set(built)) == per_sample * samples
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid", "1:1e3:3"],
+    ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3"],
+    ["boundary", "--side", "all", "--n", "3"],
+])
+def test_sweeps_and_probes_build_no_point_objects(monkeypatch, tmp_path, argv):
+    # samples go through the projections and the metric weights as arrays
+    built = []
+    for cls in (reduction.ReducedPoint, ambient.AmbientPoint, maps.CPnPoint):
+        def counted(self, post=cls.__post_init__):
+            built.append(type(self).__name__)
+            post(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    rc, _ = run(tmp_path, *argv, "--samples", "12")
+    assert rc == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_boundary_side_b_ratio_equals_dense_metric_blocks(tmp_path, n):
+    # the ratio of the Frobenius norms of the theta and eta blocks of the
+    # dense ambient metric, maximized over the sample, to the printed digit
+    rc, text = run(tmp_path, "boundary", "--side", "B", "--n", str(n),
+                   "--grid", "1e-3:1:3", "--samples", "9", "--seed", "2")
+    assert rc == 0
+    m = n + 1
+    rows = rows_of(text)
+    assert len(rows) == 3
+    for row, rho1 in zip(rows, np.geomspace(1e-3, 1.0, 3)[::-1]):
+        spec = LevelSetSpec.from_rho(n, float(rho1), 0.6)
+        ratio = 0.0
+        for r in sample_base(spec, 9, seed=2):
+            g = ambient_tensors_at(section_point(n, r)).g
+            ratio = max(ratio, np.linalg.norm(g[:m, :m]) / np.linalg.norm(g[2 * m:, 2 * m:]))
+        assert row["theta_eta_ratio"] == f"{ratio:.12e}"

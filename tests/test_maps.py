@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wsdlab.ambient import AmbientPoint, exterior_derivative_residual, moment_map, section_point
+from wsdlab.ambient import (AmbientPoint, exterior_derivative_residual, feasibility_threshold,
+                            moment_map, section_point)
 from wsdlab.maps import (
     CPnPoint,
     DeformationParams,
@@ -22,13 +25,29 @@ from wsdlab.maps import (
 )
 from wsdlab.metgeo import _quotient_phases, fubini_study_distance, hn_distance
 from wsdlab.polytope import lattice_maps
-from wsdlab.reduction import LevelSetSpec, ReducedPoint, feasibility, sample_points
+from wsdlab.reduction import (LevelSetSpec, ReducedPoint, draw_torus, feasibility,
+                              sample_base, sample_points)
 
 PI = math.pi
 
 
 def spec_rho(n, rho1, rho2):
     return LevelSetSpec.from_rho(n, rho1, rho2)
+
+
+def pi1_point(p: ReducedPoint) -> CPnPoint:
+    return CPnPoint(project_pi1(p.spec, p.base_r, p.torus_s), p.spec.rho1**2)
+
+
+def pi2_point(p: ReducedPoint) -> CPnPoint:
+    return CPnPoint(project_pi2(p.spec, p.base_r, p.torus_t), p.spec.rho2**2)
+
+
+def sample_arrays(spec, count, seed):
+    """The radii and the (s, t) torus rows sample_points(spec, count, seed) holds."""
+    n = spec.n
+    torus = draw_torus(n, count, seed)
+    return sample_base(spec, count, seed), torus[:, :n], torus[:, n:]
 
 
 def test_point_type_validation():
@@ -47,34 +66,35 @@ def test_point_type_validation():
 
 def test_project_pi1_section_and_sphere():
     s = spec_rho(2, 1.2, 0.6)
-    pts = sample_points(s, 60, seed=1)
-    for p in pts:
-        z = project_pi1(p)
-        assert abs(z.norm2() - s.rho1**2) < 1e-12 * s.rho1**2
-        assert z.lam == pytest.approx(s.rho1**2)
-    sec = ReducedPoint(s, pts[0].base_r, np.zeros(2), np.zeros(2))
-    z = project_pi1(sec)
-    assert np.allclose(z.z.imag, 0.0)
-    assert np.allclose(z.z.real, pts[0].base_r)
+    base, torus_s, _ = sample_arrays(s, 60, seed=1)
+    z = project_pi1(s, base, torus_s)
+    assert z.shape == (60, 3)
+    assert np.all(np.abs(np.sum(np.abs(z) ** 2, axis=1) - s.rho1**2) < 1e-12 * s.rho1**2)
+    z = project_pi1(s, base[0], np.zeros(2))
+    assert np.allclose(z.imag, 0.0)
+    assert np.allclose(z.real, base[0])
 
 
 def test_pi1_fiber_collapse():
+    # a fiber is fixed (r, s) with any t: the stacked rows of one fiber land on
+    # one point
     s = spec_rho(2, 1.0, 0.55)
     p = sample_points(s, 1, seed=2)[0]
-    z = project_pi1(p)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        q = ReducedPoint(s, p.base_r, p.torus_s, rng.uniform(0, 1, 2))
-        w = project_pi1(q)
-        assert np.array_equal(z.z, w.z)  # eta never enters
+    z = pi1_point(p)
+    fiber = project_pi1(s, np.tile(p.base_r, (10, 1)), np.tile(p.torus_s, (10, 1)))
+    for row in fiber:
+        w = CPnPoint(row, z.lam)
+        assert np.array_equal(z.z, w.z)
         assert fubini_study_distance(z, w) == 0.0
 
 
 def test_pi1_image_residual_on_samples():
     for n, rho2 in ((1, 0.7), (2, 0.55), (3, 0.8)):
         s = spec_rho(n, 0.9, rho2)
-        for p in sample_points(s, 40, seed=3):
-            assert pi1_image_residual(project_pi1(p), rho2) < 1e-10
+        base, torus_s, _ = sample_arrays(s, 40, seed=3)
+        res = pi1_image_residual(project_pi1(s, base, torus_s), rho2)
+        assert res.shape == (40,)
+        assert np.all(res < 1e-10)
 
 
 def test_pi1_image_residual_divisor_and_scale():
@@ -139,9 +159,9 @@ def test_pi2_consistent_with_phi_inverse():
     s = spec_rho(2, 1.1, 0.6)
     p = sample_points(s, 5, seed=7)[0]
     amb = p.ambient_point()
-    z = project_pi2(p)
+    z = project_pi2(s, p.base_r, p.torus_t)
     lifted = phi_inverse(AmbientPoint(2, amb.theta, amb.r, amb.eta), s.rho1, s.rho2)
-    assert np.allclose(np.abs(z.z), s.rho2 * lifted.r, atol=1e-13)
+    assert np.allclose(np.abs(z), s.rho2 * lifted.r, atol=1e-13)
 
 
 def test_phi_pullback_check_bulk():
@@ -174,43 +194,109 @@ def test_pulled_back_form_stays_closed():
 
 def test_project_pi2_normalization_and_fibers():
     s = spec_rho(2, 1.0, 0.55)
-    pts = sample_points(s, 40, seed=11)
-    for p in pts:
-        z = project_pi2(p)
-        assert abs(z.norm2() - s.rho2**2) < 1e-9 * s.rho2**2
-        assert pi2_image_residual(z) < 1e-9
-    p = pts[0]
-    z = project_pi2(p)
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        q = ReducedPoint(s, p.base_r, rng.uniform(0, 1, 2), p.torus_t)
-        w = project_pi2(q)
-        assert np.array_equal(z.z, w.z)  # theta never enters
+    base, _, torus_t = sample_arrays(s, 40, seed=11)
+    z = project_pi2(s, base, torus_t)
+    assert z.shape == (40, 3)
+    assert np.all(np.abs(np.sum(np.abs(z) ** 2, axis=1) - s.rho2**2) < 1e-9 * s.rho2**2)
+    res = pi2_image_residual(z)
+    assert res.shape == (40,)
+    assert np.all(res < 1e-9)
+    # a fiber is fixed (r, t) with any s: the stacked rows of one fiber land on
+    # one point of the quotient
+    p = sample_points(s, 1, seed=11)[0]
+    z = pi2_point(p)
+    fiber = project_pi2(s, np.tile(p.base_r, (5, 1)), np.tile(p.torus_t, (5, 1)))
+    for row in fiber:
+        w = CPnPoint(row, z.lam)
+        assert np.array_equal(z.z, w.z)
         assert hn_distance(z, w) < 1e-12
 
 
 def test_project_pi2_symmetric_base():
     s = spec_rho(2, 1.0, 0.55)
-    p = ReducedPoint(s, [0.4, 0.4, 0.4], [0.0, 0.0], [0.1, 0.2])
-    z = project_pi2(p)
-    mags = np.abs(z.z)
+    z = project_pi2(s, [0.4, 0.4, 0.4], [0.1, 0.2])
+    mags = np.abs(z)
     assert np.max(mags) - np.min(mags) < 1e-15
 
 
 def test_project_pi2_domain_guard():
     s = spec_rho(2, 1.0, 0.55)
-    p = ReducedPoint(s, [1.5, 0.1, 0.1], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="rho1"):
-        project_pi2(p)
+        project_pi2(s, [1.5, 0.1, 0.1], [0.0, 0.0])
 
 
 def test_project_pi2_radius_rounded_to_rho1_is_numerical():
     # a shape coordinate that rounded to exactly 1 is a rounding failure on a
     # valid level set, not a point outside the fibration domain
     s = spec_rho(2, 1.0, 2.5)
-    p = ReducedPoint(s, [1.0, 1e-9, 1e-9], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ArithmeticError, match="rho1"):
-        project_pi2(p)
+        project_pi2(s, [1.0, 1e-9, 1e-9], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("row", [0, 3, 7])
+@pytest.mark.parametrize("value,error", [(1.5, ValueError), (1.0, ArithmeticError)])
+def test_project_pi2_guards_raise_from_one_offending_row(row, value, error):
+    # the domain is checked once per stack: one offending row fails the call
+    s = spec_rho(2, 2.0, 0.6)
+    base, _, torus_t = sample_arrays(s, 8, seed=5)
+    project_pi2(s, base, torus_t)
+    bad = base.copy()
+    bad[row, 1] = value * s.rho1
+    with pytest.raises(error, match="rho1"):
+        project_pi2(s, bad, torus_t)
+
+
+def _per_sample_pi1(spec, r, s):
+    # one sample at a time, as a ReducedPoint projected through its AmbientPoint
+    f_theta = np.array(lattice_maps(spec.n).dual_t.matrix, dtype=float)
+    theta = np.mod(f_theta @ s, 1.0)
+    return r * np.exp(2j * math.pi * theta)
+
+
+def _per_sample_pi2(spec, r, t):
+    f_eta = np.array(lattice_maps(spec.n).primal_t.matrix, dtype=float)
+    eta = np.mod(f_eta @ t, 1.0)
+    mod = np.sqrt(np.log(spec.rho1 / r) / (2.0 * PI**2))
+    return mod * np.exp(-2j * math.pi * eta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(), (1,), (7,), (2, 3), (3, 1, 2)]),
+       log_rho1=st.floats(-3.0, 3.0), excess=st.floats(0.02, 0.3))
+def test_stacked_projections_equal_per_sample_expression(n, seed, shape, log_rho1, excess):
+    spec = spec_rho(n, 10.0**log_rho1, feasibility_threshold(n) + excess)
+    count = math.prod(shape)
+    rng = np.random.default_rng(seed)
+    base = sample_base(spec, count, seed).reshape(shape + (n + 1,))
+    torus = rng.uniform(-2.0, 2.0, shape + (2, n))
+    s, t = torus[..., 0, :], torus[..., 1, :]
+    z1 = project_pi1(spec, base, s)
+    z2 = project_pi2(spec, base, t)
+    assert z1.shape == z2.shape == shape + (n + 1,)
+    flat = (base.reshape(count, n + 1), s.reshape(count, n), t.reshape(count, n))
+    want1 = np.array([_per_sample_pi1(spec, r, a) for r, a, _ in zip(*flat)])
+    want2 = np.array([_per_sample_pi2(spec, r, b) for r, _, b in zip(*flat)])
+    assert np.array_equal(z1.reshape(count, n + 1), want1.reshape(count, n + 1))
+    assert np.array_equal(z2.reshape(count, n + 1), want2.reshape(count, n + 1))
+    # the image residuals reduce over the last axis only
+    res2 = pi2_image_residual(z2)
+    assert res2.shape == shape
+    assert np.array_equal(res2.reshape(count),
+                          [pi2_image_residual(z) for z in z2.reshape(count, n + 1)])
+    # the pi1 residual is a difference of two terms of size e^{-4 pi^2 rho2^2}
+    # whose power the stacked call may round otherwise
+    res1 = pi1_image_residual(z1, spec.rho2)
+    assert res1.shape == shape
+    one = [pi1_image_residual(z, spec.rho2) for z in z1.reshape(count, n + 1)]
+    assert np.all(np.abs(res1.reshape(count) - one)
+                  <= 1e-14 * math.exp(-4 * PI**2 * spec.rho2**2))
+    # the reduced point embeds its angles through the same helper
+    for r, a, b in zip(*flat):
+        amb = ReducedPoint(spec, r, a, b).ambient_point()
+        assert np.array_equal(r * np.exp(2j * math.pi * amb.theta), _per_sample_pi1(spec, r, a))
+        f_eta = np.array(lattice_maps(n).primal_t.matrix, dtype=float)
+        assert np.array_equal(amb.eta, np.mod(f_eta @ b, 1.0))
 
 
 def test_pi2_image_residual_landmarks():
@@ -325,8 +411,8 @@ def test_pi1_equivariance():
     rows = np.array(lattice_maps(2).dual_t.matrix, dtype=float)
     delta = np.array([0.21, 0.43])
     shifted = ReducedPoint(s, p.base_r, p.torus_s + delta, p.torus_t)
-    z = project_pi1(p)
-    zs = project_pi1(shifted)
+    z = pi1_point(p)
+    zs = pi1_point(shifted)
     acted = CPnPoint(z.z * np.exp(2j * PI * (rows @ delta)), z.lam)
     assert fubini_study_distance(zs, acted) < 1e-8
 
@@ -337,7 +423,7 @@ def test_pi2_equivariance():
     rows = np.array(lattice_maps(2).primal_t.matrix, dtype=float)
     delta = np.array([0.31, 0.11])
     shifted = ReducedPoint(s, p.base_r, p.torus_s, p.torus_t + delta)
-    z = project_pi2(p)
-    zs = project_pi2(shifted)
+    z = pi2_point(p)
+    zs = pi2_point(shifted)
     acted = CPnPoint(z.z * np.exp(-2j * PI * (rows @ delta)), z.lam)
     assert hn_distance(zs, acted) < 1e-8

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from wsdlab import metgeo as mg
+from wsdlab.ambient import torus_metric_weights
 from wsdlab.maps import CPnPoint
 from wsdlab.polytope import _eliminate, lattice_maps
 from wsdlab.reduction import LevelSetSpec, sample_points
@@ -382,7 +383,7 @@ def test_planar_route_on_deep_a2_fiber_tori_matches_60_digits():
     for rho2 in (0.9, 1.0, 1.1, 1.2):
         checked = 0
         for p in sample_points(LevelSetSpec.from_rho(2, 1.0, rho2), 60, seed=0):
-            w = mg._pi1_weights(p.base_r)
+            w = torus_metric_weights(p.base_r)[1]
             try:
                 got = mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(2), w))
             except ArithmeticError:  # numerically singular Gram matrix
@@ -436,9 +437,10 @@ def test_closed_form_on_deep_fiber_tori_matches_60_digits():
         for seed in (0, 1):
             pts = sample_points(LevelSetSpec.from_rho(3, 1.0, rho2), 60, seed)
             base_r = np.array([p.base_r for p in pts])
-            for weights, diameters in ((mg._pi1_weights, mg.pi1_fiber_diameters),
-                                       (mg._pi2_weights, mg.pi2_fiber_diameters)):
-                for row, value in zip(weights(base_r), diameters(base_r)):
+            theta_w, eta_w = torus_metric_weights(base_r)
+            for weights, diameters in ((eta_w, mg.pi1_fiber_diameters),
+                                       (theta_w, mg.pi2_fiber_diameters)):
+                for row, value in zip(weights, diameters(base_r)):
                     exact = _mp_split_vertex_radius(row)
                     assert abs(value - exact) <= 1e-15 * exact
 
@@ -450,7 +452,7 @@ def test_closed_form_matches_planar_route_on_gate_6_samples():
         base_r = np.array([p.base_r for p in pts])
         closed = mg.pi1_fiber_diameters(base_r)
         planar = np.array([mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(2), w))
-                           for w in mg._pi1_weights(base_r)])
+                           for w in torus_metric_weights(base_r)[1]])
         assert np.all(np.abs(closed - planar) <= 1e-12 * planar)
 
 
@@ -460,7 +462,7 @@ def test_fiber_tori_and_closed_form_bound():
         base_r = np.array([p.base_r for p in pts])
         d1 = mg.pi1_fiber_diameters(base_r)
         assert d1.shape == (8,)
-        assert np.all(d1 <= mg.pi1_fiber_bound(pts[0]) * (1 + 1e-9))
+        assert np.all(d1 <= mg.pi1_fiber_bound(pts[0].spec) * (1 + 1e-9))
         d2 = mg.pi2_fiber_diameters(base_r)
         assert d2.shape == (8,)
         assert np.all(d2 > 0)
@@ -475,7 +477,7 @@ def test_fiber_bound_scale():
     da = float(mg.pi1_fiber_diameters(pa.base_r))
     db = float(mg.pi1_fiber_diameters(pb.base_r))
     assert db == pytest.approx(da / 4.0, rel=1e-9)
-    assert mg.pi1_fiber_bound(pb) == pytest.approx(mg.pi1_fiber_bound(pa) / 4.0, rel=1e-12)
+    assert mg.pi1_fiber_bound(b) == pytest.approx(mg.pi1_fiber_bound(a) / 4.0, rel=1e-12)
 
 
 def test_anticanonical_constructed_zero():

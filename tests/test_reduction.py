@@ -13,7 +13,6 @@ from wsdlab.reduction import (
     ReducedPoint,
     _stream,
     ambient_structure_at,
-    assemble_points,
     draw_directions,
     draw_torus,
     feasibility,
@@ -60,14 +59,14 @@ def test_nan_rho2_is_not_classified():
 
 def test_feasibility_trichotomy():
     thr = feasibility_threshold(2)  # 0.288937, five-digit roundings land below it
-    assert spec_rho(2, 1.0, thr).classification == "degenerate"
-    assert spec_rho(2, 0.05, thr).classification == "degenerate"  # rho1-independent
-    assert spec_rho(2, 1.0, 0.5).classification == "regular"
-    assert spec_rho(2, 1.0, 0.1).classification == "empty"
+    assert feasibility(spec_rho(2, 1.0, thr)) == "degenerate"
+    assert feasibility(spec_rho(2, 0.05, thr)) == "degenerate"  # rho1-independent
+    assert feasibility(spec_rho(2, 1.0, 0.5)) == "regular"
+    assert feasibility(spec_rho(2, 1.0, 0.1)) == "empty"
     for n in (1, 2, 3, 4):
         t = feasibility_threshold(n)
-        assert spec_rho(n, 2.0, t * 1.001).classification == "regular"
-        assert spec_rho(n, 2.0, t * 0.999).classification == "empty"
+        assert feasibility(spec_rho(n, 2.0, t * 1.001)) == "regular"
+        assert feasibility(spec_rho(n, 2.0, t * 0.999)) == "empty"
 
 
 def test_feasibility_k_coordinates():
@@ -168,7 +167,7 @@ def test_drawn_rows_are_read_only():
         assert not rows.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             rows[0] = 0.0
-    pts = assemble_points(s, solve_base(s, directions), torus)
+    pts = sample_points(s, 6, seed=2)
     with pytest.raises(ValueError, match="read-only"):
         pts[0].torus_s[0] = 0.5
     # one draw serves every level set: the solve returns fresh radii and the
