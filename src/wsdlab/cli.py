@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ambient import (FOUR_PI2, exterior_derivative_residual, feasibility_threshold,
-                      leaf_volume, torus_metric_weights)
-from .maps import alpha_deform, pi2_image_residual, project_pi1, project_pi2
+from .ambient import (exterior_derivative_residual, feasibility_threshold, leaf_volume,
+                      torus_metric_weights)
+from .maps import alpha_deform, degenerate_metric, pi2_image_residual, project_pi1, project_pi2
 from .metgeo import (FiniteMetricSample, anticanonical_normals, anticanonical_points,
                      fs_matrix, hausdorff_from_cross, hn_matrix, ngh_distance,
                      pi1_fiber_bound, pi1_fiber_diameters, pi2_fiber_diameters,
@@ -191,13 +191,13 @@ def cmd_limit_kahler(args) -> int:
     rows = []
     for rho2 in rho2s:
         _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
-        for rho1 in grid:
-            spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
+        specs = [LevelSetSpec.from_rho(args.n, float(rho1), rho2) for rho1 in grid]
+        antis = anticanonical_points(normals, [spec.rho1**2 for spec in specs])
+        for rho1, spec, anti in zip(grid, specs, antis):
             base_r = solve_base(spec, directions)
             fiber = float(np.max(pi1_fiber_diameters(base_r)))
             bound = pi1_fiber_bound(spec)
             z = project_pi1(spec, base_r, torus_s)
-            anti = anticanonical_points(normals, spec.rho1**2)
             h_img = hausdorff_from_cross(fs_matrix(z, spec.rho1, anti))
             h_tot = h_img + fiber
             rows.append({
@@ -229,22 +229,6 @@ COMPLEX_DOC = [
 ]
 
 
-def _degenerate_metric_at(n: int, rho1: float, rho2: float):
-    f = np.array(lattice_maps(n).primal_t.matrix, dtype=float)
-
-    def metric(x: np.ndarray) -> np.ndarray:
-        r = x[:n + 1]
-        gauss = np.exp(-FOUR_PI2 * rho2**2 * r**2)
-        c_r = 16.0 * math.pi**4 * rho1**2 * rho2**2 * r**2 * gauss
-        c_eta = 1.0 / (gauss * FOUR_PI2 * rho1**2 * rho2**2)
-        g = np.zeros((2 * n + 1, 2 * n + 1))
-        g[:n + 1, :n + 1] = np.diag(c_r)
-        g[n + 1:, n + 1:] = f.T @ (c_eta[:, None] * f)
-        return g
-
-    return metric
-
-
 def cmd_limit_complex(args) -> int:
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))[::-1]
@@ -267,9 +251,8 @@ def cmd_limit_complex(args) -> int:
             # variable is the Gaussian-profile preimage |z|/rho2, not base_r
             coords = np.hstack([np.abs(w) / rho2, torus_t])
             periodic = np.array([False] * (args.n + 1) + [True] * args.n)
-            d_deg = riemannian_knn_distances(
-                coords, _degenerate_metric_at(args.n, spec.rho1, rho2),
-                k=12, periodic=periodic)
+            metric = degenerate_metric(coords[:, :args.n + 1], spec.rho1, rho2)
+            d_deg = riemannian_knn_distances(coords, metric, k=12, periodic=periodic)
             if not np.all(np.isfinite(d_deg)):
                 raise ValueError("degenerate-metric graph disconnected; raise --samples")
             a = FiniteMetricSample("degenerate_chart", coords, d_deg)
@@ -280,10 +263,8 @@ def cmd_limit_complex(args) -> int:
                 "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),
                 "samples": args.samples, "seed": args.seed, "version": __version__,
                 "fiber_diam_max": _e(fiber), "c_witness": _e(fiber / spec.rho1),
-                "pi2_residual_max": _e(res),
-                "hausdorff_quotient": _e(h_quot),
-                "degenerate_ngh_lower": _e(ngh.lower),
-                "degenerate_ngh_upper": _e(ngh.upper),
+                "pi2_residual_max": _e(res), "hausdorff_quotient": _e(h_quot),
+                "degenerate_ngh_lower": _e(ngh.lower), "degenerate_ngh_upper": _e(ngh.upper),
             })
     config = {"n": args.n, "rho2": rho2s, "grid": args.grid,
               "samples": args.samples, "seed": args.seed}

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import PI2, TWO_PI, AmbientPoint, ambient_tensors_at
-from .reduction import LevelSetSpec, _require_regular, embedded_angles
+from .ambient import FOUR_PI2, PI2, TWO_PI, AmbientPoint, ambient_tensors_at
+from .reduction import LevelSetSpec, _require_regular, _torus_embeddings, embedded_angles
 
 
 def _as_complex(z, label: str) -> np.ndarray:
@@ -269,6 +269,19 @@ def complex_structure_at(r, lam1: float, lam2: float) -> ComplexStructureAt:
     jmat[m + idx, idx] = coef
     jmat[idx, m + idx] = -1.0 / coef
     return ComplexStructureAt(jmat, lam1, lam2, r)
+
+
+def degenerate_metric(r, lam1: float, lam2: float) -> tuple[np.ndarray, np.ndarray]:
+    """g = omega(., J.) of complex_structure_at's J on the chart (r, t), eta =
+    F_eta t, per row of radii (..., n+1), as the pair (frame, coef) that
+    metgeo.riemannian_knn_distances takes: g = frame^T diag(coef) frame."""
+    r = np.asarray(r, dtype=float)
+    gauss = np.exp(-FOUR_PI2 * lam2**2 * r**2)
+    c_r = 16.0 * math.pi**4 * lam1**2 * lam2**2 * r**2 * gauss
+    c_eta = 1.0 / (gauss * FOUR_PI2 * lam1**2 * lam2**2)
+    f = _torus_embeddings(r.shape[-1] - 1)["eta"]
+    frame = np.block([[np.eye(len(f)), np.zeros(f.shape)], [np.zeros((len(f),) * 2), f]])
+    return frame, np.concatenate([c_r, c_eta], axis=-1)
 
 
 # -- the scaling flow ---------------------------------------------------------

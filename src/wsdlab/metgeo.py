@@ -441,16 +441,17 @@ def anticanonical_normals(n: int, count: int, seed: int = 0) -> np.ndarray:
                        lambda rng, k: rng.standard_normal(k), 11)
 
 
-def anticanonical_points(normals: np.ndarray, lam: float) -> np.ndarray:
+def anticanonical_points(normals: np.ndarray, lam) -> np.ndarray:
     """Points of the union of coordinate hyperplane sections {z_j = 0} on the
     lam-sphere, one per row of `anticanonical_normals`: row idx lies on
-    component j = idx mod (n+1), uniformly within it."""
+    component j = idx mod (n+1), uniformly within it.  A lam array of shape S
+    gives points of shape S + (count, n+1), each lam's as a call with it alone."""
     count, m = normals.shape[0], normals.shape[1] // 2
     rows = normals[:, :m] + 1j * normals[:, m:]
     rows[np.arange(count), np.arange(count) % m] = 0.0
     # row by row, as one drawn point: a batched norm sums in another order
     norms = np.array([np.linalg.norm(z) for z in rows])
-    return rows * (math.sqrt(lam) / norms)[:, None]
+    return rows * (np.sqrt(np.asarray(lam, dtype=float))[..., None] / norms)[..., None]
 
 
 def anticanonical_sample(n: int, chart: str, lam: float, count: int,
@@ -466,28 +467,33 @@ def anticanonical_sample(n: int, chart: str, lam: float, count: int,
 
 # -- graph geodesics -----------------------------------------------------------
 
-def riemannian_knn_distances(points: np.ndarray, metric_at: Callable,
+def riemannian_knn_distances(points: np.ndarray, metric: tuple[np.ndarray, np.ndarray],
                              k: int = 12, periodic: np.ndarray | None = None) -> np.ndarray:
     """All-pairs geodesic estimates through a k-nearest-neighbor graph.
 
-    Edge lengths are chords under the averaged endpoint metrics; coordinates
-    flagged periodic difference through the wrapped representative.  This is
-    manifold-sampling practice, not a certified approximation.
+    `metric` is (frame (K, D), coef (N, K)): the metric at point i is
+    frame^T diag(coef_i) frame, and an edge is the chord under the averaged
+    endpoint metrics, w_ij^2 = 1/2 sum_k (coef_ik + coef_jk) (frame d_ij)_k^2,
+    d_ij wrapped where periodic.  Manifold-sampling practice, not certified.
     """
     pts = np.asarray(points, dtype=float)
+    frame, coef = (np.asarray(a, dtype=float) for a in metric)
     npts = pts.shape[0]
-    if k >= npts:
-        k = npts - 1
-    diffs = pts[:, None, :] - pts[None, :, :]
-    if periodic is not None:
-        mask = np.asarray(periodic, dtype=bool)
-        diffs[..., mask] -= np.round(diffs[..., mask])
-    gs = np.array([metric_at(x) for x in pts])
-    w2 = np.empty((npts, npts))
-    for i in range(npts):
-        gbar = 0.5 * (gs[i][None] + gs)
-        w2[i] = np.einsum("ja,jab,jb->j", diffs[i], gbar, diffs[i])
-    w = np.sqrt(np.maximum(w2, 0.0))
+    if (coef.shape != (npts, len(frame)) or frame.shape[1:] != pts.shape[1:]
+            or not np.all((coef > 0) & (coef < np.inf))):
+        raise ValueError("metric must be a frame (K, D) and positive finite coefficients (N, K)")
+    k = min(k, npts - 1)
+    cols = np.ascontiguousarray(pts.T)
+
+    def diff(a):  # coordinate a's N x N differences, built when a frame row uses it
+        d = cols[a][:, None] - cols[a][None, :]
+        return d - np.round(d) if periodic is not None and periodic[a] else d
+
+    w2 = np.zeros((npts, npts))
+    for row, ck in zip(frame, coef.T):
+        yk = sum(f * diff(a) for a, f in enumerate(row) if f)
+        w2 += (ck[:, None] + ck[None, :]) * (yk * yk)
+    w = np.sqrt(0.5 * w2)
     order = np.argsort(w, axis=1)
     rowidx = np.repeat(np.arange(npts), k)
     colidx = order[:, 1:k + 1].ravel()

@@ -42,6 +42,10 @@ GOLDEN = [
     (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
      "7655251a4092dc6671fbe39206cecd4018c745dd93e67d158e5f98b583a827de"),
+    # the benchmark's sample count: N = 400 kNN graphs and GH matchings
+    (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3",
+      "--samples", "400", "--seed", "5"),
+     "d6a5668d2eeb1f0ef2402bf82a54d8d3f2b965eba0f0a6a4f8def5bbfd9d2586"),
     (("boundary", "--side", "all", "--n", "2", "--samples", "24"),
      "ad033268337439b5e61e0c172f1f4443d473178813fc1092da1d0588343ce20e"),
     (("polytope-report", "--n", "1"),

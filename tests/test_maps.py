@@ -12,6 +12,7 @@ from wsdlab.maps import (
     DeformationParams,
     alpha_deform,
     complex_structure_at,
+    degenerate_metric,
     phi_inverse,
     phi_map,
     phi_pullback_check,
@@ -359,6 +360,31 @@ def test_complex_structure_large_limit_trend():
     coef = a.J[2, 0]
     want = 8 * PI**3 * 0.7 * 1.0 * lam2**2 * math.exp(-4 * PI**2 * lam2**2 * 0.49)
     assert abs(coef - want) < 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_degenerate_metric_is_omega_of_j(n):
+    # g = omega(., J.) with the chart form omega = 2 pi sum r_i dr_i^deta_i
+    # and complex_structure_at's J: its (r, eta) matrix is omega @ J, and the
+    # chart (r, t) reads eta = F_eta t through the frame's second block
+    rng = np.random.default_rng(70 + n)
+    m = n + 1
+    r = np.exp(rng.uniform(-4.0, 0.5, (3, 8, m)))
+    lam1, lam2 = float(np.exp(rng.uniform(-7, 0))), float(rng.uniform(0.3, 1.2))
+    frame, coef = degenerate_metric(r, lam1, lam2)
+    f_eta = np.array(lattice_maps(n).primal_t.matrix, dtype=float)
+    assert np.array_equal(frame[:m, :m], np.eye(m)) and np.array_equal(frame[m:, m:], f_eta)
+    assert not np.any(frame[:m, m:]) and not np.any(frame[m:, :m])
+    assert coef.shape == (3, 8, 2 * m)
+    idx = np.arange(m)
+    for at in np.ndindex(r.shape[:-1]):
+        omega = np.zeros((2 * m, 2 * m))
+        omega[idx, m + idx] = 2 * math.pi * r[at]
+        omega[m + idx, idx] = -2 * math.pi * r[at]
+        g = omega @ complex_structure_at(r[at], lam1, lam2).J
+        assert np.array_equal(g, np.diag(np.diag(g)))
+        assert np.max(np.abs(coef[at] / np.diag(g) - 1.0)) < 1e-14
+        assert np.array_equal(degenerate_metric(r[at], lam1, lam2)[1], coef[at])
 
 
 def test_alpha_deform_rho_action():

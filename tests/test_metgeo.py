@@ -12,9 +12,9 @@ from scipy.sparse.csgraph import shortest_path
 
 from wsdlab import metgeo as mg
 from wsdlab.ambient import torus_metric_weights
-from wsdlab.maps import CPnPoint
+from wsdlab.maps import CPnPoint, degenerate_metric, project_pi2
 from wsdlab.polytope import _eliminate, lattice_maps
-from wsdlab.reduction import LevelSetSpec, sample_points
+from wsdlab.reduction import LevelSetSpec, draw_directions, draw_torus, sample_points, solve_base
 
 
 def _sphere_rows(count, n, seed, lam=1.0):
@@ -508,6 +508,17 @@ def test_anticanonical_component_balance():
     assert np.max(tally) - np.min(tally) <= 1
 
 
+def test_anticanonical_points_over_a_lam_array_equal_per_lam_calls():
+    lams = np.array([[0.25, 1.0, 3.7], [1e-6, 0.36, 1e3]])
+    for n in (1, 2, 3, 4):
+        normals = mg.anticanonical_normals(n, 30, seed=n)
+        got = mg.anticanonical_points(normals, lams)
+        assert got.shape == lams.shape + (30, n + 1)
+        for at in np.ndindex(lams.shape):
+            assert np.array_equal(got[at], mg.anticanonical_points(normals, float(lams[at])))
+        assert np.array_equal(mg.anticanonical_points(normals, list(lams[0])), got[0])
+
+
 def test_anticanonical_quotient_chart():
     z = mg.anticanonical_sample(2, "cpn", 1.0, 20, seed=4).coords
     dcp = mg.fs_matrix(z, 1.0)
@@ -547,8 +558,8 @@ def test_knn_geodesics_circle():
     count = 60
     radius = 2.0
     x = (np.arange(count) / count)[:, None]
-    g = lambda _: np.array([[(2 * math.pi * radius) ** 2]])
-    d = mg.riemannian_knn_distances(x, g, k=6, periodic=np.array([True]))
+    metric = (np.eye(1), np.full((count, 1), (2 * math.pi * radius) ** 2))
+    d = mg.riemannian_knn_distances(x, metric, k=6, periodic=np.array([True]))
     for i in range(0, count, 7):
         for j in range(0, count, 11):
             frac = abs(x[i, 0] - x[j, 0])
@@ -559,7 +570,7 @@ def test_knn_geodesics_circle():
 def test_knn_geodesics_flat_patch():
     xs = np.linspace(0, 1, 9)
     grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    d = mg.riemannian_knn_distances(grid, lambda _: np.eye(2), k=12)
+    d = mg.riemannian_knn_distances(grid, (np.eye(2), np.ones((len(grid), 2))), k=12)
     euclid = np.sqrt(np.sum((grid[:, None] - grid[None]) ** 2, axis=2))
     assert np.all(d >= euclid - 1e-12)
     assert np.max(d - euclid) < 0.12 * np.max(euclid)
@@ -574,7 +585,7 @@ def test_knn_directed_search_equals_undirected(seed, count, dim, k, periodic):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, (count, dim))
     scales = 10.0 ** rng.uniform(-2.0, 2.0, dim)
-    metric = lambda x: np.diag(scales * (1.0 + x**2))
+    metric = (np.eye(dim), scales * (1.0 + pts**2))
     flags = np.array([periodic] + [False] * (dim - 1))
     got = mg.riemannian_knn_distances(pts, metric, k=k, periodic=flags)
     undirected = lambda graph, method, directed: shortest_path(graph, method=method,
@@ -582,3 +593,104 @@ def test_knn_directed_search_equals_undirected(seed, count, dim, k, periodic):
     with mock.patch.object(mg, "shortest_path", undirected):
         want = mg.riemannian_knn_distances(pts, metric, k=k, periodic=flags)
     assert np.array_equal(got, want)
+
+
+def _knn_edges(points, metric, k, periodic):
+    """The symmetrized kNN graph's edge lengths, read before the search."""
+    with mock.patch.object(mg, "shortest_path", lambda graph, method, directed: graph):
+        return mg.riemannian_knn_distances(points, metric, k=k, periodic=periodic).tocoo()
+
+
+def _per_row_einsum_edges(points, metric, periodic):
+    """All-pairs edge lengths the way the kernel took them before the frame
+    form: each point's full metric matrix, averaged with every other point's
+    and contracted with the differences in one einsum per row."""
+    frame, coef = metric
+    diffs = points[:, None, :] - points[None, :, :]
+    mask = np.asarray(periodic, dtype=bool)
+    diffs[..., mask] -= np.round(diffs[..., mask])
+    gs = np.einsum("ka,nk,kb->nab", frame, coef, frame)
+    w2 = np.empty((len(points), len(points)))
+    for i in range(len(points)):
+        gbar = 0.5 * (gs[i][None] + gs)
+        w2[i] = np.einsum("ja,jab,jb->j", diffs[i], gbar, diffs[i])
+    return np.sqrt(np.maximum(w2, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, (1 << 31) - 1), count=st.integers(2, 40),
+       dim=st.integers(1, 4), extra=st.integers(0, 3))
+def test_knn_edge_lengths_match_per_row_einsum(seed, count, dim, extra):
+    # well-conditioned diagonal metrics: an identity frame plus rows of
+    # 0/+-1 entries, like blockdiag(I, F_eta), and coefficients within 1e+-1
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, (count, dim))
+    frame = np.vstack([np.eye(dim), rng.integers(-1, 2, (extra, dim))]).astype(float)
+    coef = 10.0 ** rng.uniform(-1.0, 1.0, (count, dim + extra))
+    flags = rng.integers(0, 2, dim).astype(bool)
+    edges = _knn_edges(pts, (frame, coef), count - 1, flags)
+    want = _per_row_einsum_edges(pts, (frame, coef), flags)[edges.row, edges.col]
+    assert np.all(np.abs(edges.data - want) <= 1e-12 * want)
+
+
+def _degenerate_chart(n, rho1, rho2, count, seed):
+    """The points and metric limit-complex builds one kNN graph from."""
+    spec = LevelSetSpec.from_rho(n, rho1, rho2)
+    torus_t = draw_torus(n, count, seed)[:, n:]
+    w = project_pi2(spec, solve_base(spec, draw_directions(n, count, seed)), torus_t)
+    coords = np.hstack([np.abs(w) / rho2, torus_t])
+    return coords, spec.rho1, degenerate_metric(coords[:, :n + 1], spec.rho1, rho2)
+
+
+def _mp_degenerate_edge(xi, xj, n, rho1, rho2):
+    """40-digit edge length under the averaged degenerate metric, from the
+    same float coordinates: coefficients, wrapped differences and the F_eta
+    rows all taken exactly or at working precision."""
+    with mpmath.workdps(40):
+        lam1, lam2 = mpmath.mpf(rho1), mpmath.mpf(rho2)
+        four_pi2 = 4 * mpmath.pi ** 2
+
+        def coef(x):
+            r2 = [mpmath.mpf(float(v)) ** 2 for v in x[:n + 1]]
+            c_r = [four_pi2 ** 2 * lam1**2 * lam2**2 * s * mpmath.exp(-four_pi2 * lam2**2 * s)
+                   for s in r2]
+            c_eta = [mpmath.exp(four_pi2 * lam2**2 * s) / (four_pi2 * lam1**2 * lam2**2)
+                     for s in r2]
+            return c_r + c_eta
+
+        d = [mpmath.mpf(float(a)) - mpmath.mpf(float(b)) for a, b in zip(xi, xj)]
+        dt = [v - mpmath.nint(v) for v in d[n + 1:]]
+        f = lattice_maps(n).primal_t.matrix
+        y = d[:n + 1] + [mpmath.fsum(int(c) * v for c, v in zip(row, dt)) for row in f]
+        w2 = mpmath.fsum((a + b) * v * v for a, b, v in zip(coef(xi), coef(xj), y)) / 2
+        return mpmath.sqrt(w2)
+
+
+@pytest.mark.parametrize("n,rho2,count", [(2, 0.6, 400), (3, 0.7, 120)])
+@pytest.mark.parametrize("rho1", [1e-3, 1.0])
+def test_degenerate_edge_lengths_match_40_digits(n, rho2, count, rho1):
+    # the benchmark's and the n = 3 sweep's configurations; each term of the
+    # edge is nonnegative, so nothing cancels and the edge keeps full precision
+    coords, lam1, metric = _degenerate_chart(n, rho1, rho2, count, seed=0)
+    periodic = np.array([False] * (n + 1) + [True] * n)
+    edges = _knn_edges(coords, metric, 12, periodic)
+    picks = np.linspace(0, edges.nnz - 1, 300).astype(int)
+    worst = max(abs(float(edges.data[e] / _mp_degenerate_edge(
+        coords[edges.row[e]], coords[edges.col[e]], n, lam1, rho2)) - 1.0) for e in picks)
+    assert worst < 1e-14
+
+
+@pytest.mark.parametrize("frame,coef,match", [
+    (np.eye(2), np.array([[1.0, 1.0], [1.0, np.nan], [1.0, 1.0]]), "positive finite"),
+    (np.eye(2), np.array([[1.0, 1.0], [1.0, np.inf], [1.0, 1.0]]), "positive finite"),
+    (np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), "positive finite"),
+    (np.eye(2), np.array([[1.0, 1.0], [1.0, -2.0], [1.0, 1.0]]), "positive finite"),
+    (np.eye(2), np.ones((3, 3)), "frame"),
+    (np.eye(2), np.ones((4, 2)), "frame"),
+    (np.eye(3), np.ones((3, 3)), "frame"),
+    (np.ones(2), np.ones((3, 2)), "frame"),
+])
+def test_knn_rejects_bad_metric(frame, coef, match):
+    pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.9]])
+    with pytest.raises(ValueError, match=match):
+        mg.riemannian_knn_distances(pts, (frame, coef), k=2)
