@@ -301,62 +301,3 @@ def exterior_derivative_residual(form, p: AmbientPoint, h: float | None = None) 
     if not np.all(np.isfinite(t)):
         return math.inf
     return float(np.max(np.abs(t)))
-
-
-@dataclass(frozen=True)
-class AuxiliaryVectors:
-    """The four torus-direction fields controlling the degenerate distribution."""
-
-    n: int
-    X1: np.ndarray
-    X2: np.ndarray
-    Y1: np.ndarray
-    Y2: np.ndarray
-    norm2_X1: float
-    norm2_X2: float
-    norm2_Y1: float
-    norm2_Y2: float
-    inner_X: float
-    inner_Y: float
-    X1_flat: np.ndarray
-    X2_flat: np.ndarray
-    Y1_flat: np.ndarray
-    Y2_flat: np.ndarray
-
-    @property
-    def norm_product(self) -> float:
-        return self.norm2_X1 * self.norm2_X2
-
-
-def auxiliary_vectors(p: AmbientPoint) -> AuxiliaryVectors:
-    """X1 = sum d/dtheta_i, X2 = (1/4pi^2) sum r_i^-2 d/dtheta_i and the eta-side
-    mirrors Y1 = sum d/deta_i, Y2 = 4pi^2 sum r_i^2 d/deta_i, with their g-data.
-
-    By Cauchy-Schwarz |X1|^2 |X2|^2 >= (n+1)^2 with equality exactly on the
-    equal-radii locus.
-    """
-    n, r = p.n, p.r
-    m = n + 1
-    dim = 3 * m
-    th, rr, et = _block_indices(n)
-    theta_w, eta_w = torus_metric_weights(r)
-    X1 = np.zeros(dim)
-    X1[th] = 1.0
-    X2 = np.zeros(dim)
-    X2[th] = eta_w
-    Y1 = np.zeros(dim)
-    Y1[et] = 1.0
-    Y2 = np.zeros(dim)
-    Y2[et] = theta_w
-
-    g = ambient_tensors_at(p).g
-    n2x1 = float(X1 @ g @ X1)
-    n2x2 = float(X2 @ g @ X2)
-    n2y1 = float(Y1 @ g @ Y1)
-    n2y2 = float(Y2 @ g @ Y2)
-    ix = float(X1 @ g @ X2)
-    iy = float(Y1 @ g @ Y2)
-    return AuxiliaryVectors(
-        n, X1, X2, Y1, Y2, n2x1, n2x2, n2y1, n2y2, ix, iy,
-        g @ X1, g @ X2, g @ Y1, g @ Y2,
-    )

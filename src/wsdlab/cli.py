@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .ambient import (exterior_derivative_residual, feasibility_threshold, leaf_volume,
-                      torus_metric_weights)
+                      section_point, torus_metric_weights)
 from .maps import alpha_deform, degenerate_metric, pi2_image_residual, project_pi1, project_pi2
 from .metgeo import (FiniteMetricSample, anticanonical_normals, anticanonical_points,
                      fs_matrix, hausdorff_from_cross, hn_matrix, ngh_distance,
@@ -28,7 +28,7 @@ from .metgeo import (FiniteMetricSample, anticanonical_normals, anticanonical_po
 from .polytope import (has_property_sd, kernel_data, lattice_maps, simplex_pair,
                        verify_duality_identities)
 from .reduction import (LevelSetSpec, draw_directions, draw_torus, feasibility,
-                        induced_structure_at, omega_d_degenerate_block, sample_points,
+                        induced_structure, omega_d_degenerate_block, sample_base,
                         solve_base, verify_wsd_axioms)
 
 
@@ -124,24 +124,18 @@ def _check(name: str, residual: float, tol: float, ok: bool = True) -> dict:
 def cmd_verify(args) -> int:
     spec = LevelSetSpec.from_rho(args.n, args.rho1, args.rho2)
     _regular_or_die(spec)
-    points = sample_points(spec, args.samples, args.seed)
+    base_r = sample_base(spec, args.samples, args.seed)
 
-    ax_res, ax_ok = 0.0, True
-    aij_res = norm_res = leaf_res = fd_res = 0.0
-    for p in points:
-        rep = verify_wsd_axioms(induced_structure_at(p, seed=args.seed), tol=args.tol)
-        ax_res = max(ax_res, rep.worst[1])
-        ax_ok = ax_ok and rep.passed
-        blk = omega_d_degenerate_block(p)
-        aij_res = max(aij_res, max(
-            abs(a - b) / max(1.0, abs(b))
-            for a, b in zip(blk.a_solve, blk.a_closed)))
-        norm_res = max(norm_res, abs(blk.restricted_norm - blk.restricted_norm_closed)
-                       / max(1.0, abs(blk.restricted_norm_closed)))
-        amb = p.ambient_point()
+    rep = verify_wsd_axioms(induced_structure(base_r), tol=args.tol)
+    blk = omega_d_degenerate_block(base_r)
+    leaf_res = fd_res = 0.0
+    for r in base_r:
+        amb = section_point(args.n, r)
         leaf_res = max(leaf_res, abs(leaf_volume(amb) - 1.0))
         fd_res = max(fd_res, *(exterior_derivative_residual(f, amb)
                                for f in ("omega1", "omega2", "omegaD")))
+    ax_res, ax_ok = float(np.max(rep.worst)), bool(np.all(rep.passed))
+    aij_res, norm_res = float(np.max(blk.aij_residual)), float(np.max(blk.norm_residual))
 
     checks = [
         _check("wsd_axioms", ax_res, args.tol, ax_ok),

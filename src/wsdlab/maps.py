@@ -136,18 +136,6 @@ def _phi_jacobian(p: AmbientPoint, rho1: float, rho2: float) -> np.ndarray:
     return jac
 
 
-def phi_pullback_form(form_id: str, rho1: float, rho2: float):
-    """Coefficient-matrix callable for the pulled-back 2-form, usable with the
-    finite-difference closedness check."""
-
-    def coeff(p: AmbientPoint) -> np.ndarray:
-        q = phi_map(p, rho1, rho2)
-        jac = _phi_jacobian(p, rho1, rho2)
-        return jac.T @ getattr(ambient_tensors_at(q), form_id) @ jac
-
-    return coeff
-
-
 @dataclass(frozen=True)
 class PullbackReport:
     residuals: dict

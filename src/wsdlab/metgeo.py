@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -57,18 +57,6 @@ class FiniteMetricSample:
 
     def __len__(self) -> int:
         return self.dist.shape[0]
-
-    def triangle_defect(self, trials: int = 400, seed: int = 0) -> float:
-        """Max of d(a,c) - d(a,b) - d(b,c) over random triples (<= 0 for a metric)."""
-        n = len(self)
-        if n < 3:
-            return 0.0
-        rng = np.random.default_rng(seed)
-        worst = -math.inf
-        for _ in range(trials):
-            a, b, c = rng.choice(n, size=3, replace=False)
-            worst = max(worst, self.dist[a, c] - self.dist[a, b] - self.dist[b, c])
-        return worst
 
 
 def diameter(s: FiniteMetricSample) -> float:
@@ -150,46 +138,8 @@ def hn_distance(p, q, rho: float | None = None) -> float:
     return float(hn_matrix(p.z[None, :], rho, p.n, q.z[None, :])[0, 0])
 
 
-def projective_sample(z: np.ndarray, lam: float, chart: str) -> FiniteMetricSample:
-    rho = math.sqrt(lam)
-    if chart == "cpn":
-        d = fs_matrix(z, rho)
-    elif chart == "hn":
-        d = hn_matrix(z, rho, z.shape[1] - 1)
-    else:
-        raise ValueError(f"unknown chart {chart!r}")
-    return FiniteMetricSample(chart, z, d)
-
-
-def hausdorff_distance(a: FiniteMetricSample, b: FiniteMetricSample,
-                       dist_fn: Callable | None = None) -> float:
-    """max(sup_a inf_b, sup_b inf_a) of the cross distances between two samples
-    living in the same chart."""
-    if a.chart != b.chart:
-        raise ValueError(f"chart mismatch: {a.chart} vs {b.chart}")
-    if dist_fn is not None:
-        cross = np.array([[dist_fn(x, y) for y in b.coords] for x in a.coords])
-    elif a.chart == "cpn":
-        rho = _common_scale(a, b)
-        cross = fs_matrix(a.coords, rho, b.coords)
-    elif a.chart == "hn":
-        rho = _common_scale(a, b)
-        cross = hn_matrix(a.coords, rho, a.coords.shape[1] - 1, b.coords)
-    else:
-        raise ValueError("no distance function available for this chart")
-    return hausdorff_from_cross(cross)
-
-
 def hausdorff_from_cross(cross: np.ndarray) -> float:
     return float(max(np.max(np.min(cross, axis=1)), np.max(np.min(cross, axis=0))))
-
-
-def _common_scale(a: FiniteMetricSample, b: FiniteMetricSample) -> float:
-    na = float(np.mean(np.sum(np.abs(a.coords) ** 2, axis=1)))
-    nb = float(np.mean(np.sum(np.abs(b.coords) ** 2, axis=1)))
-    if abs(na - nb) > 1e-6 * max(na, nb):
-        raise ValueError("samples sit on spheres of different scale")
-    return math.sqrt(na)
 
 
 # -- Gromov-Hausdorff bounds ---------------------------------------------------
@@ -452,17 +402,6 @@ def anticanonical_points(normals: np.ndarray, lam) -> np.ndarray:
     # row by row, as one drawn point: a batched norm sums in another order
     norms = np.array([np.linalg.norm(z) for z in rows])
     return rows * (np.sqrt(np.asarray(lam, dtype=float))[..., None] / norms)[..., None]
-
-
-def anticanonical_sample(n: int, chart: str, lam: float, count: int,
-                         seed: int = 0) -> FiniteMetricSample:
-    """Sample the union of coordinate hyperplane sections {z_j = 0} on the
-    lam-sphere, round-robin over the n+1 components, uniformly per component,
-    with its distance matrix in `chart`."""
-    if count <= 0:
-        raise ValueError("count must be positive")
-    rows = anticanonical_points(anticanonical_normals(n, count, seed), lam)
-    return projective_sample(rows, lam, chart)
 
 
 # -- graph geodesics -----------------------------------------------------------

@@ -300,16 +300,6 @@ def finite_coset_representatives(m) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(reps)
 
 
-def connected_kernel_generators(m) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer vectors spanning the identity component of the kernel."""
-    mat = _as_matrix(m)
-    snf = smith_normal_form(mat)
-    cols = len(mat[0])
-    return tuple(
-        tuple(snf.v[i][j] for i in range(cols)) for j in range(snf.rank, cols)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Exact rational linear algebra helpers.
 

@@ -26,9 +26,8 @@ from wsdlab.maps import (CPnPoint, alpha_deform, phi_pullback_check, pi1_image_r
                          psi_pullback_residuals)
 from wsdlab.metgeo import fubini_study_distance, hn_distance
 from wsdlab.polytope import has_property_sd, simplex_pair, verify_duality_identities
-from wsdlab.reduction import (LevelSetSpec, induced_structure_at,
-                              omega_d_degenerate_block, sample_points,
-                              verify_wsd_axioms)
+from wsdlab.reduction import (LevelSetSpec, induced_structure, omega_d_degenerate_block,
+                              sample_base, sample_points, verify_wsd_axioms)
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -122,24 +121,24 @@ def test_criterion_3_wsd_axioms_and_degenerate_block():
     for n in (2, 3):
         m = n + 1
         spec = LevelSetSpec.from_rho(n, 1.0, 0.5)
-        for i, p in enumerate(sample_points(spec, 100, seed=9 + n)):
-            rep = verify_wsd_axioms(induced_structure_at(p, seed=i), tol=1e-8)
-            all_passed &= rep.passed
-            worst_ax = max(worst_ax, rep.worst[1])
-            blk = omega_d_degenerate_block(p)
-            a_ref = np.asarray(blk.a_closed)
-            a_scale = max(1.0, float(np.max(np.abs(a_ref))))
-            worst_aij = max(worst_aij,
-                            float(np.max(np.abs(np.asarray(blk.a_solve) - a_ref))) / a_scale)
-            worst_rem = max(worst_rem,
-                            abs(blk.restricted_norm - blk.restricted_norm_closed)
-                            / abs(blk.restricted_norm_closed))
-            # closed form from the radii: A = |X1|^2, B = |X2|^2, P = A B
-            r2 = p.base_r**2
-            big_p = float(np.sum(4.0 * math.pi**2 * r2)) \
-                * float(np.sum(1.0 / (4.0 * math.pi**2 * r2)))
-            pair_ref = m * (m * m - big_p) / big_p
-            worst_pair = max(worst_pair, abs(blk.pairing - pair_ref))
+        base_r = sample_base(spec, 100, seed=9 + n)
+        rep = verify_wsd_axioms(induced_structure(base_r), tol=1e-8)
+        all_passed &= bool(np.all(rep.passed))
+        worst_ax = max(worst_ax, float(np.max(rep.worst)))
+        blk = omega_d_degenerate_block(base_r)
+        a_ref = blk.a_closed
+        a_scale = np.maximum(1.0, np.max(np.abs(a_ref), axis=1))
+        worst_aij = max(worst_aij, float(np.max(
+            np.max(np.abs(blk.a_solve - a_ref), axis=1) / a_scale)))
+        worst_rem = max(worst_rem, float(np.max(
+            np.abs(blk.restricted_norm - blk.restricted_norm_closed)
+            / np.abs(blk.restricted_norm_closed))))
+        # closed form from the radii: A = |X1|^2, B = |X2|^2, P = A B
+        r2 = base_r**2
+        big_p = np.sum(4.0 * math.pi**2 * r2, axis=1) \
+            * np.sum(1.0 / (4.0 * math.pi**2 * r2), axis=1)
+        pair_ref = m * (m * m - big_p) / big_p
+        worst_pair = max(worst_pair, float(np.max(np.abs(blk.pairing - pair_ref))))
     dt = time.perf_counter() - t0
 
     green = all_passed and worst_ax < 1e-8 and worst_aij < 1e-10 \

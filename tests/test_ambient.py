@@ -10,7 +10,6 @@ from wsdlab.ambient import (
     AmbientPoint,
     ambient_adapted_frame,
     ambient_tensors_at,
-    auxiliary_vectors,
     convert_parameters,
     convert_parameters_inverse,
     exterior_derivative_residual,
@@ -120,9 +119,6 @@ def test_torus_metric_weights_are_the_angle_blocks_of_g():
         diag = np.diag(ambient_tensors_at(section_point(n, r)).g)
         assert np.array_equal(diag[:m], theta_w)
         assert np.array_equal(diag[2 * m:], eta_w)
-        aux = auxiliary_vectors(section_point(n, r))
-        assert np.array_equal(aux.X2[:m], eta_w)
-        assert np.array_equal(aux.Y2[2 * m:], theta_w)
         # any leading shape, row by row
         stacked = torus_metric_weights(np.tile(r, (2, 3, 1)))
         assert np.array_equal(stacked[0], np.tile(theta_w, (2, 3, 1)))
@@ -304,46 +300,3 @@ def test_exterior_derivative_non_finite_is_not_closed():
     p = section_point(1, [1.0, 2.0])
     got = exterior_derivative_residual(lambda q: np.full((q.dim, q.dim), np.nan), p)
     assert not math.isfinite(got)
-
-
-def test_auxiliary_vectors_example():
-    aux = auxiliary_vectors(section_point(1, [1.0, 1.0]))
-    assert abs(aux.norm2_X1 - 8 * PI**2) < 1e-12
-    assert abs(aux.norm2_X2 - 1 / (2 * PI**2)) < 1e-14
-    assert abs(aux.norm2_Y1 - 1 / (2 * PI**2)) < 1e-14
-    assert abs(aux.norm2_Y2 - 8 * PI**2) < 1e-12
-    assert abs(aux.norm_product - 4.0) < 1e-12
-    assert abs(aux.inner_X - 2.0) < 1e-12
-    assert abs(aux.inner_Y - 2.0) < 1e-12
-
-
-def test_auxiliary_vectors_bulk_identities():
-    rng = np.random.default_rng(53)
-    for _ in range(400):
-        n = int(rng.integers(1, 5))
-        r = random_radii(rng, n, 1e-2, 1e2)
-        aux = auxiliary_vectors(section_point(n, r))
-        m = n + 1
-        assert abs(aux.inner_X - m) < 1e-9 * m
-        assert abs(aux.inner_Y - m) < 1e-9 * m
-        # X/Y mirror pairs share norms
-        assert abs(aux.norm2_X1 - aux.norm2_Y2) < 1e-9 * aux.norm2_X1
-        assert abs(aux.norm2_X2 - aux.norm2_Y1) < 1e-9 * max(aux.norm2_X2, 1e-30)
-        # Cauchy-Schwarz with equality iff radii coincide
-        assert aux.norm_product >= m * m * (1 - 1e-12)
-        if np.ptp(r) > 1e-3 * np.max(r):
-            assert aux.norm_product > m * m
-    equal = auxiliary_vectors(section_point(3, [2.0] * 4))
-    assert abs(equal.norm_product - 16.0) <= 1e-9 * 16.0
-
-
-def test_auxiliary_vector_duals():
-    p = section_point(2, [1.0, 2.0, 0.5])
-    aux = auxiliary_vectors(p)
-    m = 3
-    # flat(X1) = sum 4 pi^2 r_i^2 dtheta_i, flat(Y1) = sum deta_i / (4 pi^2 r_i^2)
-    assert np.allclose(aux.X1_flat[:m], 4 * PI**2 * p.r**2)
-    assert np.allclose(aux.X2_flat[:m], 1.0)
-    assert np.allclose(aux.Y1_flat[2 * m:], 1.0 / (4 * PI**2 * p.r**2))
-    assert np.allclose(aux.Y2_flat[2 * m:], 1.0)
-    assert np.max(np.abs(aux.X1_flat[m:])) == 0.0

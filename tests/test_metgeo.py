@@ -37,11 +37,18 @@ def test_sample_validation():
         mg.FiniteMetricSample("abstract", np.zeros((3, 1)), good)
 
 
+def _triangle_defect(d):
+    """Max of d(a,c) - d(a,b) - d(b,c) over all triples (<= 0 for a metric)."""
+    return float(np.max(d[:, None, :] - d[:, :, None] - d[None, :, :]))
+
+
+def _cpn(z):
+    return mg.FiniteMetricSample("cpn", z, mg.fs_matrix(z, 1.0))
+
+
 def test_triangle_defect_on_projective_samples():
-    s = mg.projective_sample(_sphere_rows(40, 2, seed=1), 1.0, "cpn")
-    assert s.triangle_defect(trials=500) <= 1e-9
-    q = mg.projective_sample(_sphere_rows(30, 2, seed=2), 1.0, "hn")
-    assert q.triangle_defect(trials=500) <= 1e-9
+    assert _triangle_defect(mg.fs_matrix(_sphere_rows(40, 2, seed=1), 1.0)) <= 1e-9
+    assert _triangle_defect(mg.hn_matrix(_sphere_rows(30, 2, seed=2), 1.0, 2)) <= 1e-9
 
 
 def test_diameter_basics():
@@ -56,27 +63,18 @@ def test_diameter_basics():
 
 def test_cp1_diameter_monte_carlo():
     # unit-scale projective line has diameter pi/2; random pairs approach it
-    s = mg.projective_sample(_sphere_rows(1200, 1, seed=3), 1.0, "cpn")
-    d = mg.diameter(s)
+    d = mg.diameter(_cpn(_sphere_rows(1200, 1, seed=3)))
     assert d <= math.pi / 2 + 1e-9
     assert d > math.pi / 2 - 0.05
 
 
 def test_hausdorff_identity_and_containment():
     z = _sphere_rows(25, 2, seed=4)
-    a = mg.projective_sample(z, 1.0, "cpn")
-    assert mg.hausdorff_distance(a, a) < 1e-12
-    b = mg.projective_sample(np.vstack([z, _sphere_rows(15, 2, seed=5)]), 1.0, "cpn")
-    cross = mg.fs_matrix(a.coords, 1.0, b.coords)
-    one_sided = np.max(np.min(cross, axis=0))
-    assert mg.hausdorff_distance(a, b) == pytest.approx(one_sided, abs=1e-15)
-
-
-def test_hausdorff_chart_mismatch():
-    z = _sphere_rows(4, 1, seed=6)
-    with pytest.raises(ValueError):
-        mg.hausdorff_distance(mg.projective_sample(z, 1.0, "cpn"),
-                              mg.projective_sample(z, 1.0, "hn"))
+    assert mg.hausdorff_from_cross(mg.fs_matrix(z, 1.0, z)) < 1e-12
+    cross = mg.fs_matrix(z, 1.0, np.vstack([z, _sphere_rows(15, 2, seed=5)]))
+    # z is inside the larger set, so only the larger set's far side counts
+    assert np.max(np.min(cross, axis=1)) < 1e-12
+    assert mg.hausdorff_from_cross(cross) == np.max(np.min(cross, axis=0))
 
 
 def test_hausdorff_parallel_circles():
@@ -86,17 +84,8 @@ def test_hausdorff_parallel_circles():
     phases = np.exp(2j * math.pi * np.arange(64) / 64)
     circ = lambda a: np.stack([np.full(64, math.cos(a), dtype=complex),
                                math.sin(a) * phases], axis=1)
-    a = mg.projective_sample(circ(a0), 1.0, "cpn")
-    b = mg.projective_sample(circ(a0 + delta), 1.0, "cpn")
-    h = mg.hausdorff_distance(a, b)
+    h = mg.hausdorff_from_cross(mg.fs_matrix(circ(a0), 1.0, circ(a0 + delta)))
     assert abs(h - delta) < 3e-3
-
-
-def test_hausdorff_explicit_dist_fn():
-    a = mg.FiniteMetricSample("line", np.array([[0.0], [1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    b = mg.FiniteMetricSample("line", np.array([[4.0]]), np.zeros((1, 1)))
-    h = mg.hausdorff_distance(a, b, dist_fn=lambda x, y: abs(float(x[0] - y[0])))
-    assert h == 4.0
 
 
 def _abstract(dist):
@@ -106,7 +95,7 @@ def _abstract(dist):
 
 def test_gh_identity_point_and_scaling():
     z = _sphere_rows(12, 2, seed=7)
-    a = mg.projective_sample(z, 1.0, "cpn")
+    a = _cpn(z)
     lo, hi = mg.gh_bounds(a, a)
     assert lo == 0.0 and hi == 0.0
     pt = _abstract([[0.0]])
@@ -184,7 +173,7 @@ def test_ngh_normalization_and_guards():
     res = mg.ngh_distance(pt, two)
     assert res.lower == 1.0 and res.upper >= 1.0 and not res.point_like
     z = _sphere_rows(10, 1, seed=8)
-    a = mg.projective_sample(z, 1.0, "cpn")
+    a = _cpn(z)
     assert mg.ngh_distance(a, a)[:2] == (0.0, 0.0)
 
 
@@ -480,30 +469,33 @@ def test_fiber_bound_scale():
     assert mg.pi1_fiber_bound(b) == pytest.approx(mg.pi1_fiber_bound(a) / 4.0, rel=1e-12)
 
 
+def _anticanonical(n, lam, count, seed):
+    return mg.anticanonical_points(mg.anticanonical_normals(n, count, seed), lam)
+
+
 def test_anticanonical_constructed_zero():
-    s = mg.anticanonical_sample(2, "cpn", 1.0, 31, seed=1)
-    prods = np.prod(s.coords, axis=1)
+    z = _anticanonical(2, 1.0, 31, seed=1)
+    prods = np.prod(z, axis=1)
     assert np.all(prods == 0)
-    norms = np.linalg.norm(s.coords, axis=1)
+    norms = np.linalg.norm(z, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    assert s.triangle_defect(trials=300) <= 1e-9
+    assert _triangle_defect(mg.fs_matrix(z, 1.0)) <= 1e-9
 
 
 def test_anticanonical_n1_two_points():
-    s = mg.anticanonical_sample(1, "cpn", 1.0, 10, seed=2)
-    mods = np.abs(s.coords)
+    z = _anticanonical(1, 1.0, 10, seed=2)
+    mods = np.abs(z)
     for i, row in enumerate(mods):
         want = np.array([0.0, 1.0]) if i % 2 == 0 else np.array([1.0, 0.0])
         assert np.max(np.abs(row - want)) < 1e-12
     # only two distinct projective points, pi/2 apart
-    vals = np.unique(np.round(s.dist, 12))
+    vals = np.unique(np.round(mg.fs_matrix(z, 1.0), 12))
     assert set(vals) <= {0.0, round(math.pi / 2, 12)}
 
 
 def test_anticanonical_component_balance():
     count = 32
-    s = mg.anticanonical_sample(2, "cpn", 2.0, count, seed=3)
-    zeros = np.argmin(np.abs(s.coords), axis=1)
+    zeros = np.argmin(np.abs(_anticanonical(2, 2.0, count, seed=3)), axis=1)
     tally = np.bincount(zeros, minlength=3)
     assert np.max(tally) - np.min(tally) <= 1
 
@@ -520,12 +512,11 @@ def test_anticanonical_points_over_a_lam_array_equal_per_lam_calls():
 
 
 def test_anticanonical_quotient_chart():
-    z = mg.anticanonical_sample(2, "cpn", 1.0, 20, seed=4).coords
+    z = _anticanonical(2, 1.0, 20, seed=4)
     dcp = mg.fs_matrix(z, 1.0)
     dhn = mg.hn_matrix(z, 1.0, 2)
     assert np.all(dhn <= dcp + 1e-12)
-    s = mg.anticanonical_sample(2, "hn", 1.0, 20, seed=4)
-    assert np.max(np.abs(s.dist - dhn)) < 1e-12
+    assert _triangle_defect(dhn) <= 1e-9
 
 
 def test_hn_matrix_matches_pointwise_quotient_distance():

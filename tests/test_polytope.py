@@ -6,7 +6,6 @@ import pytest
 from wsdlab.polytope import (
     DegenerateDualError,
     Polytope,
-    connected_kernel_generators,
     dual_polytope,
     enumerate_facets,
     finite_coset_representatives,
@@ -177,8 +176,6 @@ def test_finite_coset_representatives_are_kernel_points():
         ]
         assert all(f.denominator == 1 for f in img)
     # distinct modulo the diagonal circle: differences must not be constant
-    (g,) = connected_kernel_generators(m)
-    assert g in ((1, 1, 1), (-1, -1, -1))
     for i in range(3):
         for j in range(i + 1, 3):
             diff = [a - b for a, b in zip(reps[i], reps[j])]
@@ -186,11 +183,10 @@ def test_finite_coset_representatives_are_kernel_points():
 
 
 def test_connected_generators_span_real_kernel():
+    # one connected direction, and the diagonal lies in the kernel, so it spans it
     m = lattice_maps(3).primal
-    gens = connected_kernel_generators(m)
-    assert len(gens) == 1
-    g = gens[0]
-    assert all(sum(row[j] * g[j] for j in range(4)) == 0 for row in m.matrix)
+    assert kernel_data(m).connected_rank == 1
+    assert all(sum(row) == 0 for row in m.matrix)
 
 
 def test_dual_polytope_of_simplices():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,21 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wsdlab.ambient import AmbientPoint, feasibility_threshold, moment_map, section_point
+from wsdlab.ambient import ambient_tensors_at, feasibility_threshold, moment_map, section_point
 from wsdlab.metgeo import anticanonical_normals
 from wsdlab.polytope import lattice_maps
 from wsdlab.reduction import (
     LevelSetSpec,
     ReducedPoint,
     _stream,
-    ambient_structure_at,
     draw_directions,
     draw_torus,
     feasibility,
-    induced_structure_at,
+    induced_structure,
     omega_d_degenerate_block,
-    perturbed_structure,
-    reduced_tangent_frame,
     sample_base,
     sample_points,
     solve_base,
@@ -237,9 +235,6 @@ def test_sampled_points_hit_level_set():
     for n, rho2 in ((2, 0.5), (3, 0.8)):
         s = spec_rho(n, 1.1, rho2)
         for p in sample_points(s, 50, seed=9):
-            r1, r2 = p.moment_residual()
-            assert r1 < 1e-10
-            assert r2 < 1e-10
             mu1, mu2 = moment_map(p.ambient_point())
             assert abs(mu1 - s.k1) < 1e-9 * abs(s.k1)
             assert abs(mu2 - s.k2) < 1e-9 * max(1.0, abs(s.k2))
@@ -247,131 +242,233 @@ def test_sampled_points_hit_level_set():
 
 def test_tangent_frame_shape_and_orthogonality():
     s = spec_rho(2, 1.0, 0.6)
-    p = sample_points(s, 1, seed=4)[0]
-    fr = reduced_tangent_frame(p, seed=0)
-    assert fr.matrix.shape == (9, 5)  # 3(n-1)+2 = 5 tangent directions
-    assert fr.rank == 1
-    for key in ("orth_X2", "orth_Y2", "dmu1", "dmu2"):
-        assert fr.residuals[key] < 1e-9
+    st = induced_structure(sample_base(s, 3, seed=4))
+    for stack in st:
+        assert stack.shape == (3, 5, 5)  # 3(n-1)+2 = 5 tangent directions
+    # g-orthonormal but for |w|, which omegaD(z, w) = 1 fixes
+    off = st.g - np.eye(5)
+    off[:, 4, 4] = 0.0
+    assert np.max(np.abs(off)) < 1e-12
+    assert np.all(st.g[:, 4, 4] > 1.0)
 
 
 def test_tangent_frame_n1_degenerate_pair_only():
     s = spec_rho(1, 1.0, 0.7)
-    p = sample_points(s, 1, seed=1)[0]
-    fr = reduced_tangent_frame(p)
-    assert fr.rank == 0
-    assert fr.matrix.shape == (6, 2)
-    assert np.allclose(fr.matrix[:, 0], fr.Z)
-    assert np.allclose(fr.matrix[:, 1], fr.W)
-    assert max(fr.residuals.values()) < 1e-12
+    st = induced_structure(sample_base(s, 2, seed=1))
+    assert st.g.shape == (2, 2, 2)
+    # no radial directions: omega1 and omega2 vanish, z and w sit in different blocks
+    assert np.all(st.omega1 == 0.0) and np.all(st.omega2 == 0.0)
+    assert np.all(st.g[:, 0, 1] == 0.0)
+    assert np.max(np.abs(st.g[:, 0, 0] - 1.0)) < 1e-15
+    assert np.max(np.abs(st.omegaD[:, 0, 1] - 1.0)) < 1e-15
 
 
 def test_tangent_frame_near_degenerate_guard():
     s = spec_rho(2, 1.0, 0.6)
     r = s.rho1 / math.sqrt(3.0)
-    p = ReducedPoint(s, [r, r, r], [0.0, 0.0], [0.0, 0.0])
+    good = sample_base(s, 2, seed=0)
     with pytest.raises(ArithmeticError, match="ill conditioned"):
-        reduced_tangent_frame(p)
+        induced_structure(np.vstack([good, [r, r, r]]))
 
 
 def test_induced_structure_blocks():
     s = spec_rho(2, 1.0, 0.55)
-    p = sample_points(s, 1, seed=7)[0]
-    st = induced_structure_at(p, seed=0)
-    assert st.dim == 5 and st.rank == 1 and st.degenerate_dim == 2
+    st = induced_structure(sample_base(s, 1, seed=7))
     # omega1 on span(v, u1) is the unit pairing, omegaD pairs u1 with w2 and z with w
-    assert abs(st.omega1[0, 1] - 1.0) < 1e-9
-    assert abs(st.omegaD[1, 2] - 1.0) < 1e-9
-    assert abs(st.omegaD[3, 4] - 1.0) < 1e-12
-    assert abs(st.g[3, 3] - 1.0) < 1e-12  # z normalized
+    assert abs(st.omega1[0, 0, 1] - 1.0) < 1e-9
+    assert abs(st.omegaD[0, 1, 2] - 1.0) < 1e-9
+    assert abs(st.omegaD[0, 3, 4] - 1.0) < 1e-12
+    assert abs(st.g[0, 3, 3] - 1.0) < 1e-12  # z normalized
     rep = verify_wsd_axioms(st, tol=1e-8)
-    assert rep.passed
-    assert rep.kernel_dim == 2
+    assert rep.passed.tolist() == [True]
+    assert rep.kernel_dim.tolist() == [2]
 
 
 def test_induced_structure_bulk_axioms():
     for n, rho2 in ((2, 0.5), (3, 0.75)):
-        s = spec_rho(n, 1.0, rho2)
-        worst = 0.0
-        for p in sample_points(s, 25, seed=13):
-            rep = verify_wsd_axioms(induced_structure_at(p), tol=1e-8)
-            assert rep.passed, (n, rep.residuals)
-            worst = max(worst, rep.worst[1])
-        assert worst < 1e-8
+        rep = verify_wsd_axioms(induced_structure(sample_base(spec_rho(n, 1.0, rho2), 25, seed=13)),
+                                tol=1e-8)
+        assert np.all(rep.passed), (n, rep.residuals)
+        assert np.all(rep.kernel_dim == 2)
+        assert np.max(rep.worst) < 1e-8
 
 
-def test_frame_seed_independence_of_restricted_forms():
-    s = spec_rho(3, 1.0, 0.8)
-    p = sample_points(s, 1, seed=21)[0]
-    sa = induced_structure_at(p, seed=1)
-    sb = induced_structure_at(p, seed=2)
-    assert not np.allclose(sa.adapted_frame, sb.adapted_frame)  # different completions
-    for name in ("g", "omega1", "omega2", "omegaD"):
-        va = np.linalg.svd(getattr(sa, name), compute_uv=False)
-        vb = np.linalg.svd(getattr(sb, name), compute_uv=False)
-        assert np.max(np.abs(va - vb) / np.maximum(1.0, va)) < 1e-9
+def _reference_frame(r, rng):
+    """The frame and restricted tensors at radii r from dense ambient
+    matrices, the radial directions completed by Gram-Schmidt on random draws."""
+    n = len(r) - 1
+    m, mf = n + 1, n - 1
+    v = np.linalg.qr(np.column_stack([r, 1.0 / r, rng.standard_normal((m, mf))]))[0][:, 2:]
+    t = ambient_tensors_at(section_point(n, r))
+    x1, x2, y1, y2 = (np.zeros(3 * m) for _ in range(4))
+    x1[:m], x2[:m] = 1.0, np.diag(t.g)[2 * m:]
+    y1[2 * m:], y2[2 * m:] = 1.0, np.diag(t.g)[:m]
+    z = x1 - (x1 @ t.g @ x2) / (x2 @ t.g @ x2) * x2
+    w = y1 - (y1 @ t.g @ y2) / (y2 @ t.g @ y2) * y2
+    z_norm = math.sqrt(z @ t.g @ z)
+    cols = np.zeros((3 * m, 3 * mf + 2))
+    cols[m:2 * m, :mf] = v
+    cols[:m, mf:2 * mf] = v / (2 * PI * r[:, None])
+    cols[2 * m:, 2 * mf:3 * mf] = v * (2 * PI * r[:, None])
+    cols[:, -2] = z / z_norm
+    cols[:, -1] = w * z_norm / (z @ t.omegaD @ w)
+    return cols, {name: cols.T @ getattr(t, name) @ cols
+                  for name in ("g", "omega1", "omega2", "omegaD")}
 
 
-def test_ambient_structure_passes_axioms():
-    rng = np.random.default_rng(17)
-    for n in (1, 2, 3):
-        for _ in range(20):
-            r = np.exp(rng.uniform(-1.5, 1.5, n + 1))
-            rep = verify_wsd_axioms(ambient_structure_at(section_point(n, r)), tol=1e-10)
-            assert rep.passed
-            assert rep.kernel_dim == 0
-            assert rep.omega_d_restricted_conditioning > 0.9
+def test_restricted_singular_values_invariant_under_v_basis_change():
+    # random completions of the radial directions give other frames, but
+    # restricted tensors with the singular values of the QR frame's
+    rng = np.random.default_rng(21)
+    for n, rho2 in ((2, 0.6), (3, 0.8), (4, 1.0), (6, 1.2)):
+        r = sample_base(spec_rho(n, 1.0, rho2), 3, seed=21)
+        st = induced_structure(r)
+        for i in range(len(r)):
+            (fa, ta), (fb, tb) = (_reference_frame(r[i], rng) for _ in range(2))
+            if n > 2:
+                assert not np.allclose(fa, fb)
+            for name in ("g", "omega1", "omega2", "omegaD"):
+                va = np.linalg.svd(getattr(st, name)[i], compute_uv=False)
+                for ref in (ta, tb):
+                    vb = np.linalg.svd(ref[name], compute_uv=False)
+                    assert np.max(np.abs(va - vb) / np.maximum(1.0, va)) < 1e-9
+
+
+def _antisym_nudge(stack, i, j, amount):
+    out = stack.copy()
+    out[:, i, j] += amount
+    out[:, j, i] -= amount
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_negative_control_frame_orthogonality(n):
+    st = induced_structure(sample_base(spec_rho(n, 1.0, 0.5), 6, seed=3))
+    assert np.all(verify_wsd_axioms(st).passed)
+    g = st.g.copy()
+    g[:, 0, 1] += 1e-6
+    g[:, 1, 0] += 1e-6
+    rep = verify_wsd_axioms(st._replace(g=g))
+    assert not np.any(rep.passed)
+    assert np.all(rep.residuals["frame_orthogonality"] >= 1e-6 * (1 - 1e-9))
 
 
 def test_axiom_verifier_detects_corruption():
-    s = spec_rho(2, 1.0, 0.6)
-    p = sample_points(s, 1, seed=3)[0]
-    st = induced_structure_at(p)
-    bad = perturbed_structure(st, "omega1", 0, 1, 1e-3)
-    rep = verify_wsd_axioms(bad, tol=1e-8)
-    assert not rep.passed
-    assert abs(rep.residuals["omega1_block"] - 1e-3) < 1e-6
+    # one negative control per block shape: each form's own residual flags it
+    st = induced_structure(sample_base(spec_rho(2, 1.0, 0.5), 6, seed=3))
+    for name in ("omega1", "omega2", "omegaD"):
+        bad = st._replace(**{name: _antisym_nudge(getattr(st, name), 0, 1, 1e-3)})
+        rep = verify_wsd_axioms(bad, tol=1e-8)
+        assert not np.any(rep.passed)
+        assert np.all(np.abs(rep.residuals[f"{name}_block"] - 1e-3) < 1e-6)
+        others = [k for k in rep.residuals if k not in (f"{name}_block", "frame_orthogonality")]
+        assert all(np.all(rep.residuals[k] < 1e-8) for k in others)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_negative_control_kernel_dimension(n):
+    # pairing z with w in omega1 and omega2 removes the degenerate plane from
+    # their common kernel; a loose tol leaves the kernel test alone to fail
+    st = induced_structure(sample_base(spec_rho(n, 1.0, 0.5), 6, seed=3))
+    d = st.g.shape[1]
+    bad = st._replace(omega1=_antisym_nudge(st.omega1, d - 2, d - 1, 1.0),
+                      omega2=_antisym_nudge(st.omega2, d - 2, d - 1, 1.0))
+    rep = verify_wsd_axioms(bad, tol=10.0)
+    assert np.all(rep.kernel_dim == 0)
+    assert not np.any(rep.passed)
+    assert np.all(verify_wsd_axioms(st, tol=10.0).passed)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_negative_control_omega_d_conditioning(n):
+    # removing the z-w pairing leaves omegaD degenerate on ker omega1 + ker omega2
+    st = induced_structure(sample_base(spec_rho(n, 1.0, 0.5), 6, seed=3))
+    d = st.g.shape[1]
+    omega_d = st.omegaD.copy()
+    omega_d[:, d - 2, d - 1] = omega_d[:, d - 1, d - 2] = 0.0
+    rep = verify_wsd_axioms(st._replace(omegaD=omega_d), tol=10.0)
+    assert np.all(rep.kernel_dim == 2)
+    assert np.all(rep.omega_d_restricted_conditioning < 1e-9)
+    assert not np.any(rep.passed)
+    assert np.all(verify_wsd_axioms(st).omega_d_restricted_conditioning > 0.9)
+
+
+# the closed forms fall to 1e-25 and below at n = 2, rho2 = 2.5, so a
+# residual floored at 1 there would pass any pairing
+@pytest.mark.parametrize("n,rho2", [(2, 0.5), (3, 0.5), (2, 2.5)])
+def test_negative_control_aij_consistency(n, rho2):
+    blk = omega_d_degenerate_block(sample_base(spec_rho(n, 1.0, rho2), 20, seed=0))
+    assert np.max(blk.aij_residual) < 1e-14
+    # the a11 and a22 entries, (n+1)/((n+1)^2 - P), are the ones that vanish at depth
+    bad = dataclasses.replace(blk, a_solve=blk.a_solve * [1 + 1e-6, 1, 1, 1 + 1e-6])
+    assert np.all(bad.aij_residual > 1e-10)
+
+
+@pytest.mark.parametrize("n,rho2", [(2, 0.5), (3, 0.5), (2, 2.5)])
+def test_negative_control_restricted_norm(n, rho2):
+    blk = omega_d_degenerate_block(sample_base(spec_rho(n, 1.0, rho2), 20, seed=0))
+    assert np.max(blk.norm_residual) < 1e-14
+    bad = dataclasses.replace(blk, pairing=blk.pairing * (1 + 1e-6))
+    assert np.all(bad.norm_residual > 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), data=st.data(), seed=st.integers(0, (1 << 31) - 1),
+       count=st.integers(1, 8))
+def test_rows_equal_single_row_calls(n, data, seed, count):
+    # deep rho2 included: there the kernel dimensions differ between samples
+    rho2 = data.draw(st.floats(1.01 * feasibility_threshold(n), 2.5))
+    r = sample_base(spec_rho(n, 1.0, rho2), count, seed=seed)
+    stacks = induced_structure(r)
+    rep = verify_wsd_axioms(stacks)
+    blk = omega_d_degenerate_block(r)
+    for i in range(count):
+        one = induced_structure(r[i:i + 1])
+        for a, b in zip(stacks, one):
+            assert np.array_equal(a[i:i + 1], b)
+        rep1 = verify_wsd_axioms(one)
+        for name, res in rep.residuals.items():
+            assert np.array_equal(res[i:i + 1], rep1.residuals[name])
+        assert np.array_equal(rep.kernel_dim[i:i + 1], rep1.kernel_dim)
+        assert np.array_equal(rep.omega_d_restricted_conditioning[i:i + 1],
+                              rep1.omega_d_restricted_conditioning)
+        assert np.array_equal(rep.passed[i:i + 1], rep1.passed)
+        blk1 = omega_d_degenerate_block(r[i:i + 1])
+        for field in dataclasses.fields(blk):
+            assert np.array_equal(getattr(blk, field.name)[i:i + 1],
+                                  getattr(blk1, field.name))
 
 
 def test_degenerate_block_hand_values():
     # base point r = (1, 2): A = 20 pi^2, B = 5/(16 pi^2), P = 6.25, s = 4
-    s = spec_rho(1, 1.0, 0.7)
-    p = ReducedPoint(s, [1.0, 2.0], [0.0], [0.0])
-    blk = omega_d_degenerate_block(p)
-    assert abs(blk.pairing + 0.72) < 1e-12
-    assert abs(blk.pairing_closed + 0.72) < 1e-12
-    assert abs(blk.pairing_quoted - 0.32) < 1e-12
-    assert abs(blk.restricted_norm - 2.0 / 2.25) < 1e-12
+    blk = omega_d_degenerate_block(np.array([[1.0, 2.0]]))
+    assert abs(blk.pairing[0] + 0.72) < 1e-12
+    assert abs(blk.pairing_closed[0] + 0.72) < 1e-12
+    assert abs(blk.pairing_quoted[0] - 0.32) < 1e-12
+    assert abs(blk.restricted_norm[0] - 2.0 / 2.25) < 1e-12
     p_val = 6.25
     denom = 4.0 - p_val
-    assert abs(blk.a_closed[0] - 2.0 / denom) < 1e-12
-    assert abs(blk.a_closed[1] + (5.0 / (16 * PI**2)) / denom) < 1e-12
-    assert abs(blk.a_closed[2] + 20.0 * PI**2 / denom) < 1e-12
+    assert abs(blk.a_closed[0, 0] - 2.0 / denom) < 1e-12
+    assert abs(blk.a_closed[0, 1] + (5.0 / (16 * PI**2)) / denom) < 1e-12
+    assert abs(blk.a_closed[0, 2] + 20.0 * PI**2 / denom) < 1e-12
 
 
 def test_degenerate_block_code_path_agreement():
     rng = np.random.default_rng(29)
     for _ in range(60):
         n = int(rng.integers(1, 5))
-        s = spec_rho(n, float(np.exp(rng.uniform(-1, 1))),
-                     float(rng.uniform(1.2, 2.0)) * feasibility_threshold(n))
-        r = np.exp(rng.uniform(-1.2, 1.2, n + 1))
-        p = ReducedPoint(s, r, np.zeros(n), np.zeros(n))
-        blk = omega_d_degenerate_block(p)
-        scale = max(abs(blk.pairing), 1e-12)
-        assert abs(blk.pairing - blk.pairing_closed) < 1e-10 * scale
-        for a, b in zip(blk.a_solve, blk.a_closed):
-            assert abs(a - b) < 1e-10 * max(abs(b), 1e-12)
-        assert abs(blk.restricted_norm - blk.restricted_norm_closed) \
-            < 1e-9 * abs(blk.restricted_norm_closed)
-        assert blk.pairing < 0 < blk.pairing_quoted  # direct value sits on the other side
-        m = n + 1
-        aux_p = blk.norm2_Z * blk.norm2_W
-        assert aux_p > 0
+        r = np.exp(rng.uniform(-1.2, 1.2, (1, n + 1)))
+        blk = omega_d_degenerate_block(r)
+        scale = max(abs(blk.pairing[0]), 1e-12)
+        assert abs(blk.pairing[0] - blk.pairing_closed[0]) < 1e-10 * scale
+        assert np.all(np.abs(blk.a_solve - blk.a_closed) < 1e-10 * np.abs(blk.a_closed))
+        assert blk.norm_residual[0] < 1e-9
+        assert blk.pairing[0] < 0 < blk.pairing_quoted[0]  # direct value sits on the other side
+        # Cauchy-Schwarz: P > (n+1)^2 off the equal-radii locus
+        assert blk.restricted_norm_closed[0] > 0
+        assert blk.norm2_Z[0] * blk.norm2_W[0] > 0
 
 
 def test_degenerate_block_guard():
-    s = spec_rho(2, 1.0, 0.6)
-    p = ReducedPoint(s, [1.0, 1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ArithmeticError):
-        omega_d_degenerate_block(p)
+    with pytest.raises(ArithmeticError, match="ill conditioned"):
+        omega_d_degenerate_block(np.array([[1.0, 1.0, 1.0]]))
