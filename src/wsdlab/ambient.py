@@ -19,6 +19,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 PI2 = math.pi**2
 FOUR_PI2 = 4.0 * math.pi**2
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def _angles(v, n):
@@ -93,8 +94,17 @@ def feasibility_threshold(n: int) -> float:
 
 def torus_metric_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal coefficients of the metric on the two angle blocks at radii r
-    of any shape: (4 pi^2 r^2 on dtheta^2, 1 / (4 pi^2 r^2) on deta^2)."""
+    of any shape: (4 pi^2 r^2 on dtheta^2, 1 / (4 pi^2 r^2) on deta^2).
+
+    Raises ArithmeticError when 4 pi^2 r^2 underflows below the normal
+    doubles, where it loses digits and then its reciprocal overflows or
+    divides by 0; deep rho2 does that to the smallest radii.
+    """
     theta_w = FOUR_PI2 * r**2
+    if theta_w.min(initial=math.inf) < _TINY:
+        raise ArithmeticError(
+            f"radius squared underflow at r = {float(np.min(r)):.3e}: 4 pi^2 r^2 is below "
+            "the smallest normal double, rho2 is too deep for the torus metric")
     return theta_w, 1.0 / theta_w
 
 
@@ -231,16 +241,19 @@ def ambient_adapted_frame(p: AmbientPoint, tol: float = 1e-9) -> FrameReport:
     return FrameReport(frame, resid)
 
 
-def leaf_volume(p: AmbientPoint) -> float:
-    """Volume prod(2pi r_i) * prod(1/(2pi r_j)) of the doubled torus leaf.
+def leaf_volume(p):
+    """Volume prod(2pi r_i) * prod(1/(2pi r_j)) of the doubled torus leaf, at an
+    AmbientPoint (a float) or per row of a radius stack of shape (..., m).
 
     The two products telescope pairwise; multiplying factor against cofactor
     keeps every partial product O(1) even for radii spread over decades.
     """
-    v = 1.0
-    for x in p.r:
+    point = isinstance(p, AmbientPoint)
+    r = p.r if point else np.asarray(p, dtype=float)
+    v = np.ones(r.shape[:-1])
+    for x in np.moveaxis(r, -1, 0):
         v *= (TWO_PI * x) * (1.0 / (TWO_PI * x))
-    return v
+    return float(v) if point else v
 
 
 def _shift(p: AmbientPoint, axis: int, delta: float) -> AmbientPoint:
@@ -259,45 +272,88 @@ def _triples(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return idx[0], idx[1], idx[2]
 
 
+def _fd_steps(r: np.ndarray, h) -> np.ndarray:
+    """Central-difference step per radius row of r (N, m): h for every row,
+    or by default 1e-5 * min(1, min r).  Warns when a step is large against
+    the row's smallest radius; raises when a step is not positive or would
+    shift a radius to <= 0."""
+    r_min = np.min(r, axis=-1)
+    if h is None:
+        steps = 1e-5 * np.minimum(1.0, r_min)
+    else:
+        steps = np.full(r_min.shape, float(h))
+    if np.any(steps <= 0):
+        raise ValueError("step must be positive")
+    if np.any(steps >= 0.1 * r_min):
+        warnings.warn("finite-difference step is large relative to min r_i", stacklevel=3)
+    if not np.all(r_min - steps > 0):
+        raise ValueError("all radii must be strictly positive")
+    return steps
+
+
+def _closedness(plus: np.ndarray, minus: np.ndarray, steps: np.ndarray, axes) -> np.ndarray:
+    """The one finite-difference stencil: per-row max |(d omega)_{abc}| from a
+    form's matrices at the +/- step shifts of each row, `plus` and `minus` of
+    shape (B, len(axes), dim, dim) with entry a shifted along axis axes[a].
+
+    The derivative along every other axis is exactly 0.  Each cyclic sum
+    D_a w_bc + D_b w_ca + D_c w_ab is added left to right over the triples
+    a < b < c; a non-finite one makes its row's residual inf, never a pass.
+    """
+    dim = plus.shape[-1]
+    grad = np.zeros((len(plus), dim, dim, dim))
+    grad[:, axes] = (plus - minus) / (2.0 * steps)[:, None, None, None]
+    a, b, c = _triples(dim)
+    t = grad[:, a, b, c] + grad[:, b, c, a] + grad[:, c, a, b]
+    return np.where(np.all(np.isfinite(t), axis=1), np.max(np.abs(t), axis=1), np.inf)
+
+
+_FD_BLOCK = 32  # radius rows per slab of the closedness kernel
+
+
+def closedness_residuals(form: str, r, h=None) -> np.ndarray:
+    """Exterior-derivative residual of one package form per row of a radius
+    stack r (N, m): row i gives exactly
+    `exterior_derivative_residual(form, section_point(m - 1, r[i]), h)`.
+
+    `h` is one step for every row, or None for each row's default
+    1e-5 * min(1, min r).  The package forms' coefficients depend on the
+    radii alone, so only the m radius axes are differenced: the theta and eta
+    rows of the gradient are exactly the 0 a shifted evaluation gives them.
+    Rows go through in slabs of _FD_BLOCK, so temporaries stay
+    O(_FD_BLOCK * dim^3) whatever N is.
+    """
+    if form not in _FORM_IDS:
+        raise ValueError(f"unknown form {form!r}, expected one of {_FORM_IDS} or a callable")
+    r = np.asarray(r, dtype=float)
+    steps = _fd_steps(r, h)
+    m = r.shape[-1]
+    shifts, axes = np.eye(m), np.arange(m, 2 * m)
+    out = np.empty(len(r))
+    for lo in range(0, len(r), _FD_BLOCK):
+        rows = slice(lo, lo + _FD_BLOCK)
+        # entry a of each row is that row's radii with r_a shifted by its step
+        base, delta = r[rows, None, :], steps[rows, None, None] * shifts
+        plus, minus = _form_stack(form, base + delta), _form_stack(form, base - delta)
+        out[rows] = _closedness(plus, minus, steps[rows], axes)
+    return out
+
+
 def exterior_derivative_residual(form, p: AmbientPoint, h: float | None = None) -> float:
     """Max |(d omega)_{abc}| with coefficient derivatives by central differences.
 
-    `form` is one of "omega1"/"omega2"/"omegaD" or any callable mapping an
-    AmbientPoint to an antisymmetric matrix in the coordinate frame.  A closed
-    form yields a residual of order h^2 (exactly 0 for coefficients constant
-    along the differenced axes).  The named forms are evaluated on all 2*dim
-    shifted radius vectors at once; callables are called once per shifted
-    point.  Each cyclic sum is added left to right in the order of the former
-    per-triple loop, so the residual is bitwise the one that loop gave.  A
+    `form` is one of "omega1"/"omega2"/"omegaD", evaluated as the one-row
+    call of `closedness_residuals`, or any callable mapping an AmbientPoint to
+    an antisymmetric matrix in the coordinate frame, called once per point
+    shifted along each of the 3(n+1) axes.  The default step is
+    1e-5 * min(1, min r).  A closed form yields a residual of order h^2
+    (exactly 0 for coefficients constant along the differenced axes).  A
     non-finite cyclic sum makes the residual inf, never a pass.
     """
-    if h is None:
-        h = 1e-5 * min(1.0, float(np.min(p.r)))
-    if h <= 0:
-        raise ValueError("step must be positive")
-    if h >= 0.1 * float(np.min(p.r)):
-        warnings.warn("finite-difference step is large relative to min r_i", stacklevel=2)
-    if not callable(form) and form not in _FORM_IDS:
-        raise ValueError(f"unknown form {form!r}, expected one of {_FORM_IDS} or a callable")
-    m = p.n + 1
+    if not callable(form):
+        return float(closedness_residuals(form, p.r[None], h)[0])
+    steps = _fd_steps(p.r[None], h)
     dim = p.dim
-    # row a holds the radii after shifting axis a; theta and eta rows keep r
-    rows, cols = np.arange(m, 2 * m), np.arange(m)
-    r_plus = np.tile(p.r, (dim, 1))
-    r_plus[rows, cols] += h
-    r_minus = np.tile(p.r, (dim, 1))
-    r_minus[rows, cols] += -h
-    if not np.all(r_minus > 0):
-        raise ValueError("all radii must be strictly positive")
-    if callable(form):
-        plus = np.stack([form(_shift(p, a, h)) for a in range(dim)])
-        minus = np.stack([form(_shift(p, a, -h)) for a in range(dim)])
-    else:
-        plus, minus = _form_stack(form, r_plus), _form_stack(form, r_minus)
-    grad = (plus - minus) / (2.0 * h)
-    # d(omega)_{abc} = D_a w_bc + D_b w_ca + D_c w_ab, fully antisymmetric
-    a, b, c = _triples(dim)
-    t = grad[a, b, c] + grad[b, c, a] + grad[c, a, b]
-    if not np.all(np.isfinite(t)):
-        return math.inf
-    return float(np.max(np.abs(t)))
+    plus = np.stack([form(_shift(p, a, steps[0])) for a in range(dim)])
+    minus = np.stack([form(_shift(p, a, -steps[0])) for a in range(dim)])
+    return float(_closedness(plus[None], minus[None], steps, np.arange(dim))[0])

@@ -305,44 +305,60 @@ def finite_coset_representatives(m) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _eliminate(rows) -> tuple[int, Fraction, list[Fraction] | None]:
-    """Gauss-Jordan elimination over Q: (rank, determinant, a null vector).
+    """Gauss-Jordan elimination over Q, fraction free: (rank, det, null vector).
 
-    The determinant is the product of the pivots signed by the row swaps; it
-    is 0 when some column has no pivot, and means nothing unless the input is
-    square.  The null vector comes from the first column without a pivot, or
-    is None when every column has one.
+    Entries are ints or Fractions.  Each row is scaled by the lcm of its
+    denominators, then Bareiss's fraction-free Gauss-Jordan runs on Python
+    ints: every row other than the pivot row becomes (p x - f y) / p_prev,
+    with p the pivot, f the row's entry in the pivot column, y the pivot row
+    and p_prev the previous pivot; the division is exact, since each entry is
+    then a minor of the scaled matrix.  At the end every pivot row is the
+    reduced row-echelon row times the last pivot.
+
+    The rank and the reduced row-echelon form are those of the input, and the
+    null vector comes from the first column without a pivot (None when every
+    column has one).  On square input det is the determinant: the last pivot,
+    signed by the row swaps and divided by the row scales, or 0 when some
+    column has no pivot.  On non-square input det means nothing, and no
+    caller reads it.
     """
-    a = [list(map(Fraction, r)) for r in rows]
+    a = []
+    scales = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
+        scales.append(den)
     if not a:
         return 0, Fraction(1), None
     m, n = len(a), len(a[0])
-    det = Fraction(1)
+    sign, prev = 1, 1
     pivots = []
     for col in range(n):
         rank = len(pivots)
         piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
         if piv is None:
-            det = Fraction(0)
             continue
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
-            det = -det
-        det *= a[rank][col]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
         for i in range(m):
-            if i != rank and a[i][col] != 0:
+            if i != rank:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
         pivots.append(col)
+    rank = len(pivots)
+    det = Fraction(sign * prev, math.prod(scales)) if rank == n else Fraction(0)
     free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
-        return len(pivots), det, None
+        return rank, det, None
     null = [Fraction(0)] * n
     null[free] = Fraction(1)
     for r, pc in enumerate(pivots):
-        null[pc] = -a[r][free]
-    return len(pivots), det, null
+        null[pc] = Fraction(-a[r][free], prev)
+    return rank, det, null
 
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:

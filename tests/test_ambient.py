@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from wsdlab import ambient
 from wsdlab.ambient import (
+    TWO_PI,
     AmbientPoint,
     ambient_adapted_frame,
     ambient_tensors_at,
+    closedness_residuals,
     convert_parameters,
     convert_parameters_inverse,
     exterior_derivative_residual,
@@ -20,6 +24,7 @@ from wsdlab.ambient import (
     section_point,
     torus_metric_weights,
 )
+from wsdlab.cli import main
 
 PI = math.pi
 
@@ -300,3 +305,89 @@ def test_exterior_derivative_non_finite_is_not_closed():
     p = section_point(1, [1.0, 2.0])
     got = exterior_derivative_residual(lambda q: np.full((q.dim, q.dim), np.nan), p)
     assert not math.isfinite(got)
+
+
+_PACKAGE_FORM_STACK = ambient._form_stack
+
+
+def nonclosed_form_stack(form, r):
+    """The package forms, except omega1 with coefficient 2 pi r_i r_{i+1}: its
+    derivative along r_{i+1} leaves the cyclic sum over (theta_i, r_i, r_{i+1})
+    at -2 pi r_i, so d omega1 != 0."""
+    w = _PACKAGE_FORM_STACK(form, r)
+    if form == "omega1":
+        m = r.shape[-1]
+        th, rr = np.arange(m), np.arange(m, 2 * m)
+        coeff = TWO_PI * r * np.roll(r, -1, axis=-1)
+        w[..., rr, th] = coeff
+        w[..., th, rr] = -coeff
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), data=st.data(),
+       count=st.sampled_from([1, ambient._FD_BLOCK, ambient._FD_BLOCK + 1]),
+       form=st.sampled_from(["omega1", "omega2", "omegaD"]),
+       closed=st.booleans())
+def test_closedness_rows_equal_single_point_calls(n, data, count, form, closed):
+    # the package forms give 0.0 on every row, so the non-closed omega1 is
+    # what makes the residuals differ between rows and slabs
+    log_r = st.lists(st.floats(-150.0, 3.0), min_size=n + 1, max_size=n + 1)
+    r = np.power(10.0, [data.draw(log_r) for _ in range(count)])
+    with pytest.MonkeyPatch.context() as mp:
+        if not closed:
+            mp.setattr(ambient, "_form_stack", nonclosed_form_stack)
+        got = closedness_residuals(form, r)
+        want = [exterior_derivative_residual(form, section_point(n, row)) for row in r]
+    assert got.shape == (count,) and got.tolist() == want
+    assert np.max(got) == max(want)
+    vol = leaf_volume(r)
+    vol_want = [leaf_volume(section_point(n, row)) for row in r]
+    assert vol.shape == (count,) and vol.tolist() == vol_want
+    assert np.max(np.abs(vol - 1.0)) == max(abs(v - 1.0) for v in vol_want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_closedness_kernel_flags_nonclosed_form(monkeypatch, n):
+    r = random_radii(np.random.default_rng(n), n, lo=0.1, hi=2.0)
+    assert closedness_residuals("omega1", r[None])[0] == 0.0
+    monkeypatch.setattr(ambient, "_form_stack", nonclosed_form_stack)
+    got = closedness_residuals("omega1", r[None])[0]
+    # the cyclic sum over (theta_i, r_i, r_{i+1}) is -2 pi r_i, exactly up
+    # to rounding, since the coefficient is linear in r_{i+1}
+    assert got > TWO_PI * float(np.max(r)) * (1 - 1e-6)
+    assert closedness_residuals("omega2", r[None])[0] == 0.0
+
+
+@pytest.mark.parametrize("rho2", ["0.5", "2.5"])
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_verify_exterior_derivative_fails_on_nonclosed_form(monkeypatch, capsys, n, rho2):
+    argv = ["verify", "--n", n, "--rho2", rho2, "--samples", "20"]
+    checks = []
+    for mutant in (False, True):
+        if mutant:
+            monkeypatch.setattr(ambient, "_form_stack", nonclosed_form_stack)
+        rc = main(argv)
+        checks.append({c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]})
+    clean, bad = checks
+    assert rc == 1
+    assert clean["exterior_derivative"]["pass"] is True
+    assert bad["exterior_derivative"]["pass"] is False
+    # Sum r_i^2 = rho1^2 on the level set, so some radius is >= rho1/sqrt(n+1)
+    # and its cyclic sum 2 pi r_i is far past the tolerance at every depth
+    assert bad["exterior_derivative"]["max_residual"] > TWO_PI / math.sqrt(int(n) + 1) - 1e-9
+    # no other check reads the forms the mutant changed
+    assert {k: v for k, v in bad.items() if k != "exterior_derivative"} == \
+        {k: v for k, v in clean.items() if k != "exterior_derivative"}
+
+
+def test_closedness_residuals_validate_like_the_point_call():
+    r = np.array([[0.02, 1.0, 40.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="unknown form"):
+        closedness_residuals("omega3", r)
+    with pytest.raises(ValueError, match="positive"):
+        closedness_residuals("omega1", r, h=0.0)
+    with pytest.warns(UserWarning, match="step"), \
+            pytest.raises(ValueError, match="strictly positive"):
+        closedness_residuals("omega1", r, h=0.02)
+    assert closedness_residuals("omegaD", np.empty((0, 3))).shape == (0,)

@@ -242,6 +242,20 @@ def test_sampler_failure_exits_2_with_one_line(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--rho2", "5", "--samples", "3"],
+    ["boundary", "--side", "B", "--n", "2", "--rho2", "5"],
+], ids=["verify", "boundary-B"])
+def test_radius_squared_underflow_exits_2_with_one_line(argv, capsys):
+    # the base radii exist, but 4 pi^2 r^2 of the smallest is below the normal
+    # doubles: the torus metric weights name that, not a bare divide by zero
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: radius squared underflow at r = ")
+    assert "rho2" in err and err.count("\n") == 1
+
+
 def _mp_pi1_fiber_diameter(base_r):
     """60-digit closed-form diameter of the first-projection fiber torus,
     weights 1 / (4 pi^2 r_i^2), from its radii."""
@@ -332,8 +346,8 @@ def test_deep_rho2_gives_result_or_one_line(command, n, rho2, capsys):
 
 
 def test_verify_non_finite_residual_is_strict_json(monkeypatch, capsys):
-    monkeypatch.setattr("wsdlab.cli.exterior_derivative_residual",
-                        lambda form, point: math.inf)
+    monkeypatch.setattr("wsdlab.cli.closedness_residuals",
+                        lambda form, r: np.full(len(r), math.inf))
     assert main(["verify", "--n", "2", "--rho2", "0.5", "--samples", "2"]) == 1
 
     def reject(token):

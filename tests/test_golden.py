@@ -24,6 +24,12 @@ GOLDEN = [
      "560889307037f23f4379252a23b8c92af0b3ee6ffcc15259e777d55067ff3141"),
     (("verify", "--n", "3", "--rho2", "0.5", "--samples", "10"),
      "b82ec3d0ab2b9af370b8912cc4cf434cc4ff14714bd4d244dda097a54450bf79"),
+    # the closedness and leaf-volume checks at dim 15 and 21, past the
+    # golden ranks above; recorded before those checks ran on sample stacks
+    (("verify", "--n", "4", "--rho2", "1.0", "--samples", "20"),
+     "d3c971ad02d6f63d5a60ec18b2459ebd80c2fe161fee2bf68052a82dd046c2a5"),
+    (("verify", "--n", "6", "--rho2", "1.2", "--samples", "20"),
+     "224fa7d43350eb79300dc801603375040d735763cef04395b10960f51a0e8659"),
     (("limit-kahler", "--n", "2", "--rho2", "0.55,0.7", "--grid", "1:1e3:4",
       "--samples", "24", "--seed", "3"),
      "c638071f1b4eac8e79e2fe19150e285adfbe2bb58390bfccc9d0bc4158c361fb"),

@@ -2,10 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsdlab.polytope import (
     DegenerateDualError,
     Polytope,
+    _eliminate,
     dual_polytope,
     enumerate_facets,
     finite_coset_representatives,
@@ -269,3 +272,90 @@ def test_not_full_dimensional_rejected():
     flat = Polytope(((0, 0), (1, 0), (2, 0)))
     with pytest.raises(ValueError):
         has_property_sd(flat)
+
+
+def fraction_gauss_jordan(rows):
+    """Reference elimination: textbook Gauss-Jordan over Fractions, pivoting on
+    the first nonzero entry at or below the current rank, returning (rank,
+    product of the pivots signed by the swaps or 0 when some column has no
+    pivot, null vector from the first column without a pivot)."""
+    a = [list(map(Fraction, r)) for r in rows]
+    if not a:
+        return 0, Fraction(1), None
+    m, n = len(a), len(a[0])
+    det = Fraction(1)
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        det *= a[rank][col]
+        inv = 1 / a[rank][col]
+        a[rank] = [x * inv for x in a[rank]]
+        for i in range(m):
+            if i != rank and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        pivots.append(col)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        return len(pivots), det, None
+    null = [Fraction(0)] * n
+    null[free] = Fraction(1)
+    for r, pc in enumerate(pivots):
+        null[pc] = -a[r][free]
+    return len(pivots), det, null
+
+
+# zeros a third of the time, so pivots are often found below the diagonal
+_ENTRIES = st.one_of(st.just(0), st.integers(-6, 6),
+                     st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6)))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices of any shape up to 6 x 6; in half of them the later
+    rows are often zero, copies or combinations of earlier ones, so rank
+    deficiency is common."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
+    for i in range(1, m if draw(st.booleans()) else 1):
+        kind = draw(st.sampled_from(["free", "zero", "copy", "combination"]))
+        j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+        if kind == "zero":
+            rows[i] = [0] * n
+        elif kind == "copy":
+            rows[i] = list(rows[j])
+        elif kind == "combination":
+            c = draw(_ENTRIES)
+            rows[i] = [x + c * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=rational_matrices())
+def test_eliminate_matches_fraction_gauss_jordan(rows):
+    rank, det, null = _eliminate(rows)
+    want_rank, want_det, want_null = fraction_gauss_jordan(rows)
+    assert rank == want_rank
+    assert null == want_null
+    if len(rows) == len(rows[0]):
+        assert det == want_det
+    assert isinstance(det, Fraction)
+    if null is not None:
+        assert all(isinstance(x, Fraction) for x in null)
+        assert all(sum(x * y for x, y in zip(row, null)) == 0 for row in rows)
+
+
+def test_eliminate_edge_shapes():
+    assert _eliminate([]) == (0, Fraction(1), None)
+    assert _eliminate([[0, 0]]) == (0, Fraction(0), [Fraction(1), Fraction(0)])
+    assert _eliminate([[Fraction(1, 2), Fraction(1, 3)], [1, 1]]) == \
+        (2, Fraction(1, 6), None)
+    # a row swap flips the sign; the scaled rows' determinant is divided back
+    assert _eliminate([[0, Fraction(2, 3)], [Fraction(5, 7), 4]])[1] == Fraction(-10, 21)
