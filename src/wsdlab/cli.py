@@ -22,9 +22,9 @@ from .ambient import (closedness_residuals, feasibility_threshold, leaf_volume,
                       torus_metric_weights)
 from .maps import alpha_deform, degenerate_metric, pi2_image_residual, project_pi1, project_pi2
 from .metgeo import (FiniteMetricSample, anticanonical_normals, anticanonical_points,
-                     fs_matrix, hausdorff_from_cross, hn_matrix, ngh_distance,
-                     pi1_fiber_bound, pi1_fiber_diameters, pi2_fiber_diameters,
-                     riemannian_knn_distances)
+                     fs_matrix, hausdorff_from_cross, hn_matrix, knn_edge_squares,
+                     knn_geodesics, ngh_distance, pi1_fiber_bound, pi1_fiber_diameters,
+                     pi2_fiber_diameters)
 from .polytope import (has_property_sd, kernel_data, lattice_maps, simplex_pair,
                        verify_duality_identities)
 from .reduction import (LevelSetSpec, draw_directions, draw_torus, feasibility,
@@ -158,6 +158,17 @@ def cmd_verify(args) -> int:
 # draws them once, before its loops.  Every grid point solves its radii from
 # the same read-only rows and pushes the whole sample array through the
 # projections; no per-sample point object is built.
+#
+# limit-complex builds what does not depend on rho1 once per rho2, from the
+# rho1 = 1 radii.  The radii are rho1 times a shape that rho2 alone fixes, and
+# the pi2 modulus log(rho1 / r_i) reads only that shape, so the image w, the
+# hn distances, the phi-domain chart and the hn sample with its GH profiles
+# are the same at every rho1, up to the rounding of rho1 * shape.  The
+# degenerate metric on that chart is exactly rho1^2 A + rho1^-2 B (radial
+# block A, eta block B), so each block's squared edge sums are built once at
+# rho1 = 1 and every rho1 adds them scaled.  Per rho1 remain the solve with
+# its fiber diameters, the image residual of that rho1's own projection, the
+# kNN graph search and the GH matching.
 
 KAHLER_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
                  "fiber_diam_max", "fiber_bound", "fiber_ratio",
@@ -220,6 +231,25 @@ COMPLEX_DOC = [
 ]
 
 
+def _complex_shape(unit: LevelSetSpec, rho2: float, directions, torus_t, normals):
+    """What a limit-complex row needs that depends on rho2 alone, from the
+    radii of `unit`, its level set at rho1 = 1: hausdorff_quotient, the
+    phi-domain chart, the squared edge sums of the degenerate metric's radial
+    and eta blocks at rho1 = 1, and the pi2 image as the unit hn sample."""
+    n = unit.n
+    w = project_pi2(unit, solve_base(unit, directions), torus_t)
+    anti = anticanonical_points(normals, rho2**2)
+    # the degenerate metric lives on the phi-domain chart, whose radial
+    # variable is the Gaussian-profile preimage |z|/rho2, not base_r
+    coords = np.hstack([np.abs(w) / rho2, torus_t])
+    periodic = np.array([False] * (n + 1) + [True] * n)
+    frame, coef = degenerate_metric(coords[:, :n + 1], 1.0, rho2)
+    return (hausdorff_from_cross(hn_matrix(w, rho2, n, anti)), coords,
+            knn_edge_squares(coords, (frame[:n + 1], coef[:, :n + 1]), periodic),
+            knn_edge_squares(coords, (frame[n + 1:], coef[:, n + 1:]), periodic),
+            FiniteMetricSample("hn_unit", w, hn_matrix(w, 1.0, n)))
+
+
 def cmd_limit_complex(args) -> int:
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))[::-1]
@@ -228,27 +258,24 @@ def cmd_limit_complex(args) -> int:
     normals = anticanonical_normals(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
-        _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
-        anti = anticanonical_points(normals, rho2**2)
+        unit = LevelSetSpec.from_rho(args.n, 1.0, rho2)
+        _regular_or_die(unit)
+        shape = None
         for rho1 in grid:
             spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
             base_r = solve_base(spec, directions)
             fiber = float(np.max(pi2_fiber_diameters(base_r)))
-            w = project_pi2(spec, base_r, torus_t)
-            res = float(np.max(pi2_image_residual(w)))
-            h_quot = hausdorff_from_cross(hn_matrix(w, rho2, args.n, anti))
-
-            # the degenerate metric lives on the phi-domain chart, whose radial
-            # variable is the Gaussian-profile preimage |z|/rho2, not base_r
-            coords = np.hstack([np.abs(w) / rho2, torus_t])
-            periodic = np.array([False] * (args.n + 1) + [True] * args.n)
-            metric = degenerate_metric(coords[:, :args.n + 1], spec.rho1, rho2)
-            d_deg = riemannian_knn_distances(coords, metric, k=12, periodic=periodic)
+            res = float(np.max(pi2_image_residual(project_pi2(spec, base_r, torus_t))))
+            if shape is None:
+                # built after the first grid point's own checks: a failing
+                # configuration is named by the check that fails there first
+                shape = _complex_shape(unit, rho2, directions, torus_t, normals)
+            h_quot, coords, sq_r, sq_eta, b = shape
+            scale = spec.rho1**2
+            d_deg = knn_geodesics(scale * sq_r + sq_eta / scale, k=12)
             if not np.all(np.isfinite(d_deg)):
                 raise ValueError("degenerate-metric graph disconnected; raise --samples")
-            a = FiniteMetricSample("degenerate_chart", coords, d_deg)
-            b = FiniteMetricSample("hn_unit", w, hn_matrix(w, 1.0, args.n))
-            ngh = ngh_distance(a, b)
+            ngh = ngh_distance(FiniteMetricSample("degenerate_chart", coords, d_deg), b)
 
             rows.append({
                 "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),

@@ -262,7 +262,9 @@ def complex_structure_at(r, lam1: float, lam2: float) -> ComplexStructureAt:
 def degenerate_metric(r, lam1: float, lam2: float) -> tuple[np.ndarray, np.ndarray]:
     """g = omega(., J.) of complex_structure_at's J on the chart (r, t), eta =
     F_eta t, per row of radii (..., n+1), as the pair (frame, coef) that
-    metgeo.riemannian_knn_distances takes: g = frame^T diag(coef) frame."""
+    metgeo.knn_edge_squares takes: g = frame^T diag(coef) frame.  The first
+    n+1 frame rows are the radial block, whose coefficients scale as lam1^2,
+    and the rest the eta block, whose coefficients scale as lam1^-2."""
     r = np.asarray(r, dtype=float)
     gauss = np.exp(-FOUR_PI2 * lam2**2 * r**2)
     c_r = 16.0 * math.pi**4 * lam1**2 * lam2**2 * r**2 * gauss

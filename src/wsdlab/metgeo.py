@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +35,9 @@ from .reduction import LevelSetSpec, stream_rows
 
 @dataclass(frozen=True)
 class FiniteMetricSample:
-    """Point sample in a named chart together with its distance matrix."""
+    """Point sample in a named chart together with its distance matrix.  Its
+    GH profiles are computed on first use and kept, so a sample compared
+    against many others sorts its distances once."""
 
     chart: str
     coords: np.ndarray
@@ -57,6 +59,13 @@ class FiniteMetricSample:
 
     def __len__(self) -> int:
         return self.dist.shape[0]
+
+    @cached_property
+    def profiles(self) -> np.ndarray:
+        """The read-only `_profiles` of dist, one row per point."""
+        prof = _profiles(self.dist)
+        prof.setflags(write=False)
+        return prof
 
 
 def diameter(s: FiniteMetricSample) -> float:
@@ -172,9 +181,9 @@ def _profile_cost(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _greedy_correspondence(da: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full correspondence (index arrays into A and B) from greedy profile matching."""
-    pa, pb = _profiles(da), _profiles(db)
+def _greedy_correspondence(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full correspondence (index arrays into A and B) from greedy matching of
+    the samples' profiles pa and pb."""
     work = _profile_cost(pa, pb)
     na, nb = work.shape
     pairs = []
@@ -218,7 +227,7 @@ def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample) -> tuple[float, floa
         raise ValueError("gh_bounds needs nonempty samples")
     da, db = a.dist, b.dist
     lower = 0.5 * abs(float(np.max(da)) - float(np.max(db)))
-    ia, ib = _greedy_correspondence(da, db)
+    ia, ib = _greedy_correspondence(a.profiles, b.profiles)
     upper = 0.5 * correspondence_distortion(da, db, ia, ib)
     return lower, upper
 
@@ -406,14 +415,15 @@ def anticanonical_points(normals: np.ndarray, lam) -> np.ndarray:
 
 # -- graph geodesics -----------------------------------------------------------
 
-def riemannian_knn_distances(points: np.ndarray, metric: tuple[np.ndarray, np.ndarray],
-                             k: int = 12, periodic: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs geodesic estimates through a k-nearest-neighbor graph.
+def knn_edge_squares(points: np.ndarray, metric: tuple[np.ndarray, np.ndarray],
+                     periodic: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs squared edge lengths under a metric given in a frame.
 
     `metric` is (frame (K, D), coef (N, K)): the metric at point i is
     frame^T diag(coef_i) frame, and an edge is the chord under the averaged
     endpoint metrics, w_ij^2 = 1/2 sum_k (coef_ik + coef_jk) (frame d_ij)_k^2,
-    d_ij wrapped where periodic.  Manifold-sampling practice, not certified.
+    d_ij wrapped where periodic.  The K nonnegative terms are added in frame
+    row order, so a metric split into row blocks gives one sum per block.
     """
     pts = np.asarray(points, dtype=float)
     frame, coef = (np.asarray(a, dtype=float) for a in metric)
@@ -421,7 +431,6 @@ def riemannian_knn_distances(points: np.ndarray, metric: tuple[np.ndarray, np.nd
     if (coef.shape != (npts, len(frame)) or frame.shape[1:] != pts.shape[1:]
             or not np.all((coef > 0) & (coef < np.inf))):
         raise ValueError("metric must be a frame (K, D) and positive finite coefficients (N, K)")
-    k = min(k, npts - 1)
     cols = np.ascontiguousarray(pts.T)
 
     def diff(a):  # coordinate a's N x N differences, built when a frame row uses it
@@ -432,7 +441,16 @@ def riemannian_knn_distances(points: np.ndarray, metric: tuple[np.ndarray, np.nd
     for row, ck in zip(frame, coef.T):
         yk = sum(f * diff(a) for a, f in enumerate(row) if f)
         w2 += (ck[:, None] + ck[None, :]) * (yk * yk)
-    w = np.sqrt(0.5 * w2)
+    return 0.5 * w2
+
+
+def knn_geodesics(edge_squares: np.ndarray, k: int = 12) -> np.ndarray:
+    """All-pairs geodesic estimates through the k-nearest-neighbor graph of
+    the squared edge lengths (N, N) that `knn_edge_squares` gives.
+    Manifold-sampling practice, not certified."""
+    w = np.sqrt(edge_squares)
+    npts = w.shape[0]
+    k = min(k, npts - 1)
     order = np.argsort(w, axis=1)
     rowidx = np.repeat(np.arange(npts), k)
     colidx = order[:, 1:k + 1].ravel()

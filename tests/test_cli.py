@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,12 +12,15 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsdlab
-from wsdlab import ambient, maps, metgeo, reduction
+from wsdlab import ambient, cli, maps, metgeo, reduction
 from wsdlab.ambient import ambient_tensors_at, feasibility_threshold, section_point
 from wsdlab.cli import main
-from wsdlab.reduction import LevelSetSpec, sample_base, sample_points
+from wsdlab.reduction import (LevelSetSpec, draw_directions, draw_torus, sample_base,
+                              sample_points, solve_base)
 
 
 def run(tmp_path, *argv):
@@ -245,10 +250,12 @@ def test_sampler_failure_exits_2_with_one_line(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "2", "--rho2", "5", "--samples", "3"],
     ["boundary", "--side", "B", "--n", "2", "--rho2", "5"],
-], ids=["verify", "boundary-B"])
+    ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-160:1e-159:2"],
+], ids=["verify", "boundary-B", "limit-complex"])
 def test_radius_squared_underflow_exits_2_with_one_line(argv, capsys):
     # the base radii exist, but 4 pi^2 r^2 of the smallest is below the normal
     # doubles: the torus metric weights name that, not a bare divide by zero
+    # (limit-complex: its rho1 = 1 half succeeds, its per-rho1 fibers fail)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -444,3 +451,93 @@ def test_boundary_side_b_ratio_equals_dense_metric_blocks(tmp_path, n):
             g = ambient_tensors_at(section_point(n, r)).g
             ratio = max(ratio, np.linalg.norm(g[:m, :m]) / np.linalg.norm(g[2 * m:, 2 * m:]))
         assert row["theta_eta_ratio"] == f"{ratio:.12e}"
+
+
+def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
+    """limit-complex's CSV with every grid point computed whole: its own
+    solve, projection, hn distances, chart, metric and edge sums at that
+    rho1, as the command did before it built the rho1-invariant half once
+    per rho2.  None where that computation fails."""
+    grid = np.sort(cli._parse_grid(grid_text))[::-1]
+    directions = draw_directions(n, samples, seed)
+    torus_t = draw_torus(n, samples, seed)[:, n:]
+    normals = metgeo.anticanonical_normals(n, samples, seed)
+    rows = []
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for rho2 in rho2s:
+                anti = metgeo.anticanonical_points(normals, rho2**2)
+                for rho1 in grid:
+                    rows.append(_oracle_row(n, float(rho1), rho2, directions, torus_t,
+                                            anti, samples, seed))
+    except (ArithmeticError, ValueError):
+        return None
+    config = {"n": n, "rho2": list(rho2s), "grid": grid_text,
+              "samples": samples, "seed": seed}
+    return cli._sweep_text("csv", cli.COMPLEX_DOC, cli.COMPLEX_FIELDS, rows, config)
+
+
+def _oracle_row(n, rho1, rho2, directions, torus_t, anti, samples, seed):
+    spec = LevelSetSpec.from_rho(n, rho1, rho2)
+    base_r = solve_base(spec, directions)
+    fiber = float(np.max(metgeo.pi2_fiber_diameters(base_r)))
+    w = maps.project_pi2(spec, base_r, torus_t)
+    res = float(np.max(maps.pi2_image_residual(w)))
+    h_quot = metgeo.hausdorff_from_cross(metgeo.hn_matrix(w, rho2, n, anti))
+    coords = np.hstack([np.abs(w) / rho2, torus_t])
+    periodic = np.array([False] * (n + 1) + [True] * n)
+    metric = maps.degenerate_metric(coords[:, :n + 1], spec.rho1, rho2)
+    d_deg = metgeo.knn_geodesics(metgeo.knn_edge_squares(coords, metric, periodic), k=12)
+    if not np.all(np.isfinite(d_deg)):
+        raise ValueError("disconnected")
+    a = metgeo.FiniteMetricSample("degenerate_chart", coords, d_deg)
+    b = metgeo.FiniteMetricSample("hn_unit", w, metgeo.hn_matrix(w, 1.0, n))
+    ngh = metgeo.ngh_distance(a, b)
+    return {
+        "n": n, "rho1": cli._e(rho1), "rho2": cli._e(rho2),
+        "samples": samples, "seed": seed, "version": wsdlab.__version__,
+        "fiber_diam_max": cli._e(fiber), "c_witness": cli._e(fiber / spec.rho1),
+        "pi2_residual_max": cli._e(res), "hausdorff_quotient": cli._e(h_quot),
+        "degenerate_ngh_lower": cli._e(ngh.lower), "degenerate_ngh_upper": cli._e(ngh.upper),
+    }
+
+
+# the columns built from the rho1 = 1 radii: the radii rho1 * shape round
+# differently at each rho1, so these agree with the per-point values to the
+# rounding of the shape, which can move the last printed digit by one
+SHAPE_COLUMNS = ("hausdorff_quotient", "degenerate_ngh_lower", "degenerate_ngh_upper")
+
+
+def _last_digit(cell):
+    """The value of one unit in the last digit of a `cli._e` cell."""
+    return 10.0 ** (int(cell.split("e")[1]) - 12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 4), samples=st.integers(24, 80), seed=st.integers(0, 10**6),
+       excess=st.lists(st.floats(1.05, 2.2), min_size=1, max_size=2),
+       grid=st.sampled_from(["1e-3:1:3", "1e-2:1e2:3", "0.3:3:2",
+                             "1e-150:1e-149:2", "1e100:1e120:2"]))
+def test_limit_complex_matches_per_point_oracle(n, samples, seed, excess, grid):
+    # the rho1-invariant half built once per rho2 and the degenerate edge sums
+    # scaled to each rho1 give the per-point rows: every column computed per
+    # rho1 byte for byte, the shape columns to one unit in the last digit
+    rho2s = [feasibility_threshold(n) * x for x in excess]
+    argv = ["limit-complex", "--n", str(n), "--rho2", ",".join(map(repr, rho2s)),
+            "--grid", grid, "--samples", str(samples), "--seed", str(seed)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    want = _limit_complex_oracle(n, rho2s, grid, samples, seed)
+    assert rc == (2 if want is None else 0)
+    if want is None:
+        return
+    got, want = out.getvalue().splitlines(), want.splitlines()
+    assert [ln for ln in got if ln.startswith("#")] == [ln for ln in want if ln.startswith("#")]
+    got_rows, want_rows = rows_of("\n".join(got)), rows_of("\n".join(want))
+    assert len(got_rows) == len(want_rows)
+    for g, w in zip(got_rows, want_rows):
+        assert {k: v for k, v in g.items() if k not in SHAPE_COLUMNS} == \
+            {k: v for k, v in w.items() if k not in SHAPE_COLUMNS}
+        for k in SHAPE_COLUMNS:
+            assert abs(float(g[k]) - float(w[k])) <= 1.5 * _last_digit(w[k])

@@ -42,6 +42,11 @@ GOLDEN = [
     (("limit-complex", "--n", "3", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
      "989162e79647d6c4e08e746f7248f567ed7bc1ca7650165fc4f55aebe55f3200"),
+    # two rho2 values: each builds its own pi2 image, hn sample and edge sums;
+    # recorded before those were built once per rho2
+    (("limit-complex", "--n", "2", "--rho2", "0.6,0.9", "--grid", "1e-3:1:3",
+      "--samples", "60", "--seed", "4"),
+     "e13e54ed3f8d6bbbd7e945ba435f7c76c0279d6165d1e8720a2eff153a3a8c98"),
     # rank-4 fiber tori: recorded with the closed-form covering radius (the
     # Voronoi search these sweeps used before stops at rank 3 and exits 2)
     (("limit-kahler", "--n", "4", "--rho2", "0.7", "--grid", "1:1e3:3",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from wsdlab import metgeo as mg
-from wsdlab.ambient import torus_metric_weights
+from wsdlab.ambient import feasibility_threshold, torus_metric_weights
 from wsdlab.maps import CPnPoint, degenerate_metric, project_pi2
 from wsdlab.polytope import _eliminate, lattice_maps
 from wsdlab.reduction import LevelSetSpec, draw_directions, draw_torus, sample_points, solve_base
@@ -545,12 +545,17 @@ def test_hn_distance_vanishes_on_phase_group_orbits():
                 assert mg.hn_distance(p, q) < 1e-12
 
 
+def _knn(points, metric, k, periodic=None):
+    """Graph geodesics under a framed metric: the edge sums, then the search."""
+    return mg.knn_geodesics(mg.knn_edge_squares(points, metric, periodic), k=k)
+
+
 def test_knn_geodesics_circle():
     count = 60
     radius = 2.0
     x = (np.arange(count) / count)[:, None]
     metric = (np.eye(1), np.full((count, 1), (2 * math.pi * radius) ** 2))
-    d = mg.riemannian_knn_distances(x, metric, k=6, periodic=np.array([True]))
+    d = _knn(x, metric, k=6, periodic=np.array([True]))
     for i in range(0, count, 7):
         for j in range(0, count, 11):
             frac = abs(x[i, 0] - x[j, 0])
@@ -561,7 +566,7 @@ def test_knn_geodesics_circle():
 def test_knn_geodesics_flat_patch():
     xs = np.linspace(0, 1, 9)
     grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    d = mg.riemannian_knn_distances(grid, (np.eye(2), np.ones((len(grid), 2))), k=12)
+    d = _knn(grid, (np.eye(2), np.ones((len(grid), 2))), k=12)
     euclid = np.sqrt(np.sum((grid[:, None] - grid[None]) ** 2, axis=2))
     assert np.all(d >= euclid - 1e-12)
     assert np.max(d - euclid) < 0.12 * np.max(euclid)
@@ -578,18 +583,18 @@ def test_knn_directed_search_equals_undirected(seed, count, dim, k, periodic):
     scales = 10.0 ** rng.uniform(-2.0, 2.0, dim)
     metric = (np.eye(dim), scales * (1.0 + pts**2))
     flags = np.array([periodic] + [False] * (dim - 1))
-    got = mg.riemannian_knn_distances(pts, metric, k=k, periodic=flags)
+    got = _knn(pts, metric, k=k, periodic=flags)
     undirected = lambda graph, method, directed: shortest_path(graph, method=method,
                                                                directed=False)
     with mock.patch.object(mg, "shortest_path", undirected):
-        want = mg.riemannian_knn_distances(pts, metric, k=k, periodic=flags)
+        want = _knn(pts, metric, k=k, periodic=flags)
     assert np.array_equal(got, want)
 
 
 def _knn_edges(points, metric, k, periodic):
     """The symmetrized kNN graph's edge lengths, read before the search."""
     with mock.patch.object(mg, "shortest_path", lambda graph, method, directed: graph):
-        return mg.riemannian_knn_distances(points, metric, k=k, periodic=periodic).tocoo()
+        return _knn(points, metric, k=k, periodic=periodic).tocoo()
 
 
 def _per_row_einsum_edges(points, metric, periodic):
@@ -671,6 +676,44 @@ def test_degenerate_edge_lengths_match_40_digits(n, rho2, count, rho1):
     assert worst < 1e-14
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), log_lam1=st.floats(-3.0, 3.0), excess=st.floats(1.05, 2.2),
+       count=st.integers(2, 40), seed=st.integers(0, 10**6))
+def test_degenerate_edge_squares_scale_as_lam1_powers(n, log_lam1, excess, count, seed):
+    # g = lam1^2 A + lam1^-2 B on the phi-domain chart: the edge sums of the
+    # radial and eta frame rows at lam1 = 1, scaled, are the edge sums at lam1
+    rho2 = feasibility_threshold(n) * excess
+    lam1 = 10.0 ** log_lam1
+    coords, _, _ = _degenerate_chart(n, 1.0, rho2, count, seed)
+    periodic = np.array([False] * (n + 1) + [True] * n)
+    frame, coef = degenerate_metric(coords[:, :n + 1], 1.0, rho2)
+    sq_r = mg.knn_edge_squares(coords, (frame[:n + 1], coef[:, :n + 1]), periodic)
+    sq_eta = mg.knn_edge_squares(coords, (frame[n + 1:], coef[:, n + 1:]), periodic)
+    want = mg.knn_edge_squares(coords, degenerate_metric(coords[:, :n + 1], lam1, rho2),
+                               periodic)
+    got = lam1**2 * sq_r + sq_eta / lam1**2
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def test_sample_profiles_are_cached_profiles_of_dist():
+    z = _sphere_rows(30, 2, seed=5)
+    a = _cpn(z)
+    assert np.array_equal(a.profiles, mg._profiles(a.dist))
+    assert a.profiles is a.profiles and not a.profiles.flags.writeable
+
+
+def test_gh_bounds_with_a_reused_sample_equal_fresh_ones():
+    # limit-complex compares one hn sample against every rho1's chart sample
+    rng = np.random.default_rng(21)
+    pts = [rng.uniform(0.0, 1.0, (count, 3)) for count in (25, 31, 25, 18)]
+    dists = [np.sqrt(np.sum((p[:, None] - p[None]) ** 2, axis=2)) for p in pts]
+    b = _abstract(dists[0])
+    for d in dists[1:]:
+        assert mg.gh_bounds(_abstract(d), b) == mg.gh_bounds(_abstract(d), _abstract(dists[0]))
+        assert mg.ngh_distance(_abstract(d), b) == mg.ngh_distance(_abstract(d),
+                                                                   _abstract(dists[0]))
+
+
 @pytest.mark.parametrize("frame,coef,match", [
     (np.eye(2), np.array([[1.0, 1.0], [1.0, np.nan], [1.0, 1.0]]), "positive finite"),
     (np.eye(2), np.array([[1.0, 1.0], [1.0, np.inf], [1.0, 1.0]]), "positive finite"),
@@ -684,4 +727,4 @@ def test_degenerate_edge_lengths_match_40_digits(n, rho2, count, rho1):
 def test_knn_rejects_bad_metric(frame, coef, match):
     pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.9]])
     with pytest.raises(ValueError, match=match):
-        mg.riemannian_knn_distances(pts, (frame, coef), k=2)
+        mg.knn_edge_squares(pts, (frame, coef))
