@@ -159,16 +159,19 @@ def cmd_verify(args) -> int:
 # the same read-only rows and pushes the whole sample array through the
 # projections; no per-sample point object is built.
 #
-# limit-complex builds what does not depend on rho1 once per rho2, from the
-# rho1 = 1 radii.  The radii are rho1 times a shape that rho2 alone fixes, and
+# limit-complex builds what does not depend on rho1 once per rho2, at the
+# first (largest) grid point rho1_0, from that point's own solve and
+# projection.  The radii are rho1 times a shape that rho2 alone fixes, and
 # the pi2 modulus log(rho1 / r_i) reads only that shape, so the image w, the
 # hn distances, the phi-domain chart and the hn sample with its GH profiles
 # are the same at every rho1, up to the rounding of rho1 * shape.  The
 # degenerate metric on that chart is exactly rho1^2 A + rho1^-2 B (radial
 # block A, eta block B), so each block's squared edge sums are built once at
-# rho1 = 1 and every rho1 adds them scaled.  Per rho1 remain the solve with
-# its fiber diameters, the image residual of that rho1's own projection, the
-# kNN graph search and the GH matching.
+# rho1_0 and every rho1 adds them scaled by (rho1 / rho1_0)^2 and its
+# inverse.  Built at a grid point, never at rho1 = 1, the half fails only
+# where that grid point's own computation fails.  Per rho1 remain the solve
+# with its fiber diameters, the image residual of that rho1's own
+# projection, the kNN graph search and the GH matching.
 
 KAHLER_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
                  "fiber_diam_max", "fiber_bound", "fiber_ratio",
@@ -231,19 +234,17 @@ COMPLEX_DOC = [
 ]
 
 
-def _complex_shape(unit: LevelSetSpec, rho2: float, directions, torus_t, normals):
-    """What a limit-complex row needs that depends on rho2 alone, from the
-    radii of `unit`, its level set at rho1 = 1: hausdorff_quotient, the
-    phi-domain chart, the squared edge sums of the degenerate metric's radial
-    and eta blocks at rho1 = 1, and the pi2 image as the unit hn sample."""
-    n = unit.n
-    w = project_pi2(unit, solve_base(unit, directions), torus_t)
-    anti = anticanonical_points(normals, rho2**2)
+def _complex_shape(w, rho1: float, rho2: float, torus_t, anti):
+    """What a limit-complex row needs that depends on rho2 alone, from the pi2
+    image `w` of the level set at `rho1`: hausdorff_quotient, the phi-domain
+    chart, the squared edge sums of the degenerate metric's radial and eta
+    blocks at `rho1`, and the image as the unit hn sample."""
+    n = w.shape[1] - 1
     # the degenerate metric lives on the phi-domain chart, whose radial
     # variable is the Gaussian-profile preimage |z|/rho2, not base_r
     coords = np.hstack([np.abs(w) / rho2, torus_t])
     periodic = np.array([False] * (n + 1) + [True] * n)
-    frame, coef = degenerate_metric(coords[:, :n + 1], 1.0, rho2)
+    frame, coef = degenerate_metric(coords[:, :n + 1], rho1, rho2)
     return (hausdorff_from_cross(hn_matrix(w, rho2, n, anti)), coords,
             knn_edge_squares(coords, (frame[:n + 1], coef[:, :n + 1]), periodic),
             knn_edge_squares(coords, (frame[n + 1:], coef[:, n + 1:]), periodic),
@@ -258,21 +259,23 @@ def cmd_limit_complex(args) -> int:
     normals = anticanonical_normals(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
-        unit = LevelSetSpec.from_rho(args.n, 1.0, rho2)
-        _regular_or_die(unit)
+        _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
+        anti = anticanonical_points(normals, rho2**2)
         shape = None
         for rho1 in grid:
             spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
             base_r = solve_base(spec, directions)
             fiber = float(np.max(pi2_fiber_diameters(base_r)))
-            res = float(np.max(pi2_image_residual(project_pi2(spec, base_r, torus_t))))
+            w = project_pi2(spec, base_r, torus_t)
+            res = float(np.max(pi2_image_residual(w)))
             if shape is None:
-                # built after the first grid point's own checks: a failing
-                # configuration is named by the check that fails there first
-                shape = _complex_shape(unit, rho2, directions, torus_t, normals)
+                rho1_0 = spec.rho1
+                shape = _complex_shape(w, rho1_0, rho2, torus_t, anti)
             h_quot, coords, sq_r, sq_eta, b = shape
-            scale = spec.rho1**2
-            d_deg = knn_geodesics(scale * sq_r + sq_eta / scale, k=12)
+            # each factor applied twice: its square can leave the doubles
+            # on a grid whose edge sums themselves stay finite
+            down, up = spec.rho1 / rho1_0, rho1_0 / spec.rho1
+            d_deg = knn_geodesics(sq_r * down * down + sq_eta * up * up, k=12)
             if not np.all(np.isfinite(d_deg)):
                 raise ValueError("degenerate-metric graph disconnected; raise --samples")
             ngh = ngh_distance(FiniteMetricSample("degenerate_chart", coords, d_deg), b)
