@@ -51,12 +51,6 @@ class AmbientPoint:
         return 3 * (self.n + 1)
 
 
-def section_point(n: int, r) -> AmbientPoint:
-    """Point on the zero section theta = eta = 0 over the given radii."""
-    z = np.zeros(n + 1)
-    return AmbientPoint(n, z, r, z)
-
-
 def moment_map(p: AmbientPoint) -> tuple[float, float]:
     """(mu1, mu2) = (-pi * sum r_i^2, -(1/2pi) * log prod r_i).
 
@@ -241,19 +235,18 @@ def ambient_adapted_frame(p: AmbientPoint, tol: float = 1e-9) -> FrameReport:
     return FrameReport(frame, resid)
 
 
-def leaf_volume(p):
-    """Volume prod(2pi r_i) * prod(1/(2pi r_j)) of the doubled torus leaf, at an
-    AmbientPoint (a float) or per row of a radius stack of shape (..., m).
+def leaf_volume(r) -> np.ndarray:
+    """Volume prod(2pi r_i) * prod(1/(2pi r_j)) of the doubled torus leaf, per
+    row of a radius stack of shape (..., m).
 
     The two products telescope pairwise; multiplying factor against cofactor
     keeps every partial product O(1) even for radii spread over decades.
     """
-    point = isinstance(p, AmbientPoint)
-    r = p.r if point else np.asarray(p, dtype=float)
+    r = np.asarray(r, dtype=float)
     v = np.ones(r.shape[:-1])
     for x in np.moveaxis(r, -1, 0):
         v *= (TWO_PI * x) * (1.0 / (TWO_PI * x))
-    return float(v) if point else v
+    return v
 
 
 def _shift(p: AmbientPoint, axis: int, delta: float) -> AmbientPoint:
@@ -314,7 +307,8 @@ _FD_BLOCK = 32  # radius rows per slab of the closedness kernel
 def closedness_residuals(form: str, r, h=None) -> np.ndarray:
     """Exterior-derivative residual of one package form per row of a radius
     stack r (N, m): row i gives exactly
-    `exterior_derivative_residual(form, section_point(m - 1, r[i]), h)`.
+    `exterior_derivative_residual(form, p, h)` at any AmbientPoint p with
+    radii r[i].
 
     `h` is one step for every row, or None for each row's default
     1e-5 * min(1, min r).  The package forms' coefficients depend on the

@@ -313,6 +313,31 @@ def _base_diameter(base: np.ndarray) -> float:
     return float(np.max(np.sqrt(np.sum(diff * diff, axis=2))))
 
 
+def _block_norm_ratio(theta_w: np.ndarray, eta_w: np.ndarray, rho1: float) -> float:
+    """The largest ratio of the Frobenius norms of g's theta and eta blocks
+    over the sample rows of the weights (N, n+1).
+
+    Each row of a block is first scaled by the power of two that brings its
+    largest entry into [1/2, 1), so no square in a norm leaves the doubles;
+    the scaling is exact and the quotient undoes it.  Raises ArithmeticError,
+    naming rho1, where the ratio itself overflows or falls below the normal
+    doubles, whose printed digits would not be its own.
+    """
+    _, ka = np.frexp(np.max(theta_w, axis=1))
+    _, kb = np.frexp(np.max(eta_w, axis=1))
+    # the Frobenius norm of each diagonal block of g, taken on the square
+    # block: the norm of its diagonal alone sums in another order
+    q = [np.linalg.norm(np.diag(a)) / np.linalg.norm(np.diag(b))
+         for a, b in zip(np.ldexp(theta_w, -ka[:, None]), np.ldexp(eta_w, -kb[:, None]))]
+    with np.errstate(over="ignore"):
+        ratio = float(np.max(np.ldexp(q, ka - kb)))
+    if not np.finfo(float).tiny <= ratio < math.inf:
+        raise ArithmeticError(f"theta/eta metric norm ratio outside the normal doubles at "
+                              f"rho1 = {rho1:.3e}: rho1 is too {'large' if ratio > 1 else 'small'}"
+                              " for side B")
+    return ratio
+
+
 def cmd_boundary(args) -> int:
     sides = ["T", "B", "A"] if args.side == "all" else [args.side]
     directions = draw_directions(args.n, args.samples, args.seed)
@@ -338,11 +363,8 @@ def cmd_boundary(args) -> int:
             _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, args.rho2))
             for rho1 in np.sort(grid)[::-1]:
                 spec = LevelSetSpec.from_rho(args.n, float(rho1), args.rho2)
-                theta_w, eta_w = torus_metric_weights(solve_base(spec, directions))
-                # the Frobenius norm of each diagonal block of g, taken on the
-                # square block: the norm of its diagonal alone sums in another order
-                ratio = max(np.linalg.norm(np.diag(a)) / np.linalg.norm(np.diag(b))
-                            for a, b in zip(theta_w, eta_w))
+                ratio = _block_norm_ratio(*torus_metric_weights(solve_base(spec, directions)),
+                                          spec.rho1)
                 row = dict(blank, side=side, n=args.n, param=_e(rho1),
                            rho1=_e(rho1), rho2=_e(args.rho2),
                            samples=args.samples, seed=args.seed, version=__version__,

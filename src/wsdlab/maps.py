@@ -3,20 +3,42 @@ diffeomorphism between level sets, complex structures, and the scaling flow.
 
 Each projection is one formula on sample arrays: base radii (..., n+1) and
 torus rows (..., n) with any leading shape give representatives z in C^{n+1}
-as a complex (..., n+1) array.  The quotient structure (global phase, finite
-phase group) only enters through the distances, which live in metgeo beside
-its distance kernels.
+as a complex (..., n+1) array.  The torus rows enter through
+`embedded_angles`, the one map from torus coordinates to ambient angles
+(theta = F_theta s, eta = F_eta t, with F_theta rows the primal and F_eta
+rows the dual simplex vertices).  The quotient structure (global phase,
+finite phase group) only enters through the distances, which live in metgeo
+beside its distance kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .ambient import FOUR_PI2, PI2, TWO_PI, AmbientPoint, ambient_tensors_at
-from .reduction import LevelSetSpec, _require_regular, _torus_embeddings, embedded_angles
+from .ambient import (FOUR_PI2, PI2, TWO_PI, AmbientPoint, ambient_tensors_at,
+                      convert_parameters_inverse, moment_map)
+from .polytope import lattice_maps
+from .reduction import LevelSetSpec, _require_regular
+
+
+@lru_cache(maxsize=32)
+def _torus_embeddings(n: int) -> dict[str, np.ndarray]:
+    """The theta and eta embeddings: rows are primal resp. dual vertices."""
+    maps = lattice_maps(n)
+    return {"theta": np.array(maps.dual_t.matrix, dtype=float),
+            "eta": np.array(maps.primal_t.matrix, dtype=float)}
+
+
+def embedded_angles(n: int, torus: np.ndarray, block: str) -> np.ndarray:
+    """Ambient angles, before reduction mod 1, of torus rows (..., n):
+    theta = F_theta s for block "theta", eta = F_eta t for block "eta".  Each
+    row is its own matrix-vector product, so a stack gives each row's bits."""
+    x = np.asarray(torus, dtype=float)
+    return np.matmul(_torus_embeddings(n)[block], x[..., None])[..., 0]
 
 
 def _as_complex(z, label: str) -> np.ndarray:
@@ -117,14 +139,6 @@ def phi_map(p: AmbientPoint, rho1: float, rho2: float) -> AmbientPoint:
     return AmbientPoint(p.n, p.theta, r_new, -p.eta)
 
 
-def phi_inverse(p: AmbientPoint, rho1: float, rho2: float) -> AmbientPoint:
-    """Inverse chart map; defined on {0 < r_i < rho1} only."""
-    if np.any(p.r >= rho1):
-        raise ValueError("phi_inverse needs all r_i < rho1")
-    r_old = np.sqrt(np.log(rho1 / p.r) / (2.0 * PI2 * rho2 * rho2))
-    return AmbientPoint(p.n, p.theta, r_old, -p.eta)
-
-
 def _phi_jacobian(p: AmbientPoint, rho1: float, rho2: float) -> np.ndarray:
     m = p.n + 1
     r_new = rho1 * np.exp(-2.0 * PI2 * rho2 * rho2 * p.r ** 2)
@@ -189,9 +203,7 @@ def phi_pullback_check(p: AmbientPoint, rho1: float, rho2: float) -> PullbackRep
         "metric": rel(jac.T @ t_img.g @ jac, refg),
     }
 
-    from .ambient import moment_map
-    k1 = -math.pi * rho1 ** 2
-    k2 = math.pi * rho2 ** 2 - m / TWO_PI * math.log(rho1)
+    k1, k2 = convert_parameters_inverse(p.n, rho1, rho2)
     mu1, mu2 = moment_map(q)
     want1 = (-k1) * (1.0 - float(np.sum(decay)))
     residuals["mu1"] = abs((-k1 + mu1) - want1) / max(1.0, abs(k1))
@@ -276,38 +288,24 @@ def degenerate_metric(r, lam1: float, lam2: float) -> tuple[np.ndarray, np.ndarr
 
 # -- the scaling flow ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeformationParams:
-    """The rescaling t > 0 acting by (k1, k2) -> (t^2 k1, k2 - (n+1)/(2 pi) log t)."""
-
-    t: float
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("t must be positive")
-
-    def on_spec(self, spec: LevelSetSpec) -> LevelSetSpec:
-        m = spec.n + 1
-        return LevelSetSpec(spec.n, self.t ** 2 * spec.k1,
-                            spec.k2 - m / TWO_PI * math.log(self.t))
-
-    def on_point(self, p: AmbientPoint) -> AmbientPoint:
-        return AmbientPoint(p.n, p.theta, self.t * p.r, p.eta)
-
-
 def alpha_deform(spec: LevelSetSpec, t: float) -> LevelSetSpec:
-    return DeformationParams(t).on_spec(spec)
+    """The rescaling t > 0 on level sets: (k1, k2) -> (t^2 k1, k2 - (n+1)/(2 pi) log t)."""
+    if not t > 0:
+        raise ValueError("t must be positive")
+    m = spec.n + 1
+    return LevelSetSpec(spec.n, t ** 2 * spec.k1, spec.k2 - m / TWO_PI * math.log(t))
 
 
 def psi_scale(p: AmbientPoint, t: float) -> AmbientPoint:
-    return DeformationParams(t).on_point(p)
+    """The rescaling t > 0 on points: r -> t r, angles fixed."""
+    if not t > 0:
+        raise ValueError("t must be positive")
+    return AmbientPoint(p.n, p.theta, t * p.r, p.eta)
 
 
 def psi_pullback_residuals(p: AmbientPoint, t: float) -> dict:
     """Check psi_t^* omega = omega_t entrywise at p for the three forms:
     omega1 gains t^2, omega2 and omegaD are unchanged."""
-    if t <= 0:
-        raise ValueError("t must be positive")
     m = p.n + 1
     q = psi_scale(p, t)
     t_img = ambient_tensors_at(q)

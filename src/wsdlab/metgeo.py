@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .ambient import torus_metric_weights
+from .ambient import PI2, torus_metric_weights
 from .polytope import finite_coset_representatives, lattice_maps
 from .reduction import LevelSetSpec, stream_rows
 
@@ -387,7 +387,7 @@ def pi2_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
 def pi1_fiber_bound(spec: LevelSetSpec) -> float:
     """Closed-form fiber-diameter bound pi n^{-(n-1)/2} e^{2 pi^2 rho2^2} / rho1."""
     n = spec.n
-    return math.pi * n ** (-(n - 1) / 2.0) * math.exp(2.0 * math.pi**2 * spec.rho2**2) / spec.rho1
+    return math.pi * n ** (-(n - 1) / 2.0) * math.exp(2.0 * PI2 * spec.rho2**2) / spec.rho1
 
 
 # -- anticanonical divisor sampler ----------------------------------------------

@@ -12,8 +12,10 @@ The random numbers behind sample idx come from its own counter-based stream
 (`_stream(seed, idx, ...)`) and do not depend on the level set.  A sweep over
 many level sets therefore draws them once (`draw_directions`, `draw_torus`)
 and hands the read-only rows to the per-spec solve (`solve_base`) and, as
-arrays, to the projections in maps; `sample_base` and `sample_points` are the
-one-spec compositions.
+arrays, to the projections in maps.  A sample is those arrays and nothing
+more: radii (N, n+1) from `solve_base` or its one-spec composition
+`sample_base`, and torus rows (N, 2n) from `draw_torus`, s in the first n
+columns and t in the last n.
 
 The induced structure depends on the base radii alone, since both tori act
 on it by symmetries.  `induced_structure` maps an (N, n+1) radius array to the
@@ -27,20 +29,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .ambient import (
+    PI2,
     TWO_PI,
-    AmbientPoint,
     _canonical_blocks,
     convert_parameters,
     convert_parameters_inverse,
     torus_metric_weights,
 )
-from .polytope import lattice_maps
 
 DEGENERACY_GUARD = 1e-8  # relative margin on |X1|^2 |X2|^2 - (n+1)^2
 
@@ -182,7 +182,7 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     count = len(directions)
     m = spec.n + 1
     rho1 = spec.rho1
-    log_target = -2.0 * math.pi**2 * spec.rho2**2
+    log_target = -2.0 * PI2 * spec.rho2**2
 
     if spec.n == 1:
         # x^2 are the roots of q^2 - q + e^{2 log_target} = 0; the small root
@@ -210,66 +210,11 @@ def sample_base(spec: LevelSetSpec, count: int, seed: int = 0) -> np.ndarray:
     return solve_base(spec, draw_directions(spec.n, count, seed))
 
 
-@lru_cache(maxsize=32)
-def _torus_embeddings(n: int) -> dict[str, np.ndarray]:
-    """The theta and eta embeddings: rows are primal resp. dual vertices."""
-    maps = lattice_maps(n)
-    return {"theta": np.array(maps.dual_t.matrix, dtype=float),
-            "eta": np.array(maps.primal_t.matrix, dtype=float)}
-
-
-def embedded_angles(n: int, torus: np.ndarray, block: str) -> np.ndarray:
-    """Ambient angles, before reduction mod 1, of torus rows (..., n):
-    theta = F_theta s for block "theta", eta = F_eta t for block "eta".  Each
-    row is its own matrix-vector product, so a stack gives each row's bits."""
-    x = np.asarray(torus, dtype=float)
-    return np.matmul(_torus_embeddings(n)[block], x[..., None])[..., 0]
-
-
-@dataclass(frozen=True)
-class ReducedPoint:
-    """Point of the reduced manifold: base radii plus torus coordinates.
-
-    torus_s and torus_t live in R^n; the embedded angles are theta = F_theta s
-    and eta = F_eta t (mod 1) relative to the zero section, with F_theta rows
-    the primal simplex vertices and F_eta rows the dual simplex vertices.
-    """
-
-    spec: LevelSetSpec
-    base_r: np.ndarray
-    torus_s: np.ndarray
-    torus_t: np.ndarray
-
-    def __post_init__(self):
-        m = self.spec.n + 1
-        r = np.asarray(self.base_r, dtype=float).reshape(m)
-        if not np.all(r > 0):
-            raise ValueError("base radii must be positive")
-        object.__setattr__(self, "base_r", r)
-        object.__setattr__(self, "torus_s",
-                           np.asarray(self.torus_s, dtype=float).reshape(self.spec.n))
-        object.__setattr__(self, "torus_t",
-                           np.asarray(self.torus_t, dtype=float).reshape(self.spec.n))
-
-    def ambient_point(self) -> AmbientPoint:
-        n = self.spec.n
-        return AmbientPoint(n, embedded_angles(n, self.torus_s, "theta"), self.base_r,
-                            embedded_angles(n, self.torus_t, "eta"))
-
-
 def draw_torus(n: int, count: int, seed: int = 0) -> np.ndarray:
     """Uniform torus coordinates for samples 0..count-1, from stream
     (seed, idx, 1): read-only (count, 2n) rows, s in the first n columns and
     t in the last n."""
     return stream_rows(seed, count, 2 * n, lambda rng, k: rng.uniform(0.0, 1.0, k), 1)
-
-
-def sample_points(spec: LevelSetSpec, count: int, seed: int = 0) -> list[ReducedPoint]:
-    """Sample reduced points: base radii plus uniform torus coordinates."""
-    n = spec.n
-    base = sample_base(spec, count, seed)
-    return [ReducedPoint(spec, r, st[:n], st[n:])
-            for r, st in zip(base, draw_torus(n, count, seed))]
 
 
 def _raw_pair(r: np.ndarray):

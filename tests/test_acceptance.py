@@ -12,7 +12,6 @@ reference (n+1)/P is kept in `pairing_quoted` (see the README).
 import csv
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +25,8 @@ from wsdlab.maps import (CPnPoint, alpha_deform, phi_pullback_check, pi1_image_r
                          psi_pullback_residuals)
 from wsdlab.metgeo import fubini_study_distance, hn_distance
 from wsdlab.polytope import has_property_sd, simplex_pair, verify_duality_identities
-from wsdlab.reduction import (LevelSetSpec, induced_structure, omega_d_degenerate_block,
-                              sample_base, sample_points, verify_wsd_axioms)
+from wsdlab.reduction import (LevelSetSpec, draw_torus, induced_structure,
+                              omega_d_degenerate_block, sample_base, verify_wsd_axioms)
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -83,7 +82,7 @@ def test_criterion_2_ambient_leaf_frame_closedness():
     worst_frame = 0.0
     for n in (1, 2, 3):
         for p in _random_ambient(n, 1000, seed=40 + n):
-            worst_leaf = max(worst_leaf, abs(leaf_volume(p) - 1.0))
+            worst_leaf = max(worst_leaf, abs(float(leaf_volume(p.r)) - 1.0))
         for p in _random_ambient(n, 40, seed=50 + n):
             worst_frame = max(worst_frame, ambient_adapted_frame(p).max_residual)
 
@@ -160,12 +159,12 @@ def test_criterion_3_wsd_axioms_and_degenerate_block():
     )
 
 
-def _pi1_point(p) -> CPnPoint:
-    return CPnPoint(project_pi1(p.spec, p.base_r, p.torus_s), p.spec.rho1**2)
+def _pi1_point(spec, r, torus) -> CPnPoint:
+    return CPnPoint(project_pi1(spec, r, torus[..., :spec.n]), spec.rho1**2)
 
 
-def _pi2_point(p) -> CPnPoint:
-    return CPnPoint(project_pi2(p.spec, p.base_r, p.torus_t), p.spec.rho2**2)
+def _pi2_point(spec, r, torus) -> CPnPoint:
+    return CPnPoint(project_pi2(spec, r, torus[..., spec.n:]), spec.rho2**2)
 
 
 def test_criterion_4_projection_residuals_and_fiber_collapse():
@@ -175,17 +174,19 @@ def test_criterion_4_projection_residuals_and_fiber_collapse():
     worst_fib = 0.0
     for n in (1, 2, 3):
         spec = LevelSetSpec.from_rho(n, 1.0, 0.5)
-        pts = sample_points(spec, 60, seed=17 + n)
-        for p in pts:
-            worst_p1 = max(worst_p1, pi1_image_residual(_pi1_point(p).z, 0.5))
-            worst_p2 = max(worst_p2, pi2_image_residual(_pi2_point(p).z))
-        for p in pts[:10]:
-            q_eta = replace(p, torus_t=rng.uniform(0, 1, n))
-            worst_fib = max(worst_fib,
-                            fubini_study_distance(_pi1_point(p), _pi1_point(q_eta)))
-            q_theta = replace(p, torus_s=rng.uniform(0, 1, n))
-            worst_fib = max(worst_fib,
-                            hn_distance(_pi2_point(p), _pi2_point(q_theta)))
+        base_r = sample_base(spec, 60, seed=17 + n)
+        torus = draw_torus(n, 60, seed=17 + n)
+        for r, st in zip(base_r, torus):
+            worst_p1 = max(worst_p1, pi1_image_residual(_pi1_point(spec, r, st).z, 0.5))
+            worst_p2 = max(worst_p2, pi2_image_residual(_pi2_point(spec, r, st).z))
+        for r, st in zip(base_r[:10], torus[:10]):
+            # a fiber move redraws t for pi1 and s for pi2
+            q_eta = np.concatenate([st[:n], rng.uniform(0, 1, n)])
+            worst_fib = max(worst_fib, fubini_study_distance(_pi1_point(spec, r, st),
+                                                             _pi1_point(spec, r, q_eta)))
+            q_theta = np.concatenate([rng.uniform(0, 1, n), st[n:]])
+            worst_fib = max(worst_fib, hn_distance(_pi2_point(spec, r, st),
+                                                   _pi2_point(spec, r, q_theta)))
     ok = worst_p1 < 1e-10 and worst_p2 < 1e-9 and worst_fib < 1e-6
     _report(4, "projection image equations and fiber collapse", ok,
             f"pi1 {worst_p1:.1e}, pi2 {worst_p2:.1e}, collapse {worst_fib:.1e}")
@@ -232,8 +233,7 @@ def test_criterion_6_fiber_diameter_bound():
     for n in (2, 3):
         for rho1 in np.geomspace(1.0, 1e3, 7):
             spec = LevelSetSpec.from_rho(n, float(rho1), 0.6)
-            pts = sample_points(spec, 25, seed=31 + n)
-            exact = mg.pi1_fiber_diameters(np.array([p.base_r for p in pts]))
+            exact = mg.pi1_fiber_diameters(sample_base(spec, 25, seed=31 + n))
             worst = max(worst, float(np.max(exact)) / mg.pi1_fiber_bound(spec))
     ok = worst <= 1.0 + 1e-6
     _report(6, "eta-fiber diameter against the closed-form bound", ok,

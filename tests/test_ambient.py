@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from helpers import section_point
 from wsdlab import ambient
 from wsdlab.ambient import (
     TWO_PI,
@@ -21,7 +22,6 @@ from wsdlab.ambient import (
     frame_residuals,
     leaf_volume,
     moment_map,
-    section_point,
     torus_metric_weights,
 )
 from wsdlab.cli import main
@@ -165,13 +165,13 @@ def test_frame_residuals_flag_corruption():
 
 
 def test_leaf_volume_exact_and_bulk():
-    assert leaf_volume(section_point(1, [1.0, 1.0])) == 1.0
-    assert abs(leaf_volume(section_point(2, [3.0, 0.01, 17.0])) - 1.0) < 1e-14
+    assert leaf_volume([1.0, 1.0]) == 1.0
+    assert abs(leaf_volume([3.0, 0.01, 17.0]) - 1.0) < 1e-14
     rng = np.random.default_rng(41)
     worst = 0.0
     for _ in range(10_000):
         n = int(rng.integers(1, 4))
-        v = leaf_volume(section_point(n, random_radii(rng, n)))
+        v = leaf_volume(random_radii(rng, n))
         worst = max(worst, abs(v - 1.0))
     assert worst < 1e-10
 
@@ -342,7 +342,7 @@ def test_closedness_rows_equal_single_point_calls(n, data, count, form, closed):
     assert got.shape == (count,) and got.tolist() == want
     assert np.max(got) == max(want)
     vol = leaf_volume(r)
-    vol_want = [leaf_volume(section_point(n, row)) for row in r]
+    vol_want = [float(leaf_volume(row)) for row in r]
     assert vol.shape == (count,) and vol.tolist() == vol_want
     assert np.max(np.abs(vol - 1.0)) == max(abs(v - 1.0) for v in vol_want)
 

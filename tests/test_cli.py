@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsdlab
+from helpers import section_point
 from wsdlab import ambient, cli, maps, metgeo, reduction
-from wsdlab.ambient import ambient_tensors_at, feasibility_threshold, section_point
+from wsdlab.ambient import ambient_tensors_at, feasibility_threshold
 from wsdlab.cli import main
-from wsdlab.reduction import (LevelSetSpec, draw_directions, draw_torus, sample_base,
-                              sample_points, solve_base)
+from wsdlab.reduction import LevelSetSpec, draw_directions, draw_torus, sample_base, solve_base
 
 
 def run(tmp_path, *argv):
@@ -264,6 +264,43 @@ def test_radius_squared_underflow_exits_2_with_one_line(argv, capsys):
     assert "rho2" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid,where", [
+    ("1e-150:1e100:6", "rho1 = 1.000e+100: rho1 is too large"),
+    ("1e-150:1:4", "rho1 = 1.000e-100: rho1 is too small"),
+])
+def test_boundary_side_b_ratio_out_of_range_names_rho1(grid, where, capsys):
+    # the norm ratio of the theta and eta blocks scales like rho1^4; where it
+    # leaves the normal doubles the line names that and the grid point, not a
+    # bare overflow inside a norm (the grid runs from its largest rho1 down)
+    argv = ["boundary", "--side", "B", "--n", "2", "--samples", "50", "--seed", "1",
+            "--grid", grid]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical failure: theta/eta metric norm ratio outside the normal doubles "
+                   f"at {where} for side B\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_side_b_ratio_matches_60_digits_at_range_edges(tmp_path, n):
+    # at rho1 = 1e-76 and 1e76 a square in one block's norm leaves the
+    # doubles while the ratio itself does not: the prescaled norms still
+    # print it to the last digit
+    rc, text = run(tmp_path, "boundary", "--side", "B", "--n", str(n),
+                   "--grid", "1e-76:1e76:3", "--samples", "9", "--seed", "2")
+    assert rc == 0
+    rows = rows_of(text)
+    assert len(rows) == 3
+    for row in rows:
+        spec = LevelSetSpec.from_rho(n, float(row["rho1"]), 0.6)
+        with mpmath.workdps(60):
+            ratio = max(mpmath.sqrt(mpmath.fsum(w**2 for w in theta)
+                                    / mpmath.fsum(1 / w**2 for w in theta))
+                        for theta in ([4 * mpmath.pi**2 * mpmath.mpf(float(x)) ** 2 for x in r]
+                                      for r in sample_base(spec, 9, seed=2)))
+            assert abs(mpmath.mpf(row["theta_eta_ratio"]) / ratio - 1) < 1e-12
+
+
 def _mp_pi1_fiber_diameter(base_r):
     """60-digit closed-form diameter of the first-projection fiber torus,
     weights 1 / (4 pi^2 r_i^2), from its radii."""
@@ -284,7 +321,7 @@ def test_deep_rho2_kahler_sweep_matches_60_digit_closed_form(tmp_path, n, rho2):
     assert len(rows) == 2
     for row in rows:
         spec = LevelSetSpec.from_rho(n, float(row["rho1"]), float(rho2))
-        exact = max(_mp_pi1_fiber_diameter(p.base_r) for p in sample_points(spec, 12, 0))
+        exact = max(_mp_pi1_fiber_diameter(r) for r in sample_base(spec, 12, 0))
         assert abs(float(row["fiber_diam_max"]) - exact) <= 1e-12 * exact
         assert float(row["fiber_ratio"]) <= 1.0
 
@@ -418,14 +455,16 @@ def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample)
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3", "--rho2", "0.5"],
     ["limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid", "1:1e3:3"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3"],
     ["boundary", "--side", "all", "--n", "3"],
 ])
 def test_sweeps_and_probes_build_no_point_objects(monkeypatch, tmp_path, argv):
-    # samples go through the projections and the metric weights as arrays
+    # samples go through the checks, the projections and the metric weights
+    # as arrays
     built = []
-    for cls in (reduction.ReducedPoint, ambient.AmbientPoint, maps.CPnPoint):
+    for cls in (ambient.AmbientPoint, maps.CPnPoint):
         def counted(self, post=cls.__post_init__):
             built.append(type(self).__name__)
             post(self)

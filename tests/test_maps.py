@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import section_point
 from wsdlab.ambient import (AmbientPoint, ambient_tensors_at, exterior_derivative_residual,
-                            feasibility_threshold, moment_map, section_point)
+                            feasibility_threshold, moment_map)
 from wsdlab.maps import (
     CPnPoint,
     _phi_jacobian,
-    DeformationParams,
     alpha_deform,
     complex_structure_at,
     degenerate_metric,
-    phi_inverse,
+    embedded_angles,
     phi_map,
     phi_pullback_check,
     pi1_image_residual,
@@ -26,8 +26,7 @@ from wsdlab.maps import (
 )
 from wsdlab.metgeo import _quotient_phases, fubini_study_distance, hn_distance
 from wsdlab.polytope import lattice_maps
-from wsdlab.reduction import (LevelSetSpec, ReducedPoint, draw_torus, feasibility,
-                              sample_base, sample_points)
+from wsdlab.reduction import LevelSetSpec, draw_torus, feasibility, sample_base
 
 PI = math.pi
 
@@ -36,16 +35,16 @@ def spec_rho(n, rho1, rho2):
     return LevelSetSpec.from_rho(n, rho1, rho2)
 
 
-def pi1_point(p: ReducedPoint) -> CPnPoint:
-    return CPnPoint(project_pi1(p.spec, p.base_r, p.torus_s), p.spec.rho1**2)
+def pi1_point(spec, r, s) -> CPnPoint:
+    return CPnPoint(project_pi1(spec, r, s), spec.rho1**2)
 
 
-def pi2_point(p: ReducedPoint) -> CPnPoint:
-    return CPnPoint(project_pi2(p.spec, p.base_r, p.torus_t), p.spec.rho2**2)
+def pi2_point(spec, r, t) -> CPnPoint:
+    return CPnPoint(project_pi2(spec, r, t), spec.rho2**2)
 
 
 def sample_arrays(spec, count, seed):
-    """The radii and the (s, t) torus rows sample_points(spec, count, seed) holds."""
+    """The radii and the s and t torus rows of samples 0..count-1."""
     n = spec.n
     torus = draw_torus(n, count, seed)
     return sample_base(spec, count, seed), torus[:, :n], torus[:, n:]
@@ -80,9 +79,9 @@ def test_pi1_fiber_collapse():
     # a fiber is fixed (r, s) with any t: the stacked rows of one fiber land on
     # one point
     s = spec_rho(2, 1.0, 0.55)
-    p = sample_points(s, 1, seed=2)[0]
-    z = pi1_point(p)
-    fiber = project_pi1(s, np.tile(p.base_r, (10, 1)), np.tile(p.torus_s, (10, 1)))
+    (r,), (a,), _ = sample_arrays(s, 1, seed=2)
+    z = pi1_point(s, r, a)
+    fiber = project_pi1(s, np.tile(r, (10, 1)), np.tile(a, (10, 1)))
     for row in fiber:
         w = CPnPoint(row, z.lam)
         assert np.array_equal(z.z, w.z)
@@ -128,6 +127,8 @@ def test_fubini_study_distance_axioms():
 
 
 def test_phi_round_trip_and_domain():
+    # phi's radial map is inverted by the pi2 modulus: |z_i| = rho2 r_i, with
+    # the angles carried as they are (theta) or negated (eta)
     rho1, rho2 = 1.3, 0.7
     rng = np.random.default_rng(17)
     worst = 0.0
@@ -138,14 +139,13 @@ def test_phi_round_trip_and_domain():
                          rng.uniform(0, 1, n + 1))
         q = phi_map(p, rho1, rho2)
         assert np.all(q.r < rho1)
-        back = phi_inverse(q, rho1, rho2)
-        worst = max(worst,
-                    float(np.max(np.abs(back.r - p.r))),
-                    float(np.max(np.abs(back.theta - p.theta))),
-                    float(np.max(np.abs(back.eta - p.eta))))
+        back = np.abs(project_pi2(spec_rho(n, rho1, rho2), q.r, np.zeros(n))) / rho2
+        worst = max(worst, float(np.max(np.abs(back - p.r))))
+        assert np.array_equal(q.theta, p.theta)
+        assert np.array_equal(q.eta, np.mod(-p.eta, 1.0))
     assert worst < 1e-10
     with pytest.raises(ValueError, match="rho1"):
-        phi_inverse(AmbientPoint(1, [0, 0], [0.5, 1.5], [0, 0]), 1.0, 0.5)
+        project_pi2(spec_rho(1, 1.0, 0.5), [0.5, 1.5], [0.0])
 
 
 def test_phi_small_radius_limit():
@@ -156,13 +156,14 @@ def test_phi_small_radius_limit():
     assert np.all(q.r > rho1 * (1 - 1e-12))
 
 
-def test_pi2_consistent_with_phi_inverse():
+def test_pi2_modulus_is_the_phi_preimage():
+    # the sampled radii are phi's image of |z| / rho2
     s = spec_rho(2, 1.1, 0.6)
-    p = sample_points(s, 5, seed=7)[0]
-    amb = p.ambient_point()
-    z = project_pi2(s, p.base_r, p.torus_t)
-    lifted = phi_inverse(AmbientPoint(2, amb.theta, amb.r, amb.eta), s.rho1, s.rho2)
-    assert np.allclose(np.abs(z), s.rho2 * lifted.r, atol=1e-13)
+    base, _, torus_t = sample_arrays(s, 5, seed=7)
+    z = project_pi2(s, base, torus_t)
+    for r, row in zip(base, z):
+        lifted = section_point(2, np.abs(row) / s.rho2)
+        assert np.allclose(phi_map(lifted, s.rho1, s.rho2).r, r, rtol=1e-13, atol=0)
 
 
 def test_phi_pullback_check_bulk():
@@ -208,9 +209,8 @@ def test_project_pi2_normalization_and_fibers():
     assert np.all(res < 1e-9)
     # a fiber is fixed (r, t) with any s: the stacked rows of one fiber land on
     # one point of the quotient
-    p = sample_points(s, 1, seed=11)[0]
-    z = pi2_point(p)
-    fiber = project_pi2(s, np.tile(p.base_r, (5, 1)), np.tile(p.torus_t, (5, 1)))
+    z = pi2_point(s, base[0], torus_t[0])
+    fiber = project_pi2(s, np.tile(base[0], (5, 1)), np.tile(torus_t[0], (5, 1)))
     for row in fiber:
         w = CPnPoint(row, z.lam)
         assert np.array_equal(z.z, w.z)
@@ -252,7 +252,7 @@ def test_project_pi2_guards_raise_from_one_offending_row(row, value, error):
 
 
 def _per_sample_pi1(spec, r, s):
-    # one sample at a time, as a ReducedPoint projected through its AmbientPoint
+    # one sample at a time, with its own embedding matrix product
     f_theta = np.array(lattice_maps(spec.n).dual_t.matrix, dtype=float)
     theta = np.mod(f_theta @ s, 1.0)
     return r * np.exp(2j * math.pi * theta)
@@ -296,12 +296,20 @@ def test_stacked_projections_equal_per_sample_expression(n, seed, shape, log_rho
     one = [pi1_image_residual(z, spec.rho2) for z in z1.reshape(count, n + 1)]
     assert np.all(np.abs(res1.reshape(count) - one)
                   <= 1e-14 * math.exp(-4 * PI**2 * spec.rho2**2))
-    # the reduced point embeds its angles through the same helper
-    for r, a, b in zip(*flat):
-        amb = ReducedPoint(spec, r, a, b).ambient_point()
-        assert np.array_equal(r * np.exp(2j * math.pi * amb.theta), _per_sample_pi1(spec, r, a))
-        f_eta = np.array(lattice_maps(n).primal_t.matrix, dtype=float)
-        assert np.array_equal(amb.eta, np.mod(f_eta @ b, 1.0))
+
+
+def test_embedded_angles_are_vertex_combinations():
+    # theta = F_theta s with rows the primal vertices (2,-1), (-1,2), (-1,-1),
+    # eta = F_eta t with rows the dual vertices; a stack gives each row's bits
+    rows = np.array(lattice_maps(2).dual_t.matrix, dtype=float)
+    assert np.array_equal(rows, [[2, -1], [-1, 2], [-1, -1]])
+    assert np.array_equal(embedded_angles(2, [0.25, 0.5], "theta"), rows @ [0.25, 0.5])
+    assert not np.any(embedded_angles(2, [0.0, 0.0], "eta"))
+    torus = draw_torus(3, 7, seed=5)
+    for block, cols, matrix in (("theta", slice(0, 3), "dual_t"), ("eta", slice(3, 6), "primal_t")):
+        f = np.array(getattr(lattice_maps(3), matrix).matrix, dtype=float)
+        stacked = embedded_angles(3, torus[:, cols], block)
+        assert np.array_equal(stacked, [f @ x for x in torus[:, cols]])
 
 
 def test_pi2_image_residual_landmarks():
@@ -402,7 +410,7 @@ def test_alpha_deform_rho_action():
     with pytest.raises(ValueError):
         alpha_deform(s, 0.0)
     with pytest.raises(ValueError):
-        DeformationParams(-2.0)
+        psi_scale(section_point(2, [1.0, 0.5, 0.7]), -2.0)
 
 
 def test_alpha_composition():
@@ -418,8 +426,8 @@ def test_psi_scale_moves_level_sets():
     s = spec_rho(2, 1.0, 0.6)
     t = 1.7
     s2 = alpha_deform(s, t)
-    for p in sample_points(s, 10, seed=37):
-        q = psi_scale(p.ambient_point(), t)
+    for r in sample_base(s, 10, seed=37):
+        q = psi_scale(section_point(2, r), t)
         mu1, mu2 = moment_map(q)
         assert abs(mu1 - s2.k1) < 1e-10 * abs(s2.k1)
         assert abs(mu2 - s2.k2) < 1e-10 * max(1, abs(s2.k2))
@@ -437,23 +445,21 @@ def test_psi_pullback_residuals():
 
 def test_pi1_equivariance():
     s = spec_rho(2, 1.0, 0.55)
-    p = sample_points(s, 1, seed=41)[0]
+    (r,), (a,), _ = sample_arrays(s, 1, seed=41)
     rows = np.array(lattice_maps(2).dual_t.matrix, dtype=float)
     delta = np.array([0.21, 0.43])
-    shifted = ReducedPoint(s, p.base_r, p.torus_s + delta, p.torus_t)
-    z = pi1_point(p)
-    zs = pi1_point(shifted)
+    z = pi1_point(s, r, a)
+    zs = pi1_point(s, r, a + delta)
     acted = CPnPoint(z.z * np.exp(2j * PI * (rows @ delta)), z.lam)
     assert fubini_study_distance(zs, acted) < 1e-8
 
 
 def test_pi2_equivariance():
     s = spec_rho(2, 1.0, 0.55)
-    p = sample_points(s, 1, seed=43)[0]
+    (r,), _, (b,) = sample_arrays(s, 1, seed=43)
     rows = np.array(lattice_maps(2).primal_t.matrix, dtype=float)
     delta = np.array([0.31, 0.11])
-    shifted = ReducedPoint(s, p.base_r, p.torus_s, p.torus_t + delta)
-    z = pi2_point(p)
-    zs = pi2_point(shifted)
+    z = pi2_point(s, r, b)
+    zs = pi2_point(s, r, b + delta)
     acted = CPnPoint(z.z * np.exp(-2j * PI * (rows @ delta)), z.lam)
     assert hn_distance(zs, acted) < 1e-8

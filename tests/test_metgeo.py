@@ -14,7 +14,7 @@ from wsdlab import metgeo as mg
 from wsdlab.ambient import feasibility_threshold, torus_metric_weights
 from wsdlab.maps import CPnPoint, degenerate_metric, project_pi2
 from wsdlab.polytope import _eliminate, lattice_maps
-from wsdlab.reduction import LevelSetSpec, draw_directions, draw_torus, sample_points, solve_base
+from wsdlab.reduction import LevelSetSpec, draw_directions, draw_torus, sample_base, solve_base
 
 
 def _sphere_rows(count, n, seed, lam=1.0):
@@ -371,8 +371,8 @@ def test_planar_route_on_deep_a2_fiber_tori_matches_60_digits():
     # absolute tolerance anywhere in the planar route shows here
     for rho2 in (0.9, 1.0, 1.1, 1.2):
         checked = 0
-        for p in sample_points(LevelSetSpec.from_rho(2, 1.0, rho2), 60, seed=0):
-            w = torus_metric_weights(p.base_r)[1]
+        for r in sample_base(LevelSetSpec.from_rho(2, 1.0, rho2), 60, seed=0):
+            w = torus_metric_weights(r)[1]
             try:
                 got = mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(2), w))
             except ArithmeticError:  # numerically singular Gram matrix
@@ -424,8 +424,7 @@ def test_closed_form_on_deep_fiber_tori_matches_60_digits():
     # n = 3 at rho2 1.0 and 1.1, where the weights span up to ~1e13
     for rho2 in (1.0, 1.1):
         for seed in (0, 1):
-            pts = sample_points(LevelSetSpec.from_rho(3, 1.0, rho2), 60, seed)
-            base_r = np.array([p.base_r for p in pts])
+            base_r = sample_base(LevelSetSpec.from_rho(3, 1.0, rho2), 60, seed)
             theta_w, eta_w = torus_metric_weights(base_r)
             for weights, diameters in ((eta_w, mg.pi1_fiber_diameters),
                                        (theta_w, mg.pi2_fiber_diameters)):
@@ -437,8 +436,7 @@ def test_closed_form_on_deep_fiber_tori_matches_60_digits():
 def test_closed_form_matches_planar_route_on_gate_6_samples():
     # the n = 2 sample sets of acceptance gate 6, through the planar route
     for rho1 in np.geomspace(1.0, 1e3, 7):
-        pts = sample_points(LevelSetSpec.from_rho(2, float(rho1), 0.6), 25, seed=33)
-        base_r = np.array([p.base_r for p in pts])
+        base_r = sample_base(LevelSetSpec.from_rho(2, float(rho1), 0.6), 25, seed=33)
         closed = mg.pi1_fiber_diameters(base_r)
         planar = np.array([mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(2), w))
                            for w in torus_metric_weights(base_r)[1]])
@@ -447,11 +445,11 @@ def test_closed_form_matches_planar_route_on_gate_6_samples():
 
 def test_fiber_tori_and_closed_form_bound():
     for n, rho2 in [(2, 0.55), (2, 0.8), (3, 0.55)]:
-        pts = sample_points(LevelSetSpec.from_rho(n, 1.0, rho2), 8, seed=21)
-        base_r = np.array([p.base_r for p in pts])
+        spec = LevelSetSpec.from_rho(n, 1.0, rho2)
+        base_r = sample_base(spec, 8, seed=21)
         d1 = mg.pi1_fiber_diameters(base_r)
         assert d1.shape == (8,)
-        assert np.all(d1 <= mg.pi1_fiber_bound(pts[0].spec) * (1 + 1e-9))
+        assert np.all(d1 <= mg.pi1_fiber_bound(spec) * (1 + 1e-9))
         d2 = mg.pi2_fiber_diameters(base_r)
         assert d2.shape == (8,)
         assert np.all(d2 > 0)
@@ -461,10 +459,8 @@ def test_fiber_bound_scale():
     # rho1 enters the bound as 1/rho1 and the eta metric weights as 1/rho1^2
     a = LevelSetSpec.from_rho(2, 1.0, 0.6)
     b = LevelSetSpec.from_rho(2, 4.0, 0.6)
-    pa = sample_points(a, 1, seed=3)[0]
-    pb = sample_points(b, 1, seed=3)[0]
-    da = float(mg.pi1_fiber_diameters(pa.base_r))
-    db = float(mg.pi1_fiber_diameters(pb.base_r))
+    da = float(mg.pi1_fiber_diameters(sample_base(a, 1, seed=3)[0]))
+    db = float(mg.pi1_fiber_diameters(sample_base(b, 1, seed=3)[0]))
     assert db == pytest.approx(da / 4.0, rel=1e-9)
     assert mg.pi1_fiber_bound(b) == pytest.approx(mg.pi1_fiber_bound(a) / 4.0, rel=1e-12)
 

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wsdlab.ambient import ambient_tensors_at, feasibility_threshold, moment_map, section_point
+from helpers import section_point
+from wsdlab.ambient import ambient_tensors_at, feasibility_threshold, moment_map
 from wsdlab.metgeo import anticanonical_normals
-from wsdlab.polytope import lattice_maps
 from wsdlab.reduction import (
     LevelSetSpec,
-    ReducedPoint,
     _stream,
     draw_directions,
     draw_torus,
@@ -19,7 +18,6 @@ from wsdlab.reduction import (
     induced_structure,
     omega_d_degenerate_block,
     sample_base,
-    sample_points,
     solve_base,
     verify_wsd_axioms,
 )
@@ -158,16 +156,12 @@ def test_drawn_rows_equal_fresh_per_index_draws(n, seed, count):
 
 
 def test_drawn_rows_are_read_only():
-    s = spec_rho(3, 1.0, 0.7)
     directions, torus = draw_directions(3, 6, seed=2), draw_torus(3, 6, seed=2)
     normals = anticanonical_normals(3, 6, seed=2)
     for rows in (directions, torus, normals, draw_directions(1, 6, seed=2)):
         assert not rows.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             rows[0] = 0.0
-    pts = sample_points(s, 6, seed=2)
-    with pytest.raises(ValueError, match="read-only"):
-        pts[0].torus_s[0] = 0.5
     # one draw serves every level set: the solve returns fresh radii and the
     # rows it read stay as drawn
     before = directions.copy()
@@ -217,25 +211,11 @@ def test_sample_base_threshold_concentration():
     assert 4.0 < ratio < 25.0
 
 
-def test_reduced_point_embedding():
-    maps = lattice_maps(2)
-    s = spec_rho(2, 1.0, 0.6)
-    base = sample_base(s, 1, seed=0)[0]
-    p = ReducedPoint(s, base, [0.25, 0.5], [0.0, 0.0])
-    amb = p.ambient_point()
-    # theta = F_theta s with rows the primal vertices (2,-1), (-1,2), (-1,-1)
-    rows = np.array(maps.dual_t.matrix, dtype=float)
-    want = np.mod(rows @ np.array([0.25, 0.5]), 1.0)
-    assert np.allclose(amb.theta, want)
-    assert np.allclose(amb.eta, 0.0)
-    assert np.allclose(amb.r, base)
-
-
 def test_sampled_points_hit_level_set():
     for n, rho2 in ((2, 0.5), (3, 0.8)):
         s = spec_rho(n, 1.1, rho2)
-        for p in sample_points(s, 50, seed=9):
-            mu1, mu2 = moment_map(p.ambient_point())
+        for r in sample_base(s, 50, seed=9):
+            mu1, mu2 = moment_map(section_point(n, r))
             assert abs(mu1 - s.k1) < 1e-9 * abs(s.k1)
             assert abs(mu2 - s.k2) < 1e-9 * max(1.0, abs(s.k2))
 
