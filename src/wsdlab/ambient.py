@@ -1,8 +1,12 @@
 """Ambient self-dual structure on the doubled torus (C*)^{n+1} x_mu (C*)^{n+1}.
 
 Coordinates are (theta, r, eta), each of length n+1; an angle t stands for
-the phase e^{2*pi*i*t}.  Tensors are returned as dense matrices in the
-coordinate frame ordered (d/dtheta_0.., d/dr_0.., d/deta_0..).
+the phase e^{2*pi*i*t}.  Every tensor is diagonal in the (theta_i, r_i, eta_i)
+blocks and depends on the radii alone, so it is held as coefficient rows over
+radius stacks r (..., n+1): the metric as `torus_metric_weights` (with 1 on
+dr^2), each form as `form_coefficients`.  A pullback by a chart with a
+diagonal Jacobian multiplies rows.  Only the closedness stencil builds dense
+coordinate-frame matrices, frame ordered (d/dtheta_0.., d/dr_0.., d/deta_0..).
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,44 +25,18 @@ FOUR_PI2 = 4.0 * math.pi**2
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
-def _angles(v, n):
-    a = np.asarray(v, dtype=float).reshape(n + 1)
-    return np.mod(a, 1.0)
+def moment_map(r) -> tuple[np.ndarray, np.ndarray]:
+    """(mu1, mu2) = (-pi * sum r_i^2, -(1/2pi) * log prod r_i) per row of a
+    radius stack r (..., m).
 
-
-@dataclass(frozen=True)
-class AmbientPoint:
-    n: int
-    theta: np.ndarray
-    r: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "theta", _angles(self.theta, n))
-        object.__setattr__(self, "eta", _angles(self.eta, n))
-        r = np.asarray(self.r, dtype=float).reshape(n + 1)
-        if not np.all(r > 0):
-            raise ValueError("all radii must be strictly positive")
-        object.__setattr__(self, "r", r)
-
-    @property
-    def dim(self) -> int:
-        return 3 * (self.n + 1)
-
-
-def moment_map(p: AmbientPoint) -> tuple[float, float]:
-    """(mu1, mu2) = (-pi * sum r_i^2, -(1/2pi) * log prod r_i).
-
-    The log product is accumulated with fsum so that radii spread over many
-    decades do not lose the cancellation structure.
+    Each row's log product is accumulated with fsum so that radii spread over
+    many decades do not lose the cancellation structure.
     """
-    mu1 = -math.pi * math.fsum(float(x) * float(x) for x in p.r)
-    mu2 = -math.fsum(math.log(float(x)) for x in p.r) / TWO_PI
-    return mu1, mu2
+    r = np.asarray(r, dtype=float)
+    rows = r.reshape(-1, r.shape[-1])
+    mu1 = -math.pi * np.array([math.fsum(row) for row in rows * rows])
+    mu2 = -np.array([math.fsum(map(math.log, row)) for row in rows]) / TWO_PI
+    return mu1.reshape(r.shape[:-1]), mu2.reshape(r.shape[:-1])
 
 
 def convert_parameters(n: int, k1: float, k2: float) -> tuple[float, float]:
@@ -102,137 +79,61 @@ def torus_metric_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta_w, 1.0 / theta_w
 
 
-def _block_indices(n: int):
-    m = n + 1
-    return np.arange(m), np.arange(m, 2 * m), np.arange(2 * m, 3 * m)
+# each package form as sum_i c_i(r) dx_i ^ dy_i: blocks (x, y), 0 = theta,
+# 1 = r, 2 = eta, and the coefficient row c(r).  omega1 = 2pi sum r_i dr_i^dtheta_i,
+# omega2 = (1/2pi) sum (1/r_i) dr_i^deta_i, omegaD = sum dtheta_i^deta_i.
+_FORMS = {
+    "omega1": (1, 0, lambda r: TWO_PI * r),
+    "omega2": (1, 2, lambda r: 1.0 / (TWO_PI * r)),
+    "omegaD": (0, 2, np.ones_like),
+}
 
 
-@dataclass(frozen=True)
-class TensorsAt:
-    n: int
-    g: np.ndarray
-    omega1: np.ndarray
-    omega2: np.ndarray
-    omegaD: np.ndarray
-
-
-_FORM_IDS = ("omega1", "omega2", "omegaD")
+def form_coefficients(form: str, r) -> np.ndarray:
+    """Coefficient row c(r) of one package form at radii r of any shape (..., m)."""
+    return _FORMS[form][2](np.asarray(r, dtype=float))
 
 
 def _form_stack(form: str, r: np.ndarray) -> np.ndarray:
-    """Coordinate-frame matrices of one package form at radii r of shape (..., m).
-
-    Returns shape (..., 3m, 3m); the one formula per form that both
-    `ambient_tensors_at` and the closedness check evaluate.
-    """
+    """Coordinate-frame matrices (..., 3m, 3m) of one package form at radii
+    r (..., m), frame ordered (d/dtheta_0.., d/dr_0.., d/deta_0..): the dense
+    input of the closedness stencil."""
     m = r.shape[-1]
-    th, rr, et = _block_indices(m - 1)
+    x, y, coef = _FORMS[form]
+    i = np.arange(m)
+    c = coef(r)
     w = np.zeros(r.shape[:-1] + (3 * m, 3 * m))
-    if form == "omega1":
-        w[..., rr, th] = TWO_PI * r
-        w[..., th, rr] = -TWO_PI * r
-    elif form == "omega2":
-        w[..., rr, et] = 1.0 / (TWO_PI * r)
-        w[..., et, rr] = -1.0 / (TWO_PI * r)
-    else:
-        w[..., th, et] = 1.0
-        w[..., et, th] = -1.0
+    w[..., x * m + i, y * m + i] = c
+    w[..., y * m + i, x * m + i] = -c
     return w
 
 
-def ambient_tensors_at(p: AmbientPoint) -> TensorsAt:
-    """Metric and the three closed 2-forms at p, as coordinate-frame matrices.
+def _adapted_frame(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient rows of the adapted frame d/dr_i, (1/2pi r_i) d/dtheta_i,
+    2pi r_i d/deta_i: its x (radial), y1 (theta) and y2 (eta) blocks."""
+    return np.ones_like(r), 1.0 / (TWO_PI * r), TWO_PI * r
 
-    omega1 = 2pi sum r_i dr_i^dtheta_i, omega2 = (1/2pi) sum (1/r_i) dr_i^deta_i,
-    g = sum dr^2 + 4pi^2 r^2 dtheta^2 + (1/4pi^2 r^2) deta^2, omegaD = sum dtheta_i^deta_i.
+
+def adapted_frame_check(r) -> dict[str, np.ndarray]:
+    """Deviation of the adapted frame from its canonical shapes, per row of a
+    radius stack r (..., m): g-orthonormal, omega1 = x^y1, omega2 = x^y2 and
+    omegaD = y1^y2.
+
+    Every tensor pairs block i of one kind only with block i of another, so
+    each canonical entry is a product of coefficient rows, and every other
+    entry is exactly 0.
     """
-    n, r = p.n, p.r
-    m = n + 1
-    th, rr, et = _block_indices(n)
-    g = np.zeros((3 * m, 3 * m))
-    g[th, th], g[et, et] = torus_metric_weights(r)
-    g[rr, rr] = 1.0
-
-    omega1, omega2, omegaD = (_form_stack(form, r) for form in _FORM_IDS)
-    return TensorsAt(n, g, omega1, omega2, omegaD)
-
-
-@dataclass(frozen=True)
-class FrameReport:
-    frame: np.ndarray            # columns are frame vectors in coordinate basis
-    residuals: dict
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-
-def _canonical_blocks(m: int, dim: int):
-    """Target matrices of the three forms in an adapted frame (x | y1 | y2 | z w)."""
-    o1 = np.zeros((dim, dim))
-    o2 = np.zeros((dim, dim))
-    oD = np.zeros((dim, dim))
-    x = np.arange(m)
-    y1 = np.arange(m, 2 * m)
-    y2 = np.arange(2 * m, 3 * m)
-    o1[x, y1] = 1.0
-    o1[y1, x] = -1.0
-    o2[x, y2] = 1.0
-    o2[y2, x] = -1.0
-    oD[y1, y2] = 1.0
-    oD[y2, y1] = -1.0
-    extra = dim - 3 * m
-    assert extra % 2 == 0
-    for k in range(extra // 2):
-        a, b = 3 * m + 2 * k, 3 * m + 2 * k + 1
-        oD[a, b] = 1.0
-        oD[b, a] = -1.0
-    return o1, o2, oD
-
-
-def frame_residuals(tensors: TensorsAt, frame: np.ndarray, m: int) -> dict:
-    """Deviation of a candidate adapted frame from the canonical shapes.
-
-    The frame has 3m columns, which must be g-orthonormal.  Block targets
-    follow the (x | y1 | y2) ordering.
-    """
-    gram = frame.T @ tensors.g @ frame
-    resid = {"gram_orthonormal": float(np.max(np.abs(gram - np.eye(3 * m))))}
-    o1t, o2t, oDt = _canonical_blocks(m, 3 * m)
-    for name, mat, target in (
-        ("omega1_block", tensors.omega1, o1t),
-        ("omega2_block", tensors.omega2, o2t),
-        ("omegaD_block", tensors.omegaD, oDt),
-    ):
-        resid[name] = float(np.max(np.abs(frame.T @ mat @ frame - target)))
-    return resid
-
-
-def ambient_adapted_frame(p: AmbientPoint, tol: float = 1e-9) -> FrameReport:
-    """Orthonormal adapted frame (1/2pi r_i) d/dtheta_i, d/dr_i, 2pi r_i d/deta_i.
-
-    Columns are ordered x-block (radial), y1-block (theta), y2-block (eta), so
-    the three forms take their canonical shapes.  Raises if any residual
-    exceeds tol, naming the worst entry.
-    """
-    n, r = p.n, p.r
-    m = n + 1
-    dim = 3 * m
-    frame = np.zeros((dim, dim))
-    th, rr, et = _block_indices(n)
-    frame[rr, np.arange(m)] = 1.0
-    frame[th, np.arange(m, 2 * m)] = 1.0 / (TWO_PI * r)
-    frame[et, np.arange(2 * m, 3 * m)] = TWO_PI * r
-    tensors = ambient_tensors_at(p)
-    resid = frame_residuals(tensors, frame, m)
-    worst = max(resid, key=resid.get)
-    if resid[worst] > tol:
-        gram = frame.T @ tensors.g @ frame
-        i, j = np.unravel_index(np.argmax(np.abs(gram - np.eye(dim))), gram.shape)
-        raise ArithmeticError(
-            f"adapted frame failed {worst} = {resid[worst]:.3e} (entry {i},{j})"
-        )
-    return FrameReport(frame, resid)
+    r = np.asarray(r, dtype=float)
+    x, y1, y2 = _adapted_frame(r)
+    theta_w, eta_w = torus_metric_weights(r)
+    pairings = {
+        "gram_orthonormal": (x * x, y1 * theta_w * y1, y2 * eta_w * y2),
+        "omega1_block": (x * form_coefficients("omega1", r) * y1,),
+        "omega2_block": (x * form_coefficients("omega2", r) * y2,),
+        "omegaD_block": (y1 * form_coefficients("omegaD", r) * y2,),
+    }
+    return {name: np.max(np.abs(np.concatenate(rows, axis=-1) - 1.0), axis=-1)
+            for name, rows in pairings.items()}
 
 
 def leaf_volume(r) -> np.ndarray:
@@ -247,14 +148,6 @@ def leaf_volume(r) -> np.ndarray:
     for x in np.moveaxis(r, -1, 0):
         v *= (TWO_PI * x) * (1.0 / (TWO_PI * x))
     return v
-
-
-def _shift(p: AmbientPoint, axis: int, delta: float) -> AmbientPoint:
-    m = p.n + 1
-    blk, i = divmod(axis, m)
-    arrays = [p.theta.copy(), p.r.copy(), p.eta.copy()]
-    arrays[blk][i] += delta
-    return AmbientPoint(p.n, *arrays)
 
 
 @functools.cache
@@ -284,70 +177,48 @@ def _fd_steps(r: np.ndarray, h) -> np.ndarray:
     return steps
 
 
-def _closedness(plus: np.ndarray, minus: np.ndarray, steps: np.ndarray, axes) -> np.ndarray:
-    """The one finite-difference stencil: per-row max |(d omega)_{abc}| from a
-    form's matrices at the +/- step shifts of each row, `plus` and `minus` of
-    shape (B, len(axes), dim, dim) with entry a shifted along axis axes[a].
-
-    The derivative along every other axis is exactly 0.  Each cyclic sum
-    D_a w_bc + D_b w_ca + D_c w_ab is added left to right over the triples
-    a < b < c; a non-finite one makes its row's residual inf, never a pass.
-    """
-    dim = plus.shape[-1]
-    grad = np.zeros((len(plus), dim, dim, dim))
-    grad[:, axes] = (plus - minus) / (2.0 * steps)[:, None, None, None]
-    a, b, c = _triples(dim)
-    t = grad[:, a, b, c] + grad[:, b, c, a] + grad[:, c, a, b]
-    return np.where(np.all(np.isfinite(t), axis=1), np.max(np.abs(t), axis=1), np.inf)
-
-
 _FD_BLOCK = 32  # radius rows per slab of the closedness kernel
 
 
-def closedness_residuals(form: str, r, h=None) -> np.ndarray:
-    """Exterior-derivative residual of one package form per row of a radius
-    stack r (N, m): row i gives exactly
-    `exterior_derivative_residual(form, p, h)` at any AmbientPoint p with
-    radii r[i].
+def closedness_residuals(form, r, h=None) -> np.ndarray:
+    """Max |(d omega)_{abc}| with coefficient derivatives by central
+    differences, per row of a radius stack r (N, m).
 
-    `h` is one step for every row, or None for each row's default
-    1e-5 * min(1, min r).  The package forms' coefficients depend on the
-    radii alone, so only the m radius axes are differenced: the theta and eta
-    rows of the gradient are exactly the 0 a shifted evaluation gives them.
-    Rows go through in slabs of _FD_BLOCK, so temporaries stay
-    O(_FD_BLOCK * dim^3) whatever N is.
+    `form` is one of "omega1"/"omega2"/"omegaD", or a callable mapping
+    radius rows (B, m) to antisymmetric coordinate-frame matrices
+    (B, 3m, 3m).  Either way the coefficients depend on the radii alone, so
+    only the m radius axes are differenced: the theta and eta rows of the
+    gradient are exactly the 0 a shifted evaluation gives them.  `h` is one
+    step for every row, or None for each row's default 1e-5 * min(1, min r).
+    A closed form yields a residual of order h^2 (exactly 0 for coefficients
+    constant along the differenced axes).  A non-finite cyclic sum makes the
+    row's residual inf, never a pass.  Rows go through in slabs of
+    _FD_BLOCK, so temporaries stay O(_FD_BLOCK * dim^3) whatever N is.
     """
-    if form not in _FORM_IDS:
-        raise ValueError(f"unknown form {form!r}, expected one of {_FORM_IDS} or a callable")
     r = np.asarray(r, dtype=float)
-    steps = _fd_steps(r, h)
     m = r.shape[-1]
-    shifts, axes = np.eye(m), np.arange(m, 2 * m)
+    if callable(form):
+        def stack(shifted):  # (B, m, m) radius rows -> (B, m, 3m, 3m) matrices
+            return form(shifted.reshape(-1, m)).reshape(shifted.shape[:2] + (3 * m, 3 * m))
+    elif form in _FORMS:
+        stack = functools.partial(_form_stack, form)
+    else:
+        raise ValueError(f"unknown form {form!r}, expected one of {tuple(_FORMS)} or a callable")
+    steps = _fd_steps(r, h)
+    dim, shifts = 3 * m, np.eye(m)
+    a, b, c = _triples(dim)
+    # one gradient buffer for every slab; only its radius rows are written
+    grad = np.zeros((min(len(r), _FD_BLOCK), dim, dim, dim))
     out = np.empty(len(r))
     for lo in range(0, len(r), _FD_BLOCK):
         rows = slice(lo, lo + _FD_BLOCK)
         # entry a of each row is that row's radii with r_a shifted by its step
         base, delta = r[rows, None, :], steps[rows, None, None] * shifts
-        plus, minus = _form_stack(form, base + delta), _form_stack(form, base - delta)
-        out[rows] = _closedness(plus, minus, steps[rows], axes)
+        g = grad[:len(base)]
+        g[:, m:2 * m] = (stack(base + delta) - stack(base - delta)) \
+            / (2.0 * steps[rows])[:, None, None, None]
+        # each cyclic sum D_a w_bc + D_b w_ca + D_c w_ab, added left to right
+        # over the triples a < b < c; a non-finite one makes its row inf
+        t = g[:, a, b, c] + g[:, b, c, a] + g[:, c, a, b]
+        out[rows] = np.where(np.all(np.isfinite(t), axis=1), np.max(np.abs(t), axis=1), np.inf)
     return out
-
-
-def exterior_derivative_residual(form, p: AmbientPoint, h: float | None = None) -> float:
-    """Max |(d omega)_{abc}| with coefficient derivatives by central differences.
-
-    `form` is one of "omega1"/"omega2"/"omegaD", evaluated as the one-row
-    call of `closedness_residuals`, or any callable mapping an AmbientPoint to
-    an antisymmetric matrix in the coordinate frame, called once per point
-    shifted along each of the 3(n+1) axes.  The default step is
-    1e-5 * min(1, min r).  A closed form yields a residual of order h^2
-    (exactly 0 for coefficients constant along the differenced axes).  A
-    non-finite cyclic sum makes the residual inf, never a pass.
-    """
-    if not callable(form):
-        return float(closedness_residuals(form, p.r[None], h)[0])
-    steps = _fd_steps(p.r[None], h)
-    dim = p.dim
-    plus = np.stack([form(_shift(p, a, steps[0])) for a in range(dim)])
-    minus = np.stack([form(_shift(p, a, -steps[0])) for a in range(dim)])
-    return float(_closedness(plus[None], minus[None], steps, np.arange(dim))[0])

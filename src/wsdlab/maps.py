@@ -8,7 +8,9 @@ as a complex (..., n+1) array.  The torus rows enter through
 (theta = F_theta s, eta = F_eta t, with F_theta rows the primal and F_eta
 rows the dual simplex vertices).  The quotient structure (global phase,
 finite phase group) only enters through the distances, which live in metgeo
-beside its distance kernels.
+beside its distance kernels.  The chart map phi and the scaling flow psi_t
+move radii alone, with diagonal Jacobians, so their pullback checks multiply
+coefficient rows over radius stacks.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ambient import (FOUR_PI2, PI2, TWO_PI, AmbientPoint, ambient_tensors_at,
-                      convert_parameters_inverse, moment_map)
+from .ambient import (FOUR_PI2, PI2, TWO_PI, convert_parameters_inverse, form_coefficients,
+                      moment_map, torus_metric_weights)
 from .polytope import lattice_maps
 from .reduction import LevelSetSpec, _require_regular
 
@@ -133,142 +135,86 @@ def pi2_image_residual(z) -> np.ndarray:
 
 # -- the chart diffeomorphism ------------------------------------------------
 
-def phi_map(p: AmbientPoint, rho1: float, rho2: float) -> AmbientPoint:
-    """(theta, r, eta) -> (theta, rho1 e^{-2 pi^2 rho2^2 r^2}, -eta)."""
-    r_new = rho1 * np.exp(-2.0 * PI2 * rho2 * rho2 * p.r ** 2)
-    return AmbientPoint(p.n, p.theta, r_new, -p.eta)
+def _phi_radii(r, rho1: float, rho2: float) -> np.ndarray:
+    """phi's radial map r -> rho1 e^{-2 pi^2 rho2^2 r^2}; phi keeps theta and
+    negates eta."""
+    return rho1 * np.exp(-2.0 * PI2 * rho2 * rho2 * r ** 2)
 
 
-def _phi_jacobian(p: AmbientPoint, rho1: float, rho2: float) -> np.ndarray:
-    m = p.n + 1
-    r_new = rho1 * np.exp(-2.0 * PI2 * rho2 * rho2 * p.r ** 2)
-    jac = np.zeros((3 * m, 3 * m))
-    idx = np.arange(m)
-    jac[idx, idx] = 1.0
-    jac[m + idx, m + idx] = -4.0 * PI2 * rho2 * rho2 * p.r * r_new
-    jac[2 * m + idx, 2 * m + idx] = -1.0
-    return jac
+def _j_entries(c: np.ndarray) -> np.ndarray:
+    """The two entries of J on (dr, deta), dr -> c deta and deta -> -dr / c,
+    side by side."""
+    return np.concatenate([c, -1.0 / c], axis=-1)
 
 
-@dataclass(frozen=True)
-class PullbackReport:
-    residuals: dict
+def _phi_pullback(r, rho1: float, rho2: float) -> dict[str, np.ndarray]:
+    """phi^* of the ambient tensors at radius rows r (..., m), as coefficient
+    rows: omega1 on dr^dtheta, omega2 on dr^deta, the metric's theta, r and
+    eta blocks side by side, and J2, the ambient compatible structure
+    dr -> 2 pi r' deta at the image conjugated by the Jacobian.  phi's
+    Jacobian is diagonal, 1 on theta, -1 on eta and dr'/dr on r, so each
+    pulled-back entry is a product."""
+    image = _phi_radii(r, rho1, rho2)
+    jac = -4.0 * PI2 * rho2 * rho2 * r * image
+    theta_w, eta_w = torus_metric_weights(image)
+    return {"omega1": jac * form_coefficients("omega1", image),
+            "omega2": -(jac * form_coefficients("omega2", image)),
+            "metric": np.concatenate([theta_w, jac * jac, eta_w], axis=-1),
+            "J2": _j_entries(-(TWO_PI * image * jac))}
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
+
+def _relative_gap(got: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per row, max |got - ref| over max(1, max |ref|)."""
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))
+    return np.max(np.abs(got - ref), axis=-1) / scale
 
 
-def phi_pullback_check(p: AmbientPoint, rho1: float, rho2: float) -> PullbackReport:
+def phi_pullback_check(r, rho1: float, rho2: float) -> dict[str, np.ndarray]:
     """Pull the ambient tensors back through the chart map and compare with the
-    closed-form coefficients.
+    closed-form coefficients, per row of a radius stack r (..., m).
 
     References: omega1 -> -8 pi^3 rho1^2 rho2^2 r e^{-4 pi^2 rho2^2 r^2} dr^dtheta
     (the radial factor decreases, so the pulled-back area form flips sign),
-    omega2 -> 2 pi rho2^2 r dr^deta, the diagonal metric coefficients, the two
-    moment-map identities, and the chart complex structure for J2.
+    omega2 -> 2 pi rho2^2 r dr^deta, the diagonal metric coefficients, the
+    chart complex structure `complex_structure_at` for J2, and the two
+    moment-map identities.
     """
-    m = p.n + 1
-    r = p.r
-    q = phi_map(p, rho1, rho2)
-    t_img = ambient_tensors_at(q)
-    jac = _phi_jacobian(p, rho1, rho2)
+    r = np.asarray(r, dtype=float)
+    pulled = _phi_pullback(r, rho1, rho2)
     decay = np.exp(-4.0 * PI2 * rho2 * rho2 * r ** 2)
-
-    idx = np.arange(m)
-    th, rr, et = idx, m + idx, 2 * m + idx
-
-    ref1 = np.zeros((3 * m, 3 * m))
-    c1 = -8.0 * math.pi * PI2 * rho1 ** 2 * rho2 ** 2 * r * decay
-    ref1[rr, th] = c1
-    ref1[th, rr] = -c1
-
-    ref2 = np.zeros_like(ref1)
-    c2 = TWO_PI * rho2 ** 2 * r
-    ref2[rr, et] = c2
-    ref2[et, rr] = -c2
-
-    refg = np.zeros_like(ref1)
-    refg[th, th] = 4.0 * PI2 * rho1 ** 2 * decay
-    refg[rr, rr] = 16.0 * PI2 ** 2 * rho1 ** 2 * rho2 ** 4 * r ** 2 * decay
-    refg[et, et] = 1.0 / (4.0 * PI2 * rho1 ** 2 * decay)
-
-    def rel(got, ref):
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        return float(np.max(np.abs(got - ref))) / scale
-
-    residuals = {
-        "omega1": rel(jac.T @ t_img.omega1 @ jac, ref1),
-        "omega2": rel(jac.T @ t_img.omega2 @ jac, ref2),
-        "metric": rel(jac.T @ t_img.g @ jac, refg),
+    refs = {
+        "omega1": -8.0 * math.pi * PI2 * rho1 ** 2 * rho2 ** 2 * r * decay,
+        "omega2": TWO_PI * rho2 ** 2 * r,
+        "metric": np.concatenate([4.0 * PI2 * rho1 ** 2 * decay,
+                                  16.0 * PI2 ** 2 * rho1 ** 2 * rho2 ** 4 * r ** 2 * decay,
+                                  1.0 / (4.0 * PI2 * rho1 ** 2 * decay)], axis=-1),
+        "J2": _j_entries(complex_structure_at(r, rho1, rho2)),
     }
+    residuals = {name: _relative_gap(pulled[name], ref) for name, ref in refs.items()}
 
-    k1, k2 = convert_parameters_inverse(p.n, rho1, rho2)
-    mu1, mu2 = moment_map(q)
-    want1 = (-k1) * (1.0 - float(np.sum(decay)))
-    residuals["mu1"] = abs((-k1 + mu1) - want1) / max(1.0, abs(k1))
-    want2 = math.pi * rho2 ** 2 * (float(r @ r) - 1.0)
-    residuals["mu2"] = abs((mu2 - k2) - want2) / max(1.0, abs(k2))
-
-    # J2 on the (r, eta) block: ambient compatible structure at the image,
-    # conjugated by the chart Jacobian, against the reference chart tensor
-    j_img = np.zeros((2 * m, 2 * m))
-    j_img[m + idx, idx] = TWO_PI * q.r
-    j_img[idx, m + idx] = -1.0 / (TWO_PI * q.r)
-    d2 = np.zeros((2 * m, 2 * m))
-    d2[idx, idx] = -4.0 * PI2 * rho2 ** 2 * r * q.r
-    d2[m + idx, m + idx] = -1.0
-    pulled_j = np.linalg.solve(d2, j_img @ d2)
-    ref_j = complex_structure_at(r, rho1, rho2).J
-    residuals["J2"] = rel(pulled_j, ref_j)
-    residuals["J2_squared"] = float(np.max(np.abs(pulled_j @ pulled_j + np.eye(2 * m))))
-    return PullbackReport(residuals)
+    k1, k2 = convert_parameters_inverse(r.shape[-1] - 1, rho1, rho2)
+    mu1, mu2 = moment_map(_phi_radii(r, rho1, rho2))
+    want1 = (-k1) * (1.0 - np.sum(decay, axis=-1))
+    residuals["mu1"] = np.abs((-k1 + mu1) - want1) / max(1.0, abs(k1))
+    want2 = math.pi * rho2 ** 2 * (np.matmul(r[..., None, :], r[..., None])[..., 0, 0] - 1.0)
+    residuals["mu2"] = np.abs((mu2 - k2) - want2) / max(1.0, abs(k2))
+    return residuals
 
 
 # -- complex structures on the chart -----------------------------------------
 
-@dataclass(frozen=True)
-class ComplexStructureAt:
-    """The chart tensor J_{lam1, lam2} on the (r, eta) block, vectors ordered
-    (dr_0.., deta_0..)."""
-
-    J: np.ndarray
-    lam1: float
-    lam2: float
-    r: np.ndarray
-
-    def j_squared_residual(self) -> float:
-        d = self.J.shape[0]
-        return float(np.max(np.abs(self.J @ self.J + np.eye(d))))
-
-    def compatibility_residual(self) -> float:
-        """omega(J., J.) = omega for the chart form 2 pi sum r_i dr_i^deta_i
-        (the toric normalization of the scaled projective form in these
-        coordinates)."""
-        m = self.r.size
-        w = np.zeros((2 * m, 2 * m))
-        idx = np.arange(m)
-        w[idx, m + idx] = TWO_PI * self.r
-        w[m + idx, idx] = -TWO_PI * self.r
-        return float(np.max(np.abs(self.J.T @ w @ self.J - w)))
-
-
-def complex_structure_at(r, lam1: float, lam2: float) -> ComplexStructureAt:
-    """Build J_{lam1,lam2}: dr_i -> 8 pi^3 r_i lam1^2 lam2^2 e^{-4 pi^2 lam2^2 r_i^2} deta_i
-    and deta_i -> -e^{4 pi^2 lam2^2 r_i^2} / (8 pi^3 r_i lam1^2 lam2^2) dr_i."""
-    r = np.asarray(r, dtype=float).reshape(-1)
+def complex_structure_at(r, lam1: float, lam2: float) -> np.ndarray:
+    """J_{lam1,lam2} on the chart's (r, eta) block, one coefficient row c per
+    row of radii (..., m): J dr_i = c_i deta_i and J deta_i = -dr_i / c_i, with
+    c_i = 8 pi^3 r_i lam1^2 lam2^2 e^{-4 pi^2 lam2^2 r_i^2}.  So J^2 = -1, and
+    J preserves the chart form 2 pi sum r_i dr_i^deta_i, by construction."""
+    r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("complex structure is singular where some r_i = 0")
     if lam1 <= 0 or lam2 <= 0:
         raise ValueError("lam1 and lam2 must be positive")
-    m = r.size
-    idx = np.arange(m)
-    coef = 8.0 * math.pi * PI2 * r * lam1 ** 2 * lam2 ** 2 \
+    return 8.0 * math.pi * PI2 * r * lam1 ** 2 * lam2 ** 2 \
         * np.exp(-4.0 * PI2 * lam2 ** 2 * r ** 2)
-    jmat = np.zeros((2 * m, 2 * m))
-    jmat[m + idx, idx] = coef
-    jmat[idx, m + idx] = -1.0 / coef
-    return ComplexStructureAt(jmat, lam1, lam2, r)
 
 
 def degenerate_metric(r, lam1: float, lam2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -296,27 +242,25 @@ def alpha_deform(spec: LevelSetSpec, t: float) -> LevelSetSpec:
     return LevelSetSpec(spec.n, t ** 2 * spec.k1, spec.k2 - m / TWO_PI * math.log(t))
 
 
-def psi_scale(p: AmbientPoint, t: float) -> AmbientPoint:
-    """The rescaling t > 0 on points: r -> t r, angles fixed."""
+# psi_t^* omega = t^k omega_t: omega1 gains t^2, omega2 and omegaD are unchanged
+_PSI_POWERS = {"omega1": 2, "omega2": 0, "omegaD": 0}
+
+
+def _psi_pullback(r, t: float) -> dict[str, np.ndarray]:
+    """psi_t^* of the three forms at radius rows r, psi_t: r -> t r with the
+    angles fixed, as coefficient rows: each dr leg gains a factor t."""
+    image = t * r
+    return {"omega1": t * form_coefficients("omega1", image),
+            "omega2": t * form_coefficients("omega2", image),
+            "omegaD": form_coefficients("omegaD", image)}
+
+
+def psi_pullback_residuals(r, t: float) -> dict[str, np.ndarray]:
+    """Check psi_t^* omega = t^k omega entrywise for the three forms, per row
+    of a radius stack r (..., m), with k from _PSI_POWERS."""
     if not t > 0:
         raise ValueError("t must be positive")
-    return AmbientPoint(p.n, p.theta, t * p.r, p.eta)
-
-
-def psi_pullback_residuals(p: AmbientPoint, t: float) -> dict:
-    """Check psi_t^* omega = omega_t entrywise at p for the three forms:
-    omega1 gains t^2, omega2 and omegaD are unchanged."""
-    m = p.n + 1
-    q = psi_scale(p, t)
-    t_img = ambient_tensors_at(q)
-    t_base = ambient_tensors_at(p)
-    jac = np.eye(3 * m)
-    jac[m:2 * m, m:2 * m] *= t
-    out = {}
-    for name, target in (("omega1", t ** 2 * t_base.omega1),
-                         ("omega2", t_base.omega2),
-                         ("omegaD", t_base.omegaD)):
-        got = jac.T @ getattr(t_img, name) @ jac
-        scale = max(1.0, float(np.max(np.abs(target))))
-        out[name] = float(np.max(np.abs(got - target))) / scale
-    return out
+    r = np.asarray(r, dtype=float)
+    pulled = _psi_pullback(r, t)
+    return {name: _relative_gap(pulled[name], t ** k * form_coefficients(name, r))
+            for name, k in _PSI_POWERS.items()}

@@ -385,9 +385,20 @@ def pi2_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
 
 
 def pi1_fiber_bound(spec: LevelSetSpec) -> float:
-    """Closed-form fiber-diameter bound pi n^{-(n-1)/2} e^{2 pi^2 rho2^2} / rho1."""
+    """Closed-form fiber-diameter bound pi n^{-(n-1)/2} e^{2 pi^2 rho2^2} / rho1.
+
+    Raises ArithmeticError where the bound leaves the doubles: the exponential
+    alone overflows from rho2 ~ 6.0.
+    """
     n = spec.n
-    return math.pi * n ** (-(n - 1) / 2.0) * math.exp(2.0 * PI2 * spec.rho2**2) / spec.rho1
+    try:
+        bound = math.pi * n ** (-(n - 1) / 2.0) * math.exp(2.0 * PI2 * spec.rho2**2) / spec.rho1
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ArithmeticError(f"fiber bound pi n^(-(n-1)/2) e^(2 pi^2 rho2^2) / rho1 overflows "
+                              f"at rho2 = {spec.rho2:.6g}, rho1 = {spec.rho1:.6g}")
+    return bound
 
 
 # -- anticanonical divisor sampler ----------------------------------------------

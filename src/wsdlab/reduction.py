@@ -36,7 +36,6 @@ import numpy as np
 from .ambient import (
     PI2,
     TWO_PI,
-    _canonical_blocks,
     convert_parameters,
     convert_parameters_inverse,
     torus_metric_weights,
@@ -384,6 +383,19 @@ def _kernel_mask(sv: np.ndarray) -> np.ndarray:
     return ~(sv > 1e-8 * np.maximum(sv[:, :1], 1.0))
 
 
+def _canonical_blocks(mf: int) -> list[np.ndarray]:
+    """Target matrices of the three forms in the adapted frame (x | y1 | y2 | z w)
+    of dimension d = 3 mf + 2: omega1 = x^y1, omega2 = x^y2, omegaD = y1^y2 + z^w."""
+    d = 3 * mf + 2
+    x, y1, y2 = (np.arange(k * mf, (k + 1) * mf) for k in range(3))
+    targets = []
+    for a, b in ((x, y1), (x, y2), (np.append(y1, d - 2), np.append(y2, d - 1))):
+        w = np.zeros((d, d))
+        w[a, b], w[b, a] = 1.0, -1.0
+        targets.append(w)
+    return targets
+
+
 def verify_wsd_axioms(s: InducedStructure, tol: float = 1e-8) -> AxiomReport:
     """Check the pointwise axioms on restricted stacks; report only.
 
@@ -402,7 +414,7 @@ def verify_wsd_axioms(s: InducedStructure, tol: float = 1e-8) -> AxiomReport:
     tail = np.arange(3 * mf, d)
     target[:, tail, tail] = s.g[:, tail, tail]
     residuals = {"frame_orthogonality": np.max(np.abs(s.g - target), axis=(1, 2))}
-    for name, canon in zip(("omega1", "omega2", "omegaD"), _canonical_blocks(mf, d)):
+    for name, canon in zip(("omega1", "omega2", "omegaD"), _canonical_blocks(mf)):
         residuals[f"{name}_block"] = np.max(np.abs(getattr(s, name) - canon), axis=(1, 2))
 
     stacked = np.concatenate([s.omega1, s.omega2], axis=1)

@@ -1,11 +1,30 @@
 """Helpers shared by the test modules."""
 
+import math
+
 import numpy as np
 
-from wsdlab.ambient import AmbientPoint
+
+def dense_tensors(r) -> dict[str, np.ndarray]:
+    """Reference: the metric and the three forms at radii r (m,) as dense
+    3m x 3m coordinate-frame matrices, frame ordered (d/dtheta.., d/dr..,
+    d/deta..), written entry by entry from their closed forms."""
+    r = np.asarray(r, dtype=float)
+    m = r.size
+    th, rr, et = np.arange(m), np.arange(m, 2 * m), np.arange(2 * m, 3 * m)
+    t = {name: np.zeros((3 * m, 3 * m)) for name in ("g", "omega1", "omega2", "omegaD")}
+    t["g"][th, th] = 4.0 * math.pi**2 * r**2
+    t["g"][rr, rr] = 1.0
+    t["g"][et, et] = 1.0 / (4.0 * math.pi**2 * r**2)
+    for name, a, b, c in (("omega1", rr, th, 2.0 * math.pi * r),
+                          ("omega2", rr, et, 1.0 / (2.0 * math.pi * r)),
+                          ("omegaD", th, et, 1.0)):
+        t[name][a, b] = c
+        t[name][b, a] = -c
+    return t
 
 
-def section_point(n: int, r) -> AmbientPoint:
-    """Point on the zero section theta = eta = 0 over the given radii."""
-    z = np.zeros(n + 1)
-    return AmbientPoint(n, z, r, z)
+def dense_pullback(tensors: dict, jac_diag) -> dict[str, np.ndarray]:
+    """Reference: jac^T T jac of every tensor, for a diagonal Jacobian."""
+    jac = np.diag(jac_diag)
+    return {name: jac.T @ mat @ jac for name, mat in tensors.items()}

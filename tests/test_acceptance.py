@@ -1,6 +1,7 @@
-"""Release acceptance suite: eight gates, one test per gate.
+"""Release acceptance suite: eight gates, one test per gate, and negative
+controls that show the checks of gates 2 and 5 fail when broken.
 
-Each test prints a single "[criterion N] ... PASS/FAIL" line (run pytest with
+Each gate test prints one "[criterion N] ... PASS/FAIL" line (run pytest with
 -s to see the lines for passing gates; failing gates show theirs in the
 captured output).  Budgets are asserted with wall-clock checks.
 
@@ -18,8 +19,8 @@ import pytest
 
 from wsdlab import cli
 from wsdlab import metgeo as mg
-from wsdlab.ambient import (AmbientPoint, ambient_adapted_frame,
-                            exterior_derivative_residual, leaf_volume)
+from wsdlab import ambient, maps
+from wsdlab.ambient import PI2, adapted_frame_check, closedness_residuals, leaf_volume
 from wsdlab.maps import (CPnPoint, alpha_deform, phi_pullback_check, pi1_image_residual,
                          pi2_image_residual, project_pi1, project_pi2,
                          psi_pullback_residuals)
@@ -36,14 +37,21 @@ def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
     print(line)
 
 
-def _random_ambient(n: int, count: int, seed: int) -> list:
+def _random_ambient(n: int, count: int, seed: int) -> np.ndarray:
+    """Radius rows (count, n+1) of random ambient points.  Each point's theta
+    and eta are drawn after its radii and discarded: no check reads them, and
+    drawing them keeps every point's radii what they always were."""
     rng = np.random.default_rng(seed)
-    pts = []
+    rows = []
     for _ in range(count):
-        r = np.exp(rng.uniform(math.log(0.3), math.log(3.0), n + 1))
-        pts.append(AmbientPoint(n, rng.uniform(0, 1, n + 1), r,
-                                rng.uniform(0, 1, n + 1)))
-    return pts
+        rows.append(np.exp(rng.uniform(math.log(0.3), math.log(3.0), n + 1)))
+        rng.uniform(0, 1, n + 1)  # theta
+        rng.uniform(0, 1, n + 1)  # eta
+    return np.array(rows)
+
+
+def _worst(residuals: dict) -> float:
+    return max(float(np.max(v)) for v in residuals.values())
 
 
 def test_criterion_1_polytope_identities():
@@ -61,40 +69,41 @@ def test_criterion_1_polytope_identities():
     assert dt < 1.0, f"budget 1 s exceeded: {dt:.2f}s"
 
 
-def _closed_synthetic(p):
+def _closed_synthetic(r):
     # d(sin(r_0 r_1) dtheta_0) = 0, but the coefficients vary along both r
     # axes, so the finite-difference residual carries genuine truncation
-    dim = p.dim
-    m = p.n + 1
-    w = np.zeros((dim, dim))
-    r0, r1 = p.r[0], p.r[1]
-    c = math.cos(r0 * r1)
-    w[m + 0, 0] = r1 * c
-    w[0, m + 0] = -r1 * c
-    w[m + 1, 0] = r0 * c
-    w[0, m + 1] = -r0 * c
+    m = r.shape[-1]
+    w = np.zeros((len(r), 3 * m, 3 * m))
+    r0, r1 = r[:, 0], r[:, 1]
+    c = np.cos(r0 * r1)
+    w[:, m + 0, 0] = r1 * c
+    w[:, 0, m + 0] = -r1 * c
+    w[:, m + 1, 0] = r0 * c
+    w[:, 0, m + 1] = -r0 * c
     return w
+
+
+def _gate_2_frame() -> float:
+    return max(_worst(adapted_frame_check(_random_ambient(n, 40, seed=50 + n)))
+               for n in (1, 2, 3))
+
+
+def _gate_2_closedness(forms) -> float:
+    return max(float(np.max(closedness_residuals(form, _random_ambient(n, 12, seed=60 + n),
+                                                 h=1e-5)))
+               for n in (1, 2, 3) for form in forms)
 
 
 def test_criterion_2_ambient_leaf_frame_closedness():
     t0 = time.perf_counter()
-    worst_leaf = 0.0
-    worst_frame = 0.0
-    for n in (1, 2, 3):
-        for p in _random_ambient(n, 1000, seed=40 + n):
-            worst_leaf = max(worst_leaf, abs(float(leaf_volume(p.r)) - 1.0))
-        for p in _random_ambient(n, 40, seed=50 + n):
-            worst_frame = max(worst_frame, ambient_adapted_frame(p).max_residual)
+    worst_leaf = max(float(np.max(np.abs(leaf_volume(_random_ambient(n, 1000, seed=40 + n))
+                                          - 1.0))) for n in (1, 2, 3))
+    worst_frame = _gate_2_frame()
+    worst_fd = _gate_2_closedness(("omega1", "omega2", "omegaD"))
 
-    worst_fd = 0.0
-    for n in (1, 2, 3):
-        for p in _random_ambient(n, 12, seed=60 + n):
-            for form in ("omega1", "omega2", "omegaD"):
-                worst_fd = max(worst_fd, exterior_derivative_residual(form, p, h=1e-5))
-
-    q = _random_ambient(2, 1, seed=71)[0]
-    r_coarse = exterior_derivative_residual(_closed_synthetic, q, h=2e-3)
-    r_fine = exterior_derivative_residual(_closed_synthetic, q, h=1e-3)
+    q = _random_ambient(2, 1, seed=71)
+    r_coarse = float(closedness_residuals(_closed_synthetic, q, h=2e-3)[0])
+    r_fine = float(closedness_residuals(_closed_synthetic, q, h=1e-3)[0])
     order_ok = r_coarse > 1e-9 and 3.5 < r_coarse / r_fine < 4.5
 
     dt = time.perf_counter() - t0
@@ -195,14 +204,19 @@ def test_criterion_4_projection_residuals_and_fiber_collapse():
     assert worst_fib < 1e-6
 
 
+def _gate_5_phi() -> float:
+    return max(_worst(phi_pullback_check(_random_ambient(n, 50, seed=80 + n), rho1, rho2))
+               for n in (1, 2, 3) for rho1, rho2 in ((1.0, 0.5), (1.3, 0.7)))
+
+
+def _gate_5_psi() -> float:
+    return max(_worst(psi_pullback_residuals(_random_ambient(n, 20, seed=90 + n), t))
+               for n in (1, 2) for t in (0.5, 2.0, 10.0))
+
+
 def test_criterion_5_chart_pullbacks_and_deformations():
     t0 = time.perf_counter()
-    worst_phi = 0.0
-    for n in (1, 2, 3):
-        for rho1, rho2 in ((1.0, 0.5), (1.3, 0.7)):
-            for p in _random_ambient(n, 50, seed=80 + n):
-                rep = phi_pullback_check(p, rho1, rho2)
-                worst_phi = max(worst_phi, rep.max_residual)
+    worst_phi = _gate_5_phi()
 
     worst_alpha = 0.0
     spec = LevelSetSpec.from_rho(2, 1.1, 0.6)
@@ -212,11 +226,7 @@ def test_criterion_5_chart_pullbacks_and_deformations():
                           abs(dspec.rho1 - t * spec.rho1) / (t * spec.rho1),
                           abs(dspec.rho2 - spec.rho2) / spec.rho2)
 
-    worst_psi = 0.0
-    for n in (1, 2):
-        for p in _random_ambient(n, 20, seed=90 + n):
-            for t in (0.5, 2.0, 10.0):
-                worst_psi = max(worst_psi, max(psi_pullback_residuals(p, t).values()))
+    worst_psi = _gate_5_psi()
 
     dt = time.perf_counter() - t0
     ok = worst_phi < 1e-9 and worst_alpha < 1e-12 and worst_psi < 1e-9 and dt < 30.0
@@ -226,6 +236,48 @@ def test_criterion_5_chart_pullbacks_and_deformations():
     assert worst_alpha < 1e-12
     assert worst_psi < 1e-9
     assert dt < 30.0, f"budget 30 s exceeded: {dt:.1f}s"
+
+
+def _nonclosed_synthetic(r):
+    # sin(r_0 + 2 r_1) dtheta_0^dtheta_1 has d = cos(..) (dr_0 + 2 dr_1)^dtheta_0^dtheta_1
+    m = r.shape[-1]
+    w = np.zeros((len(r), 3 * m, 3 * m))
+    s = np.sin(r[:, 0] + 2.0 * r[:, 1])
+    w[:, 0, 1], w[:, 1, 0] = s, -s
+    return w
+
+
+_ADAPTED_FRAME = ambient._adapted_frame
+
+
+def _corrupt_frame(r):
+    # the adapted frame with its first theta coefficient off by 1e-6
+    x, y1, y2 = _ADAPTED_FRAME(r)
+    y1 = y1.copy()
+    y1[..., 0] *= 1.0 + 1e-6
+    return x, y1, y2
+
+# each mutant breaks one check of gates 2 and 5: (gate tolerance, check on
+# the gate's data, the patch)
+MUTANTS = {
+    "phi_chart_exponent": (1e-9, _gate_5_phi, lambda mp: mp.setattr(
+        maps, "_phi_radii", lambda r, rho1, rho2: rho1 * np.exp(-PI2 * rho2 * rho2 * r ** 2))),
+    "psi_omega1_scaled_by_t": (1e-9, _gate_5_psi,
+                               lambda mp: mp.setitem(maps._PSI_POWERS, "omega1", 1)),
+    "frame_coefficient": (1e-10, _gate_2_frame,
+                          lambda mp: mp.setattr(ambient, "_adapted_frame", _corrupt_frame)),
+    "nonclosed_callable": (1e-6, lambda: _gate_2_closedness([_nonclosed_synthetic]),
+                           lambda mp: None),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_gate_2_and_5_checks_fail_on_mutants(monkeypatch, mutant):
+    # no vacuous pass: a broken check reads above its gate's tolerance on
+    # the gate's own data
+    tol, check, patch = MUTANTS[mutant]
+    patch(monkeypatch)
+    assert check() > tol
 
 
 def test_criterion_6_fiber_diameter_bound():

@@ -7,19 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from helpers import section_point
+from helpers import dense_tensors
 from wsdlab import ambient
 from wsdlab.ambient import (
     TWO_PI,
-    AmbientPoint,
-    ambient_adapted_frame,
-    ambient_tensors_at,
+    adapted_frame_check,
     closedness_residuals,
     convert_parameters,
     convert_parameters_inverse,
-    exterior_derivative_residual,
     feasibility_threshold,
-    frame_residuals,
+    form_coefficients,
     leaf_volume,
     moment_map,
     torus_metric_weights,
@@ -33,40 +30,31 @@ def random_radii(rng, n, lo=1e-3, hi=1e3):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), n + 1))
 
 
-def test_ambient_point_normalization():
-    p = AmbientPoint(1, [1.25, -0.5], [2.0, 3.0], [0.0, 2.0])
-    assert np.allclose(p.theta, [0.25, 0.5])
-    assert np.allclose(p.eta, [0.0, 0.0])
-    assert p.dim == 6
-    with pytest.raises(ValueError):
-        AmbientPoint(1, [0, 0], [1.0, -1.0], [0, 0])
-    with pytest.raises(ValueError):
-        AmbientPoint(0, [0], [1.0], [0])
-
-
 def test_moment_map_examples():
-    mu1, mu2 = moment_map(section_point(1, [1.0, 1.0]))
+    mu1, mu2 = moment_map([1.0, 1.0])
+    assert mu1.shape == mu2.shape == ()
     assert abs(mu1 + 2 * PI) < 1e-14
     assert abs(mu2) < 1e-14
 
-    for r in (0.5, 1.0, 2.7):
-        mu1, mu2 = moment_map(section_point(2, [r, r, r]))
-        assert abs(mu1 + 3 * PI * r * r) < 1e-12 * max(1, r * r)
-        assert abs(mu2 + 1.5 / PI * math.log(r)) < 1e-13
+    rs = (0.5, 1.0, 2.7)
+    mu1, mu2 = moment_map(np.repeat(np.array(rs)[:, None], 3, axis=1))
+    for r, a, b in zip(rs, mu1, mu2):
+        assert abs(a + 3 * PI * r * r) < 1e-12 * max(1, r * r)
+        assert abs(b + 1.5 / PI * math.log(r)) < 1e-13
 
-    mu1, mu2 = moment_map(section_point(2, [1.0, 2.0, 0.5]))
+    mu1, mu2 = moment_map([1.0, 2.0, 0.5])
     assert abs(mu1 + 21 * PI / 4) < 1e-13
     assert abs(mu2) < 1e-14  # log2 + log(1/2) cancel exactly
+    assert [a.shape for a in moment_map(np.ones((2, 5, 3)))] == [(2, 5), (2, 5)]
 
 
 def test_moment_map_wide_range_stability():
     # product of radii is 1 by construction, mu2 must come out near 0
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        half = np.exp(rng.uniform(-6, 6, 4))
-        r = np.concatenate([half, 1.0 / half[::-1]])
-        _, mu2 = moment_map(section_point(7, r))
-        assert abs(mu2) < 1e-12
+    half = np.exp(rng.uniform(-6, 6, (200, 4)))
+    _, mu2 = moment_map(np.concatenate([half, 1.0 / half[:, ::-1]], axis=1))
+    assert mu2.shape == (200,)
+    assert np.max(np.abs(mu2)) < 1e-12
 
 
 def test_convert_parameters_guards_and_roundtrip():
@@ -103,14 +91,18 @@ def test_feasibility_threshold_against_root_solve():
 
 
 def test_tensors_diagonal_example():
-    t = ambient_tensors_at(section_point(1, [1.0, 1.0]))
-    want = np.diag([4 * PI**2, 4 * PI**2, 1.0, 1.0, 1 / (4 * PI**2), 1 / (4 * PI**2)])
-    assert np.max(np.abs(t.g - want)) < 1e-12
+    r = np.array([1.0, 1.0])
+    theta_w, eta_w = torus_metric_weights(r)
+    assert np.max(np.abs(theta_w - 4 * PI**2)) < 1e-12
+    assert np.max(np.abs(eta_w - 1 / (4 * PI**2))) < 1e-12
     # omega1 pairs dr_i with dtheta_i at weight 2 pi r_i
-    assert abs(t.omega1[2, 0] - 2 * PI) < 1e-14
-    assert abs(t.omega1[0, 2] + 2 * PI) < 1e-14
-    assert abs(t.omega2[2, 4] - 1 / (2 * PI)) < 1e-14
-    assert abs(t.omegaD[0, 4] - 1.0) < 1e-14
+    assert np.max(np.abs(form_coefficients("omega1", r) - 2 * PI)) < 1e-14
+    assert np.max(np.abs(form_coefficients("omega2", r) - 1 / (2 * PI))) < 1e-14
+    assert np.array_equal(form_coefficients("omegaD", r), [1.0, 1.0])
+    # the closedness stencil's dense matrices put each row on its block pair
+    ref = dense_tensors([0.3, 2.0, 7.0])
+    for form in ("omega1", "omega2", "omegaD"):
+        assert np.array_equal(ambient._form_stack(form, np.array([0.3, 2.0, 7.0])), ref[form])
 
 
 def test_torus_metric_weights_are_the_angle_blocks_of_g():
@@ -121,7 +113,7 @@ def test_torus_metric_weights_are_the_angle_blocks_of_g():
         theta_w, eta_w = torus_metric_weights(r)
         assert np.array_equal(theta_w, 4.0 * PI**2 * r**2)
         assert np.array_equal(eta_w, 1.0 / (4.0 * PI**2 * r**2))
-        diag = np.diag(ambient_tensors_at(section_point(n, r)).g)
+        diag = np.diag(dense_tensors(r)["g"])
         assert np.array_equal(diag[:m], theta_w)
         assert np.array_equal(diag[2 * m:], eta_w)
         # any leading shape, row by row
@@ -131,37 +123,39 @@ def test_torus_metric_weights_are_the_angle_blocks_of_g():
 
 
 def test_metric_positive_definite_bulk():
+    # the metric is diagonal with 1 on dr^2, so it is positive definite where
+    # both angle-block rows are positive and finite; the forms' matrices are
+    # exactly antisymmetric
     rng = np.random.default_rng(23)
     for n in (1, 2, 3):
-        for _ in range(340):
-            p = section_point(n, random_radii(rng, n))
-            t = ambient_tensors_at(p)
-            np.linalg.cholesky(t.g)  # raises if not SPD
-            for mat in (t.omega1, t.omega2, t.omegaD):
-                assert np.max(np.abs(mat + mat.T)) == 0.0
+        r = np.array([random_radii(rng, n) for _ in range(340)])
+        for w in torus_metric_weights(r):
+            assert np.all(np.isfinite(w)) and np.all(w > 0)
+        for form in ("omega1", "omega2", "omegaD"):
+            mat = ambient._form_stack(form, r)
+            assert np.max(np.abs(mat + np.swapaxes(mat, -1, -2))) == 0.0
 
 
 def test_adapted_frame_bulk():
     rng = np.random.default_rng(31)
     for n in (1, 2, 3):
-        worst = 0.0
-        for _ in range(340):
-            p = AmbientPoint(n, rng.uniform(0, 1, n + 1), random_radii(rng, n),
-                             rng.uniform(0, 1, n + 1))
-            rep = ambient_adapted_frame(p, tol=1e-10)
-            worst = max(worst, rep.max_residual)
-        assert worst < 1e-10
+        r = np.array([random_radii(rng, n) for _ in range(340)])
+        got = adapted_frame_check(r)
+        assert all(v.shape == (340,) for v in got.values())
+        assert max(float(np.max(v)) for v in got.values()) < 1e-10
 
 
-def test_frame_residuals_flag_corruption():
-    p = section_point(2, [1.0, 2.0, 0.5])
-    rep = ambient_adapted_frame(p)
-    bad = rep.frame.copy()
-    bad[:, 0] *= 1.01
-    resid = frame_residuals(ambient_tensors_at(p), bad, 3)
-    assert resid["gram_orthonormal"] > 1e-3
-    with pytest.raises(ArithmeticError, match="entry"):
-        ambient_adapted_frame(p, tol=-1.0)
+def test_adapted_frame_flags_corruption(monkeypatch):
+    # y1_0 scaled by 1.01: its norm^2 is off by 1.01^2 - 1, its omega1 and
+    # omegaD pairings by 0.01, and omega2 does not read y1
+    r = np.array([[1.0, 2.0, 0.5], [0.3, 0.3, 4.0]])
+    x, y1, y2 = ambient._adapted_frame(r)
+    monkeypatch.setattr(ambient, "_adapted_frame", lambda r: (x, y1 * [1.01, 1.0, 1.0], y2))
+    got = adapted_frame_check(r)
+    assert np.allclose(got["gram_orthonormal"], 0.0201, rtol=1e-12)
+    assert np.allclose(got["omega1_block"], 0.01, rtol=1e-12)
+    assert np.allclose(got["omegaD_block"], 0.01, rtol=1e-12)
+    assert np.all(got["omega2_block"] < 1e-15)
 
 
 def test_leaf_volume_exact_and_bulk():
@@ -176,48 +170,49 @@ def test_leaf_volume_exact_and_bulk():
     assert worst < 1e-10
 
 
+def _residual(form, r, h=None) -> float:
+    """closedness_residuals at one radius row."""
+    return float(closedness_residuals(form, np.asarray(r, dtype=float)[None], h)[0])
+
+
 def test_exterior_derivative_package_forms():
-    p = section_point(2, [1.0, 1.0, 1.0])
-    assert exterior_derivative_residual("omegaD", p) == 0.0
-    assert exterior_derivative_residual("omega1", p, h=1e-4) < 1e-7
-    assert exterior_derivative_residual("omega2", p, h=1e-4) < 1e-7
-    q = section_point(1, [0.37, 2.1])
-    assert exterior_derivative_residual("omega1", q) < 1e-9
+    r = [1.0, 1.0, 1.0]
+    assert _residual("omegaD", r) == 0.0
+    assert _residual("omega1", r, h=1e-4) < 1e-7
+    assert _residual("omega2", r, h=1e-4) < 1e-7
+    assert _residual("omega1", [0.37, 2.1]) < 1e-9
     with pytest.raises(ValueError):
-        exterior_derivative_residual("omega3", p)
+        _residual("omega3", r)
     with pytest.raises(ValueError):
-        exterior_derivative_residual("omega1", p, h=0.0)
+        _residual("omega1", r, h=0.0)
 
 
-def _closed_synthetic(p):
+def _closed_synthetic(r):
     # d(sin(r_0 r_1) dtheta_0): coefficients vary along both r axes, so the
     # finite-difference residual sees genuine third-derivative truncation
-    dim = p.dim
-    m = p.n + 1
-    w = np.zeros((dim, dim))
-    r0, r1 = p.r[0], p.r[1]
-    c = math.cos(r0 * r1)
-    w[m + 0, 0] = r1 * c
-    w[0, m + 0] = -r1 * c
-    w[m + 1, 0] = r0 * c
-    w[0, m + 1] = -r0 * c
+    m = r.shape[-1]
+    w = np.zeros((len(r), 3 * m, 3 * m))
+    r0, r1 = r[:, 0], r[:, 1]
+    c = np.cos(r0 * r1)
+    w[:, m + 0, 0] = r1 * c
+    w[:, 0, m + 0] = -r1 * c
+    w[:, m + 1, 0] = r0 * c
+    w[:, 0, m + 1] = -r0 * c
     return w
 
 
-def _nonclosed_synthetic(p):
-    dim = p.dim
-    m = p.n + 1
-    w = np.zeros((dim, dim))
-    s = math.sin(p.r[0] + 2.0 * p.r[1])
-    w[0, 1] = s
-    w[1, 0] = -s
+def _nonclosed_synthetic(r):
+    m = r.shape[-1]
+    w = np.zeros((len(r), 3 * m, 3 * m))
+    s = np.sin(r[:, 0] + 2.0 * r[:, 1])
+    w[:, 0, 1] = s
+    w[:, 1, 0] = -s
     return w
 
 
 def test_exterior_derivative_order_of_accuracy():
-    p = section_point(1, [1.0, 2.0])
-    r_coarse = exterior_derivative_residual(_closed_synthetic, p, h=2e-3)
-    r_fine = exterior_derivative_residual(_closed_synthetic, p, h=1e-3)
+    r_coarse = _residual(_closed_synthetic, [1.0, 2.0], h=2e-3)
+    r_fine = _residual(_closed_synthetic, [1.0, 2.0], h=1e-3)
     assert r_coarse > 1e-9  # truncation is visible, not identically zero
     assert 3.5 < r_coarse / r_fine < 4.5  # central differences halve -> /4
 
@@ -230,41 +225,42 @@ def test_exterior_derivative_order_of_accuracy():
 
 
 def test_exterior_derivative_detects_nonclosed():
-    p = section_point(1, [1.0, 2.0])
-    got = exterior_derivative_residual(_nonclosed_synthetic, p, h=1e-5)
+    got = _residual(_nonclosed_synthetic, [1.0, 2.0], h=1e-5)
     want = 2.0 * abs(math.cos(1.0 + 4.0))
     assert abs(got - want) < 1e-6
     assert got > 0.5
 
 
 def test_exterior_derivative_step_warning():
-    p = section_point(1, [0.01, 5.0])
     with pytest.warns(UserWarning, match="step"):
-        exterior_derivative_residual("omegaD", p, h=0.005)
+        _residual("omegaD", [0.01, 5.0], h=0.005)
 
 
-def _dense_synthetic(p):
+def _dense_synthetic(r):
     # every coefficient varies along every r axis, so for n >= 2 the three
     # terms of a cyclic sum over r axes are all nonzero and their order of
     # addition shows in the rounding
-    dim = p.dim
-    s = 0.37 * float(p.r @ np.arange(1.0, p.n + 2.0))
-    k = np.arange(dim)
-    w = np.sin(np.add.outer(k + 1.0, 2.0 * k) * s)
-    return w - w.T
+    m = r.shape[-1]
+    s = 0.37 * np.sum(r * np.arange(1.0, m + 1.0), axis=-1)
+    k = np.arange(3 * m)
+    w = np.sin(np.add.outer(k + 1.0, 2.0 * k) * s[:, None, None])
+    return w - np.swapaxes(w, 1, 2)
 
 
-def _looped_residual(form, p, h):
-    """Reference: one AmbientPoint per shifted axis, then the scalar triple fold."""
-    fn = form if callable(form) else (lambda q: getattr(ambient_tensors_at(q), form))
-    m, dim = p.n + 1, p.dim
+def _looped_residual(form, point, h):
+    """Reference: the form at the point shifted along each of the 3m axes,
+    angles included, then the scalar triple fold."""
+    theta, r, eta = point
+    m, dim = r.size, 3 * r.size
     grad = np.empty((dim, dim, dim))
     for a in range(dim):
         shifted = []
         for delta in (h, -h):
-            arrays = [p.theta.copy(), p.r.copy(), p.eta.copy()]
-            arrays[a // m][a % m] += delta
-            shifted.append(fn(AmbientPoint(p.n, *arrays)))
+            coords = [theta.copy(), r.copy(), eta.copy()]
+            coords[a // m][a % m] += delta
+            # the forms read the radii alone
+            shifted.append(form(coords[1][None])[0] if callable(form)
+                           else dense_tensors(coords[1])[form])
         grad[a] = (shifted[0] - shifted[1]) / (2.0 * h)
     worst = 0.0
     for a in range(dim):
@@ -283,27 +279,26 @@ def _looped_residual(form, p, h):
 def test_exterior_derivative_matches_looped_reference_bitwise(n, data, form, step):
     log_r = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n + 1, max_size=n + 1))
     angles = st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1)
-    p = AmbientPoint(n, data.draw(angles), np.power(10.0, log_r), data.draw(angles))
+    point = (np.array(data.draw(angles)), np.power(10.0, log_r), np.array(data.draw(angles)))
+    r = point[1]
     if step is None:  # the default step
-        got, h = exterior_derivative_residual(form, p), 1e-5 * min(1.0, float(np.min(p.r)))
+        got, h = _residual(form, r), 1e-5 * min(1.0, float(np.min(r)))
     else:
-        h = step * float(np.min(p.r))
-        got = exterior_derivative_residual(form, p, h)
-    assert got == _looped_residual(form, p, h)
+        h = step * float(np.min(r))
+        got = _residual(form, r, h)
+    assert got == _looped_residual(form, point, h)
 
 
 @pytest.mark.parametrize("form", ["omega1", _closed_synthetic])
 @pytest.mark.parametrize("factor", [1.0, 3.0])
 def test_exterior_derivative_step_past_min_radius_raises(form, factor):
-    p = section_point(2, [0.02, 1.0, 40.0])
     with pytest.warns(UserWarning, match="step"), \
             pytest.raises(ValueError, match="strictly positive"):
-        exterior_derivative_residual(form, p, h=factor * 0.02)
+        _residual(form, [0.02, 1.0, 40.0], h=factor * 0.02)
 
 
 def test_exterior_derivative_non_finite_is_not_closed():
-    p = section_point(1, [1.0, 2.0])
-    got = exterior_derivative_residual(lambda q: np.full((q.dim, q.dim), np.nan), p)
+    got = _residual(lambda r: np.full((len(r), 6, 6), np.nan), [1.0, 2.0])
     assert not math.isfinite(got)
 
 
@@ -338,7 +333,7 @@ def test_closedness_rows_equal_single_point_calls(n, data, count, form, closed):
         if not closed:
             mp.setattr(ambient, "_form_stack", nonclosed_form_stack)
         got = closedness_residuals(form, r)
-        want = [exterior_derivative_residual(form, section_point(n, row)) for row in r]
+        want = [_residual(form, row) for row in r]
     assert got.shape == (count,) and got.tolist() == want
     assert np.max(got) == max(want)
     vol = leaf_volume(r)

@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsdlab
-from helpers import section_point
-from wsdlab import ambient, cli, maps, metgeo, reduction
-from wsdlab.ambient import ambient_tensors_at, feasibility_threshold
+from wsdlab import cli, maps, metgeo, reduction
+from wsdlab.ambient import feasibility_threshold
 from wsdlab.cli import main
 from wsdlab.reduction import LevelSetSpec, draw_directions, draw_torus, sample_base, solve_base
 
@@ -264,6 +263,17 @@ def test_radius_squared_underflow_exits_2_with_one_line(argv, capsys):
     assert "rho2" in err and err.count("\n") == 1
 
 
+def test_fiber_bound_overflow_exits_2_and_names_it(capsys):
+    # e^{2 pi^2 rho2^2} leaves the doubles from rho2 ~ 6.0; the sweep names
+    # the bound and the first grid point, not a bare math range error
+    argv = ["limit-kahler", "--n", "6", "--rho2", "6.5", "--grid", "1:10:2", "--samples", "8"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical failure: fiber bound pi n^(-(n-1)/2) e^(2 pi^2 rho2^2) / rho1 "
+                   "overflows at rho2 = 6.5, rho1 = 1\n")
+
+
 @pytest.mark.parametrize("grid,where", [
     ("1e-150:1e100:6", "rho1 = 1.000e+100: rho1 is too large"),
     ("1e-150:1:4", "rho1 = 1.000e-100: rho1 is too small"),
@@ -464,11 +474,10 @@ def test_sweeps_and_probes_build_no_point_objects(monkeypatch, tmp_path, argv):
     # samples go through the checks, the projections and the metric weights
     # as arrays
     built = []
-    for cls in (ambient.AmbientPoint, maps.CPnPoint):
-        def counted(self, post=cls.__post_init__):
-            built.append(type(self).__name__)
-            post(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    def counted(self, post=maps.CPnPoint.__post_init__):
+        built.append(type(self).__name__)
+        post(self)
+    monkeypatch.setattr(maps.CPnPoint, "__post_init__", counted)
     rc, _ = run(tmp_path, *argv, "--samples", "12")
     assert rc == 0
     assert built == []
@@ -488,7 +497,8 @@ def test_boundary_side_b_ratio_equals_dense_metric_blocks(tmp_path, n):
         spec = LevelSetSpec.from_rho(n, float(rho1), 0.6)
         ratio = 0.0
         for r in sample_base(spec, 9, seed=2):
-            g = ambient_tensors_at(section_point(n, r)).g
+            g = np.diag(np.concatenate([4 * math.pi**2 * r**2, np.ones(m),
+                                        1 / (4 * math.pi**2 * r**2)]))
             ratio = max(ratio, np.linalg.norm(g[:m, :m]) / np.linalg.norm(g[2 * m:, 2 * m:]))
         assert row["theta_eta_ratio"] == f"{ratio:.12e}"
 

@@ -5,24 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import section_point
-from wsdlab.ambient import (AmbientPoint, ambient_tensors_at, exterior_derivative_residual,
-                            feasibility_threshold, moment_map)
+from helpers import dense_pullback, dense_tensors
+from wsdlab import maps
+from wsdlab.ambient import closedness_residuals, feasibility_threshold, moment_map
 from wsdlab.maps import (
     CPnPoint,
-    _phi_jacobian,
     alpha_deform,
     complex_structure_at,
     degenerate_metric,
     embedded_angles,
-    phi_map,
     phi_pullback_check,
     pi1_image_residual,
     pi2_image_residual,
     project_pi1,
     project_pi2,
     psi_pullback_residuals,
-    psi_scale,
 )
 from wsdlab.metgeo import _quotient_phases, fubini_study_distance, hn_distance
 from wsdlab.polytope import lattice_maps
@@ -132,17 +129,12 @@ def test_phi_round_trip_and_domain():
     rho1, rho2 = 1.3, 0.7
     rng = np.random.default_rng(17)
     worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 4))
-        p = AmbientPoint(n, rng.uniform(0, 1, n + 1),
-                         np.exp(rng.uniform(-2, 1, n + 1)),
-                         rng.uniform(0, 1, n + 1))
-        q = phi_map(p, rho1, rho2)
-        assert np.all(q.r < rho1)
-        back = np.abs(project_pi2(spec_rho(n, rho1, rho2), q.r, np.zeros(n))) / rho2
-        worst = max(worst, float(np.max(np.abs(back - p.r))))
-        assert np.array_equal(q.theta, p.theta)
-        assert np.array_equal(q.eta, np.mod(-p.eta, 1.0))
+    for n in (1, 2, 3):
+        r = np.exp(rng.uniform(-2, 1, (300, n + 1)))
+        q = maps._phi_radii(r, rho1, rho2)
+        assert np.all(q < rho1)
+        back = np.abs(project_pi2(spec_rho(n, rho1, rho2), q, np.zeros((300, n)))) / rho2
+        worst = max(worst, float(np.max(np.abs(back - r))))
     assert worst < 1e-10
     with pytest.raises(ValueError, match="rho1"):
         project_pi2(spec_rho(1, 1.0, 0.5), [0.5, 1.5], [0.0])
@@ -150,10 +142,9 @@ def test_phi_round_trip_and_domain():
 
 def test_phi_small_radius_limit():
     rho1, rho2 = 2.0, 0.8
-    p = AmbientPoint(1, [0, 0], [1e-8, 1e-7], [0, 0])
-    q = phi_map(p, rho1, rho2)
-    assert np.all(q.r < rho1)
-    assert np.all(q.r > rho1 * (1 - 1e-12))
+    q = maps._phi_radii(np.array([1e-8, 1e-7]), rho1, rho2)
+    assert np.all(q < rho1)
+    assert np.all(q > rho1 * (1 - 1e-12))
 
 
 def test_pi2_modulus_is_the_phi_preimage():
@@ -161,41 +152,47 @@ def test_pi2_modulus_is_the_phi_preimage():
     s = spec_rho(2, 1.1, 0.6)
     base, _, torus_t = sample_arrays(s, 5, seed=7)
     z = project_pi2(s, base, torus_t)
-    for r, row in zip(base, z):
-        lifted = section_point(2, np.abs(row) / s.rho2)
-        assert np.allclose(phi_map(lifted, s.rho1, s.rho2).r, r, rtol=1e-13, atol=0)
+    assert np.allclose(maps._phi_radii(np.abs(z) / s.rho2, s.rho1, s.rho2), base,
+                       rtol=1e-13, atol=0)
 
 
 def test_phi_pullback_check_bulk():
     rng = np.random.default_rng(19)
     for n in (1, 2, 3):
         for _ in range(30):
-            p = AmbientPoint(n, rng.uniform(0, 1, n + 1),
-                             np.exp(rng.uniform(-1, 1, n + 1)),
-                             rng.uniform(0, 1, n + 1))
+            r = np.exp(rng.uniform(-1, 1, n + 1))
             rho1 = float(np.exp(rng.uniform(-0.5, 0.5)))
             rho2 = float(rng.uniform(0.4, 1.0))
-            rep = phi_pullback_check(p, rho1, rho2)
-            assert rep.max_residual < 1e-9, rep.residuals
+            rep = phi_pullback_check(r, rho1, rho2)
+            assert max(rep.values()) < 1e-9, rep
 
 
 def test_phi_pullback_mu2_identity():
-    p = AmbientPoint(2, [0.1, 0.2, 0.3], [0.9, 1.4, 0.3], [0.0, 0.5, 0.25])
-    rep = phi_pullback_check(p, 1.05, 0.62)
-    assert rep.residuals["mu2"] < 1e-10
-    assert rep.residuals["J2_squared"] < 1e-9
+    rep = phi_pullback_check(np.array([[0.9, 1.4, 0.3], [0.2, 2.0, 1.1]]), 1.05, 0.62)
+    assert rep["mu2"].shape == (2,)
+    assert np.all(rep["mu2"] < 1e-10)
+    assert np.all(rep["J2"] < 1e-9)
+
+
+def _phi_reference(r, rho1, rho2):
+    """Reference: phi's image radii r' and the diagonal (1 | dr'/dr | -1) of
+    its Jacobian, per radius row."""
+    image = rho1 * np.exp(-2.0 * PI**2 * rho2 * rho2 * r**2)
+    ones = np.ones_like(r)
+    return image, np.concatenate([ones, -4.0 * PI**2 * rho2 * rho2 * r * image, -ones], axis=-1)
 
 
 def test_pulled_back_form_stays_closed():
     def pullback(form_id):
-        def coeff(q):
-            jac = _phi_jacobian(q, 1.1, 0.6)
-            return jac.T @ getattr(ambient_tensors_at(phi_map(q, 1.1, 0.6)), form_id) @ jac
-        return coeff
+        def stack(r):
+            image, jac = _phi_reference(r, 1.1, 0.6)
+            return np.array([dense_pullback(dense_tensors(q), j)[form_id]
+                             for q, j in zip(image, jac)])
+        return stack
 
-    p = section_point(2, [1.0, 0.8, 1.3])
-    assert exterior_derivative_residual(pullback("omega1"), p, h=1e-4) < 1e-6
-    assert exterior_derivative_residual(pullback("omega2"), p, h=1e-4) < 1e-6
+    r = np.array([[1.0, 0.8, 1.3]])
+    assert closedness_residuals(pullback("omega1"), r, h=1e-4)[0] < 1e-6
+    assert closedness_residuals(pullback("omega2"), r, h=1e-4)[0] < 1e-6
 
 
 def test_project_pi2_normalization_and_fibers():
@@ -353,9 +350,12 @@ def test_complex_structure_properties():
         r = np.exp(rng.uniform(-1, 1, m))
         lam1 = float(np.exp(rng.uniform(-1, 1)))
         lam2 = float(rng.uniform(0.3, 1.2))
-        cs = complex_structure_at(r, lam1, lam2)
-        assert cs.j_squared_residual() < 1e-9
-        assert cs.compatibility_residual() < 1e-12
+        c = complex_structure_at(r, lam1, lam2)
+        # J dr_i = c_i deta_i with c_i = omega(dr_i, J dr_i) / (2 pi r_i) > 0
+        want = 8 * PI**3 * r * lam1**2 * lam2**2 * np.exp(-4 * PI**2 * lam2**2 * r**2)
+        assert c.shape == r.shape and np.all(c > 0)
+        assert np.max(np.abs(c / want - 1.0)) < 1e-14
+        assert np.array_equal(complex_structure_at(np.tile(r, (2, 1)), lam1, lam2)[1], c)
     with pytest.raises(ValueError, match="singular"):
         complex_structure_at([1.0, 0.0], 1.0, 1.0)
 
@@ -365,11 +365,11 @@ def test_complex_structure_large_limit_trend():
     lam2 = 0.8
     a = complex_structure_at(r, 1.0, lam2)
     b = complex_structure_at(r, 0.5, lam2)
-    # divergent coefficient (deta -> dr) grows like lam1^{-2}
-    ratio = b.J[0, 2] / a.J[0, 2]
+    # divergent coefficient (deta -> -dr / c) grows like lam1^{-2}
+    ratio = (1.0 / b[0]) / (1.0 / a[0])
     assert abs(ratio - 4.0) < 1e-12
     # n=1 read-off of the dr -> deta coefficient
-    coef = a.J[2, 0]
+    coef = a[0]
     want = 8 * PI**3 * 0.7 * 1.0 * lam2**2 * math.exp(-4 * PI**2 * lam2**2 * 0.49)
     assert abs(coef - want) < 1e-14 * abs(want)
 
@@ -377,8 +377,9 @@ def test_complex_structure_large_limit_trend():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_degenerate_metric_is_omega_of_j(n):
     # g = omega(., J.) with the chart form omega = 2 pi sum r_i dr_i^deta_i
-    # and complex_structure_at's J: its (r, eta) matrix is omega @ J, and the
-    # chart (r, t) reads eta = F_eta t through the frame's second block
+    # and complex_structure_at's J: g(dr_i, dr_i) = 2 pi r_i c_i and
+    # g(deta_i, deta_i) = 2 pi r_i / c_i, and the chart (r, t) reads
+    # eta = F_eta t through the frame's second block
     rng = np.random.default_rng(70 + n)
     m = n + 1
     r = np.exp(rng.uniform(-4.0, 0.5, (3, 8, m)))
@@ -388,14 +389,10 @@ def test_degenerate_metric_is_omega_of_j(n):
     assert np.array_equal(frame[:m, :m], np.eye(m)) and np.array_equal(frame[m:, m:], f_eta)
     assert not np.any(frame[:m, m:]) and not np.any(frame[m:, :m])
     assert coef.shape == (3, 8, 2 * m)
-    idx = np.arange(m)
+    c = complex_structure_at(r, lam1, lam2)
+    g = np.concatenate([2 * math.pi * r * c, 2 * math.pi * r / c], axis=-1)
+    assert np.max(np.abs(coef / g - 1.0)) < 1e-14
     for at in np.ndindex(r.shape[:-1]):
-        omega = np.zeros((2 * m, 2 * m))
-        omega[idx, m + idx] = 2 * math.pi * r[at]
-        omega[m + idx, idx] = -2 * math.pi * r[at]
-        g = omega @ complex_structure_at(r[at], lam1, lam2).J
-        assert np.array_equal(g, np.diag(np.diag(g)))
-        assert np.max(np.abs(coef[at] / np.diag(g) - 1.0)) < 1e-14
         assert np.array_equal(degenerate_metric(r[at], lam1, lam2)[1], coef[at])
 
 
@@ -410,7 +407,7 @@ def test_alpha_deform_rho_action():
     with pytest.raises(ValueError):
         alpha_deform(s, 0.0)
     with pytest.raises(ValueError):
-        psi_scale(section_point(2, [1.0, 0.5, 0.7]), -2.0)
+        psi_pullback_residuals([1.0, 0.5, 0.7], -2.0)
 
 
 def test_alpha_composition():
@@ -422,25 +419,64 @@ def test_alpha_composition():
         assert abs(once.k2 - both.k2) < 1e-12 * max(1, abs(both.k2))
 
 
-def test_psi_scale_moves_level_sets():
+def test_psi_moves_level_sets():
+    # psi_t: r -> t r carries the level set of spec onto that of alpha_t(spec)
     s = spec_rho(2, 1.0, 0.6)
     t = 1.7
     s2 = alpha_deform(s, t)
-    for r in sample_base(s, 10, seed=37):
-        q = psi_scale(section_point(2, r), t)
-        mu1, mu2 = moment_map(q)
-        assert abs(mu1 - s2.k1) < 1e-10 * abs(s2.k1)
-        assert abs(mu2 - s2.k2) < 1e-10 * max(1, abs(s2.k2))
-    assert np.array_equal(psi_scale(q, 1.0).r, q.r)
+    mu1, mu2 = moment_map(t * sample_base(s, 10, seed=37))
+    assert mu1.shape == (10,)
+    assert np.all(np.abs(mu1 - s2.k1) < 1e-10 * abs(s2.k1))
+    assert np.all(np.abs(mu2 - s2.k2) < 1e-10 * max(1, abs(s2.k2)))
 
 
 def test_psi_pullback_residuals():
-    p = AmbientPoint(2, [0.2, 0.1, 0.9], [0.5, 1.5, 0.8], [0.3, 0.3, 0.0])
+    r = np.array([[0.5, 1.5, 0.8], [3.0, 0.01, 2.0]])
     for t in (0.5, 2.0, 7.0):
-        res = psi_pullback_residuals(p, t)
-        assert max(res.values()) < 1e-12
+        res = psi_pullback_residuals(r, t)
+        assert all(v.shape == (2,) for v in res.values())
+        assert max(float(np.max(v)) for v in res.values()) < 1e-12
     with pytest.raises(ValueError):
-        psi_pullback_residuals(p, -1.0)
+        psi_pullback_residuals(r, -1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), data=st.data(), rho1=st.floats(0.05, 20.0),
+       rho2=st.floats(0.1, 1.5), t=st.floats(0.01, 100.0))
+def test_coefficient_rows_match_dense_reference(n, data, rho1, rho2, t):
+    # phi^* and psi_t^* as jac^T T jac of dense matrices: the package's
+    # coefficient rows are those matrices' entries bit for bit, and the
+    # conjugated J2 within 16 ulps.  complex_structure_at takes one
+    # exponential of x = 4 pi^2 rho2^2 r^2 where the chart squares one of
+    # x / 2, and the rounding of x moves e^-x by |x| ulps: 16 + 2|x| ulps
+    m = n + 1
+    r = np.power(10.0, data.draw(st.lists(st.floats(-3.0, 0.3), min_size=m, max_size=m)))
+    th, rr, et = np.arange(m), np.arange(m, 2 * m), np.arange(2 * m, 3 * m)
+
+    image, jac = _phi_reference(r, rho1, rho2)
+    want = dense_pullback(dense_tensors(image), jac)
+    got = maps._phi_pullback(r, rho1, rho2)
+    assert np.array_equal(got["omega1"], want["omega1"][rr, th])
+    assert np.array_equal(got["omega2"], want["omega2"][rr, et])
+    assert np.array_equal(got["metric"], np.diag(want["g"]))
+    # J2: the image's compatible structure dr -> 2 pi r' deta on (dr, deta),
+    # conjugated by the Jacobian's (r, eta) block
+    j_img = np.zeros((2 * m, 2 * m))
+    j_img[m + th, th], j_img[th, m + th] = 2 * PI * image, -1.0 / (2 * PI * image)
+    d2 = np.diag(jac[m:])
+    pulled_j = np.linalg.solve(d2, j_img @ d2)
+    dense_j = np.concatenate([pulled_j[m + th, th], pulled_j[th, m + th]])
+    np.testing.assert_array_max_ulp(got["J2"], dense_j, maxulp=16)
+    c = complex_structure_at(r, rho1, rho2)
+    ulps = 16 + 2 * np.tile(4 * PI**2 * rho2**2 * r**2, 2)
+    assert np.all(np.abs(np.concatenate([c, -1.0 / c]) / dense_j - 1.0) <= ulps * 2.0**-52)
+
+    ones = np.ones(m)
+    want = dense_pullback(dense_tensors(t * r), np.concatenate([ones, t * ones, ones]))
+    got = maps._psi_pullback(r, t)
+    assert np.array_equal(got["omega1"], want["omega1"][rr, th])
+    assert np.array_equal(got["omega2"], want["omega2"][rr, et])
+    assert np.array_equal(got["omegaD"], want["omegaD"][th, et])
 
 
 def test_pi1_equivariance():
