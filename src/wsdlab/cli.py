@@ -27,7 +27,7 @@ from .metgeo import (FiniteMetricSample, anticanonical_normals, anticanonical_po
                      pi2_fiber_diameters)
 from .polytope import (has_property_sd, kernel_data, lattice_maps, simplex_pair,
                        verify_duality_identities)
-from .reduction import (LevelSetSpec, draw_directions, draw_torus, feasibility,
+from .reduction import (EmptyLevelSet, LevelSetSpec, draw_directions, draw_torus,
                         induced_structure, omega_d_degenerate_block, sample_base,
                         solve_base, verify_wsd_axioms)
 
@@ -99,18 +99,6 @@ def _check_scalars(args) -> None:
             raise ValueError(f"--{name} must be finite, got {val}")
 
 
-class EmptyLevelSet(Exception):
-    """The level set a command needs is not regular; `main` prints it as one
-    `empty level set:` line and exits 2."""
-
-
-def _regular_or_die(spec: LevelSetSpec) -> None:
-    cls = feasibility(spec)
-    if cls != "regular":
-        raise EmptyLevelSet(f"n={spec.n} rho2={spec.rho2:.6g} classified {cls!r} "
-                            f"(threshold {feasibility_threshold(spec.n):.6g})")
-
-
 # -- verify ---------------------------------------------------------------
 
 def _check(name: str, residual: float, tol: float, ok: bool = True) -> dict:
@@ -122,8 +110,7 @@ def _check(name: str, residual: float, tol: float, ok: bool = True) -> dict:
 
 
 def cmd_verify(args) -> int:
-    spec = LevelSetSpec.from_rho(args.n, args.rho1, args.rho2)
-    _regular_or_die(spec)
+    spec = LevelSetSpec(args.n, args.rho1, args.rho2)
     base_r = sample_base(spec, args.samples, args.seed)
 
     rep = verify_wsd_axioms(induced_structure(base_r), tol=args.tol)
@@ -155,23 +142,22 @@ def cmd_verify(args) -> int:
 # -- limit sweeps -----------------------------------------------------------
 #
 # Every sample's random numbers depend on (seed, index) alone, so each command
-# draws them once, before its loops.  Every grid point solves its radii from
-# the same read-only rows and pushes the whole sample array through the
-# projections; no per-sample point object is built.
+# draws them once, before its loops, and pushes whole sample arrays through
+# the projections; no per-sample point object is built.
 #
-# limit-complex builds what does not depend on rho1 once per rho2, at the
-# first (largest) grid point rho1_0, from that point's own solve and
-# projection.  The radii are rho1 times a shape that rho2 alone fixes, and
-# the pi2 modulus log(rho1 / r_i) reads only that shape, so the image w, the
-# hn distances, the phi-domain chart and the hn sample with its GH profiles
-# are the same at every rho1, up to the rounding of rho1 * shape.  The
-# degenerate metric on that chart is exactly rho1^2 A + rho1^-2 B (radial
-# block A, eta block B), so each block's squared edge sums are built once at
-# rho1_0 and every rho1 adds them scaled by (rho1 / rho1_0)^2 and its
-# inverse.  Built at a grid point, never at rho1 = 1, the half fails only
-# where that grid point's own computation fails.  Per rho1 remain the solve
-# with its fiber diameters, the image residual of that rho1's own
-# projection, the kNN graph search and the GH matching.
+# The radii at a grid point are rho1 times a shape that rho2 alone fixes, and
+# solve_base gives bitwise rho1 times its rho1 = 1 rows, so each sweep solves
+# the shape once per rho2 (the rho1 = 1 solve) and takes rho1 * shape as the
+# radii at every grid point.  The pi2 modulus sqrt(-u / 2 pi^2) reads only the
+# log-shape u = log(shape), so limit-complex builds the image w, its
+# residual, the hn distances, the phi-domain chart and the hn sample with its
+# GH profiles once per rho2, before its rho1 loop.  The degenerate metric on
+# that chart is exactly rho1^2 A + rho1^-2 B (radial block A, eta block B),
+# so each block's squared edge sums are built once at the first (largest)
+# grid point rho1_0 and every rho1 adds them scaled by (rho1 / rho1_0)^2 and
+# its inverse.  Built at a grid point, never at rho1 = 1, they fail only where
+# that grid point's own computation fails.  Per rho1 remain the fiber
+# diameters, the edge-sum scaling, the kNN graph search and the GH matching.
 
 KAHLER_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
                  "fiber_diam_max", "fiber_bound", "fiber_ratio",
@@ -195,14 +181,14 @@ def cmd_limit_kahler(args) -> int:
     normals = anticanonical_normals(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
-        _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
-        specs = [LevelSetSpec.from_rho(args.n, float(rho1), rho2) for rho1 in grid]
+        shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
+        specs = [LevelSetSpec(args.n, float(rho1), rho2) for rho1 in grid]
         antis = anticanonical_points(normals, [spec.rho1**2 for spec in specs])
         for rho1, spec, anti in zip(grid, specs, antis):
-            base_r = solve_base(spec, directions)
+            base_r = spec.rho1 * shape
             fiber = float(np.max(pi1_fiber_diameters(base_r)))
             bound = pi1_fiber_bound(spec)
-            z = project_pi1(spec, base_r, torus_s)
+            z = project_pi1(base_r, torus_s)
             h_img = hausdorff_from_cross(fs_matrix(z, spec.rho1, anti))
             h_tot = h_img + fiber
             rows.append({
@@ -234,21 +220,24 @@ COMPLEX_DOC = [
 ]
 
 
-def _complex_shape(w, rho1: float, rho2: float, torus_t, anti):
-    """What a limit-complex row needs that depends on rho2 alone, from the pi2
-    image `w` of the level set at `rho1`: hausdorff_quotient, the phi-domain
-    chart, the squared edge sums of the degenerate metric's radial and eta
-    blocks at `rho1`, and the image as the unit hn sample."""
-    n = w.shape[1] - 1
+def _complex_shape(shape, rho1: float, rho2: float, torus_t, anti):
+    """What a limit-complex row needs that depends on rho2 alone, from the
+    level set's `shape` (its radii at rho1 = 1): pi2_residual_max,
+    hausdorff_quotient, the squared edge sums of the degenerate metric's
+    radial and eta blocks at `rho1`, and the pi2 image as the unit hn
+    sample."""
+    n = shape.shape[1] - 1
+    w = project_pi2(np.log(shape), torus_t)
     # the degenerate metric lives on the phi-domain chart, whose radial
-    # variable is the Gaussian-profile preimage |z|/rho2, not base_r
+    # variable is the Gaussian-profile preimage |z|/rho2, not the radii
     coords = np.hstack([np.abs(w) / rho2, torus_t])
     periodic = np.array([False] * (n + 1) + [True] * n)
     frame, coef = degenerate_metric(coords[:, :n + 1], rho1, rho2)
-    return (hausdorff_from_cross(hn_matrix(w, rho2, n, anti)), coords,
+    return (float(np.max(pi2_image_residual(w))),
+            hausdorff_from_cross(hn_matrix(w, rho2, n, anti)),
             knn_edge_squares(coords, (frame[:n + 1], coef[:, :n + 1]), periodic),
             knn_edge_squares(coords, (frame[n + 1:], coef[:, n + 1:]), periodic),
-            FiniteMetricSample("hn_unit", w, hn_matrix(w, 1.0, n)))
+            FiniteMetricSample(hn_matrix(w, 1.0, n)))
 
 
 def cmd_limit_complex(args) -> int:
@@ -259,31 +248,25 @@ def cmd_limit_complex(args) -> int:
     normals = anticanonical_normals(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
-        _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, rho2))
-        anti = anticanonical_points(normals, rho2**2)
-        shape = None
-        for rho1 in grid:
-            spec = LevelSetSpec.from_rho(args.n, float(rho1), rho2)
-            base_r = solve_base(spec, directions)
-            fiber = float(np.max(pi2_fiber_diameters(base_r)))
-            w = project_pi2(spec, base_r, torus_t)
-            res = float(np.max(pi2_image_residual(w)))
-            if shape is None:
-                rho1_0 = spec.rho1
-                shape = _complex_shape(w, rho1_0, rho2, torus_t, anti)
-            h_quot, coords, sq_r, sq_eta, b = shape
+        shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
+        # the fibers first: a radius too small at the first grid point fails
+        # there, as that point's own computation does
+        fibers = [float(np.max(pi2_fiber_diameters(rho1 * shape))) for rho1 in grid]
+        res, h_quot, sq_r, sq_eta, b = _complex_shape(
+            shape, grid[0], rho2, torus_t, anticanonical_points(normals, rho2**2))
+        for rho1, fiber in zip(grid, fibers):
             # each factor applied twice: its square can leave the doubles
             # on a grid whose edge sums themselves stay finite
-            down, up = spec.rho1 / rho1_0, rho1_0 / spec.rho1
+            down, up = rho1 / grid[0], grid[0] / rho1
             d_deg = knn_geodesics(sq_r * down * down + sq_eta * up * up, k=12)
             if not np.all(np.isfinite(d_deg)):
                 raise ValueError("degenerate-metric graph disconnected; raise --samples")
-            ngh = ngh_distance(FiniteMetricSample("degenerate_chart", coords, d_deg), b)
+            ngh = ngh_distance(FiniteMetricSample(d_deg), b)
 
             rows.append({
                 "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),
                 "samples": args.samples, "seed": args.seed, "version": __version__,
-                "fiber_diam_max": _e(fiber), "c_witness": _e(fiber / spec.rho1),
+                "fiber_diam_max": _e(fiber), "c_witness": _e(fiber / rho1),
                 "pi2_residual_max": _e(res), "hausdorff_quotient": _e(h_quot),
                 "degenerate_ngh_lower": _e(ngh.lower), "degenerate_ngh_upper": _e(ngh.upper),
             })
@@ -350,8 +333,7 @@ def cmd_boundary(args) -> int:
             thr2 = feasibility_threshold(args.n) ** 2
             for delta in np.sort(grid)[::-1]:
                 rho2 = math.sqrt(thr2 * (1.0 + float(delta)))
-                spec = LevelSetSpec.from_rho(args.n, args.rho1, rho2)
-                base = solve_base(spec, directions)
+                base = solve_base(LevelSetSpec(args.n, args.rho1, rho2), directions)
                 diam = _base_diameter(base)
                 row = dict(blank, side=side, n=args.n, param=_e(delta),
                            rho1=_e(args.rho1), rho2=_e(rho2),
@@ -360,19 +342,16 @@ def cmd_boundary(args) -> int:
                            base_diam_over_rho1=_e(diam / args.rho1))
                 rows.append(row)
         elif side == "B":
-            _regular_or_die(LevelSetSpec.from_rho(args.n, 1.0, args.rho2))
+            shape = solve_base(LevelSetSpec(args.n, 1.0, args.rho2), directions)
             for rho1 in np.sort(grid)[::-1]:
-                spec = LevelSetSpec.from_rho(args.n, float(rho1), args.rho2)
-                ratio = _block_norm_ratio(*torus_metric_weights(solve_base(spec, directions)),
-                                          spec.rho1)
+                ratio = _block_norm_ratio(*torus_metric_weights(rho1 * shape), rho1)
                 row = dict(blank, side=side, n=args.n, param=_e(rho1),
                            rho1=_e(rho1), rho2=_e(args.rho2),
                            samples=args.samples, seed=args.seed, version=__version__,
                            theta_eta_ratio=_e(ratio))
                 rows.append(row)
         else:
-            spec0 = LevelSetSpec.from_rho(args.n, args.rho1, args.rho2)
-            _regular_or_die(spec0)
+            spec0 = LevelSetSpec(args.n, args.rho1, args.rho2)
             for t in np.sort(grid):
                 spec = alpha_deform(spec0, float(t))
                 base = solve_base(spec, directions)

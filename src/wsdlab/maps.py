@@ -1,9 +1,11 @@
 """Projections to projective space and its finite quotient, the chart
 diffeomorphism between level sets, complex structures, and the scaling flow.
 
-Each projection is one formula on sample arrays: base radii (..., n+1) and
-torus rows (..., n) with any leading shape give representatives z in C^{n+1}
-as a complex (..., n+1) array.  The torus rows enter through
+Each projection is one formula on sample arrays with any leading shape: base
+radii (..., n+1) for pi1, the log-shape u = log(r / rho1) (..., n+1) for pi2,
+and torus rows (..., n) give representatives z in C^{n+1} as a complex
+(..., n+1) array.  Neither takes a spec: the radii or the log-shape carry the
+level set, and pi2 reads no rho1 at all.  The torus rows enter through
 `embedded_angles`, the one map from torus coordinates to ambient angles
 (theta = F_theta s, eta = F_eta t, with F_theta rows the primal and F_eta
 rows the dual simplex vertices).  The quotient structure (global phase,
@@ -21,10 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ambient import (FOUR_PI2, PI2, TWO_PI, convert_parameters_inverse, form_coefficients,
-                      moment_map, torus_metric_weights)
+from .ambient import (FOUR_PI2, PI2, TWO_PI, convert_parameters, convert_parameters_inverse,
+                      form_coefficients, moment_map, torus_metric_weights)
 from .polytope import lattice_maps
-from .reduction import LevelSetSpec, _require_regular
+from .reduction import LevelSetSpec
 
 
 @lru_cache(maxsize=32)
@@ -71,23 +73,13 @@ class CPnPoint:
     def n(self) -> int:
         return self.z.size - 1
 
-    def norm2(self) -> float:
-        return float(np.sum(np.abs(self.z) ** 2))
-
-    def normalization_residual(self) -> float:
-        return abs(self.norm2() - self.lam) / self.lam
-
-    def normalized(self) -> "CPnPoint":
-        return CPnPoint(self.z * math.sqrt(self.lam / self.norm2()), self.lam)
-
 
 # -- the two fibrations ------------------------------------------------------
 
-def project_pi1(spec: LevelSetSpec, base_r, torus_s) -> np.ndarray:
+def project_pi1(base_r, torus_s) -> np.ndarray:
     """First projection z_i = r_i e^{2 pi i theta_i}, theta = F_theta s: the
     representatives lie on the sphere sum |z_i|^2 = rho1^2."""
-    _require_regular(spec)
-    theta = np.mod(embedded_angles(spec.n, torus_s, "theta"), 1.0)
+    theta = np.mod(embedded_angles(np.shape(torus_s)[-1], torus_s, "theta"), 1.0)
     return np.asarray(base_r, dtype=float) * np.exp(2j * math.pi * theta)
 
 
@@ -102,26 +94,24 @@ def pi1_image_residual(z, rho2: float) -> np.ndarray:
     return np.abs(np.prod(sq, axis=-1) - math.exp(-4.0 * PI2 * rho2 * rho2) * scale) / scale
 
 
-def project_pi2(spec: LevelSetSpec, base_r, torus_t) -> np.ndarray:
-    """Second projection: |z_i| = sqrt(log(rho1/r_i) / (2 pi^2)), phase
-    e^{-2 pi i eta_i}, eta = F_eta t.
+def project_pi2(u, torus_t) -> np.ndarray:
+    """Second projection of the log-shape u = log(r / rho1): |z_i| =
+    sqrt(-u_i / (2 pi^2)), phase e^{-2 pi i eta_i}, eta = F_eta t.
 
     The representatives lie at scale sum |z_i|^2 = rho2^2, the normalization
     under which metgeo.hn_distance defaults to the right scale; the
     unit-sphere representative is this one divided by rho2.  The domain is
     checked once for the whole stack.
     """
-    _require_regular(spec)
-    r = np.asarray(base_r, dtype=float)
-    rho1 = spec.rho1
-    if np.any(r > rho1):
-        raise ValueError("point outside the fibration domain: some r_i > rho1")
-    if np.any(r == rho1):
-        # on a regular level set every r_i < rho1: equality means the shape
-        # coordinate r_i/rho1 rounded to 1, the others being below ~1e-8
-        raise ArithmeticError("a base radius rounded to rho1; the pi2 modulus vanishes")
-    mod = np.sqrt(np.log(rho1 / r) / (2.0 * PI2))
-    eta = np.mod(embedded_angles(spec.n, torus_t, "eta"), 1.0)
+    u = np.asarray(u, dtype=float)
+    if np.any(u > 0):
+        raise ValueError("point outside the fibration domain: some log-shape u_i > 0")
+    if np.any(u == 0):
+        # on a regular level set every u_i < 0: a zero means the largest
+        # shape coordinate rounded to 1, the others being below ~1e-8
+        raise ArithmeticError("the pi2 modulus vanishes: a log-shape coordinate rounded to 0")
+    mod = np.sqrt(-u / (2.0 * PI2))
+    eta = np.mod(embedded_angles(np.shape(torus_t)[-1], torus_t, "eta"), 1.0)
     return mod * np.exp(-2j * math.pi * eta)
 
 
@@ -235,11 +225,13 @@ def degenerate_metric(r, lam1: float, lam2: float) -> tuple[np.ndarray, np.ndarr
 # -- the scaling flow ---------------------------------------------------------
 
 def alpha_deform(spec: LevelSetSpec, t: float) -> LevelSetSpec:
-    """The rescaling t > 0 on level sets: (k1, k2) -> (t^2 k1, k2 - (n+1)/(2 pi) log t)."""
+    """The rescaling t > 0 on level sets: (k1, k2) -> (t^2 k1, k2 - (n+1)/(2 pi) log t),
+    taken back to (rho1, rho2)."""
     if not t > 0:
         raise ValueError("t must be positive")
     m = spec.n + 1
-    return LevelSetSpec(spec.n, t ** 2 * spec.k1, spec.k2 - m / TWO_PI * math.log(t))
+    k1, k2 = t ** 2 * spec.k1, spec.k2 - m / TWO_PI * math.log(t)
+    return LevelSetSpec(spec.n, *convert_parameters(spec.n, k1, k2))
 
 
 # psi_t^* omega = t^k omega_t: omega1 gains t^2, omega2 and omegaD are unchanged

@@ -35,27 +35,22 @@ from .reduction import LevelSetSpec, stream_rows
 
 @dataclass(frozen=True)
 class FiniteMetricSample:
-    """Point sample in a named chart together with its distance matrix.  Its
-    GH profiles are computed on first use and kept, so a sample compared
-    against many others sorts its distances once."""
+    """A finite metric space given by its distance matrix.  Its GH profiles
+    are computed on first use and kept, so a sample compared against many
+    others sorts its distances once."""
 
-    chart: str
-    coords: np.ndarray
     dist: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("dist must be a square matrix")
-        if d.shape[0] != len(self.coords):
-            raise ValueError("dist size must match the point count")
         if d.size:
             if np.any(d < 0) or np.max(np.abs(np.diag(d))) != 0.0:
                 raise ValueError("dist must be nonnegative with zero diagonal")
             if np.max(np.abs(d - d.T)) > 1e-12 * max(1.0, float(np.max(d))):
                 raise ValueError("dist must be symmetric")
         object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "coords", np.asarray(self.coords))
 
     def __len__(self) -> int:
         return self.dist.shape[0]

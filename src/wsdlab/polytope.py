@@ -90,14 +90,6 @@ class LatticeMap:
             raise ValueError("ragged matrix")
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def rows(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def cols(self) -> int:
-        return len(self.matrix[0])
-
     def transpose(self, role: str = "") -> "LatticeMap":
         t = tuple(zip(*self.matrix))
         return LatticeMap(tuple(tuple(r) for r in t), role or self.role + "_t")
@@ -152,6 +144,15 @@ class SmithDecomposition:
         return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]))))
 
 
+def _smallest_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
+    """(i, j) of the nonzero entry of least absolute value in rows and
+    columns t onward, the first in row order among equals; None if that
+    block is 0."""
+    best = min(((abs(x), i, j) for i, row in enumerate(a[t:], t)
+                for j, x in enumerate(row[t:], t) if x), default=None)
+    return None if best is None else best[1:]
+
+
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithDecomposition:
     a = [[int(x) for x in row] for row in mat]
     m, n = len(a), len(a[0])
@@ -171,12 +172,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithDecomposition:
 
     t = 0
     while t < min(m, n):
-        # pick the entry of minimal absolute value as pivot
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        pivot = _smallest_entry(a, t)
         if pivot is None:
             break
         while True:
@@ -203,13 +199,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithDecomposition:
                         dirty = True
             if dirty:
                 # remainders appeared, re-pick a smaller pivot in the block
-                pivot = None
-                for i in range(t, m):
-                    for j in range(t, n):
-                        if a[i][j] != 0 and (
-                            pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
-                        ):
-                            pivot = (i, j)
+                pivot = _smallest_entry(a, t)
                 continue
             # pivot must divide the whole remaining block
             p = a[t][t]
@@ -452,10 +442,6 @@ class DualityReport:
     @property
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.identities)
-
-    @property
-    def failures(self) -> tuple[str, ...]:
-        return tuple(name for name, ok, _ in self.identities if not ok)
 
 
 def _matmul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:

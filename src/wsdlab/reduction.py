@@ -4,9 +4,11 @@ The base of a level set lives in shape coordinates x = r / rho1, where the two
 constraints read sum x^2 = 1 and sum log x = -2 pi^2 rho2^2.  The sampler
 solves them in log coordinates u = log x, where the product constraint is a
 hyperplane and the sphere a convex level set, so each sample is the one root
-of a convex function along a ray.  Working in shape coordinates makes the
-sampler exactly covariant under the rescaling family (rho1 -> t rho1 at fixed
-rho2), which downstream limit sweeps rely on.
+of a convex function along a ray.  A spec holds (n, rho1, rho2) as given, and
+the solve finds the shape from rho2 alone and multiplies it by rho1, so the
+sampler is exactly covariant under the rescaling family (rho1 -> t rho1 at
+fixed rho2): the radii at rho1 are bitwise rho1 times those at rho1 = 1.  The
+limit sweeps rely on that and solve each shape once per rho2.
 
 The random numbers behind sample idx come from its own counter-based stream
 (`_stream(seed, idx, ...)`) and do not depend on the level set.  A sweep over
@@ -34,10 +36,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .ambient import (
+    FOUR_PI2,
     PI2,
     TWO_PI,
-    convert_parameters,
     convert_parameters_inverse,
+    feasibility_threshold,
     torus_metric_weights,
 )
 
@@ -46,43 +49,44 @@ DEGENERACY_GUARD = 1e-8  # relative margin on |X1|^2 |X2|^2 - (n+1)^2
 
 @dataclass(frozen=True)
 class LevelSetSpec:
-    """A level set {mu1 = k1, mu2 = k2} of the doubled torus over R^{n+1}."""
+    """The level set of the doubled torus over R^{n+1} with scale rho1 and
+    profile width rho2; its moment levels (k1, k2) are derived from them."""
 
     n: int
-    k1: float
-    k2: float
+    rho1: float
+    rho2: float
 
     def __post_init__(self):
         if int(self.n) < 1:
             raise ValueError("n must be >= 1")
-        if not (math.isfinite(self.k1) and math.isfinite(self.k2)):
-            raise ValueError(f"k1 and k2 must be finite, got {self.k1}, {self.k2}")
-        if not self.k1 < 0:
-            raise ValueError("k1 must be negative")
-
-    @classmethod
-    def from_rho(cls, n: int, rho1: float, rho2: float) -> "LevelSetSpec":
-        return cls(n, *convert_parameters_inverse(n, rho1, rho2))
+        if not (math.isfinite(self.rho1) and math.isfinite(self.rho2)):
+            raise ValueError(f"rho1 and rho2 must be finite, got {self.rho1}, {self.rho2}")
+        if not self.rho1 > 0:
+            raise ValueError("rho1 must be positive")
 
     @property
-    def rho1(self) -> float:
-        return math.sqrt(-self.k1 / math.pi)
+    def k1(self) -> float:
+        return convert_parameters_inverse(self.n, self.rho1, self.rho2)[0]
 
     @property
-    def rho2(self) -> float:
-        return convert_parameters(self.n, self.k1, self.k2)[1]
+    def k2(self) -> float:
+        return convert_parameters_inverse(self.n, self.rho1, self.rho2)[1]
+
+
+class EmptyLevelSet(ValueError):
+    """The level set is not regular, so it has no sample to solve for."""
 
 
 def feasibility(spec: LevelSetSpec, rel_tol: float = 1e-12) -> str:
     """Classify the level set as "empty", "degenerate", or "regular".
 
     Non-empty iff (-k1/pi) e^{4 pi k2/(n+1)} >= n+1, with equality the single
-    r-orbit where the two moment differentials align.  The comparison happens
-    in logs, so the statistic is 4 pi^2 rho2^2/(n+1) vs log(n+1) and does not
-    depend on the overall scale rho1.
+    r-orbit where the two moment differentials align.  In logs the statistic
+    is 4 pi^2 rho2^2/(n+1) vs log(n+1), which does not depend on the overall
+    scale rho1, so it is taken from rho2 alone.
     """
     m = spec.n + 1
-    lhs = math.log(-spec.k1 / math.pi) + 4.0 * math.pi * spec.k2 / m
+    lhs = FOUR_PI2 * spec.rho2**2 / m
     rhs = math.log(m)
     band = rel_tol * max(1.0, abs(lhs), abs(rhs))
     if lhs < rhs - band:
@@ -113,12 +117,6 @@ def stream_rows(seed: int, count: int, width: int,
         rows[idx] = draw(_stream(seed, idx, *tag), width)
     rows.setflags(write=False)
     return rows
-
-
-def _require_regular(spec: LevelSetSpec) -> None:
-    cls = feasibility(spec)
-    if cls != "regular":
-        raise ValueError(f"level set is {cls}; a regular spec is required")
 
 
 def _log_ray_roots(centre: float, d: np.ndarray) -> np.ndarray:
@@ -172,12 +170,17 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     the spec is regular, so every sum-zero direction d meets the base once,
     at a ray parameter t > 0 solved per row (`_log_ray_roots`).  For n = 1
     the base is the finite solution set of a quadratic and is enumerated
-    exactly instead, alternating its two points.
+    exactly instead, alternating its two points.  Either way the rows are
+    rho1 times the shape the solve finds from rho2 alone, so they are bitwise
+    spec.rho1 times the rows of the spec with rho1 = 1.
 
-    Raises ArithmeticError when a radius underflows to 0, which happens for
-    rho2 of about 8 and beyond.
+    Raises EmptyLevelSet unless the spec is regular, and ArithmeticError when
+    a radius underflows to 0, which happens for rho2 of about 8 and beyond.
     """
-    _require_regular(spec)
+    cls = feasibility(spec)
+    if cls != "regular":
+        raise EmptyLevelSet(f"n={spec.n} rho2={spec.rho2:.6g} classified {cls!r} "
+                            f"(threshold {feasibility_threshold(spec.n):.6g})")
     count = len(directions)
     m = spec.n + 1
     rho1 = spec.rho1

@@ -128,7 +128,7 @@ def test_criterion_3_wsd_axioms_and_degenerate_block():
     all_passed = True
     for n in (2, 3):
         m = n + 1
-        spec = LevelSetSpec.from_rho(n, 1.0, 0.5)
+        spec = LevelSetSpec(n, 1.0, 0.5)
         base_r = sample_base(spec, 100, seed=9 + n)
         rep = verify_wsd_axioms(induced_structure(base_r), tol=1e-8)
         all_passed &= bool(np.all(rep.passed))
@@ -169,11 +169,11 @@ def test_criterion_3_wsd_axioms_and_degenerate_block():
 
 
 def _pi1_point(spec, r, torus) -> CPnPoint:
-    return CPnPoint(project_pi1(spec, r, torus[..., :spec.n]), spec.rho1**2)
+    return CPnPoint(project_pi1(r, torus[..., :spec.n]), spec.rho1**2)
 
 
 def _pi2_point(spec, r, torus) -> CPnPoint:
-    return CPnPoint(project_pi2(spec, r, torus[..., spec.n:]), spec.rho2**2)
+    return CPnPoint(project_pi2(np.log(r / spec.rho1), torus[..., spec.n:]), spec.rho2**2)
 
 
 def test_criterion_4_projection_residuals_and_fiber_collapse():
@@ -182,7 +182,7 @@ def test_criterion_4_projection_residuals_and_fiber_collapse():
     worst_p2 = 0.0
     worst_fib = 0.0
     for n in (1, 2, 3):
-        spec = LevelSetSpec.from_rho(n, 1.0, 0.5)
+        spec = LevelSetSpec(n, 1.0, 0.5)
         base_r = sample_base(spec, 60, seed=17 + n)
         torus = draw_torus(n, 60, seed=17 + n)
         for r, st in zip(base_r, torus):
@@ -219,7 +219,7 @@ def test_criterion_5_chart_pullbacks_and_deformations():
     worst_phi = _gate_5_phi()
 
     worst_alpha = 0.0
-    spec = LevelSetSpec.from_rho(2, 1.1, 0.6)
+    spec = LevelSetSpec(2, 1.1, 0.6)
     for t in (0.1, 1.0, 7.3, 100.0):
         dspec = alpha_deform(spec, t)
         worst_alpha = max(worst_alpha,
@@ -284,7 +284,7 @@ def test_criterion_6_fiber_diameter_bound():
     worst = 0.0
     for n in (2, 3):
         for rho1 in np.geomspace(1.0, 1e3, 7):
-            spec = LevelSetSpec.from_rho(n, float(rho1), 0.6)
+            spec = LevelSetSpec(n, float(rho1), 0.6)
             exact = mg.pi1_fiber_diameters(sample_base(spec, 25, seed=31 + n))
             worst = max(worst, float(np.max(exact)) / mg.pi1_fiber_bound(spec))
     ok = worst <= 1.0 + 1e-6
@@ -344,8 +344,7 @@ def test_criterion_7_cli_sweeps(tmp_path):
 
 
 def _abstract(dist):
-    d = np.asarray(dist, dtype=float)
-    return mg.FiniteMetricSample("abstract", np.zeros((d.shape[0], 1)), d)
+    return mg.FiniteMetricSample(dist)
 
 
 def _zoom_covering(spec, levels, res):

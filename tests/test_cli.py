@@ -58,20 +58,38 @@ def test_verify_infeasible_exits_2(tmp_path, capsys):
     assert "empty level set" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--rho2", "0.2"],
-    ["limit-kahler", "--rho2", "0.6,0.2", "--grid", "1:10:2"],
-    ["limit-complex", "--rho2", "0.2", "--grid", "0.1:1:2"],
-    ["boundary", "--side", "B", "--rho2", "0.2"],
-    ["boundary", "--side", "all", "--rho2", "0.2"],
-], ids=["verify", "limit-kahler", "limit-complex", "boundary-B", "boundary-all"])
-def test_empty_level_set_is_one_line_exit_2(argv, capsys):
+THRESHOLD_2 = f"{feasibility_threshold(2):.6g}"
+
+
+@pytest.mark.parametrize("argv,rho2,cls", [
+    (["verify", "--rho2", "0.2"], "0.2", "empty"),
+    (["limit-kahler", "--rho2", "0.6,0.2", "--grid", "1:10:2"], "0.2", "empty"),
+    (["limit-complex", "--rho2", "0.2", "--grid", "0.1:1:2"], "0.2", "empty"),
+    (["boundary", "--side", "B", "--rho2", "0.2"], "0.2", "empty"),
+    (["boundary", "--side", "all", "--rho2", "0.2"], "0.2", "empty"),
+    # side T's rho2 within the feasibility band of the threshold
+    (["boundary", "--side", "T", "--grid", "1e-14:1e-13:2"], THRESHOLD_2, "degenerate"),
+], ids=["verify", "limit-kahler", "limit-complex", "boundary-B", "boundary-all", "boundary-T"])
+def test_empty_level_set_is_one_line_exit_2(argv, rho2, cls, capsys):
     # every command that needs a regular level set prints the same one line
     assert main(argv + ["--n", "2", "--samples", "4"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (f"empty level set: n=2 rho2=0.2 classified 'empty' "
-                   f"(threshold {feasibility_threshold(2):.6g})\n")
+    assert err == (f"empty level set: n=2 rho2={rho2} classified '{cls}' "
+                   f"(threshold {THRESHOLD_2})\n")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_vanishing_pi2_modulus_exits_2_and_names_it(n, capsys):
+    # at rho2 2.5 the largest shape coordinate rounds to 1, so its log-shape
+    # is 0 and the pi2 modulus sqrt(-u / 2 pi^2) vanishes
+    argv = ["limit-complex", "--n", str(n), "--rho2", "2.5", "--grid", "0.1:1:2",
+            "--samples", "16"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical failure: the pi2 modulus vanishes: "
+                   "a log-shape coordinate rounded to 0\n")
 
 
 def test_verify_tight_tolerance_fails(tmp_path):
@@ -302,7 +320,7 @@ def test_boundary_side_b_ratio_matches_60_digits_at_range_edges(tmp_path, n):
     rows = rows_of(text)
     assert len(rows) == 3
     for row in rows:
-        spec = LevelSetSpec.from_rho(n, float(row["rho1"]), 0.6)
+        spec = LevelSetSpec(n, float(row["rho1"]), 0.6)
         with mpmath.workdps(60):
             ratio = max(mpmath.sqrt(mpmath.fsum(w**2 for w in theta)
                                     / mpmath.fsum(1 / w**2 for w in theta))
@@ -330,7 +348,7 @@ def test_deep_rho2_kahler_sweep_matches_60_digit_closed_form(tmp_path, n, rho2):
     rows = rows_of(text)
     assert len(rows) == 2
     for row in rows:
-        spec = LevelSetSpec.from_rho(n, float(row["rho1"]), float(rho2))
+        spec = LevelSetSpec(n, float(row["rho1"]), float(rho2))
         exact = max(_mp_pi1_fiber_diameter(r) for r in sample_base(spec, 12, 0))
         assert abs(float(row["fiber_diam_max"]) - exact) <= 1e-12 * exact
         assert float(row["fiber_ratio"]) <= 1.0
@@ -464,6 +482,27 @@ def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample)
     assert len(built) == len(set(built)) == per_sample * samples
 
 
+@pytest.mark.parametrize("grid", ["0.1:1:2", "1e-3:1:5"])
+@pytest.mark.parametrize("argv,rho2s", [
+    (["limit-kahler", "--rho2", "0.6,0.7"], [0.6, 0.7]),
+    (["limit-complex", "--rho2", "0.6,0.7"], [0.6, 0.7]),
+    (["boundary", "--side", "B", "--rho2", "0.6"], [0.6]),
+], ids=["limit-kahler", "limit-complex", "boundary-B"])
+def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2s, grid):
+    # the radii at every grid point are rho1 times the one rho1 = 1 shape
+    solved = []
+    fresh = cli.solve_base
+
+    def counted(spec, directions):
+        solved.append((spec.rho1, spec.rho2))
+        return fresh(spec, directions)
+
+    monkeypatch.setattr(cli, "solve_base", counted)
+    rc, _ = run(tmp_path, *argv, "--n", "2", "--grid", grid, "--samples", "12")
+    assert rc == 0
+    assert solved == [(1.0, rho2) for rho2 in rho2s]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "3", "--rho2", "0.5"],
     ["limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid", "1:1e3:3"],
@@ -494,7 +533,7 @@ def test_boundary_side_b_ratio_equals_dense_metric_blocks(tmp_path, n):
     rows = rows_of(text)
     assert len(rows) == 3
     for row, rho1 in zip(rows, np.geomspace(1e-3, 1.0, 3)[::-1]):
-        spec = LevelSetSpec.from_rho(n, float(rho1), 0.6)
+        spec = LevelSetSpec(n, float(rho1), 0.6)
         ratio = 0.0
         for r in sample_base(spec, 9, seed=2):
             g = np.diag(np.concatenate([4 * math.pi**2 * r**2, np.ones(m),
@@ -505,9 +544,9 @@ def test_boundary_side_b_ratio_equals_dense_metric_blocks(tmp_path, n):
 
 def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
     """limit-complex's CSV with every grid point computed whole: its own
-    solve, projection, hn distances, chart, metric and edge sums at that
-    rho1, as the command did before it built the rho1-invariant half once
-    per rho2.  None where that computation fails."""
+    solve, projection of the log-shape, hn distances, chart, metric and edge
+    sums at that rho1, as the command did before it built the rho1-free half
+    once per rho2.  None where that computation fails."""
     grid = np.sort(cli._parse_grid(grid_text))[::-1]
     directions = draw_directions(n, samples, seed)
     torus_t = draw_torus(n, samples, seed)[:, n:]
@@ -528,36 +567,39 @@ def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
 
 
 def _oracle_row(n, rho1, rho2, directions, torus_t, anti, samples, seed):
-    spec = LevelSetSpec.from_rho(n, rho1, rho2)
-    base_r = solve_base(spec, directions)
+    base_r = solve_base(LevelSetSpec(n, rho1, rho2), directions)
     fiber = float(np.max(metgeo.pi2_fiber_diameters(base_r)))
-    w = maps.project_pi2(spec, base_r, torus_t)
+    # the log-shape log(r / rho1) is that of the rho1 = 1 level set
+    u = np.log(solve_base(LevelSetSpec(n, 1.0, rho2), directions))
+    w = maps.project_pi2(u, torus_t)
     res = float(np.max(maps.pi2_image_residual(w)))
     h_quot = metgeo.hausdorff_from_cross(metgeo.hn_matrix(w, rho2, n, anti))
     coords = np.hstack([np.abs(w) / rho2, torus_t])
     periodic = np.array([False] * (n + 1) + [True] * n)
-    metric = maps.degenerate_metric(coords[:, :n + 1], spec.rho1, rho2)
+    metric = maps.degenerate_metric(coords[:, :n + 1], rho1, rho2)
     d_deg = metgeo.knn_geodesics(metgeo.knn_edge_squares(coords, metric, periodic), k=12)
     if not np.all(np.isfinite(d_deg)):
         raise ValueError("disconnected")
-    a = metgeo.FiniteMetricSample("degenerate_chart", coords, d_deg)
-    b = metgeo.FiniteMetricSample("hn_unit", w, metgeo.hn_matrix(w, 1.0, n))
+    a = metgeo.FiniteMetricSample(d_deg)
+    b = metgeo.FiniteMetricSample(metgeo.hn_matrix(w, 1.0, n))
     ngh = metgeo.ngh_distance(a, b)
     return {
         "n": n, "rho1": cli._e(rho1), "rho2": cli._e(rho2),
         "samples": samples, "seed": seed, "version": wsdlab.__version__,
-        "fiber_diam_max": cli._e(fiber), "c_witness": cli._e(fiber / spec.rho1),
+        "fiber_diam_max": cli._e(fiber), "c_witness": cli._e(fiber / rho1),
         "pi2_residual_max": cli._e(res), "hausdorff_quotient": cli._e(h_quot),
         "degenerate_ngh_lower": cli._e(ngh.lower), "degenerate_ngh_upper": cli._e(ngh.upper),
     }
 
 
-# the columns built once per rho2 from the first grid point's radii: at every
-# other rho1 the radii rho1 * shape round differently, which can move the last
-# printed digit by one.  The kNN order (argsort) and the greedy GH matching
-# (argmin) can also flip on a one-ulp tie and then move the ngh columns by
-# more than that; no such tie was met in the configurations checked.
-SHAPE_COLUMNS = ("hausdorff_quotient", "degenerate_ngh_lower", "degenerate_ngh_upper")
+# the columns whose degenerate edge sums are built at the first grid point
+# and scaled to each rho1: they round otherwise than sums built at that rho1,
+# which can move the last printed digit by one.  The kNN order (argsort) and
+# the greedy GH matching (argmin) can also flip on a one-ulp tie and then move
+# them by more than that; no such tie was met in the configurations checked.
+# Every other column, the rho1-free hausdorff_quotient and pi2_residual_max
+# included, matches byte for byte.
+SHAPE_COLUMNS = ("degenerate_ngh_lower", "degenerate_ngh_upper")
 
 
 def _last_digit(cell):
@@ -592,9 +634,9 @@ def _assert_limit_complex_matches_oracle(n, rho2s, grid, samples, seed):
        grid=st.sampled_from(["1e-3:1:3", "1e-2:1e2:3", "0.3:3:2",
                              "1e-150:1e-149:2", "1e100:1e120:2", "1e-150:1e100:4"]))
 def test_limit_complex_matches_per_point_oracle(n, samples, seed, excess, grid):
-    # the rho1-invariant half built once per rho2 and the degenerate edge sums
-    # scaled to each rho1 give the per-point rows: every column computed per
-    # rho1 byte for byte, the shape columns to one unit in the last digit
+    # the rho1-free half built once per rho2 and the degenerate edge sums
+    # scaled to each rho1 give the per-point rows: every column byte for byte
+    # but the two ngh columns, which match to one unit in the last digit
     rho2s = [feasibility_threshold(n) * x for x in excess]
     _assert_limit_complex_matches_oracle(n, rho2s, grid, samples, seed)
 
@@ -608,9 +650,9 @@ def test_limit_complex_matches_per_point_oracle(n, samples, seed, excess, grid):
 ])
 def test_limit_complex_deep_rho2_at_large_rho1_matches_oracle(n, rho2, samples, seed):
     # the smallest shape r_i / rho1 is near e^-360: at rho1 = 1 the eta
-    # coefficient 1 / (4 pi^2 rho2^2 r_i^2) overflows or the largest radius
-    # rounds to 1, while at rho1 = 1e100..1e120 every grid point computes.
-    # The per-rho2 half is built at a grid point, so the command fails or
-    # prints where the per-point computation does (n = 1: both fail, its
-    # largest radius rounds to rho1 at every rho1)
+    # coefficient 1 / (4 pi^2 rho2^2 r_i^2) overflows, while at
+    # rho1 = 1e100..1e120 it does not.  The edge sums are built at a grid
+    # point, so the command fails or prints where the per-point computation
+    # does (where the largest shape coordinate rounds to 1, as at n = 1, both
+    # fail on the vanishing pi2 modulus at every rho1)
     _assert_limit_complex_matches_oracle(n, [rho2], "1e100:1e120:2", samples, seed)

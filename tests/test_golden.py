@@ -36,17 +36,20 @@ GOLDEN = [
     (("limit-kahler", "--n", "3", "--rho2", "0.7", "--grid", "1:1e3:3",
       "--samples", "12"),
      "f59f0dfeff34558ff96d3d5f3933ac6c35a6e1e7619cdcbda3889e2a96bceb2f"),
+    # every limit-complex digest was re-recorded when the pi2 image became
+    # one rho1-free projection of the log-shape per rho2: only the
+    # pi2_residual_max cells changed, each staying below 3e-15
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:4",
       "--samples", "60", "--seed", "3"),
-     "1afd9dbda031b7e1a4b3cf87cba75e08cb23b7e04644e43db81fe66c14e1de43"),
+     "f2ba34ab5d0634078841a1b383375dbc8b880eebf25fe49d67d298dc658a4e3f"),
     (("limit-complex", "--n", "3", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "989162e79647d6c4e08e746f7248f567ed7bc1ca7650165fc4f55aebe55f3200"),
+     "463126016e8b7e75e38c424d71d0ba4c20c32316893c89a66a4b875404452743"),
     # two rho2 values: each builds its own pi2 image, hn sample and edge sums;
     # recorded before those were built once per rho2
     (("limit-complex", "--n", "2", "--rho2", "0.6,0.9", "--grid", "1e-3:1:3",
       "--samples", "60", "--seed", "4"),
-     "e13e54ed3f8d6bbbd7e945ba435f7c76c0279d6165d1e8720a2eff153a3a8c98"),
+     "7670f5cbb98d45484ab272f9c9cf66233409e9489c8ac7c07770307fb28e1f19"),
     # rank-4 fiber tori: recorded with the closed-form covering radius (the
     # Voronoi search these sweeps used before stops at rank 3 and exits 2)
     (("limit-kahler", "--n", "4", "--rho2", "0.7", "--grid", "1:1e3:3",
@@ -54,11 +57,11 @@ GOLDEN = [
      "26982583d4a3fbd82b6abf437f06b7ca7cb08af6525f2ad5fdf54647df954274"),
     (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "7655251a4092dc6671fbe39206cecd4018c745dd93e67d158e5f98b583a827de"),
+     "471452de7e1f83f4075fc6360ae25f2709aa003c46a9fb37a7cfec16b9cf3c07"),
     # the benchmark's sample count: N = 400 kNN graphs and GH matchings
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3",
       "--samples", "400", "--seed", "5"),
-     "d6a5668d2eeb1f0ef2402bf82a54d8d3f2b965eba0f0a6a4f8def5bbfd9d2586"),
+     "70b6b6c4b49f869e368998a38759928d6146404db43efbc9531fdd6b067663a5"),
     (("boundary", "--side", "all", "--n", "2", "--samples", "24"),
      "ad033268337439b5e61e0c172f1f4443d473178813fc1092da1d0588343ce20e"),
     (("polytope-report", "--n", "1"),

@@ -28,16 +28,12 @@ from wsdlab.reduction import LevelSetSpec, draw_torus, feasibility, sample_base
 PI = math.pi
 
 
-def spec_rho(n, rho1, rho2):
-    return LevelSetSpec.from_rho(n, rho1, rho2)
-
-
 def pi1_point(spec, r, s) -> CPnPoint:
-    return CPnPoint(project_pi1(spec, r, s), spec.rho1**2)
+    return CPnPoint(project_pi1(r, s), spec.rho1**2)
 
 
 def pi2_point(spec, r, t) -> CPnPoint:
-    return CPnPoint(project_pi2(spec, r, t), spec.rho2**2)
+    return CPnPoint(project_pi2(np.log(r / spec.rho1), t), spec.rho2**2)
 
 
 def sample_arrays(spec, count, seed):
@@ -54,20 +50,15 @@ def test_point_type_validation():
         CPnPoint([1, 0], 0.0)
     with pytest.raises(ValueError):
         CPnPoint([1], 1.0)
-    p = CPnPoint([3.0, 4.0], 1.0)
-    assert p.normalization_residual() > 1.0
-    q = p.normalized()
-    assert q.normalization_residual() < 1e-15
-    assert abs(q.norm2() - 1.0) < 1e-15
 
 
 def test_project_pi1_section_and_sphere():
-    s = spec_rho(2, 1.2, 0.6)
+    s = LevelSetSpec(2, 1.2, 0.6)
     base, torus_s, _ = sample_arrays(s, 60, seed=1)
-    z = project_pi1(s, base, torus_s)
+    z = project_pi1(base, torus_s)
     assert z.shape == (60, 3)
     assert np.all(np.abs(np.sum(np.abs(z) ** 2, axis=1) - s.rho1**2) < 1e-12 * s.rho1**2)
-    z = project_pi1(s, base[0], np.zeros(2))
+    z = project_pi1(base[0], np.zeros(2))
     assert np.allclose(z.imag, 0.0)
     assert np.allclose(z.real, base[0])
 
@@ -75,10 +66,10 @@ def test_project_pi1_section_and_sphere():
 def test_pi1_fiber_collapse():
     # a fiber is fixed (r, s) with any t: the stacked rows of one fiber land on
     # one point
-    s = spec_rho(2, 1.0, 0.55)
+    s = LevelSetSpec(2, 1.0, 0.55)
     (r,), (a,), _ = sample_arrays(s, 1, seed=2)
     z = pi1_point(s, r, a)
-    fiber = project_pi1(s, np.tile(r, (10, 1)), np.tile(a, (10, 1)))
+    fiber = project_pi1(np.tile(r, (10, 1)), np.tile(a, (10, 1)))
     for row in fiber:
         w = CPnPoint(row, z.lam)
         assert np.array_equal(z.z, w.z)
@@ -87,9 +78,9 @@ def test_pi1_fiber_collapse():
 
 def test_pi1_image_residual_on_samples():
     for n, rho2 in ((1, 0.7), (2, 0.55), (3, 0.8)):
-        s = spec_rho(n, 0.9, rho2)
+        s = LevelSetSpec(n, 0.9, rho2)
         base, torus_s, _ = sample_arrays(s, 40, seed=3)
-        res = pi1_image_residual(project_pi1(s, base, torus_s), rho2)
+        res = pi1_image_residual(project_pi1(base, torus_s), rho2)
         assert res.shape == (40,)
         assert np.all(res < 1e-10)
 
@@ -133,11 +124,11 @@ def test_phi_round_trip_and_domain():
         r = np.exp(rng.uniform(-2, 1, (300, n + 1)))
         q = maps._phi_radii(r, rho1, rho2)
         assert np.all(q < rho1)
-        back = np.abs(project_pi2(spec_rho(n, rho1, rho2), q, np.zeros((300, n)))) / rho2
+        back = np.abs(project_pi2(np.log(q / rho1), np.zeros((300, n)))) / rho2
         worst = max(worst, float(np.max(np.abs(back - r))))
     assert worst < 1e-10
-    with pytest.raises(ValueError, match="rho1"):
-        project_pi2(spec_rho(1, 1.0, 0.5), [0.5, 1.5], [0.0])
+    with pytest.raises(ValueError, match="domain"):
+        project_pi2(np.log([0.5, 1.5]), [0.0])
 
 
 def test_phi_small_radius_limit():
@@ -149,9 +140,9 @@ def test_phi_small_radius_limit():
 
 def test_pi2_modulus_is_the_phi_preimage():
     # the sampled radii are phi's image of |z| / rho2
-    s = spec_rho(2, 1.1, 0.6)
+    s = LevelSetSpec(2, 1.1, 0.6)
     base, _, torus_t = sample_arrays(s, 5, seed=7)
-    z = project_pi2(s, base, torus_t)
+    z = project_pi2(np.log(base / s.rho1), torus_t)
     assert np.allclose(maps._phi_radii(np.abs(z) / s.rho2, s.rho1, s.rho2), base,
                        rtol=1e-13, atol=0)
 
@@ -196,9 +187,9 @@ def test_pulled_back_form_stays_closed():
 
 
 def test_project_pi2_normalization_and_fibers():
-    s = spec_rho(2, 1.0, 0.55)
+    s = LevelSetSpec(2, 1.0, 0.55)
     base, _, torus_t = sample_arrays(s, 40, seed=11)
-    z = project_pi2(s, base, torus_t)
+    z = project_pi2(np.log(base / s.rho1), torus_t)
     assert z.shape == (40, 3)
     assert np.all(np.abs(np.sum(np.abs(z) ** 2, axis=1) - s.rho2**2) < 1e-9 * s.rho2**2)
     res = pi2_image_residual(z)
@@ -207,7 +198,7 @@ def test_project_pi2_normalization_and_fibers():
     # a fiber is fixed (r, t) with any s: the stacked rows of one fiber land on
     # one point of the quotient
     z = pi2_point(s, base[0], torus_t[0])
-    fiber = project_pi2(s, np.tile(base[0], (5, 1)), np.tile(torus_t[0], (5, 1)))
+    fiber = project_pi2(np.tile(np.log(base[0] / s.rho1), (5, 1)), np.tile(torus_t[0], (5, 1)))
     for row in fiber:
         w = CPnPoint(row, z.lam)
         assert np.array_equal(z.z, w.z)
@@ -215,50 +206,48 @@ def test_project_pi2_normalization_and_fibers():
 
 
 def test_project_pi2_symmetric_base():
-    s = spec_rho(2, 1.0, 0.55)
-    z = project_pi2(s, [0.4, 0.4, 0.4], [0.1, 0.2])
+    z = project_pi2(np.log([0.4, 0.4, 0.4]), [0.1, 0.2])
     mags = np.abs(z)
     assert np.max(mags) - np.min(mags) < 1e-15
 
 
 def test_project_pi2_domain_guard():
-    s = spec_rho(2, 1.0, 0.55)
-    with pytest.raises(ValueError, match="rho1"):
-        project_pi2(s, [1.5, 0.1, 0.1], [0.0, 0.0])
+    with pytest.raises(ValueError, match="domain"):
+        project_pi2(np.log([1.5, 0.1, 0.1]), [0.0, 0.0])
 
 
 def test_project_pi2_radius_rounded_to_rho1_is_numerical():
     # a shape coordinate that rounded to exactly 1 is a rounding failure on a
     # valid level set, not a point outside the fibration domain
-    s = spec_rho(2, 1.0, 2.5)
-    with pytest.raises(ArithmeticError, match="rho1"):
-        project_pi2(s, [1.0, 1e-9, 1e-9], [0.0, 0.0])
+    with pytest.raises(ArithmeticError, match="pi2 modulus vanishes"):
+        project_pi2(np.log([1.0, 1e-9, 1e-9]), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("row", [0, 3, 7])
 @pytest.mark.parametrize("value,error", [(1.5, ValueError), (1.0, ArithmeticError)])
 def test_project_pi2_guards_raise_from_one_offending_row(row, value, error):
     # the domain is checked once per stack: one offending row fails the call
-    s = spec_rho(2, 2.0, 0.6)
+    s = LevelSetSpec(2, 2.0, 0.6)
     base, _, torus_t = sample_arrays(s, 8, seed=5)
-    project_pi2(s, base, torus_t)
-    bad = base.copy()
-    bad[row, 1] = value * s.rho1
-    with pytest.raises(error, match="rho1"):
-        project_pi2(s, bad, torus_t)
+    u = np.log(base / s.rho1)
+    project_pi2(u, torus_t)
+    bad = u.copy()
+    bad[row, 1] = math.log(value)
+    with pytest.raises(error, match="log-shape"):
+        project_pi2(bad, torus_t)
 
 
-def _per_sample_pi1(spec, r, s):
+def _per_sample_pi1(n, r, s):
     # one sample at a time, with its own embedding matrix product
-    f_theta = np.array(lattice_maps(spec.n).dual_t.matrix, dtype=float)
+    f_theta = np.array(lattice_maps(n).dual_t.matrix, dtype=float)
     theta = np.mod(f_theta @ s, 1.0)
     return r * np.exp(2j * math.pi * theta)
 
 
-def _per_sample_pi2(spec, r, t):
-    f_eta = np.array(lattice_maps(spec.n).primal_t.matrix, dtype=float)
+def _per_sample_pi2(n, u, t):
+    f_eta = np.array(lattice_maps(n).primal_t.matrix, dtype=float)
     eta = np.mod(f_eta @ t, 1.0)
-    mod = np.sqrt(np.log(spec.rho1 / r) / (2.0 * PI**2))
+    mod = np.sqrt(-u / (2.0 * PI**2))
     return mod * np.exp(-2j * math.pi * eta)
 
 
@@ -267,18 +256,20 @@ def _per_sample_pi2(spec, r, t):
        shape=st.sampled_from([(), (1,), (7,), (2, 3), (3, 1, 2)]),
        log_rho1=st.floats(-3.0, 3.0), excess=st.floats(0.02, 0.3))
 def test_stacked_projections_equal_per_sample_expression(n, seed, shape, log_rho1, excess):
-    spec = spec_rho(n, 10.0**log_rho1, feasibility_threshold(n) + excess)
+    spec = LevelSetSpec(n, 10.0**log_rho1, feasibility_threshold(n) + excess)
     count = math.prod(shape)
     rng = np.random.default_rng(seed)
     base = sample_base(spec, count, seed).reshape(shape + (n + 1,))
     torus = rng.uniform(-2.0, 2.0, shape + (2, n))
     s, t = torus[..., 0, :], torus[..., 1, :]
-    z1 = project_pi1(spec, base, s)
-    z2 = project_pi2(spec, base, t)
+    u = np.log(base / spec.rho1)
+    z1 = project_pi1(base, s)
+    z2 = project_pi2(u, t)
     assert z1.shape == z2.shape == shape + (n + 1,)
-    flat = (base.reshape(count, n + 1), s.reshape(count, n), t.reshape(count, n))
-    want1 = np.array([_per_sample_pi1(spec, r, a) for r, a, _ in zip(*flat)])
-    want2 = np.array([_per_sample_pi2(spec, r, b) for r, _, b in zip(*flat)])
+    flat = (base.reshape(count, n + 1), u.reshape(count, n + 1), s.reshape(count, n),
+            t.reshape(count, n))
+    want1 = np.array([_per_sample_pi1(n, r, a) for r, _, a, _ in zip(*flat)])
+    want2 = np.array([_per_sample_pi2(n, x, b) for _, x, _, b in zip(*flat)])
     assert np.array_equal(z1.reshape(count, n + 1), want1.reshape(count, n + 1))
     assert np.array_equal(z2.reshape(count, n + 1), want2.reshape(count, n + 1))
     # the image residuals reduce over the last axis only
@@ -322,7 +313,7 @@ def test_hn_distance_quotient():
     lam = 0.3
     for n in (1, 2, 3):
         z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        p = CPnPoint(z, lam).normalized()
+        p = CPnPoint(z * math.sqrt(lam) / np.linalg.norm(z), lam)
         assert hn_distance(p, p) < 1e-12
         phases = _quotient_phases(n)
         for row in phases:
@@ -397,7 +388,7 @@ def test_degenerate_metric_is_omega_of_j(n):
 
 
 def test_alpha_deform_rho_action():
-    s = spec_rho(2, 0.9, 0.65)
+    s = LevelSetSpec(2, 0.9, 0.65)
     for t in (0.25, 1.0, 3.0):
         s2 = alpha_deform(s, t)
         assert abs(s2.rho1 - t * s.rho1) < 1e-12 * max(1, t * s.rho1)
@@ -411,7 +402,7 @@ def test_alpha_deform_rho_action():
 
 
 def test_alpha_composition():
-    s = spec_rho(3, 1.0, 0.9)
+    s = LevelSetSpec(3, 1.0, 0.9)
     for t1, t2 in ((0.5, 3.0), (2.0, 2.0), (0.1, 0.7)):
         once = alpha_deform(alpha_deform(s, t1), t2)
         both = alpha_deform(s, t1 * t2)
@@ -421,7 +412,7 @@ def test_alpha_composition():
 
 def test_psi_moves_level_sets():
     # psi_t: r -> t r carries the level set of spec onto that of alpha_t(spec)
-    s = spec_rho(2, 1.0, 0.6)
+    s = LevelSetSpec(2, 1.0, 0.6)
     t = 1.7
     s2 = alpha_deform(s, t)
     mu1, mu2 = moment_map(t * sample_base(s, 10, seed=37))
@@ -480,7 +471,7 @@ def test_coefficient_rows_match_dense_reference(n, data, rho1, rho2, t):
 
 
 def test_pi1_equivariance():
-    s = spec_rho(2, 1.0, 0.55)
+    s = LevelSetSpec(2, 1.0, 0.55)
     (r,), (a,), _ = sample_arrays(s, 1, seed=41)
     rows = np.array(lattice_maps(2).dual_t.matrix, dtype=float)
     delta = np.array([0.21, 0.43])
@@ -491,7 +482,7 @@ def test_pi1_equivariance():
 
 
 def test_pi2_equivariance():
-    s = spec_rho(2, 1.0, 0.55)
+    s = LevelSetSpec(2, 1.0, 0.55)
     (r,), _, (b,) = sample_arrays(s, 1, seed=43)
     rows = np.array(lattice_maps(2).primal_t.matrix, dtype=float)
     delta = np.array([0.31, 0.11])

@@ -26,15 +26,15 @@ def _sphere_rows(count, n, seed, lam=1.0):
 
 def test_sample_validation():
     good = np.array([[0.0, 1.0], [1.0, 0.0]])
-    mg.FiniteMetricSample("abstract", np.zeros((2, 1)), good)
+    mg.FiniteMetricSample(good)
     with pytest.raises(ValueError):
-        mg.FiniteMetricSample("abstract", np.zeros((2, 1)), -good)
+        mg.FiniteMetricSample(-good)
     with pytest.raises(ValueError):
-        mg.FiniteMetricSample("abstract", np.zeros((2, 1)), np.array([[0.0, 1.0], [2.0, 0.0]]))
+        mg.FiniteMetricSample(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
-        mg.FiniteMetricSample("abstract", np.zeros((2, 1)), np.array([[0.5, 1.0], [1.0, 0.0]]))
+        mg.FiniteMetricSample(np.array([[0.5, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        mg.FiniteMetricSample("abstract", np.zeros((3, 1)), good)
+        mg.FiniteMetricSample(np.zeros((2, 3)))
 
 
 def _triangle_defect(d):
@@ -43,7 +43,7 @@ def _triangle_defect(d):
 
 
 def _cpn(z):
-    return mg.FiniteMetricSample("cpn", z, mg.fs_matrix(z, 1.0))
+    return mg.FiniteMetricSample(mg.fs_matrix(z, 1.0))
 
 
 def test_triangle_defect_on_projective_samples():
@@ -52,11 +52,11 @@ def test_triangle_defect_on_projective_samples():
 
 
 def test_diameter_basics():
-    one = mg.FiniteMetricSample("abstract", np.zeros((1, 1)), np.zeros((1, 1)))
+    one = mg.FiniteMetricSample(np.zeros((1, 1)))
     assert mg.diameter(one) == 0.0
-    two = mg.FiniteMetricSample("abstract", np.zeros((2, 1)), np.array([[0.0, 3.0], [3.0, 0.0]]))
+    two = mg.FiniteMetricSample(np.array([[0.0, 3.0], [3.0, 0.0]]))
     assert mg.diameter(two) == 3.0
-    empty = mg.FiniteMetricSample("abstract", np.zeros((0, 1)), np.zeros((0, 0)))
+    empty = mg.FiniteMetricSample(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         mg.diameter(empty)
 
@@ -89,8 +89,7 @@ def test_hausdorff_parallel_circles():
 
 
 def _abstract(dist):
-    d = np.asarray(dist, dtype=float)
-    return mg.FiniteMetricSample("abstract", np.zeros((d.shape[0], 1)), d)
+    return mg.FiniteMetricSample(dist)
 
 
 def test_gh_identity_point_and_scaling():
@@ -371,7 +370,7 @@ def test_planar_route_on_deep_a2_fiber_tori_matches_60_digits():
     # absolute tolerance anywhere in the planar route shows here
     for rho2 in (0.9, 1.0, 1.1, 1.2):
         checked = 0
-        for r in sample_base(LevelSetSpec.from_rho(2, 1.0, rho2), 60, seed=0):
+        for r in sample_base(LevelSetSpec(2, 1.0, rho2), 60, seed=0):
             w = torus_metric_weights(r)[1]
             try:
                 got = mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(2), w))
@@ -424,7 +423,7 @@ def test_closed_form_on_deep_fiber_tori_matches_60_digits():
     # n = 3 at rho2 1.0 and 1.1, where the weights span up to ~1e13
     for rho2 in (1.0, 1.1):
         for seed in (0, 1):
-            base_r = sample_base(LevelSetSpec.from_rho(3, 1.0, rho2), 60, seed)
+            base_r = sample_base(LevelSetSpec(3, 1.0, rho2), 60, seed)
             theta_w, eta_w = torus_metric_weights(base_r)
             for weights, diameters in ((eta_w, mg.pi1_fiber_diameters),
                                        (theta_w, mg.pi2_fiber_diameters)):
@@ -436,7 +435,7 @@ def test_closed_form_on_deep_fiber_tori_matches_60_digits():
 def test_closed_form_matches_planar_route_on_gate_6_samples():
     # the n = 2 sample sets of acceptance gate 6, through the planar route
     for rho1 in np.geomspace(1.0, 1e3, 7):
-        base_r = sample_base(LevelSetSpec.from_rho(2, float(rho1), 0.6), 25, seed=33)
+        base_r = sample_base(LevelSetSpec(2, float(rho1), 0.6), 25, seed=33)
         closed = mg.pi1_fiber_diameters(base_r)
         planar = np.array([mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(2), w))
                            for w in torus_metric_weights(base_r)[1]])
@@ -445,7 +444,7 @@ def test_closed_form_matches_planar_route_on_gate_6_samples():
 
 def test_fiber_tori_and_closed_form_bound():
     for n, rho2 in [(2, 0.55), (2, 0.8), (3, 0.55)]:
-        spec = LevelSetSpec.from_rho(n, 1.0, rho2)
+        spec = LevelSetSpec(n, 1.0, rho2)
         base_r = sample_base(spec, 8, seed=21)
         d1 = mg.pi1_fiber_diameters(base_r)
         assert d1.shape == (8,)
@@ -457,8 +456,8 @@ def test_fiber_tori_and_closed_form_bound():
 
 def test_fiber_bound_scale():
     # rho1 enters the bound as 1/rho1 and the eta metric weights as 1/rho1^2
-    a = LevelSetSpec.from_rho(2, 1.0, 0.6)
-    b = LevelSetSpec.from_rho(2, 4.0, 0.6)
+    a = LevelSetSpec(2, 1.0, 0.6)
+    b = LevelSetSpec(2, 4.0, 0.6)
     da = float(mg.pi1_fiber_diameters(sample_base(a, 1, seed=3)[0]))
     db = float(mg.pi1_fiber_diameters(sample_base(b, 1, seed=3)[0]))
     assert db == pytest.approx(da / 4.0, rel=1e-9)
@@ -535,7 +534,7 @@ def test_hn_distance_vanishes_on_phase_group_orbits():
     for n in (1, 2, 3):
         for _ in range(5):
             z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-            p = CPnPoint(z, 1.0).normalized()
+            p = CPnPoint(z / np.linalg.norm(z), 1.0)
             for g in mg._quotient_phases(n):
                 q = CPnPoint(p.z * np.exp(2j * math.pi * g), 1.0)
                 assert mg.hn_distance(p, q) < 1e-12
@@ -627,11 +626,11 @@ def test_knn_edge_lengths_match_per_row_einsum(seed, count, dim, extra):
 
 def _degenerate_chart(n, rho1, rho2, count, seed):
     """The points and metric limit-complex builds one kNN graph from."""
-    spec = LevelSetSpec.from_rho(n, rho1, rho2)
     torus_t = draw_torus(n, count, seed)[:, n:]
-    w = project_pi2(spec, solve_base(spec, draw_directions(n, count, seed)), torus_t)
+    shape = solve_base(LevelSetSpec(n, 1.0, rho2), draw_directions(n, count, seed))
+    w = project_pi2(np.log(shape), torus_t)
     coords = np.hstack([np.abs(w) / rho2, torus_t])
-    return coords, spec.rho1, degenerate_metric(coords[:, :n + 1], spec.rho1, rho2)
+    return coords, rho1, degenerate_metric(coords[:, :n + 1], rho1, rho2)
 
 
 def _mp_degenerate_edge(xi, xj, n, rho1, rho2):

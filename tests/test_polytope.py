@@ -87,7 +87,7 @@ def test_lattice_maps_match_hand_matrices():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_duality_identities(n):
     rep = verify_duality_identities(n)
-    assert rep.passed, rep.failures
+    assert rep.passed, rep.identities
     assert rep.composite == tuple(
         tuple((n + 1) if i == j else 0 for j in range(n)) for i in range(n)
     )

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_tensors
-from wsdlab.ambient import feasibility_threshold, moment_map
+from wsdlab.ambient import convert_parameters, feasibility_threshold, moment_map
 from wsdlab.metgeo import anticanonical_normals
 from wsdlab.reduction import (
+    EmptyLevelSet,
     LevelSetSpec,
     _stream,
     draw_directions,
@@ -25,44 +26,66 @@ from wsdlab.reduction import (
 PI = math.pi
 
 
-def spec_rho(n, rho1, rho2):
-    return LevelSetSpec.from_rho(n, rho1, rho2)
-
-
 def test_spec_construction_and_properties():
-    s = spec_rho(2, 1.3, 0.6)
+    s = LevelSetSpec(2, 1.3, 0.6)
+    assert (s.rho1, s.rho2) == (1.3, 0.6)
     assert s.k1 < 0
-    assert abs(s.rho1 - 1.3) < 1e-12
-    assert abs(s.rho2 - 0.6) < 1e-12
+    back = convert_parameters(2, s.k1, s.k2)
+    assert abs(back[0] - 1.3) < 1e-12
+    assert abs(back[1] - 0.6) < 1e-12
+    for rho1 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            LevelSetSpec(2, rho1, 0.6)
     with pytest.raises(ValueError):
-        LevelSetSpec(2, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        LevelSetSpec(0, -1.0, 0.0)
+        LevelSetSpec(0, 1.0, 0.6)
+
+
+@pytest.mark.parametrize("rho1,rho2", [(1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+                                       (math.inf, 0.6), (math.nan, 0.6)])
+def test_spec_rejects_non_finite_parameters(rho1, rho2):
+    with pytest.raises(ValueError, match="finite"):
+        LevelSetSpec(2, rho1, rho2)
 
 
 @pytest.mark.parametrize("k1,k2", [(-1.0, math.nan), (-1.0, math.inf), (-1.0, -math.inf),
                                    (-math.inf, 0.0), (math.nan, 0.0)])
 def test_spec_rejects_non_finite_levels(k1, k2):
-    with pytest.raises(ValueError, match="finite"):
-        LevelSetSpec(2, k1, k2)
+    # no non-finite level gives a spec: the conversion or the spec refuses it
+    with pytest.raises(ValueError, match="finite|radicand"):
+        LevelSetSpec(2, *convert_parameters(2, k1, k2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), data=st.data(), decades=st.floats(-100.0, 100.0),
+       seed=st.integers(0, (1 << 31) - 1), count=st.integers(1, 12))
+def test_solve_base_is_exactly_rho1_covariant(n, data, decades, seed, count):
+    # the spec keeps its parameters as given, and the radii at rho1 are
+    # bitwise rho1 times those at rho1 = 1: one shape solve serves every rho1
+    rho2 = data.draw(st.floats(1.0001 * feasibility_threshold(n), 2.5))
+    rho1 = 10.0**decades
+    spec = LevelSetSpec(n, rho1, rho2)
+    assert spec.rho1 == rho1 and spec.rho2 == rho2
+    directions = draw_directions(n, count, seed)
+    shape = solve_base(LevelSetSpec(n, 1.0, rho2), directions)
+    assert np.array_equal(solve_base(spec, directions), rho1 * shape)
 
 
 def test_nan_rho2_is_not_classified():
     # nan compares false against the threshold, so it must never get that far
     with pytest.raises(ValueError, match="finite"):
-        feasibility(LevelSetSpec.from_rho(2, 1.0, math.nan))
+        feasibility(LevelSetSpec(2, 1.0, math.nan))
 
 
 def test_feasibility_trichotomy():
     thr = feasibility_threshold(2)  # 0.288937, five-digit roundings land below it
-    assert feasibility(spec_rho(2, 1.0, thr)) == "degenerate"
-    assert feasibility(spec_rho(2, 0.05, thr)) == "degenerate"  # rho1-independent
-    assert feasibility(spec_rho(2, 1.0, 0.5)) == "regular"
-    assert feasibility(spec_rho(2, 1.0, 0.1)) == "empty"
+    assert feasibility(LevelSetSpec(2, 1.0, thr)) == "degenerate"
+    assert feasibility(LevelSetSpec(2, 0.05, thr)) == "degenerate"  # rho1-independent
+    assert feasibility(LevelSetSpec(2, 1.0, 0.5)) == "regular"
+    assert feasibility(LevelSetSpec(2, 1.0, 0.1)) == "empty"
     for n in (1, 2, 3, 4):
         t = feasibility_threshold(n)
-        assert feasibility(spec_rho(n, 2.0, t * 1.001)) == "regular"
-        assert feasibility(spec_rho(n, 2.0, t * 0.999)) == "empty"
+        assert feasibility(LevelSetSpec(n, 2.0, t * 1.001)) == "regular"
+        assert feasibility(LevelSetSpec(n, 2.0, t * 0.999)) == "empty"
 
 
 def test_feasibility_k_coordinates():
@@ -73,7 +96,12 @@ def test_feasibility_k_coordinates():
         k1 = -float(np.exp(rng.uniform(-3, 3)))
         k2 = float(rng.uniform(-2, 2))
         lhs = (-k1 / PI) * math.exp(4 * PI * k2 / (n + 1))
-        got = feasibility(LevelSetSpec(n, k1, k2))
+        try:
+            rho = convert_parameters(n, k1, k2)
+        except ValueError:  # rho2^2 < 0: below the threshold
+            assert lhs < n + 1
+            continue
+        got = feasibility(LevelSetSpec(n, *rho))
         if lhs < (n + 1) * (1 - 1e-9):
             assert got == "empty"
         elif lhs > (n + 1) * (1 + 1e-9):
@@ -81,7 +109,7 @@ def test_feasibility_k_coordinates():
 
 
 def test_sample_base_constraints_bulk():
-    s = spec_rho(3, 0.7, 0.9)
+    s = LevelSetSpec(3, 0.7, 0.9)
     pts = sample_base(s, 1000, seed=5)
     assert pts.shape == (1000, 4)
     ssq = np.sum(pts**2, axis=1)
@@ -92,7 +120,7 @@ def test_sample_base_constraints_bulk():
 
 
 def test_sample_base_determinism_and_stream_independence():
-    s = spec_rho(2, 1.0, 0.6)
+    s = LevelSetSpec(2, 1.0, 0.6)
     a = sample_base(s, 8, seed=11)
     b = sample_base(s, 8, seed=11)
     assert np.array_equal(a, b)
@@ -104,8 +132,8 @@ def test_sample_base_determinism_and_stream_independence():
 
 def test_sample_base_scale_covariance():
     # same seed, rho1 doubled: shapes r/rho1 must match bitwise
-    lo = spec_rho(2, 0.5, 0.6)
-    hi = spec_rho(2, 1.0, 0.6)
+    lo = LevelSetSpec(2, 0.5, 0.6)
+    hi = LevelSetSpec(2, 1.0, 0.6)
     a = sample_base(lo, 12, seed=3) / lo.rho1
     b = sample_base(hi, 12, seed=3) / hi.rho1
     assert np.array_equal(a, b)
@@ -116,7 +144,7 @@ def test_sample_base_scale_covariance():
        rho1=st.floats(1e-3, 1e3), count=st.integers(1, 24))
 def test_sample_base_properties(n, data, seed, rho1, count):
     rho2 = data.draw(st.floats(1.0001 * feasibility_threshold(n), 4.0))
-    unit = spec_rho(n, 1.0, rho2)
+    unit = LevelSetSpec(n, 1.0, rho2)
     x = sample_base(unit, count, seed=seed)
     assert x.shape == (count, n + 1)
     assert np.all(np.isfinite(x)) and np.all(x > 0)
@@ -126,9 +154,8 @@ def test_sample_base_properties(n, data, seed, rho1, count):
     assert np.max(np.abs(np.sum(np.log(x), axis=1) - level)) <= 1e-12 * abs(level)
     head = data.draw(st.integers(1, count))
     assert np.array_equal(sample_base(unit, head, seed=seed), x[:head])
-    # the shape depends on rho2 alone, which (k1, k2) carry exactly only sometimes
-    scaled = spec_rho(n, rho1, rho2)
-    assume(scaled.rho2 == unit.rho2)
+    # the shape depends on rho2 alone
+    scaled = LevelSetSpec(n, rho1, rho2)
     assert np.array_equal(sample_base(scaled, count, seed=seed), scaled.rho1 * x)
 
 
@@ -166,18 +193,18 @@ def test_drawn_rows_are_read_only():
     # rows it read stay as drawn
     before = directions.copy()
     for rho1 in (1.0, 10.0):
-        spec = spec_rho(3, rho1, 0.7)
+        spec = LevelSetSpec(3, rho1, 0.7)
         assert np.array_equal(solve_base(spec, directions), sample_base(spec, 6, seed=2))
     assert np.array_equal(directions, before)
 
 
 def test_sample_base_underflow_is_arithmetic_error():
     with pytest.raises(ArithmeticError, match="base radii underflow"):
-        sample_base(spec_rho(2, 1.0, 30.0), 3)
+        sample_base(LevelSetSpec(2, 1.0, 30.0), 3)
 
 
 def test_sample_base_n1_enumeration():
-    s = spec_rho(1, 2.0, 0.8)
+    s = LevelSetSpec(1, 2.0, 0.8)
     pts = sample_base(s, 6, seed=0)
     assert pts.shape == (6, 2)
     # exactly two distinct solutions, swapped coordinates, cycled
@@ -190,17 +217,18 @@ def test_sample_base_n1_enumeration():
 
 
 def test_sample_base_rejects_nonregular():
-    with pytest.raises(ValueError, match="empty"):
-        sample_base(spec_rho(2, 1.0, 0.1), 3)
-    with pytest.raises(ValueError, match="degenerate"):
-        sample_base(spec_rho(2, 1.0, feasibility_threshold(2)), 3)
+    # the one regularity check, with the threshold the CLI prints
+    with pytest.raises(EmptyLevelSet, match=r"classified 'empty' \(threshold 0.288937\)"):
+        sample_base(LevelSetSpec(2, 1.0, 0.1), 3)
+    with pytest.raises(EmptyLevelSet, match=r"classified 'degenerate' \(threshold 0.288937\)"):
+        sample_base(LevelSetSpec(2, 1.0, feasibility_threshold(2)), 3)
 
 
 def test_sample_base_threshold_concentration():
     thr2 = feasibility_threshold(2) ** 2
     dists = []
     for eps in (1e-4, 1e-6):
-        s = spec_rho(2, 1.0, math.sqrt(thr2 + eps))
+        s = LevelSetSpec(2, 1.0, math.sqrt(thr2 + eps))
         pts = sample_base(s, 40, seed=2)
         center = s.rho1 / math.sqrt(3.0)
         assert np.max(np.abs(pts - center)) < 6.0 * math.sqrt(eps)
@@ -213,14 +241,14 @@ def test_sample_base_threshold_concentration():
 
 def test_sampled_points_hit_level_set():
     for n, rho2 in ((2, 0.5), (3, 0.8)):
-        s = spec_rho(n, 1.1, rho2)
+        s = LevelSetSpec(n, 1.1, rho2)
         mu1, mu2 = moment_map(sample_base(s, 50, seed=9))
         assert np.all(np.abs(mu1 - s.k1) < 1e-9 * abs(s.k1))
         assert np.all(np.abs(mu2 - s.k2) < 1e-9 * max(1.0, abs(s.k2)))
 
 
 def test_tangent_frame_shape_and_orthogonality():
-    s = spec_rho(2, 1.0, 0.6)
+    s = LevelSetSpec(2, 1.0, 0.6)
     st = induced_structure(sample_base(s, 3, seed=4))
     for stack in st:
         assert stack.shape == (3, 5, 5)  # 3(n-1)+2 = 5 tangent directions
@@ -232,7 +260,7 @@ def test_tangent_frame_shape_and_orthogonality():
 
 
 def test_tangent_frame_n1_degenerate_pair_only():
-    s = spec_rho(1, 1.0, 0.7)
+    s = LevelSetSpec(1, 1.0, 0.7)
     st = induced_structure(sample_base(s, 2, seed=1))
     assert st.g.shape == (2, 2, 2)
     # no radial directions: omega1 and omega2 vanish, z and w sit in different blocks
@@ -243,7 +271,7 @@ def test_tangent_frame_n1_degenerate_pair_only():
 
 
 def test_tangent_frame_near_degenerate_guard():
-    s = spec_rho(2, 1.0, 0.6)
+    s = LevelSetSpec(2, 1.0, 0.6)
     r = s.rho1 / math.sqrt(3.0)
     good = sample_base(s, 2, seed=0)
     with pytest.raises(ArithmeticError, match="ill conditioned"):
@@ -251,7 +279,7 @@ def test_tangent_frame_near_degenerate_guard():
 
 
 def test_induced_structure_blocks():
-    s = spec_rho(2, 1.0, 0.55)
+    s = LevelSetSpec(2, 1.0, 0.55)
     st = induced_structure(sample_base(s, 1, seed=7))
     # omega1 on span(v, u1) is the unit pairing, omegaD pairs u1 with w2 and z with w
     assert abs(st.omega1[0, 0, 1] - 1.0) < 1e-9
@@ -265,7 +293,7 @@ def test_induced_structure_blocks():
 
 def test_induced_structure_bulk_axioms():
     for n, rho2 in ((2, 0.5), (3, 0.75)):
-        rep = verify_wsd_axioms(induced_structure(sample_base(spec_rho(n, 1.0, rho2), 25, seed=13)),
+        rep = verify_wsd_axioms(induced_structure(sample_base(LevelSetSpec(n, 1.0, rho2), 25, seed=13)),
                                 tol=1e-8)
         assert np.all(rep.passed), (n, rep.residuals)
         assert np.all(rep.kernel_dim == 2)
@@ -300,7 +328,7 @@ def test_restricted_singular_values_invariant_under_v_basis_change():
     # restricted tensors with the singular values of the QR frame's
     rng = np.random.default_rng(21)
     for n, rho2 in ((2, 0.6), (3, 0.8), (4, 1.0), (6, 1.2)):
-        r = sample_base(spec_rho(n, 1.0, rho2), 3, seed=21)
+        r = sample_base(LevelSetSpec(n, 1.0, rho2), 3, seed=21)
         st = induced_structure(r)
         for i in range(len(r)):
             (fa, ta), (fb, tb) = (_reference_frame(r[i], rng) for _ in range(2))
@@ -322,7 +350,7 @@ def _antisym_nudge(stack, i, j, amount):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_negative_control_frame_orthogonality(n):
-    st = induced_structure(sample_base(spec_rho(n, 1.0, 0.5), 6, seed=3))
+    st = induced_structure(sample_base(LevelSetSpec(n, 1.0, 0.5), 6, seed=3))
     assert np.all(verify_wsd_axioms(st).passed)
     g = st.g.copy()
     g[:, 0, 1] += 1e-6
@@ -334,7 +362,7 @@ def test_negative_control_frame_orthogonality(n):
 
 def test_axiom_verifier_detects_corruption():
     # one negative control per block shape: each form's own residual flags it
-    st = induced_structure(sample_base(spec_rho(2, 1.0, 0.5), 6, seed=3))
+    st = induced_structure(sample_base(LevelSetSpec(2, 1.0, 0.5), 6, seed=3))
     for name in ("omega1", "omega2", "omegaD"):
         bad = st._replace(**{name: _antisym_nudge(getattr(st, name), 0, 1, 1e-3)})
         rep = verify_wsd_axioms(bad, tol=1e-8)
@@ -348,7 +376,7 @@ def test_axiom_verifier_detects_corruption():
 def test_negative_control_kernel_dimension(n):
     # pairing z with w in omega1 and omega2 removes the degenerate plane from
     # their common kernel; a loose tol leaves the kernel test alone to fail
-    st = induced_structure(sample_base(spec_rho(n, 1.0, 0.5), 6, seed=3))
+    st = induced_structure(sample_base(LevelSetSpec(n, 1.0, 0.5), 6, seed=3))
     d = st.g.shape[1]
     bad = st._replace(omega1=_antisym_nudge(st.omega1, d - 2, d - 1, 1.0),
                       omega2=_antisym_nudge(st.omega2, d - 2, d - 1, 1.0))
@@ -361,7 +389,7 @@ def test_negative_control_kernel_dimension(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_negative_control_omega_d_conditioning(n):
     # removing the z-w pairing leaves omegaD degenerate on ker omega1 + ker omega2
-    st = induced_structure(sample_base(spec_rho(n, 1.0, 0.5), 6, seed=3))
+    st = induced_structure(sample_base(LevelSetSpec(n, 1.0, 0.5), 6, seed=3))
     d = st.g.shape[1]
     omega_d = st.omegaD.copy()
     omega_d[:, d - 2, d - 1] = omega_d[:, d - 1, d - 2] = 0.0
@@ -376,7 +404,7 @@ def test_negative_control_omega_d_conditioning(n):
 # residual floored at 1 there would pass any pairing
 @pytest.mark.parametrize("n,rho2", [(2, 0.5), (3, 0.5), (2, 2.5)])
 def test_negative_control_aij_consistency(n, rho2):
-    blk = omega_d_degenerate_block(sample_base(spec_rho(n, 1.0, rho2), 20, seed=0))
+    blk = omega_d_degenerate_block(sample_base(LevelSetSpec(n, 1.0, rho2), 20, seed=0))
     assert np.max(blk.aij_residual) < 1e-14
     # the a11 and a22 entries, (n+1)/((n+1)^2 - P), are the ones that vanish at depth
     bad = dataclasses.replace(blk, a_solve=blk.a_solve * [1 + 1e-6, 1, 1, 1 + 1e-6])
@@ -385,7 +413,7 @@ def test_negative_control_aij_consistency(n, rho2):
 
 @pytest.mark.parametrize("n,rho2", [(2, 0.5), (3, 0.5), (2, 2.5)])
 def test_negative_control_restricted_norm(n, rho2):
-    blk = omega_d_degenerate_block(sample_base(spec_rho(n, 1.0, rho2), 20, seed=0))
+    blk = omega_d_degenerate_block(sample_base(LevelSetSpec(n, 1.0, rho2), 20, seed=0))
     assert np.max(blk.norm_residual) < 1e-14
     bad = dataclasses.replace(blk, pairing=blk.pairing * (1 + 1e-6))
     assert np.all(bad.norm_residual > 1e-9)
@@ -397,7 +425,7 @@ def test_negative_control_restricted_norm(n, rho2):
 def test_rows_equal_single_row_calls(n, data, seed, count):
     # deep rho2 included: there the kernel dimensions differ between samples
     rho2 = data.draw(st.floats(1.01 * feasibility_threshold(n), 2.5))
-    r = sample_base(spec_rho(n, 1.0, rho2), count, seed=seed)
+    r = sample_base(LevelSetSpec(n, 1.0, rho2), count, seed=seed)
     stacks = induced_structure(r)
     rep = verify_wsd_axioms(stacks)
     blk = omega_d_degenerate_block(r)

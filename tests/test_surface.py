@@ -1,9 +1,12 @@
 """The package has no surface that only module tests reach.
 
-Every public top-level function and class in `src/wsdlab/*.py` must be
-referenced from some package module, outside its own definition, or from
-the acceptance gates.  A reference is an AST name, attribute or import
-alias, so a mention in a docstring or comment does not count.
+Every public top-level function and class in `src/wsdlab/*.py`, and every
+public method and property of those classes, must be referenced from some
+package module, outside its own definition, or from the acceptance gates.
+A reference is an AST name, attribute or import alias, so a mention in a
+docstring or comment does not count.  A method is reached only through an
+attribute, so for methods only attributes count: a local variable that
+shares a method's name does not keep it alive.
 """
 
 import ast
@@ -15,31 +18,59 @@ PACKAGE = Path(wsdlab.__file__).parent
 GATES = Path(__file__).with_name("test_acceptance.py")
 
 
-def _referenced(nodes) -> set[str]:
+def _referenced(nodes, attributes_only=False) -> set[str]:
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
+            if isinstance(sub, ast.Attribute):
                 out.add(sub.attr)
+            elif attributes_only:
+                continue
+            elif isinstance(sub, ast.Name):
+                out.add(sub.id)
             elif isinstance(sub, ast.alias):
                 out.add(sub.name)
     return out
 
 
-def test_every_public_definition_has_a_package_or_gate_user():
+def _public(body, kind):
+    return [node for node in body if isinstance(node, kind) and not node.name.startswith("_")]
+
+
+def _unused(attributes_only: bool, definitions) -> list[str]:
+    """`module.label` of every definition that `definitions(tree)` lists, as
+    (label, name, the statements outside it), and that nothing references."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
-    gates = _referenced([ast.parse(GATES.read_text(encoding="utf-8"))])
+    gates = _referenced([ast.parse(GATES.read_text(encoding="utf-8"))], attributes_only)
     unused = []
     for module, tree in trees.items():
-        elsewhere = gates.union(*(_referenced([other]) for name, other in trees.items()
-                                  if name != module))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            here = _referenced([stmt for stmt in tree.body if stmt is not node])
-            if node.name not in elsewhere | here:
-                unused.append(f"{module}.{node.name}")
+        elsewhere = gates.union(*(_referenced([other], attributes_only)
+                                  for name, other in trees.items() if name != module))
+        for label, name, outside in definitions(tree):
+            if name not in elsewhere | _referenced(outside, attributes_only):
+                unused.append(f"{module}.{label}")
+    return unused
+
+
+def _top_level(tree):
+    for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
+        yield node.name, node.name, [stmt for stmt in tree.body if stmt is not node]
+
+
+def _methods(tree):
+    for cls in _public(tree.body, ast.ClassDef):
+        rest = [stmt for stmt in tree.body if stmt is not cls]
+        for node in _public(cls.body, ast.FunctionDef):
+            yield (f"{cls.name}.{node.name}", node.name,
+                   rest + [stmt for stmt in cls.body if stmt is not node])
+
+
+def test_every_public_definition_has_a_package_or_gate_user():
+    unused = _unused(False, _top_level)
+    assert unused == [], f"reached only by module tests, or by nothing: {unused}"
+
+
+def test_every_public_method_has_a_package_or_gate_user():
+    unused = _unused(True, _methods)
     assert unused == [], f"reached only by module tests, or by nothing: {unused}"
