@@ -25,8 +25,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .ambient import PI2, torus_metric_weights
 from .polytope import finite_coset_representatives, lattice_maps
@@ -454,6 +452,10 @@ def knn_geodesics(edge_squares: np.ndarray, k: int = 12) -> np.ndarray:
     """All-pairs geodesic estimates through the k-nearest-neighbor graph of
     the squared edge lengths (N, N) that `knn_edge_squares` gives.
     Manifold-sampling practice, not certified."""
+    # scipy takes ~0.4 s to import and only limit-complex searches a graph
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     w = np.sqrt(edge_squares)
     npts = w.shape[0]
     k = min(k, npts - 1)

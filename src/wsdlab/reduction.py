@@ -63,6 +63,8 @@ class LevelSetSpec:
             raise ValueError(f"rho1 and rho2 must be finite, got {self.rho1}, {self.rho2}")
         if not self.rho1 > 0:
             raise ValueError("rho1 must be positive")
+        if not self.rho2 > 0:
+            raise ValueError("rho2 must be positive")
 
     @property
     def k1(self) -> float:

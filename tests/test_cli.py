@@ -79,6 +79,22 @@ def test_empty_level_set_is_one_line_exit_2(argv, rho2, cls, capsys):
                    f"(threshold {THRESHOLD_2})\n")
 
 
+@pytest.mark.parametrize("rho2", ["-0.6", "0"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "4"],
+    ["limit-kahler", "--grid", "0.1:1:2", "--samples", "12"],
+    ["limit-complex", "--grid", "0.1:1:2", "--samples", "12"],
+    ["boundary", "--side", "B", "--samples", "4"],
+], ids=["verify", "limit-kahler", "limit-complex", "boundary-B"])
+def test_non_positive_rho2_is_one_line_exit_2(argv, rho2, capsys):
+    # a profile width is positive: a negative one used to run (its solve saw
+    # only rho2^2, so limit-complex printed a negative hausdorff_quotient)
+    assert main(argv + ["--n", "2", f"--rho2={rho2}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invalid configuration: rho2 must be positive\n"
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_vanishing_pi2_modulus_exits_2_and_names_it(n, capsys):
     # at rho2 2.5 the largest shape coordinate rounds to 1, so its log-shape
@@ -453,6 +469,50 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["n"] == 1
+
+
+# run in a fresh interpreter with warnings as errors: each command in turn,
+# then the list of scipy modules loaded so far
+IMPORT_GRAPH_SCRIPT = """
+import contextlib, io, json, sys
+import wsdlab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = {"after_import": scipy_modules(), "runs": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = wsdlab.cli.main(argv)
+    report["runs"].append({"command": argv[0], "rc": rc, "scipy": scipy_modules()})
+print(json.dumps(report))
+"""
+
+
+def test_only_limit_complex_imports_scipy():
+    # scipy is most of a cold start's import time, and only limit-complex's
+    # kNN graph search needs it; its first import happens inside the CLI's
+    # np.errstate(raise) and must raise nothing there
+    argvs = [
+        ["verify", "--n", "2", "--rho2", "0.5", "--samples", "4"],
+        ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "6"],
+        ["boundary", "--side", "all", "--n", "2", "--grid", "0.1:1:2", "--samples", "4"],
+        ["polytope-report", "--n", "2"],
+        ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "0.1:1:2", "--samples", "12"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(wsdlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", IMPORT_GRAPH_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["after_import"] == []
+    *cheap, knn = report["runs"]
+    assert [(r["command"], r["rc"], r["scipy"]) for r in cheap] == [
+        (argv[0], 0, []) for argv in argvs[:-1]]
+    assert (knn["command"], knn["rc"]) == ("limit-complex", 0)
+    assert "scipy.sparse.csgraph" in knn["scipy"]
 
 
 @pytest.mark.parametrize("argv,per_sample", [

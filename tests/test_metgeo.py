@@ -581,14 +581,15 @@ def test_knn_directed_search_equals_undirected(seed, count, dim, k, periodic):
     got = _knn(pts, metric, k=k, periodic=flags)
     undirected = lambda graph, method, directed: shortest_path(graph, method=method,
                                                                directed=False)
-    with mock.patch.object(mg, "shortest_path", undirected):
+    with mock.patch("scipy.sparse.csgraph.shortest_path", undirected):
         want = _knn(pts, metric, k=k, periodic=flags)
     assert np.array_equal(got, want)
 
 
 def _knn_edges(points, metric, k, periodic):
     """The symmetrized kNN graph's edge lengths, read before the search."""
-    with mock.patch.object(mg, "shortest_path", lambda graph, method, directed: graph):
+    with mock.patch("scipy.sparse.csgraph.shortest_path",
+                    lambda graph, method, directed: graph):
         return _knn(points, metric, k=k, periodic=periodic).tocoo()
 
 

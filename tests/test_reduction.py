@@ -40,6 +40,12 @@ def test_spec_construction_and_properties():
         LevelSetSpec(0, 1.0, 0.6)
 
 
+@pytest.mark.parametrize("rho2", [0.0, -0.0, -1e-300, -0.6])
+def test_spec_rejects_non_positive_rho2(rho2):
+    with pytest.raises(ValueError, match="rho2 must be positive"):
+        LevelSetSpec(2, 1.0, rho2)
+
+
 @pytest.mark.parametrize("rho1,rho2", [(1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
                                        (math.inf, 0.6), (math.nan, 0.6)])
 def test_spec_rejects_non_finite_parameters(rho1, rho2):
