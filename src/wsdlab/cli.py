@@ -150,14 +150,15 @@ def cmd_verify(args) -> int:
 # the shape once per rho2 (the rho1 = 1 solve) and takes rho1 * shape as the
 # radii at every grid point.  The pi2 modulus sqrt(-u / 2 pi^2) reads only the
 # log-shape u = log(shape), so limit-complex builds the image w, its
-# residual, the hn distances, the phi-domain chart and the hn sample with its
-# GH profiles once per rho2, before its rho1 loop.  The degenerate metric on
-# that chart is exactly rho1^2 A + rho1^-2 B (radial block A, eta block B),
-# so each block's squared edge sums are built once at the first (largest)
-# grid point rho1_0 and every rho1 adds them scaled by (rho1 / rho1_0)^2 and
-# its inverse.  Built at a grid point, never at rho1 = 1, they fail only where
-# that grid point's own computation fails.  Per rho1 remain the fiber
-# diameters, the edge-sum scaling, the kNN graph search and the GH matching.
+# residual, the hn distances, the phi-domain chart and the hn sample once per
+# rho2, before its rho1 loop.  The degenerate metric on that chart is exactly
+# rho1^2 A + rho1^-2 B (radial block A, eta block B), so each block's squared
+# edge sums are built once at the first (largest) grid point rho1_0 and every
+# rho1 adds them scaled by (rho1 / rho1_0)^2 and its inverse.  Built at a grid
+# point, never at rho1 = 1, they fail only where that grid point's own
+# computation fails.  Per rho1 remain the fiber diameters, the edge-sum
+# scaling, the kNN graph search and the distortion of the correspondence
+# sample i <-> its pi2 image i, which bounds the GH distance with no matching.
 
 KAHLER_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
                  "fiber_diam_max", "fiber_bound", "fiber_ratio",
@@ -217,6 +218,8 @@ COMPLEX_DOC = [
     "degenerate_ngh_*: normalized-GH interval between the sample under the degenerate",
     "  radial-angular metric (graph geodesics) and its projection with quotient distances;",
     "  the normalized comparison is the scale-free sense, so the interval stays finite",
+    "degenerate_ngh_lower: diameter gap / diameter sum",
+    "degenerate_ngh_upper: distortion of sample i <-> its pi2 image i / diameter sum",
 ]
 
 
@@ -254,6 +257,7 @@ def cmd_limit_complex(args) -> int:
         fibers = [float(np.max(pi2_fiber_diameters(rho1 * shape))) for rho1 in grid]
         res, h_quot, sq_r, sq_eta, b = _complex_shape(
             shape, grid[0], rho2, torus_t, anticanonical_points(normals, rho2**2))
+        idx = np.arange(len(b))
         for rho1, fiber in zip(grid, fibers):
             # each factor applied twice: its square can leave the doubles
             # on a grid whose edge sums themselves stay finite
@@ -261,7 +265,7 @@ def cmd_limit_complex(args) -> int:
             d_deg = knn_geodesics(sq_r * down * down + sq_eta * up * up, k=12)
             if not np.all(np.isfinite(d_deg)):
                 raise ValueError("degenerate-metric graph disconnected; raise --samples")
-            ngh = ngh_distance(FiniteMetricSample(d_deg), b)
+            ngh = ngh_distance(FiniteMetricSample(d_deg), b, pairs=(idx, idx))
 
             rows.append({
                 "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +33,7 @@ from .reduction import LevelSetSpec, stream_rows
 
 @dataclass(frozen=True)
 class FiniteMetricSample:
-    """A finite metric space given by its distance matrix.  Its GH profiles
-    are computed on first use and kept, so a sample compared against many
-    others sorts its distances once."""
+    """A finite metric space given by its distance matrix."""
 
     dist: np.ndarray
 
@@ -52,13 +50,6 @@ class FiniteMetricSample:
 
     def __len__(self) -> int:
         return self.dist.shape[0]
-
-    @cached_property
-    def profiles(self) -> np.ndarray:
-        """The read-only `_profiles` of dist, one row per point."""
-        prof = _profiles(self.dist)
-        prof.setflags(write=False)
-        return prof
 
 
 def diameter(s: FiniteMetricSample) -> float:
@@ -208,19 +199,47 @@ def correspondence_distortion(da: np.ndarray, db: np.ndarray,
     return float(np.max(np.abs(da[np.ix_(ia, ia)] - db[np.ix_(ib, ib)])))
 
 
-def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample) -> tuple[float, float]:
+def _correspondence(pairs, na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays (ia, ib) of `pairs`, checked to be a correspondence
+    between samples of na and nb points: every index in range and every
+    point of each sample in some pair, since a partial relation certifies no
+    bound."""
+    ia, ib = (np.asarray(idx) for idx in pairs)
+    if ia.ndim != 1 or ia.shape != ib.shape:
+        raise ValueError(f"pairs must be two index arrays of one length, "
+                         f"got shapes {ia.shape} and {ib.shape}")
+    for idx, count, side in ((ia, na, "first"), (ib, nb, "second")):
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"pairs must hold integer indices, got {idx.dtype}")
+        if idx.size and not (0 <= np.min(idx) and np.max(idx) < count):
+            raise ValueError(f"a pair index is out of range for the {side} sample "
+                             f"of {count} points")
+        if not np.all(np.bincount(idx.astype(np.intp), minlength=count)):
+            raise ValueError(f"a point of the {side} sample is in no pair, "
+                             "so pairs is no correspondence")
+    return ia, ib
+
+
+def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample,
+              pairs=None) -> tuple[float, float]:
     """Certified interval for the Gromov-Hausdorff distance of two samples.
 
-    lower: half the diameter gap.  upper: half the distortion of a greedy
-    mutual-nearest-neighbor correspondence on sorted-distance profiles (any
-    correspondence certifies an upper bound; leftovers of the larger sample
-    ride with their nearest matched profile).
+    lower: half the diameter gap.  upper: half the distortion of a
+    correspondence (any correspondence R certifies d_GH <= dis(R) / 2;
+    Memoli, DCG 48, 2012).  `pairs` = (ia, ib) gives it as index arrays,
+    point ia[k] of a with point ib[k] of b.  Without it the correspondence is
+    a greedy mutual-nearest-neighbor matching of sorted-distance profiles,
+    whose leftovers of the larger sample ride with their nearest matched
+    profile.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("gh_bounds needs nonempty samples")
     da, db = a.dist, b.dist
+    if pairs is None:
+        ia, ib = _greedy_correspondence(_profiles(da), _profiles(db))
+    else:
+        ia, ib = _correspondence(pairs, len(a), len(b))
     lower = 0.5 * abs(float(np.max(da)) - float(np.max(db)))
-    ia, ib = _greedy_correspondence(a.profiles, b.profiles)
     upper = 0.5 * correspondence_distortion(da, db, ia, ib)
     return lower, upper
 
@@ -231,14 +250,14 @@ class NghBounds(NamedTuple):
     point_like: bool = False
 
 
-def ngh_distance(a: FiniteMetricSample, b: FiniteMetricSample) -> NghBounds:
-    """Diameter-normalized GH interval 2 d_GH / (diam a + diam b); two genuine
-    points compare at 0 by convention."""
-    da, db = diameter(a), diameter(b)
-    total = da + db
+def ngh_distance(a: FiniteMetricSample, b: FiniteMetricSample, pairs=None) -> NghBounds:
+    """Diameter-normalized GH interval 2 d_GH / (diam a + diam b), its upper
+    bound from `pairs` as in gh_bounds; two genuine points compare at 0 by
+    convention."""
+    lo, hi = gh_bounds(a, b, pairs)
+    total = diameter(a) + diameter(b)
     if total == 0.0:
         return NghBounds(0.0, 0.0, point_like=True)
-    lo, hi = gh_bounds(a, b)
     return NghBounds(2.0 * lo / total, 2.0 * hi / total)
 
 

@@ -563,6 +563,20 @@ def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2
     assert solved == [(1.0, rho2) for rho2 in rho2s]
 
 
+def test_limit_complex_runs_no_gh_matching(monkeypatch, tmp_path):
+    # the upper bound is the distortion of sample i <-> its pi2 image i, so
+    # no grid point sorts distance profiles or matches them
+    def refused(*args):
+        raise AssertionError("limit-complex ran the greedy GH matching")
+
+    monkeypatch.setattr(metgeo, "_profiles", refused)
+    monkeypatch.setattr(metgeo, "_greedy_correspondence", refused)
+    rc, text = run(tmp_path, "limit-complex", "--n", "2", "--rho2", "0.6,0.7",
+                   "--grid", "1e-3:1:3", "--samples", "30")
+    assert rc == 0
+    assert len(rows_of(text)) == 6
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "3", "--rho2", "0.5"],
     ["limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid", "1:1e3:3"],
@@ -642,7 +656,8 @@ def _oracle_row(n, rho1, rho2, directions, torus_t, anti, samples, seed):
         raise ValueError("disconnected")
     a = metgeo.FiniteMetricSample(d_deg)
     b = metgeo.FiniteMetricSample(metgeo.hn_matrix(w, 1.0, n))
-    ngh = metgeo.ngh_distance(a, b)
+    idx = np.arange(samples)
+    ngh = metgeo.ngh_distance(a, b, pairs=(idx, idx))
     return {
         "n": n, "rho1": cli._e(rho1), "rho2": cli._e(rho2),
         "samples": samples, "seed": seed, "version": wsdlab.__version__,
@@ -654,10 +669,11 @@ def _oracle_row(n, rho1, rho2, directions, torus_t, anti, samples, seed):
 
 # the columns whose degenerate edge sums are built at the first grid point
 # and scaled to each rho1: they round otherwise than sums built at that rho1,
-# which can move the last printed digit by one.  The kNN order (argsort) and
-# the greedy GH matching (argmin) can also flip on a one-ulp tie and then move
-# them by more than that; no such tie was met in the configurations checked.
-# Every other column, the rho1-free hausdorff_quotient and pi2_residual_max
+# which can move the last printed digit by one.  The GH upper bound comes from
+# the fixed correspondence sample i <-> image i, so no matching can flip; only
+# the kNN order (argsort) can flip on a one-ulp tie and then move them by more
+# than that, and no such tie was met in the configurations checked.  Every
+# other column, the rho1-free hausdorff_quotient and pi2_residual_max
 # included, matches byte for byte.
 SHAPE_COLUMNS = ("degenerate_ngh_lower", "degenerate_ngh_upper")
 

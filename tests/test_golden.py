@@ -38,18 +38,21 @@ GOLDEN = [
      "f59f0dfeff34558ff96d3d5f3933ac6c35a6e1e7619cdcbda3889e2a96bceb2f"),
     # every limit-complex digest was re-recorded when the pi2 image became
     # one rho1-free projection of the log-shape per rho2: only the
-    # pi2_residual_max cells changed, each staying below 3e-15
+    # pi2_residual_max cells changed, each staying below 3e-15.  They were
+    # re-recorded again when the GH upper bound became the distortion of
+    # sample i <-> its pi2 image i: only the degenerate_ngh_upper cells and
+    # the COMPLEX_DOC comment lines changed
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:4",
       "--samples", "60", "--seed", "3"),
-     "f2ba34ab5d0634078841a1b383375dbc8b880eebf25fe49d67d298dc658a4e3f"),
+     "fae74f556ea85fec49726639e3f442ef43fdcd7653668b820cc347009aaccedb"),
     (("limit-complex", "--n", "3", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "463126016e8b7e75e38c424d71d0ba4c20c32316893c89a66a4b875404452743"),
+     "99dfc29cfc8f14e6c2ab04e9b41229ee3dc6d2f502e3ef0e3b032dd739a3ce08"),
     # two rho2 values: each builds its own pi2 image, hn sample and edge sums;
     # recorded before those were built once per rho2
     (("limit-complex", "--n", "2", "--rho2", "0.6,0.9", "--grid", "1e-3:1:3",
       "--samples", "60", "--seed", "4"),
-     "7670f5cbb98d45484ab272f9c9cf66233409e9489c8ac7c07770307fb28e1f19"),
+     "54c989040fe6064d88920394728d2f3c7f9c591641fc20241df76770b12b8089"),
     # rank-4 fiber tori: recorded with the closed-form covering radius (the
     # Voronoi search these sweeps used before stops at rank 3 and exits 2)
     (("limit-kahler", "--n", "4", "--rho2", "0.7", "--grid", "1:1e3:3",
@@ -57,11 +60,11 @@ GOLDEN = [
      "26982583d4a3fbd82b6abf437f06b7ca7cb08af6525f2ad5fdf54647df954274"),
     (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "471452de7e1f83f4075fc6360ae25f2709aa003c46a9fb37a7cfec16b9cf3c07"),
+     "0609d26dd2b8cfc11a28ad67e8aa8d590cf26e5f473cb708b543917275f5f233"),
     # the benchmark's sample count: N = 400 kNN graphs and GH matchings
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3",
       "--samples", "400", "--seed", "5"),
-     "70b6b6c4b49f869e368998a38759928d6146404db43efbc9531fdd6b067663a5"),
+     "8edb747ef8fa773347a41419d979ab9fce71c7e9b049604d5efc01451ae18b0d"),
     (("boundary", "--side", "all", "--n", "2", "--samples", "24"),
      "ad033268337439b5e61e0c172f1f4443d473178813fc1092da1d0588343ce20e"),
     (("polytope-report", "--n", "1"),

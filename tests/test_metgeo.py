@@ -137,6 +137,87 @@ def test_gh_bounds_sandwich_brute_force():
             assert hi >= exact - 1e-12
 
 
+def test_gh_pairs_interval_sandwich_brute_force():
+    # the identity pairs of index-aligned samples, and a relation that is no
+    # bijection, both bound the exact GH from above
+    rng = np.random.default_rng(13)
+    for na, nb in [(2, 2), (3, 3), (1, 3), (3, 2)]:
+        for _ in range(8):
+            pa = rng.uniform(0, 1, (na, 2))
+            pb = rng.uniform(0, 1, (nb, 2))
+            da = np.sqrt(np.sum((pa[:, None] - pa[None]) ** 2, axis=2))
+            db = np.sqrt(np.sum((pb[:, None] - pb[None]) ** 2, axis=2))
+            exact = _brute_gh(da, db)
+            if na == nb:
+                pairs = (np.arange(na), np.arange(nb))
+            else:
+                pairs = (np.arange(max(na, nb)) % na, np.arange(max(na, nb)) % nb)
+            lo, hi = mg.gh_bounds(_abstract(da), _abstract(db), pairs)
+            assert lo <= exact + 1e-12
+            assert hi >= exact - 1e-12
+
+
+def test_gh_pairs_upper_shrinks_with_a_perturbation():
+    # moving each point by at most eps moves each distance by at most 2 eps,
+    # so sample i <-> perturbed sample i has distortion <= 2 eps
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(0, 1, (40, 3))
+    step = rng.standard_normal((40, 3))
+    step /= np.linalg.norm(step, axis=1)[:, None]
+    idx = np.arange(40)
+    a = _abstract(np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=2)))
+    uppers = []
+    for eps in [1e-1, 1e-2, 1e-4, 1e-8, 0.0]:
+        moved = pts + eps * step
+        b = _abstract(np.sqrt(np.sum((moved[:, None] - moved[None]) ** 2, axis=2)))
+        lo, hi = mg.gh_bounds(a, b, (idx, idx))
+        assert lo <= hi <= eps + 1e-15
+        ngh = mg.ngh_distance(a, b, (idx, idx))
+        assert ngh.lower <= ngh.upper <= 2 * eps / (mg.diameter(a) + mg.diameter(b)) + 1e-15
+        uppers.append(hi)
+    assert uppers == sorted(uppers, reverse=True) and uppers[-1] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(na=st.integers(1, 12), nb=st.integers(1, 12), seed=st.integers(0, 10**6),
+       power=st.integers(-60, 60))
+def test_gh_pairs_interval_ordered_and_exact_under_power_of_two(na, nb, seed, power):
+    # a random correspondence: every point of a, then every point of b, with
+    # a random partner
+    rng = np.random.default_rng(seed)
+    pa, pb = rng.normal(size=(na, 3)), rng.normal(size=(nb, 3))
+    da = np.linalg.norm(pa[:, None] - pa[None], axis=-1)
+    db = np.linalg.norm(pb[:, None] - pb[None], axis=-1)
+    pairs = (np.concatenate([np.arange(na), rng.integers(0, na, nb)]),
+             np.concatenate([rng.integers(0, nb, na), np.arange(nb)]))
+    lo, hi = mg.gh_bounds(_abstract(da), _abstract(db), pairs)
+    assert lo <= hi
+    base = mg.ngh_distance(_abstract(da), _abstract(db), pairs)
+    assert base.lower <= base.upper
+    t = 2.0 ** power
+    assert mg.gh_bounds(_abstract(t * da), _abstract(t * db), pairs) == (t * lo, t * hi)
+    assert mg.ngh_distance(_abstract(t * da), _abstract(t * db), pairs) == base
+
+
+@pytest.mark.parametrize("pairs,match", [
+    (([0, 1, 2], [0, 1]), "one length"),
+    (([0, 1, 3], [0, 1, 2]), "out of range for the first"),
+    (([0, 1, 2], [0, -1, 2]), "out of range for the second"),
+    (([0, 1, 1], [0, 1, 2]), "point of the first sample is in no pair"),
+    (([0, 1, 2], [2, 1, 2]), "point of the second sample is in no pair"),
+    (([0.0, 1.0, 2.0], [0, 1, 2]), "integer indices"),
+])
+def test_gh_pairs_must_be_a_correspondence(pairs, match):
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    pairs = tuple(np.array(p) for p in pairs)
+    with pytest.raises(ValueError, match=match):
+        mg.gh_bounds(_abstract(d), _abstract(d), pairs)
+    with pytest.raises(ValueError, match=match):
+        mg.ngh_distance(_abstract(d), _abstract(2.0 * d), pairs)
+    with pytest.raises(ValueError, match=match):
+        mg.ngh_distance(_abstract(0.0 * d), _abstract(0.0 * d), pairs)
+
+
 @pytest.mark.parametrize("na,nb", [(37, 23), (5, 40), (16, 16), (33, 1)])
 def test_profile_cost_blocks_equal_the_broadcast(na, nb):
     rng = np.random.default_rng(na * 100 + nb)
@@ -689,25 +770,6 @@ def test_degenerate_edge_squares_scale_as_lam1_powers(n, log_lam1, excess, count
                                periodic)
     got = lam1**2 * sq_r + sq_eta / lam1**2
     assert np.all(np.abs(got - want) <= 1e-14 * want)
-
-
-def test_sample_profiles_are_cached_profiles_of_dist():
-    z = _sphere_rows(30, 2, seed=5)
-    a = _cpn(z)
-    assert np.array_equal(a.profiles, mg._profiles(a.dist))
-    assert a.profiles is a.profiles and not a.profiles.flags.writeable
-
-
-def test_gh_bounds_with_a_reused_sample_equal_fresh_ones():
-    # limit-complex compares one hn sample against every rho1's chart sample
-    rng = np.random.default_rng(21)
-    pts = [rng.uniform(0.0, 1.0, (count, 3)) for count in (25, 31, 25, 18)]
-    dists = [np.sqrt(np.sum((p[:, None] - p[None]) ** 2, axis=2)) for p in pts]
-    b = _abstract(dists[0])
-    for d in dists[1:]:
-        assert mg.gh_bounds(_abstract(d), b) == mg.gh_bounds(_abstract(d), _abstract(dists[0]))
-        assert mg.ngh_distance(_abstract(d), b) == mg.ngh_distance(_abstract(d),
-                                                                   _abstract(dists[0]))
 
 
 @pytest.mark.parametrize("frame,coef,match", [
