@@ -67,11 +67,15 @@ def torus_metric_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal coefficients of the metric on the two angle blocks at radii r
     of any shape: (4 pi^2 r^2 on dtheta^2, 1 / (4 pi^2 r^2) on deta^2).
 
-    Raises ArithmeticError when 4 pi^2 r^2 underflows below the normal
-    doubles, where it loses digits and then its reciprocal overflows or
-    divides by 0; deep rho2 does that to the smallest radii.
+    Raises ArithmeticError where 4 pi^2 r^2 leaves the normal doubles: deep
+    rho2 underflows it for the smallest radii (its reciprocal then overflows
+    or divides by 0), a large rho1 overflows it for the largest.
     """
-    theta_w = FOUR_PI2 * r**2
+    with np.errstate(over="ignore"):
+        theta_w = FOUR_PI2 * r**2
+    if theta_w.max(initial=0.0) == math.inf:
+        raise ArithmeticError(f"radius squared overflow at r = {float(np.max(r)):.3e}: 4 pi^2 r^2 "
+                              "is above the largest double, rho1 is too large for the torus metric")
     if theta_w.min(initial=math.inf) < _TINY:
         raise ArithmeticError(
             f"radius squared underflow at r = {float(np.min(r)):.3e}: 4 pi^2 r^2 is below "

@@ -21,9 +21,9 @@ from . import __version__
 from .ambient import (closedness_residuals, feasibility_threshold, leaf_volume,
                       torus_metric_weights)
 from .maps import alpha_deform, degenerate_metric, pi2_image_residual, project_pi1, project_pi2
-from .metgeo import (FiniteMetricSample, anticanonical_normals, anticanonical_points,
-                     fs_matrix, hausdorff_from_cross, hn_matrix, knn_edge_squares,
-                     knn_geodesics, ngh_distance, pi1_fiber_bound, pi1_fiber_diameters,
+from .metgeo import (FiniteMetricSample, anticanonical_points, fs_matrix,
+                     hausdorff_from_cross, hn_matrix, knn_edge_squares, knn_geodesics,
+                     ngh_distance, pi1_fiber_bound, pi1_fiber_diameters,
                      pi2_fiber_diameters)
 from .polytope import (has_property_sd, kernel_data, lattice_maps, simplex_pair,
                        verify_duality_identities)
@@ -148,15 +148,18 @@ def cmd_verify(args) -> int:
 # The radii at a grid point are rho1 times a shape that rho2 alone fixes, and
 # solve_base gives bitwise rho1 times its rho1 = 1 rows, so each sweep solves
 # the shape once per rho2 (the rho1 = 1 solve) and takes rho1 * shape as the
-# radii at every grid point.  The pi2 modulus sqrt(-u / 2 pi^2) reads only the
-# log-shape u = log(shape), so limit-complex builds the image w, its
-# residual, the hn distances, the phi-domain chart and the hn sample once per
-# rho2, before its rho1 loop.  The degenerate metric on that chart is exactly
-# rho1^2 A + rho1^-2 B (radial block A, eta block B), so each block's squared
-# edge sums are built once at the first (largest) grid point rho1_0 and every
-# rho1 adds them scaled by (rho1 / rho1_0)^2 and its inverse.  Built at a grid
-# point, never at rho1 = 1, they fail only where that grid point's own
-# computation fails.  Per rho1 remain the fiber diameters, the edge-sum
+# radii at every grid point.  A Fubini-Study distance at scale rho1 is rho1
+# times an angle between unit rows, so limit-kahler measures its image
+# distance to the unit-sphere divisor sample once per rho2 and multiplies it
+# by rho1; its fibers are per grid point.  The pi2 modulus sqrt(-u / 2 pi^2)
+# reads only the log-shape u = log(shape), so limit-complex builds the image
+# w, its residual, the hn distances, the phi-domain chart and the hn sample
+# once per rho2, before its rho1 loop.  The degenerate metric on that chart is
+# exactly rho1^2 A + rho1^-2 B (radial block A, eta block B), so each block's
+# squared edge sums are built once at the first (largest) grid point rho1_0
+# and every rho1 adds them scaled by (rho1 / rho1_0)^2 and its inverse.  Built
+# at a grid point, never at rho1 = 1, they fail only where that grid point's
+# own computation fails.  Per rho1 remain the fiber diameters, the edge-sum
 # scaling, the kNN graph search and the distortion of the correspondence
 # sample i <-> its pi2 image i, which bounds the GH distance with no matching.
 
@@ -179,18 +182,15 @@ def cmd_limit_kahler(args) -> int:
     grid = np.sort(_parse_grid(args.grid))
     directions = draw_directions(args.n, args.samples, args.seed)
     torus_s = draw_torus(args.n, args.samples, args.seed)[:, :args.n]
-    normals = anticanonical_normals(args.n, args.samples, args.seed)
+    anti = anticanonical_points(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
         shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
-        specs = [LevelSetSpec(args.n, float(rho1), rho2) for rho1 in grid]
-        antis = anticanonical_points(normals, [spec.rho1**2 for spec in specs])
-        for rho1, spec, anti in zip(grid, specs, antis):
-            base_r = spec.rho1 * shape
-            fiber = float(np.max(pi1_fiber_diameters(base_r)))
-            bound = pi1_fiber_bound(spec)
-            z = project_pi1(base_r, torus_s)
-            h_img = hausdorff_from_cross(fs_matrix(z, spec.rho1, anti))
+        h1 = hausdorff_from_cross(fs_matrix(project_pi1(shape, torus_s), 1.0, anti))
+        for rho1 in grid:
+            fiber = float(np.max(pi1_fiber_diameters(rho1 * shape)))
+            bound = pi1_fiber_bound(LevelSetSpec(args.n, float(rho1), rho2))
+            h_img = rho1 * h1
             h_tot = h_img + fiber
             rows.append({
                 "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),
@@ -198,7 +198,7 @@ def cmd_limit_kahler(args) -> int:
                 "fiber_diam_max": _e(fiber), "fiber_bound": _e(bound),
                 "fiber_ratio": _e(fiber / bound),
                 "hausdorff_image": _e(h_img), "hausdorff_total": _e(h_tot),
-                "hausdorff_norm": _e(h_tot / (math.pi * spec.rho1 / 2.0)),
+                "hausdorff_norm": _e(h_tot / (math.pi * rho1 / 2.0)),
             })
     config = {"n": args.n, "rho2": rho2s, "grid": args.grid,
               "samples": args.samples, "seed": args.seed}
@@ -248,15 +248,14 @@ def cmd_limit_complex(args) -> int:
     grid = np.sort(_parse_grid(args.grid))[::-1]
     directions = draw_directions(args.n, args.samples, args.seed)
     torus_t = draw_torus(args.n, args.samples, args.seed)[:, args.n:]
-    normals = anticanonical_normals(args.n, args.samples, args.seed)
+    anti = anticanonical_points(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
         shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
         # the fibers first: a radius too small at the first grid point fails
         # there, as that point's own computation does
         fibers = [float(np.max(pi2_fiber_diameters(rho1 * shape))) for rho1 in grid]
-        res, h_quot, sq_r, sq_eta, b = _complex_shape(
-            shape, grid[0], rho2, torus_t, anticanonical_points(normals, rho2**2))
+        res, h_quot, sq_r, sq_eta, b = _complex_shape(shape, grid[0], rho2, torus_t, anti)
         idx = np.arange(len(b))
         for rho1, fiber in zip(grid, fibers):
             # each factor applied twice: its square can leave the doubles

@@ -78,7 +78,7 @@ class CPnPoint:
 
 def project_pi1(base_r, torus_s) -> np.ndarray:
     """First projection z_i = r_i e^{2 pi i theta_i}, theta = F_theta s: the
-    representatives lie on the sphere sum |z_i|^2 = rho1^2."""
+    representatives lie on the rho1-sphere, or the unit sphere for r / rho1."""
     theta = np.mod(embedded_angles(np.shape(torus_s)[-1], torus_s, "theta"), 1.0)
     return np.asarray(base_r, dtype=float) * np.exp(2j * math.pi * theta)
 

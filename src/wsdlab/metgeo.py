@@ -1,6 +1,6 @@
 """Finite-sample metric geometry: the distances of the two projective charts,
 diameters, Hausdorff and Gromov-Hausdorff bounds, flat-torus diameters, and a
-sampler for the anticanonical divisor the limit experiments compare against.
+unit-sphere sampler for the anticanonical divisor the limits compare against.
 
 Each chart has one distance kernel: fs_matrix for CP^n and hn_matrix for its
 quotient by the dual-simplex phase group.  hn_distance is the 1x1 case of
@@ -415,25 +415,19 @@ def pi1_fiber_bound(spec: LevelSetSpec) -> float:
 
 # -- anticanonical divisor sampler ----------------------------------------------
 
-def anticanonical_normals(n: int, count: int, seed: int = 0) -> np.ndarray:
-    """The divisor sampler's draws for samples 0..count-1: per index, the
-    real and imaginary parts of a complex Gaussian in C^{n+1} from stream
-    (seed, idx, 11), as read-only (count, 2(n+1)) rows."""
-    return stream_rows(seed, count, 2 * (n + 1),
-                       lambda rng, k: rng.standard_normal(k), 11)
-
-
-def anticanonical_points(normals: np.ndarray, lam) -> np.ndarray:
+def anticanonical_points(n: int, count: int, seed: int = 0) -> np.ndarray:
     """Points of the union of coordinate hyperplane sections {z_j = 0} on the
-    lam-sphere, one per row of `anticanonical_normals`: row idx lies on
-    component j = idx mod (n+1), uniformly within it.  A lam array of shape S
-    gives points of shape S + (count, n+1), each lam's as a call with it alone."""
-    count, m = normals.shape[0], normals.shape[1] // 2
+    unit sphere, as read-only rows (count, n+1): row idx, a complex Gaussian
+    from stream (seed, idx, 11), lies uniformly on component idx mod (n+1).
+    Both chart kernels normalize rows, so one draw serves every scale."""
+    m = n + 1
+    normals = stream_rows(seed, count, 2 * m, lambda rng, k: rng.standard_normal(k), 11)
     rows = normals[:, :m] + 1j * normals[:, m:]
     rows[np.arange(count), np.arange(count) % m] = 0.0
     # row by row, as one drawn point: a batched norm sums in another order
-    norms = np.array([np.linalg.norm(z) for z in rows])
-    return rows * (np.sqrt(np.asarray(lam, dtype=float))[..., None] / norms)[..., None]
+    rows *= 1.0 / np.array([np.linalg.norm(z) for z in rows])[:, None]
+    rows.setflags(write=False)
+    return rows
 
 
 # -- graph geodesics -----------------------------------------------------------

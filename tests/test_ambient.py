@@ -122,6 +122,18 @@ def test_torus_metric_weights_are_the_angle_blocks_of_g():
         assert np.array_equal(stacked[1], np.tile(eta_w, (2, 3, 1)))
 
 
+@pytest.mark.parametrize("over", ["ignore", "raise"])
+def test_torus_metric_weights_name_the_radius_squared_overflow(over):
+    # 4 pi^2 r^2 stays finite up to r ~ 2.13e153; past it the weights raise a
+    # named error whatever the floating-point error state
+    with np.errstate(over=over):
+        theta_w, _ = torus_metric_weights(np.array([1.0, 2e153]))
+        assert np.isfinite(theta_w[1])
+        with pytest.raises(ArithmeticError, match=r"^radius squared overflow at r = 3\.000e\+153: "
+                           r".*rho1 is too large for the torus metric$"):
+            torus_metric_weights(np.array([1.0, 3e153]))
+
+
 def test_metric_positive_definite_bulk():
     # the metric is diagonal with 1 on dr^2, so it is positive definite where
     # both angle-block rows are positive and finite; the forms' matrices are

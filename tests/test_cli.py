@@ -297,6 +297,21 @@ def test_radius_squared_underflow_exits_2_with_one_line(argv, capsys):
     assert "rho2" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit-kahler", "--rho2", "0.7"],
+    ["limit-complex", "--rho2", "0.7"],
+    ["boundary", "--side", "B", "--rho2", "0.7"],
+], ids=["limit-kahler", "limit-complex", "boundary-B"])
+def test_radius_squared_overflow_exits_2_with_one_line(argv, capsys):
+    # at rho1 = 1e160, 4 pi^2 r^2 of the largest radius leaves the doubles:
+    # the torus metric weights name that, not a bare overflow or range error
+    assert main([*argv, "--n", "2", "--grid", "1e150:1e160:2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: radius squared overflow at r = ")
+    assert err.endswith("rho1 is too large for the torus metric\n") and err.count("\n") == 1
+
+
 def test_fiber_bound_overflow_exits_2_and_names_it(capsys):
     # e^{2 pi^2 rho2^2} leaves the doubles from rho2 ~ 6.0; the sweep names
     # the bound and the first grid point, not a bare math range error
@@ -543,24 +558,34 @@ def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample)
 
 
 @pytest.mark.parametrize("grid", ["0.1:1:2", "1e-3:1:5"])
-@pytest.mark.parametrize("argv,rho2s", [
-    (["limit-kahler", "--rho2", "0.6,0.7"], [0.6, 0.7]),
-    (["limit-complex", "--rho2", "0.6,0.7"], [0.6, 0.7]),
-    (["boundary", "--side", "B", "--rho2", "0.6"], [0.6]),
+@pytest.mark.parametrize("argv,rho2s,draws,measures", [
+    (["limit-kahler", "--rho2", "0.6,0.7"], [0.6, 0.7], 1, 2),
+    (["limit-complex", "--rho2", "0.6,0.7"], [0.6, 0.7], 1, 0),
+    (["boundary", "--side", "B", "--rho2", "0.6"], [0.6], 0, 0),
 ], ids=["limit-kahler", "limit-complex", "boundary-B"])
-def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2s, grid):
-    # the radii at every grid point are rho1 times the one rho1 = 1 shape
-    solved = []
-    fresh = cli.solve_base
+def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2s, draws,
+                                               measures, grid):
+    # the radii at every grid point are rho1 times the one rho1 = 1 shape; the
+    # divisor sample is one unit-sphere draw per command, and limit-kahler's
+    # hausdorff_image is rho1 times its unit-sphere value, so it projects the
+    # sample and builds a distance matrix once per rho2, whatever the grid
+    calls = []
 
-    def counted(spec, directions):
-        solved.append((spec.rho1, spec.rho2))
-        return fresh(spec, directions)
+    def counting(name, fresh):
+        def counted(*args):
+            calls.append((name, args))
+            return fresh(*args)
+        return counted
 
-    monkeypatch.setattr(cli, "solve_base", counted)
+    for name in ("solve_base", "anticanonical_points", "project_pi1", "fs_matrix"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     rc, _ = run(tmp_path, *argv, "--n", "2", "--grid", grid, "--samples", "12")
     assert rc == 0
-    assert solved == [(1.0, rho2) for rho2 in rho2s]
+    assert [(args[0].rho1, args[0].rho2) for name, args in calls if name == "solve_base"] == \
+        [(1.0, rho2) for rho2 in rho2s]
+    names = [name for name, _ in calls]
+    assert names.count("anticanonical_points") == draws
+    assert names.count("project_pi1") == names.count("fs_matrix") == measures
 
 
 def test_limit_complex_runs_no_gh_matching(monkeypatch, tmp_path):
@@ -624,12 +649,11 @@ def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
     grid = np.sort(cli._parse_grid(grid_text))[::-1]
     directions = draw_directions(n, samples, seed)
     torus_t = draw_torus(n, samples, seed)[:, n:]
-    normals = metgeo.anticanonical_normals(n, samples, seed)
+    anti = metgeo.anticanonical_points(n, samples, seed)
     rows = []
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for rho2 in rho2s:
-                anti = metgeo.anticanonical_points(normals, rho2**2)
                 for rho1 in grid:
                     rows.append(_oracle_row(n, float(rho1), rho2, directions, torus_t,
                                             anti, samples, seed))
@@ -683,13 +707,16 @@ def _last_digit(cell):
     return 10.0 ** (int(cell.split("e")[1]) - 12)
 
 
-def _assert_limit_complex_matches_oracle(n, rho2s, grid, samples, seed):
-    argv = ["limit-complex", "--n", str(n), "--rho2", ",".join(map(repr, rho2s)),
+def _assert_matches_oracle(command, oracle, loose, n, rho2s, grid, samples, seed):
+    """The command's stdout against its oracle's CSV: the same exit, every
+    cell byte for byte but the `loose` columns, which match to one unit in
+    the last printed digit."""
+    argv = [command, "--n", str(n), "--rho2", ",".join(map(repr, rho2s)),
             "--grid", grid, "--samples", str(samples), "--seed", str(seed)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv)
-    want = _limit_complex_oracle(n, rho2s, grid, samples, seed)
+    want = oracle(n, rho2s, grid, samples, seed)
     assert rc == (2 if want is None else 0)
     if want is None:
         return
@@ -698,9 +725,9 @@ def _assert_limit_complex_matches_oracle(n, rho2s, grid, samples, seed):
     got_rows, want_rows = rows_of("\n".join(got)), rows_of("\n".join(want))
     assert len(got_rows) == len(want_rows)
     for g, w in zip(got_rows, want_rows):
-        assert {k: v for k, v in g.items() if k not in SHAPE_COLUMNS} == \
-            {k: v for k, v in w.items() if k not in SHAPE_COLUMNS}
-        for k in SHAPE_COLUMNS:
+        assert {k: v for k, v in g.items() if k not in loose} == \
+            {k: v for k, v in w.items() if k not in loose}
+        for k in loose:
             assert abs(float(g[k]) - float(w[k])) <= 1.5 * _last_digit(w[k])
 
 
@@ -714,7 +741,8 @@ def test_limit_complex_matches_per_point_oracle(n, samples, seed, excess, grid):
     # scaled to each rho1 give the per-point rows: every column byte for byte
     # but the two ngh columns, which match to one unit in the last digit
     rho2s = [feasibility_threshold(n) * x for x in excess]
-    _assert_limit_complex_matches_oracle(n, rho2s, grid, samples, seed)
+    _assert_matches_oracle("limit-complex", _limit_complex_oracle, SHAPE_COLUMNS,
+                           n, rho2s, grid, samples, seed)
 
 
 @pytest.mark.parametrize("n,rho2,samples,seed", [
@@ -731,4 +759,60 @@ def test_limit_complex_deep_rho2_at_large_rho1_matches_oracle(n, rho2, samples, 
     # point, so the command fails or prints where the per-point computation
     # does (where the largest shape coordinate rounds to 1, as at n = 1, both
     # fail on the vanishing pi2 modulus at every rho1)
-    _assert_limit_complex_matches_oracle(n, [rho2], "1e100:1e120:2", samples, seed)
+    _assert_matches_oracle("limit-complex", _limit_complex_oracle, SHAPE_COLUMNS,
+                           n, [rho2], "1e100:1e120:2", samples, seed)
+
+
+def _limit_kahler_oracle(n, rho2s, grid_text, samples, seed):
+    """limit-kahler's CSV with every grid point measured directly at its own
+    scale: the projection of its radii rho1 * shape, the divisor rows on the
+    rho1-sphere and fs_matrix at rho1.  None where that computation fails."""
+    grid = np.sort(cli._parse_grid(grid_text))
+    directions = draw_directions(n, samples, seed)
+    torus_s = draw_torus(n, samples, seed)[:, :n]
+    anti = metgeo.anticanonical_points(n, samples, seed)
+    rows = []
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for rho2 in rho2s:
+                for rho1 in map(float, grid):
+                    spec = LevelSetSpec(n, rho1, rho2)
+                    base_r = solve_base(spec, directions)
+                    fiber = float(np.max(metgeo.pi1_fiber_diameters(base_r)))
+                    bound = metgeo.pi1_fiber_bound(spec)
+                    z = maps.project_pi1(base_r, torus_s)
+                    h_img = metgeo.hausdorff_from_cross(metgeo.fs_matrix(z, rho1, rho1 * anti))
+                    h_tot = h_img + fiber
+                    rows.append({
+                        "n": n, "rho1": cli._e(rho1), "rho2": cli._e(rho2),
+                        "samples": samples, "seed": seed, "version": wsdlab.__version__,
+                        "fiber_diam_max": cli._e(fiber), "fiber_bound": cli._e(bound),
+                        "fiber_ratio": cli._e(fiber / bound),
+                        "hausdorff_image": cli._e(h_img), "hausdorff_total": cli._e(h_tot),
+                        "hausdorff_norm": cli._e(h_tot / (math.pi * rho1 / 2.0)),
+                    })
+    except (ArithmeticError, ValueError):
+        return None
+    config = {"n": n, "rho2": list(rho2s), "grid": grid_text,
+              "samples": samples, "seed": seed}
+    return cli._sweep_text("csv", cli.KAHLER_DOC, cli.KAHLER_FIELDS, rows, config)
+
+
+# the columns limit-kahler takes from the unit-sphere Hausdorff distance: the
+# unit rows of the shape and of rho1 times it can differ in the last bit, which
+# can move the last printed digit by one
+HAUSDORFF_COLUMNS = ("hausdorff_image", "hausdorff_total", "hausdorff_norm")
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), samples=st.integers(2, 40), seed=st.integers(0, 10**6),
+       excess=st.lists(st.floats(1.05, 2.2), min_size=1, max_size=2),
+       grid=st.sampled_from(["1e-3:1:3", "0.05:3:4", "0.3:50:5", "2:7:2", "1e-2:1e2:3",
+                             "1e-150:1e-149:2", "1e100:1e120:2"]))
+def test_limit_kahler_matches_per_point_oracle(n, samples, seed, excess, grid):
+    # the image distance measured once per rho2 on the unit sphere and scaled
+    # by rho1 gives the per-point rows: every column byte for byte but the
+    # three Hausdorff columns, which match to one unit in the last digit
+    rho2s = [feasibility_threshold(n) * x for x in excess]
+    _assert_matches_oracle("limit-kahler", _limit_kahler_oracle, HAUSDORFF_COLUMNS,
+                           n, rho2s, grid, samples, seed)

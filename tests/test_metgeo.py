@@ -545,12 +545,8 @@ def test_fiber_bound_scale():
     assert mg.pi1_fiber_bound(b) == pytest.approx(mg.pi1_fiber_bound(a) / 4.0, rel=1e-12)
 
 
-def _anticanonical(n, lam, count, seed):
-    return mg.anticanonical_points(mg.anticanonical_normals(n, count, seed), lam)
-
-
 def test_anticanonical_constructed_zero():
-    z = _anticanonical(2, 1.0, 31, seed=1)
+    z = mg.anticanonical_points(2, 31, seed=1)
     prods = np.prod(z, axis=1)
     assert np.all(prods == 0)
     norms = np.linalg.norm(z, axis=1)
@@ -559,7 +555,7 @@ def test_anticanonical_constructed_zero():
 
 
 def test_anticanonical_n1_two_points():
-    z = _anticanonical(1, 1.0, 10, seed=2)
+    z = mg.anticanonical_points(1, 10, seed=2)
     mods = np.abs(z)
     for i, row in enumerate(mods):
         want = np.array([0.0, 1.0]) if i % 2 == 0 else np.array([1.0, 0.0])
@@ -571,24 +567,13 @@ def test_anticanonical_n1_two_points():
 
 def test_anticanonical_component_balance():
     count = 32
-    zeros = np.argmin(np.abs(_anticanonical(2, 2.0, count, seed=3)), axis=1)
+    zeros = np.argmin(np.abs(mg.anticanonical_points(2, count, seed=3)), axis=1)
     tally = np.bincount(zeros, minlength=3)
     assert np.max(tally) - np.min(tally) <= 1
 
 
-def test_anticanonical_points_over_a_lam_array_equal_per_lam_calls():
-    lams = np.array([[0.25, 1.0, 3.7], [1e-6, 0.36, 1e3]])
-    for n in (1, 2, 3, 4):
-        normals = mg.anticanonical_normals(n, 30, seed=n)
-        got = mg.anticanonical_points(normals, lams)
-        assert got.shape == lams.shape + (30, n + 1)
-        for at in np.ndindex(lams.shape):
-            assert np.array_equal(got[at], mg.anticanonical_points(normals, float(lams[at])))
-        assert np.array_equal(mg.anticanonical_points(normals, list(lams[0])), got[0])
-
-
 def test_anticanonical_quotient_chart():
-    z = _anticanonical(2, 1.0, 20, seed=4)
+    z = mg.anticanonical_points(2, 20, seed=4)
     dcp = mg.fs_matrix(z, 1.0)
     dhn = mg.hn_matrix(z, 1.0, 2)
     assert np.all(dhn <= dcp + 1e-12)

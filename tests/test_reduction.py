@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import dense_tensors
 from wsdlab.ambient import convert_parameters, feasibility_threshold, moment_map
-from wsdlab.metgeo import anticanonical_normals
+from wsdlab.metgeo import anticanonical_points
 from wsdlab.reduction import (
     EmptyLevelSet,
     LevelSetSpec,
@@ -175,10 +175,16 @@ def test_drawn_rows_equal_fresh_per_index_draws(n, seed, count):
     torus = [np.concatenate([rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
              for rng in (_stream(seed, idx, 1) for idx in range(count))]
     assert np.array_equal(draw_torus(n, count, seed), np.array(torus).reshape(count, 2 * n))
-    normals = [np.concatenate([rng.standard_normal(m), rng.standard_normal(m)])
-               for rng in (_stream(seed, idx, 11) for idx in range(count))]
-    assert np.array_equal(anticanonical_normals(n, count, seed),
-                          np.array(normals).reshape(count, 2 * m))
+    # the divisor sample: row idx is the Gaussian drawn from its own stream,
+    # with coordinate idx mod (n+1) set to 0, on the unit sphere
+    anti = anticanonical_points(n, count, seed)
+    assert anti.shape == (count, m)
+    for idx in range(count):
+        rng = _stream(seed, idx, 11)
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        z[idx % m] = 0.0
+        assert anti[idx, idx % m] == 0.0
+        assert np.max(np.abs(anti[idx] - z / np.linalg.norm(z))) <= 2 * np.finfo(float).eps
     directions = draw_directions(n, count, seed)
     if n == 1:  # the base is enumerated: nothing to draw
         assert directions.shape == (count, 0)
@@ -190,8 +196,8 @@ def test_drawn_rows_equal_fresh_per_index_draws(n, seed, count):
 
 def test_drawn_rows_are_read_only():
     directions, torus = draw_directions(3, 6, seed=2), draw_torus(3, 6, seed=2)
-    normals = anticanonical_normals(3, 6, seed=2)
-    for rows in (directions, torus, normals, draw_directions(1, 6, seed=2)):
+    anti = anticanonical_points(3, 6, seed=2)
+    for rows in (directions, torus, anti, draw_directions(1, 6, seed=2)):
         assert not rows.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             rows[0] = 0.0
