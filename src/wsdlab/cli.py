@@ -18,9 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ambient import (closedness_residuals, feasibility_threshold, leaf_volume,
-                      torus_metric_weights)
-from .maps import alpha_deform, degenerate_metric, pi2_image_residual, project_pi1, project_pi2
+from .ambient import closedness_residuals, feasibility_threshold, leaf_volume
+from .maps import degenerate_metric, pi2_image_residual, project_pi1, project_pi2
 from .metgeo import (FiniteMetricSample, anticanonical_points, fs_matrix,
                      hausdorff_from_cross, hn_matrix, knn_edge_squares, knn_geodesics,
                      ngh_distance, pi1_fiber_bound, pi1_fiber_diameters,
@@ -280,18 +279,18 @@ def cmd_limit_complex(args) -> int:
 
 
 # -- boundary probes ---------------------------------------------------------
+#
+# The one probed side is the threshold: as rho2^2 falls to the feasibility
+# threshold, the base sample pinches to a single orbit.  The base at rho1 is
+# bitwise rho1 times its rho1 = 1 rows (solve_base), so each excess solves the
+# shape alone and the printed diameter is rho1 times the shape's diameter d.
 
 BOUNDARY_FIELDS = ["side", "n", "param", "rho1", "rho2", "samples", "seed",
-                   "version", "base_diam", "base_diam_over_rho1",
-                   "theta_eta_ratio", "shape_sum_min", "shape_sum_max"]
+                   "version", "base_diam", "base_diam_over_rho1"]
 
 BOUNDARY_DOC = [
     "side T: param = relative excess of rho2^2 over the threshold; base sample pinches",
-    "side B: param = rho1 descending; theta-block metric norms die against eta-block",
-    "side A: param = deformation t; base shape distribution is t-invariant",
 ]
-
-DEFAULT_GRIDS = {"T": "1e-4:1e-1:7", "B": "1e-3:1:7", "A": "1:1e3:7"}
 
 
 def _base_diameter(base: np.ndarray) -> float:
@@ -299,74 +298,26 @@ def _base_diameter(base: np.ndarray) -> float:
     return float(np.max(np.sqrt(np.sum(diff * diff, axis=2))))
 
 
-def _block_norm_ratio(theta_w: np.ndarray, eta_w: np.ndarray, rho1: float) -> float:
-    """The largest ratio of the Frobenius norms of g's theta and eta blocks
-    over the sample rows of the weights (N, n+1).
-
-    Each row of a block is first scaled by the power of two that brings its
-    largest entry into [1/2, 1), so no square in a norm leaves the doubles;
-    the scaling is exact and the quotient undoes it.  Raises ArithmeticError,
-    naming rho1, where the ratio itself overflows or falls below the normal
-    doubles, whose printed digits would not be its own.
-    """
-    _, ka = np.frexp(np.max(theta_w, axis=1))
-    _, kb = np.frexp(np.max(eta_w, axis=1))
-    # the Frobenius norm of each diagonal block of g, taken on the square
-    # block: the norm of its diagonal alone sums in another order
-    q = [np.linalg.norm(np.diag(a)) / np.linalg.norm(np.diag(b))
-         for a, b in zip(np.ldexp(theta_w, -ka[:, None]), np.ldexp(eta_w, -kb[:, None]))]
-    with np.errstate(over="ignore"):
-        ratio = float(np.max(np.ldexp(q, ka - kb)))
-    if not np.finfo(float).tiny <= ratio < math.inf:
-        raise ArithmeticError(f"theta/eta metric norm ratio outside the normal doubles at "
-                              f"rho1 = {rho1:.3e}: rho1 is too {'large' if ratio > 1 else 'small'}"
-                              " for side B")
-    return ratio
-
-
 def cmd_boundary(args) -> int:
-    sides = ["T", "B", "A"] if args.side == "all" else [args.side]
+    grid = np.sort(_parse_grid(args.grid))[::-1]
+    rho1 = args.rho1
+    if not rho1 > 0:
+        raise ValueError("rho1 must be positive")
     directions = draw_directions(args.n, args.samples, args.seed)
+    thr2 = feasibility_threshold(args.n) ** 2
     rows = []
-    for side in sides:
-        grid = _parse_grid(args.grid) if args.grid else _parse_grid(DEFAULT_GRIDS[side])
-        blank = {"base_diam": "", "base_diam_over_rho1": "",
-                 "theta_eta_ratio": "", "shape_sum_min": "", "shape_sum_max": ""}
-        if side == "T":
-            thr2 = feasibility_threshold(args.n) ** 2
-            for delta in np.sort(grid)[::-1]:
-                rho2 = math.sqrt(thr2 * (1.0 + float(delta)))
-                base = solve_base(LevelSetSpec(args.n, args.rho1, rho2), directions)
-                diam = _base_diameter(base)
-                row = dict(blank, side=side, n=args.n, param=_e(delta),
-                           rho1=_e(args.rho1), rho2=_e(rho2),
-                           samples=args.samples, seed=args.seed, version=__version__,
-                           base_diam=_e(diam),
-                           base_diam_over_rho1=_e(diam / args.rho1))
-                rows.append(row)
-        elif side == "B":
-            shape = solve_base(LevelSetSpec(args.n, 1.0, args.rho2), directions)
-            for rho1 in np.sort(grid)[::-1]:
-                ratio = _block_norm_ratio(*torus_metric_weights(rho1 * shape), rho1)
-                row = dict(blank, side=side, n=args.n, param=_e(rho1),
-                           rho1=_e(rho1), rho2=_e(args.rho2),
-                           samples=args.samples, seed=args.seed, version=__version__,
-                           theta_eta_ratio=_e(ratio))
-                rows.append(row)
-        else:
-            spec0 = LevelSetSpec(args.n, args.rho1, args.rho2)
-            for t in np.sort(grid):
-                spec = alpha_deform(spec0, float(t))
-                base = solve_base(spec, directions)
-                sums = np.sum(base / spec.rho1, axis=1)
-                row = dict(blank, side=side, n=args.n, param=_e(t),
-                           rho1=_e(spec.rho1), rho2=_e(spec.rho2),
-                           samples=args.samples, seed=args.seed, version=__version__,
-                           shape_sum_min=_e(np.min(sums)),
-                           shape_sum_max=_e(np.max(sums)))
-                rows.append(row)
-    config = {"n": args.n, "side": args.side, "grid": args.grid,
-              "rho1": args.rho1, "rho2": args.rho2,
+    for delta in grid:
+        rho2 = math.sqrt(thr2 * (1.0 + float(delta)))
+        d = _base_diameter(solve_base(LevelSetSpec(args.n, 1.0, rho2), directions))
+        diam = rho1 * d
+        if d > 0 and not np.finfo(float).tiny <= diam < math.inf:
+            raise ArithmeticError(f"base diameter rho1 * d leaves the normal doubles at "
+                                  f"rho1 = {rho1:.3e}, param = {delta:.3e}")
+        rows.append({"side": "T", "n": args.n, "param": _e(delta),
+                     "rho1": _e(rho1), "rho2": _e(rho2),
+                     "samples": args.samples, "seed": args.seed, "version": __version__,
+                     "base_diam": _e(diam), "base_diam_over_rho1": _e(d)})
+    config = {"n": args.n, "side": args.side, "grid": args.grid, "rho1": rho1,
               "samples": args.samples, "seed": args.seed}
     _emit(_sweep_text(args.format, BOUNDARY_DOC, BOUNDARY_FIELDS, rows, config), args.out)
     return 0
@@ -439,13 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--grid", default="1e-3:1:7", help="rho1 grid lo:hi:count (log)")
     pc.set_defaults(fn=cmd_limit_complex)
 
-    pb = sub.add_parser("boundary", help="deformation-square boundary probes")
+    pb = sub.add_parser("boundary", help="threshold-side boundary probe")
     common(pb, samples=40)
-    pb.add_argument("--side", choices=("T", "B", "A", "all"), default="all")
+    pb.add_argument("--side", choices=("T", "all"), default="all",
+                    help="T, the threshold side, is the one side; all gives the same rows")
     pb.add_argument("--rho1", type=float, default=1.0)
-    pb.add_argument("--rho2", type=float, default=0.6)
-    pb.add_argument("--grid", default=None,
-                    help="side-specific grid lo:hi:count (log); defaults per side")
+    pb.add_argument("--grid", default="1e-4:1e-1:7",
+                    help="grid lo:hi:count (log) of the relative excess of rho2^2 "
+                         "over the threshold")
     pb.set_defaults(fn=cmd_boundary)
 
     pp = sub.add_parser("polytope-report", help="exact lattice report, JSON")

@@ -65,11 +65,9 @@ THRESHOLD_2 = f"{feasibility_threshold(2):.6g}"
     (["verify", "--rho2", "0.2"], "0.2", "empty"),
     (["limit-kahler", "--rho2", "0.6,0.2", "--grid", "1:10:2"], "0.2", "empty"),
     (["limit-complex", "--rho2", "0.2", "--grid", "0.1:1:2"], "0.2", "empty"),
-    (["boundary", "--side", "B", "--rho2", "0.2"], "0.2", "empty"),
-    (["boundary", "--side", "all", "--rho2", "0.2"], "0.2", "empty"),
     # side T's rho2 within the feasibility band of the threshold
     (["boundary", "--side", "T", "--grid", "1e-14:1e-13:2"], THRESHOLD_2, "degenerate"),
-], ids=["verify", "limit-kahler", "limit-complex", "boundary-B", "boundary-all", "boundary-T"])
+], ids=["verify", "limit-kahler", "limit-complex", "boundary-T"])
 def test_empty_level_set_is_one_line_exit_2(argv, rho2, cls, capsys):
     # every command that needs a regular level set prints the same one line
     assert main(argv + ["--n", "2", "--samples", "4"]) == 2
@@ -84,8 +82,7 @@ def test_empty_level_set_is_one_line_exit_2(argv, rho2, cls, capsys):
     ["verify", "--samples", "4"],
     ["limit-kahler", "--grid", "0.1:1:2", "--samples", "12"],
     ["limit-complex", "--grid", "0.1:1:2", "--samples", "12"],
-    ["boundary", "--side", "B", "--samples", "4"],
-], ids=["verify", "limit-kahler", "limit-complex", "boundary-B"])
+], ids=["verify", "limit-kahler", "limit-complex"])
 def test_non_positive_rho2_is_one_line_exit_2(argv, rho2, capsys):
     # a profile width is positive: a negative one used to run (its solve saw
     # only rho2^2, so limit-complex printed a negative hausdorff_quotient)
@@ -176,30 +173,63 @@ def test_boundary_pinch_exponent(tmp_path):
     assert float(tight["base_diam"]) < 0.1 * float(tight["rho1"])
 
 
-def test_boundary_torus_ratio_scaling(tmp_path):
-    rc, text = run(tmp_path, "boundary", "--n", "2", "--side", "B",
-                   "--grid", "0.5:1:2", "--samples", "10", "--rho2", "0.6")
+@pytest.mark.parametrize("rho1", ["1e-200", "1e-3", "1", "1e3", "1e200"])
+def test_boundary_diameter_is_rho1_times_one_shape_diameter(tmp_path, rho1):
+    # the base at rho1 is rho1 times its rho1 = 1 shape: the shape's diameter
+    # is printed the same at every depth, and base_diam is rho1 times it, far
+    # past where squared differences of the radii underflow or overflow
+    args = ("boundary", "--side", "T", "--n", "2", "--grid", "1e-4:1e-1:4", "--samples", "16")
+    rows = rows_of(run(tmp_path, *args, "--rho1", rho1)[1])
+    ref = rows_of(run(tmp_path, *args)[1])
+    assert [r["base_diam_over_rho1"] for r in rows] == [r["base_diam_over_rho1"] for r in ref]
+    for row in rows:
+        assert row["base_diam"] == cli._e(float(rho1) * float(row["base_diam_over_rho1"]))
+        assert float(row["base_diam"]) > 0
+
+
+@pytest.mark.parametrize("rho1,grid", [("1e-320", "1e-4:1e-1:2"), ("1.7e308", "10:100:2")])
+def test_boundary_diameter_out_of_range_exits_2_with_one_line(rho1, grid, capsys):
+    argv = ["boundary", "--n", "2", "--rho1", rho1, "--grid", grid, "--samples", "16"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: base diameter rho1 * d leaves the normal doubles "
+                          f"at rho1 = {float(rho1):.3e}, param = ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rho1", ["0", "-1"])
+def test_boundary_rejects_non_positive_rho1(rho1, capsys):
+    assert main(["boundary", "--n", "2", f"--rho1={rho1}", "--samples", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invalid configuration: rho1 must be positive\n"
+
+
+def test_boundary_side_all_is_side_t(capsys):
+    # the threshold is the one probed side; --side all names the same rows
+    outputs = []
+    for side in ("all", "T"):
+        assert main(["boundary", "--side", side, "--n", "2", "--samples", "8"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_rows_fill_every_column(tmp_path, n):
+    rc, text = run(tmp_path, "boundary", "--n", str(n), "--samples", "8")
     assert rc == 0
     rows = rows_of(text)
-    r1 = {float(r["param"]): float(r["theta_eta_ratio"]) for r in rows}
-    assert r1[0.5] / r1[1.0] == pytest.approx(1.0 / 16.0, rel=1e-6)
+    assert len(rows) == 7
+    assert all(row["side"] == "T" for row in rows)
+    assert all(value != "" for row in rows for value in row.values())
 
 
-def test_boundary_shape_invariance(tmp_path):
-    rc, text = run(tmp_path, "boundary", "--n", "2", "--side", "A",
-                   "--grid", "1:1e3:4", "--samples", "12", "--rho2", "0.6")
-    assert rc == 0
-    rows = rows_of(text)
-    assert len({r["shape_sum_min"] for r in rows}) == 1
-    assert len({r["shape_sum_max"] for r in rows}) == 1
-    sums = float(rows[0]["shape_sum_min"])
-    assert 1.0 <= sums <= math.sqrt(3.0)
-
-
-def test_boundary_all_sides(tmp_path):
-    rc, text = run(tmp_path, "boundary", "--n", "2", "--samples", "8")
-    assert rc == 0
-    assert {r["side"] for r in rows_of(text)} == {"T", "B", "A"}
+def test_boundary_has_no_rho2_option():
+    # side T takes its rho2 from the threshold excess
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", "--n", "2", "--rho2", "0.6"])
+    assert exc.value.code == 2
 
 
 def test_polytope_report(tmp_path):
@@ -256,13 +286,12 @@ def test_sweep_deterministic(tmp_path):
     ["verify", "--n", "2", "--rho2", "inf", "--samples", "4"],
     ["verify", "--n", "2", "--rho1", "nan", "--rho2", "0.5", "--samples", "4"],
     ["verify", "--n", "2", "--rho2", "0.5", "--tol", "inf", "--samples", "4"],
-    ["boundary", "--n", "2", "--side", "B", "--rho2=-inf", "--samples", "4"],
     ["limit-kahler", "--n", "2", "--rho2", "0.6,nan", "--grid", "1:10:2", "--samples", "4"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:inf:2", "--samples", "4"],
     ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "1"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "0.1:1:2", "--samples", "1"],
 ], ids=["verify-samples-0", "kahler-samples-0", "rho2-nan", "rho2-inf", "rho1-nan",
-        "tol-inf", "boundary-rho2-neg-inf", "rho2-list-nan", "grid-inf", "kahler-samples-1",
+        "tol-inf", "rho2-list-nan", "grid-inf", "kahler-samples-1",
         "complex-samples-1"])
 def test_rejects_unusable_input_with_one_line(argv, capsys):
     assert main(argv) == 2
@@ -282,9 +311,8 @@ def test_sampler_failure_exits_2_with_one_line(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "2", "--rho2", "5", "--samples", "3"],
-    ["boundary", "--side", "B", "--n", "2", "--rho2", "5"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-160:1e-159:2"],
-], ids=["verify", "boundary-B", "limit-complex"])
+], ids=["verify", "limit-complex"])
 def test_radius_squared_underflow_exits_2_with_one_line(argv, capsys):
     # the base radii exist, but 4 pi^2 r^2 of the smallest is below the normal
     # doubles: the torus metric weights name that, not a bare divide by zero
@@ -300,8 +328,7 @@ def test_radius_squared_underflow_exits_2_with_one_line(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["limit-kahler", "--rho2", "0.7"],
     ["limit-complex", "--rho2", "0.7"],
-    ["boundary", "--side", "B", "--rho2", "0.7"],
-], ids=["limit-kahler", "limit-complex", "boundary-B"])
+], ids=["limit-kahler", "limit-complex"])
 def test_radius_squared_overflow_exits_2_with_one_line(argv, capsys):
     # at rho1 = 1e160, 4 pi^2 r^2 of the largest radius leaves the doubles:
     # the torus metric weights name that, not a bare overflow or range error
@@ -321,43 +348,6 @@ def test_fiber_bound_overflow_exits_2_and_names_it(capsys):
     assert out == ""
     assert err == ("numerical failure: fiber bound pi n^(-(n-1)/2) e^(2 pi^2 rho2^2) / rho1 "
                    "overflows at rho2 = 6.5, rho1 = 1\n")
-
-
-@pytest.mark.parametrize("grid,where", [
-    ("1e-150:1e100:6", "rho1 = 1.000e+100: rho1 is too large"),
-    ("1e-150:1:4", "rho1 = 1.000e-100: rho1 is too small"),
-])
-def test_boundary_side_b_ratio_out_of_range_names_rho1(grid, where, capsys):
-    # the norm ratio of the theta and eta blocks scales like rho1^4; where it
-    # leaves the normal doubles the line names that and the grid point, not a
-    # bare overflow inside a norm (the grid runs from its largest rho1 down)
-    argv = ["boundary", "--side", "B", "--n", "2", "--samples", "50", "--seed", "1",
-            "--grid", grid]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("numerical failure: theta/eta metric norm ratio outside the normal doubles "
-                   f"at {where} for side B\n")
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_boundary_side_b_ratio_matches_60_digits_at_range_edges(tmp_path, n):
-    # at rho1 = 1e-76 and 1e76 a square in one block's norm leaves the
-    # doubles while the ratio itself does not: the prescaled norms still
-    # print it to the last digit
-    rc, text = run(tmp_path, "boundary", "--side", "B", "--n", str(n),
-                   "--grid", "1e-76:1e76:3", "--samples", "9", "--seed", "2")
-    assert rc == 0
-    rows = rows_of(text)
-    assert len(rows) == 3
-    for row in rows:
-        spec = LevelSetSpec(n, float(row["rho1"]), 0.6)
-        with mpmath.workdps(60):
-            ratio = max(mpmath.sqrt(mpmath.fsum(w**2 for w in theta)
-                                    / mpmath.fsum(1 / w**2 for w in theta))
-                        for theta in ([4 * mpmath.pi**2 * mpmath.mpf(float(x)) ** 2 for x in r]
-                                      for r in sample_base(spec, 9, seed=2)))
-            assert abs(mpmath.mpf(row["theta_eta_ratio"]) / ratio - 1) < 1e-12
 
 
 def _mp_pi1_fiber_diameter(base_r):
@@ -426,7 +416,6 @@ DEEP_COMMANDS = {
     "verify": ["verify", "--samples", "3"],
     "limit-kahler": ["limit-kahler", "--grid", "1:10:2", "--samples", "6"],
     "limit-complex": ["limit-complex", "--grid", "0.1:1:2", "--samples", "16"],
-    "boundary": ["boundary", "--side", "all", "--grid", "0.1:1:2", "--samples", "4"],
 }
 
 
@@ -561,8 +550,7 @@ def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample)
 @pytest.mark.parametrize("argv,rho2s,draws,measures", [
     (["limit-kahler", "--rho2", "0.6,0.7"], [0.6, 0.7], 1, 2),
     (["limit-complex", "--rho2", "0.6,0.7"], [0.6, 0.7], 1, 0),
-    (["boundary", "--side", "B", "--rho2", "0.6"], [0.6], 0, 0),
-], ids=["limit-kahler", "limit-complex", "boundary-B"])
+], ids=["limit-kahler", "limit-complex"])
 def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2s, draws,
                                                measures, grid):
     # the radii at every grid point are rho1 times the one rho1 = 1 shape; the
@@ -619,26 +607,6 @@ def test_sweeps_and_probes_build_no_point_objects(monkeypatch, tmp_path, argv):
     rc, _ = run(tmp_path, *argv, "--samples", "12")
     assert rc == 0
     assert built == []
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_boundary_side_b_ratio_equals_dense_metric_blocks(tmp_path, n):
-    # the ratio of the Frobenius norms of the theta and eta blocks of the
-    # dense ambient metric, maximized over the sample, to the printed digit
-    rc, text = run(tmp_path, "boundary", "--side", "B", "--n", str(n),
-                   "--grid", "1e-3:1:3", "--samples", "9", "--seed", "2")
-    assert rc == 0
-    m = n + 1
-    rows = rows_of(text)
-    assert len(rows) == 3
-    for row, rho1 in zip(rows, np.geomspace(1e-3, 1.0, 3)[::-1]):
-        spec = LevelSetSpec(n, float(rho1), 0.6)
-        ratio = 0.0
-        for r in sample_base(spec, 9, seed=2):
-            g = np.diag(np.concatenate([4 * math.pi**2 * r**2, np.ones(m),
-                                        1 / (4 * math.pi**2 * r**2)]))
-            ratio = max(ratio, np.linalg.norm(g[:m, :m]) / np.linalg.norm(g[2 * m:, 2 * m:]))
-        assert row["theta_eta_ratio"] == f"{ratio:.12e}"
 
 
 def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
