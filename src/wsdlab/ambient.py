@@ -67,9 +67,9 @@ def torus_metric_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal coefficients of the metric on the two angle blocks at radii r
     of any shape: (4 pi^2 r^2 on dtheta^2, 1 / (4 pi^2 r^2) on deta^2).
 
-    Raises ArithmeticError where 4 pi^2 r^2 leaves the normal doubles: deep
-    rho2 underflows it for the smallest radii (its reciprocal then overflows
-    or divides by 0), a large rho1 overflows it for the largest.
+    Raises ArithmeticError where 4 pi^2 r^2 leaves the normal doubles: a small
+    rho1 or a deep rho2 underflows it for the smallest radii (its reciprocal
+    then overflows or divides by 0), a large rho1 overflows it for the largest.
     """
     with np.errstate(over="ignore"):
         theta_w = FOUR_PI2 * r**2
@@ -79,7 +79,7 @@ def torus_metric_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if theta_w.min(initial=math.inf) < _TINY:
         raise ArithmeticError(
             f"radius squared underflow at r = {float(np.min(r)):.3e}: 4 pi^2 r^2 is below "
-            "the smallest normal double, rho2 is too deep for the torus metric")
+            "the smallest normal double, rho1 is too small or rho2 too deep for the torus metric")
     return theta_w, 1.0 / theta_w
 
 

@@ -3,7 +3,7 @@ and exact polytope reports, emitted as deterministic CSV or JSON.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 infeasible or invalid
 configuration, or a numerical failure (a solver gave up, a float overflowed
-or went nan, or the sampled radii underflowed).
+or went nan, the sampled radii underflowed, or an array did not fit in memory).
 """
 
 from __future__ import annotations
@@ -84,14 +84,19 @@ def _parse_list(text: str) -> list[float]:
 
 # a limit sweep compares sample sets by distances between their points
 _MIN_SAMPLES = {"limit-kahler": 2, "limit-complex": 2}
+# a sample's stream key holds its index in one 32-bit entropy word
+_MAX_SAMPLES = 1 << 32
 
 
 def _check_scalars(args) -> None:
     """Reject the scalar options no command can run on."""
     least = _MIN_SAMPLES.get(args.command, 1)
-    if getattr(args, "samples", least) < least:
-        raise ValueError(f"--samples must be >= {least} for {args.command}, "
-                         f"got {args.samples}")
+    samples = getattr(args, "samples", least)
+    if samples < least:
+        raise ValueError(f"--samples must be >= {least} for {args.command}, got {samples}")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"--samples must be <= 2**32 = {_MAX_SAMPLES}, one 32-bit "
+                         f"stream index per sample, got {samples}")
     for name in ("rho1", "rho2", "tol"):
         val = getattr(args, name, None)
         if isinstance(val, float) and not math.isfinite(val):
@@ -424,6 +429,9 @@ def main(argv=None) -> int:
         return 2
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

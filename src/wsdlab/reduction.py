@@ -10,14 +10,16 @@ sampler is exactly covariant under the rescaling family (rho1 -> t rho1 at
 fixed rho2): the radii at rho1 are bitwise rho1 times those at rho1 = 1.  The
 limit sweeps rely on that and solve each shape once per rho2.
 
-The random numbers behind sample idx come from its own counter-based stream
-(`_stream(seed, idx, ...)`) and do not depend on the level set.  A sweep over
-many level sets therefore draws them once (`draw_directions`, `draw_torus`)
-and hands the read-only rows to the per-spec solve (`solve_base`) and, as
-arrays, to the projections in maps.  A sample is those arrays and nothing
-more: radii (N, n+1) from `solve_base` or its one-spec composition
-`sample_base`, and torus rows (N, 2n) from `draw_torus`, s in the first n
-columns and t in the last n.
+The random numbers behind sample idx come from its own counter-based stream,
+Philox keyed by SeedSequence((seed, idx, ...)), and do not depend on the level
+set.  `stream_rows` derives every index's key in one SeedSequence-equivalent
+array pass and re-keys a single Philox per row, bitwise equal to a fresh
+generator per index.  A sweep over many level sets therefore draws them once
+(`draw_directions`, `draw_torus`) and hands the read-only rows to the
+per-spec solve (`solve_base`) and, as arrays, to the projections in maps.
+A sample is those arrays and nothing more: radii (N, n+1) from `solve_base`
+or its one-spec composition `sample_base`, and torus rows (N, 2n) from
+`draw_torus`, s in the first n columns and t in the last n.
 
 The induced structure depends on the base radii alone, since both tori act
 on it by symmetries.  `induced_structure` maps an (N, n+1) radius array to the
@@ -98,25 +100,103 @@ def feasibility(spec: LevelSetSpec, rel_tol: float = 1e-12) -> str:
     return "regular"
 
 
-def _stream(seed: int, *path: int) -> np.random.Generator:
-    # counter-based per-index streams: determinism independent of draw order
-    entropy = (int(seed) % (1 << 63),) + tuple(int(p) for p in path)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+# numpy's SeedSequence constants: a pool of 4 uint32 words, 16-bit xorshift
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_WORD = 0xFFFFFFFF
+
+
+def _words(value: int) -> list[int]:
+    # SeedSequence's little-endian uint32 split of a non-negative int; 0 is [0]
+    if value < 0:
+        raise ValueError(f"stream entropy must be non-negative, got {value}")
+    words = []
+    while True:
+        words.append(value & _WORD)
+        value >>= 32
+        if not value:
+            return words
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix on uint32 columns: each call hashes under the
+    current constant and advances it, so calls must come in numpy's order."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _WORD
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _stream_keys(seed: int, idx: np.ndarray, *tag: int) -> np.ndarray:
+    """The (len(idx), 2) uint64 Philox keys that
+    SeedSequence((seed % 2**63, idx_i, *tag)).generate_state(2, np.uint64)
+    gives, one row per index, from one pass of numpy's mixing algorithm over
+    uint32 columns (one column per entropy word).
+
+    Raises ValueError for an index outside [0, 2**32): a larger one would
+    take two entropy words, and the column layout gives the index one.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() > _WORD):
+        raise ValueError(f"stream indices must lie in [0, 2**32), got {idx.min()}..{idx.max()}")
+
+    def column(word):
+        return np.full(idx.size, word, np.uint32)
+
+    entropy = ([column(w) for w in _words(int(seed) % (1 << 63))] + [idx.astype(np.uint32)]
+               + [column(w) for p in tag for w in _words(int(p))])
+    entropy += [column(0)] * (_POOL_SIZE - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out = _hasher(_INIT_B, _MULT_B)
+    lo0, hi0, lo1, hi1 = (out(word).astype(np.uint64) for word in pool)
+    # generate_state(2, np.uint64) joins its four words little-endian
+    shift = np.uint64(32)
+    return np.stack([lo0 | hi0 << shift, lo1 | hi1 << shift], axis=1)
 
 
 def stream_rows(seed: int, count: int, width: int,
                 draw: Callable[[np.random.Generator, int], np.ndarray],
                 *tag: int) -> np.ndarray:
-    """Rows draw(_stream(seed, idx, *tag), width) for idx = 0..count-1, as one
-    read-only (count, width) array.
+    """Rows draw(rng, width) for idx = 0..count-1, where rng is the Philox
+    stream keyed by SeedSequence((seed % 2**63, idx, *tag)), as one read-only
+    (count, width) array.
 
+    The keys come from one SeedSequence-equivalent array pass
+    (`_stream_keys`), and one Philox is re-keyed per row: counter 0, that
+    row's key, an empty buffer.  numpy draws every value, so the rows are
+    bitwise those of a fresh Generator(Philox(SeedSequence(...))) per index.
     Each row is a pure function of (seed, idx, tag), so rows drawn once serve
     every level set of a sweep; read-only, so no caller can change them under
     a later one.
     """
+    keys = _stream_keys(seed, np.arange(count), *tag)
+    bit_gen = np.random.Philox(0)
+    rng = np.random.Generator(bit_gen)
+    # a new Philox's state: counter 0, empty buffer, no spare uint32
+    fresh = bit_gen.state
     rows = np.empty((count, width))
     for idx in range(count):
-        rows[idx] = draw(_stream(seed, idx, *tag), width)
+        fresh["state"]["key"] = keys[idx]
+        bit_gen.state = fresh
+        rows[idx] = draw(rng, width)
     rows.setflags(write=False)
     return rows
 

@@ -28,3 +28,10 @@ def dense_pullback(tensors: dict, jac_diag) -> dict[str, np.ndarray]:
     """Reference: jac^T T jac of every tensor, for a diagonal Jacobian."""
     jac = np.diag(jac_diag)
     return {name: jac.T @ mat @ jac for name, mat in tensors.items()}
+
+
+def fresh_stream(seed: int, idx: int, *tag: int) -> np.random.Generator:
+    """Reference: numpy's own chain for sample idx's stream, a fresh
+    Generator(Philox(SeedSequence((seed % 2**63, idx, *tag)))) per index."""
+    entropy = (int(seed) % (1 << 63), int(idx)) + tuple(int(p) for p in tag)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

@@ -300,6 +300,43 @@ def test_rejects_unusable_input_with_one_line(argv, capsys):
     assert err.startswith("invalid configuration: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--rho2", "0.5"],
+    ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2"],
+], ids=["verify", "limit-kahler"])
+def test_samples_beyond_the_stream_key_layout_are_rejected_before_drawing(
+        monkeypatch, argv, capsys):
+    # a sample's stream key holds its index in one 32-bit word: 2**32 + 1
+    # samples is an invalid configuration, rejected before any row is drawn
+    def no_draw(*args):
+        raise AssertionError("drew rows for an invalid --samples")
+
+    monkeypatch.setattr(reduction, "stream_rows", no_draw)
+    monkeypatch.setattr(metgeo, "stream_rows", no_draw)
+    assert main([*argv, "--samples", str((1 << 32) + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("invalid configuration: --samples must be <= 2**32 = 4294967296, one "
+                   "32-bit stream index per sample, got 4294967297\n")
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array"),
+     "numerical failure: Unable to allocate 74.5 GiB for an array\n"),
+    (MemoryError(), "numerical failure: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_memory_error_exits_2_with_one_line(monkeypatch, exc, line, capsys):
+    # an array that does not fit is a numerical failure, not a traceback and
+    # exit 1, which would read as a failed check
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "sample_base", exhausted)
+    assert main(["verify", "--n", "2", "--rho2", "0.5", "--samples", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", line)
+
+
 def test_sampler_failure_exits_2_with_one_line(capsys):
     # feasible, but the base radii underflow to 0 in double precision
     assert main(["verify", "--n", "2", "--rho2", "30", "--samples", "3"]) == 2
@@ -312,17 +349,19 @@ def test_sampler_failure_exits_2_with_one_line(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "2", "--rho2", "5", "--samples", "3"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-160:1e-159:2"],
-], ids=["verify", "limit-complex"])
+    ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1e-160:1e-159:2"],
+], ids=["verify", "limit-complex", "limit-kahler"])
 def test_radius_squared_underflow_exits_2_with_one_line(argv, capsys):
     # the base radii exist, but 4 pi^2 r^2 of the smallest is below the normal
     # doubles: the torus metric weights name that, not a bare divide by zero
     # (limit-complex: the first grid point's fibers fail before its per-rho2
-    # half is built)
+    # half is built).  A deep rho2 (verify) or a small rho1 (the sweeps) is
+    # the cause, and the line names both
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numerical failure: radius squared underflow at r = ")
-    assert "rho2" in err and err.count("\n") == 1
+    assert "rho1" in err and "rho2" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -527,19 +566,19 @@ def test_only_limit_complex_imports_scipy():
     (["boundary", "--side", "all", "--n", "2"], 1),
 ])
 def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample):
-    # a sample's random numbers depend on (seed, index) alone: a command builds
-    # each stream it needs once, whatever its grid and rho2 list, and samples
-    # every level set from the same rows
+    # a sample's random numbers depend on (seed, index) alone: a command derives
+    # each stream key it needs once, whatever its grid and rho2 list, and
+    # samples every level set from the same rows
     built = []
-    fresh = reduction._stream
+    fresh = reduction._stream_keys
 
-    def counted(seed, *path):
-        built.append(path)
-        return fresh(seed, *path)
+    def counted(seed, idx, *tag):
+        built.extend((int(i), *tag) for i in idx)
+        return fresh(seed, idx, *tag)
 
-    monkeypatch.setattr(reduction, "_stream", counted)
-    # a stream helper bound directly in metgeo would be counted too
-    monkeypatch.setattr(metgeo, "_stream", counted, raising=False)
+    monkeypatch.setattr(reduction, "_stream_keys", counted)
+    # a key helper bound directly in metgeo would be counted too
+    monkeypatch.setattr(metgeo, "_stream_keys", counted, raising=False)
     samples = 16
     rc, _ = run(tmp_path, *argv, "--samples", str(samples), "--seed", "4")
     assert rc == 0

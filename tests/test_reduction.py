@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_tensors
+from helpers import dense_tensors, fresh_stream
 from wsdlab.ambient import convert_parameters, feasibility_threshold, moment_map
 from wsdlab.metgeo import anticanonical_points
 from wsdlab.reduction import (
     EmptyLevelSet,
     LevelSetSpec,
-    _stream,
+    _stream_keys,
     draw_directions,
     draw_torus,
     feasibility,
@@ -173,14 +173,14 @@ def test_drawn_rows_equal_fresh_per_index_draws(n, seed, count):
     # of the divisor sampler's Gaussian before its imaginary parts
     m = n + 1
     torus = [np.concatenate([rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
-             for rng in (_stream(seed, idx, 1) for idx in range(count))]
+             for rng in (fresh_stream(seed, idx, 1) for idx in range(count))]
     assert np.array_equal(draw_torus(n, count, seed), np.array(torus).reshape(count, 2 * n))
     # the divisor sample: row idx is the Gaussian drawn from its own stream,
     # with coordinate idx mod (n+1) set to 0, on the unit sphere
     anti = anticanonical_points(n, count, seed)
     assert anti.shape == (count, m)
     for idx in range(count):
-        rng = _stream(seed, idx, 11)
+        rng = fresh_stream(seed, idx, 11)
         z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         z[idx % m] = 0.0
         assert anti[idx, idx % m] == 0.0
@@ -189,9 +189,34 @@ def test_drawn_rows_equal_fresh_per_index_draws(n, seed, count):
     if n == 1:  # the base is enumerated: nothing to draw
         assert directions.shape == (count, 0)
         return
-    logw = np.array([_stream(seed, idx).uniform(-3.0, 3.0, m)
+    logw = np.array([fresh_stream(seed, idx).uniform(-3.0, 3.0, m)
                      for idx in range(count)]).reshape(count, m)
     assert np.array_equal(directions, logw - np.mean(logw, axis=1, keepdims=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.one_of(st.integers(0, (1 << 32) - 1), st.integers(1 << 32, (1 << 63) - 1),
+                      st.integers(-(1 << 63), -1)),
+       tag=st.sampled_from([(), (1,), (11,)]),
+       idx=st.lists(st.integers(0, (1 << 32) - 1), max_size=12))
+def test_stream_keys_equal_seed_sequence(seed, tag, idx):
+    # one array pass gives each index the key numpy's own SeedSequence
+    # derives for it; seeds >= 2**32 take two entropy words, negative ones
+    # enter as seed % 2**63
+    idx = np.array([0, 1, (1 << 32) - 1] + idx, dtype=np.int64)
+    keys = _stream_keys(seed, idx, *tag)
+    ref = [np.random.SeedSequence((seed % (1 << 63), int(i), *tag)).generate_state(2, np.uint64)
+           for i in idx]
+    assert keys.dtype == np.uint64 and keys.shape == (len(idx), 2)
+    assert np.array_equal(keys, np.array(ref))
+
+
+def test_stream_keys_reject_indices_outside_one_word():
+    # an index of 2**32 would take two entropy words; the key layout has one
+    for idx in ([1 << 32], [0, 1 << 32], [-1]):
+        with pytest.raises(ValueError, match=r"stream indices must lie in \[0, 2\*\*32\)"):
+            _stream_keys(5, np.array(idx, dtype=np.int64))
+    assert _stream_keys(5, np.array([], dtype=np.int64)).shape == (0, 2)
 
 
 def test_drawn_rows_are_read_only():
