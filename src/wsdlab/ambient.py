@@ -163,15 +163,12 @@ def _triples(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fd_steps(r: np.ndarray, h) -> np.ndarray:
-    """Central-difference step per radius row of r (N, m): h for every row,
-    or by default 1e-5 * min(1, min r).  Warns when a step is large against
+    """Central-difference step per radius row of r (N, m): h, one step for
+    every row or an (N,) array of them.  Warns when a step is large against
     the row's smallest radius; raises when a step is not positive or would
     shift a radius to <= 0."""
     r_min = np.min(r, axis=-1)
-    if h is None:
-        steps = 1e-5 * np.minimum(1.0, r_min)
-    else:
-        steps = np.full(r_min.shape, float(h))
+    steps = np.full(r_min.shape, h, dtype=float)
     if np.any(steps <= 0):
         raise ValueError("step must be positive")
     if np.any(steps >= 0.1 * r_min):
@@ -184,7 +181,7 @@ def _fd_steps(r: np.ndarray, h) -> np.ndarray:
 _FD_BLOCK = 32  # radius rows per slab of the closedness kernel
 
 
-def closedness_residuals(form, r, h=None) -> np.ndarray:
+def closedness_residuals(form, r, h) -> np.ndarray:
     """Max |(d omega)_{abc}| with coefficient derivatives by central
     differences, per row of a radius stack r (N, m).
 
@@ -192,8 +189,8 @@ def closedness_residuals(form, r, h=None) -> np.ndarray:
     radius rows (B, m) to antisymmetric coordinate-frame matrices
     (B, 3m, 3m).  Either way the coefficients depend on the radii alone, so
     only the m radius axes are differenced: the theta and eta rows of the
-    gradient are exactly the 0 a shifted evaluation gives them.  `h` is one
-    step for every row, or None for each row's default 1e-5 * min(1, min r).
+    gradient are exactly the 0 a shifted evaluation gives them.  `h` is the
+    step: one for every row, or an (N,) array with one per row.
     A closed form yields a residual of order h^2 (exactly 0 for coefficients
     constant along the differenced axes).  A non-finite cyclic sum makes the
     row's residual inf, never a pass.  Rows go through in slabs of

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -40,8 +41,7 @@ def test_verify_passes(tmp_path):
     assert rep["version"]
     assert rep["config"]["n"] == 2
     names = [c["name"] for c in rep["checks"]]
-    assert names == ["wsd_axioms", "aij_consistency", "restricted_norm",
-                     "leaf_volume", "exterior_derivative"]
+    assert names == ["wsd_axioms", "aij_consistency", "restricted_norm"]
     assert all(c["pass"] for c in rep["checks"])
     assert max(c["max_residual"] for c in rep["checks"]) < 1e-6
 
@@ -111,6 +111,41 @@ def test_verify_tight_tolerance_fails(tmp_path):
     assert rc == 1
     rep = json.loads(text)
     assert not rep["checks"][0]["pass"]
+
+
+def _planted(field, factor):
+    """omega_d_degenerate_block with one field of its result scaled."""
+    block = cli.omega_d_degenerate_block
+
+    def planted(r):
+        blk = block(r)
+        return dataclasses.replace(blk, **{field: getattr(blk, field) * factor})
+    return planted
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+@pytest.mark.parametrize("name,field,argv", [
+    ("wsd_axioms", None, ["--tol", "1e-18"]),
+    ("aij_consistency", "a_solve", []),
+    ("restricted_norm", "pairing", []),
+])
+def test_verify_planted_error_fails_its_own_check(monkeypatch, capsys, n, name, field, argv):
+    # a relative error of 1e-6 in the solved a_ij or in the pairing is far
+    # past those checks' tolerances, and only one check reads each field
+    if field:
+        monkeypatch.setattr(cli, "omega_d_degenerate_block", _planted(field, 1 + 1e-6))
+    assert main(["verify", "--n", n, "--rho2", "0.5", "--samples", "20", *argv]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == [name]
+
+
+def test_verify_runs_down_to_the_radius_squared_guard(capsys):
+    # the smallest radius, 2.7e-155, passes the radius-squared guard, and
+    # every check reads finite values; a derivative of 1/(2 pi r) there,
+    # -1/(2 pi r^2), would overflow, and no check takes one
+    argv = ["verify", "--n", "2", "--rho1", "1.778279e-153", "--rho2", "0.5", "--samples", "20"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_deterministic(tmp_path):
@@ -225,6 +260,13 @@ def test_boundary_rows_fill_every_column(tmp_path, n):
     assert all(value != "" for row in rows for value in row.values())
 
 
+def test_verify_has_no_format_option():
+    # verify writes JSON only; the sweeps take --format csv|json
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--rho2", "0.5", "--format", "json"])
+    assert exc.value.code == 2
+
+
 def test_boundary_has_no_rho2_option():
     # side T takes its rho2 from the threshold excess
     with pytest.raises(SystemExit) as exc:
@@ -271,6 +313,30 @@ def test_sweep_json_format(tmp_path):
     rep = json.loads(text)
     assert len(rep["rows"]) == 2
     assert rep["config"]["grid"] == "1:10:2"
+    # every sweep takes --format, and its JSON rows are its CSV rows
+    for argv in (["limit-kahler", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "12"],
+                 ["limit-complex", "--rho2", "0.6", "--grid", "0.1:1:2", "--samples", "16"],
+                 ["boundary", "--grid", "1e-2:1e-1:2", "--samples", "4"]):
+        argv = [*argv, "--n", "2"]
+        rows = json.loads(run(tmp_path, *argv, "--format", "json")[1])["rows"]
+        assert [{k: str(v) for k, v in row.items()} for row in rows] == \
+            rows_of(run(tmp_path, *argv)[1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rho2", "0.5", "--samples", "5"],
+    ["limit-kahler", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "4"],
+    ["limit-complex", "--rho2", "0.6", "--grid", "0.1:1:2", "--samples", "16"],
+    ["boundary", "--grid", "1e-2:1e-1:2", "--samples", "4"],
+    ["polytope-report"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_one_line_exit_2(tmp_path, argv, capsys):
+    # exit 1 would read as a failed check
+    out = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"invalid configuration: cannot write --out "
+                                       f"{str(out)!r}: No such file or directory\n")
+    assert not out.parent.exists()
 
 
 def test_sweep_deterministic(tmp_path):
@@ -478,15 +544,14 @@ def test_deep_rho2_gives_result_or_one_line(command, n, rho2, capsys):
 
 
 def test_verify_non_finite_residual_is_strict_json(monkeypatch, capsys):
-    monkeypatch.setattr("wsdlab.cli.closedness_residuals",
-                        lambda form, r: np.full(len(r), math.inf))
+    monkeypatch.setattr(cli, "omega_d_degenerate_block", _planted("pairing", math.inf))
     assert main(["verify", "--n", "2", "--rho2", "0.5", "--samples", "2"]) == 1
 
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")
 
     rep = json.loads(capsys.readouterr().out, parse_constant=reject)
-    check = {c["name"]: c for c in rep["checks"]}["exterior_derivative"]
+    check = {c["name"]: c for c in rep["checks"]}["restricted_norm"]
     assert check["max_residual"] is None and check["pass"] is False
     assert all(c["pass"] for c in rep["checks"] if c is not check)
 

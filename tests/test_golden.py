@@ -18,18 +18,21 @@ import pytest
 from wsdlab.cli import main
 
 GOLDEN = [
-    # re-recorded when verify moved to one array pass over the sample stack
-    # (QR frame, weighted sums, per-entry relative a_ij and norm residuals)
+    # every verify digest was re-recorded when verify dropped its
+    # leaf_volume and exterior_derivative checks, which no sample can fail
+    # (gate 2 checks both): the output is the previous one with those two
+    # entries removed, and the wsd_axioms, aij_consistency and
+    # restricted_norm entries are byte for byte the same
     (("verify", "--n", "2", "--rho2", "0.5", "--samples", "20"),
-     "560889307037f23f4379252a23b8c92af0b3ee6ffcc15259e777d55067ff3141"),
+     "fd34138fd23d349f2f2fd7f77031c71b068164721856621e0042f2d5d18b8079"),
     (("verify", "--n", "3", "--rho2", "0.5", "--samples", "10"),
-     "b82ec3d0ab2b9af370b8912cc4cf434cc4ff14714bd4d244dda097a54450bf79"),
-    # the closedness and leaf-volume checks at dim 15 and 21, past the
-    # golden ranks above; recorded before those checks ran on sample stacks
+     "208217cff6c35d7758e40649cc140daf900a81255e4b3324a3c32e53f919efb7"),
+    # the axiom check and the degenerate block at n = 4 and 6, past the
+    # golden ranks above
     (("verify", "--n", "4", "--rho2", "1.0", "--samples", "20"),
-     "d3c971ad02d6f63d5a60ec18b2459ebd80c2fe161fee2bf68052a82dd046c2a5"),
+     "e0caec853b103b8c2a1b4c6f3e43e2ab3e0350e5679c618412aedc7f6fa003cf"),
     (("verify", "--n", "6", "--rho2", "1.2", "--samples", "20"),
-     "224fa7d43350eb79300dc801603375040d735763cef04395b10960f51a0e8659"),
+     "619c3dfcb3f86278585697170671648579a5380f470258eb0400ae5eb5bbc3df"),
     (("limit-kahler", "--n", "2", "--rho2", "0.55,0.7", "--grid", "1:1e3:4",
       "--samples", "24", "--seed", "3"),
      "c638071f1b4eac8e79e2fe19150e285adfbe2bb58390bfccc9d0bc4158c361fb"),
