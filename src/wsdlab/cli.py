@@ -106,6 +106,9 @@ def _check_scalars(args) -> None:
         val = getattr(args, name, None)
         if isinstance(val, float) and not math.isfinite(val):
             raise ValueError(f"--{name} must be finite, got {val}")
+    # a sample passes the axiom check at residual < tol, so none can at tol <= 0
+    if getattr(args, "tol", 1.0) <= 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
 
 
 # -- verify ---------------------------------------------------------------
@@ -348,8 +351,7 @@ def cmd_polytope_report(args) -> int:
         "n": n,
         "vertices": {"primal": [list(v) for v in p.vertices],
                      "dual": [list(v) for v in d.vertices]},
-        "matrices": {role: [list(r) for r in getattr(maps, role).matrix]
-                     for role in ("primal", "dual", "primal_t", "dual_t")},
+        "matrices": {role: [list(r) for r in mat] for role, mat in maps._asdict().items()},
         "composite": [list(r) for r in rep.composite],
         "kernel": {"primal_map": _kernel_dict(maps.primal),
                    "dual_map": _kernel_dict(maps.dual)},

@@ -33,8 +33,8 @@ from .reduction import LevelSetSpec
 def _torus_embeddings(n: int) -> dict[str, np.ndarray]:
     """The theta and eta embeddings: rows are primal resp. dual vertices."""
     maps = lattice_maps(n)
-    return {"theta": np.array(maps.dual_t.matrix, dtype=float),
-            "eta": np.array(maps.primal_t.matrix, dtype=float)}
+    return {"theta": np.array(maps.dual_t, dtype=float),
+            "eta": np.array(maps.primal_t, dtype=float)}
 
 
 def embedded_angles(n: int, torus: np.ndarray, block: str) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 MAX_DIM = 8
 MAX_SD_DIM = 6
@@ -49,9 +49,7 @@ class Polytope:
 
     def affine_rank(self) -> int:
         """Dimension of the affine span of the vertex set."""
-        v0 = self.vertices[0]
-        rows = [[Fraction(x - y) for x, y in zip(v, v0)] for v in self.vertices[1:]]
-        return _eliminate(rows)[0]
+        return _affine_rank(self.vertices)
 
 
 def simplex_pair(n: int) -> tuple[Polytope, Polytope]:
@@ -74,48 +72,27 @@ def simplex_pair(n: int) -> tuple[Polytope, Polytope]:
     return Polytope(tuple(primal)), Polytope(tuple(dual))
 
 
-@dataclass(frozen=True)
-class LatticeMap:
-    """Integer matrix acting on tori coordinatewise (columns index the domain)."""
+class LatticeMaps(NamedTuple):
+    """Integer matrices acting on tori coordinatewise (columns index the domain)."""
 
-    matrix: IntMatrix
-    role: str = ""
-
-    def __post_init__(self):
-        mat = tuple(tuple(int(x) for x in row) for row in self.matrix)
-        if not mat or not mat[0]:
-            raise ValueError("empty matrix")
-        w = len(mat[0])
-        if any(len(r) != w for r in mat):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "matrix", mat)
-
-    def transpose(self, role: str = "") -> "LatticeMap":
-        t = tuple(zip(*self.matrix))
-        return LatticeMap(tuple(tuple(r) for r in t), role or self.role + "_t")
-
-
-@dataclass(frozen=True)
-class LatticeMaps:
-    primal: LatticeMap        # columns are dual simplex vertices
-    dual: LatticeMap          # columns are primal simplex vertices
-    primal_t: LatticeMap
-    dual_t: LatticeMap
+    primal: IntMatrix         # columns are dual simplex vertices
+    dual: IntMatrix           # columns are primal simplex vertices
+    primal_t: IntMatrix       # rows are dual simplex vertices
+    dual_t: IntMatrix         # rows are primal simplex vertices
 
 
 @lru_cache(maxsize=None)
 def lattice_maps(n: int) -> LatticeMaps:
     """The four lattice maps attached to the simplex pair in dimension n
-    (frozen and tuple-only, so one cached instance per n is shared).
+    (tuples only, so one cached instance per n is shared).
 
     primal sends the i-th domain coordinate to the i-th dual-simplex vertex
     (x -> (x_1 - x_{n+1}, ..., x_n - x_{n+1})); dual does the same with the
     primal vertices.  Transposes embed R^n back into R^{n+1}.
     """
     p, d = simplex_pair(n)
-    primal = LatticeMap(tuple(zip(*d.vertices)), role="primal")
-    dual = LatticeMap(tuple(zip(*p.vertices)), role="dual")
-    return LatticeMaps(primal, dual, primal.transpose("primal_t"), dual.transpose("dual_t"))
+    return LatticeMaps(tuple(zip(*d.vertices)), tuple(zip(*p.vertices)),
+                       d.vertices, p.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +233,16 @@ class SubgroupData:
         return self.component_group_order if self.is_finite else math.inf
 
 
-def _as_matrix(m) -> IntMatrix:
-    if isinstance(m, LatticeMap):
-        return m.matrix
-    return tuple(tuple(int(x) for x in row) for row in m)
-
-
-def kernel_data(m) -> SubgroupData:
+def kernel_data(mat: Sequence[Sequence[int]]) -> SubgroupData:
     """Structure of ker(x -> Mx) on the torus, from the Smith normal form."""
-    mat = _as_matrix(m)
     snf = smith_normal_form(mat)
-    cols = len(mat[0])
     torsion = tuple(d for d in snf.diagonal[: snf.rank] if d > 1)
-    return SubgroupData(cols - snf.rank, torsion)
+    return SubgroupData(len(mat[0]) - snf.rank, torsion)
 
 
-def finite_coset_representatives(m) -> tuple[tuple[Fraction, ...], ...]:
+def finite_coset_representatives(mat: Sequence[Sequence[int]]
+                                 ) -> tuple[tuple[Fraction, ...], ...]:
     """One representative in [0,1)^cols per connected component of the kernel."""
-    mat = _as_matrix(m)
     snf = smith_normal_form(mat)
     cols = len(mat[0])
     diag = snf.diagonal
@@ -351,6 +320,12 @@ def _eliminate(rows) -> tuple[int, Fraction, list[Fraction] | None]:
     return rank, det, null
 
 
+def _affine_rank(points) -> int:
+    """Dimension of the affine span of a nonempty list of points."""
+    v0 = points[0]
+    return _eliminate([[x - y for x, y in zip(v, v0)] for v in points[1:]])[0]
+
+
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     den = math.lcm(*(f.denominator for f in vec))
     ints = [int(f * den) for f in vec]
@@ -366,7 +341,6 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
 class Facet:
     normal: tuple[int, ...]   # primitive inward data: <normal, x> <= offset on P
     offset: int
-    vertex_ids: tuple[int, ...]
 
 
 class DegenerateDualError(ValueError):
@@ -402,13 +376,9 @@ def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
             vals = [-v for v in vals]
         else:
             continue
-        on = tuple(i for i, val in enumerate(vals) if val == b)
-        touching = [verts[i] for i in on]
-        v0 = touching[0]
-        rank = _eliminate([[x - y for x, y in zip(v, v0)] for v in touching[1:]])[0]
-        if rank != n - 1:
+        if _affine_rank([v for v, val in zip(verts, vals) if val == b]) != n - 1:
             continue
-        facets[(c, b)] = Facet(c, b, on)
+        facets[(c, b)] = Facet(c, b)
     return tuple(sorted(facets.values(), key=lambda f: (f.normal, f.offset)))
 
 
@@ -454,8 +424,8 @@ def _matmul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def verify_duality_identities(n: int) -> DualityReport:
     """Exact check of the composite-map identities for the simplex pair."""
     maps = lattice_maps(n)
-    composite = _matmul_int(maps.primal.matrix, maps.dual_t.matrix)
-    other = _matmul_int(maps.dual.matrix, maps.primal_t.matrix)
+    composite = _matmul_int(maps.primal, maps.dual_t)
+    other = _matmul_int(maps.dual, maps.primal_t)
     ident: list[tuple[str, bool, str]] = []
 
     target = tuple(
@@ -493,7 +463,7 @@ def verify_duality_identities(n: int) -> DualityReport:
             f"|det| = {det}",
         )
     )
-    kd_t = kernel_data(tuple(tuple(r) for r in zip(*composite)))
+    kd_t = kernel_data(tuple(zip(*composite)))
     ident.append(
         (
             "torsion_is_n_plus_1_uniform",
@@ -524,8 +494,6 @@ def has_property_sd(p: Polytope) -> SdVerdict:
     if p.dim > MAX_SD_DIM and p.vertex_count != p.dim + 1:
         raise ValueError(f"property SD check limited to dim <= {MAX_SD_DIM} "
                          "for polytopes other than simplices")
-    if p.affine_rank() != p.dim:
-        raise ValueError("polytope is not full-dimensional")
     try:
         dual = dual_polytope(p)
     except DegenerateDualError as exc:
@@ -540,27 +508,18 @@ def has_property_sd(p: Polytope) -> SdVerdict:
         notes.append("dual has non-integer vertices")
 
     counts = len(dual) == p.vertex_count
-    v0 = dual[0]
-    dual_rank = _eliminate([[x - y for x, y in zip(v, v0)] for v in dual[1:]])[0]
-    dims = dual_rank == p.affine_rank()
+    dual_rank = _affine_rank(dual)
+    dims = dual_rank == p.dim
     clauses["counts_and_dims_match"] = counts and dims
     if not counts:
         notes.append(f"vertex counts differ ({p.vertex_count} vs {len(dual)})")
     if not dims:
-        notes.append(f"span dimensions differ ({p.affine_rank()} vs {dual_rank})")
+        notes.append(f"span dimensions differ ({p.dim} vs {dual_rank})")
 
     kernel_order = None
     if integral and counts and dims:
         u_sorted = sorted(tuple(int(f) for f in v) for v in dual)
-        v_sorted = sorted(p.vertices)
-        comp = tuple(
-            tuple(
-                sum(u[a] * v[b] for u, v in zip(u_sorted, v_sorted))
-                for b in range(p.dim)
-            )
-            for a in range(p.dim)
-        )
-        kd = kernel_data(comp)
+        kd = kernel_data(_matmul_int(tuple(zip(*u_sorted)), tuple(sorted(p.vertices))))
         kernel_order = kd.group_order
         clauses["kernel_finite"] = kd.is_finite
         if not kd.is_finite:

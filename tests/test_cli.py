@@ -352,12 +352,14 @@ def test_sweep_deterministic(tmp_path):
     ["verify", "--n", "2", "--rho2", "inf", "--samples", "4"],
     ["verify", "--n", "2", "--rho1", "nan", "--rho2", "0.5", "--samples", "4"],
     ["verify", "--n", "2", "--rho2", "0.5", "--tol", "inf", "--samples", "4"],
+    ["verify", "--n", "2", "--rho2", "0.5", "--samples", "4", "--tol", "0"],
+    ["verify", "--n", "2", "--rho2", "0.5", "--samples", "4", "--tol", "-1"],
     ["limit-kahler", "--n", "2", "--rho2", "0.6,nan", "--grid", "1:10:2", "--samples", "4"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:inf:2", "--samples", "4"],
     ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "1"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "0.1:1:2", "--samples", "1"],
 ], ids=["verify-samples-0", "kahler-samples-0", "rho2-nan", "rho2-inf", "rho1-nan",
-        "tol-inf", "rho2-list-nan", "grid-inf", "kahler-samples-1",
+        "tol-inf", "tol-0", "tol-negative", "rho2-list-nan", "grid-inf", "kahler-samples-1",
         "complex-samples-1"])
 def test_rejects_unusable_input_with_one_line(argv, capsys):
     assert main(argv) == 2

@@ -86,6 +86,11 @@ GOLDEN = [
      "41066a689e8685daba98594d3ce22255003ebe3ceb1746e8f19c05994177d2ad"),
     (("polytope-report", "--n", "6"),
      "c88ef364edd2bd366efa280ba6b609571d58c3e2617bc4eb4d5d2075a37f4c56"),
+    # the rest of the documented n = 1..8 range: simplices past MAX_SD_DIM
+    (("polytope-report", "--n", "7"),
+     "e96b9021b32864ac2bc1ef568a607e274d07f1bfdaac048e706e8e4d7b379551"),
+    (("polytope-report", "--n", "8"),
+     "d4b967f33458051e4add29ef219cac25d6f74d8e1005405e7b7f0e097a1415fe"),
 ]
 
 

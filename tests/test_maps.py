@@ -239,13 +239,13 @@ def test_project_pi2_guards_raise_from_one_offending_row(row, value, error):
 
 def _per_sample_pi1(n, r, s):
     # one sample at a time, with its own embedding matrix product
-    f_theta = np.array(lattice_maps(n).dual_t.matrix, dtype=float)
+    f_theta = np.array(lattice_maps(n).dual_t, dtype=float)
     theta = np.mod(f_theta @ s, 1.0)
     return r * np.exp(2j * math.pi * theta)
 
 
 def _per_sample_pi2(n, u, t):
-    f_eta = np.array(lattice_maps(n).primal_t.matrix, dtype=float)
+    f_eta = np.array(lattice_maps(n).primal_t, dtype=float)
     eta = np.mod(f_eta @ t, 1.0)
     mod = np.sqrt(-u / (2.0 * PI**2))
     return mod * np.exp(-2j * math.pi * eta)
@@ -289,13 +289,13 @@ def test_stacked_projections_equal_per_sample_expression(n, seed, shape, log_rho
 def test_embedded_angles_are_vertex_combinations():
     # theta = F_theta s with rows the primal vertices (2,-1), (-1,2), (-1,-1),
     # eta = F_eta t with rows the dual vertices; a stack gives each row's bits
-    rows = np.array(lattice_maps(2).dual_t.matrix, dtype=float)
+    rows = np.array(lattice_maps(2).dual_t, dtype=float)
     assert np.array_equal(rows, [[2, -1], [-1, 2], [-1, -1]])
     assert np.array_equal(embedded_angles(2, [0.25, 0.5], "theta"), rows @ [0.25, 0.5])
     assert not np.any(embedded_angles(2, [0.0, 0.0], "eta"))
     torus = draw_torus(3, 7, seed=5)
     for block, cols, matrix in (("theta", slice(0, 3), "dual_t"), ("eta", slice(3, 6), "primal_t")):
-        f = np.array(getattr(lattice_maps(3), matrix).matrix, dtype=float)
+        f = np.array(getattr(lattice_maps(3), matrix), dtype=float)
         stacked = embedded_angles(3, torus[:, cols], block)
         assert np.array_equal(stacked, [f @ x for x in torus[:, cols]])
 
@@ -376,7 +376,7 @@ def test_degenerate_metric_is_omega_of_j(n):
     r = np.exp(rng.uniform(-4.0, 0.5, (3, 8, m)))
     lam1, lam2 = float(np.exp(rng.uniform(-7, 0))), float(rng.uniform(0.3, 1.2))
     frame, coef = degenerate_metric(r, lam1, lam2)
-    f_eta = np.array(lattice_maps(n).primal_t.matrix, dtype=float)
+    f_eta = np.array(lattice_maps(n).primal_t, dtype=float)
     assert np.array_equal(frame[:m, :m], np.eye(m)) and np.array_equal(frame[m:, m:], f_eta)
     assert not np.any(frame[:m, m:]) and not np.any(frame[m:, :m])
     assert coef.shape == (3, 8, 2 * m)
@@ -473,7 +473,7 @@ def test_coefficient_rows_match_dense_reference(n, data, rho1, rho2, t):
 def test_pi1_equivariance():
     s = LevelSetSpec(2, 1.0, 0.55)
     (r,), (a,), _ = sample_arrays(s, 1, seed=41)
-    rows = np.array(lattice_maps(2).dual_t.matrix, dtype=float)
+    rows = np.array(lattice_maps(2).dual_t, dtype=float)
     delta = np.array([0.21, 0.43])
     z = pi1_point(s, r, a)
     zs = pi1_point(s, r, a + delta)
@@ -484,7 +484,7 @@ def test_pi1_equivariance():
 def test_pi2_equivariance():
     s = LevelSetSpec(2, 1.0, 0.55)
     (r,), _, (b,) = sample_arrays(s, 1, seed=43)
-    rows = np.array(lattice_maps(2).primal_t.matrix, dtype=float)
+    rows = np.array(lattice_maps(2).primal_t, dtype=float)
     delta = np.array([0.31, 0.11])
     z = pi2_point(s, r, b)
     zs = pi2_point(s, r, b + delta)

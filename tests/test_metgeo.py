@@ -381,7 +381,7 @@ def test_fiber_lattices_are_root_lattices(n):
     # lie in A_n (each sums to 0) and span n dimensions, so the saturation of
     # their span, the fiber torus's period lattice, is exactly A_n
     maps = lattice_maps(n)
-    for mat in (maps.primal_t.matrix, maps.dual_t.matrix):
+    for mat in (maps.primal_t, maps.dual_t):
         assert len(mat) == n + 1
         assert all(sum(col) == 0 for col in zip(*mat))
         assert _eliminate(mat)[0] == n
@@ -718,7 +718,7 @@ def _mp_degenerate_edge(xi, xj, n, rho1, rho2):
 
         d = [mpmath.mpf(float(a)) - mpmath.mpf(float(b)) for a, b in zip(xi, xj)]
         dt = [v - mpmath.nint(v) for v in d[n + 1:]]
-        f = lattice_maps(n).primal_t.matrix
+        f = lattice_maps(n).primal_t
         y = d[:n + 1] + [mpmath.fsum(int(c) * v for c, v in zip(row, dt)) for row in f]
         w2 = mpmath.fsum((a + b) * v * v for a, b, v in zip(coef(xi), coef(xj), y)) / 2
         return mpmath.sqrt(w2)

@@ -1,13 +1,19 @@
+import ast
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsdlab import polytope
 from wsdlab.polytope import (
     DegenerateDualError,
     Polytope,
+    SubgroupData,
     _eliminate,
     dual_polytope,
     enumerate_facets,
@@ -76,12 +82,12 @@ def test_polytope_rejects_bad_input():
 
 def test_lattice_maps_match_hand_matrices():
     m = lattice_maps(2)
-    assert m.primal.matrix == ((1, 0, -1), (0, 1, -1))
-    assert m.dual.matrix == ((2, -1, -1), (-1, 2, -1))
-    assert m.primal_t.matrix == ((1, 0), (0, 1), (-1, -1))
+    assert m.primal == ((1, 0, -1), (0, 1, -1))
+    assert m.dual == ((2, -1, -1), (-1, 2, -1))
+    assert m.primal_t == ((1, 0), (0, 1), (-1, -1))
     m1 = lattice_maps(1)
-    assert m1.primal.matrix == ((1, -1),)
-    assert m1.dual.matrix == ((1, -1),)
+    assert m1.primal == ((1, -1),)
+    assert m1.dual == ((1, -1),)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -136,6 +142,10 @@ def test_kernel_data_examples():
     assert kd.group_order == math.inf
     kd = kernel_data(((0,),))
     assert (kd.connected_rank, kd.torsion_invariants) == (1, ())
+    # any integer rows will do, since the Smith form reads each entry with int()
+    forms = (tuple(tuple(r) for r in m.dual), [list(r) for r in m.dual], np.array(m.dual))
+    assert all(kernel_data(rows) == SubgroupData(1, (3,)) for rows in forms)
+    assert len({finite_coset_representatives(rows) for rows in forms}) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -149,7 +159,7 @@ def test_kernel_data_against_grid_enumeration(n):
         L = 12
         assert all(L % t == 0 for t in kd.torsion_invariants)
         expected = kd.component_group_order * L**kd.connected_rank
-        assert brute_kernel_count(lm.matrix, L) == expected
+        assert brute_kernel_count(lm, L) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -159,7 +169,7 @@ def test_composite_kernel_order_brute_force(n):
     maps = lattice_maps(n)
     comp = tuple(
         tuple(
-            sum(maps.primal.matrix[i][k] * maps.dual_t.matrix[k][j] for k in range(n + 1))
+            sum(maps.primal[i][k] * maps.dual_t[k][j] for k in range(n + 1))
             for j in range(n)
         )
         for i in range(n)
@@ -175,7 +185,7 @@ def test_finite_coset_representatives_are_kernel_points():
     assert len(reps) == 3
     for rep in reps:
         img = [
-            sum(Fraction(m.matrix[i][j]) * rep[j] for j in range(3)) for i in range(2)
+            sum(Fraction(m[i][j]) * rep[j] for j in range(3)) for i in range(2)
         ]
         assert all(f.denominator == 1 for f in img)
     # distinct modulo the diagonal circle: differences must not be constant
@@ -189,7 +199,7 @@ def test_connected_generators_span_real_kernel():
     # one connected direction, and the diagonal lies in the kernel, so it spans it
     m = lattice_maps(3).primal
     assert kernel_data(m).connected_rank == 1
-    assert all(sum(row) == 0 for row in m.matrix)
+    assert all(sum(row) == 0 for row in m)
 
 
 def test_dual_polytope_of_simplices():
@@ -270,8 +280,26 @@ def test_property_sd_dimension_guard_still_limits_other_polytopes():
 
 def test_not_full_dimensional_rejected():
     flat = Polytope(((0, 0), (1, 0), (2, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not full-dimensional"):
         has_property_sd(flat)
+
+
+def test_exact_layer_imports_no_numpy_and_holds_no_float():
+    # the module's "No floats" rule: standard-library imports only, no float
+    # literal and no float(...) call
+    tree = ast.parse(Path(polytope.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
+    floats = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, float)
+              or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"]
+    assert floats == []
 
 
 def fraction_gauss_jordan(rows):
