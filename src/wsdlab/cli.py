@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -366,6 +367,10 @@ def cmd_polytope_report(args) -> int:
 
 # -- argument plumbing ---------------------------------------------------------
 
+# The parser does not depend on argv and parse_args fills a fresh Namespace
+# per call, so a process builds it once, on its first main() call (never at
+# import), and every later call reuses it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wsdlab",
                                  description=__doc__.splitlines()[0])

@@ -87,10 +87,16 @@ def feasibility(spec: LevelSetSpec, rel_tol: float = 1e-12) -> str:
     Non-empty iff (-k1/pi) e^{4 pi k2/(n+1)} >= n+1, with equality the single
     r-orbit where the two moment differentials align.  In logs the statistic
     is 4 pi^2 rho2^2/(n+1) vs log(n+1), which does not depend on the overall
-    scale rho1, so it is taken from rho2 alone.
+    scale rho1, so it is taken from rho2 alone.  A rho2 whose statistic
+    leaves the doubles is far above the threshold, and regular.
     """
     m = spec.n + 1
-    lhs = FOUR_PI2 * spec.rho2**2 / m
+    try:
+        lhs = FOUR_PI2 * spec.rho2**2 / m
+    except OverflowError:  # rho2^2 itself leaves the doubles
+        lhs = math.inf
+    if lhs == math.inf:
+        return "regular"
     rhs = math.log(m)
     band = rel_tol * max(1.0, abs(lhs), abs(rhs))
     if lhs < rhs - band:
@@ -242,6 +248,11 @@ def draw_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
     return d
 
 
+def _radii_underflow(spec: LevelSetSpec) -> ArithmeticError:
+    return ArithmeticError(f"base radii underflow at rho2 = {spec.rho2:.6g}: "
+                           "a radius rounds to 0 in double precision")
+
+
 def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     """Radii vectors on the base constraint set, one row r in R^{n+1} per row
     of `directions` (from `draw_directions(spec.n, count, seed)`).
@@ -266,7 +277,12 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     count = len(directions)
     m = spec.n + 1
     rho1 = spec.rho1
-    log_target = -2.0 * PI2 * spec.rho2**2
+    try:
+        log_target = -2.0 * PI2 * spec.rho2**2
+    except OverflowError:  # rho2^2 itself leaves the doubles
+        log_target = -math.inf
+    if log_target == -math.inf:
+        raise _radii_underflow(spec)
 
     if spec.n == 1:
         # x^2 are the roots of q^2 - q + e^{2 log_target} = 0; the small root
@@ -283,8 +299,7 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     t = _log_ray_roots(centre, directions)
     out = rho1 * np.exp(centre + t[:, None] * directions)
     if not np.all(out > 0):
-        raise ArithmeticError(f"base radii underflow at rho2 = {spec.rho2:.6g}: "
-                              "a radius rounds to 0 in double precision")
+        raise _radii_underflow(spec)
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -414,6 +415,18 @@ def test_sampler_failure_exits_2_with_one_line(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rho2", ["1e154", "1e200", "1e308"])
+@pytest.mark.parametrize("command", ["verify", "limit-kahler", "limit-complex"])
+def test_huge_rho2_exits_2_with_the_radii_underflow_line(command, rho2, capsys):
+    # far above the threshold 4 pi^2 rho2^2 leaves the doubles: the set is
+    # regular (not 'degenerate') and its radii underflow, as at rho2 = 30
+    assert main([command, "--n", "2", "--rho2", rho2, "--samples", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"numerical failure: base radii underflow at rho2 = {float(rho2):.6g}: "
+                   "a radius rounds to 0 in double precision\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "2", "--rho2", "5", "--samples", "3"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-160:1e-159:2"],
@@ -579,6 +592,87 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["n"] == 1
+
+
+def _fresh_process(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(wsdlab.__file__).parents[1]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_repeated_main_calls_build_the_parser_once(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(tmp_path, "polytope-report", "--n", "1")[0] == 0
+    first = list(built)
+    assert first.count("wsdlab") == 1
+    for argv in (["polytope-report", "--n", "2"], ["boundary", "--n", "2", "--samples", "4",
+                                                   "--grid", "0.1:1:2"]):
+        assert run(tmp_path, *argv)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["polytope-report", "--n", "x"])
+    assert built == first
+
+
+IMPORT_BUILDS_SCRIPT = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import wsdlab.cli
+print(len(built))
+"""
+
+
+def test_import_builds_no_parser():
+    # the benchmark's setup_s times this import, so the parser waits for main()
+    proc = _fresh_process("-W", "error", "-c", IMPORT_BUILDS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("argv,option,given,default", [
+    (["verify", "--n", "2", "--rho2", "0.5", "--samples", "4"], "--tol", "1e-3", 1e-8),
+    (["boundary", "--n", "2", "--samples", "4", "--grid", "0.1:1:2", "--format", "json"],
+     "--rho1", "2", 1.0),
+], ids=["verify-tol", "boundary-rho1"])
+def test_an_option_given_once_does_not_stay_for_the_next_call(tmp_path, argv, option, given,
+                                                              default):
+    name = option.lstrip("-")
+    rc, text = run(tmp_path, *argv, option, given)
+    assert (rc, json.loads(text)["config"][name]) == (0, float(given))
+    rc, text = run(tmp_path, *argv)
+    assert (rc, json.loads(text)["config"][name]) == (0, default)
+
+
+def test_a_rejected_argv_leaves_the_next_call_as_in_a_fresh_process(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the same width
+    good = ["verify", "--n", "2", "--rho2", "0.5", "--samples", "4"]
+    bad = ["verify", "--n", "0", "--rho2", "0.5"]
+    fresh_good = _fresh_process("-m", "wsdlab.cli", *good)
+    fresh_bad = _fresh_process("-m", "wsdlab.cli", *bad)
+    assert (fresh_good.returncode, fresh_good.stderr) == (0, "")
+    assert fresh_bad.returncode == 2
+    assert fresh_bad.stderr.endswith("wsdlab: error: --n must be >= 1, got 0\n")
+
+    assert main(good) == 0
+    assert capsys.readouterr() == (fresh_good.stdout, "")
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", fresh_bad.stderr)
+    assert main(good) == 0
+    assert capsys.readouterr() == (fresh_good.stdout, "")
 
 
 # run in a fresh interpreter with warnings as errors: each command in turn,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_tensors, fresh_stream
-from wsdlab.ambient import convert_parameters, feasibility_threshold, moment_map
+from wsdlab.ambient import FOUR_PI2, convert_parameters, feasibility_threshold, moment_map
 from wsdlab.metgeo import anticanonical_points
 from wsdlab.reduction import (
     EmptyLevelSet,
@@ -92,6 +93,48 @@ def test_feasibility_trichotomy():
         t = feasibility_threshold(n)
         assert feasibility(LevelSetSpec(n, 2.0, t * 1.001)) == "regular"
         assert feasibility(LevelSetSpec(n, 2.0, t * 0.999)) == "empty"
+
+
+def _feasibility_by_the_statistic(n, rho2, rel_tol=1e-12):
+    # the classification as written before huge rho2 was handled; its
+    # statistic overflows (inf or OverflowError) above rho2 of about 1e153
+    m = n + 1
+    lhs = FOUR_PI2 * rho2**2 / m
+    rhs = math.log(m)
+    band = rel_tol * max(1.0, abs(lhs), abs(rhs))
+    if lhs < rhs - band:
+        return "empty"
+    if lhs <= rhs + band:
+        return "degenerate"
+    return "regular"
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_feasibility_is_unchanged_wherever_its_statistic_is_finite(n, data):
+    thr = feasibility_threshold(n)
+    rho2 = data.draw(st.one_of(
+        st.floats(min_value=5e-324, allow_infinity=False),
+        st.floats(min_value=thr * (1 - 1e-11), max_value=thr * (1 + 1e-11)),
+        st.floats(min_value=1e152, max_value=1e154)))
+    try:
+        statistic = FOUR_PI2 * rho2**2 / (n + 1)
+    except OverflowError:
+        statistic = math.inf
+    expected = "regular" if statistic == math.inf else _feasibility_by_the_statistic(n, rho2)
+    assert feasibility(LevelSetSpec(n, 1.0, rho2)) == expected
+
+
+@pytest.mark.parametrize("rho2", [1e154, 1e200, 1e308, 1.7976931348623157e308])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_huge_rho2_is_regular_and_its_radii_underflow(n, rho2):
+    # far above the threshold, where 4 pi^2 rho2^2 leaves the doubles: the
+    # set is regular, and the sampler names the radii underflow
+    spec = LevelSetSpec(n, 1.0, rho2)
+    assert feasibility(spec) == "regular"
+    line = f"base radii underflow at rho2 = {rho2:.6g}:"
+    with pytest.raises(ArithmeticError, match=re.escape(line)):
+        solve_base(spec, draw_directions(n, 3, 0))
 
 
 def test_feasibility_k_coordinates():
