@@ -137,63 +137,6 @@ def hausdorff_from_cross(cross: np.ndarray) -> float:
 
 # -- Gromov-Hausdorff bounds ---------------------------------------------------
 
-def _profiles(dist: np.ndarray, k: int = 33) -> np.ndarray:
-    """Per-point sorted-distance profiles resampled to a common length."""
-    n = dist.shape[0]
-    srt = np.sort(dist, axis=1)
-    grid = np.linspace(0.0, 1.0, k)
-    xs = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.0])
-    return np.vstack([np.interp(grid, xs, row) for row in srt])
-
-
-_COST_BLOCK = 16  # rows of the profile cost filled per step
-
-
-def _profile_cost(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of pa and pb, filled _COST_BLOCK
-    rows at a time in one reused block x nb x k buffer, never the full
-    na x nb x k difference.  Each entry is squared, summed and rooted as
-    np.linalg.norm(pa[:, None] - pb[None], axis=2) does it, so the result is
-    bitwise the same."""
-    cost = np.empty((len(pa), len(pb)))
-    buf = np.empty((_COST_BLOCK, len(pb), pa.shape[1]))
-    for lo in range(0, len(pa), _COST_BLOCK):
-        diff = buf[:min(_COST_BLOCK, len(pa) - lo)]
-        np.subtract(pa[lo:lo + len(diff), None, :], pb[None, :, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sqrt(np.add.reduce(diff, axis=2), out=cost[lo:lo + len(diff)])
-    return cost
-
-
-def _greedy_correspondence(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full correspondence (index arrays into A and B) from greedy matching of
-    the samples' profiles pa and pb."""
-    work = _profile_cost(pa, pb)
-    na, nb = work.shape
-    pairs = []
-    for _ in range(min(na, nb)):
-        i, j = np.unravel_index(np.argmin(work), work.shape)
-        pairs.append((int(i), int(j)))
-        work[i, :] = np.inf
-        work[:, j] = np.inf
-    matched_a = np.array([p[0] for p in pairs])
-    matched_b = np.array([p[1] for p in pairs])
-    ia, ib = list(matched_a), list(matched_b)
-    if na > nb:
-        left = np.setdiff1d(np.arange(na), matched_a)
-        for i in left:
-            near = matched_a[np.argmin(np.linalg.norm(pa[matched_a] - pa[i], axis=1))]
-            ia.append(int(i))
-            ib.append(int(matched_b[list(matched_a).index(near)]))
-    elif nb > na:
-        left = np.setdiff1d(np.arange(nb), matched_b)
-        for j in left:
-            near = matched_b[np.argmin(np.linalg.norm(pb[matched_b] - pb[j], axis=1))]
-            ia.append(int(matched_a[list(matched_b).index(near)]))
-            ib.append(int(j))
-    return np.array(ia), np.array(ib)
-
-
 def correspondence_distortion(da: np.ndarray, db: np.ndarray,
                               ia: np.ndarray, ib: np.ndarray) -> float:
     return float(np.max(np.abs(da[np.ix_(ia, ia)] - db[np.ix_(ib, ib)])))
@@ -222,24 +165,33 @@ def _correspondence(pairs, na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample,
               pairs=None) -> tuple[float, float]:
-    """Certified interval for the Gromov-Hausdorff distance of two samples.
+    """Certified interval for the Gromov-Hausdorff distance of two samples
+    (Memoli, DCG 48, 2012).
 
-    lower: half the diameter gap.  upper: half the distortion of a
-    correspondence (any correspondence R certifies d_GH <= dis(R) / 2;
-    Memoli, DCG 48, 2012).  `pairs` = (ia, ib) gives it as index arrays,
-    point ia[k] of a with point ib[k] of b.  Without it the correspondence is
-    a greedy mutual-nearest-neighbor matching of sorted-distance profiles,
-    whose leftovers of the larger sample ride with their nearest matched
-    profile.
+    lower: half the Hausdorff distance between the two eccentricity sets on
+    the line, d_GH >= d_H(ecc_a, ecc_b) / 2.  The largest eccentricity is the
+    diameter, so it is never below half the diameter gap.  upper: half the
+    distortion of a correspondence, d_GH <= dis(R) / 2.  `pairs` = (ia, ib)
+    gives it as index arrays, point ia[k] of a with point ib[k] of b.  Without
+    it each point is paired with the point of the same eccentricity rank in
+    the other sample, ranks stretched to that sample's size.  Both bounds
+    commute with a power-of-two rescale, and lower <= upper holds in floats:
+    for a pair (x, y) of any correspondence, ecc(x) - ecc(y) is at most an
+    entry of the distortion, and rounding is monotone.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("gh_bounds needs nonempty samples")
     da, db = a.dist, b.dist
+    ea, eb = np.max(da, axis=1), np.max(db, axis=1)
     if pairs is None:
-        ia, ib = _greedy_correspondence(_profiles(da), _profiles(db))
+        # pair k joins rank k * size // count of each sample: every rank is hit
+        count = max(len(a), len(b))
+        ranks = np.arange(count)
+        ia = np.argsort(ea, kind="stable")[ranks * len(a) // count]
+        ib = np.argsort(eb, kind="stable")[ranks * len(b) // count]
     else:
         ia, ib = _correspondence(pairs, len(a), len(b))
-    lower = 0.5 * abs(float(np.max(da)) - float(np.max(db)))
+    lower = 0.5 * hausdorff_from_cross(np.abs(ea[:, None] - eb[None, :]))
     upper = 0.5 * correspondence_distortion(da, db, ia, ib)
     return lower, upper
 

@@ -293,9 +293,16 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
         hi = math.sqrt(q_hi)
         lo = math.exp(log_target) / hi
         pts = np.array([[hi, lo], [lo, hi]]) * rho1
+        if not np.all(pts > 0):
+            raise _radii_underflow(spec)
         return pts[np.arange(count) % 2]
 
     centre = log_target / m
+    # each ray's root lies just below its Newton start -centre / max d, so
+    # where a start leaves the doubles the radii round to 0
+    with np.errstate(over="ignore"):
+        if not np.all(-centre / np.max(directions, axis=1) < math.inf):
+            raise _radii_underflow(spec)
     t = _log_ray_roots(centre, directions)
     out = rho1 * np.exp(centre + t[:, None] * directions)
     if not np.all(out > 0):
@@ -322,15 +329,21 @@ def _raw_pair(r: np.ndarray):
     z = X1 - (m/B) X2 (theta block), w = Y1 - (m/A) Y2 (eta block), i.e. X1, Y1
     minus their g-projections on X2 = sum eta_w d/dtheta, Y2 = sum theta_w d/deta.
 
-    Raises ArithmeticError where P = A B comes within DEGENERACY_GUARD of its
-    Cauchy-Schwarz floor (n+1)^2, the equal-radii locus where z and w vanish.
+    Raises ArithmeticError where P = A B leaves the doubles, or comes within
+    DEGENERACY_GUARD of its Cauchy-Schwarz floor (n+1)^2, the equal-radii
+    locus where z and w vanish.
     """
     theta_w, eta_w = torus_metric_weights(r)
     m = r.shape[-1]
-    big_a = np.sum(theta_w, axis=-1)
-    big_b = np.sum(eta_w, axis=-1)
+    with np.errstate(over="ignore"):
+        big_a = np.sum(theta_w, axis=-1)
+        big_b = np.sum(eta_w, axis=-1)
+        big_p = big_a * big_b
+    if not np.all(big_p < np.inf):
+        raise ArithmeticError(f"|X1|^2 |X2|^2 overflows at radii {float(np.min(r)):.3e} to "
+                              f"{float(np.max(r)):.3e}: the radii spread too widely for the pair")
     s = float(m * m)
-    if np.any(big_a * big_b - s <= DEGENERACY_GUARD * s):
+    if np.any(big_p - s <= DEGENERACY_GUARD * s):
         raise ArithmeticError(
             "degenerate-pair construction ill conditioned: |X1|^2|X2|^2 too close to (n+1)^2")
     z = 1.0 - (m / big_b)[:, None] * eta_w

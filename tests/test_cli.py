@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wsdlab
@@ -540,7 +541,7 @@ DEEP_COMMANDS = {
 
 
 @pytest.mark.parametrize("rho2", ["2.5", "5", "8", "30"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("command", list(DEEP_COMMANDS))
 def test_deep_rho2_gives_result_or_one_line(command, n, rho2, capsys):
     # every sampled command: a result, or exit 2 with one classified line
@@ -556,16 +557,98 @@ def test_deep_rho2_gives_result_or_one_line(command, n, rho2, capsys):
     if rc == 2:
         assert out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        # a radius that rounds to 0 is the sampler's underflow, named as such
+        assert "at r = 0.000e+00" not in err
+
+
+# every exit-2 line a well-formed argv can give: a named cause, never numpy's
+# own "encountered" text or an errno tuple
+NAMED_CAUSES = [re.compile(p) for p in (
+    r"empty level set: n=\d+ rho2=\S+ classified '(empty|degenerate)' \(threshold \S+\)",
+    r"numerical failure: base radii underflow at rho2 = \S+: a radius rounds to 0 in double precision",
+    r"numerical failure: radius squared (underflow|overflow) at r = \S+: 4 pi\^2 r\^2 is .*",
+    r"numerical failure: the pi2 modulus vanishes: a log-shape coordinate rounded to 0",
+    r"numerical failure: \|X1\|\^2 \|X2\|\^2 overflows at radii \S+ to \S+: .*",
+    r"numerical failure: degenerate-pair construction ill conditioned: .*",
+    r"numerical failure: fiber bound .* overflows at rho2 = \S+, rho1 = \S+",
+    r"numerical failure: degenerate metric coefficient .* leaves the positive doubles "
+    r"at lam1 = \S+, lam2 = \S+",
+    r"numerical failure: base diameter rho1 \* d leaves the normal doubles at .*",
+    r"invalid configuration: degenerate-metric graph disconnected; raise --samples",
+)]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["verify", "limit-kahler", "limit-complex", "boundary",
+                                    "polytope-report"]))
+    n = draw(st.integers(1, 4 if command == "limit-complex" else 6))
+    if command == "polytope-report":
+        return [command, "--n", str(n)]
+    argv = [command, "--n", str(n), "--samples", str(draw(st.integers(2, 16))),
+            "--seed", str(draw(st.integers(0, 1000)))]
+    # rho2 from below every threshold (~0.19 at n = 1) to 1e300; half the draws
+    # stay below 10, where the sampler still computes
+    rho2 = draw(st.one_of(st.floats(0.1, 10.0), _log_uniform(-1.0, 300.0)))
+    rho1 = draw(_log_uniform(-300.0, 300.0))
+    grid = (f"{draw(_log_uniform(-300.0, 300.0))!r}:{draw(_log_uniform(-300.0, 300.0))!r}:"
+            f"{draw(st.integers(1, 3))}")
+    if command == "verify":
+        return argv + ["--rho1", repr(rho1), "--rho2", repr(rho2)]
+    if command == "boundary":
+        return argv + ["--rho1", repr(rho1), "--grid", grid]
+    return argv + ["--rho2", repr(rho2), "--grid", grid]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+# 300 examples, ~1 s: every command runs in-process at 16 samples or fewer
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argvs())
+@example(argv=["verify", "--n", "1", "--rho2", "8", "--samples", "3"])
+@example(argv=["verify", "--n", "2", "--rho2", "1.99e153", "--samples", "11"])
+@example(argv=["verify", "--n", "6", "--rho2", "6.54", "--rho1", "4.48e98", "--samples", "10"])
+@example(argv=["limit-complex", "--n", "2", "--rho2", "0.553", "--samples", "3",
+               "--grid", "3.5e73:1.59e153:2"])
+def test_every_argv_gives_a_result_or_one_named_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert out == "" and err.count("\n") == 1
+        line = err.rstrip("\n")
+        assert "encountered" not in line and not re.search(r"\(\d+, '", line)
+        assert any(p.fullmatch(line) for p in NAMED_CAUSES), line
+        return
+    assert err == ""
+    if argv[0] in ("verify", "polytope-report"):
+        json.loads(out, parse_constant=_reject_constant)
+        return
+    for row in rows_of(out):
+        for cell in row.values():
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), row
 
 
 def test_verify_non_finite_residual_is_strict_json(monkeypatch, capsys):
     monkeypatch.setattr(cli, "omega_d_degenerate_block", _planted("pairing", math.inf))
     assert main(["verify", "--n", "2", "--rho2", "0.5", "--samples", "2"]) == 1
 
-    def reject(token):
-        raise ValueError(f"non-JSON constant {token}")
-
-    rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     check = {c["name"]: c for c in rep["checks"]}["restricted_norm"]
     assert check["max_residual"] is None and check["pass"] is False
     assert all(c["pass"] for c in rep["checks"] if c is not check)
@@ -774,20 +857,6 @@ def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2
     names = [name for name, _ in calls]
     assert names.count("anticanonical_points") == draws
     assert names.count("project_pi1") == names.count("fs_matrix") == measures
-
-
-def test_limit_complex_runs_no_gh_matching(monkeypatch, tmp_path):
-    # the upper bound is the distortion of sample i <-> its pi2 image i, so
-    # no grid point sorts distance profiles or matches them
-    def refused(*args):
-        raise AssertionError("limit-complex ran the greedy GH matching")
-
-    monkeypatch.setattr(metgeo, "_profiles", refused)
-    monkeypatch.setattr(metgeo, "_greedy_correspondence", refused)
-    rc, text = run(tmp_path, "limit-complex", "--n", "2", "--rho2", "0.6,0.7",
-                   "--grid", "1e-3:1:3", "--samples", "30")
-    assert rc == 0
-    assert len(rows_of(text)) == 6
 
 
 @pytest.mark.parametrize("argv", [
