@@ -16,20 +16,12 @@ import json
 import math
 import sys
 
-import numpy as np
-
+# the exact layer is standard-library only; each numeric command imports
+# numpy and the numeric layers in its own body, so `--help`, a rejected argv
+# and polytope-report load none of them
 from . import __version__
-from .ambient import feasibility_threshold
-from .maps import degenerate_metric, pi2_image_residual, project_pi1, project_pi2
-from .metgeo import (FiniteMetricSample, anticanonical_points, fs_matrix,
-                     hausdorff_from_cross, hn_matrix, knn_edge_squares, knn_geodesics,
-                     ngh_distance, pi1_fiber_bound, pi1_fiber_diameters,
-                     pi2_fiber_diameters)
 from .polytope import (has_property_sd, kernel_data, lattice_maps, simplex_pair,
                        verify_duality_identities)
-from .reduction import (EmptyLevelSet, LevelSetSpec, draw_directions, draw_torus,
-                        induced_structure, omega_d_degenerate_block, sample_base,
-                        solve_base, verify_wsd_axioms)
 
 
 def _e(x) -> str:
@@ -68,8 +60,10 @@ def _sweep_text(fmt: str, comments: list[str], fieldnames: list[str],
     return _csv_text(comments, fieldnames, rows)
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str):
     """lo:hi:count, logarithmically spaced."""
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be lo:hi:count, got {text!r}")
@@ -123,6 +117,11 @@ def _check(name: str, residual: float, tol: float, ok: bool = True) -> dict:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
+    from .reduction import (LevelSetSpec, induced_structure, omega_d_degenerate_block,
+                            sample_base, verify_wsd_axioms)
+
     spec = LevelSetSpec(args.n, args.rho1, args.rho2)
     base_r = sample_base(spec, args.samples, args.seed)
 
@@ -186,6 +185,13 @@ KAHLER_DOC = [
 
 
 def cmd_limit_kahler(args) -> int:
+    import numpy as np
+
+    from .maps import project_pi1
+    from .metgeo import (anticanonical_points, fs_matrix, hausdorff_from_cross,
+                         pi1_fiber_bound, pi1_fiber_diameters)
+    from .reduction import LevelSetSpec, draw_directions, draw_torus, solve_base
+
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))
     directions = draw_directions(args.n, args.samples, args.seed)
@@ -226,7 +232,7 @@ COMPLEX_DOC = [
     "degenerate_ngh_*: normalized-GH interval between the sample under the degenerate",
     "  radial-angular metric (graph geodesics) and its projection with quotient distances;",
     "  the normalized comparison is the scale-free sense, so the interval stays finite",
-    "degenerate_ngh_lower: diameter gap / diameter sum",
+    "degenerate_ngh_lower: Hausdorff distance between the eccentricity sets / diameter sum",
     "degenerate_ngh_upper: distortion of sample i <-> its pi2 image i / diameter sum",
 ]
 
@@ -237,6 +243,11 @@ def _complex_shape(shape, rho1: float, rho2: float, torus_t, anti):
     hausdorff_quotient, the squared edge sums of the degenerate metric's
     radial and eta blocks at `rho1`, and the pi2 image as the unit hn
     sample."""
+    import numpy as np
+
+    from .maps import degenerate_metric, pi2_image_residual, project_pi2
+    from .metgeo import FiniteMetricSample, hausdorff_from_cross, hn_matrix, knn_edge_squares
+
     n = shape.shape[1] - 1
     w = project_pi2(np.log(shape), torus_t)
     # the degenerate metric lives on the phi-domain chart, whose radial
@@ -252,6 +263,12 @@ def _complex_shape(shape, rho1: float, rho2: float, torus_t, anti):
 
 
 def cmd_limit_complex(args) -> int:
+    import numpy as np
+
+    from .metgeo import (FiniteMetricSample, anticanonical_points, knn_geodesics,
+                         ngh_distance, pi2_fiber_diameters)
+    from .reduction import LevelSetSpec, draw_directions, draw_torus, solve_base
+
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))[::-1]
     directions = draw_directions(args.n, args.samples, args.seed)
@@ -302,12 +319,19 @@ BOUNDARY_DOC = [
 ]
 
 
-def _base_diameter(base: np.ndarray) -> float:
+def _base_diameter(base) -> float:
+    import numpy as np
+
     diff = base[:, None, :] - base[None, :, :]
     return float(np.max(np.sqrt(np.sum(diff * diff, axis=2))))
 
 
 def cmd_boundary(args) -> int:
+    import numpy as np
+
+    from .ambient import feasibility_threshold
+    from .reduction import LevelSetSpec, draw_directions, solve_base
+
     grid = np.sort(_parse_grid(args.grid))[::-1]
     rho1 = args.rho1
     if not rho1 > 0:
@@ -428,16 +452,25 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.n < 1:
         ap.error(f"--n must be >= 1, got {args.n}")
+    # the numeric layers' own failure types, known once a numeric command has
+    # loaded them; nothing else raises them, and () matches nothing
+    empty, linalg = (), ()
     try:
         _check_scalars(args)
+        if args.fn is cmd_polytope_report:  # exact integers, no numpy
+            return args.fn(args)
+        import numpy as np
+
+        from .reduction import EmptyLevelSet
+        empty, linalg = (EmptyLevelSet,), (np.linalg.LinAlgError,)
         # a float overflow, division by zero or nan is a numerical failure,
         # never a warning followed by a result computed from it
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.fn(args)
-    except EmptyLevelSet as exc:
+    except empty as exc:
         print(f"empty level set: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, *linalg) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -117,7 +117,7 @@ def test_verify_tight_tolerance_fails(tmp_path):
 
 def _planted(field, factor):
     """omega_d_degenerate_block with one field of its result scaled."""
-    block = cli.omega_d_degenerate_block
+    block = reduction.omega_d_degenerate_block
 
     def planted(r):
         blk = block(r)
@@ -135,7 +135,7 @@ def test_verify_planted_error_fails_its_own_check(monkeypatch, capsys, n, name, 
     # a relative error of 1e-6 in the solved a_ij or in the pairing is far
     # past those checks' tolerances, and only one check reads each field
     if field:
-        monkeypatch.setattr(cli, "omega_d_degenerate_block", _planted(field, 1 + 1e-6))
+        monkeypatch.setattr(reduction, "omega_d_degenerate_block", _planted(field, 1 + 1e-6))
     assert main(["verify", "--n", n, "--rho2", "0.5", "--samples", "20", *argv]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c["name"] for c in checks if not c["pass"]] == [name]
@@ -401,10 +401,20 @@ def test_memory_error_exits_2_with_one_line(monkeypatch, exc, line, capsys):
     def exhausted(*args):
         raise exc
 
-    monkeypatch.setattr(cli, "sample_base", exhausted)
+    monkeypatch.setattr(reduction, "sample_base", exhausted)
     assert main(["verify", "--n", "2", "--rho2", "0.5", "--samples", "4"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", line)
+
+
+def test_linalg_error_is_a_numerical_failure(monkeypatch, capsys):
+    # numpy's LinAlgError subclasses ValueError, yet is no configuration error
+    def unsolvable(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(reduction, "sample_base", unsolvable)
+    assert main(["verify", "--n", "2", "--rho2", "0.5", "--samples", "4"]) == 2
+    assert capsys.readouterr() == ("", "numerical failure: SVD did not converge\n")
 
 
 def test_sampler_failure_exits_2_with_one_line(capsys):
@@ -645,7 +655,7 @@ def test_every_argv_gives_a_result_or_one_named_line(argv):
 
 
 def test_verify_non_finite_residual_is_strict_json(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "omega_d_degenerate_block", _planted("pairing", math.inf))
+    monkeypatch.setattr(reduction, "omega_d_degenerate_block", _planted("pairing", math.inf))
     assert main(["verify", "--n", "2", "--rho2", "0.5", "--samples", "2"]) == 1
 
     rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
@@ -758,48 +768,90 @@ def test_a_rejected_argv_leaves_the_next_call_as_in_a_fresh_process(monkeypatch,
     assert capsys.readouterr() == (fresh_good.stdout, "")
 
 
-# run in a fresh interpreter with warnings as errors: each command in turn,
-# then the list of scipy modules loaded so far
+# run in a fresh interpreter with warnings as errors: the watched modules
+# loaded after importing the exact layer, then the CLI, then after each argv
 IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
+
+WATCHED = ["numpy", "scipy", "scipy.sparse.csgraph", "wsdlab.ambient", "wsdlab.maps",
+           "wsdlab.metgeo", "wsdlab.reduction"]
+
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+
+import wsdlab.polytope
+report = {"after_polytope": loaded()}
 import wsdlab.cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-report = {"after_import": scipy_modules(), "runs": []}
+report["after_cli"] = loaded()
+report["runs"] = []
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = wsdlab.cli.main(argv)
-    report["runs"].append({"command": argv[0], "rc": rc, "scipy": scipy_modules()})
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = wsdlab.cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    report["runs"].append({"rc": rc, "err": err.getvalue(), "loaded": loaded()})
 print(json.dumps(report))
 """
 
 
 def test_only_limit_complex_imports_scipy():
-    # scipy is most of a cold start's import time, and only limit-complex's
-    # kNN graph search needs it; its first import happens inside the CLI's
-    # np.errstate(raise) and must raise nothing there
-    argvs = [
+    # imports are most of a cold start: the exact layer, --help and a rejected
+    # argv load no numpy and no numeric layer, and only limit-complex's kNN
+    # graph search loads scipy.  The numeric layers' first import happens
+    # inside a command, scipy's inside the CLI's np.errstate(raise), and
+    # neither may warn or raise there
+    exact = [["polytope-report", "--n", "2"], ["--help"], ["verify", "--n", "2"],
+             ["verify", "--n", "2", "--rho2", "0.5", "--samples", "0"]]
+    numeric = [
         ["verify", "--n", "2", "--rho2", "0.5", "--samples", "4"],
         ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "6"],
         ["boundary", "--side", "all", "--n", "2", "--grid", "0.1:1:2", "--samples", "4"],
-        ["polytope-report", "--n", "2"],
         ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "0.1:1:2", "--samples", "12"],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(wsdlab.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", IMPORT_GRAPH_SCRIPT, json.dumps(argvs)],
+        [sys.executable, "-W", "error", "-c", IMPORT_GRAPH_SCRIPT, json.dumps(exact + numeric)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     report = json.loads(proc.stdout)
-    assert report["after_import"] == []
-    *cheap, knn = report["runs"]
-    assert [(r["command"], r["rc"], r["scipy"]) for r in cheap] == [
-        (argv[0], 0, []) for argv in argvs[:-1]]
-    assert (knn["command"], knn["rc"]) == ("limit-complex", 0)
-    assert "scipy.sparse.csgraph" in knn["scipy"]
+    assert report["after_polytope"] == report["after_cli"] == []
+    runs = report["runs"]
+    assert [(r["rc"], r["loaded"]) for r in runs[:len(exact)]] == [(0, []), (0, []), (2, []),
+                                                                     (2, [])]
+    layers = ["numpy", "wsdlab.ambient", "wsdlab.maps", "wsdlab.metgeo", "wsdlab.reduction"]
+    assert [(r["rc"], r["err"], r["loaded"]) for r in runs[len(exact):]] == [
+        (0, "", ["numpy", "wsdlab.ambient", "wsdlab.reduction"]),
+        (0, "", layers), (0, "", layers),
+        (0, "", ["numpy", "scipy", "scipy.sparse.csgraph", *layers[1:]]),
+    ]
+
+
+def test_package_loads_its_layers_on_first_access():
+    # wsdlab binds its layers lazily: each name is the module the import
+    # system loads, `import *` binds all of __all__ without a warning, and a
+    # name that is no layer stays an AttributeError
+    script = """
+import importlib, json, sys
+import wsdlab
+names = {}
+exec("from wsdlab import *", names)
+print(json.dumps({
+    "same": [getattr(wsdlab, m) is importlib.import_module("wsdlab." + m)
+             for m in ("ambient", "maps", "metgeo", "polytope", "reduction")],
+    "unbound": [name for name in wsdlab.__all__ if name not in names],
+    "cli": names["cli"] is sys.modules["wsdlab.cli"],
+    "unknown": hasattr(wsdlab, "no_such_layer"),
+}))
+"""
+    proc = _fresh_process("-W", "error", "-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"same": [True] * 5, "unbound": [], "cli": True,
+                                       "unknown": False}
+    with pytest.raises(AttributeError, match="no attribute 'no_such_layer'"):
+        wsdlab.no_such_layer
 
 
 @pytest.mark.parametrize("argv,per_sample", [
@@ -848,8 +900,9 @@ def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2
             return fresh(*args)
         return counted
 
-    for name in ("solve_base", "anticanonical_points", "project_pi1", "fs_matrix"):
-        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for module, name in ((reduction, "solve_base"), (metgeo, "anticanonical_points"),
+                         (maps, "project_pi1"), (metgeo, "fs_matrix")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     rc, _ = run(tmp_path, *argv, "--n", "2", "--grid", grid, "--samples", "12")
     assert rc == 0
     assert [(args[0].rho1, args[0].rho2) for name, args in calls if name == "solve_base"] == \

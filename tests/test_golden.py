@@ -44,18 +44,20 @@ GOLDEN = [
     # pi2_residual_max cells changed, each staying below 3e-15.  They were
     # re-recorded again when the GH upper bound became the distortion of
     # sample i <-> its pi2 image i: only the degenerate_ngh_upper cells and
-    # the COMPLEX_DOC comment lines changed
+    # the COMPLEX_DOC comment lines changed.  They were re-recorded once more
+    # when the degenerate_ngh_lower comment line was reworded to name the
+    # eccentricity bound: only that one "#" line changed
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:4",
       "--samples", "60", "--seed", "3"),
-     "fae74f556ea85fec49726639e3f442ef43fdcd7653668b820cc347009aaccedb"),
+     "1f5539217574a0ad17117c4f173862d294ed692faa10fdbe612a1f5ffb765003"),
     (("limit-complex", "--n", "3", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "99dfc29cfc8f14e6c2ab04e9b41229ee3dc6d2f502e3ef0e3b032dd739a3ce08"),
+     "c1ba0b2d58316e7c1ac017566f09a0b9a38b62e9b98ddc2faa333cfc1cdad3a8"),
     # two rho2 values: each builds its own pi2 image, hn sample and edge sums;
     # recorded before those were built once per rho2
     (("limit-complex", "--n", "2", "--rho2", "0.6,0.9", "--grid", "1e-3:1:3",
       "--samples", "60", "--seed", "4"),
-     "54c989040fe6064d88920394728d2f3c7f9c591641fc20241df76770b12b8089"),
+     "14209b303ae5e3dc15cdefbc2fbe619252133437066c55ee1cff934b5c79fce1"),
     # rank-4 fiber tori: recorded with the closed-form covering radius (the
     # Voronoi search these sweeps used before stops at rank 3 and exits 2)
     (("limit-kahler", "--n", "4", "--rho2", "0.7", "--grid", "1:1e3:3",
@@ -63,11 +65,11 @@ GOLDEN = [
      "26982583d4a3fbd82b6abf437f06b7ca7cb08af6525f2ad5fdf54647df954274"),
     (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "0609d26dd2b8cfc11a28ad67e8aa8d590cf26e5f473cb708b543917275f5f233"),
+     "070727b9e03f37024cb77455a88a0a76d6534b882e6814bab4b38404d38f68d6"),
     # the benchmark's sample count: N = 400 kNN graphs and GH matchings
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3",
       "--samples", "400", "--seed", "5"),
-     "8edb747ef8fa773347a41419d979ab9fce71c7e9b049604d5efc01451ae18b0d"),
+     "99838976a4d223dfb4c07fc4f54c9dc9b2ac91eccb17ddb37cd15be2c9127dfe"),
     # re-recorded when boundary dropped sides B and A: a column diff against
     # the previous output (this config, and --samples 200 at seeds 0-9) found
     # their rows, the theta_eta_ratio/shape_sum_min/shape_sum_max columns and
