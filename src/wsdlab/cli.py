@@ -155,14 +155,13 @@ def cmd_verify(args) -> int:
 # The radii at a grid point are rho1 times a shape that rho2 alone fixes, and
 # solve_base gives bitwise rho1 times its rho1 = 1 rows, so each sweep solves
 # the shape once per rho2 (the rho1 = 1 solve) and takes rho1 * shape as the
-# radii at every grid point.  A Fubini-Study distance at scale rho1 is rho1
-# times an angle between unit rows, so limit-kahler measures its image
-# distance to the unit-sphere divisor sample once per rho2 and multiplies it
-# by rho1; its fibers are per grid point.  The pi2 modulus sqrt(-u / 2 pi^2)
-# reads only the log-shape u = log(shape), so limit-complex builds the image
-# w, its residual, the hn distances, the phi-domain chart and the hn sample
-# once per rho2, before its rho1 loop.  The degenerate metric on that chart is
-# exactly rho1^2 A + rho1^-2 B (radial block A, eta block B), so each block's
+# radii at every grid point.  Each image's offset from the divisor is exact
+# and sample-free (metgeo.divisor_offsets), once per rho2; limit-kahler scales
+# its unit-sphere offset by rho1, and its fibers are per grid point.  The pi2
+# modulus sqrt(-u / 2 pi^2) reads only the log-shape u (reduction.log_shape),
+# so limit-complex builds the image w, its residual, the phi-domain chart and
+# the hn sample once per rho2, before its rho1 loop.  The degenerate metric on
+# that chart is exactly rho1^2 A + rho1^-2 B (radial block A, eta block B), so each block's
 # squared edge sums are built once at the first (largest) grid point rho1_0
 # and every rho1 adds them scaled by (rho1 / rho1_0)^2 and its inverse.  Built
 # at a grid point, never at rho1 = 1, they fail only where that grid point's
@@ -178,7 +177,8 @@ KAHLER_DOC = [
     "fiber_diam_max: max exact first-projection fiber diameter over sampled points",
     "fiber_bound: pi n^{-(n-1)/2} e^{2 pi^2 rho2^2} / rho1",
     "fiber_ratio: fiber_diam_max / fiber_bound",
-    "hausdorff_image: scaled projective Hausdorff distance, projected sample vs hyperplane-union sample",
+    "hausdorff_image: sup over the whole pi1 image of the distance to the hyperplane union,",
+    "  one side of the Hausdorff distance, exact; it does not depend on --samples or --seed",
     "hausdorff_total: hausdorff_image + fiber_diam_max (total-space offset from the divisor)",
     "hausdorff_norm: hausdorff_total / (pi rho1 / 2), diameter-normalized",
 ]
@@ -187,20 +187,16 @@ KAHLER_DOC = [
 def cmd_limit_kahler(args) -> int:
     import numpy as np
 
-    from .maps import project_pi1
-    from .metgeo import (anticanonical_points, fs_matrix, hausdorff_from_cross,
-                         pi1_fiber_bound, pi1_fiber_diameters)
-    from .reduction import LevelSetSpec, draw_directions, draw_torus, solve_base
+    from .metgeo import divisor_offsets, pi1_fiber_bound, pi1_fiber_diameters
+    from .reduction import LevelSetSpec, draw_directions, solve_base
 
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))
     directions = draw_directions(args.n, args.samples, args.seed)
-    torus_s = draw_torus(args.n, args.samples, args.seed)[:, :args.n]
-    anti = anticanonical_points(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
         shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
-        h1 = hausdorff_from_cross(fs_matrix(project_pi1(shape, torus_s), 1.0, anti))
+        h1 = divisor_offsets(args.n, rho2)[0]
         for rho1 in grid:
             fiber = float(np.max(pi1_fiber_diameters(rho1 * shape)))
             bound = pi1_fiber_bound(LevelSetSpec(args.n, float(rho1), rho2))
@@ -228,7 +224,8 @@ COMPLEX_DOC = [
     "fiber_diam_max: max exact second-projection fiber diameter over sampled points",
     "c_witness: fiber_diam_max / rho1 (scaling constant witness)",
     "pi2_residual_max: worst image-equation residual of the projected sample",
-    "hausdorff_quotient: quotient-distance Hausdorff, projected sample vs hyperplane-union sample",
+    "hausdorff_quotient: sup over the whole pi2 image of the quotient distance to the hyperplane",
+    "  union, one side of the Hausdorff distance, exact; it does not depend on --samples or --seed",
     "degenerate_ngh_*: normalized-GH interval between the sample under the degenerate",
     "  radial-angular metric (graph geodesics) and its projection with quotient distances;",
     "  the normalized comparison is the scale-free sense, so the interval stays finite",
@@ -237,7 +234,7 @@ COMPLEX_DOC = [
 ]
 
 
-def _complex_shape(shape, rho1: float, rho2: float, torus_t, anti):
+def _complex_shape(shape, rho1: float, rho2: float, torus_t):
     """What a limit-complex row needs that depends on rho2 alone, from the
     level set's `shape` (its radii at rho1 = 1): pi2_residual_max,
     hausdorff_quotient, the squared edge sums of the degenerate metric's
@@ -246,17 +243,18 @@ def _complex_shape(shape, rho1: float, rho2: float, torus_t, anti):
     import numpy as np
 
     from .maps import degenerate_metric, pi2_image_residual, project_pi2
-    from .metgeo import FiniteMetricSample, hausdorff_from_cross, hn_matrix, knn_edge_squares
+    from .metgeo import FiniteMetricSample, divisor_offsets, hn_matrix, knn_edge_squares
+    from .reduction import log_shape
 
     n = shape.shape[1] - 1
-    w = project_pi2(np.log(shape), torus_t)
+    w = project_pi2(log_shape(shape), torus_t)
     # the degenerate metric lives on the phi-domain chart, whose radial
     # variable is the Gaussian-profile preimage |z|/rho2, not the radii
     coords = np.hstack([np.abs(w) / rho2, torus_t])
     periodic = np.array([False] * (n + 1) + [True] * n)
     frame, coef = degenerate_metric(coords[:, :n + 1], rho1, rho2)
     return (float(np.max(pi2_image_residual(w))),
-            hausdorff_from_cross(hn_matrix(w, rho2, n, anti)),
+            rho2 * divisor_offsets(n, rho2)[1],
             knn_edge_squares(coords, (frame[:n + 1], coef[:, :n + 1]), periodic),
             knn_edge_squares(coords, (frame[n + 1:], coef[:, n + 1:]), periodic),
             FiniteMetricSample(hn_matrix(w, 1.0, n)))
@@ -265,22 +263,20 @@ def _complex_shape(shape, rho1: float, rho2: float, torus_t, anti):
 def cmd_limit_complex(args) -> int:
     import numpy as np
 
-    from .metgeo import (FiniteMetricSample, anticanonical_points, knn_geodesics,
-                         ngh_distance, pi2_fiber_diameters)
+    from .metgeo import FiniteMetricSample, knn_geodesics, ngh_distance, pi2_fiber_diameters
     from .reduction import LevelSetSpec, draw_directions, draw_torus, solve_base
 
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))[::-1]
     directions = draw_directions(args.n, args.samples, args.seed)
     torus_t = draw_torus(args.n, args.samples, args.seed)[:, args.n:]
-    anti = anticanonical_points(args.n, args.samples, args.seed)
     rows = []
     for rho2 in rho2s:
         shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
         # the fibers first: a radius too small at the first grid point fails
         # there, as that point's own computation does
         fibers = [float(np.max(pi2_fiber_diameters(rho1 * shape))) for rho1 in grid]
-        res, h_quot, sq_r, sq_eta, b = _complex_shape(shape, grid[0], rho2, torus_t, anti)
+        res, h_quot, sq_r, sq_eta, b = _complex_shape(shape, grid[0], rho2, torus_t)
         idx = np.arange(len(b))
         for rho1, fiber in zip(grid, fibers):
             # each factor applied twice: its square can leave the doubles

@@ -108,7 +108,7 @@ def project_pi2(u, torus_t) -> np.ndarray:
         raise ValueError("point outside the fibration domain: some log-shape u_i > 0")
     if np.any(u == 0):
         # on a regular level set every u_i < 0: a zero means the largest
-        # shape coordinate rounded to 1, the others being below ~1e-8
+        # coordinate's log rounded to 0 (via log_shape: the other squares underflowed)
         raise ArithmeticError("the pi2 modulus vanishes: a log-shape coordinate rounded to 0")
     mod = np.sqrt(-u / (2.0 * PI2))
     eta = np.mod(embedded_angles(np.shape(torus_t)[-1], torus_t, "eta"), 1.0)

@@ -1,11 +1,11 @@
 """Finite-sample metric geometry: the distances of the two projective charts,
-diameters, Hausdorff and Gromov-Hausdorff bounds, flat-torus diameters, and a
-unit-sphere sampler for the anticanonical divisor the limits compare against.
+diameters, Hausdorff and Gromov-Hausdorff bounds, flat-torus diameters, and
+the exact distance from each projection's image to the anticanonical divisor.
 
-Each chart has one distance kernel: fs_matrix for CP^n and hn_matrix for its
-quotient by the dual-simplex phase group.  hn_distance is the 1x1 case of
-hn_matrix; fubini_study_distance stays a scalar arccos formula, the
-independent reference the kernels are tested against.
+The quotient chart has one distance kernel, hn_matrix, over the dual-simplex
+phase group; hn_distance is its 1x1 case, and fubini_study_distance stays a
+scalar arccos formula, the independent reference the kernel is tested
+against.
 
 Every flat-torus diameter is one covering-radius formula,
 root_lattice_covering_radius for the weighted root lattice A_n: both fiber
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .ambient import PI2, torus_metric_weights
 from .polytope import finite_coset_representatives, lattice_maps
-from .reduction import LevelSetSpec, stream_rows
+from .reduction import LevelSetSpec, require_regular
 
 
 @dataclass(frozen=True)
@@ -83,17 +84,6 @@ def _quotient_phases(n: int) -> np.ndarray:
     """Finite phase-group representatives for the dual-simplex quotient, rows in [0,1)^{n+1}."""
     reps = finite_coset_representatives(lattice_maps(n).dual)
     return np.array([[float(f) for f in rep] for rep in reps])
-
-
-def fs_matrix(z: np.ndarray, rho: float, w: np.ndarray | None = None) -> np.ndarray:
-    """Scaled projective distances between rows of z (and rows of w if given)."""
-    u = _unit_rows(z)
-    v = u if w is None else _unit_rows(w)
-    d = rho * _angles(u, v)
-    if w is None:
-        np.fill_diagonal(d, 0.0)
-        d = 0.5 * (d + d.T)
-    return d
 
 
 def hn_matrix(z: np.ndarray, rho: float, n: int, w: np.ndarray | None = None) -> np.ndarray:
@@ -365,21 +355,61 @@ def pi1_fiber_bound(spec: LevelSetSpec) -> float:
     return bound
 
 
-# -- anticanonical divisor sampler ----------------------------------------------
+# -- distance to the anticanonical divisor --------------------------------------
 
-def anticanonical_points(n: int, count: int, seed: int = 0) -> np.ndarray:
-    """Points of the union of coordinate hyperplane sections {z_j = 0} on the
-    unit sphere, as read-only rows (count, n+1): row idx, a complex Gaussian
-    from stream (seed, idx, 11), lies uniformly on component idx mod (n+1).
-    Both chart kernels normalize rows, so one draw serves every scale."""
-    m = n + 1
-    normals = stream_rows(seed, count, 2 * m, lambda rng, k: rng.standard_normal(k), 11)
-    rows = normals[:, :m] + 1j * normals[:, m:]
-    rows[np.arange(count), np.arange(count) % m] = 0.0
-    # row by row, as one drawn point: a batched norm sums in another order
-    rows *= 1.0 / np.array([np.linalg.norm(z) for z in rows])[:, None]
-    rows.setflags(write=False)
-    return rows
+# 2 pi^2 to 35 digits: log c / 2n is formed exactly, so e^{log c / 2n} keeps
+# double precision where log c is in the thousands
+_TWO_PI2 = Fraction("19.739208802178717237668981999752302")
+
+
+def _rising_root(a: float, k: float) -> float:
+    """The smallest root y >= 0 of the concave f(y) = a y + log1p(-k e^y),
+    f(0) <= 0 < max f: Newton from 0 rises monotonically onto it, since each
+    tangent lies above f, and stops once a step no longer raises y."""
+    y = 0.0
+    while True:
+        e = k * math.exp(y)
+        y_new = y - (a * y + math.log1p(-e)) * (1.0 - e) / (a * (1.0 - e) - e)
+        if not y_new > y:
+            return y
+        y = y_new
+
+
+def divisor_offsets(n: int, rho2: float) -> tuple[float, float]:
+    """(h1, h2): the sup over the pi1 resp. pi2 image of the distance to the
+    divisor {z_j = 0}, at unit scale (rho1 h1 and rho2 h2 at the images'
+    scales).  One side of the Hausdorff distance, exact.
+
+    Proof.  That distance is arcsin(|z_j| / |z|) (Bengtsson and Zyczkowski,
+    Geometry of Quantum States, CUP 2006, ch. 4) and every set is
+    torus-invariant, so take q = x^2 on B = {sum q = 1, sum log q = log c},
+    c = e^{-4 pi^2 rho2^2}, m = n+1.  For tau <= 1/m the concave sum log q is,
+    on the simplex {sum q = 1, q >= tau}, smallest at its vertices
+    (tau, .., tau, 1 - n tau) and largest at the centre, -m log m > log c
+    (regularity).  So B meets it iff tau^n (1 - n tau) <= c, a side rising on
+    (0, 1/m]: sup_B min q is the root t- < 1/m of t^n (1 - n t) = c, and
+    h1 = arcsin(sqrt(t-)).  Alike on {sum q = 1, q <= T}, T in [1/m, 1/n),
+    where q >= 1 - n T > 0 and T^n (1 - n T) falls: inf_B max q is the root
+    t+ > 1/m.  Under pi2 |z_j|^2 = -log q_j / 4 pi^2 and |z| = rho2, so
+    h2 = arcsin(sqrt(-log t+) / (2 pi rho2)).
+
+    t- = c^{1/n} e^y, n y + log1p(-n t-) = 0; t+ = (1 - d) / n, d = n^n c e^z,
+    z / n + log1p(-d) = 0, so -log t+ = log n - log1p(-d) stays exact at n = 1.
+    Raises EmptyLevelSet unless the level set is regular, and OverflowError
+    where log c leaves the doubles (rho2 ~1e153).
+    """
+    require_regular(LevelSetSpec(n, 1.0, rho2))
+    half = -_TWO_PI2 * Fraction(rho2) ** 2 / n  # log c / 2n
+    hi = float(half)
+    y = _rising_root(n, n * math.exp(2.0 * hi))
+    root = math.exp(hi) * math.exp(float(half - Fraction(hi)) + 0.5 * y)  # sqrt(t-)
+    if n == 1:  # t+ = 1 - t-: -log t+ ~ t- leaves the doubles before its root does
+        t = root * root
+        mod = root * math.sqrt(-math.log1p(-t) / t) if t else root
+    else:
+        k = n ** n * math.exp(2.0 * n * hi)
+        mod = math.sqrt(math.log(n) - math.log1p(-k * math.exp(_rising_root(1.0 / n, k))))
+    return math.asin(root), math.asin(mod / (2.0 * math.pi * rho2))
 
 
 # -- graph geodesics -----------------------------------------------------------

@@ -106,6 +106,14 @@ def feasibility(spec: LevelSetSpec, rel_tol: float = 1e-12) -> str:
     return "regular"
 
 
+def require_regular(spec: LevelSetSpec) -> None:
+    """Raise EmptyLevelSet unless the level set is regular."""
+    cls = feasibility(spec)
+    if cls != "regular":
+        raise EmptyLevelSet(f"n={spec.n} rho2={spec.rho2:.6g} classified {cls!r} "
+                            f"(threshold {feasibility_threshold(spec.n):.6g})")
+
+
 # numpy's SeedSequence constants: a pool of 4 uint32 words, 16-bit xorshift
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -270,10 +278,7 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     Raises EmptyLevelSet unless the spec is regular, and ArithmeticError when
     a radius underflows to 0, which happens for rho2 of about 8 and beyond.
     """
-    cls = feasibility(spec)
-    if cls != "regular":
-        raise EmptyLevelSet(f"n={spec.n} rho2={spec.rho2:.6g} classified {cls!r} "
-                            f"(threshold {feasibility_threshold(spec.n):.6g})")
+    require_regular(spec)
     count = len(directions)
     m = spec.n + 1
     rho1 = spec.rho1
@@ -308,6 +313,17 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     if not np.all(out > 0):
         raise _radii_underflow(spec)
     return out
+
+
+def log_shape(shape: np.ndarray) -> np.ndarray:
+    """log x of unit-sphere rows x (N, n+1), the largest coordinate's from the
+    sphere, log1p(-sum_{j != k} x_j^2) / 2: log x_k rounds to 0 much sooner."""
+    u = np.log(shape)
+    k = np.argmax(shape, axis=1)[:, None]
+    rest = shape * shape
+    np.put_along_axis(rest, k, 0.0, axis=1)
+    np.put_along_axis(u, k, 0.5 * np.log1p(-np.sum(rest, axis=1))[:, None], axis=1)
+    return u
 
 
 def sample_base(spec: LevelSetSpec, count: int, seed: int = 0) -> np.ndarray:

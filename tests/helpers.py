@@ -1,7 +1,9 @@
 """Helpers shared by the test modules."""
 
 import math
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 
@@ -35,3 +37,22 @@ def fresh_stream(seed: int, idx: int, *tag: int) -> np.random.Generator:
     Generator(Philox(SeedSequence((seed % 2**63, idx, *tag)))) per index."""
     entropy = (int(seed) % (1 << 63), int(idx)) + tuple(int(p) for p in tag)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+@lru_cache(maxsize=None)
+def divisor_offsets_mp(n: int, rho2: float) -> tuple:
+    """Reference: the unit-scale divisor offsets (h1, h2) of metgeo.divisor_offsets
+    as 50-digit mpmath numbers, from mpmath's bracketed roots of
+    t^n (1 - n t) = c, c = e^{-4 pi^2 rho2^2} taken exactly at the double rho2:
+    t- as s = log t- in [log c / n, (log c + log m) / n], and t+ through
+    l = log(1 - n t+) in [log c + n log n, log c + n log m]."""
+    with mpmath.workdps(50):
+        log_c = -4 * mpmath.pi ** 2 * mpmath.mpf(rho2) ** 2
+        log_m, log_n = mpmath.log(n + 1), mpmath.log(n)
+        s = mpmath.findroot(lambda s: n * s + mpmath.log1p(-n * mpmath.exp(s)) - log_c,
+                            (log_c / n, (log_c + log_m) / n), solver="anderson")
+        ell = mpmath.findroot(lambda l: l + n * mpmath.log1p(-mpmath.exp(l)) - n * log_n - log_c,
+                              (log_c + n * log_n, log_c + n * log_m), solver="anderson")
+        neg_log_tp = log_n - mpmath.log1p(-mpmath.exp(ell))
+        return (mpmath.asin(mpmath.exp(s / 2)),
+                mpmath.asin(mpmath.sqrt(neg_log_tp) / (2 * mpmath.pi * mpmath.mpf(rho2))))

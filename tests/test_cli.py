@@ -22,7 +22,10 @@ import wsdlab
 from wsdlab import cli, maps, metgeo, reduction
 from wsdlab.ambient import feasibility_threshold
 from wsdlab.cli import main
-from wsdlab.reduction import LevelSetSpec, draw_directions, draw_torus, sample_base, solve_base
+from wsdlab.reduction import (LevelSetSpec, draw_directions, draw_torus, log_shape, sample_base,
+                              solve_base)
+
+from helpers import divisor_offsets_mp
 
 
 def run(tmp_path, *argv):
@@ -94,11 +97,27 @@ def test_non_positive_rho2_is_one_line_exit_2(argv, rho2, capsys):
     assert err == "invalid configuration: rho2 must be positive\n"
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_vanishing_pi2_modulus_exits_2_and_names_it(n, capsys):
-    # at rho2 2.5 the largest shape coordinate rounds to 1, so its log-shape
-    # is 0 and the pi2 modulus sqrt(-u / 2 pi^2) vanishes
-    argv = ["limit-complex", "--n", str(n), "--rho2", "2.5", "--grid", "0.1:1:2",
+@pytest.mark.parametrize("rho2", ["2.5", "4"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_deep_rho2_limit_complex_prints_rows(n, rho2, capsys):
+    # the largest shape coordinate rounds to 1 from rho2 ~2.5, so np.log gave
+    # it the log-shape 0 and a vanishing pi2 modulus; from the sphere
+    # constraint (reduction.log_shape) it keeps its digits
+    argv = ["limit-complex", "--n", str(n), "--rho2", rho2, "--grid", "0.1:1:2",
+            "--samples", "16"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = rows_of(out)
+    assert len(rows) == 2
+    assert all(float(r["pi2_residual_max"]) < 1e-15 for r in rows)
+
+
+def test_vanishing_pi2_modulus_exits_2_and_names_it(capsys):
+    # at n = 1, rho2 5 the small radius e^-493 squares below the doubles, so
+    # even log1p(-x_lo^2) / 2 rounds to 0 and the pi2 modulus vanishes; the
+    # large rho1 keeps the fiber weights 4 pi^2 r^2 normal, so this is the cause
+    argv = ["limit-complex", "--n", "1", "--rho2", "5", "--grid", "1e70:1e80:2",
             "--samples", "16"]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -382,7 +401,6 @@ def test_samples_beyond_the_stream_key_layout_are_rejected_before_drawing(
         raise AssertionError("drew rows for an invalid --samples")
 
     monkeypatch.setattr(reduction, "stream_rows", no_draw)
-    monkeypatch.setattr(metgeo, "stream_rows", no_draw)
     assert main([*argv, "--samples", str((1 << 32) + 1)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -822,9 +840,11 @@ def test_only_limit_complex_imports_scipy():
     assert [(r["rc"], r["loaded"]) for r in runs[:len(exact)]] == [(0, []), (0, []), (2, []),
                                                                      (2, [])]
     layers = ["numpy", "wsdlab.ambient", "wsdlab.maps", "wsdlab.metgeo", "wsdlab.reduction"]
+    # limit-kahler projects nothing: its divisor offset is sample-free
+    no_maps = ["numpy", "wsdlab.ambient", "wsdlab.metgeo", "wsdlab.reduction"]
     assert [(r["rc"], r["err"], r["loaded"]) for r in runs[len(exact):]] == [
         (0, "", ["numpy", "wsdlab.ambient", "wsdlab.reduction"]),
-        (0, "", layers), (0, "", layers),
+        (0, "", no_maps), (0, "", no_maps),
         (0, "", ["numpy", "scipy", "scipy.sparse.csgraph", *layers[1:]]),
     ]
 
@@ -855,16 +875,17 @@ print(json.dumps({
 
 
 @pytest.mark.parametrize("argv,per_sample", [
-    (["limit-kahler", "--n", "3", "--rho2", "0.7", "--grid", "1:1e3:2"], 3),
-    (["limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid", "1:1e3:5"], 3),
-    (["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3"], 3),
-    (["limit-complex", "--n", "2", "--rho2", "0.6,0.7", "--grid", "1e-3:1:2"], 3),
+    (["limit-kahler", "--n", "3", "--rho2", "0.7", "--grid", "1:1e3:2"], 1),
+    (["limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid", "1:1e3:5"], 1),
+    (["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3"], 2),
+    (["limit-complex", "--n", "2", "--rho2", "0.6,0.7", "--grid", "1e-3:1:2"], 2),
     (["boundary", "--side", "all", "--n", "2"], 1),
 ])
 def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample):
     # a sample's random numbers depend on (seed, index) alone: a command derives
     # each stream key it needs once, whatever its grid and rho2 list, and
-    # samples every level set from the same rows
+    # samples every level set from the same rows.  The sweeps draw the
+    # directions, and limit-complex the torus rows too; no divisor sample
     built = []
     fresh = reduction._stream_keys
 
@@ -882,16 +903,14 @@ def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample)
 
 
 @pytest.mark.parametrize("grid", ["0.1:1:2", "1e-3:1:5"])
-@pytest.mark.parametrize("argv,rho2s,draws,measures", [
-    (["limit-kahler", "--rho2", "0.6,0.7"], [0.6, 0.7], 1, 2),
-    (["limit-complex", "--rho2", "0.6,0.7"], [0.6, 0.7], 1, 0),
+@pytest.mark.parametrize("argv,rho2s", [
+    (["limit-kahler", "--rho2", "0.6,0.7"], [0.6, 0.7]),
+    (["limit-complex", "--rho2", "0.6,0.7"], [0.6, 0.7]),
 ], ids=["limit-kahler", "limit-complex"])
-def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2s, draws,
-                                               measures, grid):
-    # the radii at every grid point are rho1 times the one rho1 = 1 shape; the
-    # divisor sample is one unit-sphere draw per command, and limit-kahler's
-    # hausdorff_image is rho1 times its unit-sphere value, so it projects the
-    # sample and builds a distance matrix once per rho2, whatever the grid
+def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2s, grid):
+    # the radii at every grid point are rho1 times the one rho1 = 1 shape, and
+    # the divisor offsets depend on (n, rho2) alone, so each sweep solves the
+    # shape and takes the offsets once per rho2, whatever the grid
     calls = []
 
     def counting(name, fresh):
@@ -900,16 +919,28 @@ def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2
             return fresh(*args)
         return counted
 
-    for module, name in ((reduction, "solve_base"), (metgeo, "anticanonical_points"),
-                         (maps, "project_pi1"), (metgeo, "fs_matrix")):
+    for module, name in ((reduction, "solve_base"), (metgeo, "divisor_offsets")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     rc, _ = run(tmp_path, *argv, "--n", "2", "--grid", grid, "--samples", "12")
     assert rc == 0
     assert [(args[0].rho1, args[0].rho2) for name, args in calls if name == "solve_base"] == \
         [(1.0, rho2) for rho2 in rho2s]
-    names = [name for name, _ in calls]
-    assert names.count("anticanonical_points") == draws
-    assert names.count("project_pi1") == names.count("fs_matrix") == measures
+    assert [args for name, args in calls if name == "divisor_offsets"] == \
+        [(2, rho2) for rho2 in rho2s]
+
+
+@pytest.mark.parametrize("command,grid", [("limit-kahler", "1:1e3:3"),
+                                          ("limit-complex", "1e-3:1:3")])
+def test_divisor_columns_do_not_depend_on_the_sample(tmp_path, command, grid):
+    # the offsets are sups over the whole image, not over the sample
+    column = "hausdorff_image" if command == "limit-kahler" else "hausdorff_quotient"
+    cells = set()
+    for samples, seed in (("8", "0"), ("24", "5")):
+        rc, text = run(tmp_path, command, "--n", "2", "--rho2", "0.55,0.7", "--grid", grid,
+                       "--samples", samples, "--seed", seed)
+        assert rc == 0
+        cells.add(tuple(r[column] for r in rows_of(text)))
+    assert len(cells) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -935,18 +966,18 @@ def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
     """limit-complex's CSV with every grid point computed whole: its own
     solve, projection of the log-shape, hn distances, chart, metric and edge
     sums at that rho1, as the command did before it built the rho1-free half
-    once per rho2.  None where that computation fails."""
+    once per rho2, and hausdorff_quotient from a 50-digit mpmath root.  None
+    where that computation fails."""
     grid = np.sort(cli._parse_grid(grid_text))[::-1]
     directions = draw_directions(n, samples, seed)
     torus_t = draw_torus(n, samples, seed)[:, n:]
-    anti = metgeo.anticanonical_points(n, samples, seed)
     rows = []
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for rho2 in rho2s:
                 for rho1 in grid:
                     rows.append(_oracle_row(n, float(rho1), rho2, directions, torus_t,
-                                            anti, samples, seed))
+                                            samples, seed))
     except (ArithmeticError, ValueError):
         return None
     config = {"n": n, "rho2": list(rho2s), "grid": grid_text,
@@ -954,14 +985,14 @@ def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
     return cli._sweep_text("csv", cli.COMPLEX_DOC, cli.COMPLEX_FIELDS, rows, config)
 
 
-def _oracle_row(n, rho1, rho2, directions, torus_t, anti, samples, seed):
+def _oracle_row(n, rho1, rho2, directions, torus_t, samples, seed):
     base_r = solve_base(LevelSetSpec(n, rho1, rho2), directions)
     fiber = float(np.max(metgeo.pi2_fiber_diameters(base_r)))
     # the log-shape log(r / rho1) is that of the rho1 = 1 level set
-    u = np.log(solve_base(LevelSetSpec(n, 1.0, rho2), directions))
+    u = log_shape(solve_base(LevelSetSpec(n, 1.0, rho2), directions))
     w = maps.project_pi2(u, torus_t)
     res = float(np.max(maps.pi2_image_residual(w)))
-    h_quot = metgeo.hausdorff_from_cross(metgeo.hn_matrix(w, rho2, n, anti))
+    h_quot = rho2 * float(divisor_offsets_mp(n, rho2)[1])
     coords = np.hstack([np.abs(w) / rho2, torus_t])
     periodic = np.array([False] * (n + 1) + [True] * n)
     metric = maps.degenerate_metric(coords[:, :n + 1], rho1, rho2)
@@ -986,10 +1017,11 @@ def _oracle_row(n, rho1, rho2, directions, torus_t, anti, samples, seed):
 # which can move the last printed digit by one.  The GH upper bound comes from
 # the fixed correspondence sample i <-> image i, so no matching can flip; only
 # the kNN order (argsort) can flip on a one-ulp tie and then move them by more
-# than that, and no such tie was met in the configurations checked.  Every
-# other column, the rho1-free hausdorff_quotient and pi2_residual_max
-# included, matches byte for byte.
-SHAPE_COLUMNS = ("degenerate_ngh_lower", "degenerate_ngh_upper")
+# than that, and no such tie was met in the configurations checked.  The
+# oracle's hausdorff_quotient is the 50-digit root rounded once, the
+# command's the double-precision solve, which can also differ in the last
+# digit.  Every other column, pi2_residual_max included, matches byte for byte.
+SHAPE_COLUMNS = ("degenerate_ngh_lower", "degenerate_ngh_upper", "hausdorff_quotient")
 
 
 def _last_digit(cell):
@@ -1029,7 +1061,8 @@ def _assert_matches_oracle(command, oracle, loose, n, rho2s, grid, samples, seed
 def test_limit_complex_matches_per_point_oracle(n, samples, seed, excess, grid):
     # the rho1-free half built once per rho2 and the degenerate edge sums
     # scaled to each rho1 give the per-point rows: every column byte for byte
-    # but the two ngh columns, which match to one unit in the last digit
+    # but the two ngh columns and the divisor offset, which match to one unit
+    # in the last digit
     rho2s = [feasibility_threshold(n) * x for x in excess]
     _assert_matches_oracle("limit-complex", _limit_complex_oracle, SHAPE_COLUMNS,
                            n, rho2s, grid, samples, seed)
@@ -1047,20 +1080,17 @@ def test_limit_complex_deep_rho2_at_large_rho1_matches_oracle(n, rho2, samples, 
     # coefficient 1 / (4 pi^2 rho2^2 r_i^2) overflows, while at
     # rho1 = 1e100..1e120 it does not.  The edge sums are built at a grid
     # point, so the command fails or prints where the per-point computation
-    # does (where the largest shape coordinate rounds to 1, as at n = 1, both
-    # fail on the vanishing pi2 modulus at every rho1)
+    # does
     _assert_matches_oracle("limit-complex", _limit_complex_oracle, SHAPE_COLUMNS,
                            n, [rho2], "1e100:1e120:2", samples, seed)
 
 
 def _limit_kahler_oracle(n, rho2s, grid_text, samples, seed):
-    """limit-kahler's CSV with every grid point measured directly at its own
-    scale: the projection of its radii rho1 * shape, the divisor rows on the
-    rho1-sphere and fs_matrix at rho1.  None where that computation fails."""
+    """limit-kahler's CSV with every grid point computed at its own scale: the
+    fibers of its radii rho1 * shape, and the image offset rho1 times the
+    arcsine of a 50-digit mpmath root.  None where that computation fails."""
     grid = np.sort(cli._parse_grid(grid_text))
     directions = draw_directions(n, samples, seed)
-    torus_s = draw_torus(n, samples, seed)[:, :n]
-    anti = metgeo.anticanonical_points(n, samples, seed)
     rows = []
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -1070,8 +1100,7 @@ def _limit_kahler_oracle(n, rho2s, grid_text, samples, seed):
                     base_r = solve_base(spec, directions)
                     fiber = float(np.max(metgeo.pi1_fiber_diameters(base_r)))
                     bound = metgeo.pi1_fiber_bound(spec)
-                    z = maps.project_pi1(base_r, torus_s)
-                    h_img = metgeo.hausdorff_from_cross(metgeo.fs_matrix(z, rho1, rho1 * anti))
+                    h_img = float(rho1 * divisor_offsets_mp(n, rho2)[0])
                     h_tot = h_img + fiber
                     rows.append({
                         "n": n, "rho1": cli._e(rho1), "rho2": cli._e(rho2),
@@ -1088,9 +1117,9 @@ def _limit_kahler_oracle(n, rho2s, grid_text, samples, seed):
     return cli._sweep_text("csv", cli.KAHLER_DOC, cli.KAHLER_FIELDS, rows, config)
 
 
-# the columns limit-kahler takes from the unit-sphere Hausdorff distance: the
-# unit rows of the shape and of rho1 times it can differ in the last bit, which
-# can move the last printed digit by one
+# the columns limit-kahler takes from the unit-sphere offset: the command's
+# double-precision solve times rho1 and the oracle's 50-digit product rounded
+# once can differ in the last bit, which can move the last printed digit by one
 HAUSDORFF_COLUMNS = ("hausdorff_image", "hausdorff_total", "hausdorff_norm")
 
 
@@ -1100,9 +1129,9 @@ HAUSDORFF_COLUMNS = ("hausdorff_image", "hausdorff_total", "hausdorff_norm")
        grid=st.sampled_from(["1e-3:1:3", "0.05:3:4", "0.3:50:5", "2:7:2", "1e-2:1e2:3",
                              "1e-150:1e-149:2", "1e100:1e120:2"]))
 def test_limit_kahler_matches_per_point_oracle(n, samples, seed, excess, grid):
-    # the image distance measured once per rho2 on the unit sphere and scaled
-    # by rho1 gives the per-point rows: every column byte for byte but the
-    # three Hausdorff columns, which match to one unit in the last digit
+    # the image offset taken once per rho2 on the unit sphere and scaled by
+    # rho1 gives the per-point rows: every column byte for byte but the three
+    # Hausdorff columns, which match to one unit in the last digit
     rho2s = [feasibility_threshold(n) * x for x in excess]
     _assert_matches_oracle("limit-kahler", _limit_kahler_oracle, HAUSDORFF_COLUMNS,
                            n, rho2s, grid, samples, seed)

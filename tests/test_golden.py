@@ -33,12 +33,16 @@ GOLDEN = [
      "e0caec853b103b8c2a1b4c6f3e43e2ab3e0350e5679c618412aedc7f6fa003cf"),
     (("verify", "--n", "6", "--rho2", "1.2", "--samples", "20"),
      "619c3dfcb3f86278585697170671648579a5380f470258eb0400ae5eb5bbc3df"),
+    # every limit-kahler digest was re-recorded when hausdorff_image became
+    # the exact sample-free offset rho1 arcsin(sqrt(t-)): only the
+    # hausdorff_image, hausdorff_total and hausdorff_norm cells and the
+    # hausdorff_image comment line changed
     (("limit-kahler", "--n", "2", "--rho2", "0.55,0.7", "--grid", "1:1e3:4",
       "--samples", "24", "--seed", "3"),
-     "c638071f1b4eac8e79e2fe19150e285adfbe2bb58390bfccc9d0bc4158c361fb"),
+     "694ceef1ca99e84231da02f6352fd62587d6609ff2db1210f66c0d7aad1989f9"),
     (("limit-kahler", "--n", "3", "--rho2", "0.7", "--grid", "1:1e3:3",
       "--samples", "12"),
-     "f59f0dfeff34558ff96d3d5f3933ac6c35a6e1e7619cdcbda3889e2a96bceb2f"),
+     "a5334639e751e7611c10c662295a3182ef0bc1a99239deb65567d44ee0cd3b70"),
     # every limit-complex digest was re-recorded when the pi2 image became
     # one rho1-free projection of the log-shape per rho2: only the
     # pi2_residual_max cells changed, each staying below 3e-15.  They were
@@ -46,30 +50,34 @@ GOLDEN = [
     # sample i <-> its pi2 image i: only the degenerate_ngh_upper cells and
     # the COMPLEX_DOC comment lines changed.  They were re-recorded once more
     # when the degenerate_ngh_lower comment line was reworded to name the
-    # eccentricity bound: only that one "#" line changed
+    # eccentricity bound: only that one "#" line changed.  They were
+    # re-recorded again when hausdorff_quotient became the exact sample-free
+    # offset and the largest log-shape coordinate came from the sphere
+    # constraint: only the hausdorff_quotient and pi2_residual_max cells and
+    # the hausdorff_quotient comment line changed
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:4",
       "--samples", "60", "--seed", "3"),
-     "1f5539217574a0ad17117c4f173862d294ed692faa10fdbe612a1f5ffb765003"),
+     "862c346098b92e9da36deb000aab9d1e0a793b33aa5c89d7ffbfd2fd2593b00f"),
     (("limit-complex", "--n", "3", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "c1ba0b2d58316e7c1ac017566f09a0b9a38b62e9b98ddc2faa333cfc1cdad3a8"),
+     "0fda173a99d20eb4dd94a26d3ee6c799bf918418525944527e3b46ee33366ac2"),
     # two rho2 values: each builds its own pi2 image, hn sample and edge sums;
     # recorded before those were built once per rho2
     (("limit-complex", "--n", "2", "--rho2", "0.6,0.9", "--grid", "1e-3:1:3",
       "--samples", "60", "--seed", "4"),
-     "14209b303ae5e3dc15cdefbc2fbe619252133437066c55ee1cff934b5c79fce1"),
+     "acc4acb023d16a9227cc3dc760c841bb67c1dd07b406caba5465887a4715a45b"),
     # rank-4 fiber tori: recorded with the closed-form covering radius (the
     # Voronoi search these sweeps used before stops at rank 3 and exits 2)
     (("limit-kahler", "--n", "4", "--rho2", "0.7", "--grid", "1:1e3:3",
       "--samples", "12"),
-     "26982583d4a3fbd82b6abf437f06b7ca7cb08af6525f2ad5fdf54647df954274"),
+     "4f1f0a8371cde77f558dfcfed8a94dc6c8316b98cd17cca3fb9f6c6f469f2f86"),
     (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "070727b9e03f37024cb77455a88a0a76d6534b882e6814bab4b38404d38f68d6"),
+     "b27fff3327d5cb9937c8f47fba35c3f80aebcc3827f0f748f2e24cce2f6482ef"),
     # the benchmark's sample count: N = 400 kNN graphs and GH matchings
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3",
       "--samples", "400", "--seed", "5"),
-     "99838976a4d223dfb4c07fc4f54c9dc9b2ac91eccb17ddb37cd15be2c9127dfe"),
+     "be4f5fdbd350f60d451bc4e85c11095166b87803f4376703c75d0b8e1226c514"),
     # re-recorded when boundary dropped sides B and A: a column diff against
     # the previous output (this config, and --samples 200 at seeds 0-9) found
     # their rows, the theta_eta_ratio/shape_sum_min/shape_sum_max columns and

@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
+from helpers import divisor_offsets_mp
+
 from wsdlab import metgeo as mg
 from wsdlab.ambient import feasibility_threshold, torus_metric_weights
 from wsdlab.maps import CPnPoint, degenerate_metric, project_pi2
 from wsdlab.polytope import _eliminate, lattice_maps
-from wsdlab.reduction import LevelSetSpec, draw_directions, draw_torus, sample_base, solve_base
+from wsdlab.reduction import (EmptyLevelSet, LevelSetSpec, draw_directions, draw_torus, log_shape,
+                              sample_base, solve_base)
 
 
 def _sphere_rows(count, n, seed, lam=1.0):
@@ -43,11 +46,12 @@ def _triangle_defect(d):
 
 
 def _cpn(z):
-    return mg.FiniteMetricSample(mg.fs_matrix(z, 1.0))
+    # at n = 1 the phase group is trivial, so hn_matrix is the CP^1 distance
+    return mg.FiniteMetricSample(mg.hn_matrix(z, 1.0, z.shape[1] - 1))
 
 
 def test_triangle_defect_on_projective_samples():
-    assert _triangle_defect(mg.fs_matrix(_sphere_rows(40, 2, seed=1), 1.0)) <= 1e-9
+    assert _triangle_defect(mg.hn_matrix(_sphere_rows(40, 1, seed=1), 1.0, 1)) <= 1e-9
     assert _triangle_defect(mg.hn_matrix(_sphere_rows(30, 2, seed=2), 1.0, 2)) <= 1e-9
 
 
@@ -70,8 +74,8 @@ def test_cp1_diameter_monte_carlo():
 
 def test_hausdorff_identity_and_containment():
     z = _sphere_rows(25, 2, seed=4)
-    assert mg.hausdorff_from_cross(mg.fs_matrix(z, 1.0, z)) < 1e-12
-    cross = mg.fs_matrix(z, 1.0, np.vstack([z, _sphere_rows(15, 2, seed=5)]))
+    assert mg.hausdorff_from_cross(mg.hn_matrix(z, 1.0, 2, z)) < 1e-12
+    cross = mg.hn_matrix(z, 1.0, 2, np.vstack([z, _sphere_rows(15, 2, seed=5)]))
     # z is inside the larger set, so only the larger set's far side counts
     assert np.max(np.min(cross, axis=1)) < 1e-12
     assert mg.hausdorff_from_cross(cross) == np.max(np.min(cross, axis=0))
@@ -84,7 +88,7 @@ def test_hausdorff_parallel_circles():
     phases = np.exp(2j * math.pi * np.arange(64) / 64)
     circ = lambda a: np.stack([np.full(64, math.cos(a), dtype=complex),
                                math.sin(a) * phases], axis=1)
-    h = mg.hausdorff_from_cross(mg.fs_matrix(circ(a0), 1.0, circ(a0 + delta)))
+    h = mg.hausdorff_from_cross(mg.hn_matrix(circ(a0), 1.0, 1, circ(a0 + delta)))
     assert abs(h - delta) < 3e-3
 
 
@@ -571,39 +575,81 @@ def test_fiber_bound_scale():
     assert mg.pi1_fiber_bound(b) == pytest.approx(mg.pi1_fiber_bound(a) / 4.0, rel=1e-12)
 
 
-def test_anticanonical_constructed_zero():
-    z = mg.anticanonical_points(2, 31, seed=1)
-    prods = np.prod(z, axis=1)
-    assert np.all(prods == 0)
-    norms = np.linalg.norm(z, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-12
-    assert _triangle_defect(mg.fs_matrix(z, 1.0)) <= 1e-9
+# -- distance to the anticanonical divisor --------------------------------------
+
+def _rho2_ladder(n):
+    """rho2 from 1.0001 times the threshold to the sampler's limit: 6.14 at
+    n = 1, where the small radius e^{-2 pi^2 rho2^2} leaves the doubles, and
+    about 8 beyond."""
+    thr = feasibility_threshold(n)
+    return [thr * 1.0001, thr * 1.01, thr * 1.5, 1.0, 2.5, 4.0, 6.0, 6.14 if n == 1 else 8.0]
 
 
-def test_anticanonical_n1_two_points():
-    z = mg.anticanonical_points(1, 10, seed=2)
-    mods = np.abs(z)
-    for i, row in enumerate(mods):
-        want = np.array([0.0, 1.0]) if i % 2 == 0 else np.array([1.0, 0.0])
-        assert np.max(np.abs(row - want)) < 1e-12
-    # only two distinct projective points, pi/2 apart
-    vals = np.unique(np.round(mg.fs_matrix(z, 1.0), 12))
-    assert set(vals) <= {0.0, round(math.pi / 2, 12)}
+@pytest.mark.parametrize("n", range(1, 9))
+def test_divisor_offsets_match_a_50_digit_root(n):
+    # 1e-13 relative wherever an offset is a normal double; at n = 1 past
+    # rho2 ~6 it is subnormal, and two units of 2**-1074 is that grid
+    for rho2 in _rho2_ladder(n):
+        for got, want in zip(mg.divisor_offsets(n, rho2), divisor_offsets_mp(n, rho2)):
+            assert abs(mpmath.mpf(got) - want) <= max(1e-13 * want, 2 * 2.0 ** -1074), (n, rho2)
 
 
-def test_anticanonical_component_balance():
-    count = 32
-    zeros = np.argmin(np.abs(mg.anticanonical_points(2, count, seed=3)), axis=1)
-    tally = np.bincount(zeros, minlength=3)
-    assert np.max(tally) - np.min(tally) <= 1
+def test_divisor_offsets_need_a_regular_level_set():
+    thr = feasibility_threshold(2)
+    for rho2 in (0.5 * thr, thr):
+        with pytest.raises(EmptyLevelSet, match="classified"):
+            mg.divisor_offsets(2, rho2)
 
 
-def test_anticanonical_quotient_chart():
-    z = mg.anticanonical_points(2, 20, seed=4)
-    dcp = mg.fs_matrix(z, 1.0)
-    dhn = mg.hn_matrix(z, 1.0, 2)
-    assert np.all(dhn <= dcp + 1e-12)
-    assert _triangle_defect(dhn) <= 1e-9
+@pytest.mark.parametrize("rho2", [0.45, 0.7, 2.5, 6.0])
+def test_divisor_offsets_at_n1_are_the_sampled_pair(rho2):
+    # at n = 1 the base is the two points (hi, lo) and (lo, hi), both extreme:
+    # the pi1 offset is arcsin(lo), the pi2 offset rho2 arcsin(min_j |z_j| / rho2)
+    # for z the pi2 image of the log-shape
+    shape = sample_base(LevelSetSpec(1, 1.0, rho2), 2)
+    lo = shape[0, 1]
+    h1, h2 = mg.divisor_offsets(1, rho2)
+    assert h1 == pytest.approx(math.asin(lo), rel=1e-12)
+    torus_t = np.zeros((2, 1))
+    if rho2 < 6:
+        mod = float(np.min(np.abs(project_pi2(log_shape(shape), torus_t))))
+    else:
+        # lo^2 leaves the doubles, so does u_hi = log1p(-lo^2) / 2, and the
+        # modulus sqrt(-u_hi / 2 pi^2) is lo / 2 pi to every digit a double holds
+        with pytest.raises(ArithmeticError, match="pi2 modulus vanishes"):
+            project_pi2(log_shape(shape), torus_t)
+        mod = lo / (2 * math.pi)
+    assert rho2 * h2 == pytest.approx(rho2 * math.asin(mod / rho2), rel=1e-12)
+
+
+# 60 examples, about 0.1 s
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), excess=st.floats(-4.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_divisor_offsets_bound_every_sample_and_are_attained(n, excess, seed):
+    # rho2^2 exceeds the threshold by 10^excess of itself.  The roots are read
+    # back from the offsets: t- = sin(h1)^2 and -log t+ = (2 pi rho2 sin h2)^2
+    rho2 = feasibility_threshold(n) * math.sqrt(1.0 + 10.0 ** excess)
+    h1, h2 = mg.divisor_offsets(n, rho2)
+    t_lo = math.sin(h1) ** 2
+    t_hi = math.exp(-(2 * math.pi * rho2 * math.sin(h2)) ** 2)
+    assert t_lo < 1 / (n + 1) < t_hi
+    # brute force: no sampled base point lies beyond either extreme
+    # (at n = 1 the sample is the extremal pair itself, which the sampler's
+    # Vieta step rounds to ~50 ulp; the n = 1 test above holds it to 1e-12)
+    x2 = sample_base(LevelSetSpec(n, 1.0, rho2), 48, seed) ** 2
+    slack = 8 * np.finfo(float).eps if n > 1 else 1e-12
+    assert np.all(np.min(x2, axis=1) <= t_lo * (1 + slack))
+    assert np.all(np.max(x2, axis=1) >= t_hi * (1 - slack))
+    # both extremal vertices lie on B = {sum q = 1, sum log q = log c}: each
+    # is built on one constraint and checked against the other in the form
+    # that keeps its digits, (t-, .., t-, 1 - n t-) in logs and
+    # (t+, .., t+, c / t+^n) in the sum
+    with mpmath.workdps(50):
+        log_c = -4 * mpmath.pi ** 2 * mpmath.mpf(rho2) ** 2
+        t = mpmath.sin(mpmath.mpf(h1)) ** 2
+        assert abs(n * mpmath.log(t) + mpmath.log1p(-n * t) - log_c) <= 1e-12 * abs(log_c)
+        t = mpmath.exp(-(2 * mpmath.pi * mpmath.mpf(rho2) * mpmath.sin(mpmath.mpf(h2))) ** 2)
+        assert abs(n * t + mpmath.exp(log_c) / t ** n - 1) <= 1e-13
 
 
 def test_hn_matrix_matches_pointwise_quotient_distance():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from helpers import dense_tensors, fresh_stream
 from wsdlab.ambient import FOUR_PI2, convert_parameters, feasibility_threshold, moment_map
-from wsdlab.metgeo import anticanonical_points
 from wsdlab.reduction import (
     EmptyLevelSet,
     LevelSetSpec,
@@ -18,6 +18,7 @@ from wsdlab.reduction import (
     draw_torus,
     feasibility,
     induced_structure,
+    log_shape,
     omega_d_degenerate_block,
     sample_base,
     solve_base,
@@ -212,22 +213,11 @@ def test_sample_base_properties(n, data, seed, rho1, count):
 @given(n=st.integers(1, 6), seed=st.integers(0, (1 << 63) - 1), count=st.integers(0, 12))
 def test_drawn_rows_equal_fresh_per_index_draws(n, seed, count):
     # the reference draws each index from a fresh stream, in the order the
-    # one-point samplers used: n values of s then n of t, and the real parts
-    # of the divisor sampler's Gaussian before its imaginary parts
+    # one-point samplers used: n values of s then n of t
     m = n + 1
     torus = [np.concatenate([rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
              for rng in (fresh_stream(seed, idx, 1) for idx in range(count))]
     assert np.array_equal(draw_torus(n, count, seed), np.array(torus).reshape(count, 2 * n))
-    # the divisor sample: row idx is the Gaussian drawn from its own stream,
-    # with coordinate idx mod (n+1) set to 0, on the unit sphere
-    anti = anticanonical_points(n, count, seed)
-    assert anti.shape == (count, m)
-    for idx in range(count):
-        rng = fresh_stream(seed, idx, 11)
-        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        z[idx % m] = 0.0
-        assert anti[idx, idx % m] == 0.0
-        assert np.max(np.abs(anti[idx] - z / np.linalg.norm(z))) <= 2 * np.finfo(float).eps
     directions = draw_directions(n, count, seed)
     if n == 1:  # the base is enumerated: nothing to draw
         assert directions.shape == (count, 0)
@@ -264,8 +254,7 @@ def test_stream_keys_reject_indices_outside_one_word():
 
 def test_drawn_rows_are_read_only():
     directions, torus = draw_directions(3, 6, seed=2), draw_torus(3, 6, seed=2)
-    anti = anticanonical_points(3, 6, seed=2)
-    for rows in (directions, torus, anti, draw_directions(1, 6, seed=2)):
+    for rows in (directions, torus, draw_directions(1, 6, seed=2)):
         assert not rows.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             rows[0] = 0.0
@@ -281,6 +270,24 @@ def test_drawn_rows_are_read_only():
 def test_sample_base_underflow_is_arithmetic_error():
     with pytest.raises(ArithmeticError, match="base radii underflow"):
         sample_base(LevelSetSpec(2, 1.0, 30.0), 3)
+
+
+@pytest.mark.parametrize("n,rho2", [(1, 0.7), (1, 4.0), (2, 0.7), (2, 2.5), (4, 2.5), (4, 6.0)])
+def test_log_shape_takes_the_largest_coordinate_from_the_sphere(n, rho2):
+    # log x_k rounds to 0 once the other squares fall below ~1e-16 (rho2 2.5
+    # at n = 2); from the sphere, u_k = log1p(-sum_{j != k} x_j^2) / 2 keeps
+    # its digits, and every other coordinate keeps np.log's bits
+    x = sample_base(LevelSetSpec(n, 1.0, rho2), 12, seed=3)
+    u = log_shape(x)
+    top = np.argmax(x, axis=1)
+    rest = np.ones(x.shape, dtype=bool)
+    rest[np.arange(len(x)), top] = False
+    assert np.array_equal(u[rest], np.log(x)[rest])
+    with mpmath.workdps(50):
+        for row, k, got in zip(x, top, u[~rest]):
+            others = mpmath.fsum(mpmath.mpf(float(v)) ** 2 for j, v in enumerate(row) if j != k)
+            want = mpmath.log1p(-others) / 2
+            assert got < 0 and abs(got - want) <= 4e-16 * abs(want)
 
 
 def test_sample_base_n1_enumeration():
