@@ -159,15 +159,12 @@ def cmd_verify(args) -> int:
 # and sample-free (metgeo.divisor_offsets), once per rho2; limit-kahler scales
 # its unit-sphere offset by rho1, and its fibers are per grid point.  The pi2
 # modulus sqrt(-u / 2 pi^2) reads only the log-shape u (reduction.log_shape),
-# so limit-complex builds the image w, its residual, the phi-domain chart and
-# the hn sample once per rho2, before its rho1 loop.  The degenerate metric on
-# that chart is exactly rho1^2 A + rho1^-2 B (radial block A, eta block B), so each block's
-# squared edge sums are built once at the first (largest) grid point rho1_0
-# and every rho1 adds them scaled by (rho1 / rho1_0)^2 and its inverse.  Built
-# at a grid point, never at rho1 = 1, they fail only where that grid point's
-# own computation fails.  Per rho1 remain the fiber diameters, the edge-sum
-# scaling, the kNN graph search and the distortion of the correspondence
-# sample i <-> its pi2 image i, which bounds the GH distance with no matching.
+# so limit-complex builds the image w, its residual and the degenerate
+# metric's limit bracket (metgeo.degenerate_limit) once per rho2, before its
+# rho1 loop: rho1 d_g lies within rho1^2 (n + 2) pi / rho2 of the limit torus
+# distance d_F for every pair, so each rho1 reads the same per-sample
+# eccentricity bounds.  Per rho1 remain the fiber diameters and the
+# normalized-GH interval of sample i <-> its torus row i (metgeo.degenerate_ngh).
 
 KAHLER_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
                  "fiber_diam_max", "fiber_bound", "fiber_ratio",
@@ -226,44 +223,37 @@ COMPLEX_DOC = [
     "pi2_residual_max: worst image-equation residual of the projected sample",
     "hausdorff_quotient: sup over the whole pi2 image of the quotient distance to the hyperplane",
     "  union, one side of the Hausdorff distance, exact; it does not depend on --samples or --seed",
-    "degenerate_ngh_*: normalized-GH interval between the sample under the degenerate",
-    "  radial-angular metric (graph geodesics) and its projection with quotient distances;",
-    "  the normalized comparison is the scale-free sense, so the interval stays finite",
-    "degenerate_ngh_lower: Hausdorff distance between the eccentricity sets / diameter sum",
-    "degenerate_ngh_upper: distortion of sample i <-> its pi2 image i / diameter sum",
+    "degenerate_ngh_*: certified normalized-GH interval between the sample under rho1 times",
+    "  the degenerate metric's distance d_g and its torus rows under the limit torus distance",
+    "  d_F, to which rho1 d_g converges: d_F <= rho1 d_g <= d_F + rho1^2 (n+2) pi / rho2",
+    "degenerate_ngh_lower: Hausdorff distance between the eccentricity interval sets /",
+    "  diameter sum bound",
+    "degenerate_ngh_upper: distortion bound rho1^2 (n+2) pi / rho2 of sample i <-> torus row i /",
+    "  diameter sum bound, capped at 1",
 ]
 
 
-def _complex_shape(shape, rho1: float, rho2: float, torus_t):
+def _complex_shape(shape, rho2: float, torus_t):
     """What a limit-complex row needs that depends on rho2 alone, from the
     level set's `shape` (its radii at rho1 = 1): pi2_residual_max,
-    hausdorff_quotient, the squared edge sums of the degenerate metric's
-    radial and eta blocks at `rho1`, and the pi2 image as the unit hn
-    sample."""
+    hausdorff_quotient and the degenerate metric's limit bracket."""
     import numpy as np
 
-    from .maps import degenerate_metric, pi2_image_residual, project_pi2
-    from .metgeo import FiniteMetricSample, divisor_offsets, hn_matrix, knn_edge_squares
+    from .maps import pi2_image_residual, project_pi2
+    from .metgeo import degenerate_limit, divisor_offsets
     from .reduction import log_shape
 
     n = shape.shape[1] - 1
     w = project_pi2(log_shape(shape), torus_t)
-    # the degenerate metric lives on the phi-domain chart, whose radial
-    # variable is the Gaussian-profile preimage |z|/rho2, not the radii
-    coords = np.hstack([np.abs(w) / rho2, torus_t])
-    periodic = np.array([False] * (n + 1) + [True] * n)
-    frame, coef = degenerate_metric(coords[:, :n + 1], rho1, rho2)
     return (float(np.max(pi2_image_residual(w))),
             rho2 * divisor_offsets(n, rho2)[1],
-            knn_edge_squares(coords, (frame[:n + 1], coef[:, :n + 1]), periodic),
-            knn_edge_squares(coords, (frame[n + 1:], coef[:, n + 1:]), periodic),
-            FiniteMetricSample(hn_matrix(w, 1.0, n)))
+            degenerate_limit(shape, torus_t, rho2))
 
 
 def cmd_limit_complex(args) -> int:
     import numpy as np
 
-    from .metgeo import FiniteMetricSample, knn_geodesics, ngh_distance, pi2_fiber_diameters
+    from .metgeo import degenerate_ngh, pi2_fiber_diameters
     from .reduction import LevelSetSpec, draw_directions, draw_torus, solve_base
 
     rho2s = _parse_list(args.rho2)
@@ -276,17 +266,9 @@ def cmd_limit_complex(args) -> int:
         # the fibers first: a radius too small at the first grid point fails
         # there, as that point's own computation does
         fibers = [float(np.max(pi2_fiber_diameters(rho1 * shape))) for rho1 in grid]
-        res, h_quot, sq_r, sq_eta, b = _complex_shape(shape, grid[0], rho2, torus_t)
-        idx = np.arange(len(b))
+        res, h_quot, limit = _complex_shape(shape, rho2, torus_t)
         for rho1, fiber in zip(grid, fibers):
-            # each factor applied twice: its square can leave the doubles
-            # on a grid whose edge sums themselves stay finite
-            down, up = rho1 / grid[0], grid[0] / rho1
-            d_deg = knn_geodesics(sq_r * down * down + sq_eta * up * up, k=12)
-            if not np.all(np.isfinite(d_deg)):
-                raise ValueError("degenerate-metric graph disconnected; raise --samples")
-            ngh = ngh_distance(FiniteMetricSample(d_deg), b, pairs=(idx, idx))
-
+            ngh = degenerate_ngh(limit, float(rho1))
             rows.append({
                 "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),
                 "samples": args.samples, "seed": args.seed, "version": __version__,

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ambient import (FOUR_PI2, PI2, TWO_PI, convert_parameters, convert_parameters_inverse,
+from .ambient import (PI2, TWO_PI, convert_parameters, convert_parameters_inverse,
                       form_coefficients, moment_map, torus_metric_weights)
 from .polytope import lattice_maps
 from .reduction import LevelSetSpec
@@ -205,28 +205,6 @@ def complex_structure_at(r, lam1: float, lam2: float) -> np.ndarray:
         raise ValueError("lam1 and lam2 must be positive")
     return 8.0 * math.pi * PI2 * r * lam1 ** 2 * lam2 ** 2 \
         * np.exp(-4.0 * PI2 * lam2 ** 2 * r ** 2)
-
-
-def degenerate_metric(r, lam1: float, lam2: float) -> tuple[np.ndarray, np.ndarray]:
-    """g = omega(., J.) of complex_structure_at's J on the chart (r, t), eta =
-    F_eta t, per row of radii (..., n+1), as the pair (frame, coef) that
-    metgeo.knn_edge_squares takes: g = frame^T diag(coef) frame.  The first
-    n+1 frame rows are the radial block, whose coefficients scale as lam1^2,
-    and the rest the eta block, whose coefficients scale as lam1^-2.  Raises
-    ArithmeticError where a coefficient leaves the positive doubles."""
-    r = np.asarray(r, dtype=float)
-    with np.errstate(all="ignore"):
-        gauss = np.exp(-FOUR_PI2 * lam2**2 * r**2)
-        c_r = 16.0 * math.pi**4 * lam1**2 * lam2**2 * r**2 * gauss
-        c_eta = 1.0 / (gauss * FOUR_PI2 * lam1**2 * lam2**2)
-    coef = np.concatenate([c_r, c_eta], axis=-1)
-    if not np.all((coef > 0) & (coef < np.inf)):
-        raise ArithmeticError(f"degenerate metric coefficient 16 pi^4 lam1^2 lam2^2 r^2 "
-                              f"e^(-4 pi^2 lam2^2 r^2) or its eta reciprocal leaves the positive "
-                              f"doubles at lam1 = {lam1:.6g}, lam2 = {lam2:.6g}")
-    f = _torus_embeddings(r.shape[-1] - 1)["eta"]
-    frame = np.block([[np.eye(len(f)), np.zeros(f.shape)], [np.zeros((len(f),) * 2), f]])
-    return frame, coef
 
 
 # -- the scaling flow ---------------------------------------------------------

@@ -1,11 +1,13 @@
 """Finite-sample metric geometry: the distances of the two projective charts,
-diameters, Hausdorff and Gromov-Hausdorff bounds, flat-torus diameters, and
-the exact distance from each projection's image to the anticanonical divisor.
+diameters, Hausdorff and Gromov-Hausdorff bounds, flat-torus diameters, the
+exact distance from each projection's image to the anticanonical divisor,
+and the degenerate metric's limit torus, bracketed in closed form with no
+graph search.
 
 The quotient chart has one distance kernel, hn_matrix, over the dual-simplex
-phase group; hn_distance is its 1x1 case, and fubini_study_distance stays a
-scalar arccos formula, the independent reference the kernel is tested
-against.
+phase group; hn_distance is its 1x1 case (no command calls either), and
+fubini_study_distance stays a scalar arccos formula, the independent
+reference the kernel is tested against.
 
 Every flat-torus diameter is one covering-radius formula,
 root_lattice_covering_radius for the weighted root lattice A_n: both fiber
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambient import PI2, torus_metric_weights
+from .ambient import FOUR_PI2, PI2, TWO_PI, torus_metric_weights
 from .polytope import finite_coset_representatives, lattice_maps
 from .reduction import LevelSetSpec, require_regular
 
@@ -132,55 +134,29 @@ def correspondence_distortion(da: np.ndarray, db: np.ndarray,
     return float(np.max(np.abs(da[np.ix_(ia, ia)] - db[np.ix_(ib, ib)])))
 
 
-def _correspondence(pairs, na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index arrays (ia, ib) of `pairs`, checked to be a correspondence
-    between samples of na and nb points: every index in range and every
-    point of each sample in some pair, since a partial relation certifies no
-    bound."""
-    ia, ib = (np.asarray(idx) for idx in pairs)
-    if ia.ndim != 1 or ia.shape != ib.shape:
-        raise ValueError(f"pairs must be two index arrays of one length, "
-                         f"got shapes {ia.shape} and {ib.shape}")
-    for idx, count, side in ((ia, na, "first"), (ib, nb, "second")):
-        if idx.size and not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError(f"pairs must hold integer indices, got {idx.dtype}")
-        if idx.size and not (0 <= np.min(idx) and np.max(idx) < count):
-            raise ValueError(f"a pair index is out of range for the {side} sample "
-                             f"of {count} points")
-        if not np.all(np.bincount(idx.astype(np.intp), minlength=count)):
-            raise ValueError(f"a point of the {side} sample is in no pair, "
-                             "so pairs is no correspondence")
-    return ia, ib
-
-
-def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample,
-              pairs=None) -> tuple[float, float]:
+def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample) -> tuple[float, float]:
     """Certified interval for the Gromov-Hausdorff distance of two samples
     (Memoli, DCG 48, 2012).
 
     lower: half the Hausdorff distance between the two eccentricity sets on
     the line, d_GH >= d_H(ecc_a, ecc_b) / 2.  The largest eccentricity is the
     diameter, so it is never below half the diameter gap.  upper: half the
-    distortion of a correspondence, d_GH <= dis(R) / 2.  `pairs` = (ia, ib)
-    gives it as index arrays, point ia[k] of a with point ib[k] of b.  Without
-    it each point is paired with the point of the same eccentricity rank in
-    the other sample, ranks stretched to that sample's size.  Both bounds
-    commute with a power-of-two rescale, and lower <= upper holds in floats:
-    for a pair (x, y) of any correspondence, ecc(x) - ecc(y) is at most an
-    entry of the distortion, and rounding is monotone.
+    distortion of a correspondence, d_GH <= dis(R) / 2, each point paired with
+    the point of the same eccentricity rank in the other sample, ranks
+    stretched to that sample's size.  Both bounds commute with a power-of-two
+    rescale, and lower <= upper holds in floats: for a pair (x, y) of any
+    correspondence, ecc(x) - ecc(y) is at most an entry of the distortion,
+    and rounding is monotone.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("gh_bounds needs nonempty samples")
     da, db = a.dist, b.dist
     ea, eb = np.max(da, axis=1), np.max(db, axis=1)
-    if pairs is None:
-        # pair k joins rank k * size // count of each sample: every rank is hit
-        count = max(len(a), len(b))
-        ranks = np.arange(count)
-        ia = np.argsort(ea, kind="stable")[ranks * len(a) // count]
-        ib = np.argsort(eb, kind="stable")[ranks * len(b) // count]
-    else:
-        ia, ib = _correspondence(pairs, len(a), len(b))
+    # pair k joins rank k * size // count of each sample: every rank is hit
+    count = max(len(a), len(b))
+    ranks = np.arange(count)
+    ia = np.argsort(ea, kind="stable")[ranks * len(a) // count]
+    ib = np.argsort(eb, kind="stable")[ranks * len(b) // count]
     lower = 0.5 * hausdorff_from_cross(np.abs(ea[:, None] - eb[None, :]))
     upper = 0.5 * correspondence_distortion(da, db, ia, ib)
     return lower, upper
@@ -192,11 +168,10 @@ class NghBounds(NamedTuple):
     point_like: bool = False
 
 
-def ngh_distance(a: FiniteMetricSample, b: FiniteMetricSample, pairs=None) -> NghBounds:
-    """Diameter-normalized GH interval 2 d_GH / (diam a + diam b), its upper
-    bound from `pairs` as in gh_bounds; two genuine points compare at 0 by
-    convention."""
-    lo, hi = gh_bounds(a, b, pairs)
+def ngh_distance(a: FiniteMetricSample, b: FiniteMetricSample) -> NghBounds:
+    """Diameter-normalized GH interval 2 d_GH / (diam a + diam b) from
+    gh_bounds; two genuine points compare at 0 by convention."""
+    lo, hi = gh_bounds(a, b)
     total = diameter(a) + diameter(b)
     if total == 0.0:
         return NghBounds(0.0, 0.0, point_like=True)
@@ -412,54 +387,156 @@ def divisor_offsets(n: int, rho2: float) -> tuple[float, float]:
     return math.asin(root), math.asin(mod / (2.0 * math.pi * rho2))
 
 
-# -- graph geodesics -----------------------------------------------------------
 
-def knn_edge_squares(points: np.ndarray, metric: tuple[np.ndarray, np.ndarray],
-                     periodic: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs squared edge lengths under a metric given in a frame.
 
-    `metric` is (frame (K, D), coef (N, K)): the metric at point i is
-    frame^T diag(coef_i) frame, and an edge is the chord under the averaged
-    endpoint metrics, w_ij^2 = 1/2 sum_k (coef_ik + coef_jk) (frame d_ij)_k^2,
-    d_ij wrapped where periodic.  The K nonnegative terms are added in frame
-    row order, so a metric split into row blocks gives one sum per block.
+# -- the degenerate metric's limit torus -----------------------------------------
+
+def _l1_lattice_vectors(delta: np.ndarray) -> np.ndarray:
+    """v = F_eta w for a translate w in delta + Z^n minimizing
+    |F_eta w|_1 = sum |w_i| + |sum w_i|, per row delta in [0, 1)^n, in the
+    coordinates of delta sorted descending (each use of v is symmetric in them).
+
+    Some minimizer has every w_i in {delta_i, delta_i - 1}: a step of a w_i with
+    |w_i| >= 1 toward 0 lowers sum |w| by 1 and raises |sum w| by at most 1.
+    Shifting j coordinates costs sum delta + j - 2 (their sum) + |sum delta - j|,
+    least for the j largest, so n + 1 candidates remain."""
+    d = -np.sort(-delta, axis=-1)
+    n = d.shape[-1]
+    j = np.arange(n + 1)
+    total = np.sum(d, axis=-1, keepdims=True)
+    prefix = np.concatenate([np.zeros_like(total), np.cumsum(d, axis=-1)], axis=-1)
+    shift = np.argmin(total + j - 2.0 * prefix + np.abs(total - j), axis=-1)[..., None]
+    return np.concatenate([d - (j[:n] < shift), shift - total], axis=-1)
+
+
+def _segment_excess(log_q: np.ndarray, log_c: float) -> np.ndarray:
+    """sum q_i^2 / qhat_i per row of log q (a point of the simplex outside K),
+    qhat = (1 - lam) q + lam / m on the segment to the centre: the smallest lam
+    with sum log qhat >= log c, by bisection on log lam, the upper (inside)
+    end kept.  lam = m c^{1/m} < 1 is inside, as every qhat_i >= lam / m."""
+    m = log_q.shape[1]
+    hi = np.full(len(log_q), math.log(m) + log_c / m)
+    lo = hi - 50.0  # below it the excess over sum q = 1 is ~e^-50
+
+    def log_qhat(theta):
+        return np.logaddexp(np.log1p(-np.exp(theta))[:, None] + log_q,
+                            (theta - math.log(m))[:, None])
+
+    for _ in range(40):  # hi - lo ends below 1e-10
+        mid = 0.5 * (lo + hi)
+        inside = np.sum(log_qhat(mid), axis=1) >= log_c
+        hi, lo = np.where(inside, mid, hi), np.where(inside, lo, mid)
+    return np.sum(np.exp(2.0 * log_q - log_qhat(hi)), axis=1)
+
+
+def limit_torus_bounds(torus_t: np.ndarray, rho2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f_lo, f_hi), each (N, N): bounds on the distance d_F between the torus
+    rows t (N, n) under the limit norm |v|_F = min over q in K of |v|_q
+    (degenerate_limit), for eta moves v = F_eta w, w a lattice translate of
+    t_j - t_i.
+
+    f_lo = min over translates of |v|_1 / (2 pi rho2), exact in O(n log n)
+    (_l1_lattice_vectors): |v|_q >= |v|_1 / (2 pi rho2) for every q in the
+    simplex (Cauchy-Schwarz), with equality at q* = |v| / |v|_1.  f_hi is |v|_q
+    for that minimizer at q = q* when q* is in K, so f_hi = f_lo = d_F, else
+    at a point of K on the segment from q* to the centre."""
+    t = np.asarray(torus_t, dtype=float)
+    i, j = np.triu_indices(len(t), 1)  # v and -v give one bound: each pair once
+    diff = t[j] - t[i]
+    v = np.abs(_l1_lattice_vectors(diff - np.floor(diff)))
+    l1 = np.sum(v, axis=1)
+    log_c = -FOUR_PI2 * rho2 * rho2
+    lo = l1 / (TWO_PI * rho2)
+    hi = lo.copy()
+    far = np.flatnonzero(l1)
+    with np.errstate(divide="ignore"):  # a zero move v_i gives q*_i = 0
+        log_q = np.log(v[far]) - np.log(l1[far])[:, None]
+    out = np.sum(log_q, axis=1) < log_c
+    hi[far[out]] = lo[far[out]] * np.sqrt(_segment_excess(log_q[out], log_c))
+    f_lo, f_hi = np.zeros((2, len(t), len(t)))
+    f_lo[i, j] = f_lo[j, i] = lo
+    f_hi[i, j] = f_hi[j, i] = hi
+    return f_lo, f_hi
+
+
+class DegenerateLimit(NamedTuple):
+    """Per sample i, the eccentricity bounds degenerate_ngh reads: the largest
+    f_lo(i, j) and f_hi(i, j) over j and the largest chord |s_i - s_j| / rho2;
+    and tau = (n + 2) pi / rho2."""
+
+    ecc_lo: np.ndarray
+    ecc_hi: np.ndarray
+    ecc_chord: np.ndarray
+    tau: float
+
+
+def degenerate_limit(shape: np.ndarray, torus_t: np.ndarray, rho2: float) -> DegenerateLimit:
+    """The degenerate metric g against its limit torus (T^n, d_F), once per
+    rho2, from the shape s = r / rho1 (N, n+1) and the torus rows t (N, n).
+    For every rho1 and every pair,
+
+        d_F <= rho1 d_g <= d_F + rho1^2 tau,  tau = (n + 2) pi / rho2,
+        rho1 d_g >= rho1^2 |s_i - s_j| / rho2,  f_lo <= d_F <= f_hi,
+
+    with (f_lo, f_hi) from limit_torus_bounds.  So rho1 d_g lies in
+    [A_lo, A_hi] = [max(f_lo, rho1^2 |s_i - s_j| / rho2), f_hi + rho1^2 tau]
+    and converges to d_F uniformly at rate rho1^2.
+
+    Proof.  With q = s^2 on the base B = {sum q = 1, sum log q = log c},
+    c = e^{-4 pi^2 rho2^2}, and eta = F_eta t, rho1^2 g is
+    (rho1^2 / rho2)^2 |ds|^2 + |d eta|_q^2, |v|_q = sqrt(sum v_i^2 / q_i) / (2 pi rho2),
+    and eta moves lie in V = {sum v = 0}.  Let K = {q in the simplex :
+    sum log q >= log c} = conv B and |v|_F = min over q in K of |v|_q.
+    Lower: both terms are nonnegative, so a path is at least as long as each
+    part.  The radial part is at least rho1^2 / rho2 times the chord, and the
+    eta part at least the integral of |eta'|_F, so at least |total move|_F >= d_F.
+    Upper: on V the ball {|u|_q <= 1} has the support function
+    2 pi rho2 sqrt(Var_q y), concave in q.  Over the simplex the variance is
+    largest only with all weight on the extreme entries of y, so over K it is
+    largest on B, or on a convex set whose extreme points lie on B.  The union
+    of the balls over K is convex (v^2 / q is jointly convex), hence the hull
+    of the balls over B, and |v|_F is its gauge: by Caratheodory in V
+    (dimension n) a move v costs |v|_F made in at most n + 1 pieces at base
+    points.  Radial legs join s_i, those points and s_j inside B: B bounds the
+    spherically convex {s in S^n_+ : prod s >= sqrt c} (the geometric mean
+    less a multiple of |s| is concave), and a 3-space through two base points
+    and an interior point cuts it in a convex region of S^2 within an open
+    hemisphere, whose boundary, in B, is shorter than 2 pi.  So each of the
+    n + 2 legs is shorter than pi.  At n = 1 B is two points: the level set
+    has two components and d_g is infinite between them, so this raises
+    ArithmeticError.
     """
-    pts = np.asarray(points, dtype=float)
-    frame, coef = (np.asarray(a, dtype=float) for a in metric)
-    npts = pts.shape[0]
-    if (coef.shape != (npts, len(frame)) or frame.shape[1:] != pts.shape[1:]
-            or not np.all((coef > 0) & (coef < np.inf))):
-        raise ValueError("metric must be a frame (K, D) and positive finite coefficients (N, K)")
-    cols = np.ascontiguousarray(pts.T)
-
-    def diff(a):  # coordinate a's N x N differences, built when a frame row uses it
-        d = cols[a][:, None] - cols[a][None, :]
-        return d - np.round(d) if periodic is not None and periodic[a] else d
-
-    w2 = np.zeros((npts, npts))
-    for row, ck in zip(frame, coef.T):
-        yk = sum(f * diff(a) for a, f in enumerate(row) if f)
-        w2 += (ck[:, None] + ck[None, :]) * (yk * yk)
-    return 0.5 * w2
+    s = np.asarray(shape, dtype=float)
+    n = s.shape[1] - 1
+    if n < 2:
+        raise ArithmeticError("the degenerate distance is infinite at n = 1: the base is "
+                              "two points, so the level set has two components")
+    f_lo, f_hi = limit_torus_bounds(torus_t, rho2)
+    diff = s[:, None, :] - s[None, :, :]
+    chord = np.sqrt(np.sum(diff * diff, axis=-1))
+    return DegenerateLimit(np.max(f_lo, axis=1), np.max(f_hi, axis=1),
+                           np.max(chord, axis=1) / rho2, (n + 2) * math.pi / rho2)
 
 
-def knn_geodesics(edge_squares: np.ndarray, k: int = 12) -> np.ndarray:
-    """All-pairs geodesic estimates through the k-nearest-neighbor graph of
-    the squared edge lengths (N, N) that `knn_edge_squares` gives.
-    Manifold-sampling practice, not certified."""
-    # scipy takes ~0.4 s to import and only limit-complex searches a graph
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
+def degenerate_ngh(limit: DegenerateLimit, rho1: float) -> NghBounds:
+    """Certified normalized-GH interval between the sample under rho1 d_g and
+    its torus rows under d_F, pairing i <-> i (degenerate_limit's bracket).
 
-    w = np.sqrt(edge_squares)
-    npts = w.shape[0]
-    k = min(k, npts - 1)
-    order = np.argsort(w, axis=1)
-    rowidx = np.repeat(np.arange(npts), k)
-    colidx = order[:, 1:k + 1].ravel()
-    entries = w[rowidx, colidx]
-    graph = csr_matrix((entries, (rowidx, colidx)), shape=(npts, npts))
-    graph = graph.maximum(graph.T)
-    # the graph is symmetric already, so the directed search finds the same
-    # distances without relaxing every edge from both ends
-    return shortest_path(graph, method="D", directed=True)
+    upper: the pairing's distortion is at most rho1^2 tau, and the diameters
+    are at least max A_lo and max f_lo; capped at 1, as d_GH <= max diam / 2.
+    lower: the eccentricity bound of gh_bounds with each eccentricity an
+    interval (the largest of a maximum of two terms is the larger of their
+    largest values): the Hausdorff distance between the two eccentricity sets
+    is at least the one taken over the least gaps between their intervals,
+    and it is divided by upper bounds of the diameters.
+    The terms are taken in units of max(1, rho1^2), so neither rho1^2 nor
+    rho1^2 tau leaves the doubles; the ratios are scale-free."""
+    radial = rho1 * rho1 if rho1 <= 1.0 else 1.0
+    flat = 1.0 if rho1 <= 1.0 else 1.0 / rho1 / rho1
+    y_lo, y_hi = flat * limit.ecc_lo, flat * limit.ecc_hi
+    x_lo = np.maximum(y_lo, radial * limit.ecc_chord)
+    x_hi = y_hi + radial * limit.tau
+    total = float(np.max(x_lo) + np.max(y_lo))
+    gap = np.maximum(np.maximum(x_lo[:, None] - y_hi[None, :], y_lo[None, :] - x_hi[:, None]), 0.0)
+    lower = hausdorff_from_cross(gap) / float(np.max(x_hi) + np.max(y_hi))
+    return NghBounds(lower, min(1.0, radial * limit.tau / total))

@@ -98,11 +98,12 @@ def test_non_positive_rho2_is_one_line_exit_2(argv, rho2, capsys):
 
 
 @pytest.mark.parametrize("rho2", ["2.5", "4"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
 def test_deep_rho2_limit_complex_prints_rows(n, rho2, capsys):
     # the largest shape coordinate rounds to 1 from rho2 ~2.5, so np.log gave
     # it the log-shape 0 and a vanishing pi2 modulus; from the sphere
-    # constraint (reduction.log_shape) it keeps its digits
+    # constraint (reduction.log_shape) it keeps its digits.  n = 1 has no
+    # degenerate limit (test_limit_complex_at_n1_exits_2_and_names_it)
     argv = ["limit-complex", "--n", str(n), "--rho2", rho2, "--grid", "0.1:1:2",
             "--samples", "16"]
     assert main(argv) == 0
@@ -111,6 +112,18 @@ def test_deep_rho2_limit_complex_prints_rows(n, rho2, capsys):
     rows = rows_of(out)
     assert len(rows) == 2
     assert all(float(r["pi2_residual_max"]) < 1e-15 for r in rows)
+
+
+@pytest.mark.parametrize("rho2", ["0.7", "2.5"])
+def test_limit_complex_at_n1_exits_2_and_names_it(rho2, capsys):
+    # the n = 1 base is two points, so the degenerate metric's level set has
+    # two components and no limit torus to compare with
+    argv = ["limit-complex", "--n", "1", "--rho2", rho2, "--grid", "0.1:1:2", "--samples", "16"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical failure: the degenerate distance is infinite at n = 1: the base "
+                   "is two points, so the level set has two components\n")
 
 
 def test_vanishing_pi2_modulus_exits_2_and_names_it(capsys):
@@ -599,10 +612,9 @@ NAMED_CAUSES = [re.compile(p) for p in (
     r"numerical failure: \|X1\|\^2 \|X2\|\^2 overflows at radii \S+ to \S+: .*",
     r"numerical failure: degenerate-pair construction ill conditioned: .*",
     r"numerical failure: fiber bound .* overflows at rho2 = \S+, rho1 = \S+",
-    r"numerical failure: degenerate metric coefficient .* leaves the positive doubles "
-    r"at lam1 = \S+, lam2 = \S+",
     r"numerical failure: base diameter rho1 \* d leaves the normal doubles at .*",
-    r"invalid configuration: degenerate-metric graph disconnected; raise --samples",
+    r"numerical failure: the degenerate distance is infinite at n = 1: the base is two "
+    r"points, so the level set has two components",
 )]
 
 
@@ -791,8 +803,8 @@ def test_a_rejected_argv_leaves_the_next_call_as_in_a_fresh_process(monkeypatch,
 IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
 
-WATCHED = ["numpy", "scipy", "scipy.sparse.csgraph", "wsdlab.ambient", "wsdlab.maps",
-           "wsdlab.metgeo", "wsdlab.reduction"]
+WATCHED = ["numpy", "scipy", "wsdlab.ambient", "wsdlab.maps", "wsdlab.metgeo",
+           "wsdlab.reduction"]
 
 def loaded():
     return [m for m in WATCHED if m in sys.modules]
@@ -814,12 +826,12 @@ print(json.dumps(report))
 """
 
 
-def test_only_limit_complex_imports_scipy():
+def test_no_command_imports_scipy():
     # imports are most of a cold start: the exact layer, --help and a rejected
-    # argv load no numpy and no numeric layer, and only limit-complex's kNN
-    # graph search loads scipy.  The numeric layers' first import happens
-    # inside a command, scipy's inside the CLI's np.errstate(raise), and
-    # neither may warn or raise there
+    # argv load no numpy and no numeric layer, and no command loads scipy
+    # (limit-complex's limit bracket is closed form, no graph search).  The
+    # numeric layers' first import happens inside a command, within the CLI's
+    # np.errstate(raise), and may neither warn nor raise there
     exact = [["polytope-report", "--n", "2"], ["--help"], ["verify", "--n", "2"],
              ["verify", "--n", "2", "--rho2", "0.5", "--samples", "0"]]
     numeric = [
@@ -844,8 +856,7 @@ def test_only_limit_complex_imports_scipy():
     no_maps = ["numpy", "wsdlab.ambient", "wsdlab.metgeo", "wsdlab.reduction"]
     assert [(r["rc"], r["err"], r["loaded"]) for r in runs[len(exact):]] == [
         (0, "", ["numpy", "wsdlab.ambient", "wsdlab.reduction"]),
-        (0, "", no_maps), (0, "", no_maps),
-        (0, "", ["numpy", "scipy", "scipy.sparse.csgraph", *layers[1:]]),
+        (0, "", no_maps), (0, "", no_maps), (0, "", layers),
     ]
 
 
@@ -909,8 +920,9 @@ def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample)
 ], ids=["limit-kahler", "limit-complex"])
 def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2s, grid):
     # the radii at every grid point are rho1 times the one rho1 = 1 shape, and
-    # the divisor offsets depend on (n, rho2) alone, so each sweep solves the
-    # shape and takes the offsets once per rho2, whatever the grid
+    # the divisor offsets and the limit bracket depend on (n, rho2) alone, so
+    # each sweep solves the shape and takes the offsets (and limit-complex the
+    # bracket) once per rho2, whatever the grid
     calls = []
 
     def counting(name, fresh):
@@ -919,7 +931,8 @@ def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2
             return fresh(*args)
         return counted
 
-    for module, name in ((reduction, "solve_base"), (metgeo, "divisor_offsets")):
+    for module, name in ((reduction, "solve_base"), (metgeo, "divisor_offsets"),
+                         (metgeo, "degenerate_limit")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     rc, _ = run(tmp_path, *argv, "--n", "2", "--grid", grid, "--samples", "12")
     assert rc == 0
@@ -927,6 +940,8 @@ def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2
         [(1.0, rho2) for rho2 in rho2s]
     assert [args for name, args in calls if name == "divisor_offsets"] == \
         [(2, rho2) for rho2 in rho2s]
+    bracket = [args[2] for name, args in calls if name == "degenerate_limit"]
+    assert bracket == (rho2s if argv[0] == "limit-complex" else [])
 
 
 @pytest.mark.parametrize("command,grid", [("limit-kahler", "1:1e3:3"),
@@ -964,9 +979,10 @@ def test_sweeps_and_probes_build_no_point_objects(monkeypatch, tmp_path, argv):
 
 def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
     """limit-complex's CSV with every grid point computed whole: its own
-    solve, projection of the log-shape, hn distances, chart, metric and edge
-    sums at that rho1, as the command did before it built the rho1-free half
-    once per rho2, and hausdorff_quotient from a 50-digit mpmath root.  None
+    solve and fibers, the projection of the log-shape, hausdorff_quotient
+    from a 50-digit mpmath root, and the normalized-GH interval from the
+    limit bracket pair by pair at that rho1, without the per-sample
+    eccentricities and the units of max(1, rho1^2) the command reads.  None
     where that computation fails."""
     grid = np.sort(cli._parse_grid(grid_text))[::-1]
     directions = draw_directions(n, samples, seed)
@@ -988,39 +1004,38 @@ def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
 def _oracle_row(n, rho1, rho2, directions, torus_t, samples, seed):
     base_r = solve_base(LevelSetSpec(n, rho1, rho2), directions)
     fiber = float(np.max(metgeo.pi2_fiber_diameters(base_r)))
-    # the log-shape log(r / rho1) is that of the rho1 = 1 level set
-    u = log_shape(solve_base(LevelSetSpec(n, 1.0, rho2), directions))
-    w = maps.project_pi2(u, torus_t)
+    # the shape r / rho1 is that of the rho1 = 1 level set
+    shape = solve_base(LevelSetSpec(n, 1.0, rho2), directions)
+    w = maps.project_pi2(log_shape(shape), torus_t)
     res = float(np.max(maps.pi2_image_residual(w)))
     h_quot = rho2 * float(divisor_offsets_mp(n, rho2)[1])
-    coords = np.hstack([np.abs(w) / rho2, torus_t])
-    periodic = np.array([False] * (n + 1) + [True] * n)
-    metric = maps.degenerate_metric(coords[:, :n + 1], rho1, rho2)
-    d_deg = metgeo.knn_geodesics(metgeo.knn_edge_squares(coords, metric, periodic), k=12)
-    if not np.all(np.isfinite(d_deg)):
-        raise ValueError("disconnected")
-    a = metgeo.FiniteMetricSample(d_deg)
-    b = metgeo.FiniteMetricSample(metgeo.hn_matrix(w, 1.0, n))
-    idx = np.arange(samples)
-    ngh = metgeo.ngh_distance(a, b, pairs=(idx, idx))
+    # rho1 d_g in [a_lo, a_hi] and d_F in [f_lo, f_hi] per pair; the
+    # pairing's distortion is at most rho1^2 tau
+    tau = metgeo.degenerate_limit(shape, torus_t, rho2).tau
+    f_lo, f_hi = metgeo.limit_torus_bounds(torus_t, rho2)
+    chord = np.linalg.norm(shape[:, None] - shape[None], axis=-1) / rho2
+    a_lo, a_hi = np.maximum(f_lo, rho1**2 * chord), f_hi + rho1**2 * tau
+    upper = min(1.0, rho1**2 * tau / (np.max(a_lo) + np.max(f_lo)))
+    x_lo, x_hi = np.max(a_lo, axis=1), np.max(a_hi, axis=1)
+    y_lo, y_hi = np.max(f_lo, axis=1), np.max(f_hi, axis=1)
+    gap = np.maximum(np.maximum(x_lo[:, None] - y_hi[None], y_lo[None] - x_hi[:, None]), 0.0)
+    lower = metgeo.hausdorff_from_cross(gap) / (np.max(a_hi) + np.max(f_hi))
     return {
         "n": n, "rho1": cli._e(rho1), "rho2": cli._e(rho2),
         "samples": samples, "seed": seed, "version": wsdlab.__version__,
         "fiber_diam_max": cli._e(fiber), "c_witness": cli._e(fiber / rho1),
         "pi2_residual_max": cli._e(res), "hausdorff_quotient": cli._e(h_quot),
-        "degenerate_ngh_lower": cli._e(ngh.lower), "degenerate_ngh_upper": cli._e(ngh.upper),
+        "degenerate_ngh_lower": cli._e(lower), "degenerate_ngh_upper": cli._e(upper),
     }
 
 
-# the columns whose degenerate edge sums are built at the first grid point
-# and scaled to each rho1: they round otherwise than sums built at that rho1,
-# which can move the last printed digit by one.  The GH upper bound comes from
-# the fixed correspondence sample i <-> image i, so no matching can flip; only
-# the kNN order (argsort) can flip on a one-ulp tie and then move them by more
-# than that, and no such tie was met in the configurations checked.  The
-# oracle's hausdorff_quotient is the 50-digit root rounded once, the
-# command's the double-precision solve, which can also differ in the last
-# digit.  Every other column, pi2_residual_max included, matches byte for byte.
+# the columns the command takes from per-rho2 values: the two ngh columns
+# read per-sample eccentricities in units of max(1, rho1^2), which round
+# otherwise than the pairwise bracket at rho1 and can move the last printed
+# digit by one.  The oracle's hausdorff_quotient is the 50-digit root rounded
+# once, the command's the double-precision solve, which can also differ in
+# the last digit.  Every other column, pi2_residual_max included, matches
+# byte for byte.
 SHAPE_COLUMNS = ("degenerate_ngh_lower", "degenerate_ngh_upper", "hausdorff_quotient")
 
 
@@ -1059,10 +1074,9 @@ def _assert_matches_oracle(command, oracle, loose, n, rho2s, grid, samples, seed
        grid=st.sampled_from(["1e-3:1:3", "1e-2:1e2:3", "0.3:3:2",
                              "1e-150:1e-149:2", "1e100:1e120:2", "1e-150:1e100:4"]))
 def test_limit_complex_matches_per_point_oracle(n, samples, seed, excess, grid):
-    # the rho1-free half built once per rho2 and the degenerate edge sums
-    # scaled to each rho1 give the per-point rows: every column byte for byte
-    # but the two ngh columns and the divisor offset, which match to one unit
-    # in the last digit
+    # the rho1-free half and the limit bracket built once per rho2 give the
+    # per-point rows: every column byte for byte but the two ngh columns and
+    # the divisor offset, which match to one unit in the last digit
     rho2s = [feasibility_threshold(n) * x for x in excess]
     _assert_matches_oracle("limit-complex", _limit_complex_oracle, SHAPE_COLUMNS,
                            n, rho2s, grid, samples, seed)
@@ -1076,11 +1090,9 @@ def test_limit_complex_matches_per_point_oracle(n, samples, seed, excess, grid):
     (2, 4.299999999999998, 3, 123),
 ])
 def test_limit_complex_deep_rho2_at_large_rho1_matches_oracle(n, rho2, samples, seed):
-    # the smallest shape r_i / rho1 is near e^-360: at rho1 = 1 the eta
-    # coefficient 1 / (4 pi^2 rho2^2 r_i^2) overflows, while at
-    # rho1 = 1e100..1e120 it does not.  The edge sums are built at a grid
-    # point, so the command fails or prints where the per-point computation
-    # does
+    # the smallest shape r_i / rho1 is near e^-360, and the fiber weights
+    # 4 pi^2 r_i^2 stay normal at rho1 = 1e100..1e120: the command fails or
+    # prints where the per-point computation does (n = 1: no limit bracket)
     _assert_matches_oracle("limit-complex", _limit_complex_oracle, SHAPE_COLUMNS,
                            n, [rho2], "1e100:1e120:2", samples, seed)
 

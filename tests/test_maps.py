@@ -12,7 +12,6 @@ from wsdlab.maps import (
     CPnPoint,
     alpha_deform,
     complex_structure_at,
-    degenerate_metric,
     embedded_angles,
     phi_pullback_check,
     pi1_image_residual,
@@ -367,24 +366,22 @@ def test_complex_structure_large_limit_trend():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_degenerate_metric_is_omega_of_j(n):
-    # g = omega(., J.) with the chart form omega = 2 pi sum r_i dr_i^deta_i
-    # and complex_structure_at's J: g(dr_i, dr_i) = 2 pi r_i c_i and
-    # g(deta_i, deta_i) = 2 pi r_i / c_i, and the chart (r, t) reads
-    # eta = F_eta t through the frame's second block
+    # g = omega(., J.) with the chart form omega = 2 pi sum x_i dx_i^deta_i and
+    # complex_structure_at's J: g(dx_i, dx_i) = 2 pi x_i c_i and
+    # g(deta_i, deta_i) = 2 pi x_i / c_i on the chart (x, eta).  In the shape
+    # s_i = e^{-2 pi^2 rho2^2 x_i^2} these are the two closed forms
+    # metgeo.degenerate_limit reads: (rho1 / rho2)^2 ds_i^2 and
+    # deta_i^2 / (4 pi^2 rho1^2 rho2^2 s_i^2)
     rng = np.random.default_rng(70 + n)
-    m = n + 1
-    r = np.exp(rng.uniform(-4.0, 0.5, (3, 8, m)))
-    lam1, lam2 = float(np.exp(rng.uniform(-7, 0))), float(rng.uniform(0.3, 1.2))
-    frame, coef = degenerate_metric(r, lam1, lam2)
-    f_eta = np.array(lattice_maps(n).primal_t, dtype=float)
-    assert np.array_equal(frame[:m, :m], np.eye(m)) and np.array_equal(frame[m:, m:], f_eta)
-    assert not np.any(frame[:m, m:]) and not np.any(frame[m:, :m])
-    assert coef.shape == (3, 8, 2 * m)
-    c = complex_structure_at(r, lam1, lam2)
-    g = np.concatenate([2 * math.pi * r * c, 2 * math.pi * r / c], axis=-1)
-    assert np.max(np.abs(coef / g - 1.0)) < 1e-14
-    for at in np.ndindex(r.shape[:-1]):
-        assert np.array_equal(degenerate_metric(r[at], lam1, lam2)[1], coef[at])
+    x = np.exp(rng.uniform(-4.0, 0.5, (3, 8, n + 1)))
+    rho1, rho2 = float(np.exp(rng.uniform(-7, 0))), float(rng.uniform(0.3, 1.2))
+    c = complex_structure_at(x, rho1, rho2)
+    s = np.exp(-2 * PI**2 * rho2**2 * x**2)
+    ds_dx = -4 * PI**2 * rho2**2 * x * s
+    radial = 2 * PI * x * c / ds_dx**2
+    eta = 2 * PI * x / c
+    assert np.max(np.abs(radial / (rho1 / rho2) ** 2 - 1.0)) < 1e-14
+    assert np.max(np.abs(eta * 4 * PI**2 * rho1**2 * rho2**2 * s**2 - 1.0)) < 1e-14
 
 
 def test_alpha_deform_rho_action():

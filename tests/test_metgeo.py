@@ -1,20 +1,19 @@
+import heapq
 import itertools
 import math
 import tracemalloc
-from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import shortest_path
 
 from helpers import divisor_offsets_mp
 
 from wsdlab import metgeo as mg
 from wsdlab.ambient import feasibility_threshold, torus_metric_weights
-from wsdlab.maps import CPnPoint, degenerate_metric, project_pi2
+from wsdlab.maps import CPnPoint, project_pi2
 from wsdlab.polytope import _eliminate, lattice_maps
 from wsdlab.reduction import (EmptyLevelSet, LevelSetSpec, draw_directions, draw_torus, log_shape,
                               sample_base, solve_base)
@@ -177,7 +176,8 @@ def test_gh_lower_sees_shape_at_equal_diameters():
 
 def test_gh_pairs_interval_sandwich_brute_force():
     # the identity pairs of index-aligned samples, and a relation that is no
-    # bijection, both bound the exact GH from above
+    # bijection, both bound the exact GH from above through their distortion,
+    # and the eccentricity bound stays below it
     rng = np.random.default_rng(13)
     for na, nb in [(2, 2), (3, 3), (1, 3), (3, 2)]:
         for _ in range(8):
@@ -186,11 +186,10 @@ def test_gh_pairs_interval_sandwich_brute_force():
             da = np.sqrt(np.sum((pa[:, None] - pa[None]) ** 2, axis=2))
             db = np.sqrt(np.sum((pb[:, None] - pb[None]) ** 2, axis=2))
             exact = _brute_gh(da, db)
-            if na == nb:
-                pairs = (np.arange(na), np.arange(nb))
-            else:
-                pairs = (np.arange(max(na, nb)) % na, np.arange(max(na, nb)) % nb)
-            lo, hi = mg.gh_bounds(_abstract(da), _abstract(db), pairs)
+            count = max(na, nb)
+            hi = 0.5 * mg.correspondence_distortion(da, db, np.arange(count) % na,
+                                                    np.arange(count) % nb)
+            lo = mg.gh_bounds(_abstract(da), _abstract(db))[0]
             assert lo <= exact + 1e-12
             assert hi >= exact - 1e-12
 
@@ -203,15 +202,13 @@ def test_gh_pairs_upper_shrinks_with_a_perturbation():
     step = rng.standard_normal((40, 3))
     step /= np.linalg.norm(step, axis=1)[:, None]
     idx = np.arange(40)
-    a = _abstract(np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=2)))
+    da = np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=2))
     uppers = []
     for eps in [1e-1, 1e-2, 1e-4, 1e-8, 0.0]:
         moved = pts + eps * step
-        b = _abstract(np.sqrt(np.sum((moved[:, None] - moved[None]) ** 2, axis=2)))
-        lo, hi = mg.gh_bounds(a, b, (idx, idx))
-        assert lo <= hi <= eps + 1e-15
-        ngh = mg.ngh_distance(a, b, (idx, idx))
-        assert ngh.lower <= ngh.upper <= 2 * eps / (mg.diameter(a) + mg.diameter(b)) + 1e-15
+        db = np.sqrt(np.sum((moved[:, None] - moved[None]) ** 2, axis=2))
+        hi = 0.5 * mg.correspondence_distortion(da, db, idx, idx)
+        assert mg.gh_bounds(_abstract(da), _abstract(db))[0] <= hi <= eps + 1e-15
         uppers.append(hi)
     assert uppers == sorted(uppers, reverse=True) and uppers[-1] == 0.0
 
@@ -221,39 +218,20 @@ def test_gh_pairs_upper_shrinks_with_a_perturbation():
        power=st.integers(-60, 60))
 def test_gh_pairs_interval_ordered_and_exact_under_power_of_two(na, nb, seed, power):
     # a random correspondence: every point of a, then every point of b, with
-    # a random partner
+    # a random partner.  The eccentricity bound stays below half its
+    # distortion in floats, and both commute with a power-of-two rescale
     rng = np.random.default_rng(seed)
     pa, pb = rng.normal(size=(na, 3)), rng.normal(size=(nb, 3))
     da = np.linalg.norm(pa[:, None] - pa[None], axis=-1)
     db = np.linalg.norm(pb[:, None] - pb[None], axis=-1)
-    pairs = (np.concatenate([np.arange(na), rng.integers(0, na, nb)]),
-             np.concatenate([rng.integers(0, nb, na), np.arange(nb)]))
-    lo, hi = mg.gh_bounds(_abstract(da), _abstract(db), pairs)
+    ia = np.concatenate([np.arange(na), rng.integers(0, na, nb)])
+    ib = np.concatenate([rng.integers(0, nb, na), np.arange(nb)])
+    lo = mg.gh_bounds(_abstract(da), _abstract(db))[0]
+    hi = 0.5 * mg.correspondence_distortion(da, db, ia, ib)
     assert lo <= hi
-    base = mg.ngh_distance(_abstract(da), _abstract(db), pairs)
-    assert base.lower <= base.upper
     t = 2.0 ** power
-    assert mg.gh_bounds(_abstract(t * da), _abstract(t * db), pairs) == (t * lo, t * hi)
-    assert mg.ngh_distance(_abstract(t * da), _abstract(t * db), pairs) == base
-
-
-@pytest.mark.parametrize("pairs,match", [
-    (([0, 1, 2], [0, 1]), "one length"),
-    (([0, 1, 3], [0, 1, 2]), "out of range for the first"),
-    (([0, 1, 2], [0, -1, 2]), "out of range for the second"),
-    (([0, 1, 1], [0, 1, 2]), "point of the first sample is in no pair"),
-    (([0, 1, 2], [2, 1, 2]), "point of the second sample is in no pair"),
-    (([0.0, 1.0, 2.0], [0, 1, 2]), "integer indices"),
-])
-def test_gh_pairs_must_be_a_correspondence(pairs, match):
-    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    pairs = tuple(np.array(p) for p in pairs)
-    with pytest.raises(ValueError, match=match):
-        mg.gh_bounds(_abstract(d), _abstract(d), pairs)
-    with pytest.raises(ValueError, match=match):
-        mg.ngh_distance(_abstract(d), _abstract(2.0 * d), pairs)
-    with pytest.raises(ValueError, match=match):
-        mg.ngh_distance(_abstract(0.0 * d), _abstract(0.0 * d), pairs)
+    assert mg.gh_bounds(_abstract(t * da), _abstract(t * db))[0] == t * lo
+    assert 0.5 * mg.correspondence_distortion(t * da, t * db, ia, ib) == t * hi
 
 
 def test_gh_bounds_memory_stays_below_the_broadcast():
@@ -678,168 +656,166 @@ def test_hn_distance_vanishes_on_phase_group_orbits():
                 assert mg.hn_distance(p, q) < 1e-12
 
 
-def _knn(points, metric, k, periodic=None):
-    """Graph geodesics under a framed metric: the edge sums, then the search."""
-    return mg.knn_geodesics(mg.knn_edge_squares(points, metric, periodic), k=k)
 
 
-def test_knn_geodesics_circle():
-    count = 60
-    radius = 2.0
-    x = (np.arange(count) / count)[:, None]
-    metric = (np.eye(1), np.full((count, 1), (2 * math.pi * radius) ** 2))
-    d = _knn(x, metric, k=6, periodic=np.array([True]))
-    for i in range(0, count, 7):
-        for j in range(0, count, 11):
-            frac = abs(x[i, 0] - x[j, 0])
-            want = 2 * math.pi * radius * min(frac, 1 - frac)
-            assert abs(d[i, j] - want) < 1e-8
+# -- the degenerate metric's limit torus ------------------------------------------
+
+F_ETA_2 = np.array(lattice_maps(2).primal_t, dtype=float)
 
 
-def test_knn_geodesics_flat_patch():
-    xs = np.linspace(0, 1, 9)
-    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    d = _knn(grid, (np.eye(2), np.ones((len(grid), 2))), k=12)
-    euclid = np.sqrt(np.sum((grid[:, None] - grid[None]) ** 2, axis=2))
-    assert np.all(d >= euclid - 1e-12)
-    assert np.max(d - euclid) < 0.12 * np.max(euclid)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, (1 << 31) - 1), count=st.integers(2, 60),
-       dim=st.integers(1, 3), k=st.integers(1, 12), periodic=st.booleans())
-def test_knn_directed_search_equals_undirected(seed, count, dim, k, periodic):
-    # the kNN graph is symmetrized before the search, so searching it as a
-    # directed graph must give the undirected distances bit for bit
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 10**6), count=st.integers(1, 20))
+def test_l1_lattice_minimum_matches_a_brute_force_box(n, seed, count):
+    # min over w in delta + Z^n of sum |w_i| + |sum w_i|: every translate
+    # in the box delta + {-2..1}^n, against the n + 1 candidates
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 1.0, (count, dim))
-    scales = 10.0 ** rng.uniform(-2.0, 2.0, dim)
-    metric = (np.eye(dim), scales * (1.0 + pts**2))
-    flags = np.array([periodic] + [False] * (dim - 1))
-    got = _knn(pts, metric, k=k, periodic=flags)
-    undirected = lambda graph, method, directed: shortest_path(graph, method=method,
-                                                               directed=False)
-    with mock.patch("scipy.sparse.csgraph.shortest_path", undirected):
-        want = _knn(pts, metric, k=k, periodic=flags)
-    assert np.array_equal(got, want)
+    delta = rng.uniform(0.0, 1.0, (count, n))
+    delta[:, 0] = np.floor(delta[:, 0] * 4) / 4  # ties and zeros too
+    v = mg._l1_lattice_vectors(delta)
+    assert np.max(np.abs(np.sum(v, axis=1))) <= 1e-12  # an eta move: sum v = 0
+    box = np.array(list(itertools.product(range(-2, 2), repeat=n)))
+    w = delta[:, None, :] + box[None]
+    brute = np.min(np.sum(np.abs(w), axis=2) + np.abs(np.sum(w, axis=2)), axis=1)
+    assert np.max(np.abs(np.sum(np.abs(v), axis=1) - brute)) <= 1e-12
+    # v = F_eta w for a translate w of delta, both sorted descending
+    shift = v[:, :n] + np.sort(-delta, axis=1)
+    assert np.array_equal(shift, np.round(shift))
 
 
-def _knn_edges(points, metric, k, periodic):
-    """The symmetrized kNN graph's edge lengths, read before the search."""
-    with mock.patch("scipy.sparse.csgraph.shortest_path",
-                    lambda graph, method, directed: graph):
-        return _knn(points, metric, k=k, periodic=periodic).tocoo()
+def _base_curve_q(rho2, count):
+    """count points q = s^2 of the n = 2 base {sum q = 1, sum log q = log c},
+    evenly spaced in angle about the centre of the plane sum q = 1, in order
+    along the closed curve: each ray's crossing by bisection."""
+    log_c = -4 * math.pi**2 * rho2**2
+    e1, e2 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2), np.array([1.0, 1.0, -2.0]) / math.sqrt(6)
+    phi = np.arange(count) * 2 * math.pi / count
+    d = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+    lo, hi = np.zeros(count), 1.0 / 3 / -np.min(d, axis=1)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):  # q_i rounded to <= 0: outside
+            inside = np.sum(np.log(1 / 3 + mid[:, None] * d), axis=1) >= log_c
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return 1 / 3 + lo[:, None] * d
 
 
-def _per_row_einsum_edges(points, metric, periodic):
-    """All-pairs edge lengths the way the kernel took them before the frame
-    form: each point's full metric matrix, averaged with every other point's
-    and contracted with the differences in one einsum per row."""
-    frame, coef = metric
-    diffs = points[:, None, :] - points[None, :, :]
-    mask = np.asarray(periodic, dtype=bool)
-    diffs[..., mask] -= np.round(diffs[..., mask])
-    gs = np.einsum("ka,nk,kb->nab", frame, coef, frame)
-    w2 = np.empty((len(points), len(points)))
-    for i in range(len(points)):
-        gbar = 0.5 * (gs[i][None] + gs)
-        w2[i] = np.einsum("ja,jab,jb->j", diffs[i], gbar, diffs[i])
-    return np.sqrt(np.maximum(w2, 0.0))
+@pytest.mark.parametrize("n,rho2", [(2, 0.45), (2, 0.6), (3, 0.7), (4, 0.8)])
+def test_l1_norm_is_below_every_base_norm(n, rho2):
+    # Cauchy-Schwarz: |v|_1 / (2 pi rho2) <= |v|_q at every base point, for
+    # every eta move, so f_lo never exceeds the norm of any fixed base point
+    q = sample_base(LevelSetSpec(n, 1.0, rho2), 2000, seed=n) ** 2
+    rng = np.random.default_rng(n)
+    f_eta = np.array(lattice_maps(n).primal_t, dtype=float)
+    v = rng.uniform(-0.5, 0.5, (50, n)) @ f_eta.T
+    l1 = np.sum(np.abs(v), axis=1) / (2 * math.pi * rho2)
+    norms = np.sqrt((v * v) @ (1.0 / q).T) / (2 * math.pi * rho2)
+    assert np.all(l1 <= np.min(norms, axis=1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, (1 << 31) - 1), count=st.integers(2, 40),
-       dim=st.integers(1, 4), extra=st.integers(0, 3))
-def test_knn_edge_lengths_match_per_row_einsum(seed, count, dim, extra):
-    # well-conditioned diagonal metrics: an identity frame plus rows of
-    # 0/+-1 entries, like blockdiag(I, F_eta), and coefficients within 1e+-1
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 1.0, (count, dim))
-    frame = np.vstack([np.eye(dim), rng.integers(-1, 2, (extra, dim))]).astype(float)
-    coef = 10.0 ** rng.uniform(-1.0, 1.0, (count, dim + extra))
-    flags = rng.integers(0, 2, dim).astype(bool)
-    edges = _knn_edges(pts, (frame, coef), count - 1, flags)
-    want = _per_row_einsum_edges(pts, (frame, coef), flags)[edges.row, edges.col]
-    assert np.all(np.abs(edges.data - want) <= 1e-12 * want)
+@pytest.mark.parametrize("rho2", [0.45, 0.6, 1.0])
+def test_limit_torus_bounds_hold_the_support_function_gauge(rho2):
+    # |v|_F is the gauge of the hull of the balls {u in V : |u|_q <= 1} over
+    # the base, whose support function in the direction y is
+    # 2 pi rho2 max_q sqrt(Var_q y): from 1,000 base points and 1,440
+    # directions of V (every 30 degrees among them, where the projected sign
+    # vectors point: the l1 ball's dual vertices, which the sup over y reaches
+    # where q* lies in K) it lies in [f_lo, f_hi], and equals f_lo = f_hi where
+    # q* = |v| / |v|_1 lies in K (no zero move).  Moves with a zero entry put
+    # q* outside K near the threshold, where f_lo is strictly below
+    q = _base_curve_q(rho2, 1000)
+    e1, e2 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2), np.array([1.0, 1.0, -2.0]) / math.sqrt(6)
+    ang = np.arange(1440) * 2 * math.pi / 1440
+    y = np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2
+    support = 2 * math.pi * rho2 * np.sqrt(np.max((y * y) @ q.T - (y @ q.T) ** 2, axis=1))
+    rng = np.random.default_rng(3)
+    moves = np.vstack([rng.uniform(-0.2, 0.2, (6, 2)), [[0.1, 0.0], [0.0, -0.15], [0.1, -0.1]]])
+    for w in moves:
+        gauge = np.max(y @ (F_ETA_2 @ w) / support)
+        f_lo, f_hi = (float(f[0, 1]) for f in mg.limit_torus_bounds(np.array([[0.0, 0.0], w]),
+                                                                     rho2))
+        assert f_lo * (1 - 5e-6) <= gauge <= f_hi * (1 + 5e-6)
+        if np.all(F_ETA_2 @ w != 0):
+            assert f_lo == f_hi
+    if rho2 == 0.45:
+        f_lo, f_hi = mg.limit_torus_bounds(np.array([[0.0, 0.0], [0.1, 0.0]]), rho2)
+        assert f_hi[0, 1] > f_lo[0, 1] * (1 + 1e-4)
 
 
-def _degenerate_chart(n, rho1, rho2, count, seed):
-    """The points and metric limit-complex builds one kNN graph from."""
-    torus_t = draw_torus(n, count, seed)[:, n:]
-    shape = solve_base(LevelSetSpec(n, 1.0, rho2), draw_directions(n, count, seed))
-    w = project_pi2(np.log(shape), torus_t)
-    coords = np.hstack([np.abs(w) / rho2, torus_t])
-    return coords, rho1, degenerate_metric(coords[:, :n + 1], rho1, rho2)
+def _dijkstra(adjacent, source):
+    dist, heap = {source: 0.0}, [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for node, cost in adjacent(u):
+            if d + cost < dist.get(node, math.inf):
+                dist[node] = d + cost
+                heapq.heappush(heap, (d + cost, node))
+    return dist
 
 
-def _mp_degenerate_edge(xi, xj, n, rho1, rho2):
-    """40-digit edge length under the averaged degenerate metric, from the
-    same float coordinates: coefficients, wrapped differences and the F_eta
-    rows all taken exactly or at working precision."""
-    with mpmath.workdps(40):
-        lam1, lam2 = mpmath.mpf(rho1), mpmath.mpf(rho2)
-        four_pi2 = 4 * mpmath.pi ** 2
+@pytest.mark.parametrize("rho1", [1.0, 0.1, 0.03])
+def test_product_grid_geodesics_lie_in_the_bracket(rho1):
+    # the degenerate metric g = (rho1 / rho2)^2 |ds|^2 + sum deta_i^2 /
+    # (4 pi^2 rho1^2 rho2^2 s_i^2) on a product grid: 24 points along the
+    # n = 2 base curve (chords between neighbours) times a 12 x 12 torus grid
+    # (eta moves along 16 primitive steps at a fixed base point).  Every
+    # graph path's radial part is at least the chord and its eta part at
+    # least the l1 bound, so its length is at least A_lo / rho1; and it lies
+    # below A_hi / rho1, whose slack rho1^2 tau is 0.019 at rho1 = 0.03
+    rho2, count, side = 0.6, 24, 12
+    s = np.sqrt(_base_curve_q(rho2, count))
+    steps = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if math.gcd(a, b) == 1]
+    eta = np.array([[math.sqrt(np.sum((F_ETA_2 @ np.array(st) / side) ** 2 / sk ** 2))
+                     for st in steps] for sk in s]) / (2 * math.pi * rho2 * rho1)
+    radial = rho1 / rho2 * np.linalg.norm(s - np.roll(s, -1, axis=0), axis=1)
 
-        def coef(x):
-            r2 = [mpmath.mpf(float(v)) ** 2 for v in x[:n + 1]]
-            c_r = [four_pi2 ** 2 * lam1**2 * lam2**2 * s * mpmath.exp(-four_pi2 * lam2**2 * s)
-                   for s in r2]
-            c_eta = [mpmath.exp(four_pi2 * lam2**2 * s) / (four_pi2 * lam1**2 * lam2**2)
-                     for s in r2]
-            return c_r + c_eta
+    def adjacent(u):
+        k, a, b = u
+        yield ((k + 1) % count, a, b), radial[k]
+        yield ((k - 1) % count, a, b), radial[k - 1]
+        for (da, db), cost in zip(steps, eta[k]):
+            yield (k, (a + da) % side, (b + db) % side), cost
 
-        d = [mpmath.mpf(float(a)) - mpmath.mpf(float(b)) for a, b in zip(xi, xj)]
-        dt = [v - mpmath.nint(v) for v in d[n + 1:]]
-        f = lattice_maps(n).primal_t
-        y = d[:n + 1] + [mpmath.fsum(int(c) * v for c, v in zip(row, dt)) for row in f]
-        w2 = mpmath.fsum((a + b) * v * v for a, b, v in zip(coef(xi), coef(xj), y)) / 2
-        return mpmath.sqrt(w2)
-
-
-@pytest.mark.parametrize("n,rho2,count", [(2, 0.6, 400), (3, 0.7, 120)])
-@pytest.mark.parametrize("rho1", [1e-3, 1.0])
-def test_degenerate_edge_lengths_match_40_digits(n, rho2, count, rho1):
-    # the benchmark's and the n = 3 sweep's configurations; each term of the
-    # edge is nonnegative, so nothing cancels and the edge keeps full precision
-    coords, lam1, metric = _degenerate_chart(n, rho1, rho2, count, seed=0)
-    periodic = np.array([False] * (n + 1) + [True] * n)
-    edges = _knn_edges(coords, metric, 12, periodic)
-    picks = np.linspace(0, edges.nnz - 1, 300).astype(int)
-    worst = max(abs(float(edges.data[e] / _mp_degenerate_edge(
-        coords[edges.row[e]], coords[edges.col[e]], n, lam1, rho2)) - 1.0) for e in picks)
-    assert worst < 1e-14
+    rng = np.random.default_rng(8)
+    nodes = [tuple(int(x) for x in rng.integers(0, (count, side, side))) for _ in range(6)]
+    shape = s[[k for k, _, _ in nodes]]
+    torus_t = np.array([[a / side, b / side] for _, a, b in nodes])
+    f_lo, f_hi = mg.limit_torus_bounds(torus_t, rho2)
+    chord = np.linalg.norm(shape[:, None] - shape[None], axis=-1) / rho2
+    tau = mg.degenerate_limit(shape, torus_t, rho2).tau
+    a_lo, a_hi = np.maximum(f_lo, rho1**2 * chord), f_hi + rho1**2 * tau
+    for i in range(2):
+        dist = _dijkstra(adjacent, nodes[i])
+        d = rho1 * np.array([dist[node] for node in nodes])
+        assert np.all(a_lo[i] <= d * (1 + 1e-12)) and np.all(d <= a_hi[i])
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 4), log_lam1=st.floats(-3.0, 3.0), excess=st.floats(1.05, 2.2),
-       count=st.integers(2, 40), seed=st.integers(0, 10**6))
-def test_degenerate_edge_squares_scale_as_lam1_powers(n, log_lam1, excess, count, seed):
-    # g = lam1^2 A + lam1^-2 B on the phi-domain chart: the edge sums of the
-    # radial and eta frame rows at lam1 = 1, scaled, are the edge sums at lam1
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 4), count=st.integers(2, 40), seed=st.integers(0, 10**6),
+       excess=st.floats(1.05, 3.0), start=st.integers(-4, 0))
+def test_degenerate_ngh_is_ordered_and_falls_as_rho1_squared(n, count, seed, excess, start):
+    # 0 <= lower <= upper <= 1 at every rho1; below the cap the upper bound
+    # is rho1^2 tau over a diameter sum that is constant once rho1^2 times
+    # the largest chord stays below the largest f_lo, so over four decades
+    # of rho1 its log-log slope is 2
     rho2 = feasibility_threshold(n) * excess
-    lam1 = 10.0 ** log_lam1
-    coords, _, _ = _degenerate_chart(n, 1.0, rho2, count, seed)
-    periodic = np.array([False] * (n + 1) + [True] * n)
-    frame, coef = degenerate_metric(coords[:, :n + 1], 1.0, rho2)
-    sq_r = mg.knn_edge_squares(coords, (frame[:n + 1], coef[:, :n + 1]), periodic)
-    sq_eta = mg.knn_edge_squares(coords, (frame[n + 1:], coef[:, n + 1:]), periodic)
-    want = mg.knn_edge_squares(coords, degenerate_metric(coords[:, :n + 1], lam1, rho2),
-                               periodic)
-    got = lam1**2 * sq_r + sq_eta / lam1**2
-    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    shape = solve_base(LevelSetSpec(n, 1.0, rho2), draw_directions(n, count, seed))
+    limit = mg.degenerate_limit(shape, draw_torus(n, count, seed)[:, n:], rho2)
+    for rho1 in 10.0 ** np.arange(-300, 301, 50):
+        ngh = mg.degenerate_ngh(limit, float(rho1))
+        assert 0.0 <= ngh.lower <= ngh.upper <= 1.0
+    # rho1^2 tau <= max f_lo / 100 keeps rho1^2 |s_i - s_j| / rho2 below it too
+    top = math.sqrt(np.max(limit.ecc_lo) / limit.tau) / 10
+    rho1s = top * 10.0 ** np.arange(start - 4, start + 1, dtype=float)
+    uppers = [mg.degenerate_ngh(limit, float(rho1)).upper for rho1 in rho1s]
+    slope = np.polyfit(np.log(rho1s), np.log(uppers), 1)[0]
+    assert abs(slope - 2.0) <= 1e-9
 
 
-@pytest.mark.parametrize("frame,coef,match", [
-    (np.eye(2), np.array([[1.0, 1.0], [1.0, np.nan], [1.0, 1.0]]), "positive finite"),
-    (np.eye(2), np.array([[1.0, 1.0], [1.0, np.inf], [1.0, 1.0]]), "positive finite"),
-    (np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), "positive finite"),
-    (np.eye(2), np.array([[1.0, 1.0], [1.0, -2.0], [1.0, 1.0]]), "positive finite"),
-    (np.eye(2), np.ones((3, 3)), "frame"),
-    (np.eye(2), np.ones((4, 2)), "frame"),
-    (np.eye(3), np.ones((3, 3)), "frame"),
-    (np.ones(2), np.ones((3, 2)), "frame"),
-])
-def test_knn_rejects_bad_metric(frame, coef, match):
-    pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.9]])
-    with pytest.raises(ValueError, match=match):
-        mg.knn_edge_squares(pts, (frame, coef))
+def test_degenerate_limit_needs_a_connected_base():
+    # at n = 1 the base is two points: the degenerate distance between the
+    # two components is infinite
+    shape = sample_base(LevelSetSpec(1, 1.0, 0.7), 4)
+    with pytest.raises(ArithmeticError, match="infinite at n = 1"):
+        mg.degenerate_limit(shape, draw_torus(1, 4)[:, 1:], 0.7)
