@@ -134,29 +134,55 @@ def correspondence_distortion(da: np.ndarray, db: np.ndarray,
     return float(np.max(np.abs(da[np.ix_(ia, ia)] - db[np.ix_(ib, ib)])))
 
 
-def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample) -> tuple[float, float]:
+def _correspondence(pairs, na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays (ia, ib) of `pairs`, checked to be a correspondence
+    between samples of na and nb points: every index in range and every
+    point of each sample in some pair, since a partial relation certifies no
+    bound."""
+    ia, ib = (np.asarray(idx) for idx in pairs)
+    if ia.ndim != 1 or ia.shape != ib.shape:
+        raise ValueError(f"pairs must be two index arrays of one length, "
+                         f"got shapes {ia.shape} and {ib.shape}")
+    for idx, count, side in ((ia, na, "first"), (ib, nb, "second")):
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"pairs must hold integer indices, got {idx.dtype}")
+        if idx.size and not (0 <= np.min(idx) and np.max(idx) < count):
+            raise ValueError(f"a pair index is out of range for the {side} sample "
+                             f"of {count} points")
+        if not np.all(np.bincount(idx.astype(np.intp), minlength=count)):
+            raise ValueError(f"a point of the {side} sample is in no pair, "
+                             "so pairs is no correspondence")
+    return ia, ib
+
+
+def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample,
+              pairs=None) -> tuple[float, float]:
     """Certified interval for the Gromov-Hausdorff distance of two samples
     (Memoli, DCG 48, 2012).
 
     lower: half the Hausdorff distance between the two eccentricity sets on
     the line, d_GH >= d_H(ecc_a, ecc_b) / 2.  The largest eccentricity is the
     diameter, so it is never below half the diameter gap.  upper: half the
-    distortion of a correspondence, d_GH <= dis(R) / 2, each point paired with
-    the point of the same eccentricity rank in the other sample, ranks
-    stretched to that sample's size.  Both bounds commute with a power-of-two
-    rescale, and lower <= upper holds in floats: for a pair (x, y) of any
-    correspondence, ecc(x) - ecc(y) is at most an entry of the distortion,
-    and rounding is monotone.
+    distortion of a correspondence, d_GH <= dis(R) / 2.  `pairs` = (ia, ib)
+    gives it as index arrays, point ia[k] of a with point ib[k] of b.  Without
+    it each point is paired with the point of the same eccentricity rank in
+    the other sample, ranks stretched to that sample's size.  Both bounds
+    commute with a power-of-two rescale, and lower <= upper holds in floats:
+    for a pair (x, y) of any correspondence, ecc(x) - ecc(y) is at most an
+    entry of the distortion, and rounding is monotone.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("gh_bounds needs nonempty samples")
     da, db = a.dist, b.dist
     ea, eb = np.max(da, axis=1), np.max(db, axis=1)
-    # pair k joins rank k * size // count of each sample: every rank is hit
-    count = max(len(a), len(b))
-    ranks = np.arange(count)
-    ia = np.argsort(ea, kind="stable")[ranks * len(a) // count]
-    ib = np.argsort(eb, kind="stable")[ranks * len(b) // count]
+    if pairs is None:
+        # pair k joins rank k * size // count of each sample: every rank is hit
+        count = max(len(a), len(b))
+        ranks = np.arange(count)
+        ia = np.argsort(ea, kind="stable")[ranks * len(a) // count]
+        ib = np.argsort(eb, kind="stable")[ranks * len(b) // count]
+    else:
+        ia, ib = _correspondence(pairs, len(a), len(b))
     lower = 0.5 * hausdorff_from_cross(np.abs(ea[:, None] - eb[None, :]))
     upper = 0.5 * correspondence_distortion(da, db, ia, ib)
     return lower, upper
@@ -168,10 +194,11 @@ class NghBounds(NamedTuple):
     point_like: bool = False
 
 
-def ngh_distance(a: FiniteMetricSample, b: FiniteMetricSample) -> NghBounds:
-    """Diameter-normalized GH interval 2 d_GH / (diam a + diam b) from
-    gh_bounds; two genuine points compare at 0 by convention."""
-    lo, hi = gh_bounds(a, b)
+def ngh_distance(a: FiniteMetricSample, b: FiniteMetricSample, pairs=None) -> NghBounds:
+    """Diameter-normalized GH interval 2 d_GH / (diam a + diam b), its upper
+    bound from `pairs` as in gh_bounds; two genuine points compare at 0 by
+    convention."""
+    lo, hi = gh_bounds(a, b, pairs)
     total = diameter(a) + diameter(b)
     if total == 0.0:
         return NghBounds(0.0, 0.0, point_like=True)
@@ -387,6 +414,35 @@ def divisor_offsets(n: int, rho2: float) -> tuple[float, float]:
     return math.asin(root), math.asin(mod / (2.0 * math.pi * rho2))
 
 
+# -- edge lengths under a framed metric ------------------------------------------
+
+def edge_squares(points: np.ndarray, metric: tuple[np.ndarray, np.ndarray],
+                     periodic: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs squared edge lengths under a metric given in a frame.
+
+    `metric` is (frame (K, D), coef (N, K)): the metric at point i is
+    frame^T diag(coef_i) frame, and an edge is the chord under the averaged
+    endpoint metrics, w_ij^2 = 1/2 sum_k (coef_ik + coef_jk) (frame d_ij)_k^2,
+    d_ij wrapped where periodic.  The K nonnegative terms are added in frame
+    row order, so a metric split into row blocks gives one sum per block.
+    """
+    pts = np.asarray(points, dtype=float)
+    frame, coef = (np.asarray(a, dtype=float) for a in metric)
+    npts = pts.shape[0]
+    if (coef.shape != (npts, len(frame)) or frame.shape[1:] != pts.shape[1:]
+            or not np.all((coef > 0) & (coef < np.inf))):
+        raise ValueError("metric must be a frame (K, D) and positive finite coefficients (N, K)")
+    cols = np.ascontiguousarray(pts.T)
+
+    def diff(a):  # coordinate a's N x N differences, built when a frame row uses it
+        d = cols[a][:, None] - cols[a][None, :]
+        return d - np.round(d) if periodic is not None and periodic[a] else d
+
+    w2 = np.zeros((npts, npts))
+    for row, ck in zip(frame, coef.T):
+        yk = sum(f * diff(a) for a, f in enumerate(row) if f)
+        w2 += (ck[:, None] + ck[None, :]) * (yk * yk)
+    return 0.5 * w2
 
 
 # -- the degenerate metric's limit torus -----------------------------------------
@@ -512,8 +568,7 @@ def degenerate_limit(shape: np.ndarray, torus_t: np.ndarray, rho2: float) -> Deg
         raise ArithmeticError("the degenerate distance is infinite at n = 1: the base is "
                               "two points, so the level set has two components")
     f_lo, f_hi = limit_torus_bounds(torus_t, rho2)
-    diff = s[:, None, :] - s[None, :, :]
-    chord = np.sqrt(np.sum(diff * diff, axis=-1))
+    chord = np.sqrt(edge_squares(s, (np.eye(n + 1), np.ones_like(s))))
     return DegenerateLimit(np.max(f_lo, axis=1), np.max(f_hi, axis=1),
                            np.max(chord, axis=1) / rho2, (n + 2) * math.pi / rho2)
 

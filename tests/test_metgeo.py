@@ -176,8 +176,7 @@ def test_gh_lower_sees_shape_at_equal_diameters():
 
 def test_gh_pairs_interval_sandwich_brute_force():
     # the identity pairs of index-aligned samples, and a relation that is no
-    # bijection, both bound the exact GH from above through their distortion,
-    # and the eccentricity bound stays below it
+    # bijection, both bound the exact GH from above
     rng = np.random.default_rng(13)
     for na, nb in [(2, 2), (3, 3), (1, 3), (3, 2)]:
         for _ in range(8):
@@ -186,10 +185,11 @@ def test_gh_pairs_interval_sandwich_brute_force():
             da = np.sqrt(np.sum((pa[:, None] - pa[None]) ** 2, axis=2))
             db = np.sqrt(np.sum((pb[:, None] - pb[None]) ** 2, axis=2))
             exact = _brute_gh(da, db)
-            count = max(na, nb)
-            hi = 0.5 * mg.correspondence_distortion(da, db, np.arange(count) % na,
-                                                    np.arange(count) % nb)
-            lo = mg.gh_bounds(_abstract(da), _abstract(db))[0]
+            if na == nb:
+                pairs = (np.arange(na), np.arange(nb))
+            else:
+                pairs = (np.arange(max(na, nb)) % na, np.arange(max(na, nb)) % nb)
+            lo, hi = mg.gh_bounds(_abstract(da), _abstract(db), pairs)
             assert lo <= exact + 1e-12
             assert hi >= exact - 1e-12
 
@@ -202,13 +202,15 @@ def test_gh_pairs_upper_shrinks_with_a_perturbation():
     step = rng.standard_normal((40, 3))
     step /= np.linalg.norm(step, axis=1)[:, None]
     idx = np.arange(40)
-    da = np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=2))
+    a = _abstract(np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=2)))
     uppers = []
     for eps in [1e-1, 1e-2, 1e-4, 1e-8, 0.0]:
         moved = pts + eps * step
-        db = np.sqrt(np.sum((moved[:, None] - moved[None]) ** 2, axis=2))
-        hi = 0.5 * mg.correspondence_distortion(da, db, idx, idx)
-        assert mg.gh_bounds(_abstract(da), _abstract(db))[0] <= hi <= eps + 1e-15
+        b = _abstract(np.sqrt(np.sum((moved[:, None] - moved[None]) ** 2, axis=2)))
+        lo, hi = mg.gh_bounds(a, b, (idx, idx))
+        assert lo <= hi <= eps + 1e-15
+        ngh = mg.ngh_distance(a, b, (idx, idx))
+        assert ngh.lower <= ngh.upper <= 2 * eps / (mg.diameter(a) + mg.diameter(b)) + 1e-15
         uppers.append(hi)
     assert uppers == sorted(uppers, reverse=True) and uppers[-1] == 0.0
 
@@ -218,20 +220,39 @@ def test_gh_pairs_upper_shrinks_with_a_perturbation():
        power=st.integers(-60, 60))
 def test_gh_pairs_interval_ordered_and_exact_under_power_of_two(na, nb, seed, power):
     # a random correspondence: every point of a, then every point of b, with
-    # a random partner.  The eccentricity bound stays below half its
-    # distortion in floats, and both commute with a power-of-two rescale
+    # a random partner
     rng = np.random.default_rng(seed)
     pa, pb = rng.normal(size=(na, 3)), rng.normal(size=(nb, 3))
     da = np.linalg.norm(pa[:, None] - pa[None], axis=-1)
     db = np.linalg.norm(pb[:, None] - pb[None], axis=-1)
-    ia = np.concatenate([np.arange(na), rng.integers(0, na, nb)])
-    ib = np.concatenate([rng.integers(0, nb, na), np.arange(nb)])
-    lo = mg.gh_bounds(_abstract(da), _abstract(db))[0]
-    hi = 0.5 * mg.correspondence_distortion(da, db, ia, ib)
+    pairs = (np.concatenate([np.arange(na), rng.integers(0, na, nb)]),
+             np.concatenate([rng.integers(0, nb, na), np.arange(nb)]))
+    lo, hi = mg.gh_bounds(_abstract(da), _abstract(db), pairs)
     assert lo <= hi
+    base = mg.ngh_distance(_abstract(da), _abstract(db), pairs)
+    assert base.lower <= base.upper
     t = 2.0 ** power
-    assert mg.gh_bounds(_abstract(t * da), _abstract(t * db))[0] == t * lo
-    assert 0.5 * mg.correspondence_distortion(t * da, t * db, ia, ib) == t * hi
+    assert mg.gh_bounds(_abstract(t * da), _abstract(t * db), pairs) == (t * lo, t * hi)
+    assert mg.ngh_distance(_abstract(t * da), _abstract(t * db), pairs) == base
+
+
+@pytest.mark.parametrize("pairs,match", [
+    (([0, 1, 2], [0, 1]), "one length"),
+    (([0, 1, 3], [0, 1, 2]), "out of range for the first"),
+    (([0, 1, 2], [0, -1, 2]), "out of range for the second"),
+    (([0, 1, 1], [0, 1, 2]), "point of the first sample is in no pair"),
+    (([0, 1, 2], [2, 1, 2]), "point of the second sample is in no pair"),
+    (([0.0, 1.0, 2.0], [0, 1, 2]), "integer indices"),
+])
+def test_gh_pairs_must_be_a_correspondence(pairs, match):
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    pairs = tuple(np.array(p) for p in pairs)
+    with pytest.raises(ValueError, match=match):
+        mg.gh_bounds(_abstract(d), _abstract(d), pairs)
+    with pytest.raises(ValueError, match=match):
+        mg.ngh_distance(_abstract(d), _abstract(2.0 * d), pairs)
+    with pytest.raises(ValueError, match=match):
+        mg.ngh_distance(_abstract(0.0 * d), _abstract(0.0 * d), pairs)
 
 
 def test_gh_bounds_memory_stays_below_the_broadcast():
@@ -656,6 +677,55 @@ def test_hn_distance_vanishes_on_phase_group_orbits():
                 assert mg.hn_distance(p, q) < 1e-12
 
 
+
+# -- edge lengths under a framed metric ------------------------------------------
+
+def _per_row_einsum_edges(points, metric, periodic):
+    """All-pairs edge lengths the way the kernel took them before the frame
+    form: each point's full metric matrix, averaged with every other point's
+    and contracted with the differences in one einsum per row."""
+    frame, coef = metric
+    diffs = points[:, None, :] - points[None, :, :]
+    mask = np.asarray(periodic, dtype=bool)
+    diffs[..., mask] -= np.round(diffs[..., mask])
+    gs = np.einsum("ka,nk,kb->nab", frame, coef, frame)
+    w2 = np.empty((len(points), len(points)))
+    for i in range(len(points)):
+        gbar = 0.5 * (gs[i][None] + gs)
+        w2[i] = np.einsum("ja,jab,jb->j", diffs[i], gbar, diffs[i])
+    return np.sqrt(np.maximum(w2, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, (1 << 31) - 1), count=st.integers(2, 40),
+       dim=st.integers(1, 4), extra=st.integers(0, 3))
+def test_knn_edge_lengths_match_per_row_einsum(seed, count, dim, extra):
+    # well-conditioned diagonal metrics: an identity frame plus rows of
+    # 0/+-1 entries, like blockdiag(I, F_eta), and coefficients within 1e+-1
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, (count, dim))
+    frame = np.vstack([np.eye(dim), rng.integers(-1, 2, (extra, dim))]).astype(float)
+    coef = 10.0 ** rng.uniform(-1.0, 1.0, (count, dim + extra))
+    flags = rng.integers(0, 2, dim).astype(bool)
+    got = np.sqrt(mg.edge_squares(pts, (frame, coef), flags))
+    want = _per_row_einsum_edges(pts, (frame, coef), flags)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("frame,coef,match", [
+    (np.eye(2), np.array([[1.0, 1.0], [1.0, np.nan], [1.0, 1.0]]), "positive finite"),
+    (np.eye(2), np.array([[1.0, 1.0], [1.0, np.inf], [1.0, 1.0]]), "positive finite"),
+    (np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), "positive finite"),
+    (np.eye(2), np.array([[1.0, 1.0], [1.0, -2.0], [1.0, 1.0]]), "positive finite"),
+    (np.eye(2), np.ones((3, 3)), "frame"),
+    (np.eye(2), np.ones((4, 2)), "frame"),
+    (np.eye(3), np.ones((3, 3)), "frame"),
+    (np.ones(2), np.ones((3, 2)), "frame"),
+])
+def test_knn_rejects_bad_metric(frame, coef, match):
+    pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.9]])
+    with pytest.raises(ValueError, match=match):
+        mg.edge_squares(pts, (frame, coef))
 
 
 # -- the degenerate metric's limit torus ------------------------------------------
