@@ -297,17 +297,11 @@ BOUNDARY_DOC = [
 ]
 
 
-def _base_diameter(base) -> float:
-    import numpy as np
-
-    diff = base[:, None, :] - base[None, :, :]
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=2))))
-
-
 def cmd_boundary(args) -> int:
     import numpy as np
 
     from .ambient import feasibility_threshold
+    from .metgeo import chord_eccentricities
     from .reduction import LevelSetSpec, draw_directions, solve_base
 
     grid = np.sort(_parse_grid(args.grid))[::-1]
@@ -319,7 +313,8 @@ def cmd_boundary(args) -> int:
     rows = []
     for delta in grid:
         rho2 = math.sqrt(thr2 * (1.0 + float(delta)))
-        d = _base_diameter(solve_base(LevelSetSpec(args.n, 1.0, rho2), directions))
+        shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
+        d = float(np.max(chord_eccentricities(shape)))
         diam = rho1 * d
         if d > 0 and not np.finfo(float).tiny <= diam < math.inf:
             raise ArithmeticError(f"base diameter rho1 * d leaves the normal doubles at "

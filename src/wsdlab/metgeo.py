@@ -414,55 +414,83 @@ def divisor_offsets(n: int, rho2: float) -> tuple[float, float]:
     return math.asin(root), math.asin(mod / (2.0 * math.pi * rho2))
 
 
-# -- edge lengths under a framed metric ------------------------------------------
-
-def edge_squares(points: np.ndarray, metric: tuple[np.ndarray, np.ndarray],
-                     periodic: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs squared edge lengths under a metric given in a frame.
-
-    `metric` is (frame (K, D), coef (N, K)): the metric at point i is
-    frame^T diag(coef_i) frame, and an edge is the chord under the averaged
-    endpoint metrics, w_ij^2 = 1/2 sum_k (coef_ik + coef_jk) (frame d_ij)_k^2,
-    d_ij wrapped where periodic.  The K nonnegative terms are added in frame
-    row order, so a metric split into row blocks gives one sum per block.
-    """
-    pts = np.asarray(points, dtype=float)
-    frame, coef = (np.asarray(a, dtype=float) for a in metric)
-    npts = pts.shape[0]
-    if (coef.shape != (npts, len(frame)) or frame.shape[1:] != pts.shape[1:]
-            or not np.all((coef > 0) & (coef < np.inf))):
-        raise ValueError("metric must be a frame (K, D) and positive finite coefficients (N, K)")
-    cols = np.ascontiguousarray(pts.T)
-
-    def diff(a):  # coordinate a's N x N differences, built when a frame row uses it
-        d = cols[a][:, None] - cols[a][None, :]
-        return d - np.round(d) if periodic is not None and periodic[a] else d
-
-    w2 = np.zeros((npts, npts))
-    for row, ck in zip(frame, coef.T):
-        yk = sum(f * diff(a) for a, f in enumerate(row) if f)
-        w2 += (ck[:, None] + ck[None, :]) * (yk * yk)
-    return 0.5 * w2
-
-
 # -- the degenerate metric's limit torus -----------------------------------------
 
+# pairs per row block of limit_torus_bounds and chord_eccentricities: each
+# block's coordinate-first temporaries stay in cache, and no whole N x N x n
+# grid is ever built
+_BLOCK_PAIRS = 1 << 14
+
+
+def _row_blocks(count: int, upper: bool):
+    """(r0, r1) row blocks of about _BLOCK_PAIRS entries against the columns
+    r0: (upper) or all count columns."""
+    r0 = 0
+    while r0 < count:
+        r1 = min(count, r0 + max(1, _BLOCK_PAIRS // (count - r0 if upper else count)))
+        yield r0, r1
+        r0 = r1
+
+
+def _coord_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the first (coordinate) axis with the bits of np.sum along a
+    row of the row-first layout: numpy adds fewer than 8 row entries in
+    turn, more of them pairwise, so those go through a row-first copy."""
+    if len(a) >= 8:
+        return np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1)
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
+def chord_eccentricities(points: np.ndarray) -> np.ndarray:
+    """Each row's largest Euclidean distance to a row of `points` (N, D):
+    d * d added one coordinate at a time, the square root taken after the
+    row maximum (sqrt is monotone)."""
+    cols = np.asarray(points, dtype=float).T
+    ecc = np.empty(cols.shape[1])
+    for r0, r1 in _row_blocks(len(ecc), upper=False):
+        acc = 0.0
+        for c in cols:
+            d = c[None, :] - c[r0:r1, None]
+            acc = acc + d * d
+        ecc[r0:r1] = np.max(acc, axis=1)
+    return np.sqrt(ecc)
+
+
 def _l1_lattice_vectors(delta: np.ndarray) -> np.ndarray:
-    """v = F_eta w for a translate w in delta + Z^n minimizing
-    |F_eta w|_1 = sum |w_i| + |sum w_i|, per row delta in [0, 1)^n, in the
-    coordinates of delta sorted descending (each use of v is symmetric in them).
+    """v = F_eta w (n+1, ...) for a translate w in delta + Z^n minimizing
+    |F_eta w|_1 = sum |w_i| + |sum w_i|, per column delta (n, ...) in
+    [0, 1)^n, in the coordinates of delta sorted descending (each use of v is
+    symmetric in them).
 
     Some minimizer has every w_i in {delta_i, delta_i - 1}: a step of a w_i with
     |w_i| >= 1 toward 0 lowers sum |w| by 1 and raises |sum w| by at most 1.
     Shifting j coordinates costs sum delta + j - 2 (their sum) + |sum delta - j|,
-    least for the j largest, so n + 1 candidates remain."""
-    d = -np.sort(-delta, axis=-1)
-    n = d.shape[-1]
-    j = np.arange(n + 1)
-    total = np.sum(d, axis=-1, keepdims=True)
-    prefix = np.concatenate([np.zeros_like(total), np.cumsum(d, axis=-1)], axis=-1)
-    shift = np.argmin(total + j - 2.0 * prefix + np.abs(total - j), axis=-1)[..., None]
-    return np.concatenate([d - (j[:n] < shift), shift - total], axis=-1)
+    least for the j largest, so n + 1 candidates remain; the first least one
+    is kept.  A compare-swap network sorts, elementwise and exactly."""
+    n = len(delta)
+    v = np.empty((n + 1,) + delta.shape[1:])
+    d = v[:n]
+    d[...] = delta
+    for end in range(n - 1, 0, -1):
+        for k in range(end):
+            top = np.maximum(d[k], d[k + 1])
+            np.minimum(d[k], d[k + 1], out=d[k + 1])
+            d[k] = top
+    total = _coord_sum(d)
+    best, shift, prefix = 2.0 * total, np.zeros_like(total), 0.0  # j = 0
+    for j in range(1, n + 1):
+        prefix = prefix + d[j - 1]
+        cost = total + j - 2.0 * prefix + np.abs(total - j)
+        # shift < j, so the larger of it and j where better: no masked store
+        shift = np.maximum(shift, (cost < best) * float(j))
+        best = np.minimum(best, cost)
+    for k in range(n):
+        d[k] -= shift > k
+    v[n] = shift - total
+    return v
 
 
 def _segment_excess(log_q: np.ndarray, log_c: float) -> np.ndarray:
@@ -491,28 +519,39 @@ def limit_torus_bounds(torus_t: np.ndarray, rho2: float) -> tuple[np.ndarray, np
     (degenerate_limit), for eta moves v = F_eta w, w a lattice translate of
     t_j - t_i.
 
-    f_lo = min over translates of |v|_1 / (2 pi rho2), exact in O(n log n)
+    f_lo = min over translates of |v|_1 / (2 pi rho2), exact in O(n^2)
     (_l1_lattice_vectors): |v|_q >= |v|_1 / (2 pi rho2) for every q in the
     simplex (Cauchy-Schwarz), with equality at q* = |v| / |v|_1.  f_hi is |v|_q
     for that minimizer at q = q* when q* is in K, so f_hi = f_lo = d_F, else
-    at a point of K on the segment from q* to the centre."""
-    t = np.asarray(torus_t, dtype=float)
-    i, j = np.triu_indices(len(t), 1)  # v and -v give one bound: each pair once
-    diff = t[j] - t[i]
-    v = np.abs(_l1_lattice_vectors(diff - np.floor(diff)))
-    l1 = np.sum(v, axis=1)
+    at a point of K on the segment from q* to the centre.
+
+    The pairs are taken coordinate-first in row blocks r0:r1 against the
+    columns r0:, each kept as t_j - t_i with i < j (the block's lower part
+    is zeroed after the sums), so the blocks fill the upper triangle and the
+    result is it plus its transpose.  The pairs outside K from every block
+    share one bisection."""
+    cols = np.ascontiguousarray(np.asarray(torus_t, dtype=float).T)
+    count = cols.shape[1]
     log_c = -FOUR_PI2 * rho2 * rho2
-    lo = l1 / (TWO_PI * rho2)
-    hi = lo.copy()
-    far = np.flatnonzero(l1)
-    with np.errstate(divide="ignore"):  # a zero move v_i gives q*_i = 0
-        log_q = np.log(v[far]) - np.log(l1[far])[:, None]
-    out = np.sum(log_q, axis=1) < log_c
-    hi[far[out]] = lo[far[out]] * np.sqrt(_segment_excess(log_q[out], log_c))
-    f_lo, f_hi = np.zeros((2, len(t), len(t)))
-    f_lo[i, j] = f_lo[j, i] = lo
-    f_hi[i, j] = f_hi[j, i] = hi
-    return f_lo, f_hi
+    f_lo, f_hi = np.zeros((2, count, count))
+    outside = []  # (i, j, log q*) of the pairs outside K
+    for r0, r1 in _row_blocks(count, upper=True):
+        diff = cols[:, None, r0:] - cols[:, r0:r1, None]
+        v = np.abs(_l1_lattice_vectors(diff - np.floor(diff)))
+        l1 = np.triu(_coord_sum(v), 1)  # keep i < j: v and -v give one bound
+        lo = l1 / (TWO_PI * rho2)
+        f_lo[r0:r1, r0:] = f_hi[r0:r1, r0:] = lo
+        # a zero move v_i gives q*_i = 0; where l1 = 0 (no move, or j <= i)
+        # log q* is not finite and the pair is not kept
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_q = np.log(v) - np.log(l1)
+            a, b = np.nonzero((l1 > 0) & (_coord_sum(log_q) < log_c))
+        if a.size:
+            outside.append((r0 + a, r0 + b, log_q[:, a, b].T))
+    if outside:
+        i, j, log_q = (np.concatenate(part) for part in zip(*outside))
+        f_hi[i, j] = f_lo[i, j] * np.sqrt(_segment_excess(log_q, log_c))
+    return f_lo + f_lo.T, f_hi + f_hi.T
 
 
 class DegenerateLimit(NamedTuple):
@@ -568,9 +607,22 @@ def degenerate_limit(shape: np.ndarray, torus_t: np.ndarray, rho2: float) -> Deg
         raise ArithmeticError("the degenerate distance is infinite at n = 1: the base is "
                               "two points, so the level set has two components")
     f_lo, f_hi = limit_torus_bounds(torus_t, rho2)
-    chord = np.sqrt(edge_squares(s, (np.eye(n + 1), np.ones_like(s))))
     return DegenerateLimit(np.max(f_lo, axis=1), np.max(f_hi, axis=1),
-                           np.max(chord, axis=1) / rho2, (n + 2) * math.pi / rho2)
+                           chord_eccentricities(s) / rho2, (n + 2) * math.pi / rho2)
+
+
+def _nearest_gaps(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """For each interval [a_lo, a_hi], its least gap max(a_lo - b_hi,
+    b_lo - a_hi, 0) to the intervals [b_lo, b_hi] (every lo <= hi), bitwise
+    the row minimum of that gap matrix without building it: the intervals
+    starting at or below a_hi are nearest through the largest end among
+    them, the rest through the smallest start, and rounding is monotone, so
+    min_k fl(a - b_k) = fl(a - max_k b_k)."""
+    order = np.argsort(b_lo)
+    starts = np.append(b_lo[order], np.inf)
+    reach = np.concatenate([[-np.inf], np.maximum.accumulate(b_hi[order])])
+    k = np.searchsorted(starts, a_hi, side="right")
+    return np.maximum(np.minimum(a_lo - reach[k], starts[k] - a_hi), 0.0)
 
 
 def degenerate_ngh(limit: DegenerateLimit, rho1: float) -> NghBounds:
@@ -582,8 +634,9 @@ def degenerate_ngh(limit: DegenerateLimit, rho1: float) -> NghBounds:
     lower: the eccentricity bound of gh_bounds with each eccentricity an
     interval (the largest of a maximum of two terms is the larger of their
     largest values): the Hausdorff distance between the two eccentricity sets
-    is at least the one taken over the least gaps between their intervals,
-    and it is divided by upper bounds of the diameters.
+    is at least the one taken over the least gaps between their intervals
+    (_nearest_gaps, by sorting, no N x N gap matrix), and it is divided by
+    upper bounds of the diameters.
     The terms are taken in units of max(1, rho1^2), so neither rho1^2 nor
     rho1^2 tau leaves the doubles; the ratios are scale-free."""
     radial = rho1 * rho1 if rho1 <= 1.0 else 1.0
@@ -592,6 +645,7 @@ def degenerate_ngh(limit: DegenerateLimit, rho1: float) -> NghBounds:
     x_lo = np.maximum(y_lo, radial * limit.ecc_chord)
     x_hi = y_hi + radial * limit.tau
     total = float(np.max(x_lo) + np.max(y_lo))
-    gap = np.maximum(np.maximum(x_lo[:, None] - y_hi[None, :], y_lo[None, :] - x_hi[:, None]), 0.0)
-    lower = hausdorff_from_cross(gap) / float(np.max(x_hi) + np.max(y_hi))
+    hausdorff = max(np.max(_nearest_gaps(x_lo, x_hi, y_lo, y_hi)),
+                    np.max(_nearest_gaps(y_lo, y_hi, x_lo, x_hi)))
+    lower = float(hausdorff) / float(np.max(x_hi) + np.max(y_hi))
     return NghBounds(lower, min(1.0, radial * limit.tau / total))

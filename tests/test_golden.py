@@ -81,12 +81,20 @@ GOLDEN = [
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3",
       "--samples", "400", "--seed", "5"),
      "3b9307e8e335e1fb23c6668cf2b1225acc4a7608a8eba5e29db73e870652903f"),
+    # n = 4 at N = 300: the limit bracket's sort network has more than one
+    # compare-swap, and its row blocks split the pairs several times
+    (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
+      "--samples", "300", "--seed", "1"),
+     "817419acd86e76a754c97ad3f1929523adfe4b81bd457882cbc584376b4f21b2"),
     # re-recorded when boundary dropped sides B and A: a column diff against
     # the previous output (this config, and --samples 200 at seeds 0-9) found
     # their rows, the theta_eta_ratio/shape_sum_min/shape_sum_max columns and
     # their two doc lines gone, and every side-T cell unchanged
     (("boundary", "--side", "all", "--n", "2", "--samples", "24"),
      "6612f5d3a2cf6f57c0bdf969cb4e875eda27c2ff57953594e009d727aa0ce34c"),
+    # the benchmark's sample count: 200 chords in row blocks
+    (("boundary", "--side", "all", "--n", "2", "--samples", "200", "--seed", "0"),
+     "d5185e2a79b6cb3cd8ab789f487caaff16b64bfdd363d99f37df1ab1ddd82004"),
     (("polytope-report", "--n", "1"),
      "426244f1bf993bec766b3fe2aa4ab2a9e479c96d002a1c7c7f66c5480658407d"),
     (("polytope-report", "--n", "2"),

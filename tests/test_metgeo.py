@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import divisor_offsets_mp
@@ -678,54 +678,18 @@ def test_hn_distance_vanishes_on_phase_group_orbits():
 
 
 
-# -- edge lengths under a framed metric ------------------------------------------
+# -- chords ------------------------------------------------------------------------
 
-def _per_row_einsum_edges(points, metric, periodic):
-    """All-pairs edge lengths the way the kernel took them before the frame
-    form: each point's full metric matrix, averaged with every other point's
-    and contracted with the differences in one einsum per row."""
-    frame, coef = metric
-    diffs = points[:, None, :] - points[None, :, :]
-    mask = np.asarray(periodic, dtype=bool)
-    diffs[..., mask] -= np.round(diffs[..., mask])
-    gs = np.einsum("ka,nk,kb->nab", frame, coef, frame)
-    w2 = np.empty((len(points), len(points)))
-    for i in range(len(points)):
-        gbar = 0.5 * (gs[i][None] + gs)
-        w2[i] = np.einsum("ja,jab,jb->j", diffs[i], gbar, diffs[i])
-    return np.sqrt(np.maximum(w2, 0.0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, (1 << 31) - 1), count=st.integers(2, 40),
-       dim=st.integers(1, 4), extra=st.integers(0, 3))
-def test_knn_edge_lengths_match_per_row_einsum(seed, count, dim, extra):
-    # well-conditioned diagonal metrics: an identity frame plus rows of
-    # 0/+-1 entries, like blockdiag(I, F_eta), and coefficients within 1e+-1
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 1.0, (count, dim))
-    frame = np.vstack([np.eye(dim), rng.integers(-1, 2, (extra, dim))]).astype(float)
-    coef = 10.0 ** rng.uniform(-1.0, 1.0, (count, dim + extra))
-    flags = rng.integers(0, 2, dim).astype(bool)
-    got = np.sqrt(mg.edge_squares(pts, (frame, coef), flags))
-    want = _per_row_einsum_edges(pts, (frame, coef), flags)
-    assert np.all(np.abs(got - want) <= 1e-12 * want)
-
-
-@pytest.mark.parametrize("frame,coef,match", [
-    (np.eye(2), np.array([[1.0, 1.0], [1.0, np.nan], [1.0, 1.0]]), "positive finite"),
-    (np.eye(2), np.array([[1.0, 1.0], [1.0, np.inf], [1.0, 1.0]]), "positive finite"),
-    (np.eye(2), np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), "positive finite"),
-    (np.eye(2), np.array([[1.0, 1.0], [1.0, -2.0], [1.0, 1.0]]), "positive finite"),
-    (np.eye(2), np.ones((3, 3)), "frame"),
-    (np.eye(2), np.ones((4, 2)), "frame"),
-    (np.eye(3), np.ones((3, 3)), "frame"),
-    (np.ones(2), np.ones((3, 2)), "frame"),
-])
-def test_knn_rejects_bad_metric(frame, coef, match):
-    pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.9]])
-    with pytest.raises(ValueError, match=match):
-        mg.edge_squares(pts, (frame, coef))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), count=st.integers(1, 300), dim=st.integers(1, 7))
+def test_chord_eccentricities_are_the_broadcast_row_maxima(seed, count, dim):
+    # the all-pairs broadcast, summed along its last axis, is the reference;
+    # up to 300 rows span several row blocks, and below 8 coordinates numpy
+    # adds a row in turn, as the kernel does
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, dim))
+    diff = pts[:, None, :] - pts[None, :, :]
+    want = np.max(np.sqrt(np.sum(diff * diff, axis=2)), axis=1)
+    assert np.array_equal(mg.chord_eccentricities(pts), want)
 
 
 # -- the degenerate metric's limit torus ------------------------------------------
@@ -741,7 +705,7 @@ def test_l1_lattice_minimum_matches_a_brute_force_box(n, seed, count):
     rng = np.random.default_rng(seed)
     delta = rng.uniform(0.0, 1.0, (count, n))
     delta[:, 0] = np.floor(delta[:, 0] * 4) / 4  # ties and zeros too
-    v = mg._l1_lattice_vectors(delta)
+    v = mg._l1_lattice_vectors(delta.T).T  # coordinate-first
     assert np.max(np.abs(np.sum(v, axis=1))) <= 1e-12  # an eta move: sum v = 0
     box = np.array(list(itertools.product(range(-2, 2), repeat=n)))
     w = delta[:, None, :] + box[None]
@@ -809,6 +773,63 @@ def test_limit_torus_bounds_hold_the_support_function_gauge(rho2):
     if rho2 == 0.45:
         f_lo, f_hi = mg.limit_torus_bounds(np.array([[0.0, 0.0], [0.1, 0.0]]), rho2)
         assert f_hi[0, 1] > f_lo[0, 1] * (1 + 1e-4)
+
+
+def _gathered_pair_bounds(torus_t, rho2):
+    """limit_torus_bounds with every pair i < j gathered as one row t_j - t_i:
+    row-first sums and one _segment_excess call over the pairs outside K."""
+    count = len(torus_t)
+    i, j = np.triu_indices(count, 1)
+    diff = torus_t[j] - torus_t[i]
+    v = np.abs(mg._l1_lattice_vectors((diff - np.floor(diff)).T).T).copy(order="C")
+    l1 = np.sum(v, axis=1)  # along rows in memory, as numpy adds a row
+    log_c = -4 * math.pi**2 * rho2 * rho2
+    lo = l1 / (2 * math.pi * rho2)
+    hi = lo.copy()
+    far = np.flatnonzero(l1)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(v[far]) - np.log(l1[far])[:, None]
+    out = np.sum(log_q, axis=1) < log_c
+    hi[far[out]] = lo[far[out]] * np.sqrt(mg._segment_excess(log_q[out], log_c))
+    f_lo, f_hi = np.zeros((2, count, count))
+    f_lo[i, j] = f_lo[j, i] = lo
+    f_hi[i, j] = f_hi[j, i] = hi
+    return f_lo, f_hi, np.count_nonzero(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("near", [True, False])
+def test_limit_torus_bounds_blocks_equal_the_gathered_pairs(n, near):
+    # one row block holds up to `step` x `step` pairs: counts around it and
+    # past three of them cross the block edges.  At 1.001x the threshold most
+    # pairs lie outside K, so every block feeds the one bisection; at n = 7
+    # the n + 1 = 8 entries of a move are summed pairwise along a row
+    step = math.isqrt(mg._BLOCK_PAIRS)
+    rho2 = feasibility_threshold(n) * 1.001 if near else 0.55 + 0.05 * n
+    for count in (1, 2, step - 1, step, step + 1, 3 * step + 1):
+        torus_t = draw_torus(n, count, count)[:, n:]
+        f_lo, f_hi = mg.limit_torus_bounds(torus_t, rho2)
+        want_lo, want_hi, outside = _gathered_pair_bounds(torus_t, rho2)
+        assert np.array_equal(f_lo, want_lo) and np.array_equal(f_hi, want_hi)
+        assert np.array_equal(f_lo, f_lo.T) and np.array_equal(f_hi, f_hi.T)
+        assert not np.any(np.diag(f_lo)) and not np.any(np.diag(f_hi))
+        assert np.all(f_lo <= f_hi)
+        if near and count > step:
+            assert outside > count * (count - 1) // 4
+
+
+def test_limit_torus_bounds_memory_stays_in_blocks():
+    # the two (N, N) results alone are 16 MB at N = 1,000; a whole-grid or
+    # whole-pair-list temporary would add tens of MB more
+    torus_t = draw_torus(2, 1000, 0)[:, 2:]
+    tracemalloc.start()
+    try:
+        f_lo, f_hi = mg.limit_torus_bounds(torus_t, 0.6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(f_lo <= f_hi)
+    assert peak < 40e6
 
 
 def _dijkstra(adjacent, source):
@@ -881,6 +902,39 @@ def test_degenerate_ngh_is_ordered_and_falls_as_rho1_squared(n, count, seed, exc
     uppers = [mg.degenerate_ngh(limit, float(rho1)).upper for rho1 in rho1s]
     slope = np.polyfit(np.log(rho1s), np.log(uppers), 1)[0]
     assert abs(slope - 2.0) <= 1e-9
+
+
+def _grid_intervals(draw, count, scale):
+    # starts and widths on a 1/8 grid: ties, touching endpoints and empty
+    # widths; the scale brings rounding into every difference
+    starts = draw(st.lists(st.integers(0, 16), min_size=count, max_size=count))
+    widths = draw(st.lists(st.integers(0, 4), min_size=count, max_size=count))
+    lo = scale * np.array(starts) / 8
+    return lo, lo + scale * np.array(widths) / 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), na=st.integers(1, 12), nb=st.integers(1, 12),
+       scale=st.floats(1e-3, 1e3), rho1=st.sampled_from([1e-3, 0.3, 1.0, 7.0]))
+def test_interval_gaps_equal_the_explicit_gap_matrix(data, na, nb, scale, rho1):
+    # each least gap is the row minimum of the N x M gap matrix, bitwise, and
+    # degenerate_ngh's lower bound is its Hausdorff distance over the
+    # diameter bound, as when the matrix was built
+    a_lo, a_hi = _grid_intervals(data.draw, na, scale)
+    b_lo, b_hi = _grid_intervals(data.draw, nb, scale)
+    gap = np.maximum(np.maximum(a_lo[:, None] - b_hi[None, :], b_lo[None, :] - a_hi[:, None]), 0.0)
+    assert np.array_equal(mg._nearest_gaps(a_lo, a_hi, b_lo, b_hi), np.min(gap, axis=1))
+    assert np.array_equal(mg._nearest_gaps(b_lo, b_hi, a_lo, a_hi), np.min(gap, axis=0))
+    assume(np.max(a_lo) > 0)  # some torus row apart from another: a positive diameter
+    chord = data.draw(st.lists(st.integers(0, 16), min_size=na, max_size=na))
+    limit = mg.DegenerateLimit(a_lo, a_hi, scale * np.array(chord) / 8, scale * 4.0)
+    radial = min(rho1 * rho1, 1.0)
+    flat = 1.0 if rho1 <= 1.0 else 1.0 / rho1 / rho1
+    y_lo, y_hi = flat * a_lo, flat * a_hi
+    x_lo, x_hi = np.maximum(y_lo, radial * limit.ecc_chord), y_hi + radial * limit.tau
+    gap = np.maximum(np.maximum(x_lo[:, None] - y_hi[None, :], y_lo[None, :] - x_hi[:, None]), 0.0)
+    want = mg.hausdorff_from_cross(gap) / float(np.max(x_hi) + np.max(y_hi))
+    assert mg.degenerate_ngh(limit, rho1).lower == want
 
 
 def test_degenerate_limit_needs_a_connected_base():
