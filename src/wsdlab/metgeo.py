@@ -1,7 +1,7 @@
 """Finite-sample metric geometry: the distances of the two projective charts,
-diameters, Hausdorff and Gromov-Hausdorff bounds, flat-torus diameters, the
-exact distance from each projection's image to the anticanonical divisor,
-and the degenerate metric's limit torus, bracketed in closed form with no
+diameters, Gromov-Hausdorff bounds, flat-torus diameters, the exact
+distance from each projection's image to the anticanonical divisor, and
+the degenerate metric's limit torus, bracketed in closed form with no
 graph search.
 
 The quotient chart has one distance kernel, hn_matrix, over the dual-simplex
@@ -15,7 +15,10 @@ lattices are A_n, and a planar lattice is a weighted A_2 through its obtuse
 superbase (flat_torus_diameter).
 
 Gromov-Hausdorff distances are never claimed exactly; every comparison ships
-as a certified (lower, upper) interval.
+as a certified (lower, upper) interval.  Every lower bound is one rule, the
+Hausdorff distance between eccentricity intervals on the line, by sorting
+(_interval_hausdorff): zero-width in gh_bounds, the limit bracket's per-row
+maxima in degenerate_ngh.
 """
 
 from __future__ import annotations
@@ -123,68 +126,57 @@ def hn_distance(p, q, rho: float | None = None) -> float:
     return float(hn_matrix(p.z[None, :], rho, p.n, q.z[None, :])[0, 0])
 
 
-def hausdorff_from_cross(cross: np.ndarray) -> float:
-    return float(max(np.max(np.min(cross, axis=1)), np.max(np.min(cross, axis=0))))
-
-
 # -- Gromov-Hausdorff bounds ---------------------------------------------------
 
-def correspondence_distortion(da: np.ndarray, db: np.ndarray,
-                              ia: np.ndarray, ib: np.ndarray) -> float:
-    return float(np.max(np.abs(da[np.ix_(ia, ia)] - db[np.ix_(ib, ib)])))
+def _nearest_gaps(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """For each interval [a_lo, a_hi], its least gap max(a_lo - b_hi,
+    b_lo - a_hi, 0) to the intervals [b_lo, b_hi] (every lo <= hi), bitwise
+    the row minimum of that gap matrix without building it: the intervals
+    starting at or below a_hi are nearest through the largest end among
+    them, the rest through the smallest start, and rounding is monotone, so
+    min_k fl(a - b_k) = fl(a - max_k b_k)."""
+    order = np.argsort(b_lo)
+    starts = np.append(b_lo[order], np.inf)
+    reach = np.concatenate([[-np.inf], np.maximum.accumulate(b_hi[order])])
+    k = np.searchsorted(starts, a_hi, side="right")
+    return np.maximum(np.minimum(a_lo - reach[k], starts[k] - a_hi), 0.0)
 
 
-def _correspondence(pairs, na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index arrays (ia, ib) of `pairs`, checked to be a correspondence
-    between samples of na and nb points: every index in range and every
-    point of each sample in some pair, since a partial relation certifies no
-    bound."""
-    ia, ib = (np.asarray(idx) for idx in pairs)
-    if ia.ndim != 1 or ia.shape != ib.shape:
-        raise ValueError(f"pairs must be two index arrays of one length, "
-                         f"got shapes {ia.shape} and {ib.shape}")
-    for idx, count, side in ((ia, na, "first"), (ib, nb, "second")):
-        if idx.size and not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError(f"pairs must hold integer indices, got {idx.dtype}")
-        if idx.size and not (0 <= np.min(idx) and np.max(idx) < count):
-            raise ValueError(f"a pair index is out of range for the {side} sample "
-                             f"of {count} points")
-        if not np.all(np.bincount(idx.astype(np.intp), minlength=count)):
-            raise ValueError(f"a point of the {side} sample is in no pair, "
-                             "so pairs is no correspondence")
-    return ia, ib
+def _interval_hausdorff(a_lo, a_hi, b_lo, b_hi) -> float:
+    """The Hausdorff distance between two sets of intervals on the line taken
+    over their least gaps (_nearest_gaps): a lower bound for that between
+    any two sets with one point in each interval, and with zero-width
+    intervals the point sets' own Hausdorff distance."""
+    return float(max(np.max(_nearest_gaps(a_lo, a_hi, b_lo, b_hi)),
+                     np.max(_nearest_gaps(b_lo, b_hi, a_lo, a_hi))))
 
 
-def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample,
-              pairs=None) -> tuple[float, float]:
+def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample) -> tuple[float, float]:
     """Certified interval for the Gromov-Hausdorff distance of two samples
     (Memoli, DCG 48, 2012).
 
     lower: half the Hausdorff distance between the two eccentricity sets on
-    the line, d_GH >= d_H(ecc_a, ecc_b) / 2.  The largest eccentricity is the
-    diameter, so it is never below half the diameter gap.  upper: half the
-    distortion of a correspondence, d_GH <= dis(R) / 2.  `pairs` = (ia, ib)
-    gives it as index arrays, point ia[k] of a with point ib[k] of b.  Without
-    it each point is paired with the point of the same eccentricity rank in
-    the other sample, ranks stretched to that sample's size.  Both bounds
-    commute with a power-of-two rescale, and lower <= upper holds in floats:
-    for a pair (x, y) of any correspondence, ecc(x) - ecc(y) is at most an
-    entry of the distortion, and rounding is monotone.
+    the line, d_GH >= d_H(ecc_a, ecc_b) / 2, taken by _interval_hausdorff with
+    zero-width intervals.  The largest eccentricity is the diameter, so it is
+    never below half the diameter gap.  upper: half the distortion of a
+    correspondence, d_GH <= dis(R) / 2, that pairs each point with the point
+    of the same eccentricity rank in the other sample, ranks stretched to
+    that sample's size.  Both bounds commute with a power-of-two rescale, and
+    lower <= upper holds in floats: for a pair (x, y) of the correspondence,
+    ecc(x) - ecc(y) is at most an entry of the distortion, and rounding is
+    monotone.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("gh_bounds needs nonempty samples")
     da, db = a.dist, b.dist
     ea, eb = np.max(da, axis=1), np.max(db, axis=1)
-    if pairs is None:
-        # pair k joins rank k * size // count of each sample: every rank is hit
-        count = max(len(a), len(b))
-        ranks = np.arange(count)
-        ia = np.argsort(ea, kind="stable")[ranks * len(a) // count]
-        ib = np.argsort(eb, kind="stable")[ranks * len(b) // count]
-    else:
-        ia, ib = _correspondence(pairs, len(a), len(b))
-    lower = 0.5 * hausdorff_from_cross(np.abs(ea[:, None] - eb[None, :]))
-    upper = 0.5 * correspondence_distortion(da, db, ia, ib)
+    # pair k joins rank k * size // count of each sample: every rank is hit
+    count = max(len(a), len(b))
+    ranks = np.arange(count)
+    ia = np.argsort(ea, kind="stable")[ranks * len(a) // count]
+    ib = np.argsort(eb, kind="stable")[ranks * len(b) // count]
+    lower = 0.5 * _interval_hausdorff(ea, ea, eb, eb)
+    upper = 0.5 * float(np.max(np.abs(da[np.ix_(ia, ia)] - db[np.ix_(ib, ib)])))
     return lower, upper
 
 
@@ -194,11 +186,10 @@ class NghBounds(NamedTuple):
     point_like: bool = False
 
 
-def ngh_distance(a: FiniteMetricSample, b: FiniteMetricSample, pairs=None) -> NghBounds:
-    """Diameter-normalized GH interval 2 d_GH / (diam a + diam b), its upper
-    bound from `pairs` as in gh_bounds; two genuine points compare at 0 by
-    convention."""
-    lo, hi = gh_bounds(a, b, pairs)
+def ngh_distance(a: FiniteMetricSample, b: FiniteMetricSample) -> NghBounds:
+    """Diameter-normalized GH interval 2 d_GH / (diam a + diam b) from
+    gh_bounds; two genuine points compare at 0 by convention."""
+    lo, hi = gh_bounds(a, b)
     total = diameter(a) + diameter(b)
     if total == 0.0:
         return NghBounds(0.0, 0.0, point_like=True)
@@ -514,8 +505,9 @@ def _segment_excess(log_q: np.ndarray, log_c: float) -> np.ndarray:
 
 
 def limit_torus_bounds(torus_t: np.ndarray, rho2: float) -> tuple[np.ndarray, np.ndarray]:
-    """(f_lo, f_hi), each (N, N): bounds on the distance d_F between the torus
-    rows t (N, n) under the limit norm |v|_F = min over q in K of |v|_q
+    """(ecc_lo, ecc_hi), each (N,): per torus row t_i of t (N, n), the largest
+    over j of f_lo(i, j) and of f_hi(i, j), bounds on the distance d_F between
+    rows i and j under the limit norm |v|_F = min over q in K of |v|_q
     (degenerate_limit), for eta moves v = F_eta w, w a lattice translate of
     t_j - t_i.
 
@@ -527,31 +519,38 @@ def limit_torus_bounds(torus_t: np.ndarray, rho2: float) -> tuple[np.ndarray, np
 
     The pairs are taken coordinate-first in row blocks r0:r1 against the
     columns r0:, each kept as t_j - t_i with i < j (the block's lower part
-    is zeroed after the sums), so the blocks fill the upper triangle and the
-    result is it plus its transpose.  The pairs outside K from every block
-    share one bisection."""
+    is zeroed after the sums), so each pair is met once and enters the
+    maxima of row i through the block's row maxima and of row j through its
+    column maxima.  The pairs outside K from every block share one
+    bisection, and their f_hi enter both rows' maxima after it.  No (N, N)
+    array is built."""
     cols = np.ascontiguousarray(np.asarray(torus_t, dtype=float).T)
     count = cols.shape[1]
     log_c = -FOUR_PI2 * rho2 * rho2
-    f_lo, f_hi = np.zeros((2, count, count))
-    outside = []  # (i, j, log q*) of the pairs outside K
+    ecc_lo, ecc_hi = np.zeros((2, count))
+    outside = []  # (i, j, f_lo, log q*) of the pairs outside K
     for r0, r1 in _row_blocks(count, upper=True):
         diff = cols[:, None, r0:] - cols[:, r0:r1, None]
         v = np.abs(_l1_lattice_vectors(diff - np.floor(diff)))
         l1 = np.triu(_coord_sum(v), 1)  # keep i < j: v and -v give one bound
         lo = l1 / (TWO_PI * rho2)
-        f_lo[r0:r1, r0:] = f_hi[r0:r1, r0:] = lo
         # a zero move v_i gives q*_i = 0; where l1 = 0 (no move, or j <= i)
         # log q* is not finite and the pair is not kept
         with np.errstate(divide="ignore", invalid="ignore"):
             log_q = np.log(v) - np.log(l1)
-            a, b = np.nonzero((l1 > 0) & (_coord_sum(log_q) < log_c))
+            out = (l1 > 0) & (_coord_sum(log_q) < log_c)
+        a, b = np.nonzero(out)
         if a.size:
-            outside.append((r0 + a, r0 + b, log_q[:, a, b].T))
+            outside.append((r0 + a, r0 + b, lo[a, b], log_q[:, a, b].T))
+        for ecc, f in ((ecc_lo, lo), (ecc_hi, np.where(out, 0.0, lo))):
+            ecc[r0:r1] = np.maximum(ecc[r0:r1], np.max(f, axis=1))
+            ecc[r0:] = np.maximum(ecc[r0:], np.max(f, axis=0))
     if outside:
-        i, j, log_q = (np.concatenate(part) for part in zip(*outside))
-        f_hi[i, j] = f_lo[i, j] * np.sqrt(_segment_excess(log_q, log_c))
-    return f_lo + f_lo.T, f_hi + f_hi.T
+        i, j, lo, log_q = (np.concatenate(part) for part in zip(*outside))
+        hi = lo * np.sqrt(_segment_excess(log_q, log_c))
+        np.maximum.at(ecc_hi, i, hi)
+        np.maximum.at(ecc_hi, j, hi)
+    return ecc_lo, ecc_hi
 
 
 class DegenerateLimit(NamedTuple):
@@ -573,7 +572,8 @@ def degenerate_limit(shape: np.ndarray, torus_t: np.ndarray, rho2: float) -> Deg
         d_F <= rho1 d_g <= d_F + rho1^2 tau,  tau = (n + 2) pi / rho2,
         rho1 d_g >= rho1^2 |s_i - s_j| / rho2,  f_lo <= d_F <= f_hi,
 
-    with (f_lo, f_hi) from limit_torus_bounds.  So rho1 d_g lies in
+    with f_lo, f_hi as in limit_torus_bounds, whose per-row maxima this keeps
+    (the eccentricity bounds degenerate_ngh reads).  So rho1 d_g lies in
     [A_lo, A_hi] = [max(f_lo, rho1^2 |s_i - s_j| / rho2), f_hi + rho1^2 tau]
     and converges to d_F uniformly at rate rho1^2.
 
@@ -606,23 +606,8 @@ def degenerate_limit(shape: np.ndarray, torus_t: np.ndarray, rho2: float) -> Deg
     if n < 2:
         raise ArithmeticError("the degenerate distance is infinite at n = 1: the base is "
                               "two points, so the level set has two components")
-    f_lo, f_hi = limit_torus_bounds(torus_t, rho2)
-    return DegenerateLimit(np.max(f_lo, axis=1), np.max(f_hi, axis=1),
-                           chord_eccentricities(s) / rho2, (n + 2) * math.pi / rho2)
-
-
-def _nearest_gaps(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
-    """For each interval [a_lo, a_hi], its least gap max(a_lo - b_hi,
-    b_lo - a_hi, 0) to the intervals [b_lo, b_hi] (every lo <= hi), bitwise
-    the row minimum of that gap matrix without building it: the intervals
-    starting at or below a_hi are nearest through the largest end among
-    them, the rest through the smallest start, and rounding is monotone, so
-    min_k fl(a - b_k) = fl(a - max_k b_k)."""
-    order = np.argsort(b_lo)
-    starts = np.append(b_lo[order], np.inf)
-    reach = np.concatenate([[-np.inf], np.maximum.accumulate(b_hi[order])])
-    k = np.searchsorted(starts, a_hi, side="right")
-    return np.maximum(np.minimum(a_lo - reach[k], starts[k] - a_hi), 0.0)
+    return DegenerateLimit(*limit_torus_bounds(torus_t, rho2), chord_eccentricities(s) / rho2,
+                           (n + 2) * math.pi / rho2)
 
 
 def degenerate_ngh(limit: DegenerateLimit, rho1: float) -> NghBounds:
@@ -633,10 +618,9 @@ def degenerate_ngh(limit: DegenerateLimit, rho1: float) -> NghBounds:
     are at least max A_lo and max f_lo; capped at 1, as d_GH <= max diam / 2.
     lower: the eccentricity bound of gh_bounds with each eccentricity an
     interval (the largest of a maximum of two terms is the larger of their
-    largest values): the Hausdorff distance between the two eccentricity sets
-    is at least the one taken over the least gaps between their intervals
-    (_nearest_gaps, by sorting, no N x N gap matrix), and it is divided by
-    upper bounds of the diameters.
+    largest values), through the same _interval_hausdorff, divided by upper
+    bounds of the diameters.  Where every eccentricity is 0 both sides are
+    one point, which compare at 0 as in ngh_distance.
     The terms are taken in units of max(1, rho1^2), so neither rho1^2 nor
     rho1^2 tau leaves the doubles; the ratios are scale-free."""
     radial = rho1 * rho1 if rho1 <= 1.0 else 1.0
@@ -645,7 +629,7 @@ def degenerate_ngh(limit: DegenerateLimit, rho1: float) -> NghBounds:
     x_lo = np.maximum(y_lo, radial * limit.ecc_chord)
     x_hi = y_hi + radial * limit.tau
     total = float(np.max(x_lo) + np.max(y_lo))
-    hausdorff = max(np.max(_nearest_gaps(x_lo, x_hi, y_lo, y_hi)),
-                    np.max(_nearest_gaps(y_lo, y_hi, x_lo, x_hi)))
-    lower = float(hausdorff) / float(np.max(x_hi) + np.max(y_hi))
+    if total == 0.0:
+        return NghBounds(0.0, 0.0, point_like=True)
+    lower = _interval_hausdorff(x_lo, x_hi, y_lo, y_hi) / float(np.max(x_hi) + np.max(y_hi))
     return NghBounds(lower, min(1.0, radial * limit.tau / total))

@@ -6,6 +6,8 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
+from wsdlab import metgeo
+
 
 def dense_tensors(r) -> dict[str, np.ndarray]:
     """Reference: the metric and the three forms at radii r (m,) as dense
@@ -56,3 +58,33 @@ def divisor_offsets_mp(n: int, rho2: float) -> tuple:
         neg_log_tp = log_n - mpmath.log1p(-mpmath.exp(ell))
         return (mpmath.asin(mpmath.exp(s / 2)),
                 mpmath.asin(mpmath.sqrt(neg_log_tp) / (2 * mpmath.pi * mpmath.mpf(rho2))))
+
+
+def cross_hausdorff(cross) -> float:
+    """Reference: the Hausdorff distance of two finite sets from their cross
+    distance matrix, the larger of its largest row and column minima."""
+    return float(max(np.max(np.min(cross, axis=1)), np.max(np.min(cross, axis=0))))
+
+
+def gathered_pair_bounds(torus_t, rho2):
+    """Reference: metgeo.limit_torus_bounds's pairwise (f_lo, f_hi) as full
+    (N, N) matrices, and the count of pairs outside K, with every pair i < j
+    gathered as one row t_j - t_i: row-first sums and one _segment_excess call
+    over the pairs outside K."""
+    count = len(torus_t)
+    i, j = np.triu_indices(count, 1)
+    diff = torus_t[j] - torus_t[i]
+    v = np.abs(metgeo._l1_lattice_vectors((diff - np.floor(diff)).T).T).copy(order="C")
+    l1 = np.sum(v, axis=1)  # along rows in memory, as numpy adds a row
+    log_c = -4 * math.pi**2 * rho2 * rho2
+    lo = l1 / (2 * math.pi * rho2)
+    hi = lo.copy()
+    far = np.flatnonzero(l1)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(v[far]) - np.log(l1[far])[:, None]
+    out = np.sum(log_q, axis=1) < log_c
+    hi[far[out]] = lo[far[out]] * np.sqrt(metgeo._segment_excess(log_q[out], log_c))
+    f_lo, f_hi = np.zeros((2, count, count))
+    f_lo[i, j] = f_lo[j, i] = lo
+    f_hi[i, j] = f_hi[j, i] = hi
+    return f_lo, f_hi, np.count_nonzero(out)

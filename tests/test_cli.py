@@ -25,7 +25,7 @@ from wsdlab.cli import main
 from wsdlab.reduction import (LevelSetSpec, draw_directions, draw_torus, log_shape, sample_base,
                               solve_base)
 
-from helpers import divisor_offsets_mp
+from helpers import cross_hausdorff, divisor_offsets_mp, gathered_pair_bounds
 
 
 def run(tmp_path, *argv):
@@ -1012,14 +1012,14 @@ def _oracle_row(n, rho1, rho2, directions, torus_t, samples, seed):
     # rho1 d_g in [a_lo, a_hi] and d_F in [f_lo, f_hi] per pair; the
     # pairing's distortion is at most rho1^2 tau
     tau = metgeo.degenerate_limit(shape, torus_t, rho2).tau
-    f_lo, f_hi = metgeo.limit_torus_bounds(torus_t, rho2)
+    f_lo, f_hi, _ = gathered_pair_bounds(torus_t, rho2)
     chord = np.linalg.norm(shape[:, None] - shape[None], axis=-1) / rho2
     a_lo, a_hi = np.maximum(f_lo, rho1**2 * chord), f_hi + rho1**2 * tau
     upper = min(1.0, rho1**2 * tau / (np.max(a_lo) + np.max(f_lo)))
     x_lo, x_hi = np.max(a_lo, axis=1), np.max(a_hi, axis=1)
     y_lo, y_hi = np.max(f_lo, axis=1), np.max(f_hi, axis=1)
     gap = np.maximum(np.maximum(x_lo[:, None] - y_hi[None], y_lo[None] - x_hi[:, None]), 0.0)
-    lower = metgeo.hausdorff_from_cross(gap) / (np.max(a_hi) + np.max(f_hi))
+    lower = cross_hausdorff(gap) / (np.max(a_hi) + np.max(f_hi))
     return {
         "n": n, "rho1": cli._e(rho1), "rho2": cli._e(rho2),
         "samples": samples, "seed": seed, "version": wsdlab.__version__,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import divisor_offsets_mp
+from helpers import cross_hausdorff, divisor_offsets_mp, gathered_pair_bounds
 
 from wsdlab import metgeo as mg
 from wsdlab.ambient import feasibility_threshold, torus_metric_weights
@@ -73,11 +73,11 @@ def test_cp1_diameter_monte_carlo():
 
 def test_hausdorff_identity_and_containment():
     z = _sphere_rows(25, 2, seed=4)
-    assert mg.hausdorff_from_cross(mg.hn_matrix(z, 1.0, 2, z)) < 1e-12
+    assert cross_hausdorff(mg.hn_matrix(z, 1.0, 2, z)) < 1e-12
     cross = mg.hn_matrix(z, 1.0, 2, np.vstack([z, _sphere_rows(15, 2, seed=5)]))
     # z is inside the larger set, so only the larger set's far side counts
     assert np.max(np.min(cross, axis=1)) < 1e-12
-    assert mg.hausdorff_from_cross(cross) == np.max(np.min(cross, axis=0))
+    assert cross_hausdorff(cross) == np.max(np.min(cross, axis=0))
 
 
 def test_hausdorff_parallel_circles():
@@ -87,7 +87,7 @@ def test_hausdorff_parallel_circles():
     phases = np.exp(2j * math.pi * np.arange(64) / 64)
     circ = lambda a: np.stack([np.full(64, math.cos(a), dtype=complex),
                                math.sin(a) * phases], axis=1)
-    h = mg.hausdorff_from_cross(mg.hn_matrix(circ(a0), 1.0, 1, circ(a0 + delta)))
+    h = cross_hausdorff(mg.hn_matrix(circ(a0), 1.0, 1, circ(a0 + delta)))
     assert abs(h - delta) < 3e-3
 
 
@@ -162,6 +162,10 @@ def test_gh_bounds_bracket_the_exact_distance(na, nb, seed, lattice):
     gap = 0.5 * abs(float(np.max(da)) - float(np.max(db)))
     # exact in floats: each bound is a max or min over the brute force's entries
     assert gap <= lo <= _brute_gh(da, db) <= hi
+    # the lower bound is half the Hausdorff distance of the eccentricity
+    # sets, as from their explicit N x M gap matrix
+    ea, eb = np.max(da, axis=1), np.max(db, axis=1)
+    assert lo == 0.5 * cross_hausdorff(np.abs(ea[:, None] - eb[None, :]))
 
 
 def test_gh_lower_sees_shape_at_equal_diameters():
@@ -174,90 +178,30 @@ def test_gh_lower_sees_shape_at_equal_diameters():
     assert _brute_gh(tri, path) == 0.25
 
 
-def test_gh_pairs_interval_sandwich_brute_force():
-    # the identity pairs of index-aligned samples, and a relation that is no
-    # bijection, both bound the exact GH from above
-    rng = np.random.default_rng(13)
-    for na, nb in [(2, 2), (3, 3), (1, 3), (3, 2)]:
-        for _ in range(8):
-            pa = rng.uniform(0, 1, (na, 2))
-            pb = rng.uniform(0, 1, (nb, 2))
-            da = np.sqrt(np.sum((pa[:, None] - pa[None]) ** 2, axis=2))
-            db = np.sqrt(np.sum((pb[:, None] - pb[None]) ** 2, axis=2))
-            exact = _brute_gh(da, db)
-            if na == nb:
-                pairs = (np.arange(na), np.arange(nb))
-            else:
-                pairs = (np.arange(max(na, nb)) % na, np.arange(max(na, nb)) % nb)
-            lo, hi = mg.gh_bounds(_abstract(da), _abstract(db), pairs)
-            assert lo <= exact + 1e-12
-            assert hi >= exact - 1e-12
-
-
-def test_gh_pairs_upper_shrinks_with_a_perturbation():
-    # moving each point by at most eps moves each distance by at most 2 eps,
-    # so sample i <-> perturbed sample i has distortion <= 2 eps
-    rng = np.random.default_rng(14)
-    pts = rng.uniform(0, 1, (40, 3))
-    step = rng.standard_normal((40, 3))
-    step /= np.linalg.norm(step, axis=1)[:, None]
-    idx = np.arange(40)
-    a = _abstract(np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=2)))
-    uppers = []
-    for eps in [1e-1, 1e-2, 1e-4, 1e-8, 0.0]:
-        moved = pts + eps * step
-        b = _abstract(np.sqrt(np.sum((moved[:, None] - moved[None]) ** 2, axis=2)))
-        lo, hi = mg.gh_bounds(a, b, (idx, idx))
-        assert lo <= hi <= eps + 1e-15
-        ngh = mg.ngh_distance(a, b, (idx, idx))
-        assert ngh.lower <= ngh.upper <= 2 * eps / (mg.diameter(a) + mg.diameter(b)) + 1e-15
-        uppers.append(hi)
-    assert uppers == sorted(uppers, reverse=True) and uppers[-1] == 0.0
-
-
 @settings(max_examples=60, deadline=None)
 @given(na=st.integers(1, 12), nb=st.integers(1, 12), seed=st.integers(0, 10**6),
        power=st.integers(-60, 60))
 def test_gh_pairs_interval_ordered_and_exact_under_power_of_two(na, nb, seed, power):
-    # a random correspondence: every point of a, then every point of b, with
-    # a random partner
+    # the eccentricity-rank pairing: ordered, and a power-of-two rescale
+    # scales every float exactly, so the bounds follow it bitwise
     rng = np.random.default_rng(seed)
     pa, pb = rng.normal(size=(na, 3)), rng.normal(size=(nb, 3))
     da = np.linalg.norm(pa[:, None] - pa[None], axis=-1)
     db = np.linalg.norm(pb[:, None] - pb[None], axis=-1)
-    pairs = (np.concatenate([np.arange(na), rng.integers(0, na, nb)]),
-             np.concatenate([rng.integers(0, nb, na), np.arange(nb)]))
-    lo, hi = mg.gh_bounds(_abstract(da), _abstract(db), pairs)
+    lo, hi = mg.gh_bounds(_abstract(da), _abstract(db))
     assert lo <= hi
-    base = mg.ngh_distance(_abstract(da), _abstract(db), pairs)
+    base = mg.ngh_distance(_abstract(da), _abstract(db))
     assert base.lower <= base.upper
     t = 2.0 ** power
-    assert mg.gh_bounds(_abstract(t * da), _abstract(t * db), pairs) == (t * lo, t * hi)
-    assert mg.ngh_distance(_abstract(t * da), _abstract(t * db), pairs) == base
-
-
-@pytest.mark.parametrize("pairs,match", [
-    (([0, 1, 2], [0, 1]), "one length"),
-    (([0, 1, 3], [0, 1, 2]), "out of range for the first"),
-    (([0, 1, 2], [0, -1, 2]), "out of range for the second"),
-    (([0, 1, 1], [0, 1, 2]), "point of the first sample is in no pair"),
-    (([0, 1, 2], [2, 1, 2]), "point of the second sample is in no pair"),
-    (([0.0, 1.0, 2.0], [0, 1, 2]), "integer indices"),
-])
-def test_gh_pairs_must_be_a_correspondence(pairs, match):
-    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    pairs = tuple(np.array(p) for p in pairs)
-    with pytest.raises(ValueError, match=match):
-        mg.gh_bounds(_abstract(d), _abstract(d), pairs)
-    with pytest.raises(ValueError, match=match):
-        mg.ngh_distance(_abstract(d), _abstract(2.0 * d), pairs)
-    with pytest.raises(ValueError, match=match):
-        mg.ngh_distance(_abstract(0.0 * d), _abstract(0.0 * d), pairs)
+    assert mg.gh_bounds(_abstract(t * da), _abstract(t * db)) == (t * lo, t * hi)
+    assert mg.ngh_distance(_abstract(t * da), _abstract(t * db)) == base
 
 
 def test_gh_bounds_memory_stays_below_the_broadcast():
-    # the default pairing holds index arrays and the N x N eccentricity
-    # differences, never an N x N x k array (N x N x 33 is ~190 MB at N = 600)
+    # the rank pairing holds index arrays and the two paired N x N distance
+    # matrices (5.8 MB at N = 600; the peak read 5.9 MB), and the lower
+    # bound sorts eccentricities: never an N x N x k array (N x N x 33 is
+    # ~190 MB)
     count = 600
     rng = np.random.default_rng(12)
     pa = rng.uniform(0.0, 1.0, (count, 3))
@@ -271,7 +215,7 @@ def test_gh_bounds_memory_stays_below_the_broadcast():
     finally:
         tracemalloc.stop()
     assert 0.0 <= lo <= hi
-    assert peak < 190e6 / 4
+    assert peak < 2.5 * count * count * 8
 
 
 def test_ngh_normalization_and_guards():
@@ -765,36 +709,14 @@ def test_limit_torus_bounds_hold_the_support_function_gauge(rho2):
     moves = np.vstack([rng.uniform(-0.2, 0.2, (6, 2)), [[0.1, 0.0], [0.0, -0.15], [0.1, -0.1]]])
     for w in moves:
         gauge = np.max(y @ (F_ETA_2 @ w) / support)
-        f_lo, f_hi = (float(f[0, 1]) for f in mg.limit_torus_bounds(np.array([[0.0, 0.0], w]),
-                                                                     rho2))
+        f_lo, f_hi = (float(ecc[0]) for ecc in mg.limit_torus_bounds(np.array([[0.0, 0.0], w]),
+                                                                       rho2))
         assert f_lo * (1 - 5e-6) <= gauge <= f_hi * (1 + 5e-6)
         if np.all(F_ETA_2 @ w != 0):
             assert f_lo == f_hi
     if rho2 == 0.45:
         f_lo, f_hi = mg.limit_torus_bounds(np.array([[0.0, 0.0], [0.1, 0.0]]), rho2)
-        assert f_hi[0, 1] > f_lo[0, 1] * (1 + 1e-4)
-
-
-def _gathered_pair_bounds(torus_t, rho2):
-    """limit_torus_bounds with every pair i < j gathered as one row t_j - t_i:
-    row-first sums and one _segment_excess call over the pairs outside K."""
-    count = len(torus_t)
-    i, j = np.triu_indices(count, 1)
-    diff = torus_t[j] - torus_t[i]
-    v = np.abs(mg._l1_lattice_vectors((diff - np.floor(diff)).T).T).copy(order="C")
-    l1 = np.sum(v, axis=1)  # along rows in memory, as numpy adds a row
-    log_c = -4 * math.pi**2 * rho2 * rho2
-    lo = l1 / (2 * math.pi * rho2)
-    hi = lo.copy()
-    far = np.flatnonzero(l1)
-    with np.errstate(divide="ignore"):
-        log_q = np.log(v[far]) - np.log(l1[far])[:, None]
-    out = np.sum(log_q, axis=1) < log_c
-    hi[far[out]] = lo[far[out]] * np.sqrt(mg._segment_excess(log_q[out], log_c))
-    f_lo, f_hi = np.zeros((2, count, count))
-    f_lo[i, j] = f_lo[j, i] = lo
-    f_hi[i, j] = f_hi[j, i] = hi
-    return f_lo, f_hi, np.count_nonzero(out)
+        assert f_hi[0] > f_lo[0] * (1 + 1e-4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
@@ -803,33 +725,34 @@ def test_limit_torus_bounds_blocks_equal_the_gathered_pairs(n, near):
     # one row block holds up to `step` x `step` pairs: counts around it and
     # past three of them cross the block edges.  At 1.001x the threshold most
     # pairs lie outside K, so every block feeds the one bisection; at n = 7
-    # the n + 1 = 8 entries of a move are summed pairwise along a row
+    # the n + 1 = 8 entries of a move are summed pairwise along a row.  The
+    # row maxima are those of the gathered (N, N) bounds, bitwise
     step = math.isqrt(mg._BLOCK_PAIRS)
     rho2 = feasibility_threshold(n) * 1.001 if near else 0.55 + 0.05 * n
     for count in (1, 2, step - 1, step, step + 1, 3 * step + 1):
         torus_t = draw_torus(n, count, count)[:, n:]
-        f_lo, f_hi = mg.limit_torus_bounds(torus_t, rho2)
-        want_lo, want_hi, outside = _gathered_pair_bounds(torus_t, rho2)
-        assert np.array_equal(f_lo, want_lo) and np.array_equal(f_hi, want_hi)
-        assert np.array_equal(f_lo, f_lo.T) and np.array_equal(f_hi, f_hi.T)
-        assert not np.any(np.diag(f_lo)) and not np.any(np.diag(f_hi))
+        ecc_lo, ecc_hi = mg.limit_torus_bounds(torus_t, rho2)
+        f_lo, f_hi, outside = gathered_pair_bounds(torus_t, rho2)
+        assert np.array_equal(ecc_lo, np.max(f_lo, axis=1))
+        assert np.array_equal(ecc_hi, np.max(f_hi, axis=1))
         assert np.all(f_lo <= f_hi)
         if near and count > step:
             assert outside > count * (count - 1) // 4
 
 
 def test_limit_torus_bounds_memory_stays_in_blocks():
-    # the two (N, N) results alone are 16 MB at N = 1,000; a whole-grid or
-    # whole-pair-list temporary would add tens of MB more
+    # at N = 1,000 the peak read 3.3 MB: the block temporaries and the pairs
+    # outside K.  One (N, N) array alone is 8 MB, and a whole-grid or
+    # whole-pair-list temporary tens of MB more
     torus_t = draw_torus(2, 1000, 0)[:, 2:]
     tracemalloc.start()
     try:
-        f_lo, f_hi = mg.limit_torus_bounds(torus_t, 0.6)
+        ecc_lo, ecc_hi = mg.limit_torus_bounds(torus_t, 0.6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.all(f_lo <= f_hi)
-    assert peak < 40e6
+    assert np.all(ecc_lo <= ecc_hi)
+    assert peak < 5e6
 
 
 def _dijkstra(adjacent, source):
@@ -872,7 +795,7 @@ def test_product_grid_geodesics_lie_in_the_bracket(rho1):
     nodes = [tuple(int(x) for x in rng.integers(0, (count, side, side))) for _ in range(6)]
     shape = s[[k for k, _, _ in nodes]]
     torus_t = np.array([[a / side, b / side] for _, a, b in nodes])
-    f_lo, f_hi = mg.limit_torus_bounds(torus_t, rho2)
+    f_lo, f_hi, _ = gathered_pair_bounds(torus_t, rho2)
     chord = np.linalg.norm(shape[:, None] - shape[None], axis=-1) / rho2
     tau = mg.degenerate_limit(shape, torus_t, rho2).tau
     a_lo, a_hi = np.maximum(f_lo, rho1**2 * chord), f_hi + rho1**2 * tau
@@ -933,8 +856,18 @@ def test_interval_gaps_equal_the_explicit_gap_matrix(data, na, nb, scale, rho1):
     y_lo, y_hi = flat * a_lo, flat * a_hi
     x_lo, x_hi = np.maximum(y_lo, radial * limit.ecc_chord), y_hi + radial * limit.tau
     gap = np.maximum(np.maximum(x_lo[:, None] - y_hi[None, :], y_lo[None, :] - x_hi[:, None]), 0.0)
-    want = mg.hausdorff_from_cross(gap) / float(np.max(x_hi) + np.max(y_hi))
+    want = cross_hausdorff(gap) / float(np.max(x_hi) + np.max(y_hi))
     assert mg.degenerate_ngh(limit, rho1).lower == want
+
+
+def test_degenerate_ngh_of_one_point_is_point_like():
+    # every eccentricity 0: the sample and its torus rows are one point
+    # each, which compare at 0 by convention, as in ngh_distance
+    limit = mg.DegenerateLimit(np.zeros(3), np.zeros(3), np.zeros(3), 4 * math.pi / 0.6)
+    for rho1 in (1e-3, 1.0, 7.0):
+        assert mg.degenerate_ngh(limit, rho1) == (0.0, 0.0, True)
+    one = mg.degenerate_limit(np.full((1, 3), 1 / math.sqrt(3)), np.zeros((1, 2)), 0.6)
+    assert mg.degenerate_ngh(one, 0.5) == (0.0, 0.0, True)
 
 
 def test_degenerate_limit_needs_a_connected_base():
