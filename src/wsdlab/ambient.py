@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,6 +23,8 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 PI2 = math.pi**2
 FOUR_PI2 = 4.0 * math.pi**2
+# 2 pi^2 to 35 digits, for exponents such as log c / 2n formed exactly
+_TWO_PI2 = Fraction("19.739208802178717237668981999752302")
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 

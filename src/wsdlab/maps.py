@@ -49,8 +49,8 @@ def _as_complex(z, label: str) -> np.ndarray:
     arr = np.asarray(z, dtype=complex).reshape(-1)
     if arr.size < 2:
         raise ValueError(f"{label} needs at least two components")
-    if not np.any(arr != 0):
-        raise ValueError(f"{label} must have a nonzero representative")
+    if not (np.all(np.isfinite(arr)) and np.any(arr != 0)):
+        raise ValueError(f"{label} must be a finite, nonzero representative")
     return arr
 
 
@@ -66,8 +66,8 @@ class CPnPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "z", _as_complex(self.z, "CPnPoint.z"))
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -98,10 +98,10 @@ def project_pi2(u, torus_t) -> np.ndarray:
     """Second projection of the log-shape u = log(r / rho1): |z_i| =
     sqrt(-u_i / (2 pi^2)), phase e^{-2 pi i eta_i}, eta = F_eta t.
 
-    The representatives lie at scale sum |z_i|^2 = rho2^2, the normalization
-    under which metgeo.hn_distance defaults to the right scale; the
-    unit-sphere representative is this one divided by rho2.  The domain is
-    checked once for the whole stack.
+    The representatives lie at scale sum |z_i|^2 = rho2^2, so hn_distance
+    measures CPnPoint(z, rho2^2) at the image's scale rho2; the unit-sphere
+    representative is this one divided by rho2.  The domain is checked once
+    for the whole stack.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u > 0):

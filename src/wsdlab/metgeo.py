@@ -5,8 +5,8 @@ the degenerate metric's limit torus, bracketed in closed form with no
 graph search.
 
 The quotient chart has one distance kernel, hn_matrix, over the dual-simplex
-phase group; hn_distance is its 1x1 case (no command calls either), and
-fubini_study_distance stays a scalar arccos formula, the independent
+phase group; hn_distance reads its two-row case (no command calls either),
+and fubini_study_distance stays a scalar arccos formula, the independent
 reference the kernel is tested against.
 
 Every flat-torus diameter is one covering-radius formula,
@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .ambient import FOUR_PI2, PI2, TWO_PI, torus_metric_weights
 from .polytope import finite_coset_representatives, lattice_maps
-from .reduction import LevelSetSpec, require_regular
+from .reduction import LevelSetSpec, _rising_root, _small_root, require_regular
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,8 @@ class FiniteMetricSample:
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("dist must be a square matrix")
         if d.size:
-            if np.any(d < 0) or np.max(np.abs(np.diag(d))) != 0.0:
-                raise ValueError("dist must be nonnegative with zero diagonal")
+            if not np.all(np.isfinite(d)) or np.any(d < 0) or np.max(np.abs(np.diag(d))) != 0:
+                raise ValueError("dist must be finite and nonnegative with zero diagonal")
             if np.max(np.abs(d - d.T)) > 1e-12 * max(1.0, float(np.max(d))):
                 raise ValueError("dist must be symmetric")
         object.__setattr__(self, "dist", d)
@@ -91,39 +90,38 @@ def _quotient_phases(n: int) -> np.ndarray:
     return np.array([[float(f) for f in rep] for rep in reps])
 
 
-def hn_matrix(z: np.ndarray, rho: float, n: int, w: np.ndarray | None = None) -> np.ndarray:
-    """Quotient distances: the finite phase group is minimized out exactly; the
-    circle factor is a global phase that the overlap modulus already ignores."""
+def hn_matrix(z: np.ndarray, rho: float, n: int) -> np.ndarray:
+    """Quotient distances between rows of z: the finite phase group is minimized
+    out exactly; the circle factor is a global phase the overlap ignores."""
     u = _unit_rows(z)
-    v = u if w is None else _unit_rows(w)
     best = None
     for phase in _quotient_phases(n):
-        ang = _angles(u, v * np.exp(2j * math.pi * phase)[None, :])
+        ang = _angles(u, u * np.exp(2j * math.pi * phase)[None, :])
         best = ang if best is None else np.minimum(best, ang)
     d = rho * best
-    if w is None:
-        np.fill_diagonal(d, 0.0)
-        d = 0.5 * (d + d.T)
-    return d
+    np.fill_diagonal(d, 0.0)
+    return 0.5 * (d + d.T)
 
 
-def fubini_study_distance(z, w, rho: float | None = None) -> float:
-    """Distance rho * arccos(|<z,w>| / (|z||w|)) between two maps.CPnPoint;
-    rho defaults to sqrt(z.lam)."""
-    if rho is None:
-        rho = math.sqrt(z.lam)
+def _common_scale(p, q) -> float:
+    """sqrt(lam) of two maps.CPnPoint at the same scale lam."""
+    if abs(p.lam - q.lam) > 1e-8 * max(p.lam, q.lam):
+        raise ValueError("the distance needs representatives at the same scale")
+    return math.sqrt(p.lam)
+
+
+def fubini_study_distance(z, w) -> float:
+    """Distance sqrt(lam) arccos(|<z,w>| / (|z||w|)) between two maps.CPnPoint
+    at the same scale lam."""
+    rho = _common_scale(z, w)
     overlap = abs(np.vdot(z.z, w.z)) / (np.linalg.norm(z.z) * np.linalg.norm(w.z))
     return rho * math.acos(min(1.0, overlap))
 
 
-def hn_distance(p, q, rho: float | None = None) -> float:
-    """Quotient distance between two maps.CPnPoint at the same scale: the 1x1
-    case of hn_matrix; rho defaults to sqrt(lam)."""
-    if abs(p.lam - q.lam) > 1e-8 * max(p.lam, q.lam):
-        raise ValueError("quotient distance needs representatives at the same scale")
-    if rho is None:
-        rho = math.sqrt(p.lam)
-    return float(hn_matrix(p.z[None, :], rho, p.n, q.z[None, :])[0, 0])
+def hn_distance(p, q) -> float:
+    """Quotient distance between two maps.CPnPoint at the same scale lam:
+    entry [0, 1] of hn_matrix on the two rows, at scale sqrt(lam)."""
+    return float(hn_matrix(np.stack([p.z, q.z]), _common_scale(p, q), p.n)[0, 1])
 
 
 # -- Gromov-Hausdorff bounds ---------------------------------------------------
@@ -247,15 +245,15 @@ def _greedy_reduce(basis: np.ndarray) -> np.ndarray:
         a, b = b, a
 
 
-def _dist_to_lattice(points: np.ndarray, basis: np.ndarray, box: int = 2) -> np.ndarray:
-    """Distance of each row to the lattice, via rounding plus a local coefficient box.
+def _dist_to_lattice(points: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Distance of each row to the lattice, via rounding down plus offsets -2..3.
 
     Brute force and independent of the covering-radius formula, so the tests
     use it as the oracle for flat_torus_diameter and the closed form."""
     coeff = np.linalg.lstsq(basis, points.T, rcond=None)[0].T
     base = np.floor(coeff)
     k = basis.shape[1]
-    offsets = np.array(list(itertools.product(range(-box, box + 2), repeat=k)))
+    offsets = np.array(list(itertools.product(range(-2, 4), repeat=k)))
     best = None
     for off in offsets:
         delta = points - (base + off) @ basis.T
@@ -350,24 +348,6 @@ def pi1_fiber_bound(spec: LevelSetSpec) -> float:
 
 # -- distance to the anticanonical divisor --------------------------------------
 
-# 2 pi^2 to 35 digits: log c / 2n is formed exactly, so e^{log c / 2n} keeps
-# double precision where log c is in the thousands
-_TWO_PI2 = Fraction("19.739208802178717237668981999752302")
-
-
-def _rising_root(a: float, k: float) -> float:
-    """The smallest root y >= 0 of the concave f(y) = a y + log1p(-k e^y),
-    f(0) <= 0 < max f: Newton from 0 rises monotonically onto it, since each
-    tangent lies above f, and stops once a step no longer raises y."""
-    y = 0.0
-    while True:
-        e = k * math.exp(y)
-        y_new = y - (a * y + math.log1p(-e)) * (1.0 - e) / (a * (1.0 - e) - e)
-        if not y_new > y:
-            return y
-        y = y_new
-
-
 def divisor_offsets(n: int, rho2: float) -> tuple[float, float]:
     """(h1, h2): the sup over the pi1 resp. pi2 image of the distance to the
     divisor {z_j = 0}, at unit scale (rho1 h1 and rho2 h2 at the images'
@@ -386,16 +366,14 @@ def divisor_offsets(n: int, rho2: float) -> tuple[float, float]:
     t+ > 1/m.  Under pi2 |z_j|^2 = -log q_j / 4 pi^2 and |z| = rho2, so
     h2 = arcsin(sqrt(-log t+) / (2 pi rho2)).
 
-    t- = c^{1/n} e^y, n y + log1p(-n t-) = 0; t+ = (1 - d) / n, d = n^n c e^z,
-    z / n + log1p(-d) = 0, so -log t+ = log n - log1p(-d) stays exact at n = 1.
-    Raises EmptyLevelSet unless the level set is regular, and OverflowError
-    where log c leaves the doubles (rho2 ~1e153).
+    sqrt(t-) is _small_root's, as in reduction.solve_base at n = 1; t+ =
+    (1 - d) / n, d = n^n c e^z, z / n + log1p(-d) = 0, so -log t+ = log n -
+    log1p(-d) stays exact at n = 1.  Raises EmptyLevelSet unless the level
+    set is regular, and OverflowError where log c / 2n leaves the doubles
+    (rho2 ~1e153).
     """
     require_regular(LevelSetSpec(n, 1.0, rho2))
-    half = -_TWO_PI2 * Fraction(rho2) ** 2 / n  # log c / 2n
-    hi = float(half)
-    y = _rising_root(n, n * math.exp(2.0 * hi))
-    root = math.exp(hi) * math.exp(float(half - Fraction(hi)) + 0.5 * y)  # sqrt(t-)
+    root, hi = _small_root(n, rho2)  # sqrt(t-), log c / 2n
     if n == 1:  # t+ = 1 - t-: -log t+ ~ t- leaves the doubles before its root does
         t = root * root
         mod = root * math.sqrt(-math.log1p(-t) / t) if t else root
@@ -421,18 +399,6 @@ def _row_blocks(count: int, upper: bool):
         r1 = min(count, r0 + max(1, _BLOCK_PAIRS // (count - r0 if upper else count)))
         yield r0, r1
         r0 = r1
-
-
-def _coord_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the first (coordinate) axis with the bits of np.sum along a
-    row of the row-first layout: numpy adds fewer than 8 row entries in
-    turn, more of them pairwise, so those go through a row-first copy."""
-    if len(a) >= 8:
-        return np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1)
-    total = a[0].copy()
-    for row in a[1:]:
-        total += row
-    return total
 
 
 def chord_eccentricities(points: np.ndarray) -> np.ndarray:
@@ -470,7 +436,7 @@ def _l1_lattice_vectors(delta: np.ndarray) -> np.ndarray:
             top = np.maximum(d[k], d[k + 1])
             np.minimum(d[k], d[k + 1], out=d[k + 1])
             d[k] = top
-    total = _coord_sum(d)
+    total = np.sum(d, axis=0)
     best, shift, prefix = 2.0 * total, np.zeros_like(total), 0.0  # j = 0
     for j in range(1, n + 1):
         prefix = prefix + d[j - 1]
@@ -532,13 +498,13 @@ def limit_torus_bounds(torus_t: np.ndarray, rho2: float) -> tuple[np.ndarray, np
     for r0, r1 in _row_blocks(count, upper=True):
         diff = cols[:, None, r0:] - cols[:, r0:r1, None]
         v = np.abs(_l1_lattice_vectors(diff - np.floor(diff)))
-        l1 = np.triu(_coord_sum(v), 1)  # keep i < j: v and -v give one bound
+        l1 = np.triu(np.sum(v, axis=0), 1)  # keep i < j: v and -v give one bound
         lo = l1 / (TWO_PI * rho2)
         # a zero move v_i gives q*_i = 0; where l1 = 0 (no move, or j <= i)
         # log q* is not finite and the pair is not kept
         with np.errstate(divide="ignore", invalid="ignore"):
             log_q = np.log(v) - np.log(l1)
-            out = (l1 > 0) & (_coord_sum(log_q) < log_c)
+            out = (l1 > 0) & (np.sum(log_q, axis=0) < log_c)
         a, b = np.nonzero(out)
         if a.size:
             outside.append((r0 + a, r0 + b, lo[a, b], log_q[:, a, b].T))

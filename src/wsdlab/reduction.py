@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .ambient import (
+    _TWO_PI2,
     FOUR_PI2,
     PI2,
     TWO_PI,
@@ -81,7 +83,7 @@ class EmptyLevelSet(ValueError):
     """The level set is not regular, so it has no sample to solve for."""
 
 
-def feasibility(spec: LevelSetSpec, rel_tol: float = 1e-12) -> str:
+def feasibility(spec: LevelSetSpec) -> str:
     """Classify the level set as "empty", "degenerate", or "regular".
 
     Non-empty iff (-k1/pi) e^{4 pi k2/(n+1)} >= n+1, with equality the single
@@ -98,7 +100,7 @@ def feasibility(spec: LevelSetSpec, rel_tol: float = 1e-12) -> str:
     if lhs == math.inf:
         return "regular"
     rhs = math.log(m)
-    band = rel_tol * max(1.0, abs(lhs), abs(rhs))
+    band = 1e-12 * max(1.0, abs(lhs), abs(rhs))
     if lhs < rhs - band:
         return "empty"
     if lhs <= rhs + band:
@@ -186,12 +188,11 @@ def _stream_keys(seed: int, idx: np.ndarray, *tag: int) -> np.ndarray:
     return np.stack([lo0 | hi0 << shift, lo1 | hi1 << shift], axis=1)
 
 
-def stream_rows(seed: int, count: int, width: int,
-                draw: Callable[[np.random.Generator, int], np.ndarray],
+def stream_rows(seed: int, count: int, width: int, low: float, high: float,
                 *tag: int) -> np.ndarray:
-    """Rows draw(rng, width) for idx = 0..count-1, where rng is the Philox
-    stream keyed by SeedSequence((seed % 2**63, idx, *tag)), as one read-only
-    (count, width) array.
+    """Rows rng.uniform(low, high, width) for idx = 0..count-1, where rng is
+    the Philox stream keyed by SeedSequence((seed % 2**63, idx, *tag)), as one
+    read-only (count, width) array.
 
     The keys come from one SeedSequence-equivalent array pass
     (`_stream_keys`), and one Philox is re-keyed per row: counter 0, that
@@ -210,7 +211,7 @@ def stream_rows(seed: int, count: int, width: int,
     for idx in range(count):
         fresh["state"]["key"] = keys[idx]
         bit_gen.state = fresh
-        rows[idx] = draw(rng, width)
+        rows[idx] = rng.uniform(low, high, width)
     rows.setflags(write=False)
     return rows
 
@@ -250,10 +251,39 @@ def draw_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
     if n == 1:
         d = np.empty((count, 0))
     else:
-        logw = stream_rows(seed, count, n + 1, lambda rng, k: rng.uniform(-3.0, 3.0, k))
+        logw = stream_rows(seed, count, n + 1, -3.0, 3.0)
         d = logw - np.mean(logw, axis=1, keepdims=True)
     d.setflags(write=False)
     return d
+
+
+def _rising_root(a: float, k: float) -> float:
+    """The smallest root y >= 0 of the concave f(y) = a y + log1p(-k e^y),
+    f(0) <= 0 < max f: Newton from 0 rises monotonically onto it, since each
+    tangent lies above f, and stops once a step no longer raises y."""
+    y = 0.0
+    while True:
+        e = k * math.exp(y)
+        y_new = y - (a * y + math.log1p(-e)) * (1.0 - e) / (a * (1.0 - e) - e)
+        if not y_new > y:
+            return y
+        y = y_new
+
+
+def _small_root(n: int, rho2: float) -> tuple[float, float]:
+    """(sqrt(t-), h): t- < 1/(n+1) the small root of t^n (1 - n t) = c,
+    c = e^{-4 pi^2 rho2^2}, the least coordinate square over the base, and
+    h = log c / 2n rounded.  t- = c^{1/n} e^y, n y + log1p(-n t-) = 0, and
+    c^{1/2n} = e^h e^{log c / 2n - h} is formed exactly: the float product
+    -4 pi^2 rho2^2 is off by ~1.5 ulp of |log c|.  Where e^h is 0 so is
+    sqrt(t-), returned before the residual (> 709 from rho2 ~1e9) overflows."""
+    half = -_TWO_PI2 * Fraction(rho2) ** 2 / n
+    h = float(half)
+    scale = math.exp(h)
+    if scale == 0.0:
+        return 0.0, h
+    y = _rising_root(n, n * math.exp(2.0 * h))
+    return scale * math.exp(float(half - Fraction(h)) + 0.5 * y), h
 
 
 def _radii_underflow(spec: LevelSetSpec) -> ArithmeticError:
@@ -270,8 +300,8 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     Its centre u = L/m (m = n+1) lies strictly inside the sphere exactly when
     the spec is regular, so every sum-zero direction d meets the base once,
     at a ray parameter t > 0 solved per row (`_log_ray_roots`).  For n = 1
-    the base is the finite solution set of a quadratic and is enumerated
-    exactly instead, alternating its two points.  Either way the rows are
+    it is (hi, lo) and (lo, hi), alternated: lo = sqrt(t-) from _small_root,
+    as in divisor_offsets, and hi = sqrt(1 - lo^2).  Either way the rows are
     rho1 times the shape the solve finds from rho2 alone, so they are bitwise
     spec.rho1 times the rows of the spec with rho1 = 1.
 
@@ -290,13 +320,8 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
         raise _radii_underflow(spec)
 
     if spec.n == 1:
-        # x^2 are the roots of q^2 - q + e^{2 log_target} = 0; the small root
-        # comes from Vieta (q_hi q_lo = e^{2 lt}) to dodge the 1 - sqrt(1-eps)
-        # cancellation when the product constraint is tiny
-        disc = 1.0 - 4.0 * math.exp(2.0 * log_target)
-        q_hi = (1.0 + math.sqrt(disc)) / 2.0
-        hi = math.sqrt(q_hi)
-        lo = math.exp(log_target) / hi
+        lo = _small_root(1, spec.rho2)[0]
+        hi = math.sqrt(1.0 - lo * lo)
         pts = np.array([[hi, lo], [lo, hi]]) * rho1
         if not np.all(pts > 0):
             raise _radii_underflow(spec)
@@ -336,7 +361,7 @@ def draw_torus(n: int, count: int, seed: int = 0) -> np.ndarray:
     """Uniform torus coordinates for samples 0..count-1, from stream
     (seed, idx, 1): read-only (count, 2n) rows, s in the first n columns and
     t in the last n."""
-    return stream_rows(seed, count, 2 * n, lambda rng, k: rng.uniform(0.0, 1.0, k), 1)
+    return stream_rows(seed, count, 2 * n, 0.0, 1.0, 1)
 
 
 def _raw_pair(r: np.ndarray):

@@ -1,7 +1,7 @@
 """Helpers shared by the test modules."""
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import mpmath
 import numpy as np
@@ -44,11 +44,11 @@ def fresh_stream(seed: int, idx: int, *tag: int) -> np.random.Generator:
 @lru_cache(maxsize=None)
 def divisor_offsets_mp(n: int, rho2: float) -> tuple:
     """Reference: the unit-scale divisor offsets (h1, h2) of metgeo.divisor_offsets
-    as 50-digit mpmath numbers, from mpmath's bracketed roots of
-    t^n (1 - n t) = c, c = e^{-4 pi^2 rho2^2} taken exactly at the double rho2:
-    t- as s = log t- in [log c / n, (log c + log m) / n], and t+ through
-    l = log(1 - n t+) in [log c + n log n, log c + n log m]."""
-    with mpmath.workdps(50):
+    as mpmath numbers with 50 digits past the integer part of log c, from
+    mpmath's bracketed roots of t^n (1 - n t) = c, c = e^{-4 pi^2 rho2^2} taken
+    exactly at the double rho2: t- as s = log t- in [log c / n, (log c + log m) / n],
+    and t+ through l = log(1 - n t+) in [log c + n log n, log c + n log m]."""
+    with mpmath.workdps(50 + max(0, math.ceil(math.log10(4 * math.pi**2 * rho2 * rho2)))):
         log_c = -4 * mpmath.pi ** 2 * mpmath.mpf(rho2) ** 2
         log_m, log_n = mpmath.log(n + 1), mpmath.log(n)
         s = mpmath.findroot(lambda s: n * s + mpmath.log1p(-n * mpmath.exp(s)) - log_c,
@@ -69,20 +69,20 @@ def cross_hausdorff(cross) -> float:
 def gathered_pair_bounds(torus_t, rho2):
     """Reference: metgeo.limit_torus_bounds's pairwise (f_lo, f_hi) as full
     (N, N) matrices, and the count of pairs outside K, with every pair i < j
-    gathered as one row t_j - t_i: row-first sums and one _segment_excess call
-    over the pairs outside K."""
+    gathered as one row t_j - t_i: each sum over a row's coordinates taken in
+    turn, and one _segment_excess call over the pairs outside K."""
     count = len(torus_t)
     i, j = np.triu_indices(count, 1)
     diff = torus_t[j] - torus_t[i]
-    v = np.abs(metgeo._l1_lattice_vectors((diff - np.floor(diff)).T).T).copy(order="C")
-    l1 = np.sum(v, axis=1)  # along rows in memory, as numpy adds a row
+    v = np.abs(metgeo._l1_lattice_vectors((diff - np.floor(diff)).T).T)
+    l1 = reduce(np.add, v.T)
     log_c = -4 * math.pi**2 * rho2 * rho2
     lo = l1 / (2 * math.pi * rho2)
     hi = lo.copy()
     far = np.flatnonzero(l1)
     with np.errstate(divide="ignore"):
         log_q = np.log(v[far]) - np.log(l1[far])[:, None]
-    out = np.sum(log_q, axis=1) < log_c
+    out = reduce(np.add, log_q.T) < log_c
     hi[far[out]] = lo[far[out]] * np.sqrt(metgeo._segment_excess(log_q[out], log_c))
     f_lo, f_hi = np.zeros((2, count, count))
     f_lo[i, j] = f_lo[j, i] = lo

@@ -49,6 +49,12 @@ def test_point_type_validation():
         CPnPoint([1, 0], 0.0)
     with pytest.raises(ValueError):
         CPnPoint([1], 1.0)
+    for z in ([1.0, math.nan], [1.0, math.inf], [complex(1.0, -math.inf), 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            CPnPoint(z, 1.0)
+    for lam in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            CPnPoint([1, 0], lam)
 
 
 def test_project_pi1_section_and_sphere():
@@ -100,17 +106,22 @@ def test_fubini_study_distance_axioms():
     z = CPnPoint([1.0, 0.0, 0.0], 1.0)
     w = CPnPoint([0.0, 1.0, 0.0], 1.0)
     assert fubini_study_distance(z, z) == 0.0
-    assert abs(fubini_study_distance(z, w, rho=1.0) - PI / 2) < 1e-15
+    assert abs(fubini_study_distance(z, w) - PI / 2) < 1e-15
     rng = np.random.default_rng(13)
     for _ in range(1000):
         a, b, c = (CPnPoint(rng.standard_normal(3) + 1j * rng.standard_normal(3), 1.0)
                    for _ in range(3))
-        dab = fubini_study_distance(a, b, 1.0)
-        dbc = fubini_study_distance(b, c, 1.0)
-        dac = fubini_study_distance(a, c, 1.0)
+        dab = fubini_study_distance(a, b)
+        dbc = fubini_study_distance(b, c)
+        dac = fubini_study_distance(a, c)
         assert dac <= dab + dbc + 1e-12
-    # scale multiplies distances
-    assert fubini_study_distance(z, w, rho=2.5) == pytest.approx(2.5 * PI / 2)
+    # the scale sqrt(lam) multiplies distances
+    far = CPnPoint(w.z, 6.25)
+    assert fubini_study_distance(CPnPoint(z.z, 6.25), far) == pytest.approx(2.5 * PI / 2)
+    # mixed scales are rejected in either order
+    for p, q in ((z, far), (far, z)):
+        with pytest.raises(ValueError, match="same scale"):
+            fubini_study_distance(p, q)
 
 
 def test_phi_round_trip_and_domain():

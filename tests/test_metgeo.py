@@ -37,6 +37,10 @@ def test_sample_validation():
         mg.FiniteMetricSample(np.array([[0.5, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         mg.FiniteMetricSample(np.zeros((2, 3)))
+    # a NaN or inf distance is rejected here, not met later by gh_bounds
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dist must be finite"):
+            mg.FiniteMetricSample(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def _triangle_defect(d):
@@ -72,9 +76,10 @@ def test_cp1_diameter_monte_carlo():
 
 
 def test_hausdorff_identity_and_containment():
+    # cross distances are the off-diagonal block of the stacked rows' matrix
     z = _sphere_rows(25, 2, seed=4)
-    assert cross_hausdorff(mg.hn_matrix(z, 1.0, 2, z)) < 1e-12
-    cross = mg.hn_matrix(z, 1.0, 2, np.vstack([z, _sphere_rows(15, 2, seed=5)]))
+    assert cross_hausdorff(mg.hn_matrix(np.vstack([z, z]), 1.0, 2)[:25, 25:]) < 1e-12
+    cross = mg.hn_matrix(np.vstack([z, z, _sphere_rows(15, 2, seed=5)]), 1.0, 2)[:25, 25:]
     # z is inside the larger set, so only the larger set's far side counts
     assert np.max(np.min(cross, axis=1)) < 1e-12
     assert cross_hausdorff(cross) == np.max(np.min(cross, axis=0))
@@ -87,7 +92,8 @@ def test_hausdorff_parallel_circles():
     phases = np.exp(2j * math.pi * np.arange(64) / 64)
     circ = lambda a: np.stack([np.full(64, math.cos(a), dtype=complex),
                                math.sin(a) * phases], axis=1)
-    h = cross_hausdorff(mg.hn_matrix(circ(a0), 1.0, 1, circ(a0 + delta)))
+    both = mg.hn_matrix(np.vstack([circ(a0), circ(a0 + delta)]), 1.0, 1)
+    h = cross_hausdorff(both[:64, 64:])
     assert abs(h - delta) < 3e-3
 
 
@@ -531,8 +537,10 @@ def _rho2_ladder(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_divisor_offsets_match_a_50_digit_root(n):
     # 1e-13 relative wherever an offset is a normal double; at n = 1 past
-    # rho2 ~6 it is subnormal, and two units of 2**-1074 is that grid
-    for rho2 in _rho2_ladder(n):
+    # rho2 ~6 it is subnormal, and two units of 2**-1074 is that grid.  From
+    # rho2 ~1e9 the rounding residual of log c / 2n alone exceeds 709, while
+    # the sqrt(t-) it scales is 0: h1 is 0 there, and so is h2 at n = 1
+    for rho2 in _rho2_ladder(n) + [1e10, 1.3e11, 2.7e40, 5.9e152]:
         for got, want in zip(mg.divisor_offsets(n, rho2), divisor_offsets_mp(n, rho2)):
             assert abs(mpmath.mpf(got) - want) <= max(1e-13 * want, 2 * 2.0 ** -1074), (n, rho2)
 
@@ -552,7 +560,7 @@ def test_divisor_offsets_at_n1_are_the_sampled_pair(rho2):
     shape = sample_base(LevelSetSpec(1, 1.0, rho2), 2)
     lo = shape[0, 1]
     h1, h2 = mg.divisor_offsets(1, rho2)
-    assert h1 == pytest.approx(math.asin(lo), rel=1e-12)
+    assert h1 == math.asin(lo)  # one root for both
     torus_t = np.zeros((2, 1))
     if rho2 < 6:
         mod = float(np.min(np.abs(project_pi2(log_shape(shape), torus_t))))
@@ -576,11 +584,10 @@ def test_divisor_offsets_bound_every_sample_and_are_attained(n, excess, seed):
     t_lo = math.sin(h1) ** 2
     t_hi = math.exp(-(2 * math.pi * rho2 * math.sin(h2)) ** 2)
     assert t_lo < 1 / (n + 1) < t_hi
-    # brute force: no sampled base point lies beyond either extreme
-    # (at n = 1 the sample is the extremal pair itself, which the sampler's
-    # Vieta step rounds to ~50 ulp; the n = 1 test above holds it to 1e-12)
+    # brute force: no sampled base point lies beyond either extreme (at
+    # n = 1 the sample is the extremal pair itself)
     x2 = sample_base(LevelSetSpec(n, 1.0, rho2), 48, seed) ** 2
-    slack = 8 * np.finfo(float).eps if n > 1 else 1e-12
+    slack = 8 * np.finfo(float).eps
     assert np.all(np.min(x2, axis=1) <= t_lo * (1 + slack))
     assert np.all(np.max(x2, axis=1) >= t_hi * (1 - slack))
     # both extremal vertices lie on B = {sum q = 1, sum log q = log c}: each
@@ -725,8 +732,9 @@ def test_limit_torus_bounds_blocks_equal_the_gathered_pairs(n, near):
     # one row block holds up to `step` x `step` pairs: counts around it and
     # past three of them cross the block edges.  At 1.001x the threshold most
     # pairs lie outside K, so every block feeds the one bisection; at n = 7
-    # the n + 1 = 8 entries of a move are summed pairwise along a row.  The
-    # row maxima are those of the gathered (N, N) bounds, bitwise
+    # a move's n + 1 = 8 entries, which numpy would add pairwise along a row,
+    # are added in turn on both sides.  The row maxima are those of the
+    # gathered (N, N) bounds, bitwise
     step = math.isqrt(mg._BLOCK_PAIRS)
     rho2 = feasibility_threshold(n) * 1.001 if near else 0.55 + 0.05 * n
     for count in (1, 2, step - 1, step, step + 1, 3 * step + 1):

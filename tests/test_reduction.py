@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_tensors, fresh_stream
+from helpers import dense_tensors, divisor_offsets_mp, fresh_stream
 from wsdlab.ambient import FOUR_PI2, convert_parameters, feasibility_threshold, moment_map
 from wsdlab.reduction import (
     EmptyLevelSet,
@@ -301,6 +301,16 @@ def test_sample_base_n1_enumeration():
     prod_target = math.exp(-2 * PI * s.k2)
     assert abs(pts[0][0] * pts[0][1] - prod_target) < 1e-12 * prod_target
     assert pts[0][0] != pts[0][1]
+    # the pair is (sqrt(t+), sqrt(t-)), t- < t+ = 1 - t- the roots of
+    # t (1 - t) = c: both within 4 eps of a 50-digit root, from next to the
+    # threshold, where t- and t+ nearly meet, to where sqrt(t-) is subnormal
+    thr = feasibility_threshold(1)
+    for rho2 in (1.0001 * thr, 1.01 * thr, 1.88, 4.0, 5.7, 6.0):
+        hi, lo = sample_base(LevelSetSpec(1, 1.0, rho2), 1)[0]
+        with mpmath.workdps(50):
+            want = mpmath.sin(divisor_offsets_mp(1, rho2)[0])
+            for got, root in ((lo, want), (hi, mpmath.sqrt(1 - want * want))):
+                assert abs(got - root) <= 4 * np.finfo(float).eps * root, rho2
 
 
 def test_sample_base_rejects_nonregular():
