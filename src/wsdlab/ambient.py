@@ -165,20 +165,17 @@ def _triples(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return idx[0], idx[1], idx[2]
 
 
-def _fd_steps(r: np.ndarray, h) -> np.ndarray:
-    """Central-difference step per radius row of r (N, m): h, one step for
-    every row or an (N,) array of them.  Warns when a step is large against
-    the row's smallest radius; raises when a step is not positive or would
-    shift a radius to <= 0."""
-    r_min = np.min(r, axis=-1)
-    steps = np.full(r_min.shape, h, dtype=float)
-    if np.any(steps <= 0):
+def _check_fd_step(r: np.ndarray, h: float) -> None:
+    """Check the central-difference step h against the radius rows r (N, m):
+    warns when h is large against some row's smallest radius; raises when h
+    is not positive or would shift a radius to <= 0."""
+    if not h > 0:
         raise ValueError("step must be positive")
-    if np.any(steps >= 0.1 * r_min):
+    r_min = np.min(r, axis=-1)
+    if np.any(h >= 0.1 * r_min):
         warnings.warn("finite-difference step is large relative to min r_i", stacklevel=3)
-    if not np.all(r_min - steps > 0):
+    if not np.all(r_min - h > 0):
         raise ValueError("all radii must be strictly positive")
-    return steps
 
 
 _FD_BLOCK = 32  # radius rows per slab of the closedness kernel
@@ -193,7 +190,7 @@ def closedness_residuals(form, r, h) -> np.ndarray:
     (B, 3m, 3m).  Either way the coefficients depend on the radii alone, so
     only the m radius axes are differenced: the theta and eta rows of the
     gradient are exactly the 0 a shifted evaluation gives them.  `h` is the
-    step: one for every row, or an (N,) array with one per row.
+    one step for every row.
     A closed form yields a residual of order h^2 (exactly 0 for coefficients
     constant along the differenced axes).  A non-finite cyclic sum makes the
     row's residual inf, never a pass.  Rows go through in slabs of
@@ -208,19 +205,18 @@ def closedness_residuals(form, r, h) -> np.ndarray:
         stack = functools.partial(_form_stack, form)
     else:
         raise ValueError(f"unknown form {form!r}, expected one of {tuple(_FORMS)} or a callable")
-    steps = _fd_steps(r, h)
-    dim, shifts = 3 * m, np.eye(m)
+    _check_fd_step(r, h)
+    dim, delta = 3 * m, h * np.eye(m)
     a, b, c = _triples(dim)
     # one gradient buffer for every slab; only its radius rows are written
     grad = np.zeros((min(len(r), _FD_BLOCK), dim, dim, dim))
     out = np.empty(len(r))
     for lo in range(0, len(r), _FD_BLOCK):
         rows = slice(lo, lo + _FD_BLOCK)
-        # entry a of each row is that row's radii with r_a shifted by its step
-        base, delta = r[rows, None, :], steps[rows, None, None] * shifts
+        # entry a of each row is that row's radii with r_a shifted by h
+        base = r[rows, None, :]
         g = grad[:len(base)]
-        g[:, m:2 * m] = (stack(base + delta) - stack(base - delta)) \
-            / (2.0 * steps[rows])[:, None, None, None]
+        g[:, m:2 * m] = (stack(base + delta) - stack(base - delta)) / (2.0 * h)
         # each cyclic sum D_a w_bc + D_b w_ca + D_c w_ab, added left to right
         # over the triples a < b < c; a non-finite one makes its row inf
         t = g[:, a, b, c] + g[:, b, c, a] + g[:, c, a, b]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -49,27 +50,30 @@ class Polytope:
 
     def affine_rank(self) -> int:
         """Dimension of the affine span of the vertex set."""
-        return _affine_rank(self.vertices)
+        v0 = self.vertices[0]
+        return _eliminate([[x - y for x, y in zip(v, v0)] for v in self.vertices[1:]])[0]
 
 
-def simplex_pair(n: int) -> tuple[Polytope, Polytope]:
-    """Reflexive simplex in R^n together with its polar dual.
+def _simplex_vertices(n: int) -> tuple[IntMatrix, IntMatrix]:
+    """Vertex lists of the reflexive simplex pair in R^n, at any n >= 1.
 
     The primal simplex has vertices (n,-1,..,-1) and its coordinate
     permutations plus the all-minus-ones vertex; the dual has the standard
     basis vectors plus the all-minus-ones vertex.
     """
+    last = (-1,) * n
+    primal = tuple(tuple(n if j == i else -1 for j in range(n)) for i in range(n))
+    dual = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+    return primal + (last,), dual + (last,)
+
+
+def simplex_pair(n: int) -> tuple[Polytope, Polytope]:
+    """Reflexive simplex in R^n together with its polar dual, at desk scale
+    n <= MAX_DIM."""
     if n < 1 or n > MAX_DIM:
         raise ValueError(f"n must be in 1..{MAX_DIM}")
-    primal = []
-    for i in range(n):
-        v = [-1] * n
-        v[i] = n
-        primal.append(tuple(v))
-    primal.append(tuple([-1] * n))
-    dual = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    dual.append(tuple([-1] * n))
-    return Polytope(tuple(primal)), Polytope(tuple(dual))
+    primal, dual = _simplex_vertices(n)
+    return Polytope(primal), Polytope(dual)
 
 
 class LatticeMaps(NamedTuple):
@@ -83,16 +87,15 @@ class LatticeMaps(NamedTuple):
 
 @lru_cache(maxsize=None)
 def lattice_maps(n: int) -> LatticeMaps:
-    """The four lattice maps attached to the simplex pair in dimension n
-    (tuples only, so one cached instance per n is shared).
+    """The four lattice maps attached to the simplex pair in dimension n,
+    at any n >= 1 (tuples only, so one cached instance per n is shared).
 
     primal sends the i-th domain coordinate to the i-th dual-simplex vertex
     (x -> (x_1 - x_{n+1}, ..., x_n - x_{n+1})); dual does the same with the
     primal vertices.  Transposes embed R^n back into R^{n+1}.
     """
-    p, d = simplex_pair(n)
-    return LatticeMaps(tuple(zip(*d.vertices)), tuple(zip(*p.vertices)),
-                       d.vertices, p.vertices)
+    p, d = _simplex_vertices(n)
+    return LatticeMaps(tuple(zip(*d)), tuple(zip(*p)), d, p)
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +266,26 @@ def finite_coset_representatives(mat: Sequence[Sequence[int]]
 # Exact rational linear algebra helpers.
 
 
-def _eliminate(rows) -> tuple[int, Fraction, list[Fraction] | None]:
+def _eliminate(rows) -> tuple[int, int, list[Fraction] | None]:
     """Gauss-Jordan elimination over Q, fraction free: (rank, det, null vector).
 
-    Entries are ints or Fractions.  Each row is scaled by the lcm of its
-    denominators, then Bareiss's fraction-free Gauss-Jordan runs on Python
-    ints: every row other than the pivot row becomes (p x - f y) / p_prev,
-    with p the pivot, f the row's entry in the pivot column, y the pivot row
-    and p_prev the previous pivot; the division is exact, since each entry is
-    then a minor of the scaled matrix.  At the end every pivot row is the
-    reduced row-echelon row times the last pivot.
+    Entries are integers, each read through operator.index, so a Fraction
+    or a float raises TypeError instead of being truncated.  Bareiss's
+    fraction-free Gauss-Jordan runs on Python ints: every row other than the
+    pivot row becomes (p x - f y) / p_prev, with p the pivot, f the row's
+    entry in the pivot column, y the pivot row and p_prev the previous
+    pivot; the division is exact, since each entry is then a minor of the
+    matrix.  At the end every pivot row is the reduced row-echelon row times
+    the last pivot.
 
-    The rank and the reduced row-echelon form are those of the input, and the
-    null vector comes from the first column without a pivot (None when every
-    column has one).  On square input det is the determinant: the last pivot,
-    signed by the row swaps and divided by the row scales, or 0 when some
-    column has no pivot.  On non-square input det means nothing, and no
-    caller reads it.
+    The null vector comes from the first column without a pivot (None when
+    every column has one).  On square input det is the determinant: the last
+    pivot signed by the row swaps, or 0 when some column has no pivot.  On
+    non-square input det means nothing, and no caller reads it.
     """
-    a = []
-    scales = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (den // x.denominator) for x in row])
-        scales.append(den)
+    a = [[operator.index(x) for x in row] for row in rows]
     if not a:
-        return 0, Fraction(1), None
+        return 0, 1, None
     m, n = len(a), len(a[0])
     sign, prev = 1, 1
     pivots = []
@@ -309,7 +306,7 @@ def _eliminate(rows) -> tuple[int, Fraction, list[Fraction] | None]:
         prev = p
         pivots.append(col)
     rank = len(pivots)
-    det = Fraction(sign * prev, math.prod(scales)) if rank == n else Fraction(0)
+    det = sign * prev if rank == n else 0
     free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
         return rank, det, None
@@ -318,12 +315,6 @@ def _eliminate(rows) -> tuple[int, Fraction, list[Fraction] | None]:
     for r, pc in enumerate(pivots):
         null[pc] = Fraction(-a[r][free], prev)
     return rank, det, null
-
-
-def _affine_rank(points) -> int:
-    """Dimension of the affine span of a nonempty list of points."""
-    v0 = points[0]
-    return _eliminate([[x - y for x, y in zip(v, v0)] for v in points[1:]])[0]
 
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -352,7 +343,11 @@ def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
 
     Exhaustive over vertex subsets of size dim, so only suitable at desk
     scale (dim <= 6 with a few dozen vertices, or a simplex up to dim 8),
-    which is all this package needs.
+    which is all this package needs.  A subset counts only when its rows
+    (v, -1) have rank dim, i.e. its vertices are affinely independent: then
+    the null vector (c, b) has c != 0, and a supporting hyperplane through
+    dim such vertices is a facet.  Every facet holds dim such vertices, so
+    skipping the dependent subsets loses none.
     """
     n = p.dim
     verts = p.vertices
@@ -361,10 +356,8 @@ def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
     facets: dict[tuple, Facet] = {}
     for subset in itertools.combinations(range(len(verts)), n):
         rows = [list(verts[i]) + [-1] for i in subset]
-        null = _eliminate(rows)[2]
-        if null is None:
-            continue
-        if all(x == 0 for x in null[:n]):
+        rank, _, null = _eliminate(rows)
+        if rank < n:
             continue
         cb = _primitive(null)
         c, b = cb[:n], cb[n]
@@ -373,10 +366,7 @@ def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
             pass
         elif all(val >= b for val in vals):
             c, b = tuple(-x for x in c), -b
-            vals = [-v for v in vals]
         else:
-            continue
-        if _affine_rank([v for v, val in zip(verts, vals) if val == b]) != n - 1:
             continue
         facets[(c, b)] = Facet(c, b)
     return tuple(sorted(facets.values(), key=lambda f: (f.normal, f.offset)))
@@ -405,7 +395,6 @@ def dual_polytope(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
 
 @dataclass(frozen=True)
 class DualityReport:
-    n: int
     composite: IntMatrix
     identities: tuple[tuple[str, bool, str], ...]
 
@@ -455,7 +444,7 @@ def verify_duality_identities(n: int) -> DualityReport:
             f"kernel order {order}, expected {(n + 1) ** n}",
         )
     )
-    det = abs(int(_eliminate(composite)[1]))
+    det = abs(_eliminate(composite)[1])
     ident.append(
         (
             "determinant_matches_kernel_order",
@@ -471,24 +460,23 @@ def verify_duality_identities(n: int) -> DualityReport:
             f"invariants {kd.torsion_invariants}",
         )
     )
-    return DualityReport(n, composite, tuple(ident))
+    return DualityReport(composite, tuple(ident))
 
 
 @dataclass(frozen=True)
 class SdVerdict:
     holds: bool
     diagnostic: str
-    dual_vertices: tuple = ()
-    clauses: dict = field(default_factory=dict)
-    kernel_order: object = None
 
 
 def has_property_sd(p: Polytope) -> SdVerdict:
-    """Self-duality test: integral polar dual, matching counts, finite kernel.
+    """Self-duality test: integral polar dual, matching vertex counts, finite
+    kernel.  The polar of a full-dimensional polytope with the origin
+    strictly inside is again one, so the spans' dimensions always match.
 
-    Clause 3 composes the vertex maps of p and its dual with both vertex
-    lists in lexicographic order; for simplices this reproduces the usual
-    vertex/opposite-facet pairing.  For other polytopes the finiteness
+    The kernel clause composes the vertex maps of p and its dual with both
+    vertex lists in lexicographic order; for simplices this reproduces the
+    usual vertex/opposite-facet pairing.  For other polytopes the finiteness
     verdict can in principle depend on that identification.
     """
     if p.dim > MAX_SD_DIM and p.vertex_count != p.dim + 1:
@@ -499,36 +487,17 @@ def has_property_sd(p: Polytope) -> SdVerdict:
     except DegenerateDualError as exc:
         return SdVerdict(False, str(exc))
 
-    clauses: dict[str, bool] = {}
     notes = []
-
-    integral = all(f.denominator == 1 for v in dual for f in v)
-    clauses["dual_integral"] = integral
-    if not integral:
+    if any(f.denominator != 1 for v in dual for f in v):
         notes.append("dual has non-integer vertices")
-
-    counts = len(dual) == p.vertex_count
-    dual_rank = _affine_rank(dual)
-    dims = dual_rank == p.dim
-    clauses["counts_and_dims_match"] = counts and dims
-    if not counts:
+    if len(dual) != p.vertex_count:
         notes.append(f"vertex counts differ ({p.vertex_count} vs {len(dual)})")
-    if not dims:
-        notes.append(f"span dimensions differ ({p.dim} vs {dual_rank})")
+    if notes:
+        return SdVerdict(False, "; ".join(notes))
 
-    kernel_order = None
-    if integral and counts and dims:
-        u_sorted = sorted(tuple(int(f) for f in v) for v in dual)
-        kd = kernel_data(_matmul_int(tuple(zip(*u_sorted)), tuple(sorted(p.vertices))))
-        kernel_order = kd.group_order
-        clauses["kernel_finite"] = kd.is_finite
-        if not kd.is_finite:
-            notes.append("composite kernel has positive-dimensional part")
-    else:
-        clauses["kernel_finite"] = None
-
-    holds = bool(clauses["dual_integral"] and clauses["counts_and_dims_match"] and clauses["kernel_finite"])
-    diag = "property SD holds" if holds else "; ".join(notes) or "clause evaluation incomplete"
-    if kernel_order is not None:
-        diag += f" (kernel order {kernel_order})"
-    return SdVerdict(holds, diag, dual, clauses, kernel_order)
+    # dual_polytope returns its vertices sorted
+    u = tuple(tuple(f.numerator for f in v) for v in dual)
+    kd = kernel_data(_matmul_int(tuple(zip(*u)), tuple(sorted(p.vertices))))
+    diag = "property SD holds" if kd.is_finite else \
+        "composite kernel has positive-dimensional part"
+    return SdVerdict(kd.is_finite, f"{diag} (kernel order {kd.group_order})")

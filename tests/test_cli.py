@@ -626,7 +626,7 @@ def _log_uniform(lo, hi):
 def cli_argvs(draw):
     command = draw(st.sampled_from(["verify", "limit-kahler", "limit-complex", "boundary",
                                     "polytope-report"]))
-    n = draw(st.integers(1, 4 if command == "limit-complex" else 6))
+    n = draw(st.integers(1, 12 if command == "limit-complex" else 6))
     if command == "polytope-report":
         return [command, "--n", str(n)]
     argv = [command, "--n", str(n), "--samples", str(draw(st.integers(2, 16))),
@@ -705,6 +705,17 @@ def test_polytope_report_simplex_past_general_sd_limit(tmp_path, n):
     assert rep["self_dual"]["diagnostic"].endswith(f"(kernel order {order})")
     check = {c["name"]: c for c in rep["identity_checks"]}
     assert check["composite_kernel_order"]["detail"] == f"kernel order {order}, expected {order}"
+
+
+def test_limit_complex_runs_past_the_polytope_report_cap(tmp_path, capsys):
+    # the sweeps read only the lattice maps, which hold at any n; the cap
+    # n <= 8 belongs to polytope-report's exhaustive facet search
+    rc, text = run(tmp_path, "limit-complex", "--n", "9", "--rho2", "3", "--samples", "30",
+                   "--grid", "0.01:1:3")
+    assert rc == 0
+    assert [row["n"] for row in rows_of(text)] == ["9"] * 3
+    assert main(["polytope-report", "--n", "9"]) == 2
+    assert capsys.readouterr().err == "invalid configuration: n must be in 1..8\n"
 
 
 def test_module_entry_point_runs_without_warnings():
