@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ambient import FOUR_PI2, PI2, TWO_PI, torus_metric_weights
-from .polytope import finite_coset_representatives, lattice_maps
+from .polytope import MAX_DIM, finite_coset_representatives, lattice_maps
 from .reduction import LevelSetSpec, _rising_root, _small_root, require_regular
 
 
@@ -85,7 +85,13 @@ def _angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _quotient_phases(n: int) -> np.ndarray:
-    """Finite phase-group representatives for the dual-simplex quotient, rows in [0,1)^{n+1}."""
+    """Finite phase-group representatives for the dual-simplex quotient, rows in [0,1)^{n+1}.
+
+    The group has (n+1)^(n-1) elements, enumerated as Fraction rows, so n is
+    held to the desk scale 1..MAX_DIM before any enumeration (10^8 rows at
+    n = 9)."""
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"the quotient phase group is enumerated for n in 1..{MAX_DIM}, got {n}")
     reps = finite_coset_representatives(lattice_maps(n).dual)
     return np.array([[float(f) for f in rep] for rep in reps])
 

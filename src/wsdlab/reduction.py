@@ -13,10 +13,11 @@ limit sweeps rely on that and solve each shape once per rho2.
 The random numbers behind sample idx come from its own counter-based stream,
 Philox keyed by SeedSequence((seed, idx, ...)), and do not depend on the level
 set.  `stream_rows` derives every index's key in one SeedSequence-equivalent
-array pass and re-keys a single Philox per row, bitwise equal to a fresh
-generator per index.  A sweep over many level sets therefore draws them once
-(`draw_directions`, `draw_torus`) and hands the read-only rows to the
-per-spec solve (`solve_base`) and, as arrays, to the projections in maps.
+array pass and runs Philox4x64-10 over every (index, block) counter in one
+more, bitwise equal to a fresh generator per index.  A sweep over many level
+sets therefore draws them once (`draw_directions`, `draw_torus`) and hands
+the read-only rows to the per-spec solve (`solve_base`) and, as arrays, to
+the projections in maps.
 A sample is those arrays and nothing more: radii (N, n+1) from `solve_base`
 or its one-spec composition `sample_base`, and torus rows (N, 2n) from
 `draw_torus`, s in the first n columns and t in the last n.
@@ -122,6 +123,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_SIZE = 4
 _WORD = 0xFFFFFFFF
+_HALF = np.uint64(32)  # the uint64 shift between two uint32 words
 
 
 def _words(value: int) -> list[int]:
@@ -184,8 +186,46 @@ def _stream_keys(seed: int, idx: np.ndarray, *tag: int) -> np.ndarray:
     out = _hasher(_INIT_B, _MULT_B)
     lo0, hi0, lo1, hi1 = (out(word).astype(np.uint64) for word in pool)
     # generate_state(2, np.uint64) joins its four words little-endian
-    shift = np.uint64(32)
-    return np.stack([lo0 | hi0 << shift, lo1 | hi1 << shift], axis=1)
+    return np.stack([lo0 | hi0 << _HALF, lo1 | hi1 << _HALF], axis=1)
+
+
+# Philox4x64-10 as numpy runs it (Salmon et al., SC 2011): the round
+# multipliers of counter words 0 and 2, as a column against (2, ...) arrays
+# and split into 32-bit halves, and the Weyl key increments
+_PHILOX_MULT = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
+_LOW_HALF = np.uint64(_WORD)
+_MULT_LO, _MULT_HI = _PHILOX_MULT & _LOW_HALF, _PHILOX_MULT >> _HALF
+_PHILOX_WEYL = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
+_PHILOX_ROUNDS = 10
+_DOUBLE_SHIFT = np.uint64(11)
+
+
+def _philox_words(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """The (len(keys), 4 blocks) uint64 words numpy's Philox gives under each
+    key from counter 0, as Philox(key=k).random_raw(4 * blocks): philox_next
+    increments the counter before each block, so block b runs counter b + 1.
+
+    Every (row, block) counter goes through the ten rounds at once.  Words 0
+    and 2 (`even`) are one (2, rows, blocks) array, as are 1 and 3 (`odd`);
+    the 64 x 64 -> 128 bit products take 32-bit halves, and every wrapping
+    product is an array operation, never uint64 scalar arithmetic.
+    """
+    key = keys.T[:, :, None]
+    even = np.zeros((2, len(keys), blocks), np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    for rnd in range(_PHILOX_ROUNDS):
+        if rnd:
+            key = key + _PHILOX_WEYL
+        # the high word of M x from 32-bit halves; u and v stay below
+        # (2**32 - 1)**2 + 2**32 - 1 < 2**64, so no partial sum wraps
+        x_lo, x_hi = even & _LOW_HALF, even >> _HALF
+        u = _MULT_LO * x_hi + (_MULT_LO * x_lo >> _HALF)
+        v = _MULT_HI * x_lo + (u & _LOW_HALF)
+        hi = _MULT_HI * x_hi + (u >> _HALF) + (v >> _HALF)
+        # (w0, w1, w2, w3) <- (hi(M1 w2) ^ w1 ^ k0, lo(M1 w2), hi(M0 w0) ^ w3 ^ k1, lo(M0 w0))
+        even, odd = hi[::-1] ^ odd ^ key, (_PHILOX_MULT * even)[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(len(keys), 4 * blocks)
 
 
 def stream_rows(seed: int, count: int, width: int, low: float, high: float,
@@ -195,23 +235,17 @@ def stream_rows(seed: int, count: int, width: int, low: float, high: float,
     read-only (count, width) array.
 
     The keys come from one SeedSequence-equivalent array pass
-    (`_stream_keys`), and one Philox is re-keyed per row: counter 0, that
-    row's key, an empty buffer.  numpy draws every value, so the rows are
-    bitwise those of a fresh Generator(Philox(SeedSequence(...))) per index.
+    (`_stream_keys`) and the raw words from one Philox pass over every row's
+    blocks (`_philox_words`); each word becomes low + (high - low) times its
+    top 53 bits over 2**53, as numpy's uniform does, so the rows are bitwise
+    those of a fresh Generator(Philox(SeedSequence(...))) per index.
     Each row is a pure function of (seed, idx, tag), so rows drawn once serve
     every level set of a sweep; read-only, so no caller can change them under
     a later one.
     """
-    keys = _stream_keys(seed, np.arange(count), *tag)
-    bit_gen = np.random.Philox(0)
-    rng = np.random.Generator(bit_gen)
-    # a new Philox's state: counter 0, empty buffer, no spare uint32
-    fresh = bit_gen.state
-    rows = np.empty((count, width))
-    for idx in range(count):
-        fresh["state"]["key"] = keys[idx]
-        bit_gen.state = fresh
-        rows[idx] = rng.uniform(low, high, width)
+    raw = _philox_words(_stream_keys(seed, np.arange(count), *tag), -(-width // 4))
+    # numpy's next_double and random_uniform on each word, in buffer order
+    rows = low + (high - low) * ((raw[:, :width] >> _DOUBLE_SHIFT) * 2.0**-53)
     rows.setflags(write=False)
     return rows
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from wsdlab.maps import (
     psi_pullback_residuals,
 )
 from wsdlab.metgeo import _quotient_phases, fubini_study_distance, hn_distance
-from wsdlab.polytope import lattice_maps
+from wsdlab.polytope import MAX_DIM, lattice_maps
 from wsdlab.reduction import LevelSetSpec, draw_torus, feasibility, sample_base
 
 PI = math.pi
@@ -342,6 +343,16 @@ def test_hn_distance_nontrivial_value():
     q = CPnPoint([0.0, 1.0, 0.0], 1.0)
     d = hn_distance(p, q)
     assert abs(d - PI / 2) < 1e-9  # orbit phases never mix coordinates
+
+
+def test_hn_distance_past_desk_scale_raises_before_enumerating():
+    # the phase group has (n+1)^(n-1) elements, 10^8 at n = 9: the quotient
+    # distance refuses n beyond MAX_DIM before building any of them
+    p, q = CPnPoint(np.eye(10)[0], 1.0), CPnPoint(np.eye(10)[1], 1.0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"n in 1\.\.{MAX_DIM}, got 9"):
+        hn_distance(p, q)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_complex_structure_properties():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from wsdlab.ambient import FOUR_PI2, convert_parameters, feasibility_threshold, 
 from wsdlab.reduction import (
     EmptyLevelSet,
     LevelSetSpec,
+    _philox_words,
     _stream_keys,
     draw_directions,
     draw_torus,
@@ -22,6 +24,7 @@ from wsdlab.reduction import (
     omega_d_degenerate_block,
     sample_base,
     solve_base,
+    stream_rows,
     verify_wsd_axioms,
 )
 
@@ -250,6 +253,46 @@ def test_stream_keys_reject_indices_outside_one_word():
         with pytest.raises(ValueError, match=r"stream indices must lie in \[0, 2\*\*32\)"):
             _stream_keys(5, np.array(idx, dtype=np.int64))
     assert _stream_keys(5, np.array([], dtype=np.int64)).shape == (0, 2)
+
+
+_UINT64 = st.one_of(st.sampled_from([0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]),
+                    st.integers(0, (1 << 64) - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(keys=st.lists(st.tuples(_UINT64, _UINT64), min_size=1, max_size=6),
+       blocks=st.integers(1, 4))
+def test_philox_words_equal_numpy_philox(keys, blocks):
+    # every key word over the whole uint64 range, so each carry between the
+    # 32-bit halves of a round product occurs; under errstate(all="raise"), as
+    # the CLI runs with over="raise", a wrapping uint64 scalar product would raise
+    keys = np.array(keys, dtype=np.uint64)
+    with np.errstate(all="raise"):
+        words = _philox_words(keys, blocks)
+    ref = [np.random.Philox(key=k).random_raw(4 * blocks) for k in keys]
+    assert words.dtype == np.uint64 and np.array_equal(words, np.array(ref))
+
+
+def test_stream_rows_at_a_large_count_equal_fresh_streams():
+    # 70,000 rows of two Philox blocks each, read at both ends and past 2**16
+    seed = (1 << 63) + 17
+    with np.errstate(all="raise"):
+        rows = stream_rows(seed, 70_000, 5, -3.0, 3.0)
+    for idx in (0, 1, 1 << 16, 69_999):
+        assert np.array_equal(rows[idx], fresh_stream(seed, idx).uniform(-3.0, 3.0, 5))
+
+
+def test_draw_torus_memory_stays_near_its_rows():
+    # 100,000 rows of width 4 are 3.2 MB; the keys and the ten Philox rounds
+    # over (2, N, 1) word arrays take the rest, with no per-row temporaries
+    draw_torus(2, 10, 0)
+    tracemalloc.start()
+    try:
+        draw_torus(2, 100_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26e6
 
 
 def test_drawn_rows_are_read_only():
