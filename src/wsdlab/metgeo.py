@@ -26,13 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .ambient import FOUR_PI2, PI2, TWO_PI, torus_metric_weights
-from .polytope import MAX_DIM, finite_coset_representatives, lattice_maps
 from .reduction import LevelSetSpec, _rising_root, _small_root, require_regular
 
 
@@ -65,11 +63,6 @@ def diameter(s: FiniteMetricSample) -> float:
 
 # -- pairwise distance helpers for the two projective charts -----------------
 
-def _unit_rows(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    return z / np.linalg.norm(z, axis=1)[:, None]
-
-
 def _angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Principal angles between unit rows.  arccos is ill conditioned near 0,
     so nearly aligned pairs are redone through the projection residual."""
@@ -83,25 +76,45 @@ def _angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ang
 
 
-@lru_cache(maxsize=16)
+# hn_matrix takes one pass per phase: 262,144 at n = 7, 4,782,969 at n = 8
+_MAX_PHASE_N = 7
+
+
 def _quotient_phases(n: int) -> np.ndarray:
-    """Finite phase-group representatives for the dual-simplex quotient, rows in [0,1)^{n+1}.
+    """The finite phase group G of the dual-simplex quotient (Greene-Plesser),
+    one row per element in [0,1)^{n+1}: a / (n+1) with a_1 .. a_{n-1} in 0..n,
+    a_n = -(a_1 + .. + a_{n-1}) mod (n+1) and a_{n+1} = 0.
 
-    The group has (n+1)^(n-1) elements, enumerated as Fraction rows, so n is
-    held to the desk scale 1..MAX_DIM before any enumeration (10^8 rows at
-    n = 9)."""
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"the quotient phase group is enumerated for n in 1..{MAX_DIM}, got {n}")
-    reps = finite_coset_representatives(lattice_maps(n).dual)
-    return np.array([[float(f) for f in rep] for rep in reps])
+    Why it is G.  lattice_maps(n).dual sends x to ((n+1) x_k - sum x)_k,
+    k = 1..n.  The identity component of its kernel is the diagonal circle,
+    which takes x_{n+1} to 0 in each component.  Summing over k then gives
+    sum x in Z, so every (n+1) x_k is in Z; conversely each such row is in
+    the kernel, and two of them differ by a diagonal move only if it is
+    integral.  Raises ValueError for n outside 1.._MAX_PHASE_N, before
+    building any row."""
+    m = n + 1
+    if not 1 <= n <= _MAX_PHASE_N:
+        raise ValueError(f"the quotient phase group, (n+1)^(n-1) elements, is enumerated "
+                         f"for n in 1..{_MAX_PHASE_N} only, got n = {n}")
+    a = np.zeros((m ** (n - 1), m), dtype=np.int64)
+    a[:, :n - 1] = np.indices((m,) * (n - 1)).reshape(n - 1, m ** (n - 1)).T
+    a[:, n - 1] = -np.sum(a, axis=1) % m
+    return a / m
 
 
-def hn_matrix(z: np.ndarray, rho: float, n: int) -> np.ndarray:
-    """Quotient distances between rows of z: the finite phase group is minimized
-    out exactly; the circle factor is a global phase the overlap ignores."""
-    u = _unit_rows(z)
+def hn_matrix(z: np.ndarray, rho: float) -> np.ndarray:
+    """Quotient distances between the rows of z (N, n+1), n read from its
+    width: the finite phase group is minimized out exactly; the circle
+    factor is a global phase the overlap ignores.  Raises ValueError on a row
+    whose norm is zero or not finite, and for n outside 1.._MAX_PHASE_N."""
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are refused next
+        norm = np.linalg.norm(z, axis=1)
+    if not np.all((norm > 0) & (norm < math.inf)):
+        raise ValueError("hn_matrix needs rows of finite, nonzero norm")
+    u = z / norm[:, None]
     best = None
-    for phase in _quotient_phases(n):
+    for phase in _quotient_phases(z.shape[1] - 1):
         ang = _angles(u, u * np.exp(2j * math.pi * phase)[None, :])
         best = ang if best is None else np.minimum(best, ang)
     d = rho * best
@@ -110,7 +123,9 @@ def hn_matrix(z: np.ndarray, rho: float, n: int) -> np.ndarray:
 
 
 def _common_scale(p, q) -> float:
-    """sqrt(lam) of two maps.CPnPoint at the same scale lam."""
+    """sqrt(lam) of two maps.CPnPoint of one dimension n at the same scale lam."""
+    if p.n != q.n:
+        raise ValueError(f"the distance needs points of one dimension, got n = {p.n} and {q.n}")
     if abs(p.lam - q.lam) > 1e-8 * max(p.lam, q.lam):
         raise ValueError("the distance needs representatives at the same scale")
     return math.sqrt(p.lam)
@@ -127,7 +142,8 @@ def fubini_study_distance(z, w) -> float:
 def hn_distance(p, q) -> float:
     """Quotient distance between two maps.CPnPoint at the same scale lam:
     entry [0, 1] of hn_matrix on the two rows, at scale sqrt(lam)."""
-    return float(hn_matrix(np.stack([p.z, q.z]), _common_scale(p, q), p.n)[0, 1])
+    rho = _common_scale(p, q)
+    return float(hn_matrix(np.stack([p.z, q.z]), rho)[0, 1])
 
 
 # -- Gromov-Hausdorff bounds ---------------------------------------------------
@@ -493,14 +509,13 @@ def limit_torus_bounds(torus_t: np.ndarray, rho2: float) -> tuple[np.ndarray, np
     columns r0:, each kept as t_j - t_i with i < j (the block's lower part
     is zeroed after the sums), so each pair is met once and enters the
     maxima of row i through the block's row maxima and of row j through its
-    column maxima.  The pairs outside K from every block share one
-    bisection, and their f_hi enter both rows' maxima after it.  No (N, N)
-    array is built."""
+    column maxima.  A block's pairs outside K share one bisection, which
+    works row by row, and their f_hi replace f_lo in that block before its
+    maxima.  No (N, N) array is built."""
     cols = np.ascontiguousarray(np.asarray(torus_t, dtype=float).T)
     count = cols.shape[1]
     log_c = -FOUR_PI2 * rho2 * rho2
     ecc_lo, ecc_hi = np.zeros((2, count))
-    outside = []  # (i, j, f_lo, log q*) of the pairs outside K
     for r0, r1 in _row_blocks(count, upper=True):
         diff = cols[:, None, r0:] - cols[:, r0:r1, None]
         v = np.abs(_l1_lattice_vectors(diff - np.floor(diff)))
@@ -511,17 +526,13 @@ def limit_torus_bounds(torus_t: np.ndarray, rho2: float) -> tuple[np.ndarray, np
         with np.errstate(divide="ignore", invalid="ignore"):
             log_q = np.log(v) - np.log(l1)
             out = (l1 > 0) & (np.sum(log_q, axis=0) < log_c)
+        hi = lo.copy()
         a, b = np.nonzero(out)
-        if a.size:
-            outside.append((r0 + a, r0 + b, lo[a, b], log_q[:, a, b].T))
-        for ecc, f in ((ecc_lo, lo), (ecc_hi, np.where(out, 0.0, lo))):
+        if a.size:  # none away from the threshold; C order sets the row sums' order
+            hi[a, b] = lo[a, b] * np.sqrt(_segment_excess(log_q[:, a, b].T.copy(), log_c))
+        for ecc, f in ((ecc_lo, lo), (ecc_hi, hi)):
             ecc[r0:r1] = np.maximum(ecc[r0:r1], np.max(f, axis=1))
             ecc[r0:] = np.maximum(ecc[r0:], np.max(f, axis=0))
-    if outside:
-        i, j, lo, log_q = (np.concatenate(part) for part in zip(*outside))
-        hi = lo * np.sqrt(_segment_excess(log_q, log_c))
-        np.maximum.at(ecc_hi, i, hi)
-        np.maximum.at(ecc_hi, j, hi)
     return ecc_lo, ecc_hi
 
 

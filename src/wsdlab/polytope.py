@@ -1,8 +1,8 @@
 """Exact lattice-polytope layer: the reflexive simplex pair and its torus maps.
 
 Everything in this module runs over Python ints and Fractions.  No floats:
-the duality identities and kernel orders feed the quotient groups used by
-the projection layer, and those must be exact.
+the duality identities, the kernel orders and the property-SD verdict are
+exact facts about the lattices, checked exactly.
 """
 
 from __future__ import annotations
@@ -99,29 +99,7 @@ def lattice_maps(n: int) -> LatticeMaps:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over the integers, with unimodular transforms tracked.
-
-
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
-
-
-def _add_row(a, dst, src, k):
-    a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ M @ V == D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    rank: int
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]))))
+# Smith normal form over the integers.
 
 
 def _smallest_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -133,23 +111,11 @@ def _smallest_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
     return None if best is None else best[1:]
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithDecomposition:
+def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix,
+    one per unit of its rank, by unimodular row and column operations."""
     a = [[int(x) for x in row] for row in mat]
     m, n = len(a), len(a[0])
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    # work on columns of V via rows of V^T
-    vt = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def col_op(dst, src, k):
-        for row in a:
-            row[dst] += k * row[src]
-        _add_row(vt, dst, src, k)
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        _swap_rows(vt, i, j)
-
     t = 0
     while t < min(m, n):
         pivot = _smallest_entry(a, t)
@@ -158,23 +124,23 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithDecomposition:
         while True:
             i, j = pivot
             if i != t:
-                _swap_rows(a, t, i)
-                _swap_rows(u, t, i)
+                a[t], a[i] = a[i], a[t]
             if j != t:
-                col_swap(t, j)
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
             p = a[t][t]
             dirty = False
             for i in range(t + 1, m):
                 if a[i][t] != 0:
                     q = a[i][t] // p
-                    _add_row(a, i, t, -q)
-                    _add_row(u, i, t, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t] != 0:
                         dirty = True
             for j in range(t + 1, n):
                 if a[t][j] != 0:
                     q = a[t][j] // p
-                    col_op(j, t, -q)
+                    for row in a:
+                        row[j] -= q * row[t]
                     if a[t][j] != 0:
                         dirty = True
             if dirty:
@@ -193,22 +159,11 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithDecomposition:
                     break
             if offender is None:
                 break
-            _add_row(a, t, offender, 1)
-            _add_row(u, t, offender, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
             pivot = (t, t)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-
-    rank = sum(1 for i in range(min(m, n)) if a[i][i] != 0)
-    v = [list(r) for r in zip(*vt)]
-    return SmithDecomposition(
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in a),
-        tuple(tuple(r) for r in v),
-        rank,
-    )
+    # the block from t onward is 0, so the pivots so far are the factors
+    return tuple(abs(a[i][i]) for i in range(t))
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +192,9 @@ class SubgroupData:
 
 
 def kernel_data(mat: Sequence[Sequence[int]]) -> SubgroupData:
-    """Structure of ker(x -> Mx) on the torus, from the Smith normal form."""
-    snf = smith_normal_form(mat)
-    torsion = tuple(d for d in snf.diagonal[: snf.rank] if d > 1)
-    return SubgroupData(len(mat[0]) - snf.rank, torsion)
-
-
-def finite_coset_representatives(mat: Sequence[Sequence[int]]
-                                 ) -> tuple[tuple[Fraction, ...], ...]:
-    """One representative in [0,1)^cols per connected component of the kernel."""
-    snf = smith_normal_form(mat)
-    cols = len(mat[0])
-    diag = snf.diagonal
-    ranges = [range(diag[i]) for i in range(snf.rank)]
-    reps = []
-    for combo in itertools.product(*ranges) if ranges else [()]:
-        y = [Fraction(combo[i], diag[i]) for i in range(snf.rank)]
-        y += [Fraction(0)] * (cols - snf.rank)
-        x = [
-            sum(Fraction(snf.v[i][j]) * y[j] for j in range(cols)) % 1
-            for i in range(cols)
-        ]
-        reps.append(tuple(x))
-    return tuple(reps)
+    """Structure of ker(x -> Mx) on the torus, from the invariant factors."""
+    factors = smith_normal_form(mat)
+    return SubgroupData(len(mat[0]) - len(factors), tuple(d for d in factors if d > 1))
 
 
 # ---------------------------------------------------------------------------

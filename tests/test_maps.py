@@ -22,7 +22,7 @@ from wsdlab.maps import (
     psi_pullback_residuals,
 )
 from wsdlab.metgeo import _quotient_phases, fubini_study_distance, hn_distance
-from wsdlab.polytope import MAX_DIM, lattice_maps
+from wsdlab.polytope import lattice_maps
 from wsdlab.reduction import LevelSetSpec, draw_torus, feasibility, sample_base
 
 PI = math.pi
@@ -346,13 +346,21 @@ def test_hn_distance_nontrivial_value():
 
 
 def test_hn_distance_past_desk_scale_raises_before_enumerating():
-    # the phase group has (n+1)^(n-1) elements, 10^8 at n = 9: the quotient
-    # distance refuses n beyond MAX_DIM before building any of them
-    p, q = CPnPoint(np.eye(10)[0], 1.0), CPnPoint(np.eye(10)[1], 1.0)
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=rf"n in 1\.\.{MAX_DIM}, got 9"):
-        hn_distance(p, q)
-    assert time.perf_counter() - start < 1.0
+    # the phase group has (n+1)^(n-1) elements, 4,782,969 at n = 8: the
+    # quotient distance refuses n past 7 before building any of them
+    for n in (8, 9):
+        p, q = CPnPoint(np.eye(n + 1)[0], 1.0), CPnPoint(np.eye(n + 1)[1], 1.0)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"enumerated for n in 1\.\.7 only, got n = {n}"):
+            hn_distance(p, q)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_distances_refuse_points_of_different_dimension():
+    p, q = CPnPoint([1.0, 0.0], 1.0), CPnPoint([1.0, 0.0, 0.0], 1.0)
+    for distance in (hn_distance, fubini_study_distance):
+        with pytest.raises(ValueError, match="one dimension, got n = 1 and 2"):
+            distance(p, q)
 
 
 def test_complex_structure_properties():

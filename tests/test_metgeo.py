@@ -14,7 +14,7 @@ from helpers import cross_hausdorff, divisor_offsets_mp, gathered_pair_bounds
 from wsdlab import metgeo as mg
 from wsdlab.ambient import feasibility_threshold, torus_metric_weights
 from wsdlab.maps import CPnPoint, project_pi2
-from wsdlab.polytope import _eliminate, lattice_maps
+from wsdlab.polytope import _eliminate, kernel_data, lattice_maps
 from wsdlab.reduction import (EmptyLevelSet, LevelSetSpec, draw_directions, draw_torus, log_shape,
                               sample_base, solve_base)
 
@@ -50,12 +50,12 @@ def _triangle_defect(d):
 
 def _cpn(z):
     # at n = 1 the phase group is trivial, so hn_matrix is the CP^1 distance
-    return mg.FiniteMetricSample(mg.hn_matrix(z, 1.0, z.shape[1] - 1))
+    return mg.FiniteMetricSample(mg.hn_matrix(z, 1.0))
 
 
 def test_triangle_defect_on_projective_samples():
-    assert _triangle_defect(mg.hn_matrix(_sphere_rows(40, 1, seed=1), 1.0, 1)) <= 1e-9
-    assert _triangle_defect(mg.hn_matrix(_sphere_rows(30, 2, seed=2), 1.0, 2)) <= 1e-9
+    assert _triangle_defect(mg.hn_matrix(_sphere_rows(40, 1, seed=1), 1.0)) <= 1e-9
+    assert _triangle_defect(mg.hn_matrix(_sphere_rows(30, 2, seed=2), 1.0)) <= 1e-9
 
 
 def test_diameter_basics():
@@ -78,8 +78,8 @@ def test_cp1_diameter_monte_carlo():
 def test_hausdorff_identity_and_containment():
     # cross distances are the off-diagonal block of the stacked rows' matrix
     z = _sphere_rows(25, 2, seed=4)
-    assert cross_hausdorff(mg.hn_matrix(np.vstack([z, z]), 1.0, 2)[:25, 25:]) < 1e-12
-    cross = mg.hn_matrix(np.vstack([z, z, _sphere_rows(15, 2, seed=5)]), 1.0, 2)[:25, 25:]
+    assert cross_hausdorff(mg.hn_matrix(np.vstack([z, z]), 1.0)[:25, 25:]) < 1e-12
+    cross = mg.hn_matrix(np.vstack([z, z, _sphere_rows(15, 2, seed=5)]), 1.0)[:25, 25:]
     # z is inside the larger set, so only the larger set's far side counts
     assert np.max(np.min(cross, axis=1)) < 1e-12
     assert cross_hausdorff(cross) == np.max(np.min(cross, axis=0))
@@ -92,7 +92,7 @@ def test_hausdorff_parallel_circles():
     phases = np.exp(2j * math.pi * np.arange(64) / 64)
     circ = lambda a: np.stack([np.full(64, math.cos(a), dtype=complex),
                                math.sin(a) * phases], axis=1)
-    both = mg.hn_matrix(np.vstack([circ(a0), circ(a0 + delta)]), 1.0, 1)
+    both = mg.hn_matrix(np.vstack([circ(a0), circ(a0 + delta)]), 1.0)
     h = cross_hausdorff(both[:64, 64:])
     assert abs(h - delta) < 3e-3
 
@@ -604,7 +604,7 @@ def test_divisor_offsets_bound_every_sample_and_are_attained(n, excess, seed):
 
 def test_hn_matrix_matches_pointwise_quotient_distance():
     z = _sphere_rows(6, 2, seed=15, lam=1.0)
-    d = mg.hn_matrix(z, 1.0, 2)
+    d = mg.hn_matrix(z, 1.0)
     for i in range(6):
         for j in range(i + 1, 6):
             # independent reference: the scalar projective distance minimized
@@ -613,6 +613,36 @@ def test_hn_matrix_matches_pointwise_quotient_distance():
                                                CPnPoint(z[j] * np.exp(2j * math.pi * g), 1.0))
                       for g in mg._quotient_phases(2))
             assert abs(d[i, j] - ref) < 1e-9
+
+
+def test_quotient_phases_are_the_dual_kernel_components():
+    # each row is a point of the dual map's kernel, the rows are pairwise
+    # distinct modulo the diagonal circle, and there is one per component
+    for n in range(1, 7):
+        dual = np.array(lattice_maps(n).dual)
+        scaled = mg._quotient_phases(n) * (n + 1)
+        a = np.rint(scaled).astype(np.int64)
+        assert np.array_equal(scaled, a) and np.all((a >= 0) & (a <= n))
+        assert np.all(a @ dual.T % (n + 1) == 0)
+        # x ~ y modulo the diagonal iff x - x_{n+1} = y - y_{n+1} mod 1
+        classes = {tuple(row) for row in (a - a[:, -1:]) % (n + 1)}
+        assert len(classes) == len(a) == kernel_data(dual).component_group_order
+        if n <= 3:
+            # every component meets the (1/(n+1))-grid: walk it for the kernel
+            grid = np.array(list(itertools.product(range(n + 1), repeat=n + 1)))
+            kernel = grid[np.all(grid @ dual.T % (n + 1) == 0, axis=1)]
+            assert {tuple(row) for row in (kernel - kernel[:, -1:]) % (n + 1)} == classes
+
+
+def test_hn_matrix_refuses_rows_it_cannot_measure():
+    z = _sphere_rows(3, 2, seed=6)
+    # a zero row, non-finite entries, and a norm that overflows the doubles
+    for bad in ([0, 0, 0], [np.nan, 1, 0], [0, np.inf, 0], [1e200, 1e200, 0]):
+        with pytest.raises(ValueError, match="rows of finite, nonzero norm"):
+            mg.hn_matrix(np.vstack([z, bad]), 1.0)
+    # n is read from the width: one column is n = 0
+    with pytest.raises(ValueError, match=r"for n in 1\.\.7 only, got n = 0"):
+        mg.hn_matrix(z[:, :1], 1.0)
 
 
 def test_hn_distance_vanishes_on_phase_group_orbits():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
@@ -19,7 +19,6 @@ from wsdlab.polytope import (
     _eliminate,
     dual_polytope,
     enumerate_facets,
-    finite_coset_representatives,
     has_property_sd,
     kernel_data,
     lattice_maps,
@@ -101,39 +100,6 @@ def test_duality_identities(n):
     )
 
 
-def test_smith_normal_form_reconstructs():
-    mats = [
-        ((2, -1, -1), (-1, 2, -1)),
-        ((1, 0, -1), (0, 1, -1)),
-        ((6, 4), (4, 6)),
-        ((0, 0), (0, 0)),
-        ((3,),),
-    ]
-    for mat in mats:
-        snf = smith_normal_form(mat)
-        m, n = len(mat), len(mat[0])
-        # U M V == D, exactly
-        um = [
-            [sum(snf.u[i][k] * mat[k][j] for k in range(m)) for j in range(n)]
-            for i in range(m)
-        ]
-        umv = [
-            [sum(um[i][k] * snf.v[k][j] for k in range(n)) for j in range(n)]
-            for i in range(m)
-        ]
-        assert tuple(tuple(r) for r in umv) == snf.d
-        diag = snf.diagonal
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            if b != 0:
-                assert a != 0 and b % a == 0
-        # off-diagonal must vanish
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert snf.d[i][j] == 0
-
-
 def test_kernel_data_examples():
     m = lattice_maps(2)
     kd = kernel_data(m.primal)
@@ -147,7 +113,6 @@ def test_kernel_data_examples():
     # any integer rows will do, since the Smith form reads each entry with int()
     forms = (tuple(tuple(r) for r in m.dual), [list(r) for r in m.dual], np.array(m.dual))
     assert all(kernel_data(rows) == SubgroupData(1, (3,)) for rows in forms)
-    assert len({finite_coset_representatives(rows) for rows in forms}) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -179,22 +144,6 @@ def test_composite_kernel_order_brute_force(n):
     assert brute_kernel_count(comp, n + 1) == (n + 1) ** n
     kd = kernel_data(comp)
     assert kd.group_order == (n + 1) ** n
-
-
-def test_finite_coset_representatives_are_kernel_points():
-    m = lattice_maps(2).dual
-    reps = finite_coset_representatives(m)
-    assert len(reps) == 3
-    for rep in reps:
-        img = [
-            sum(Fraction(m[i][j]) * rep[j] for j in range(3)) for i in range(2)
-        ]
-        assert all(f.denominator == 1 for f in img)
-    # distinct modulo the diagonal circle: differences must not be constant
-    for i in range(3):
-        for j in range(i + 1, 3):
-            diff = [a - b for a, b in zip(reps[i], reps[j])]
-            assert len({f % 1 for f in diff}) > 1
 
 
 def test_connected_generators_span_real_kernel():
@@ -391,11 +340,11 @@ _ENTRIES = st.one_of(st.just(0), st.integers(-6, 6), st.integers(-24, 24))
 
 
 @st.composite
-def integer_matrices(draw):
-    """Integer matrices of any shape up to 6 x 6; in half of them the later
-    rows are often zero, copies or combinations of earlier ones, so rank
-    deficiency is common."""
-    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+def integer_matrices(draw, max_rows=6, max_cols=6):
+    """Integer matrices of any shape up to max_rows x max_cols; in half of
+    them the later rows are often zero, copies or combinations of earlier
+    ones, so rank deficiency is common."""
+    m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
     rows = [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
     for i in range(1, m if draw(st.booleans()) else 1):
         kind = draw(st.sampled_from(["free", "zero", "copy", "combination"]))
@@ -434,3 +383,32 @@ def test_eliminate_edge_shapes():
     # entries are integers only: a Fraction is refused, never truncated
     with pytest.raises(TypeError):
         _eliminate([[Fraction(1, 2), 1], [1, 1]])
+
+
+def laplace_det(rows):
+    """Reference determinant: Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=integer_matrices(max_rows=4, max_cols=5))
+@example(rows=[[2, -1, -1], [-1, 2, -1]])
+@example(rows=[[1, 0, -1], [0, 1, -1]])
+@example(rows=[[6, 4], [4, 6]])
+@example(rows=[[0, 0], [0, 0]])
+@example(rows=[[3]])
+def test_smith_invariant_factors_are_the_determinantal_divisor_ratios(rows):
+    # d_k, the gcd of the k x k minors, is the product of the first k
+    # invariant factors, and 0 past the rank
+    factors = smith_normal_form(rows)
+    assert all(d > 0 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    m, n = len(rows), len(rows[0])
+    for k in range(1, min(m, n) + 1):
+        divisor = math.gcd(*(laplace_det([[rows[i][j] for j in cols] for i in picked])
+                             for picked in itertools.combinations(range(m), k)
+                             for cols in itertools.combinations(range(n), k)))
+        assert divisor == (math.prod(factors[:k]) if k <= len(factors) else 0)
