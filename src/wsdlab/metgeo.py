@@ -63,20 +63,33 @@ def diameter(s: FiniteMetricSample) -> float:
 
 # -- pairwise distance helpers for the two projective charts -----------------
 
+# entries per block of the pair and phase kernels (limit_torus_bounds,
+# chord_eccentricities, hn_matrix), sized for the allocator: at n = 2 the
+# largest block temporary, (n + 1) x 2^12 float64, is 96 KiB, below glibc's
+# default 128 KiB mmap and trim thresholds, so the blocks reuse heap pages
+# instead of mapping and faulting in fresh ones.  A pass of limit-complex
+# n = 2 at 400 samples plus boundary took ~1,800 minor faults at 2^14,
+# ~1,300 at 2^13 and none at 2^12 (nor limit_torus_bounds at n = 5); 2^11
+# was slower again
+_BLOCK_PAIRS = 1 << 12
+
+
 def _angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Principal angles between unit rows.  arccos is ill conditioned near 0,
-    so nearly aligned pairs are redone through the projection residual."""
-    g = np.conj(u) @ v.T
+    """Principal angles (B, N, M) between the unit rows of u (N, m) and those
+    of each v[b] (B, M, m).  arccos is ill conditioned near 0, so nearly
+    aligned pairs are redone through the projection residual."""
+    g = np.conj(u) @ np.swapaxes(v, 1, 2)
     cos = np.clip(np.abs(g), 0.0, 1.0)
     ang = np.arccos(cos)
-    ii, jj = np.nonzero(cos > 0.9999)
+    bb, ii, jj = np.nonzero(cos > 0.9999)
     if ii.size:
-        resid = v[jj] - u[ii] * g[ii, jj][:, None]
-        ang[ii, jj] = np.arcsin(np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0))
+        resid = v[bb, jj] - u[ii] * g[bb, ii, jj][:, None]
+        ang[bb, ii, jj] = np.arcsin(np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0))
     return ang
 
 
-# hn_matrix takes one pass per phase: 262,144 at n = 7, 4,782,969 at n = 8
+# the quotient kernels enumerate the phase group: 262,144 phases at n = 7,
+# 4,782,969 at n = 8
 _MAX_PHASE_N = 7
 
 
@@ -113,10 +126,12 @@ def hn_matrix(z: np.ndarray, rho: float) -> np.ndarray:
     if not np.all((norm > 0) & (norm < math.inf)):
         raise ValueError("hn_matrix needs rows of finite, nonzero norm")
     u = z / norm[:, None]
-    best = None
-    for phase in _quotient_phases(z.shape[1] - 1):
-        ang = _angles(u, u * np.exp(2j * math.pi * phase)[None, :])
-        best = ang if best is None else np.minimum(best, ang)
+    phases = _quotient_phases(z.shape[1] - 1)
+    step = max(1, _BLOCK_PAIRS // (len(u) ** 2 or 1))
+    best = np.full((len(u), len(u)), math.inf)
+    for p0 in range(0, len(phases), step):
+        moved = u * np.exp(2j * math.pi * phases[p0:p0 + step])[:, None, :]
+        best = np.minimum(best, np.min(_angles(u, moved), axis=0))
     d = rho * best
     np.fill_diagonal(d, 0.0)
     return 0.5 * (d + d.T)
@@ -407,18 +422,11 @@ def divisor_offsets(n: int, rho2: float) -> tuple[float, float]:
 
 # -- the degenerate metric's limit torus -----------------------------------------
 
-# pairs per row block of limit_torus_bounds and chord_eccentricities: each
-# block's coordinate-first temporaries stay in cache, and no whole N x N x n
-# grid is ever built
-_BLOCK_PAIRS = 1 << 14
-
-
-def _row_blocks(count: int, upper: bool):
-    """(r0, r1) row blocks of about _BLOCK_PAIRS entries against the columns
-    r0: (upper) or all count columns."""
+def _row_blocks(count: int):
+    """(r0, r1) row blocks of about _BLOCK_PAIRS pairs against the columns r0:."""
     r0 = 0
     while r0 < count:
-        r1 = min(count, r0 + max(1, _BLOCK_PAIRS // (count - r0 if upper else count)))
+        r1 = min(count, r0 + max(1, _BLOCK_PAIRS // (count - r0)))
         yield r0, r1
         r0 = r1
 
@@ -426,15 +434,19 @@ def _row_blocks(count: int, upper: bool):
 def chord_eccentricities(points: np.ndarray) -> np.ndarray:
     """Each row's largest Euclidean distance to a row of `points` (N, D):
     d * d added one coordinate at a time, the square root taken after the
-    row maximum (sqrt is monotone)."""
-    cols = np.asarray(points, dtype=float).T
-    ecc = np.empty(cols.shape[1])
-    for r0, r1 in _row_blocks(len(ecc), upper=False):
+    row maximum (sqrt is monotone).  Each pair is met once, in row blocks
+    r0:r1 against the columns r0:, and enters the maxima of both its rows:
+    fl(a - b)^2 = fl(b - a)^2, so the column maxima are bitwise those of the
+    transposed pairs."""
+    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    ecc = np.zeros(cols.shape[1])
+    for r0, r1 in _row_blocks(len(ecc)):
         acc = 0.0
         for c in cols:
-            d = c[None, :] - c[r0:r1, None]
+            d = c[None, r0:] - c[r0:r1, None]
             acc = acc + d * d
-        ecc[r0:r1] = np.max(acc, axis=1)
+        ecc[r0:r1] = np.maximum(ecc[r0:r1], np.max(acc, axis=1))
+        ecc[r0:] = np.maximum(ecc[r0:], np.max(acc, axis=0))
     return np.sqrt(ecc)
 
 
@@ -509,30 +521,53 @@ def limit_torus_bounds(torus_t: np.ndarray, rho2: float) -> tuple[np.ndarray, np
     columns r0:, each kept as t_j - t_i with i < j (the block's lower part
     is zeroed after the sums), so each pair is met once and enters the
     maxima of row i through the block's row maxima and of row j through its
-    column maxima.  A block's pairs outside K share one bisection, which
-    works row by row, and their f_hi replace f_lo in that block before its
-    maxima.  No (N, N) array is built."""
+    column maxima.  No (N, N) array is built.
+
+    Only the pairs K leaves undecided take logs.  With m = n + 1 and
+    r = c^(1/m) (1 + 1e-9), c^(1/m) = exp(log c / m), a pair with
+    min_i v_i > fl(l1 r), l1 = |v|_1, is certified inside K; every other
+    pair takes the exhaustive test sum_i log q*_i < log c, in the same
+    operations as on every pair, so the set outside K and every bit of f_hi
+    are those of the exhaustive test.  Proof that a certified pair passes it:
+    fl(l1 r) >= l1 r (1 - u), u = 2^-53, or, below the normal range, a larger
+    double exceeds l1 r itself.  With c^(1/m) normal, |log c / m| < 709, the
+    roundings of log c / m, exp and r move log r by less than 1e-13, so in
+    exact arithmetic each log q*_i = log v_i - log l1 is at least
+    log c / m + 1e-9 - 1e-13, and their sum at least log c + m (1e-9 - 1e-13).
+    The computed sum is within m 1.5e-12 + m^2 1.7e-13 of it (each log
+    within 4 ulp of a value below 745 in size, one subtraction each, m - 1
+    additions in turn of terms below 1,490), less than that margin for
+    m < 6,000.  Elsewhere r is 1, which certifies no pair, as min v <= l1.
+    A block's pairs outside K share one bisection, which works row by row,
+    and their f_hi replace f_lo in a copy of the block before its maxima;
+    with none outside K, f_hi is f_lo and shares its maxima."""
     cols = np.ascontiguousarray(np.asarray(torus_t, dtype=float).T)
-    count = cols.shape[1]
+    m, count = len(cols) + 1, cols.shape[1]
     log_c = -FOUR_PI2 * rho2 * rho2
+    root = math.exp(log_c / m)
+    ratio = root * (1 + 1e-9) if root >= np.finfo(float).tiny and m < 6000 else 1.0
     ecc_lo, ecc_hi = np.zeros((2, count))
-    for r0, r1 in _row_blocks(count, upper=True):
+    for r0, r1 in _row_blocks(count):
         diff = cols[:, None, r0:] - cols[:, r0:r1, None]
         v = np.abs(_l1_lattice_vectors(diff - np.floor(diff)))
         l1 = np.triu(np.sum(v, axis=0), 1)  # keep i < j: v and -v give one bound
-        lo = l1 / (TWO_PI * rho2)
-        # a zero move v_i gives q*_i = 0; where l1 = 0 (no move, or j <= i)
-        # log q* is not finite and the pair is not kept
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_q = np.log(v) - np.log(l1)
-            out = (l1 > 0) & (np.sum(log_q, axis=0) < log_c)
-        hi = lo.copy()
-        a, b = np.nonzero(out)
-        if a.size:  # none away from the threshold; C order sets the row sums' order
-            hi[a, b] = lo[a, b] * np.sqrt(_segment_excess(log_q[:, a, b].T.copy(), log_c))
-        for ecc, f in ((ecc_lo, lo), (ecc_hi, hi)):
-            ecc[r0:r1] = np.maximum(ecc[r0:r1], np.max(f, axis=1))
-            ecc[r0:] = np.maximum(ecc[r0:], np.max(f, axis=0))
+        lo = hi = l1 / (TWO_PI * rho2)
+        # where l1 = 0 (no move, or j <= i) the pair is not kept
+        a, b = np.nonzero((np.min(v, axis=0) <= l1 * ratio) & (l1 > 0))
+        # a zero move v_i gives q*_i = 0: log q*_i = -inf, outside K
+        with np.errstate(divide="ignore"):
+            log_q = np.log(v[:, a, b]) - np.log(l1[a, b])
+        out = np.sum(log_q, axis=0) < log_c
+        if np.any(out):  # none away from the threshold
+            a, b = a[out], b[out]
+            hi = lo.copy()
+            # the pairs go to the bisection as C-order rows, which sets its sums' order
+            hi[a, b] = lo[a, b] * np.sqrt(_segment_excess(log_q[:, out].T.copy(), log_c))
+        lo_max = np.max(lo, axis=1), np.max(lo, axis=0)
+        hi_max = lo_max if hi is lo else (np.max(hi, axis=1), np.max(hi, axis=0))
+        for ecc, (row, col) in ((ecc_lo, lo_max), (ecc_hi, hi_max)):
+            ecc[r0:r1] = np.maximum(ecc[r0:r1], row)
+            ecc[r0:] = np.maximum(ecc[r0:], col)
     return ecc_lo, ecc_hi
 
 

@@ -88,3 +88,24 @@ def gathered_pair_bounds(torus_t, rho2):
     f_lo[i, j] = f_lo[j, i] = lo
     f_hi[i, j] = f_hi[j, i] = hi
     return f_lo, f_hi, np.count_nonzero(out)
+
+
+def per_phase_hn_matrix(z, rho):
+    """Reference: metgeo.hn_matrix with one (N, N) product per phase of the
+    group, the minimum kept across phases, and the nearly aligned pairs of
+    each phase redone through the projection residual."""
+    u = z / np.linalg.norm(z, axis=1)[:, None]
+    best = None
+    for phase in metgeo._quotient_phases(z.shape[1] - 1):
+        v = u * np.exp(2j * math.pi * phase)[None, :]
+        g = np.conj(u) @ v.T
+        cos = np.clip(np.abs(g), 0.0, 1.0)
+        ang = np.arccos(cos)
+        ii, jj = np.nonzero(cos > 0.9999)
+        if ii.size:
+            resid = v[jj] - u[ii] * g[ii, jj][:, None]
+            ang[ii, jj] = np.arcsin(np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0))
+        best = ang if best is None else np.minimum(best, ang)
+    d = rho * best
+    np.fill_diagonal(d, 0.0)
+    return 0.5 * (d + d.T)

@@ -6,10 +6,11 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import cross_hausdorff, divisor_offsets_mp, gathered_pair_bounds
+from helpers import (cross_hausdorff, divisor_offsets_mp, gathered_pair_bounds,
+                     per_phase_hn_matrix)
 
 from wsdlab import metgeo as mg
 from wsdlab.ambient import feasibility_threshold, torus_metric_weights
@@ -659,14 +660,50 @@ def test_hn_distance_vanishes_on_phase_group_orbits():
 
 
 
+def _rows_with_orbit_pairs(n, seed):
+    """Five unit rows of C^{n+1}: three at random and the first one moved by
+    two elements of the phase group, whose distance to it is 0."""
+    z = _sphere_rows(5, n, seed)
+    phases = mg._quotient_phases(n)
+    z[3] = z[0] * np.exp(2j * math.pi * phases[-1])
+    z[4] = z[0] * np.exp(2j * math.pi * phases[len(phases) // 2])
+    return z
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hn_matrix_blocks_equal_the_per_phase_minimum(n):
+    # phases minimized in blocks give the per-phase loop's matrix bitwise,
+    # the arcsin branch of the orbit pairs included
+    z = _rows_with_orbit_pairs(n, seed=20 + n)
+    d = mg.hn_matrix(z, 1.3)
+    assert np.array_equal(d, per_phase_hn_matrix(z, 1.3))
+    assert d[0, 3] < 1e-12 and d[0, 4] < 1e-12
+
+
+def test_hn_distance_answers_at_the_largest_phase_group():
+    # n = 7: 262,144 phases, minimized in blocks
+    p, q = (CPnPoint(z, 1.0) for z in _sphere_rows(2, 7, seed=9))
+    moved = CPnPoint(p.z * np.exp(2j * math.pi * mg._quotient_phases(7)[12345]), 1.0)
+    assert 0.0 < mg.hn_distance(p, q) <= math.pi / 2
+    assert mg.hn_distance(p, moved) < 1e-12
+
+
 # -- chords ------------------------------------------------------------------------
+
+_STEP = math.isqrt(mg._BLOCK_PAIRS)  # rows in the first row block of a square count
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), count=st.integers(1, 300), dim=st.integers(1, 7))
+@example(seed=1, count=_STEP - 1, dim=3)
+@example(seed=2, count=_STEP, dim=3)
+@example(seed=3, count=_STEP + 1, dim=7)
+@example(seed=4, count=3 * _STEP + 1, dim=1)
 def test_chord_eccentricities_are_the_broadcast_row_maxima(seed, count, dim):
     # the all-pairs broadcast, summed along its last axis, is the reference;
-    # up to 300 rows span several row blocks, and below 8 coordinates numpy
-    # adds a row in turn, as the kernel does
+    # up to 300 rows span several row blocks (the examples straddle their
+    # edges), each pair met once, and below 8 coordinates numpy adds a row
+    # in turn, as the kernel does
     pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, dim))
     diff = pts[:, None, :] - pts[None, :, :]
     want = np.max(np.sqrt(np.sum(diff * diff, axis=2)), axis=1)
@@ -776,6 +813,52 @@ def test_limit_torus_bounds_blocks_equal_the_gathered_pairs(n, near):
         assert np.all(f_lo <= f_hi)
         if near and count > step:
             assert outside > count * (count - 1) // 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), excess=st.sampled_from([1.001, 1.05, 2.0]),
+       count=st.integers(2, 64), seed=st.integers(0, 10**6), repeats=st.booleans())
+@example(n=2, excess=1.001, count=64, seed=1, repeats=False)
+@example(n=3, excess=1.05, count=64, seed=2, repeats=True)
+@example(n=6, excess=1.001, count=64, seed=3, repeats=False)
+@example(n=2, excess=8.0 / feasibility_threshold(2), count=50, seed=7, repeats=True)
+def test_limit_torus_prefilter_never_changes_a_bound(n, excess, count, seed, repeats):
+    # pairs certified inside K take no logs; the gathered reference takes
+    # them on every pair.  Near the threshold most pairs are outside K, at
+    # twice it most are certified.  At n = 2 and rho2 ~ 8, c^(1/3) ~ e^(-842)
+    # underflows, so no pair is certified.  A row that repeats a coordinate
+    # of another gives a zero move entry (log q* = -inf, outside K even at
+    # rho2 = 8), a duplicate row l1 = 0
+    rho2 = feasibility_threshold(n) * excess
+    torus_t = draw_torus(n, count, seed)[:, n:].copy()
+    if repeats:
+        torus_t[1, 0] = torus_t[0, 0]
+        torus_t[-1] = torus_t[0]
+    ecc_lo, ecc_hi = mg.limit_torus_bounds(torus_t, rho2)
+    f_lo, f_hi, _ = gathered_pair_bounds(torus_t, rho2)
+    assert np.array_equal(ecc_lo, np.max(f_lo, axis=1))
+    assert np.array_equal(ecc_hi, np.max(f_hi, axis=1))
+
+
+@pytest.mark.parametrize("block", [1, 7, mg._BLOCK_PAIRS, 1 << 16])
+def test_block_size_is_a_pure_performance_choice(block, monkeypatch):
+    # every kernel sized by _BLOCK_PAIRS returns the same bits at any block
+    # size, one pair (or phase) per block included; n = 2 at 1.001x the
+    # threshold puts most pairs outside K
+    torus_t = {n: draw_torus(n, 90, n)[:, n:] for n in (2, 5)}
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (90, 3))
+    z = _rows_with_orbit_pairs(5, seed=11)
+
+    def kernels():
+        return (*mg.limit_torus_bounds(torus_t[2], feasibility_threshold(2) * 1.001),
+                *mg.limit_torus_bounds(torus_t[2], 0.6),
+                *mg.limit_torus_bounds(torus_t[5], feasibility_threshold(5) * 1.05),
+                mg.chord_eccentricities(points), mg.hn_matrix(z, 1.0))
+
+    want = kernels()
+    monkeypatch.setattr(mg, "_BLOCK_PAIRS", block)
+    for got, ref in zip(kernels(), want):
+        assert np.array_equal(got, ref)
 
 
 def test_limit_torus_bounds_memory_stays_in_blocks():
