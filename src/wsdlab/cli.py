@@ -41,23 +41,18 @@ def _emit(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
 
-def _csv_text(comments: list[str], fieldnames: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    w = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    w.writeheader()
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
-
-
 def _sweep_text(fmt: str, comments: list[str], fieldnames: list[str],
                 rows: list[dict], config: dict) -> str:
     if fmt == "json":
         return json.dumps({"config": config, "rows": rows,
                            "version": __version__}, indent=2) + "\n"
-    return _csv_text(comments, fieldnames, rows)
+    buf = io.StringIO()
+    for line in comments:
+        buf.write(f"# {line}\n")
+    w = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def _parse_grid(text: str):
@@ -82,7 +77,8 @@ def _parse_list(text: str) -> list[float]:
     return vals
 
 
-# a limit sweep compares sample sets by distances between their points
+# limit-complex compares sample sets by distances between their points;
+# limit-kahler reads no sample, and keeps the same bounds on what it echoes
 _MIN_SAMPLES = {"limit-kahler": 2, "limit-complex": 2}
 # a sample's stream key holds its index in one 32-bit entropy word
 _MAX_SAMPLES = 1 << 32
@@ -148,30 +144,31 @@ def cmd_verify(args) -> int:
 
 # -- limit sweeps -----------------------------------------------------------
 #
-# Every sample's random numbers depend on (seed, index) alone, so each command
-# draws them once, before its loops, and pushes whole sample arrays through
-# the projections; no per-sample point object is built.
-#
-# The radii at a grid point are rho1 times a shape that rho2 alone fixes, and
-# solve_base gives bitwise rho1 times its rho1 = 1 rows, so each sweep solves
-# the shape once per rho2 (the rho1 = 1 solve) and takes rho1 * shape as the
-# radii at every grid point.  Each image's offset from the divisor is exact
-# and sample-free (metgeo.divisor_offsets), once per rho2; limit-kahler scales
-# its unit-sphere offset by rho1, and its fibers are per grid point.  The pi2
-# modulus sqrt(-u / 2 pi^2) reads only the log-shape u (reduction.log_shape),
-# so limit-complex builds the image w, its residual and the degenerate
-# metric's limit bracket (metgeo.degenerate_limit) once per rho2, before its
-# rho1 loop: rho1 d_g lies within rho1^2 (n + 2) pi / rho2 of the limit torus
-# distance d_F for every pair, so each rho1 reads the same per-sample
-# eccentricity bounds.  Per rho1 remain the fiber diameters and the
-# normalized-GH interval of sample i <-> its torus row i (metgeo.degenerate_ngh).
+# Every column but limit-complex's pi2_residual_max and degenerate_ngh_* is
+# exact and sample-free: formed from fiber_bound and from suprema over the
+# whole base that (n, rho2) alone fixes, the divisor offsets and the largest
+# fiber diameters (metgeo.base_suprema, once per rho2), each scaled by rho1
+# or 1/rho1 at a grid point.  So limit-kahler draws and solves nothing: it accepts and
+# echoes --samples and --seed, and reads neither.  limit-complex draws its
+# sample once, before its loops: a sample's random numbers depend on (seed,
+# index) alone.  Its radii at a grid point are rho1 times a shape that rho2
+# alone fixes, and the pi2 modulus sqrt(-u / 2 pi^2) reads only the
+# log-shape u (reduction.log_shape), so it solves the shape and builds the
+# image w, its residual and the degenerate metric's limit bracket
+# (metgeo.degenerate_limit) once per rho2, before its rho1 loop: rho1 d_g
+# lies within rho1^2 (n + 2) pi / rho2 of the limit torus distance d_F for
+# every pair, so each rho1 reads the same per-sample eccentricity bounds.
+# Per rho1 remain the scaled suprema and the normalized-GH interval of
+# sample i <-> its torus row i (metgeo.degenerate_ngh).  A scaled cell that
+# leaves the normal doubles exits 2 with one line naming it (_scaled).
 
 KAHLER_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
                  "fiber_diam_max", "fiber_bound", "fiber_ratio",
                  "hausdorff_image", "hausdorff_total", "hausdorff_norm"]
 
 KAHLER_DOC = [
-    "fiber_diam_max: max exact first-projection fiber diameter over sampled points",
+    "fiber_diam_max: sup over the whole base of the first-projection fiber diameter, exact;",
+    "  no column depends on --samples or --seed, which limit-kahler echoes and does not read",
     "fiber_bound: pi n^{-(n-1)/2} e^{2 pi^2 rho2^2} / rho1",
     "fiber_ratio: fiber_diam_max / fiber_bound",
     "hausdorff_image: sup over the whole pi1 image of the distance to the hyperplane union,",
@@ -181,23 +178,32 @@ KAHLER_DOC = [
 ]
 
 
-def cmd_limit_kahler(args) -> int:
-    import numpy as np
+def _scaled(value: float, name: str, rho1: float) -> float:
+    """A sweep cell that scales with rho1; ArithmeticError where it leaves the
+    normal doubles: pi rho1 overflows from rho1 ~5.7e307, a fiber over
+    rho1^2 (hausdorff_norm) from rho1 ~1e-154 at rho2 0.6 and sooner deeper,
+    and rho1 times a fiber at a subnormal rho1 keeps few digits."""
+    if not sys.float_info.min <= value < math.inf:
+        raise ArithmeticError(f"{name} leaves the normal doubles at rho1 = {rho1:.6g}")
+    return value
 
-    from .metgeo import divisor_offsets, pi1_fiber_bound, pi1_fiber_diameters
-    from .reduction import LevelSetSpec, draw_directions, solve_base
+
+def cmd_limit_kahler(args) -> int:
+    from .metgeo import base_suprema, pi1_fiber_bound
+    from .reduction import LevelSetSpec
 
     rho2s = _parse_list(args.rho2)
-    grid = np.sort(_parse_grid(args.grid))
-    directions = draw_directions(args.n, args.samples, args.seed)
+    grid = sorted(map(float, _parse_grid(args.grid)))
     rows = []
     for rho2 in rho2s:
-        shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
-        h1 = divisor_offsets(args.n, rho2)[0]
-        for rho1 in grid:
-            fiber = float(np.max(pi1_fiber_diameters(rho1 * shape)))
-            bound = pi1_fiber_bound(LevelSetSpec(args.n, float(rho1), rho2))
-            h_img = rho1 * h1
+        # the bounds first: each is at least 4 pi^2 times the pi1 supremum, so
+        # past rho2 ~6 they overflow first, before the supremum (inf there)
+        # or, past rho2 ~1e153, the root base_suprema solves
+        bounds = [pi1_fiber_bound(LevelSetSpec(args.n, rho1, rho2)) for rho1 in grid]
+        sup = base_suprema(args.n, rho2)
+        for rho1, bound in zip(grid, bounds):
+            fiber = _scaled(sup.pi1_fiber / rho1, "fiber_diam_max", rho1)
+            h_img = _scaled(rho1 * sup.h1, "hausdorff_image", rho1)
             h_tot = h_img + fiber
             rows.append({
                 "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),
@@ -205,7 +211,8 @@ def cmd_limit_kahler(args) -> int:
                 "fiber_diam_max": _e(fiber), "fiber_bound": _e(bound),
                 "fiber_ratio": _e(fiber / bound),
                 "hausdorff_image": _e(h_img), "hausdorff_total": _e(h_tot),
-                "hausdorff_norm": _e(h_tot / (math.pi * rho1 / 2.0)),
+                "hausdorff_norm": _e(_scaled(h_tot / (math.pi * rho1 / 2.0), "hausdorff_norm",
+                                             rho1)),
             })
     config = {"n": args.n, "rho2": rho2s, "grid": args.grid,
               "samples": args.samples, "seed": args.seed}
@@ -218,7 +225,8 @@ COMPLEX_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
                   "hausdorff_quotient", "degenerate_ngh_lower", "degenerate_ngh_upper"]
 
 COMPLEX_DOC = [
-    "fiber_diam_max: max exact second-projection fiber diameter over sampled points",
+    "fiber_diam_max: sup over the whole base of the second-projection fiber diameter, exact;",
+    "  it does not depend on --samples or --seed",
     "c_witness: fiber_diam_max / rho1 (scaling constant witness)",
     "pi2_residual_max: worst image-equation residual of the projected sample",
     "hausdorff_quotient: sup over the whole pi2 image of the quotient distance to the hyperplane",
@@ -233,28 +241,12 @@ COMPLEX_DOC = [
 ]
 
 
-def _complex_shape(shape, rho2: float, torus_t):
-    """What a limit-complex row needs that depends on rho2 alone, from the
-    level set's `shape` (its radii at rho1 = 1): pi2_residual_max,
-    hausdorff_quotient and the degenerate metric's limit bracket."""
-    import numpy as np
-
-    from .maps import pi2_image_residual, project_pi2
-    from .metgeo import degenerate_limit, divisor_offsets
-    from .reduction import log_shape
-
-    n = shape.shape[1] - 1
-    w = project_pi2(log_shape(shape), torus_t)
-    return (float(np.max(pi2_image_residual(w))),
-            rho2 * divisor_offsets(n, rho2)[1],
-            degenerate_limit(shape, torus_t, rho2))
-
-
 def cmd_limit_complex(args) -> int:
     import numpy as np
 
-    from .metgeo import degenerate_ngh, pi2_fiber_diameters
-    from .reduction import LevelSetSpec, draw_directions, draw_torus, solve_base
+    from .maps import pi2_image_residual, project_pi2
+    from .metgeo import base_suprema, degenerate_limit, degenerate_ngh
+    from .reduction import LevelSetSpec, draw_directions, draw_torus, log_shape, solve_base
 
     rho2s = _parse_list(args.rho2)
     grid = np.sort(_parse_grid(args.grid))[::-1]
@@ -263,17 +255,17 @@ def cmd_limit_complex(args) -> int:
     rows = []
     for rho2 in rho2s:
         shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
-        # the fibers first: a radius too small at the first grid point fails
-        # there, as that point's own computation does
-        fibers = [float(np.max(pi2_fiber_diameters(rho1 * shape))) for rho1 in grid]
-        res, h_quot, limit = _complex_shape(shape, rho2, torus_t)
-        for rho1, fiber in zip(grid, fibers):
-            ngh = degenerate_ngh(limit, float(rho1))
+        sup = base_suprema(args.n, rho2)
+        res = float(np.max(pi2_image_residual(project_pi2(log_shape(shape), torus_t))))
+        limit = degenerate_limit(shape, torus_t, rho2)
+        for rho1 in map(float, grid):
+            fiber = _scaled(rho1 * sup.pi2_fiber, "fiber_diam_max", rho1)
+            ngh = degenerate_ngh(limit, rho1)
             rows.append({
                 "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),
                 "samples": args.samples, "seed": args.seed, "version": __version__,
                 "fiber_diam_max": _e(fiber), "c_witness": _e(fiber / rho1),
-                "pi2_residual_max": _e(res), "hausdorff_quotient": _e(h_quot),
+                "pi2_residual_max": _e(res), "hausdorff_quotient": _e(rho2 * sup.h2),
                 "degenerate_ngh_lower": _e(ngh.lower), "degenerate_ngh_upper": _e(ngh.upper),
             })
     config = {"n": args.n, "rho2": rho2s, "grid": args.grid,

@@ -1,8 +1,8 @@
 """Finite-sample metric geometry: the distances of the two projective charts,
 diameters, Gromov-Hausdorff bounds, flat-torus diameters, the exact
-distance from each projection's image to the anticanonical divisor, and
-the degenerate metric's limit torus, bracketed in closed form with no
-graph search.
+suprema over the base (each projection's distance to the anticanonical
+divisor and largest fiber, base_suprema), and the degenerate metric's limit
+torus, bracketed in closed form with no graph search.
 
 The quotient chart has one distance kernel, hn_matrix, over the dual-simplex
 phase group; hn_distance reads its two-row case (no command calls either),
@@ -359,13 +359,6 @@ def pi1_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
     return root_lattice_covering_radius(torus_metric_weights(base_r)[1])
 
 
-def pi2_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
-    """Diameters of the second-projection fiber tori, one per row of an
-    (N, n+1) radius array: the theta-subtorus, period lattice A_n, with metric
-    4 pi^2 r_i^2 dtheta_i^2."""
-    return root_lattice_covering_radius(torus_metric_weights(base_r)[0])
-
-
 def pi1_fiber_bound(spec: LevelSetSpec) -> float:
     """Closed-form fiber-diameter bound pi n^{-(n-1)/2} e^{2 pi^2 rho2^2} / rho1.
 
@@ -383,14 +376,22 @@ def pi1_fiber_bound(spec: LevelSetSpec) -> float:
     return bound
 
 
-# -- distance to the anticanonical divisor --------------------------------------
+# -- the sample-free suprema over the base --------------------------------------
 
-def divisor_offsets(n: int, rho2: float) -> tuple[float, float]:
-    """(h1, h2): the sup over the pi1 resp. pi2 image of the distance to the
-    divisor {z_j = 0}, at unit scale (rho1 h1 and rho2 h2 at the images'
-    scales).  One side of the Hausdorff distance, exact.
+# base_suprema's four facts of (n, rho2), at unit scale
+BaseSuprema = NamedTuple("BaseSuprema", [("h1", float), ("h2", float),
+                                         ("pi1_fiber", float), ("pi2_fiber", float)])
 
-    Proof.  That distance is arcsin(|z_j| / |z|) (Bengtsson and Zyczkowski,
+
+def base_suprema(n: int, rho2: float) -> BaseSuprema:
+    """(h1, h2, pi1_fiber, pi2_fiber): the sup over the pi1 resp. pi2 image of
+    the distance to the divisor {z_j = 0}, and the sup over the base of the
+    pi1 resp. pi2 fiber-torus diameter, at unit scale: rho1 h1, rho2 h2,
+    pi1_fiber / rho1 and rho1 pi2_fiber at the images' scales.  Each is
+    exact and reads no sample; the offsets are one side of the Hausdorff
+    distance.
+
+    Offsets.  That distance is arcsin(|z_j| / |z|) (Bengtsson and Zyczkowski,
     Geometry of Quantum States, CUP 2006, ch. 4) and every set is
     torus-invariant, so take q = x^2 on B = {sum q = 1, sum log q = log c},
     c = e^{-4 pi^2 rho2^2}, m = n+1.  For tau <= 1/m the concave sum log q is,
@@ -403,21 +404,46 @@ def divisor_offsets(n: int, rho2: float) -> tuple[float, float]:
     t+ > 1/m.  Under pi2 |z_j|^2 = -log q_j / 4 pi^2 and |z| = rho2, so
     h2 = arcsin(sqrt(-log t+) / (2 pi rho2)).
 
+    Fibers.  At radii rho1 x both fiber lattices are A_n, with the weights
+    1 / (4 pi^2 rho1^2 q_i) (pi1) and 4 pi^2 rho1^2 q_i (pi2), so
+    root_lattice_covering_radius gives, with S = sum 1/q_i and p = m mod 2,
+    sqrt(S - p) / (4 pi rho1) and pi rho1 sqrt(1 - p / S): both rise with S.
+    B is compact (every q_i >= c), so S has a maximum on it, and there the
+    constraint gradients 1 and 1/q are independent (only the centre, which
+    is not on B, makes them parallel): a KKT point.  With
+    L = S - lam (sum q - 1) - mu (sum log q - log c), each 1/q_i is a root of
+    P^2 + mu P + lam = 0, so q takes two values s < l (one is the centre),
+    and mu = -(1/s + 1/l).  If two coordinates a, b equal s, then e_a - e_b
+    is tangent to B (sum v = 0, sum v / q = 0), and on it the Lagrangian
+    Hessian diag(2 / q^3 + mu / q^2) is 2 (1/s - 1/l) / s^2 > 0, so that
+    point is no maximum.  So the maximum is (l, .., l, s), n l + s = 1,
+    l^n s = c, l > s: l = t+, s = d = 1 - n t+, S_max = n^2 / (1 - d) + 1/d.
+
     sqrt(t-) is _small_root's, as in reduction.solve_base at n = 1; t+ =
-    (1 - d) / n, d = n^n c e^z, z / n + log1p(-d) = 0, so -log t+ = log n -
-    log1p(-d) stays exact at n = 1.  Raises EmptyLevelSet unless the level
-    set is regular, and OverflowError where log c / 2n leaves the doubles
-    (rho2 ~1e153).
+    (1 - d) / n, d = n^n c e^y, y / n + log1p(-d) = 0, so -log t+ = log n -
+    log1p(-d) stays exact at n = 1, and the pi1 supremum is formed from
+    log d = n log n + log c + y: it stays finite after d underflows (rho2
+    ~5.5) until pi1_fiber_bound overflows (rho2 ~6), and is inf past that.
+    Its relative error is about eps |log c|, the rounding of log c.
+    Raises EmptyLevelSet unless the level set is regular, and OverflowError
+    where log c / 2n leaves the doubles (rho2 ~1e153).
     """
     require_regular(LevelSetSpec(n, 1.0, rho2))
-    root, hi = _small_root(n, rho2)  # sqrt(t-), log c / 2n
+    root, half = _small_root(n, rho2)  # sqrt(t-), log c / 2n
+    k = n ** n * math.exp(2.0 * n * half)
+    d = k * math.exp(_rising_root(1.0 / n, k))  # 1 - n t+
     if n == 1:  # t+ = 1 - t-: -log t+ ~ t- leaves the doubles before its root does
         t = root * root
         mod = root * math.sqrt(-math.log1p(-t) / t) if t else root
     else:
-        k = n ** n * math.exp(2.0 * n * hi)
-        mod = math.sqrt(math.log(n) - math.log1p(-k * math.exp(_rising_root(1.0 / n, k))))
-    return math.asin(root), math.asin(mod / (2.0 * math.pi * rho2))
+        mod = math.sqrt(math.log(n) - math.log1p(-d))
+    p, grow = (n + 1) % 2, d * n * n / (1.0 - d)  # S = (1 + grow) / d
+    # log(4 pi pi1) = (log(S - p) - log d) / 2, log d = n log n + log c - n log1p(-d)
+    log_pi1 = 0.5 * (math.log1p(grow - p * d) + n * (math.log1p(-d) - math.log(n))
+                     - 2.0 * n * half) - math.log(4.0 * math.pi)
+    pi1 = math.exp(log_pi1) if log_pi1 < math.log(np.finfo(float).max) else math.inf
+    return BaseSuprema(math.asin(root), math.asin(mod / (2.0 * math.pi * rho2)), pi1,
+                       math.pi * math.sqrt(1.0 - p * d / (1.0 + grow)))
 
 
 # -- the degenerate metric's limit torus -----------------------------------------

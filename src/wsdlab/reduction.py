@@ -335,7 +335,7 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     the spec is regular, so every sum-zero direction d meets the base once,
     at a ray parameter t > 0 solved per row (`_log_ray_roots`).  For n = 1
     it is (hi, lo) and (lo, hi), alternated: lo = sqrt(t-) from _small_root,
-    as in divisor_offsets, and hi = sqrt(1 - lo^2).  Either way the rows are
+    as in metgeo.base_suprema, and hi = sqrt(1 - lo^2).  Either way the rows are
     rho1 times the shape the solve finds from rho2 alone, so they are bitwise
     spec.rho1 times the rows of the spec with rho1 = 1.
 

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 
 from wsdlab import metgeo
+from wsdlab.ambient import torus_metric_weights
 
 
 def dense_tensors(r) -> dict[str, np.ndarray]:
@@ -43,7 +44,7 @@ def fresh_stream(seed: int, idx: int, *tag: int) -> np.random.Generator:
 
 @lru_cache(maxsize=None)
 def divisor_offsets_mp(n: int, rho2: float) -> tuple:
-    """Reference: the unit-scale divisor offsets (h1, h2) of metgeo.divisor_offsets
+    """Reference: the unit-scale divisor offsets (h1, h2) of metgeo.base_suprema
     as mpmath numbers with 50 digits past the integer part of log c, from
     mpmath's bracketed roots of t^n (1 - n t) = c, c = e^{-4 pi^2 rho2^2} taken
     exactly at the double rho2: t- as s = log t- in [log c / n, (log c + log m) / n],
@@ -58,6 +59,48 @@ def divisor_offsets_mp(n: int, rho2: float) -> tuple:
         neg_log_tp = log_n - mpmath.log1p(-mpmath.exp(ell))
         return (mpmath.asin(mpmath.exp(s / 2)),
                 mpmath.asin(mpmath.sqrt(neg_log_tp) / (2 * mpmath.pi * mpmath.mpf(rho2))))
+
+
+@lru_cache(maxsize=None)
+def kkt_log_sums_mp(n: int, rho2: float, digits: int = 50) -> tuple:
+    """Reference: log S, S = sum 1/q_i, at every two-value KKT point of S on
+    the base B = {sum q = 1, sum log q = log c}, c = e^{-4 pi^2 rho2^2} taken
+    exactly at the double rho2, one per j = 1..n: j coordinates s < 1/m and
+    m - j coordinates l = (1 - j s) / (m - j), m = n + 1, with log s from
+    mpmath's bracketed root of j log s + (m - j) log l = log c, which rises
+    in s on (0, 1/m).  `digits` digits past the integer part of log c; logs,
+    as S leaves the doubles from rho2 ~5.5."""
+    m = n + 1
+    with mpmath.workdps(digits + max(0, math.ceil(math.log10(4 * math.pi**2 * rho2 * rho2)))):
+        log_c = -4 * mpmath.pi ** 2 * mpmath.mpf(rho2) ** 2
+        out = []
+        for j in range(1, m):
+            k = m - j
+            sig = mpmath.findroot(
+                lambda x: j * x + k * mpmath.log((1 - j * mpmath.exp(x)) / k) - log_c,
+                ((log_c + k * mpmath.log(k)) / j, -mpmath.log(m)), solver="anderson")
+            s = mpmath.exp(sig)
+            out.append(mpmath.log(j / s + k * k / (1 - j * s)))
+        return tuple(out)
+
+
+def fiber_suprema_mp(n: int, rho2: float, digits: int = 50) -> tuple:
+    """Reference: metgeo.base_suprema's (pi1_fiber, pi2_fiber) as mpmath
+    numbers, root_lattice_covering_radius's closed form at the largest S of
+    kkt_log_sums_mp: sqrt(S - p) / (4 pi) and pi sqrt(1 - p / S),
+    p = (n + 1) mod 2."""
+    log_s = max(kkt_log_sums_mp(n, rho2, digits))
+    with mpmath.workdps(digits + 10):
+        big = mpmath.exp(log_s)
+        p = (n + 1) % 2
+        return mpmath.sqrt(big - p) / (4 * mpmath.pi), mpmath.pi * mpmath.sqrt(1 - p / big)
+
+
+def pi2_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
+    """Reference: the second-projection fiber-torus diameter of each row of an
+    (N, n+1) radius array, the theta-subtorus with period lattice A_n and
+    metric 4 pi^2 r_i^2 dtheta_i^2, by root_lattice_covering_radius."""
+    return metgeo.root_lattice_covering_radius(torus_metric_weights(base_r)[0])
 
 
 def cross_hausdorff(cross) -> float:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -12,7 +13,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +25,8 @@ from wsdlab.cli import main
 from wsdlab.reduction import (LevelSetSpec, draw_directions, draw_torus, log_shape, sample_base,
                               solve_base)
 
-from helpers import cross_hausdorff, divisor_offsets_mp, gathered_pair_bounds
+from helpers import (cross_hausdorff, divisor_offsets_mp, fiber_suprema_mp, gathered_pair_bounds,
+                     pi2_fiber_diameters)
 
 
 def run(tmp_path, *argv):
@@ -458,7 +459,7 @@ def test_sampler_failure_exits_2_with_one_line(capsys):
 
 
 @pytest.mark.parametrize("rho2", ["1e154", "1e200", "1e308"])
-@pytest.mark.parametrize("command", ["verify", "limit-kahler", "limit-complex"])
+@pytest.mark.parametrize("command", ["verify", "limit-complex"])
 def test_huge_rho2_exits_2_with_the_radii_underflow_line(command, rho2, capsys):
     # far above the threshold 4 pi^2 rho2^2 leaves the doubles: the set is
     # regular (not 'degenerate') and its radii underflow, as at rho2 = 30
@@ -469,17 +470,27 @@ def test_huge_rho2_exits_2_with_the_radii_underflow_line(command, rho2, capsys):
                    "a radius rounds to 0 in double precision\n")
 
 
+@pytest.mark.parametrize("rho2", ["1e154", "1e200", "1e308"])
+def test_huge_rho2_limit_kahler_exits_2_with_the_fiber_bound_line(rho2, capsys):
+    # limit-kahler solves no radii; its first printed value to leave the
+    # doubles is the fiber bound, as from rho2 ~6 on, and it is formed before
+    # base_suprema's root, which leaves the doubles from rho2 ~1e153
+    assert main(["limit-kahler", "--n", "2", "--rho2", rho2, "--samples", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical failure: fiber bound pi n^(-(n-1)/2) e^(2 pi^2 rho2^2) / rho1 "
+                   f"overflows at rho2 = {float(rho2):.6g}, rho1 = 1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "2", "--rho2", "5", "--samples", "3"],
-    ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-160:1e-159:2"],
-    ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1e-160:1e-159:2"],
-], ids=["verify", "limit-complex", "limit-kahler"])
+], ids=["verify"])
 def test_radius_squared_underflow_exits_2_with_one_line(argv, capsys):
     # the base radii exist, but 4 pi^2 r^2 of the smallest is below the normal
-    # doubles: the torus metric weights name that, not a bare divide by zero
-    # (limit-complex: the first grid point's fibers fail before its per-rho2
-    # half is built).  A deep rho2 (verify) or a small rho1 (the sweeps) is
-    # the cause, and the line names both
+    # doubles: the torus metric weights name that, not a bare divide by zero.
+    # A deep rho2 (verify) or a small rho1 is the cause, and the line names
+    # both.  The sweeps form no radii at a grid point, so no rho1 reaches it
+    # there (test_sweeps_print_where_the_radii_left_the_doubles)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -487,18 +498,48 @@ def test_radius_squared_underflow_exits_2_with_one_line(argv, capsys):
     assert "rho1" in err and "rho2" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["limit-kahler", "--rho2", "0.7"],
-    ["limit-complex", "--rho2", "0.7"],
-], ids=["limit-kahler", "limit-complex"])
-def test_radius_squared_overflow_exits_2_with_one_line(argv, capsys):
-    # at rho1 = 1e160, 4 pi^2 r^2 of the largest radius leaves the doubles:
-    # the torus metric weights name that, not a bare overflow or range error
-    assert main([*argv, "--n", "2", "--grid", "1e150:1e160:2"]) == 2
+@pytest.mark.parametrize("command,grid", [
+    ("limit-complex", "1e-160:1e-159:2"),
+    ("limit-kahler", "1e150:1e160:2"),
+    ("limit-complex", "1e150:1e160:2"),
+], ids=["limit-complex-tiny", "limit-kahler-huge", "limit-complex-huge"])
+def test_sweeps_print_where_the_radii_left_the_doubles(command, grid, capsys):
+    # rho1 times the shape squares below (1e-160) or above (1e160) the normal
+    # doubles, which the per-point fiber pass refused as radius squared under-
+    # or overflow; the suprema scale by rho1 alone and stay normal (for
+    # limit-kahler at 1e-160, test_sweep_cells_past_the_normal_doubles_...)
+    assert main([command, "--n", "2", "--rho2", "0.7", "--grid", grid]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("numerical failure: radius squared overflow at r = ")
-    assert err.endswith("rho1 is too large for the torus metric\n") and err.count("\n") == 1
+    assert err == ""
+    sup = metgeo.base_suprema(2, 0.7)
+    for row in rows_of(out):
+        assert all(math.isfinite(float(cell)) for key, cell in row.items() if key != "version")
+        rho1 = float(row["rho1"])
+        want = sup.pi1_fiber / rho1 if command == "limit-kahler" else rho1 * sup.pi2_fiber
+        assert row["fiber_diam_max"] == cli._e(want)
+
+
+@pytest.mark.parametrize("command,grid,line", [
+    ("limit-kahler", "1e300:1.7e308:2",
+     "hausdorff_norm leaves the normal doubles at rho1 = 1.7e+308"),
+    ("limit-complex", "1e300:1.7e308:2",
+     "fiber_diam_max leaves the normal doubles at rho1 = 1.7e+308"),
+    ("limit-kahler", "1e-160:1e-159:2",
+     "hausdorff_norm leaves the normal doubles at rho1 = 1e-160"),
+    ("limit-complex", "1e-300:1e-310:2",
+     "fiber_diam_max leaves the normal doubles at rho1 = 1e-310"),
+    ("limit-kahler", "1e-300:1e-310:2", "fiber bound pi n^(-(n-1)/2) e^(2 pi^2 rho2^2) / rho1 "
+     "overflows at rho2 = 0.6, rho1 = 1e-310"),
+], ids=["limit-kahler-huge", "limit-complex-huge", "limit-kahler-tiny",
+        "limit-complex-subnormal", "limit-kahler-subnormal"])
+def test_sweep_cells_past_the_normal_doubles_exit_2_and_name_them(command, grid, line, capsys):
+    # pi rho1 (limit-kahler's diameter scale, limit-complex's odd-n fiber)
+    # overflows from rho1 ~5.7e307, and so does hausdorff_norm's fiber over
+    # rho1^2 from rho1 ~1e-154 at rho2 0.6; a subnormal rho1 makes the pi2
+    # fiber subnormal, while limit-kahler's bound, at least 4 pi^2 times its
+    # fiber, overflows first
+    assert main([command, "--n", "3", "--rho2", "0.6", "--grid", grid, "--samples", "4"]) == 2
+    assert capsys.readouterr() == ("", f"numerical failure: {line}\n")
 
 
 def test_fiber_bound_overflow_exits_2_and_names_it(capsys):
@@ -512,27 +553,20 @@ def test_fiber_bound_overflow_exits_2_and_names_it(capsys):
                    "overflows at rho2 = 6.5, rho1 = 1\n")
 
 
-def _mp_pi1_fiber_diameter(base_r):
-    """60-digit closed-form diameter of the first-projection fiber torus,
-    weights 1 / (4 pi^2 r_i^2), from its radii."""
-    with mpmath.workdps(60):
-        w = [1 / (4 * mpmath.pi**2 * mpmath.mpf(float(r)) ** 2) for r in base_r]
-        total, harmonic = mpmath.fsum(w), mpmath.fsum(1 / x for x in w)
-        return mpmath.sqrt(total - (len(w) % 2) / harmonic) / 2
-
-
-@pytest.mark.parametrize("n,rho2", [(2, "1.3"), (3, "1.2")])
+@pytest.mark.parametrize("n,rho2", [(2, "1.3"), (3, "1.2"), (2, "4.5"), (4, "5")])
 def test_deep_rho2_kahler_sweep_matches_60_digit_closed_form(tmp_path, n, rho2):
     # regular level sets whose fiber Gram matrix is numerically singular: the
-    # sweep forms no Gram matrix, so it runs and prints the closed form
+    # sweep forms no Gram matrix, so it runs and prints the closed form of
+    # the supremum over the base, against a 60-digit search of its KKT points.
+    # At rho2 4.5 and 5 the radii would leave the doubles, and the supremum,
+    # 1.57e172 and 1.03e212 at rho1 = 1, stays below its bound
     rc, text = run(tmp_path, "limit-kahler", "--n", str(n), "--rho2", rho2,
                    "--grid", "1:10:2", "--samples", "12")
     assert rc == 0
     rows = rows_of(text)
     assert len(rows) == 2
     for row in rows:
-        spec = LevelSetSpec(n, float(row["rho1"]), float(rho2))
-        exact = max(_mp_pi1_fiber_diameter(r) for r in sample_base(spec, 12, 0))
+        exact = fiber_suprema_mp(n, float(rho2), digits=60)[0] / float(row["rho1"])
         assert abs(float(row["fiber_diam_max"]) - exact) <= 1e-12 * exact
         assert float(row["fiber_ratio"]) <= 1.0
 
@@ -613,6 +647,8 @@ NAMED_CAUSES = [re.compile(p) for p in (
     r"numerical failure: degenerate-pair construction ill conditioned: .*",
     r"numerical failure: fiber bound .* overflows at rho2 = \S+, rho1 = \S+",
     r"numerical failure: base diameter rho1 \* d leaves the normal doubles at .*",
+    r"numerical failure: (fiber_diam_max|hausdorff_image|hausdorff_norm) leaves the normal doubles "
+    r"at rho1 = \S+",
     r"numerical failure: the degenerate distance is infinite at n = 1: the base is two "
     r"points, so the level set has two components",
 )]
@@ -656,6 +692,12 @@ def _reject_constant(token):
 @example(argv=["verify", "--n", "6", "--rho2", "6.54", "--rho1", "4.48e98", "--samples", "10"])
 @example(argv=["limit-complex", "--n", "2", "--rho2", "0.553", "--samples", "3",
                "--grid", "3.5e73:1.59e153:2"])
+@example(argv=["limit-kahler", "--n", "2", "--rho2", "4.5", "--samples", "2"])
+@example(argv=["limit-kahler", "--n", "4", "--rho2", "5", "--samples", "2"])
+@example(argv=["limit-kahler", "--n", "3", "--rho2", "0.7", "--samples", "2",
+               "--grid", "1e300:1.7e308:3"])
+@example(argv=["limit-complex", "--n", "3", "--rho2", "0.7", "--samples", "2",
+               "--grid", "1e300:1.7e308:3"])
 def test_every_argv_gives_a_result_or_one_named_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
@@ -897,8 +939,8 @@ print(json.dumps({
 
 
 @pytest.mark.parametrize("argv,per_sample", [
-    (["limit-kahler", "--n", "3", "--rho2", "0.7", "--grid", "1:1e3:2"], 1),
-    (["limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid", "1:1e3:5"], 1),
+    (["verify", "--n", "3", "--rho2", "0.7"], 1),
+    (["boundary", "--side", "all", "--n", "3", "--grid", "1e-4:1e-1:5"], 1),
     (["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3"], 2),
     (["limit-complex", "--n", "2", "--rho2", "0.6,0.7", "--grid", "1e-3:1:2"], 2),
     (["boundary", "--side", "all", "--n", "2"], 1),
@@ -906,8 +948,9 @@ print(json.dumps({
 def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample):
     # a sample's random numbers depend on (seed, index) alone: a command derives
     # each stream key it needs once, whatever its grid and rho2 list, and
-    # samples every level set from the same rows.  The sweeps draw the
-    # directions, and limit-complex the torus rows too; no divisor sample
+    # samples every level set from the same rows.  verify and boundary draw
+    # the directions, limit-complex the torus rows too; limit-kahler draws
+    # nothing (test_limit_kahler_draws_and_solves_nothing)
     built = []
     fresh = reduction._stream_keys
 
@@ -930,10 +973,11 @@ def test_commands_draw_each_stream_once(monkeypatch, tmp_path, argv, per_sample)
     (["limit-complex", "--rho2", "0.6,0.7"], [0.6, 0.7]),
 ], ids=["limit-kahler", "limit-complex"])
 def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2s, grid):
-    # the radii at every grid point are rho1 times the one rho1 = 1 shape, and
-    # the divisor offsets and the limit bracket depend on (n, rho2) alone, so
-    # each sweep solves the shape and takes the offsets (and limit-complex the
-    # bracket) once per rho2, whatever the grid
+    # the suprema and the limit bracket depend on (n, rho2) alone, and
+    # limit-complex's radii at every grid point are rho1 times the one
+    # rho1 = 1 shape, so each sweep takes the suprema (and limit-complex the
+    # shape and the bracket) once per rho2, whatever the grid; limit-kahler
+    # solves no shape
     calls = []
 
     def counting(name, fresh):
@@ -942,31 +986,101 @@ def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2
             return fresh(*args)
         return counted
 
-    for module, name in ((reduction, "solve_base"), (metgeo, "divisor_offsets"),
+    for module, name in ((reduction, "solve_base"), (metgeo, "base_suprema"),
                          (metgeo, "degenerate_limit")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     rc, _ = run(tmp_path, *argv, "--n", "2", "--grid", grid, "--samples", "12")
     assert rc == 0
+    complex_ = argv[0] == "limit-complex"
     assert [(args[0].rho1, args[0].rho2) for name, args in calls if name == "solve_base"] == \
-        [(1.0, rho2) for rho2 in rho2s]
-    assert [args for name, args in calls if name == "divisor_offsets"] == \
+        [(1.0, rho2) for rho2 in rho2s if complex_]
+    assert [args for name, args in calls if name == "base_suprema"] == \
         [(2, rho2) for rho2 in rho2s]
     bracket = [args[2] for name, args in calls if name == "degenerate_limit"]
-    assert bracket == (rho2s if argv[0] == "limit-complex" else [])
+    assert bracket == (rho2s if complex_ else [])
+
+
+# the columns each sweep reads from no sample, whatever --samples and --seed
+SAMPLE_FREE = {
+    "limit-kahler": tuple(c for c in cli.KAHLER_FIELDS if c not in ("samples", "seed")),
+    "limit-complex": ("fiber_diam_max", "c_witness", "hausdorff_quotient"),
+}
+
+
+def _sample_free_cells(runner, command, grid):
+    """The set of SAMPLE_FREE column tuples the sweep prints through `runner`
+    (`run` without its tmp_path) at two --samples and two --seed values: one
+    element where none of them reads the sample."""
+    cells = set()
+    for samples, seed in (("8", "0"), ("8", "5"), ("24", "0"), ("24", "5")):
+        rc, text = runner(command, "--n", "2", "--rho2", "0.55,0.7", "--grid", grid,
+                          "--samples", samples, "--seed", seed)
+        assert rc == 0
+        cells.add(tuple(tuple(r[c] for c in SAMPLE_FREE[command]) for r in rows_of(text)))
+    return cells
+
+
+def _sampled_suprema(monkeypatch, tmp_path):
+    """A negative control: a runner whose sweep takes its fiber suprema back
+    from the sample its argv would draw, the largest fiber over it."""
+    exact = metgeo.base_suprema
+    drawn = {}
+
+    def sampled(n, rho2):
+        shape = sample_base(LevelSetSpec(n, 1.0, rho2), *drawn["argv"])
+        return exact(n, rho2)._replace(
+            pi1_fiber=float(np.max(metgeo.pi1_fiber_diameters(shape))),
+            pi2_fiber=float(np.max(pi2_fiber_diameters(shape))))
+
+    def recording(*argv):
+        drawn["argv"] = int(argv[argv.index("--samples") + 1]), int(argv[argv.index("--seed") + 1])
+        return run(tmp_path, *argv)
+
+    monkeypatch.setattr(metgeo, "base_suprema", sampled)
+    return recording
 
 
 @pytest.mark.parametrize("command,grid", [("limit-kahler", "1:1e3:3"),
                                           ("limit-complex", "1e-3:1:3")])
-def test_divisor_columns_do_not_depend_on_the_sample(tmp_path, command, grid):
-    # the offsets are sups over the whole image, not over the sample
-    column = "hausdorff_image" if command == "limit-kahler" else "hausdorff_quotient"
-    cells = set()
-    for samples, seed in (("8", "0"), ("24", "5")):
-        rc, text = run(tmp_path, command, "--n", "2", "--rho2", "0.55,0.7", "--grid", grid,
-                       "--samples", samples, "--seed", seed)
-        assert rc == 0
-        cells.add(tuple(r[column] for r in rows_of(text)))
-    assert len(cells) == 1
+def test_divisor_columns_do_not_depend_on_the_sample(monkeypatch, tmp_path, command, grid):
+    # the offsets are sups over the whole image, not over the sample, and so
+    # are the fiber columns: every limit-kahler column but samples and seed,
+    # and limit-complex's fiber, witness and divisor columns, are bitwise the
+    # same at any --samples and --seed.  The sampled maximum the sweeps
+    # printed before fails the same check
+    assert len(_sample_free_cells(functools.partial(run, tmp_path), command, grid)) == 1
+    mutant = _sampled_suprema(monkeypatch, tmp_path)
+    assert len(_sample_free_cells(mutant, command, grid)) > 1
+
+
+def test_limit_kahler_draws_and_solves_nothing(monkeypatch, tmp_path):
+    # its columns are suprema over the base and the closed-form bound; it
+    # echoes --samples and --seed and reads neither
+    def refused(*args):
+        raise AssertionError("limit-kahler drew or solved a sample")
+
+    monkeypatch.setattr(reduction, "draw_directions", refused)
+    monkeypatch.setattr(reduction, "solve_base", refused)
+    rc, text = run(tmp_path, "limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid",
+                   "1:1e3:7", "--samples", "60", "--seed", "9")
+    assert rc == 0
+    assert {(r["samples"], r["seed"]) for r in rows_of(text)} == {("60", "9")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-kahler", "--n", "3", "--rho2", "0.55,0.7", "--grid", "1:1e3:7"],
+    ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:7"],
+])
+def test_sweeps_compute_no_covering_radius(monkeypatch, tmp_path, argv):
+    # the fiber columns are the suprema base_suprema forms in closed form: no
+    # grid point builds fiber weights or takes a covering radius over a sample
+    def refused(*args):
+        raise AssertionError("a sweep took a per-sample covering radius")
+
+    monkeypatch.setattr(metgeo, "root_lattice_covering_radius", refused)
+    monkeypatch.setattr(metgeo, "torus_metric_weights", refused)
+    rc, _ = run(tmp_path, *argv, "--samples", "24")
+    assert rc == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -989,9 +1103,10 @@ def test_sweeps_and_probes_build_no_point_objects(monkeypatch, tmp_path, argv):
 
 
 def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
-    """limit-complex's CSV with every grid point computed whole: its own
-    solve and fibers, the projection of the log-shape, hausdorff_quotient
-    from a 50-digit mpmath root, and the normalized-GH interval from the
+    """limit-complex's CSV with every grid point computed whole: its fiber
+    column rho1 times a 50-digit search of the pi2 supremum over the base,
+    the projection of the log-shape, hausdorff_quotient from a 50-digit
+    mpmath root, and the normalized-GH interval from the
     limit bracket pair by pair at that rho1, without the per-sample
     eccentricities and the units of max(1, rho1^2) the command reads.  None
     where that computation fails."""
@@ -1012,9 +1127,15 @@ def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
     return cli._sweep_text("csv", cli.COMPLEX_DOC, cli.COMPLEX_FIELDS, rows, config)
 
 
+def _normal(value):
+    """value, or ArithmeticError where it leaves the normal doubles."""
+    if not sys.float_info.min <= value < math.inf:
+        raise ArithmeticError(f"{value} is no normal double")
+    return value
+
+
 def _oracle_row(n, rho1, rho2, directions, torus_t, samples, seed):
-    base_r = solve_base(LevelSetSpec(n, rho1, rho2), directions)
-    fiber = float(np.max(metgeo.pi2_fiber_diameters(base_r)))
+    fiber = _normal(float(rho1 * fiber_suprema_mp(n, rho2)[1]))
     # the shape r / rho1 is that of the rho1 = 1 level set
     shape = solve_base(LevelSetSpec(n, 1.0, rho2), directions)
     w = maps.project_pi2(log_shape(shape), torus_t)
@@ -1043,11 +1164,12 @@ def _oracle_row(n, rho1, rho2, directions, torus_t, samples, seed):
 # the columns the command takes from per-rho2 values: the two ngh columns
 # read per-sample eccentricities in units of max(1, rho1^2), which round
 # otherwise than the pairwise bracket at rho1 and can move the last printed
-# digit by one.  The oracle's hausdorff_quotient is the 50-digit root rounded
-# once, the command's the double-precision solve, which can also differ in
-# the last digit.  Every other column, pi2_residual_max included, matches
-# byte for byte.
-SHAPE_COLUMNS = ("degenerate_ngh_lower", "degenerate_ngh_upper", "hausdorff_quotient")
+# digit by one.  The oracle's hausdorff_quotient and fiber supremum are
+# 50-digit values rounded once, the command's double-precision solves, which
+# can also differ in the last digit, and c_witness with the fiber.  Every
+# other column, pi2_residual_max included, matches byte for byte.
+SHAPE_COLUMNS = ("degenerate_ngh_lower", "degenerate_ngh_upper", "hausdorff_quotient",
+                 "fiber_diam_max", "c_witness")
 
 
 def _last_digit(cell):
@@ -1087,7 +1209,7 @@ def _assert_matches_oracle(command, oracle, loose, n, rho2s, grid, samples, seed
 def test_limit_complex_matches_per_point_oracle(n, samples, seed, excess, grid):
     # the rho1-free half and the limit bracket built once per rho2 give the
     # per-point rows: every column byte for byte but the two ngh columns and
-    # the divisor offset, which match to one unit in the last digit
+    # the suprema, which match to one unit in the last digit
     rho2s = [feasibility_threshold(n) * x for x in excess]
     _assert_matches_oracle("limit-complex", _limit_complex_oracle, SHAPE_COLUMNS,
                            n, rho2s, grid, samples, seed)
@@ -1101,49 +1223,48 @@ def test_limit_complex_matches_per_point_oracle(n, samples, seed, excess, grid):
     (2, 4.299999999999998, 3, 123),
 ])
 def test_limit_complex_deep_rho2_at_large_rho1_matches_oracle(n, rho2, samples, seed):
-    # the smallest shape r_i / rho1 is near e^-360, and the fiber weights
-    # 4 pi^2 r_i^2 stay normal at rho1 = 1e100..1e120: the command fails or
-    # prints where the per-point computation does (n = 1: no limit bracket)
+    # the smallest shape r_i / rho1 is near e^-360: at rho1 = 1e100..1e120
+    # the command fails or prints where the per-point computation does (n = 1:
+    # no limit bracket)
     _assert_matches_oracle("limit-complex", _limit_complex_oracle, SHAPE_COLUMNS,
                            n, [rho2], "1e100:1e120:2", samples, seed)
 
 
 def _limit_kahler_oracle(n, rho2s, grid_text, samples, seed):
     """limit-kahler's CSV with every grid point computed at its own scale: the
-    fibers of its radii rho1 * shape, and the image offset rho1 times the
-    arcsine of a 50-digit mpmath root.  None where that computation fails."""
+    fiber column a 50-digit search of the pi1 supremum over the base, over
+    rho1, and the image offset rho1 times the arcsine of a 50-digit mpmath
+    root.  None where a printed value leaves the normal doubles."""
     grid = np.sort(cli._parse_grid(grid_text))
-    directions = draw_directions(n, samples, seed)
     rows = []
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for rho2 in rho2s:
-                for rho1 in map(float, grid):
-                    spec = LevelSetSpec(n, rho1, rho2)
-                    base_r = solve_base(spec, directions)
-                    fiber = float(np.max(metgeo.pi1_fiber_diameters(base_r)))
-                    bound = metgeo.pi1_fiber_bound(spec)
-                    h_img = float(rho1 * divisor_offsets_mp(n, rho2)[0])
-                    h_tot = h_img + fiber
-                    rows.append({
-                        "n": n, "rho1": cli._e(rho1), "rho2": cli._e(rho2),
-                        "samples": samples, "seed": seed, "version": wsdlab.__version__,
-                        "fiber_diam_max": cli._e(fiber), "fiber_bound": cli._e(bound),
-                        "fiber_ratio": cli._e(fiber / bound),
-                        "hausdorff_image": cli._e(h_img), "hausdorff_total": cli._e(h_tot),
-                        "hausdorff_norm": cli._e(h_tot / (math.pi * rho1 / 2.0)),
-                    })
-    except (ArithmeticError, ValueError):
+        for rho2 in rho2s:
+            for rho1 in map(float, grid):
+                bound = metgeo.pi1_fiber_bound(LevelSetSpec(n, rho1, rho2))
+                fiber = _normal(float(fiber_suprema_mp(n, rho2)[0] / rho1))
+                h_img = _normal(float(rho1 * divisor_offsets_mp(n, rho2)[0]))
+                h_tot = h_img + fiber
+                rows.append({
+                    "n": n, "rho1": cli._e(rho1), "rho2": cli._e(rho2),
+                    "samples": samples, "seed": seed, "version": wsdlab.__version__,
+                    "fiber_diam_max": cli._e(fiber), "fiber_bound": cli._e(bound),
+                    "fiber_ratio": cli._e(fiber / bound),
+                    "hausdorff_image": cli._e(h_img), "hausdorff_total": cli._e(h_tot),
+                    "hausdorff_norm": cli._e(_normal(h_tot / (math.pi * rho1 / 2.0))),
+                })
+    except ArithmeticError:
         return None
     config = {"n": n, "rho2": list(rho2s), "grid": grid_text,
               "samples": samples, "seed": seed}
     return cli._sweep_text("csv", cli.KAHLER_DOC, cli.KAHLER_FIELDS, rows, config)
 
 
-# the columns limit-kahler takes from the unit-sphere offset: the command's
-# double-precision solve times rho1 and the oracle's 50-digit product rounded
-# once can differ in the last bit, which can move the last printed digit by one
-HAUSDORFF_COLUMNS = ("hausdorff_image", "hausdorff_total", "hausdorff_norm")
+# the columns limit-kahler takes from the unit-scale suprema: the command's
+# double-precision solve times rho1 (or over it) and the oracle's 50-digit
+# value rounded once can differ in the last bits, which can move the last
+# printed digit by one
+HAUSDORFF_COLUMNS = ("hausdorff_image", "hausdorff_total", "hausdorff_norm",
+                     "fiber_diam_max", "fiber_ratio")
 
 
 @settings(max_examples=30, deadline=None)
@@ -1152,8 +1273,8 @@ HAUSDORFF_COLUMNS = ("hausdorff_image", "hausdorff_total", "hausdorff_norm")
        grid=st.sampled_from(["1e-3:1:3", "0.05:3:4", "0.3:50:5", "2:7:2", "1e-2:1e2:3",
                              "1e-150:1e-149:2", "1e100:1e120:2"]))
 def test_limit_kahler_matches_per_point_oracle(n, samples, seed, excess, grid):
-    # the image offset taken once per rho2 on the unit sphere and scaled by
-    # rho1 gives the per-point rows: every column byte for byte but the three
+    # the suprema taken once per rho2 at unit scale and scaled by rho1 give
+    # the per-point rows: every column byte for byte but the fiber and
     # Hausdorff columns, which match to one unit in the last digit
     rho2s = [feasibility_threshold(n) * x for x in excess]
     _assert_matches_oracle("limit-kahler", _limit_kahler_oracle, HAUSDORFF_COLUMNS,

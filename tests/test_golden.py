@@ -36,13 +36,18 @@ GOLDEN = [
     # every limit-kahler digest was re-recorded when hausdorff_image became
     # the exact sample-free offset rho1 arcsin(sqrt(t-)): only the
     # hausdorff_image, hausdorff_total and hausdorff_norm cells and the
-    # hausdorff_image comment line changed
+    # hausdorff_image comment line changed.  Every sweep digest, limit-kahler
+    # and limit-complex, was re-recorded again when fiber_diam_max became the
+    # exact supremum over the base (metgeo.base_suprema) in place of the
+    # largest fiber over the sample: only the fiber_diam_max, fiber_ratio,
+    # hausdorff_total, hausdorff_norm and c_witness cells and the
+    # fiber_diam_max comment lines changed
     (("limit-kahler", "--n", "2", "--rho2", "0.55,0.7", "--grid", "1:1e3:4",
       "--samples", "24", "--seed", "3"),
-     "694ceef1ca99e84231da02f6352fd62587d6609ff2db1210f66c0d7aad1989f9"),
+     "0fb18484d5117420815c9332bf84ee341e3fa409b04a446dcf3f220419f7f48e"),
     (("limit-kahler", "--n", "3", "--rho2", "0.7", "--grid", "1:1e3:3",
       "--samples", "12"),
-     "a5334639e751e7611c10c662295a3182ef0bc1a99239deb65567d44ee0cd3b70"),
+     "9908a7c229aaac316ad80440b8c122a55b8b4b1c9740389b8b28ee2941a092ba"),
     # every limit-complex digest was re-recorded when the pi2 image became
     # one rho1-free projection of the log-shape per rho2: only the
     # pi2_residual_max cells changed, each staying below 3e-15.  They were
@@ -61,31 +66,31 @@ GOLDEN = [
     # degenerate_ngh comment lines changed
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:4",
       "--samples", "60", "--seed", "3"),
-     "a0cc5d585c830a214cebcd4d7cf890ca2c897e6c328f1712e2c25f0dfcddcd67"),
+     "1a4d698b084b91a90b92f9a4a6f180929da41cc877e4e95e715fad423480caf3"),
     (("limit-complex", "--n", "3", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "0bf7d367af90a2afec612f37d599b71ca40fb35ee737ba5697241b5fc3508eb9"),
+     "f6745cde09f3f571e9b1a071807d156921aa33eeec12df5330670d796f50d4f4"),
     # two rho2 values: each builds its own pi2 image and limit bracket
     (("limit-complex", "--n", "2", "--rho2", "0.6,0.9", "--grid", "1e-3:1:3",
       "--samples", "60", "--seed", "4"),
-     "431363166fe9c49648ebf65c4096bcb130436070e7135aa1a0c3277c0780a70c"),
+     "941b26a1224d4a7400abfcb5da715986cd8ee4c1bc1c5f38a9919b9b114adc86"),
     # rank-4 fiber tori: recorded with the closed-form covering radius (the
     # Voronoi search these sweeps used before stops at rank 3 and exits 2)
     (("limit-kahler", "--n", "4", "--rho2", "0.7", "--grid", "1:1e3:3",
       "--samples", "12"),
-     "4f1f0a8371cde77f558dfcfed8a94dc6c8316b98cd17cca3fb9f6c6f469f2f86"),
+     "6b643b166ec12980c19e7394da48d56c8088070ec92db681f973e01afa44efaf"),
     (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "a0064fbb465e8abab0552fdc930ffacbe3ced0f62d7bfad2c54e999518739dbd"),
+     "362a5e336b36292e954cbd6b582fec19d65e3621e375b256591d6ac20b20acaf"),
     # the benchmark's sample count: N = 400 limit brackets
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3",
       "--samples", "400", "--seed", "5"),
-     "3b9307e8e335e1fb23c6668cf2b1225acc4a7608a8eba5e29db73e870652903f"),
+     "aa95e2f4846846b89dd340d6473a836a566250ed14bdddb4ae3b656fcf618fff"),
     # n = 4 at N = 300: the limit bracket's sort network has more than one
     # compare-swap, and its row blocks split the pairs several times
     (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "300", "--seed", "1"),
-     "817419acd86e76a754c97ad3f1929523adfe4b81bd457882cbc584376b4f21b2"),
+     "f3ca608b497c5bedb98445387dbd35071ad8af52ed19bbc0e5c87e66c6542a31"),
     # re-recorded when boundary dropped sides B and A: a column diff against
     # the previous output (this config, and --samples 200 at seeds 0-9) found
     # their rows, the theta_eta_ratio/shape_sum_min/shape_sum_max columns and

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (cross_hausdorff, divisor_offsets_mp, gathered_pair_bounds,
-                     per_phase_hn_matrix)
+from helpers import (cross_hausdorff, divisor_offsets_mp, fiber_suprema_mp, gathered_pair_bounds,
+                     kkt_log_sums_mp, per_phase_hn_matrix, pi2_fiber_diameters)
 
 from wsdlab import metgeo as mg
 from wsdlab.ambient import feasibility_threshold, torus_metric_weights
@@ -357,9 +357,10 @@ def test_mode_ordering_and_rejection():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_fiber_lattices_are_root_lattices(n):
-    # what licenses pi1/pi2_fiber_diameters: the columns of either fiber map
-    # lie in A_n (each sums to 0) and span n dimensions, so the saturation of
-    # their span, the fiber torus's period lattice, is exactly A_n
+    # what licenses pi1_fiber_diameters and base_suprema's fiber suprema: the
+    # columns of either fiber map lie in A_n (each sums to 0) and span n
+    # dimensions, so the saturation of their span, the fiber torus's period
+    # lattice, is exactly A_n
     maps = lattice_maps(n)
     for mat in (maps.primal_t, maps.dual_t):
         assert len(mat) == n + 1
@@ -368,7 +369,7 @@ def test_fiber_lattices_are_root_lattices(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("diameters", [mg.pi1_fiber_diameters, mg.pi2_fiber_diameters],
+@pytest.mark.parametrize("diameters", [mg.pi1_fiber_diameters, pi2_fiber_diameters],
                          ids=["primal_t", "dual_t"])
 def test_covering_radius_equal_weight_root_lattice(n, diameters):
     # the fiber lattice of either role is A_n; its covering radius is
@@ -487,7 +488,7 @@ def test_closed_form_on_deep_fiber_tori_matches_60_digits():
             base_r = sample_base(LevelSetSpec(3, 1.0, rho2), 60, seed)
             theta_w, eta_w = torus_metric_weights(base_r)
             for weights, diameters in ((eta_w, mg.pi1_fiber_diameters),
-                                       (theta_w, mg.pi2_fiber_diameters)):
+                                       (theta_w, pi2_fiber_diameters)):
                 for row, value in zip(weights, diameters(base_r)):
                     exact = _mp_split_vertex_radius(row)
                     assert abs(value - exact) <= 1e-15 * exact
@@ -510,7 +511,7 @@ def test_fiber_tori_and_closed_form_bound():
         d1 = mg.pi1_fiber_diameters(base_r)
         assert d1.shape == (8,)
         assert np.all(d1 <= mg.pi1_fiber_bound(spec) * (1 + 1e-9))
-        d2 = mg.pi2_fiber_diameters(base_r)
+        d2 = pi2_fiber_diameters(base_r)
         assert d2.shape == (8,)
         assert np.all(d2 > 0)
 
@@ -542,7 +543,7 @@ def test_divisor_offsets_match_a_50_digit_root(n):
     # rho2 ~1e9 the rounding residual of log c / 2n alone exceeds 709, while
     # the sqrt(t-) it scales is 0: h1 is 0 there, and so is h2 at n = 1
     for rho2 in _rho2_ladder(n) + [1e10, 1.3e11, 2.7e40, 5.9e152]:
-        for got, want in zip(mg.divisor_offsets(n, rho2), divisor_offsets_mp(n, rho2)):
+        for got, want in zip(mg.base_suprema(n, rho2)[:2], divisor_offsets_mp(n, rho2)):
             assert abs(mpmath.mpf(got) - want) <= max(1e-13 * want, 2 * 2.0 ** -1074), (n, rho2)
 
 
@@ -550,7 +551,7 @@ def test_divisor_offsets_need_a_regular_level_set():
     thr = feasibility_threshold(2)
     for rho2 in (0.5 * thr, thr):
         with pytest.raises(EmptyLevelSet, match="classified"):
-            mg.divisor_offsets(2, rho2)
+            mg.base_suprema(2, rho2)
 
 
 @pytest.mark.parametrize("rho2", [0.45, 0.7, 2.5, 6.0])
@@ -560,7 +561,7 @@ def test_divisor_offsets_at_n1_are_the_sampled_pair(rho2):
     # for z the pi2 image of the log-shape
     shape = sample_base(LevelSetSpec(1, 1.0, rho2), 2)
     lo = shape[0, 1]
-    h1, h2 = mg.divisor_offsets(1, rho2)
+    h1, h2 = mg.base_suprema(1, rho2)[:2]
     assert h1 == math.asin(lo)  # one root for both
     torus_t = np.zeros((2, 1))
     if rho2 < 6:
@@ -581,7 +582,7 @@ def test_divisor_offsets_bound_every_sample_and_are_attained(n, excess, seed):
     # rho2^2 exceeds the threshold by 10^excess of itself.  The roots are read
     # back from the offsets: t- = sin(h1)^2 and -log t+ = (2 pi rho2 sin h2)^2
     rho2 = feasibility_threshold(n) * math.sqrt(1.0 + 10.0 ** excess)
-    h1, h2 = mg.divisor_offsets(n, rho2)
+    h1, h2 = mg.base_suprema(n, rho2)[:2]
     t_lo = math.sin(h1) ** 2
     t_hi = math.exp(-(2 * math.pi * rho2 * math.sin(h2)) ** 2)
     assert t_lo < 1 / (n + 1) < t_hi
@@ -601,6 +602,86 @@ def test_divisor_offsets_bound_every_sample_and_are_attained(n, excess, seed):
         assert abs(n * mpmath.log(t) + mpmath.log1p(-n * t) - log_c) <= 1e-12 * abs(log_c)
         t = mpmath.exp(-(2 * mpmath.pi * mpmath.mpf(rho2) * mpmath.sin(mpmath.mpf(h2))) ** 2)
         assert abs(n * t + mpmath.exp(log_c) / t ** n - 1) <= 1e-13
+
+
+# -- the fiber suprema over the base ----------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _log_error(got, want, rho2):
+    """|log got - log want| in units of eps max(1, |log c|), log c =
+    -4 pi^2 rho2^2: the pi1 supremum is exp of a sum with log c among its
+    terms, so one rounding of log c moves it by eps |log c| relative."""
+    scale = _EPS * max(1.0, 4 * math.pi**2 * rho2 * rho2)
+    return float(abs(mpmath.log(mpmath.mpf(got)) - mpmath.log(want)) / scale)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fiber_suprema_are_the_largest_kkt_candidate(n):
+    # every two-value KKT point of S = sum 1/q on the base, j small
+    # coordinates for j = 1..n, by a 50-digit search: j = 1 is the largest,
+    # by a log-gap of 1e-10 at 1 + 1e-7 times the threshold and of at least
+    # 1 from 1.5 times it.  The shipped pi2 supremum is within 1 ulp of its
+    # closed form there, and the pi1 one, whose S leaves the doubles from
+    # rho2 ~5.5, has its log within 2 eps max(1, |log c|) (0.72 at worst in
+    # a scan of n = 1..8 from 1 + 1e-7 times the threshold to rho2 5.9)
+    thr = feasibility_threshold(n)
+    for rho2 in (thr * (1 + 1e-7), thr * 1.01, thr * 1.5, 1.0, 2.5, 4.0, 5.0):
+        if rho2 <= thr * (1 + 1e-8):
+            continue
+        log_s = kkt_log_sums_mp(n, rho2)
+        if n > 1:
+            gap = log_s[0] - max(log_s[1:])
+            assert gap >= (1e-10 if rho2 < thr * 1.5 else 1.0), (n, rho2, gap)
+        sup = mg.base_suprema(n, rho2)
+        pi1, pi2 = fiber_suprema_mp(n, rho2)
+        assert _log_error(sup.pi1_fiber, pi1, rho2) <= 2.0, (n, rho2)
+        assert abs(mpmath.mpf(sup.pi2_fiber) - pi2) <= _EPS * pi2, (n, rho2)
+
+
+@pytest.mark.parametrize("n,rho2", [(1, 5.9), (2, 5.9), (4, 6.0), (6, 6.02), (2, 6.01),
+                                    (6, 6.05), (1, 6.5), (8, 1e10)])
+def test_pi1_fiber_supremum_past_the_doubles(n, rho2):
+    # formed from log d, the pi1 supremum keeps its log's digits after d and S
+    # leave the doubles, and is inf only where its value does; the bound
+    # overflows first (its ratio to the supremum is at least 4 pi^2)
+    got = mg.base_suprema(n, rho2).pi1_fiber
+    want = fiber_suprema_mp(n, rho2)[0]
+    if want > np.finfo(float).max:
+        assert got == math.inf
+    else:
+        assert _log_error(got, want, rho2) <= 2.0
+    if got == math.inf:
+        with pytest.raises(ArithmeticError, match="fiber bound"):
+            mg.pi1_fiber_bound(LevelSetSpec(n, 1.0, rho2))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_pi2_fiber_supremum_is_pi_at_odd_n(n):
+    # m = n + 1 even: sqrt(1 - (m mod 2) / S) is 1 at every base point
+    for rho2 in (feasibility_threshold(n) * 1.01, 1.0, 3.0, 7.0):
+        assert mg.base_suprema(n, rho2).pi2_fiber == math.pi
+
+
+# 60 examples, about 0.1 s
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), excess=st.floats(-4.0, 2.0), count=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_fiber_suprema_bound_every_sample(n, excess, count, seed):
+    # rho2^2 exceeds the threshold by 10^excess of itself.  No sampled base
+    # point's fiber is wider than the supremum.  The solve meets the sphere
+    # to ~170 eps, so each row is put back on it first; then the pi2 fibers
+    # stay within 4 eps and the pi1 ones, whose logs carry the rounding of
+    # log c in both, within 4 eps max(1, |log c|) (n = 1 samples the two
+    # extremal points themselves; 30 eps at worst in 3,000 scratch draws)
+    rho2 = feasibility_threshold(n) * math.sqrt(1.0 + 10.0 ** excess)
+    sup = mg.base_suprema(n, rho2)
+    shape = sample_base(LevelSetSpec(n, 1.0, rho2), count, seed)
+    shape /= np.linalg.norm(shape, axis=1)[:, None]
+    log_c = 4 * math.pi**2 * rho2 * rho2
+    assert np.max(mg.pi1_fiber_diameters(shape)) <= sup.pi1_fiber * (1 + 4 * _EPS * max(1, log_c))
+    assert np.max(pi2_fiber_diameters(shape)) <= sup.pi2_fiber * (1 + 4 * _EPS)
 
 
 def test_hn_matrix_matches_pointwise_quotient_distance():
