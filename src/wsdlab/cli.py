@@ -41,17 +41,16 @@ def _emit(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
 
-def _sweep_text(fmt: str, comments: list[str], fieldnames: list[str],
-                rows: list[dict], config: dict) -> str:
+def _sweep_text(fmt: str, command: str, rows: list[tuple], config: dict) -> str:
+    """A CSV command's rows, each a tuple in the order of COLUMNS[command], as
+    JSON objects or as CSV under the table's header."""
+    header, names = _csv_layout(command)
     if fmt == "json":
-        return json.dumps({"config": config, "rows": rows,
+        return json.dumps({"config": config, "rows": [dict(zip(names, row)) for row in rows],
                            "version": __version__}, indent=2) + "\n"
     buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    w = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    w.writeheader()
-    w.writerows(rows)
+    buf.write(header)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -142,40 +141,92 @@ def cmd_verify(args) -> int:
     return 0 if all(c["pass"] for c in checks) else 1
 
 
+# -- CSV columns ------------------------------------------------------------
+#
+# Each CSV command prints the columns of its one table, COLUMNS[command], in
+# the table's order: (name, kind, doc).  The `#` header, the fieldnames and
+# the JSON keys are built from it, and the commands give their rows as
+# tuples in its order.  tests/test_cli.py holds the README's column lists
+# equal to it, and runs each command at two --seed and two --samples values
+# to hold every column to its kind, so a column that turns exact changes its
+# kind here and nowhere else.
+KINDS = {
+    "echo": "the argv, a point of its grid, or the package version",
+    "exact": "a fact of the row's echo columns alone: it does not depend on --samples or --seed",
+    "bracket": "one end of a certified interval, lower <= upper",
+    "sample": "a statistic of the drawn sample, which --samples and --seed fix",
+}
+
+_SWEEP_ECHO = (("n", "echo", "--n"), ("rho1", "echo", "a point of --grid"),
+               ("rho2", "echo", "a value of --rho2"), ("samples", "echo", "--samples"),
+               ("seed", "echo", "--seed"), ("version", "echo", "the package version"))
+
+COLUMNS = {
+    "limit-kahler": _SWEEP_ECHO + (
+        ("fiber_diam_max", "exact", "sup over the whole base of the pi1 fiber diameter"),
+        ("fiber_bound", "exact", "pi n^{-(n-1)/2} e^{2 pi^2 rho2^2} / rho1"),
+        ("fiber_ratio", "exact", "fiber_diam_max / fiber_bound"),
+        ("hausdorff_image", "exact",
+         "one Hausdorff side: sup over the pi1 image of the distance to the divisor"),
+        ("hausdorff_total", "exact", "hausdorff_image + fiber_diam_max, total-space offset"),
+        ("hausdorff_norm", "exact", "hausdorff_total / (pi rho1 / 2), diameter-normalized"),
+    ),
+    "limit-complex": _SWEEP_ECHO + (
+        ("fiber_diam_max", "exact", "sup over the whole base of the pi2 fiber diameter"),
+        ("c_witness", "exact", "fiber_diam_max / rho1, the scaling constant witness"),
+        ("pi2_residual_max", "sample", "worst image-equation residual of the projected sample"),
+        ("hausdorff_quotient", "exact",
+         "one Hausdorff side: sup over the pi2 image of the quotient distance to the divisor"),
+        ("degenerate_ngh_lower", "bracket",
+         "lower end of the normalized GH distance: sample under rho1 d_g, torus rows under d_F"),
+        ("degenerate_ngh_upper", "bracket",
+         "upper end: distortion rho1^2 (n+2) pi / rho2 of row i <-> i / diameters, at most 1"),
+    ),
+    "boundary": (
+        ("side", "exact", "T, the threshold side; --side T and all print the same rows"),
+        ("n", "echo", "--n"),
+        ("param", "echo", "a point of --grid, the relative excess of rho2^2 over the threshold"),
+        ("rho1", "echo", "--rho1"),
+        ("rho2", "exact", "the threshold times sqrt(1 + param)"),
+        ("samples", "echo", "--samples"),
+        ("seed", "echo", "--seed"),
+        ("version", "echo", "the package version"),
+        ("base_diam", "sample", "rho1 times base_diam_over_rho1"),
+        ("base_diam_over_rho1", "sample", "largest chord of the sampled base shape"),
+    ),
+}
+
+
+@functools.cache
+def _csv_layout(command: str) -> tuple[str, tuple[str, ...]]:
+    """The `#` header with the CSV header line, and the fieldnames, of
+    COLUMNS[command], built once per process: a line per kind the table
+    uses, then one per column with its kind."""
+    names, kinds, docs = zip(*COLUMNS[command])
+    lines = [f"# kind {kind}: {doc}" for kind, doc in KINDS.items() if kind in kinds]
+    lines += map("# {} ({}): {}".format, names, kinds, docs)
+    return "\n".join([*lines, ",".join(names), ""]), names
+
+
 # -- limit sweeps -----------------------------------------------------------
 #
-# Every column but limit-complex's pi2_residual_max and degenerate_ngh_* is
-# exact and sample-free: formed from fiber_bound and from suprema over the
+# The exact columns are formed from fiber_bound and from suprema over the
 # whole base that (n, rho2) alone fixes, the divisor offsets and the largest
 # fiber diameters (metgeo.base_suprema, once per rho2), each scaled by rho1
-# or 1/rho1 at a grid point.  So limit-kahler draws and solves nothing: it accepts and
-# echoes --samples and --seed, and reads neither.  limit-complex draws its
-# sample once, before its loops: a sample's random numbers depend on (seed,
-# index) alone.  Its radii at a grid point are rho1 times a shape that rho2
-# alone fixes, and the pi2 modulus sqrt(-u / 2 pi^2) reads only the
-# log-shape u (reduction.log_shape), so it solves the shape and builds the
-# image w, its residual and the degenerate metric's limit bracket
+# or 1/rho1 at a grid point.  So limit-kahler, whose columns are all exact
+# or echo, draws and solves nothing: it accepts --samples and --seed, which
+# the benchmark's fibers workload passes, and echoes them.  limit-complex
+# draws its sample once, before its loops: a sample's random numbers depend
+# on (seed, index) alone.  Its radii at a grid point are rho1 times a shape
+# that rho2 alone fixes, and the pi2 modulus sqrt(-u / 2 pi^2) reads only
+# the log-shape u (reduction.log_shape), so it solves the shape and builds
+# the image w, its residual and the degenerate metric's limit bracket
 # (metgeo.degenerate_limit) once per rho2, before its rho1 loop: rho1 d_g
 # lies within rho1^2 (n + 2) pi / rho2 of the limit torus distance d_F for
 # every pair, so each rho1 reads the same per-sample eccentricity bounds.
 # Per rho1 remain the scaled suprema and the normalized-GH interval of
 # sample i <-> its torus row i (metgeo.degenerate_ngh).  A scaled cell that
 # leaves the normal doubles exits 2 with one line naming it (_scaled).
-
-KAHLER_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
-                 "fiber_diam_max", "fiber_bound", "fiber_ratio",
-                 "hausdorff_image", "hausdorff_total", "hausdorff_norm"]
-
-KAHLER_DOC = [
-    "fiber_diam_max: sup over the whole base of the first-projection fiber diameter, exact;",
-    "  no column depends on --samples or --seed, which limit-kahler echoes and does not read",
-    "fiber_bound: pi n^{-(n-1)/2} e^{2 pi^2 rho2^2} / rho1",
-    "fiber_ratio: fiber_diam_max / fiber_bound",
-    "hausdorff_image: sup over the whole pi1 image of the distance to the hyperplane union,",
-    "  one side of the Hausdorff distance, exact; it does not depend on --samples or --seed",
-    "hausdorff_total: hausdorff_image + fiber_diam_max (total-space offset from the divisor)",
-    "hausdorff_norm: hausdorff_total / (pi rho1 / 2), diameter-normalized",
-]
 
 
 def _scaled(value: float, name: str, rho1: float) -> float:
@@ -205,40 +256,13 @@ def cmd_limit_kahler(args) -> int:
             fiber = _scaled(sup.pi1_fiber / rho1, "fiber_diam_max", rho1)
             h_img = _scaled(rho1 * sup.h1, "hausdorff_image", rho1)
             h_tot = h_img + fiber
-            rows.append({
-                "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),
-                "samples": args.samples, "seed": args.seed, "version": __version__,
-                "fiber_diam_max": _e(fiber), "fiber_bound": _e(bound),
-                "fiber_ratio": _e(fiber / bound),
-                "hausdorff_image": _e(h_img), "hausdorff_total": _e(h_tot),
-                "hausdorff_norm": _e(_scaled(h_tot / (math.pi * rho1 / 2.0), "hausdorff_norm",
-                                             rho1)),
-            })
+            h_norm = _scaled(h_tot / (math.pi * rho1 / 2.0), "hausdorff_norm", rho1)
+            rows.append((args.n, _e(rho1), _e(rho2), args.samples, args.seed, __version__,
+                         *map(_e, (fiber, bound, fiber / bound, h_img, h_tot, h_norm))))
     config = {"n": args.n, "rho2": rho2s, "grid": args.grid,
               "samples": args.samples, "seed": args.seed}
-    _emit(_sweep_text(args.format, KAHLER_DOC, KAHLER_FIELDS, rows, config), args.out)
+    _emit(_sweep_text(args.format, args.command, rows, config), args.out)
     return 0
-
-
-COMPLEX_FIELDS = ["n", "rho1", "rho2", "samples", "seed", "version",
-                  "fiber_diam_max", "c_witness", "pi2_residual_max",
-                  "hausdorff_quotient", "degenerate_ngh_lower", "degenerate_ngh_upper"]
-
-COMPLEX_DOC = [
-    "fiber_diam_max: sup over the whole base of the second-projection fiber diameter, exact;",
-    "  it does not depend on --samples or --seed",
-    "c_witness: fiber_diam_max / rho1 (scaling constant witness)",
-    "pi2_residual_max: worst image-equation residual of the projected sample",
-    "hausdorff_quotient: sup over the whole pi2 image of the quotient distance to the hyperplane",
-    "  union, one side of the Hausdorff distance, exact; it does not depend on --samples or --seed",
-    "degenerate_ngh_*: certified normalized-GH interval between the sample under rho1 times",
-    "  the degenerate metric's distance d_g and its torus rows under the limit torus distance",
-    "  d_F, to which rho1 d_g converges: d_F <= rho1 d_g <= d_F + rho1^2 (n+2) pi / rho2",
-    "degenerate_ngh_lower: Hausdorff distance between the eccentricity interval sets /",
-    "  diameter sum bound",
-    "degenerate_ngh_upper: distortion bound rho1^2 (n+2) pi / rho2 of sample i <-> torus row i /",
-    "  diameter sum bound, capped at 1",
-]
 
 
 def cmd_limit_complex(args) -> int:
@@ -261,16 +285,12 @@ def cmd_limit_complex(args) -> int:
         for rho1 in map(float, grid):
             fiber = _scaled(rho1 * sup.pi2_fiber, "fiber_diam_max", rho1)
             ngh = degenerate_ngh(limit, rho1)
-            rows.append({
-                "n": args.n, "rho1": _e(rho1), "rho2": _e(rho2),
-                "samples": args.samples, "seed": args.seed, "version": __version__,
-                "fiber_diam_max": _e(fiber), "c_witness": _e(fiber / rho1),
-                "pi2_residual_max": _e(res), "hausdorff_quotient": _e(rho2 * sup.h2),
-                "degenerate_ngh_lower": _e(ngh.lower), "degenerate_ngh_upper": _e(ngh.upper),
-            })
+            cells = (fiber, fiber / rho1, res, rho2 * sup.h2, ngh.lower, ngh.upper)
+            rows.append((args.n, _e(rho1), _e(rho2), args.samples, args.seed, __version__,
+                         *map(_e, cells)))
     config = {"n": args.n, "rho2": rho2s, "grid": args.grid,
               "samples": args.samples, "seed": args.seed}
-    _emit(_sweep_text(args.format, COMPLEX_DOC, COMPLEX_FIELDS, rows, config), args.out)
+    _emit(_sweep_text(args.format, args.command, rows, config), args.out)
     return 0
 
 
@@ -280,14 +300,6 @@ def cmd_limit_complex(args) -> int:
 # threshold, the base sample pinches to a single orbit.  The base at rho1 is
 # bitwise rho1 times its rho1 = 1 rows (solve_base), so each excess solves the
 # shape alone and the printed diameter is rho1 times the shape's diameter d.
-
-BOUNDARY_FIELDS = ["side", "n", "param", "rho1", "rho2", "samples", "seed",
-                   "version", "base_diam", "base_diam_over_rho1"]
-
-BOUNDARY_DOC = [
-    "side T: param = relative excess of rho2^2 over the threshold; base sample pinches",
-]
-
 
 def cmd_boundary(args) -> int:
     import numpy as np
@@ -311,13 +323,11 @@ def cmd_boundary(args) -> int:
         if d > 0 and not np.finfo(float).tiny <= diam < math.inf:
             raise ArithmeticError(f"base diameter rho1 * d leaves the normal doubles at "
                                   f"rho1 = {rho1:.3e}, param = {delta:.3e}")
-        rows.append({"side": "T", "n": args.n, "param": _e(delta),
-                     "rho1": _e(rho1), "rho2": _e(rho2),
-                     "samples": args.samples, "seed": args.seed, "version": __version__,
-                     "base_diam": _e(diam), "base_diam_over_rho1": _e(d)})
+        rows.append(("T", args.n, _e(delta), _e(rho1), _e(rho2), args.samples, args.seed,
+                     __version__, _e(diam), _e(d)))
     config = {"n": args.n, "side": args.side, "grid": args.grid, "rho1": rho1,
               "samples": args.samples, "seed": args.seed}
-    _emit(_sweep_text(args.format, BOUNDARY_DOC, BOUNDARY_FIELDS, rows, config), args.out)
+    _emit(_sweep_text(args.format, args.command, rows, config), args.out)
     return 0
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -421,16 +422,21 @@ def base_suprema(n: int, rho2: float) -> BaseSuprema:
 
     sqrt(t-) is _small_root's, as in reduction.solve_base at n = 1; t+ =
     (1 - d) / n, d = n^n c e^y, y / n + log1p(-d) = 0, so -log t+ = log n -
-    log1p(-d) stays exact at n = 1, and the pi1 supremum is formed from
-    log d = n log n + log c + y: it stays finite after d underflows (rho2
-    ~5.5) until pi1_fiber_bound overflows (rho2 ~6), and is inf past that.
-    Its relative error is about eps |log c|, the rounding of log c.
+    log1p(-d) stays exact at n = 1.  As 1/d = ((1 - d) / n)^n / c, the pi1
+    supremum is c^{-1/2} n^{-n/2} (1 - d)^{n/2} sqrt(1 + n^2 d / (1 - d) - p d)
+    / 4 pi, and c^{-1/2} = e^{-log c / 2} is e^b e^{-log c / 2 - b}, b the
+    exponent rounded once and the remainder exact, as _small_root forms
+    c^{1/2n}: so it is within 8 eps at every depth (6.5 eps at worst at
+    n = 1..8 against a 50-digit search), where a rounded log c would cost
+    eps |log c|.  It stays finite after d underflows (rho2 ~5.5) and is inf
+    where e^{-log c / 2} leaves the doubles (rho2 ~5.997), as
+    pi1_fiber_bound does at every rho1.
     Raises EmptyLevelSet unless the level set is regular, and OverflowError
-    where log c / 2n leaves the doubles (rho2 ~1e153).
+    where log c / 2 leaves the doubles (rho2 ~1e153).
     """
     require_regular(LevelSetSpec(n, 1.0, rho2))
-    root, half = _small_root(n, rho2)  # sqrt(t-), log c / 2n
-    k = n ** n * math.exp(2.0 * n * half)
+    root, half = _small_root(n, rho2)  # sqrt(t-), log c / 2n exactly
+    k = n ** n * math.exp(2.0 * n * float(half))
     d = k * math.exp(_rising_root(1.0 / n, k))  # 1 - n t+
     if n == 1:  # t+ = 1 - t-: -log t+ ~ t- leaves the doubles before its root does
         t = root * root
@@ -438,10 +444,10 @@ def base_suprema(n: int, rho2: float) -> BaseSuprema:
     else:
         mod = math.sqrt(math.log(n) - math.log1p(-d))
     p, grow = (n + 1) % 2, d * n * n / (1.0 - d)  # S = (1 + grow) / d
-    # log(4 pi pi1) = (log(S - p) - log d) / 2, log d = n log n + log c - n log1p(-d)
-    log_pi1 = 0.5 * (math.log1p(grow - p * d) + n * (math.log1p(-d) - math.log(n))
-                     - 2.0 * n * half) - math.log(4.0 * math.pi)
-    pi1 = math.exp(log_pi1) if log_pi1 < math.log(np.finfo(float).max) else math.inf
+    b = float(-n * half)  # -log c / 2 = 2 pi^2 rho2^2, rounded once
+    pi1 = (math.exp(b) * n ** (-0.5 * n) / (4.0 * math.pi) * math.sqrt(1.0 + grow - p * d)
+           * math.exp(0.5 * n * math.log1p(-d) + float(-n * half - Fraction(b)))
+           if b < math.log(np.finfo(float).max) else math.inf)
     return BaseSuprema(math.asin(root), math.asin(mod / (2.0 * math.pi * rho2)), pi1,
                        math.pi * math.sqrt(1.0 - p * d / (1.0 + grow)))
 

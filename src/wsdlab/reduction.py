@@ -304,20 +304,21 @@ def _rising_root(a: float, k: float) -> float:
         y = y_new
 
 
-def _small_root(n: int, rho2: float) -> tuple[float, float]:
-    """(sqrt(t-), h): t- < 1/(n+1) the small root of t^n (1 - n t) = c,
+def _small_root(n: int, rho2: float) -> tuple[float, Fraction]:
+    """(sqrt(t-), half): t- < 1/(n+1) the small root of t^n (1 - n t) = c,
     c = e^{-4 pi^2 rho2^2}, the least coordinate square over the base, and
-    h = log c / 2n rounded.  t- = c^{1/n} e^y, n y + log1p(-n t-) = 0, and
-    c^{1/2n} = e^h e^{log c / 2n - h} is formed exactly: the float product
-    -4 pi^2 rho2^2 is off by ~1.5 ulp of |log c|.  Where e^h is 0 so is
-    sqrt(t-), returned before the residual (> 709 from rho2 ~1e9) overflows."""
+    half = log c / 2n as an exact Fraction (2 pi^2 to 35 digits).  t- =
+    c^{1/n} e^y, n y + log1p(-n t-) = 0, and c^{1/2n} = e^h e^{half - h},
+    h = half rounded, is formed exactly: the float product -4 pi^2 rho2^2 is
+    off by ~1.5 ulp of |log c|.  Where e^h is 0 so is sqrt(t-), returned
+    before the residual (> 709 from rho2 ~1e9) overflows."""
     half = -_TWO_PI2 * Fraction(rho2) ** 2 / n
     h = float(half)
     scale = math.exp(h)
     if scale == 0.0:
-        return 0.0, h
+        return 0.0, half
     y = _rising_root(n, n * math.exp(2.0 * h))
-    return scale * math.exp(float(half - Fraction(h)) + 0.5 * y), h
+    return scale * math.exp(float(half - Fraction(h)) + 0.5 * y), half
 
 
 def _radii_underflow(spec: LevelSetSpec) -> ArithmeticError:

@@ -1000,29 +1000,73 @@ def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2
     assert bracket == (rho2s if complex_ else [])
 
 
-# the columns each sweep reads from no sample, whatever --samples and --seed
-SAMPLE_FREE = {
-    "limit-kahler": tuple(c for c in cli.KAHLER_FIELDS if c not in ("samples", "seed")),
-    "limit-complex": ("fiber_diam_max", "c_witness", "hausdorff_quotient"),
+# each CSV command's argv, run at two --samples and two --seed values;
+# boundary passes --rho1, so that every echo column has an argv to repeat
+KIND_ARGVS = {
+    "limit-kahler": ["--n", "2", "--rho2", "0.55,0.7", "--grid", "1:1e3:3"],
+    "limit-complex": ["--n", "2", "--rho2", "0.55,0.7", "--grid", "1e-3:1:3"],
+    "boundary": ["--side", "all", "--n", "2", "--rho1", "2.5", "--grid", "1e-3:1e-1:3"],
 }
 
 
-def _sample_free_cells(runner, command, grid):
-    """The set of SAMPLE_FREE column tuples the sweep prints through `runner`
-    (`run` without its tmp_path) at two --samples and two --seed values: one
-    element where none of them reads the sample."""
-    cells = set()
+def _echo_cells(name, argv):
+    """The cells an echo column may print at `argv`: the version, or the
+    repeated option, --grid for the sweeps' rho1 and boundary's param."""
+    if name == "version":
+        return {wsdlab.__version__}
+    on_grid = name == "param" or (name == "rho1" and argv[0] != "boundary")
+    option = "--grid" if on_grid else f"--{name}"
+    if option not in argv:
+        return set()
+    text = argv[argv.index(option) + 1]
+    values = cli._parse_grid(text) if option == "--grid" else text.split(",")
+    return {text} | {cli._e(float(v)) for v in values}
+
+
+def _kind_violations(runner, command, table):
+    """Every way `command`'s CSV, run through `runner` (`run` without its
+    tmp_path) at two --samples and two --seed values, contradicts the kinds
+    of `table`: an echo cell that is not its argv, an exact column that
+    differs between two runs, a sample column that never does, and a
+    bracket pair with lower > upper."""
+    runs = []
     for samples, seed in (("8", "0"), ("8", "5"), ("24", "0"), ("24", "5")):
-        rc, text = runner(command, "--n", "2", "--rho2", "0.55,0.7", "--grid", grid,
-                          "--samples", samples, "--seed", seed)
+        argv = [command, *KIND_ARGVS[command], "--samples", samples, "--seed", seed]
+        rc, text = runner(*argv)
         assert rc == 0
-        cells.add(tuple(tuple(r[c] for c in SAMPLE_FREE[command]) for r in rows_of(text)))
-    return cells
+        runs.append((argv, rows_of(text)))
+    problems = []
+    brackets = {name for name, kind, _ in table if kind == "bracket"}
+    for name, kind, _ in table:
+        cells = {tuple(row[name] for row in rows) for _, rows in runs}
+        if kind == "echo" and any(row[name] not in _echo_cells(name, argv)
+                                  for argv, rows in runs for row in rows):
+            problems.append(f"{name}: an echo cell is not its argv")
+        if kind == "exact" and len(cells) > 1:
+            problems.append(f"{name}: an exact column reads the sample")
+        if kind == "sample" and len(cells) == 1:
+            problems.append(f"{name}: a sample column is the same in every run")
+        stem = name.rpartition("_")[0]
+        lower, upper = f"{stem}_lower", f"{stem}_upper"
+        if kind == "bracket" and not {lower, upper} <= brackets:
+            problems.append(f"{name}: a bracket column without its pair")
+        elif kind == "bracket" and any(float(row[lower]) > float(row[upper])
+                                       for _, rows in runs for row in rows):
+            problems.append(f"{name}: lower > upper")
+    return problems
+
+
+@pytest.mark.parametrize("command", list(cli.COLUMNS))
+def test_every_column_reads_what_its_kind_says(tmp_path, command):
+    # the kinds in cli.COLUMNS are the one statement of what each printed
+    # column reads; every one of them holds at two seeds and two sizes
+    assert _kind_violations(functools.partial(run, tmp_path), command,
+                            cli.COLUMNS[command]) == []
 
 
 def _sampled_suprema(monkeypatch, tmp_path):
-    """A negative control: a runner whose sweep takes its fiber suprema back
-    from the sample its argv would draw, the largest fiber over it."""
+    """A mutant runner whose sweep takes its fiber suprema back from the
+    sample its argv would draw, the largest fiber over it."""
     exact = metgeo.base_suprema
     drawn = {}
 
@@ -1040,17 +1084,66 @@ def _sampled_suprema(monkeypatch, tmp_path):
     return recording
 
 
-@pytest.mark.parametrize("command,grid", [("limit-kahler", "1:1e3:3"),
-                                          ("limit-complex", "1e-3:1:3")])
-def test_divisor_columns_do_not_depend_on_the_sample(monkeypatch, tmp_path, command, grid):
-    # the offsets are sups over the whole image, not over the sample, and so
-    # are the fiber columns: every limit-kahler column but samples and seed,
-    # and limit-complex's fiber, witness and divisor columns, are bitwise the
-    # same at any --samples and --seed.  The sampled maximum the sweeps
-    # printed before fails the same check
-    assert len(_sample_free_cells(functools.partial(run, tmp_path), command, grid)) == 1
-    mutant = _sampled_suprema(monkeypatch, tmp_path)
-    assert len(_sample_free_cells(mutant, command, grid)) > 1
+@pytest.mark.parametrize("command,relabel,wrong", [
+    ("limit-kahler", None, "fiber_diam_max: an exact column reads the sample"),
+    ("limit-complex", None, "fiber_diam_max: an exact column reads the sample"),
+    ("boundary", ("base_diam", "exact"), "base_diam: an exact column reads the sample"),
+    ("limit-complex", ("hausdorff_quotient", "sample"),
+     "hausdorff_quotient: a sample column is the same in every run"),
+    ("limit-complex", ("pi2_residual_max", "echo"),
+     "pi2_residual_max: an echo cell is not its argv"),
+])
+def test_kind_check_fails_on_a_wrong_label(monkeypatch, tmp_path, command, relabel, wrong):
+    # negative controls, a wrong label in each direction: the sweeps with
+    # their fiber suprema taken back from the sample (an exact column that
+    # reads it), and a table that labels a sampled column exact, an exact
+    # one sample, or a sampled one echo
+    table = cli.COLUMNS[command]
+    if relabel:
+        runner = functools.partial(run, tmp_path)
+        table = tuple((n, relabel[1] if n == relabel[0] else k, d) for n, k, d in table)
+    else:
+        runner = _sampled_suprema(monkeypatch, tmp_path)
+    assert wrong in _kind_violations(runner, command, table)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_column_lists():
+    """{command: [(name, kind), ..]} from the README's "Columns of `command`:"
+    tables, one `| `name` | kind | doc |` row per column."""
+    lists, current = {}, None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        head = re.fullmatch(r"Columns of `([a-z-]+)`:", line)
+        row = re.match(r"\| `(\w+)` \| (\w+) \|", line)
+        if head:
+            current = lists.setdefault(head[1], [])
+        elif row and current is not None:
+            current.append((row[1], row[2]))
+        elif line and not line.startswith("|"):
+            current = None
+    return lists
+
+
+def test_readme_column_lists_match_the_tables():
+    assert _readme_column_lists() == {
+        command: [(name, kind) for name, kind, _ in table]
+        for command, table in cli.COLUMNS.items()}
+
+
+@pytest.mark.parametrize("command", list(cli.COLUMNS))
+def test_every_printed_column_has_one_table_entry(tmp_path, command):
+    # the fieldnames the command prints, each once in its table with a doc
+    # and one of the four kinds
+    assert set(cli.KINDS) == {"echo", "exact", "bracket", "sample"}
+    rc, text = run(tmp_path, command, *KIND_ARGVS[command], "--samples", "8")
+    assert rc == 0
+    table = cli.COLUMNS[command]
+    for name in rows_of(text)[0]:
+        (entry,) = [(kind, doc) for n, kind, doc in table if n == name]
+        assert entry[0] in cli.KINDS and entry[1].strip()
+    assert len(table) == len(rows_of(text)[0])
 
 
 def test_limit_kahler_draws_and_solves_nothing(monkeypatch, tmp_path):
@@ -1124,7 +1217,14 @@ def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
         return None
     config = {"n": n, "rho2": list(rho2s), "grid": grid_text,
               "samples": samples, "seed": seed}
-    return cli._sweep_text("csv", cli.COMPLEX_DOC, cli.COMPLEX_FIELDS, rows, config)
+    return _table_csv("limit-complex", rows, config)
+
+
+def _table_csv(command, rows, config):
+    """The CSV `command` prints for `rows`, dicts keyed by column name, each
+    put in the order of the command's table."""
+    order = [name for name, _, _ in cli.COLUMNS[command]]
+    return cli._sweep_text("csv", command, [tuple(row[c] for c in order) for row in rows], config)
 
 
 def _normal(value):
@@ -1256,7 +1356,7 @@ def _limit_kahler_oracle(n, rho2s, grid_text, samples, seed):
         return None
     config = {"n": n, "rho2": list(rho2s), "grid": grid_text,
               "samples": samples, "seed": seed}
-    return cli._sweep_text("csv", cli.KAHLER_DOC, cli.KAHLER_FIELDS, rows, config)
+    return _table_csv("limit-kahler", rows, config)
 
 
 # the columns limit-kahler takes from the unit-scale suprema: the command's

@@ -18,6 +18,11 @@ import pytest
 from wsdlab.cli import main
 
 GOLDEN = [
+    # every limit-kahler, limit-complex and boundary digest (11) was last
+    # re-recorded when the "#" header became one line per kind and one per
+    # column with its kind, printed from cli.COLUMNS: only "#" lines
+    # changed, and each command's rows and --format json output are byte for
+    # byte those of the revision before
     # every verify digest was re-recorded when verify dropped its
     # leaf_volume and exterior_derivative checks, which no sample can fail
     # (gate 2 checks both): the output is the previous one with those two
@@ -44,10 +49,10 @@ GOLDEN = [
     # fiber_diam_max comment lines changed
     (("limit-kahler", "--n", "2", "--rho2", "0.55,0.7", "--grid", "1:1e3:4",
       "--samples", "24", "--seed", "3"),
-     "0fb18484d5117420815c9332bf84ee341e3fa409b04a446dcf3f220419f7f48e"),
+     "fa1ad64052a07a8823ea7862b013af2416b941d34321c913347a374f317a5d39"),
     (("limit-kahler", "--n", "3", "--rho2", "0.7", "--grid", "1:1e3:3",
       "--samples", "12"),
-     "9908a7c229aaac316ad80440b8c122a55b8b4b1c9740389b8b28ee2941a092ba"),
+     "d82f8ac0f231d4c8fe0338d2c22787d9a1f7c4cfec9c952a588cd5a3096ff4ca"),
     # every limit-complex digest was re-recorded when the pi2 image became
     # one rho1-free projection of the log-shape per rho2: only the
     # pi2_residual_max cells changed, each staying below 3e-15.  They were
@@ -66,40 +71,40 @@ GOLDEN = [
     # degenerate_ngh comment lines changed
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:4",
       "--samples", "60", "--seed", "3"),
-     "1a4d698b084b91a90b92f9a4a6f180929da41cc877e4e95e715fad423480caf3"),
+     "7ea192afc33b4fd73a8a680e56c87ce6f15168e26fb63f84a00d54538a08888d"),
     (("limit-complex", "--n", "3", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "f6745cde09f3f571e9b1a071807d156921aa33eeec12df5330670d796f50d4f4"),
+     "52e21bdba35351e922f73aa298e04d13c3d430bfe0f8edc1f67cd62395e6b850"),
     # two rho2 values: each builds its own pi2 image and limit bracket
     (("limit-complex", "--n", "2", "--rho2", "0.6,0.9", "--grid", "1e-3:1:3",
       "--samples", "60", "--seed", "4"),
-     "941b26a1224d4a7400abfcb5da715986cd8ee4c1bc1c5f38a9919b9b114adc86"),
+     "1e12686d845ac31af4a3bd9876a1f16c3afbe83ee624800ecab0bb9cddff53c7"),
     # rank-4 fiber tori: recorded with the closed-form covering radius (the
     # Voronoi search these sweeps used before stops at rank 3 and exits 2)
     (("limit-kahler", "--n", "4", "--rho2", "0.7", "--grid", "1:1e3:3",
       "--samples", "12"),
-     "6b643b166ec12980c19e7394da48d56c8088070ec92db681f973e01afa44efaf"),
+     "b2eae6c338b1c4d39c04285df74aca66de1355d51e8bc051ee7d81358daf72a0"),
     (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "24"),
-     "362a5e336b36292e954cbd6b582fec19d65e3621e375b256591d6ac20b20acaf"),
+     "21326cc10a1d7c40b791e40d6ea2efa52492e4071584d7f70e357b6f96c7ef9a"),
     # the benchmark's sample count: N = 400 limit brackets
     (("limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:1:3",
       "--samples", "400", "--seed", "5"),
-     "aa95e2f4846846b89dd340d6473a836a566250ed14bdddb4ae3b656fcf618fff"),
+     "bd7b0f902dceb49a0d9d56f2bc09ea335b40e0c3d9dad9fd752f6f042a263d7c"),
     # n = 4 at N = 300: the limit bracket's sort network has more than one
     # compare-swap, and its row blocks split the pairs several times
     (("limit-complex", "--n", "4", "--rho2", "0.7", "--grid", "1e-3:1:3",
       "--samples", "300", "--seed", "1"),
-     "f3ca608b497c5bedb98445387dbd35071ad8af52ed19bbc0e5c87e66c6542a31"),
+     "0f317971548c8433c06098d0c3c114f4a74de88e78b198c77883de130dfbcd06"),
     # re-recorded when boundary dropped sides B and A: a column diff against
     # the previous output (this config, and --samples 200 at seeds 0-9) found
     # their rows, the theta_eta_ratio/shape_sum_min/shape_sum_max columns and
     # their two doc lines gone, and every side-T cell unchanged
     (("boundary", "--side", "all", "--n", "2", "--samples", "24"),
-     "6612f5d3a2cf6f57c0bdf969cb4e875eda27c2ff57953594e009d727aa0ce34c"),
+     "656c212ae231a48a0b27959dcff3aca534f6fdd1e7f1348655a881e267cf9d39"),
     # the benchmark's sample count: 200 chords in row blocks
     (("boundary", "--side", "all", "--n", "2", "--samples", "200", "--seed", "0"),
-     "d5185e2a79b6cb3cd8ab789f487caaff16b64bfdd363d99f37df1ab1ddd82004"),
+     "a1518053feccf2b8030503bde332b70cdd316d1e511a5feb42a0fa07c6190fd0"),
     (("polytope-report", "--n", "1"),
      "426244f1bf993bec766b3fe2aa4ab2a9e479c96d002a1c7c7f66c5480658407d"),
     (("polytope-report", "--n", "2"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_pullback, dense_tensors
-from wsdlab import maps
+from wsdlab import maps, metgeo
 from wsdlab.ambient import closedness_residuals, feasibility_threshold, moment_map
 from wsdlab.maps import (
     CPnPoint,
@@ -23,7 +23,7 @@ from wsdlab.maps import (
 )
 from wsdlab.metgeo import _quotient_phases, fubini_study_distance, hn_distance
 from wsdlab.polytope import lattice_maps
-from wsdlab.reduction import LevelSetSpec, draw_torus, feasibility, sample_base
+from wsdlab.reduction import LevelSetSpec, draw_torus, feasibility, log_shape, sample_base
 
 PI = math.pi
 
@@ -517,3 +517,53 @@ def test_pi2_equivariance():
     zs = pi2_point(s, r, b + delta)
     acted = CPnPoint(z.z * np.exp(-2j * PI * (rows @ delta)), z.lam)
     assert hn_distance(zs, acted) < 1e-8
+
+def _phase_group_moves(n, rho2=0.7, count=3, seed=7):
+    """(hn, fs): the quotient and the projective distances between the pi2
+    images of `count` sampled rows at rho2 and of the same rows with their
+    torus coordinates moved by each delta in {0, 1/(n+1), .., n/(n+1)}^n,
+    and whether that move is diagonal (every delta_i equal).
+
+    F_eta delta = (delta, -sum delta) (its rows are the primal vertices), so
+    modulo the diagonal circle and Z^{n+1} it is (delta + sum delta, 0): each
+    entry a multiple of 1/(n+1), the numerators summing to (n+1) sum delta,
+    0 mod n+1.  That is a row of the Greene-Plesser group, built here from
+    the grid and not from metgeo._quotient_phases, and it is the circle
+    itself only where delta is constant."""
+    spec = LevelSetSpec(n, 1.0, rho2)
+    r, _, t = sample_arrays(spec, count, seed)
+    u = log_shape(r)
+    z = project_pi2(u, t)
+    hn, fs, diagonal = [], [], []
+    for steps in np.ndindex(*(n + 1,) * n):
+        moved = project_pi2(u, t + np.array(steps) / (n + 1))
+        for a, b in zip(z, moved):
+            p, q = CPnPoint(a, rho2**2), CPnPoint(b, rho2**2)
+            hn.append(hn_distance(p, q))
+            fs.append(fubini_study_distance(p, q))
+            diagonal.append(len(set(steps)) == 1)
+    return np.array(hn), np.array(fs), np.array(diagonal)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pi2_images_of_phase_group_moves_are_one_quotient_point(n):
+    # gate 4 redraws the torus half a projection does not read, so it never
+    # moves a point by the phase group; here every move of the group reaches
+    # the quotient through project_pi2: hn_distance reads rounding level
+    # (2.6e-15 at worst here), while the raw representatives stay apart off
+    # the diagonal moves (0.25 and more) and meet on them, to arccos's
+    # sqrt(eps) floor (1.5e-8 at worst)
+    hn, fs, diagonal = _phase_group_moves(n)
+    assert len(hn) == 3 * (n + 1) ** n and np.count_nonzero(diagonal) == 3 * (n + 1)
+    assert np.max(hn) <= 1e-14
+    assert np.min(fs[~diagonal]) >= 0.2
+    assert np.max(fs[diagonal]) <= 1e-7
+
+
+def test_phase_group_moves_fail_without_one_group_row(monkeypatch):
+    # negative control: with one row dropped from the enumerated group, the
+    # moves onto that row are no longer minimized out
+    full = _quotient_phases(3)
+    monkeypatch.setattr(metgeo, "_quotient_phases", lambda n: np.delete(full, 5, axis=0))
+    hn, _, _ = _phase_group_moves(3)
+    assert np.max(hn) >= 0.2
