@@ -157,14 +157,6 @@ def leaf_volume(r) -> np.ndarray:
     return v
 
 
-@functools.cache
-def _triples(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (a, b, c) of every triple a < b < c, in lexicographic order."""
-    idx = np.array(list(itertools.combinations(range(dim), 3)), dtype=np.intp).T
-    idx.setflags(write=False)
-    return idx[0], idx[1], idx[2]
-
-
 def _check_fd_step(r: np.ndarray, h: float) -> None:
     """Check the central-difference step h against the radius rows r (N, m):
     warns when h is large against some row's smallest radius; raises when h
@@ -176,9 +168,6 @@ def _check_fd_step(r: np.ndarray, h: float) -> None:
         warnings.warn("finite-difference step is large relative to min r_i", stacklevel=3)
     if not np.all(r_min - h > 0):
         raise ValueError("all radii must be strictly positive")
-
-
-_FD_BLOCK = 32  # radius rows per slab of the closedness kernel
 
 
 def closedness_residuals(form, r, h) -> np.ndarray:
@@ -193,8 +182,7 @@ def closedness_residuals(form, r, h) -> np.ndarray:
     one step for every row.
     A closed form yields a residual of order h^2 (exactly 0 for coefficients
     constant along the differenced axes).  A non-finite cyclic sum makes the
-    row's residual inf, never a pass.  Rows go through in slabs of
-    _FD_BLOCK, so temporaries stay O(_FD_BLOCK * dim^3) whatever N is.
+    row's residual inf, never a pass.
     """
     r = np.asarray(r, dtype=float)
     m = r.shape[-1]
@@ -207,18 +195,13 @@ def closedness_residuals(form, r, h) -> np.ndarray:
         raise ValueError(f"unknown form {form!r}, expected one of {tuple(_FORMS)} or a callable")
     _check_fd_step(r, h)
     dim, delta = 3 * m, h * np.eye(m)
-    a, b, c = _triples(dim)
-    # one gradient buffer for every slab; only its radius rows are written
-    grad = np.zeros((min(len(r), _FD_BLOCK), dim, dim, dim))
-    out = np.empty(len(r))
-    for lo in range(0, len(r), _FD_BLOCK):
-        rows = slice(lo, lo + _FD_BLOCK)
-        # entry a of each row is that row's radii with r_a shifted by h
-        base = r[rows, None, :]
-        g = grad[:len(base)]
-        g[:, m:2 * m] = (stack(base + delta) - stack(base - delta)) / (2.0 * h)
-        # each cyclic sum D_a w_bc + D_b w_ca + D_c w_ab, added left to right
-        # over the triples a < b < c; a non-finite one makes its row inf
-        t = g[:, a, b, c] + g[:, b, c, a] + g[:, c, a, b]
-        out[rows] = np.where(np.all(np.isfinite(t), axis=1), np.max(np.abs(t), axis=1), np.inf)
-    return out
+    a, b, c = np.array(list(itertools.combinations(range(dim), 3)), dtype=np.intp).T
+    # entry a of each row is that row's radii with r_a shifted by h; only the
+    # radius rows of the gradient are nonzero
+    base = r[:, None, :]
+    grad = np.zeros((len(r), dim, dim, dim))
+    grad[:, m:2 * m] = (stack(base + delta) - stack(base - delta)) / (2.0 * h)
+    # each cyclic sum D_a w_bc + D_b w_ca + D_c w_ab, added left to right
+    # over the triples a < b < c; a non-finite one makes its row inf
+    t = grad[:, a, b, c] + grad[:, b, c, a] + grad[:, c, a, b]
+    return np.where(np.all(np.isfinite(t), axis=1), np.max(np.abs(t), axis=1), np.inf)

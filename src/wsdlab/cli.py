@@ -233,7 +233,8 @@ def _scaled(value: float, name: str, rho1: float) -> float:
     """A sweep cell that scales with rho1; ArithmeticError where it leaves the
     normal doubles: pi rho1 overflows from rho1 ~5.7e307, a fiber over
     rho1^2 (hausdorff_norm) from rho1 ~1e-154 at rho2 0.6 and sooner deeper,
-    and rho1 times a fiber at a subnormal rho1 keeps few digits."""
+    and rho1 times a fiber or a base diameter at a subnormal rho1 keeps few
+    digits."""
     if not sys.float_info.min <= value < math.inf:
         raise ArithmeticError(f"{name} leaves the normal doubles at rho1 = {rho1:.6g}")
     return value
@@ -299,7 +300,8 @@ def cmd_limit_complex(args) -> int:
 # The one probed side is the threshold: as rho2^2 falls to the feasibility
 # threshold, the base sample pinches to a single orbit.  The base at rho1 is
 # bitwise rho1 times its rho1 = 1 rows (solve_base), so each excess solves the
-# shape alone and the printed diameter is rho1 times the shape's diameter d.
+# shape alone and the printed diameter is rho1 times the shape's diameter d,
+# a scaled cell like the sweeps' (_scaled); a shape of diameter 0 prints 0.
 
 def cmd_boundary(args) -> int:
     import numpy as np
@@ -319,10 +321,7 @@ def cmd_boundary(args) -> int:
         rho2 = math.sqrt(thr2 * (1.0 + float(delta)))
         shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
         d = float(np.max(chord_eccentricities(shape)))
-        diam = rho1 * d
-        if d > 0 and not np.finfo(float).tiny <= diam < math.inf:
-            raise ArithmeticError(f"base diameter rho1 * d leaves the normal doubles at "
-                                  f"rho1 = {rho1:.3e}, param = {delta:.3e}")
+        diam = 0.0 if d == 0 else _scaled(rho1 * d, "base_diam", rho1)
         rows.append(("T", args.n, _e(delta), _e(rho1), _e(rho2), args.samples, args.seed,
                      __version__, _e(diam), _e(d)))
     config = {"n": args.n, "side": args.side, "grid": args.grid, "rho1": rho1,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -21,14 +20,15 @@ MAX_SD_DIM = 6
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Polytope:
-    """Lattice polytope given by its vertex list (rows are vertices)."""
+class Polytope(NamedTuple("Polytope", [("vertices", IntMatrix)])):
+    """Lattice polytope given by its vertex list (rows are vertices): a named
+    tuple that checks the list when built, so immutable, hashable and equal
+    by its vertices."""
 
-    vertices: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        verts = tuple(tuple(int(x) for x in v) for v in self.vertices)
+    def __new__(cls, vertices):
+        verts = tuple(tuple(int(x) for x in v) for v in vertices)
         if not verts:
             raise ValueError("polytope needs at least one vertex")
         dim = len(verts[0])
@@ -38,7 +38,7 @@ class Polytope:
             raise ValueError("vertices have inconsistent dimension")
         if len(set(verts)) != len(verts):
             raise ValueError("vertices must be distinct")
-        object.__setattr__(self, "vertices", verts)
+        return super().__new__(cls, verts)
 
     @property
     def dim(self) -> int:
@@ -113,7 +113,9 @@ def _smallest_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix,
-    one per unit of its rank, by unimodular row and column operations."""
+    one per unit of its rank.  Unimodular row and column operations bring it
+    to a diagonal; the fold diag(x, y) ~ diag(gcd, lcm) (Newman, Integral
+    Matrices, 1972) then makes that diagonal a divisor chain."""
     a = [[int(x) for x in row] for row in mat]
     m, n = len(a), len(a[0])
     t = 0
@@ -143,35 +145,25 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
                         row[j] -= q * row[t]
                     if a[t][j] != 0:
                         dirty = True
-            if dirty:
-                # remainders appeared, re-pick a smaller pivot in the block
-                pivot = _smallest_entry(a, t)
-                continue
-            # pivot must divide the whole remaining block
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            if not dirty:
                 break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            pivot = (t, t)
+            # remainders appeared, re-pick a smaller pivot in the block
+            pivot = _smallest_entry(a, t)
         t += 1
-    # the block from t onward is 0, so the pivots so far are the factors
-    return tuple(abs(a[i][i]) for i in range(t))
+    # the block from t onward is 0, so the pivots so far are the diagonal
+    d = [abs(a[i][i]) for i in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 # ---------------------------------------------------------------------------
 # Kernels of torus homomorphisms.
 
 
-@dataclass(frozen=True)
-class SubgroupData:
+class SubgroupData(NamedTuple):
     """Kernel of a torus homomorphism: subtorus rank plus component group."""
 
     connected_rank: int
@@ -263,8 +255,7 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
 # Polar duality via exact facet enumeration.
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     normal: tuple[int, ...]   # primitive inward data: <normal, x> <= offset on P
     offset: int
 
@@ -288,7 +279,7 @@ def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
     verts = p.vertices
     if p.affine_rank() != n:
         raise ValueError("polytope is not full-dimensional")
-    facets: dict[tuple, Facet] = {}
+    facets = set()
     for subset in itertools.combinations(range(len(verts)), n):
         rows = [list(verts[i]) + [-1] for i in subset]
         rank, _, null = _eliminate(rows)
@@ -303,8 +294,8 @@ def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
             c, b = tuple(-x for x in c), -b
         else:
             continue
-        facets[(c, b)] = Facet(c, b)
-    return tuple(sorted(facets.values(), key=lambda f: (f.normal, f.offset)))
+        facets.add(Facet(c, b))
+    return tuple(sorted(facets))
 
 
 def dual_polytope(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
@@ -328,8 +319,7 @@ def dual_polytope(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
 # The duality identities and property SD.
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     composite: IntMatrix
     identities: tuple[tuple[str, bool, str], ...]
 
@@ -398,8 +388,7 @@ def verify_duality_identities(n: int) -> DualityReport:
     return DualityReport(composite, tuple(ident))
 
 
-@dataclass(frozen=True)
-class SdVerdict:
+class SdVerdict(NamedTuple):
     holds: bool
     diagnostic: str
 

@@ -69,7 +69,9 @@ def kkt_log_sums_mp(n: int, rho2: float, digits: int = 50) -> tuple:
     m - j coordinates l = (1 - j s) / (m - j), m = n + 1, with log s from
     mpmath's bracketed root of j log s + (m - j) log l = log c, which rises
     in s on (0, 1/m).  `digits` digits past the integer part of log c; logs,
-    as S leaves the doubles from rho2 ~5.5."""
+    as S leaves the doubles from rho2 ~5.5.  The solver is Illinois: close
+    to the threshold the root sits at the flat end of its bracket, where
+    Anderson's method raises instead of converging."""
     m = n + 1
     with mpmath.workdps(digits + max(0, math.ceil(math.log10(4 * math.pi**2 * rho2 * rho2)))):
         log_c = -4 * mpmath.pi ** 2 * mpmath.mpf(rho2) ** 2
@@ -78,7 +80,7 @@ def kkt_log_sums_mp(n: int, rho2: float, digits: int = 50) -> tuple:
             k = m - j
             sig = mpmath.findroot(
                 lambda x: j * x + k * mpmath.log((1 - j * mpmath.exp(x)) / k) - log_c,
-                ((log_c + k * mpmath.log(k)) / j, -mpmath.log(m)), solver="anderson")
+                ((log_c + k * mpmath.log(k)) / j, -mpmath.log(m)), solver="illinois")
             s = mpmath.exp(sig)
             out.append(mpmath.log(j / s + k * k / (1 - j * s)))
         return tuple(out)

@@ -330,12 +330,12 @@ def nonclosed_form_stack(form, r):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), data=st.data(),
-       count=st.sampled_from([1, ambient._FD_BLOCK, ambient._FD_BLOCK + 1]),
+       count=st.sampled_from([1, 2, 12, 33]),
        form=st.sampled_from(["omega1", "omega2", "omegaD"]),
        closed=st.booleans())
 def test_closedness_rows_equal_single_point_calls(n, data, count, form, closed):
     # the package forms give 0.0 on every row, so the non-closed omega1 is
-    # what makes the residuals differ between rows and slabs; the rows lie
+    # what makes the residuals differ between rows; the rows lie
     # within two decades of one scale, so the one step suits every row
     scale = data.draw(st.floats(-150.0, 1.0))
     log_r = st.lists(st.floats(scale, scale + 2.0), min_size=n + 1, max_size=n + 1)

@@ -263,9 +263,16 @@ def test_boundary_diameter_out_of_range_exits_2_with_one_line(rho1, grid, capsys
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("numerical failure: base diameter rho1 * d leaves the normal doubles "
-                          f"at rho1 = {float(rho1):.3e}, param = ")
-    assert err.count("\n") == 1
+    assert err == f"numerical failure: base_diam leaves the normal doubles at rho1 = {float(rho1):.6g}\n"
+
+
+def test_boundary_single_sample_prints_zero_diameter_at_any_rho1(capsys):
+    # one sample has diameter 0, which is 0 at every rho1, even where rho1
+    # times a positive diameter would exit 2
+    argv = ["boundary", "--n", "2", "--rho1", "1e-320", "--grid", "1e-4:1e-1:2", "--samples", "1"]
+    assert main(argv) == 0
+    rows = rows_of(capsys.readouterr().out)
+    assert [(r["base_diam"], r["base_diam_over_rho1"]) for r in rows] == [(cli._e(0.0),) * 2] * 2
 
 
 @pytest.mark.parametrize("rho1", ["0", "-1"])
@@ -646,9 +653,8 @@ NAMED_CAUSES = [re.compile(p) for p in (
     r"numerical failure: \|X1\|\^2 \|X2\|\^2 overflows at radii \S+ to \S+: .*",
     r"numerical failure: degenerate-pair construction ill conditioned: .*",
     r"numerical failure: fiber bound .* overflows at rho2 = \S+, rho1 = \S+",
-    r"numerical failure: base diameter rho1 \* d leaves the normal doubles at .*",
-    r"numerical failure: (fiber_diam_max|hausdorff_image|hausdorff_norm) leaves the normal doubles "
-    r"at rho1 = \S+",
+    r"numerical failure: (fiber_diam_max|hausdorff_image|hausdorff_norm|base_diam) leaves the "
+    r"normal doubles at rho1 = \S+",
     r"numerical failure: the degenerate distance is infinite at n = 1: the base is two "
     r"points, so the level set has two components",
 )]
@@ -856,8 +862,8 @@ def test_a_rejected_argv_leaves_the_next_call_as_in_a_fresh_process(monkeypatch,
 IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
 
-WATCHED = ["numpy", "scipy", "wsdlab.ambient", "wsdlab.maps", "wsdlab.metgeo",
-           "wsdlab.reduction"]
+WATCHED = ["dataclasses", "inspect", "numpy", "scipy", "wsdlab.ambient", "wsdlab.maps",
+           "wsdlab.metgeo", "wsdlab.reduction"]
 
 def loaded():
     return [m for m in WATCHED if m in sys.modules]
@@ -883,8 +889,11 @@ def test_no_command_imports_scipy():
     # imports are most of a cold start: the exact layer, --help and a rejected
     # argv load no numpy and no numeric layer, and no command loads scipy
     # (limit-complex's limit bracket is closed form, no graph search).  The
-    # numeric layers' first import happens inside a command, within the CLI's
-    # np.errstate(raise), and may neither warn nor raise there
+    # exact layer's records are named tuples, so those argvs load neither
+    # dataclasses nor the inspect it imports; numpy loads inspect, and the
+    # numeric layers' records are dataclasses.  The numeric layers' first
+    # import happens inside a command, within the CLI's np.errstate(raise),
+    # and may neither warn nor raise there
     exact = [["polytope-report", "--n", "2"], ["--help"], ["verify", "--n", "2"],
              ["verify", "--n", "2", "--rho2", "0.5", "--samples", "0"]]
     numeric = [
@@ -904,11 +913,12 @@ def test_no_command_imports_scipy():
     runs = report["runs"]
     assert [(r["rc"], r["loaded"]) for r in runs[:len(exact)]] == [(0, []), (0, []), (2, []),
                                                                      (2, [])]
-    layers = ["numpy", "wsdlab.ambient", "wsdlab.maps", "wsdlab.metgeo", "wsdlab.reduction"]
+    with_numpy = ["dataclasses", "inspect", "numpy"]
+    layers = with_numpy + ["wsdlab.ambient", "wsdlab.maps", "wsdlab.metgeo", "wsdlab.reduction"]
     # limit-kahler projects nothing: its divisor offset is sample-free
-    no_maps = ["numpy", "wsdlab.ambient", "wsdlab.metgeo", "wsdlab.reduction"]
+    no_maps = with_numpy + ["wsdlab.ambient", "wsdlab.metgeo", "wsdlab.reduction"]
     assert [(r["rc"], r["err"], r["loaded"]) for r in runs[len(exact):]] == [
-        (0, "", ["numpy", "wsdlab.ambient", "wsdlab.reduction"]),
+        (0, "", with_numpy + ["wsdlab.ambient", "wsdlab.reduction"]),
         (0, "", no_maps), (0, "", no_maps), (0, "", layers),
     ]
 

@@ -16,8 +16,8 @@ from wsdlab import metgeo as mg
 from wsdlab.ambient import feasibility_threshold, torus_metric_weights
 from wsdlab.maps import CPnPoint, project_pi2
 from wsdlab.polytope import _eliminate, kernel_data, lattice_maps
-from wsdlab.reduction import (EmptyLevelSet, LevelSetSpec, draw_directions, draw_torus, log_shape,
-                              sample_base, solve_base)
+from wsdlab.reduction import (EmptyLevelSet, LevelSetSpec, draw_directions, draw_torus, feasibility,
+                              log_shape, sample_base, solve_base)
 
 
 def _sphere_rows(count, n, seed, lam=1.0):
@@ -618,15 +618,21 @@ def test_fiber_suprema_are_the_largest_kkt_candidate(n):
     # closed form there, and the pi1 one, whose S leaves the doubles from
     # rho2 ~5.5, within 8 eps at every depth (6.5 eps at worst in a scan of
     # 2,500 points, n = 1..8, from 1 + 1e-10 times the threshold to rho2
-    # 5.997; its exponent -log c / 2 is rounded once, with an exact remainder)
+    # 5.997; its exponent -log c / 2 is rounded once, with an exact remainder).
+    # The accuracy is also checked in the degenerate band, rho2^2 1e-11 and
+    # 1e-12 above the threshold's square, wherever the band leaves the level
+    # set regular (at 1e-12 only for n = 3, 5, 6, 7)
     thr = feasibility_threshold(n)
-    for rho2 in (thr * (1 + 1e-7), thr * 1.01, thr * 1.5, 1.0, 2.5, 4.0, 5.0):
-        if rho2 <= thr * (1 + 1e-8):
-            continue
+    points = [rho2 for rho2 in (thr * (1 + 1e-7), thr * 1.01, thr * 1.5, 1.0, 2.5, 4.0, 5.0)
+              if rho2 > thr * (1 + 1e-8)]
+    for rho2 in points if n > 1 else ():
         log_s = kkt_log_sums_mp(n, rho2)
-        if n > 1:
-            gap = log_s[0] - max(log_s[1:])
-            assert gap >= (1e-10 if rho2 < thr * 1.5 else 1.0), (n, rho2, gap)
+        gap = log_s[0] - max(log_s[1:])
+        assert gap >= (1e-10 if rho2 < thr * 1.5 else 1.0), (n, rho2, gap)
+    band = [rho2 for rho2 in (thr * math.sqrt(1 + 1e-11), thr * math.sqrt(1 + 1e-12))
+            if feasibility(LevelSetSpec(n, 1.0, rho2)) == "regular"]
+    assert band
+    for rho2 in points + band:
         sup = mg.base_suprema(n, rho2)
         pi1, pi2 = fiber_suprema_mp(n, rho2)
         assert abs(mpmath.mpf(sup.pi1_fiber) - pi1) <= 8 * _EPS * pi1, (n, rho2)

@@ -14,6 +14,8 @@ from scipy.spatial import ConvexHull
 from wsdlab import polytope
 from wsdlab.polytope import (
     DegenerateDualError,
+    DualityReport,
+    Facet,
     Polytope,
     SubgroupData,
     _eliminate,
@@ -75,10 +77,56 @@ def test_simplex_pair_structure(n):
 
 
 def test_polytope_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Polytope(((1, 0), (1, 0)))
-    with pytest.raises(ValueError):
-        Polytope(((1, 0), (0,)))
+    for vertices, message in [((), "polytope needs at least one vertex"),
+                              (((),), "ambient dimension 0 outside desk scale 1..8"),
+                              (((0,) * 9,), "ambient dimension 9 outside desk scale 1..8"),
+                              (((1, 0), (0,)), "vertices have inconsistent dimension"),
+                              (((1, 0), (1, 0)), "vertices must be distinct")]:
+        with pytest.raises(ValueError) as info:
+            Polytope(vertices)
+        assert str(info.value) == message
+
+
+def test_polytope_is_a_validating_named_tuple():
+    # immutable, hashable and equal by its vertex list, order included; as a
+    # named tuple it also equals the plain tuple of its one field
+    p = Polytope([[2, -1], [-1, 2], [-1, -1]])
+    q = Polytope(((2, -1), (-1, 2), (-1, -1)))
+    assert p.vertices == ((2, -1), (-1, 2), (-1, -1))
+    assert p == q == simplex_pair(2)[0] and hash(p) == hash(q) and p is not q
+    assert p != Polytope(p.vertices[::-1])
+    assert p == (p.vertices,) and isinstance(p, tuple)
+    assert (p.dim, p.vertex_count, p.affine_rank()) == (2, 3, 2)
+    assert repr(p) == "Polytope(vertices=((2, -1), (-1, 2), (-1, -1)))"
+    with pytest.raises(AttributeError):
+        p.vertices = ()
+    with pytest.raises(AttributeError):
+        p.extra = 1
+
+
+def test_exact_layer_records_are_named_tuples():
+    # every other record of the exact layer: fields and properties read as
+    # before, setting an attribute raises, and a record equals (and hashes
+    # like) the plain tuple of its fields
+    kd = kernel_data(lattice_maps(2).dual)
+    assert (kd.connected_rank, kd.torsion_invariants) == (1, (3,))
+    assert (kd.component_group_order, kd.is_finite, kd.group_order) == (3, False, math.inf)
+    finite = SubgroupData(0, (2, 4))
+    assert (finite.component_group_order, finite.is_finite, finite.group_order) == (8, True, 8)
+    assert SubgroupData(2, ()).component_group_order == 1
+    facets = enumerate_facets(Polytope(((1, 0), (0, 1), (-1, -1))))
+    assert facets == (Facet((-2, 1), 1), Facet((1, -2), 1), Facet((1, 1), 1))
+    rep = verify_duality_identities(2)
+    assert rep.passed and not DualityReport(rep.composite, (("x", False, ""),)).passed
+    sd = has_property_sd(simplex_pair(2)[0])
+    assert (sd.holds, sd.diagnostic) == (True, "property SD holds (kernel order 9)")
+    for record in (kd, finite, facets[0], rep, sd):
+        assert record == tuple(record) and hash(record) == hash(tuple(record))
+        assert tuple(record) == tuple(getattr(record, name) for name in record._fields)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def test_lattice_maps_match_hand_matrices():
@@ -400,6 +448,10 @@ def laplace_det(rows):
 @example(rows=[[6, 4], [4, 6]])
 @example(rows=[[0, 0], [0, 0]])
 @example(rows=[[3]])
+@example(rows=[[4, 0], [0, 6]])
+@example(rows=[[2, 0, 0], [0, 3, 0], [0, 0, 5]])
+@example(rows=[[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+@example(rows=[[0, 0], [0, 4]])
 def test_smith_invariant_factors_are_the_determinantal_divisor_ratios(rows):
     # d_k, the gcd of the k x k minors, is the product of the first k
     # invariant factors, and 0 past the rank
