@@ -18,12 +18,12 @@ coefficient rows over radius stacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .ambient import (PI2, TWO_PI, convert_parameters, convert_parameters_inverse,
+from .ambient import (FOUR_PI2, PI2, TWO_PI, convert_parameters, convert_parameters_inverse,
                       form_coefficients, moment_map, torus_metric_weights)
 from .polytope import lattice_maps
 from .reduction import LevelSetSpec
@@ -54,20 +54,20 @@ def _as_complex(z, label: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class CPnPoint:
+class CPnPoint(NamedTuple("CPnPoint", [("z", np.ndarray), ("lam", float)])):
     """Representative z on the sphere sum |z|^2 = lam, up to the diagonal circle.
 
     Both charts use it: CP^n and its quotient by the dual-simplex phase group
     differ only in the distance taken between representatives."""
 
-    z: np.ndarray
-    lam: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", _as_complex(self.z, "CPnPoint.z"))
-        if not 0 < self.lam < math.inf:
+    def __new__(cls, z, lam):
+        z = _as_complex(z, "CPnPoint.z")
+        if not 0 < lam < math.inf:
             raise ValueError("lam must be positive and finite")
+        return super().__new__(cls, z, lam)
 
     @property
     def n(self) -> int:
@@ -91,7 +91,7 @@ def pi1_image_residual(z, rho2: float) -> np.ndarray:
     included."""
     sq = np.abs(np.asarray(z, dtype=complex)) ** 2
     scale = np.sum(sq, axis=-1) ** sq.shape[-1]
-    return np.abs(np.prod(sq, axis=-1) - math.exp(-4.0 * PI2 * rho2 * rho2) * scale) / scale
+    return np.abs(np.prod(sq, axis=-1) - math.exp(-FOUR_PI2 * rho2 * rho2) * scale) / scale
 
 
 def project_pi2(u, torus_t) -> np.ndarray:
@@ -120,7 +120,7 @@ def pi2_image_residual(z) -> np.ndarray:
     per representative z of shape (..., n+1); values of order 1 or more mean
     the point is far off the image (the zero vector scores n)."""
     sq = np.abs(np.asarray(z, dtype=complex)) ** 2
-    return np.abs(np.sum(np.exp(-4.0 * PI2 * sq), axis=-1) - 1.0)
+    return np.abs(np.sum(np.exp(-FOUR_PI2 * sq), axis=-1) - 1.0)
 
 
 # -- the chart diffeomorphism ------------------------------------------------
@@ -145,7 +145,7 @@ def _phi_pullback(r, rho1: float, rho2: float) -> dict[str, np.ndarray]:
     Jacobian is diagonal, 1 on theta, -1 on eta and dr'/dr on r, so each
     pulled-back entry is a product."""
     image = _phi_radii(r, rho1, rho2)
-    jac = -4.0 * PI2 * rho2 * rho2 * r * image
+    jac = -FOUR_PI2 * rho2 * rho2 * r * image
     theta_w, eta_w = torus_metric_weights(image)
     return {"omega1": jac * form_coefficients("omega1", image),
             "omega2": -(jac * form_coefficients("omega2", image)),
@@ -171,13 +171,13 @@ def phi_pullback_check(r, rho1: float, rho2: float) -> dict[str, np.ndarray]:
     """
     r = np.asarray(r, dtype=float)
     pulled = _phi_pullback(r, rho1, rho2)
-    decay = np.exp(-4.0 * PI2 * rho2 * rho2 * r ** 2)
+    decay = np.exp(-FOUR_PI2 * rho2 * rho2 * r ** 2)
     refs = {
         "omega1": -8.0 * math.pi * PI2 * rho1 ** 2 * rho2 ** 2 * r * decay,
         "omega2": TWO_PI * rho2 ** 2 * r,
-        "metric": np.concatenate([4.0 * PI2 * rho1 ** 2 * decay,
+        "metric": np.concatenate([FOUR_PI2 * rho1 ** 2 * decay,
                                   16.0 * PI2 ** 2 * rho1 ** 2 * rho2 ** 4 * r ** 2 * decay,
-                                  1.0 / (4.0 * PI2 * rho1 ** 2 * decay)], axis=-1),
+                                  1.0 / (FOUR_PI2 * rho1 ** 2 * decay)], axis=-1),
         "J2": _j_entries(complex_structure_at(r, rho1, rho2)),
     }
     residuals = {name: _relative_gap(pulled[name], ref) for name, ref in refs.items()}
@@ -204,7 +204,7 @@ def complex_structure_at(r, lam1: float, lam2: float) -> np.ndarray:
     if lam1 <= 0 or lam2 <= 0:
         raise ValueError("lam1 and lam2 must be positive")
     return 8.0 * math.pi * PI2 * r * lam1 ** 2 * lam2 ** 2 \
-        * np.exp(-4.0 * PI2 * lam2 ** 2 * r ** 2)
+        * np.exp(-FOUR_PI2 * lam2 ** 2 * r ** 2)
 
 
 # -- the scaling flow ---------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,14 +35,14 @@ from .ambient import FOUR_PI2, PI2, TWO_PI, torus_metric_weights
 from .reduction import LevelSetSpec, _rising_root, _small_root, require_regular
 
 
-@dataclass(frozen=True)
-class FiniteMetricSample:
+class FiniteMetricSample(NamedTuple("FiniteMetricSample", [("dist", np.ndarray)])):
     """A finite metric space given by its distance matrix."""
 
-    dist: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
+    def __new__(cls, dist):
+        d = np.asarray(dist, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("dist must be a square matrix")
         if d.size:
@@ -50,14 +50,11 @@ class FiniteMetricSample:
                 raise ValueError("dist must be finite and nonnegative with zero diagonal")
             if np.max(np.abs(d - d.T)) > 1e-12 * max(1.0, float(np.max(d))):
                 raise ValueError("dist must be symmetric")
-        object.__setattr__(self, "dist", d)
-
-    def __len__(self) -> int:
-        return self.dist.shape[0]
+        return super().__new__(cls, d)
 
 
 def diameter(s: FiniteMetricSample) -> float:
-    if len(s) == 0:
+    if len(s.dist) == 0:
         raise ValueError("diameter of an empty sample")
     return float(np.max(s.dist))
 
@@ -202,15 +199,15 @@ def gh_bounds(a: FiniteMetricSample, b: FiniteMetricSample) -> tuple[float, floa
     ecc(x) - ecc(y) is at most an entry of the distortion, and rounding is
     monotone.
     """
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("gh_bounds needs nonempty samples")
     da, db = a.dist, b.dist
+    if len(da) == 0 or len(db) == 0:
+        raise ValueError("gh_bounds needs nonempty samples")
     ea, eb = np.max(da, axis=1), np.max(db, axis=1)
     # pair k joins rank k * size // count of each sample: every rank is hit
-    count = max(len(a), len(b))
+    count = max(len(da), len(db))
     ranks = np.arange(count)
-    ia = np.argsort(ea, kind="stable")[ranks * len(a) // count]
-    ib = np.argsort(eb, kind="stable")[ranks * len(b) // count]
+    ia = np.argsort(ea, kind="stable")[ranks * len(da) // count]
+    ib = np.argsort(eb, kind="stable")[ranks * len(db) // count]
     lower = 0.5 * _interval_hausdorff(ea, ea, eb, eb)
     upper = 0.5 * float(np.max(np.abs(da[np.ix_(ia, ia)] - db[np.ix_(ib, ib)])))
     return lower, upper
@@ -234,19 +231,19 @@ def ngh_distance(a: FiniteMetricSample, b: FiniteMetricSample) -> NghBounds:
 
 # -- flat fiber tori -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlatTorusSpec:
-    """Flat torus R^span/lattice: generator columns in an ambient chart with a
-    diagonal metric."""
+class FlatTorusSpec(NamedTuple("FlatTorusSpec", [("lattice_basis", np.ndarray),
+                                                  ("metric_diag", np.ndarray)])):
+    """Flat torus R^span/lattice: generator columns (ambient_dim, rank) in an
+    ambient chart with a diagonal metric."""
 
-    lattice_basis: np.ndarray   # (ambient_dim, rank) columns
-    metric_diag: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        b = np.asarray(self.lattice_basis, dtype=float)
+    def __new__(cls, lattice_basis, metric_diag):
+        b = np.asarray(lattice_basis, dtype=float)
         if b.ndim != 2 or b.shape[1] == 0 or b.shape[0] < b.shape[1]:
             raise ValueError("lattice basis must have independent columns")
-        w = np.asarray(self.metric_diag, dtype=float).reshape(b.shape[0])
+        w = np.asarray(metric_diag, dtype=float).reshape(b.shape[0])
         if np.any(w <= 0):
             raise ValueError("metric weights must be positive")
         # positive weights cannot make independent columns dependent, so the
@@ -254,8 +251,7 @@ class FlatTorusSpec:
         # values spread with the weights, not with any dependence
         if np.linalg.matrix_rank(b) < b.shape[1]:
             raise ValueError("lattice basis must have independent columns")
-        object.__setattr__(self, "lattice_basis", b)
-        object.__setattr__(self, "metric_diag", w)
+        return super().__new__(cls, b, w)
 
     @property
     def rank(self) -> int:
@@ -379,9 +375,13 @@ def pi1_fiber_bound(spec: LevelSetSpec) -> float:
 
 # -- the sample-free suprema over the base --------------------------------------
 
-# base_suprema's four facts of (n, rho2), at unit scale
-BaseSuprema = NamedTuple("BaseSuprema", [("h1", float), ("h2", float),
-                                         ("pi1_fiber", float), ("pi2_fiber", float)])
+class BaseSuprema(NamedTuple):
+    """base_suprema's four facts of (n, rho2), at unit scale."""
+
+    h1: float
+    h2: float
+    pi1_fiber: float
+    pi2_fiber: float
 
 
 def base_suprema(n: int, rho2: float) -> BaseSuprema:
@@ -421,10 +421,16 @@ def base_suprema(n: int, rho2: float) -> BaseSuprema:
     l^n s = c, l > s: l = t+, s = d = 1 - n t+, S_max = n^2 / (1 - d) + 1/d.
 
     sqrt(t-) is _small_root's, as in reduction.solve_base at n = 1; t+ =
-    (1 - d) / n, d = n^n c e^y, y / n + log1p(-d) = 0, so -log t+ = log n -
-    log1p(-d) stays exact at n = 1.  As 1/d = ((1 - d) / n)^n / c, the pi1
-    supremum is c^{-1/2} n^{-n/2} (1 - d)^{n/2} sqrt(1 + n^2 d / (1 - d) - p d)
-    / 4 pi, and c^{-1/2} = e^{-log c / 2} is e^b e^{-log c / 2 - b}, b the
+    (1 - d) / n, d = k e^y, y / n + log1p(-d) = 0, so -log t+ = log n -
+    log1p(-d) stays exact at n = 1.  k = n^n c is that product where c is
+    normal and n^n a double (n <= 143).  Elsewhere it is (n c^{1/n})^n,
+    c^{1/n} = e^{2h} e^{2 (half - h)}, half = log c / 2n exact and h its
+    double, so no factor leaves the normal doubles (n c^{1/n} < 1 on a
+    regular level set) and k's error is a few times n ulp; the root d
+    amplifies it near the threshold, where t- and t+ close in.  As
+    1/d = ((1 - d) / n)^n / c, the pi1 supremum is
+    c^{-1/2} n^{-n/2} (1 - d)^{n/2} sqrt(1 + n^2 d / (1 - d) - p d) / 4 pi,
+    and c^{-1/2} = e^{-log c / 2} is e^b e^{-log c / 2 - b}, b the
     exponent rounded once and the remainder exact, as _small_root forms
     c^{1/2n}: so it is within 8 eps at every depth (6.5 eps at worst at
     n = 1..8 against a 50-digit search), where a rounded log c would cost
@@ -436,7 +442,13 @@ def base_suprema(n: int, rho2: float) -> BaseSuprema:
     """
     require_regular(LevelSetSpec(n, 1.0, rho2))
     root, half = _small_root(n, rho2)  # sqrt(t-), log c / 2n exactly
-    k = n ** n * math.exp(2.0 * n * float(half))
+    h = float(half)
+    c = math.exp(2.0 * n * h)
+    if c >= np.finfo(float).tiny and n ** n <= sys.float_info.max:
+        k = n ** n * c
+    else:  # (n c^{1/n})^n: from n = 144 on, or where c is subnormal
+        base = n * math.exp(2.0 * h)
+        k = base ** n * math.exp(2.0 * n * float(half - Fraction(h))) if base else 0.0
     d = k * math.exp(_rising_root(1.0 / n, k))  # 1 - n t+
     if n == 1:  # t+ = 1 - t-: -log t+ ~ t- leaves the doubles before its root does
         t = root * root
@@ -448,7 +460,7 @@ def base_suprema(n: int, rho2: float) -> BaseSuprema:
     pi1 = (math.exp(b) * n ** (-0.5 * n) / (4.0 * math.pi) * math.sqrt(1.0 + grow - p * d)
            * math.exp(0.5 * n * math.log1p(-d) + float(-n * half - Fraction(b)))
            if b < math.log(np.finfo(float).max) else math.inf)
-    return BaseSuprema(math.asin(root), math.asin(mod / (2.0 * math.pi * rho2)), pi1,
+    return BaseSuprema(math.asin(root), math.asin(mod / (TWO_PI * rho2)), pi1,
                        math.pi * math.sqrt(1.0 - p * d / (1.0 + grow)))
 
 

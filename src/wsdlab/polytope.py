@@ -26,6 +26,7 @@ class Polytope(NamedTuple("Polytope", [("vertices", IntMatrix)])):
     by its vertices."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, vertices):
         verts = tuple(tuple(int(x) for x in v) for v in vertices)

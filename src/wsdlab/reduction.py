@@ -33,13 +33,13 @@ that row alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .ambient import (
+    _FORMS,
     _TWO_PI2,
     FOUR_PI2,
     PI2,
@@ -52,24 +52,24 @@ from .ambient import (
 DEGENERACY_GUARD = 1e-8  # relative margin on |X1|^2 |X2|^2 - (n+1)^2
 
 
-@dataclass(frozen=True)
-class LevelSetSpec:
+class LevelSetSpec(NamedTuple("LevelSetSpec", [("n", int), ("rho1", float), ("rho2", float)])):
     """The level set of the doubled torus over R^{n+1} with scale rho1 and
-    profile width rho2; its moment levels (k1, k2) are derived from them."""
+    profile width rho2; its moment levels (k1, k2) are derived from them.  A
+    named tuple that checks its fields however it is built."""
 
-    n: int
-    rho1: float
-    rho2: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if int(self.n) < 1:
+    def __new__(cls, n, rho1, rho2):
+        if int(n) < 1:
             raise ValueError("n must be >= 1")
-        if not (math.isfinite(self.rho1) and math.isfinite(self.rho2)):
-            raise ValueError(f"rho1 and rho2 must be finite, got {self.rho1}, {self.rho2}")
-        if not self.rho1 > 0:
+        if not (math.isfinite(rho1) and math.isfinite(rho2)):
+            raise ValueError(f"rho1 and rho2 must be finite, got {rho1}, {rho2}")
+        if not rho1 > 0:
             raise ValueError("rho1 must be positive")
-        if not self.rho2 > 0:
+        if not rho2 > 0:
             raise ValueError("rho2 must be positive")
+        return super().__new__(cls, n, rho1, rho2)
 
     @property
     def k1(self) -> float:
@@ -477,13 +477,13 @@ def induced_structure(r: np.ndarray) -> InducedStructure:
         half = pair(a, weight, b)
         return half - np.swapaxes(half, 1, 2)
 
+    frames = (th, rr, et)  # the block order of ambient._FORMS
     g = pair(th, theta_w, th) + np.swapaxes(rr, 1, 2) @ rr + pair(et, eta_w, et)
-    return InducedStructure(g, form(rr, two_pi_r, th), form(rr, 1.0 / two_pi_r, et),
-                            form(th, np.ones_like(r), et))
+    return InducedStructure(g, **{name: form(frames[x], coef(r), frames[y])
+                                  for name, (x, y, coef) in _FORMS.items()})
 
 
-@dataclass(frozen=True)
-class DegenerateBlock:
+class DegenerateBlock(NamedTuple):
     """Coefficient data of omegaD on the degenerate 2-plane, one entry per row
     of base radii.
 
@@ -555,8 +555,7 @@ def omega_d_degenerate_block(r: np.ndarray) -> DegenerateBlock:
     )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Per-sample results of `verify_wsd_axioms`: each residual, the worst of
     them, the kernel dimension and the conditioning are (N,) arrays."""
 

@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -154,7 +153,7 @@ def _planted(field, factor):
 
     def planted(r):
         blk = block(r)
-        return dataclasses.replace(blk, **{field: getattr(blk, field) * factor})
+        return blk._replace(**{field: getattr(blk, field) * factor})
     return planted
 
 
@@ -592,6 +591,19 @@ def test_limit_kahler_runs_past_rank_3(tmp_path, n):
     assert all(float(r["fiber_ratio"]) <= 1.0 for r in rows)
 
 
+@pytest.mark.parametrize("command", ["limit-kahler", "limit-complex"])
+def test_sweeps_run_where_n_to_the_n_leaves_the_doubles(tmp_path, command):
+    # 144^144 is above the largest double, so the suprema's n^n c is formed
+    # without either factor; every cell is finite
+    rc, text = run(tmp_path, command, "--n", "144", "--rho2", "4.32", "--grid", "1:10:2",
+                   "--samples", "4")
+    assert rc == 0
+    rows = rows_of(text)
+    assert len(rows) == 2
+    assert all(math.isfinite(float(cell)) for row in rows for name, cell in row.items()
+               if name != "version")
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_limit_complex_c_witness_closed_form(tmp_path, n):
     # the closed form gives c = pi sqrt(1 - (m mod 2) / sum x_i^-2), x = r / rho1;
@@ -668,7 +680,10 @@ def _log_uniform(lo, hi):
 def cli_argvs(draw):
     command = draw(st.sampled_from(["verify", "limit-kahler", "limit-complex", "boundary",
                                     "polytope-report"]))
-    n = draw(st.integers(1, 12 if command == "limit-complex" else 6))
+    # limit-kahler samples nothing, so its n reaches past 143, where n^n
+    # leaves the doubles, and past ~254, where every regular rho2 overflows
+    # the fiber bound
+    n = draw(st.integers(1, {"limit-complex": 12, "limit-kahler": 250}.get(command, 6)))
     if command == "polytope-report":
         return [command, "--n", str(n)]
     argv = [command, "--n", str(n), "--samples", str(draw(st.integers(2, 16))),
@@ -699,6 +714,7 @@ def _reject_constant(token):
 @example(argv=["limit-complex", "--n", "2", "--rho2", "0.553", "--samples", "3",
                "--grid", "3.5e73:1.59e153:2"])
 @example(argv=["limit-kahler", "--n", "2", "--rho2", "4.5", "--samples", "2"])
+@example(argv=["limit-kahler", "--n", "144", "--rho2", "4.32", "--grid", "1:10:2"])
 @example(argv=["limit-kahler", "--n", "4", "--rho2", "5", "--samples", "2"])
 @example(argv=["limit-kahler", "--n", "3", "--rho2", "0.7", "--samples", "2",
                "--grid", "1e300:1.7e308:3"])
@@ -888,10 +904,9 @@ print(json.dumps(report))
 def test_no_command_imports_scipy():
     # imports are most of a cold start: the exact layer, --help and a rejected
     # argv load no numpy and no numeric layer, and no command loads scipy
-    # (limit-complex's limit bracket is closed form, no graph search).  The
-    # exact layer's records are named tuples, so those argvs load neither
-    # dataclasses nor the inspect it imports; numpy loads inspect, and the
-    # numeric layers' records are dataclasses.  The numeric layers' first
+    # (limit-complex's limit bracket is closed form, no graph search).  Every
+    # record is a named tuple, so no argv loads dataclasses; the exact argvs
+    # load no inspect either, and numpy loads it.  The numeric layers' first
     # import happens inside a command, within the CLI's np.errstate(raise),
     # and may neither warn nor raise there
     exact = [["polytope-report", "--n", "2"], ["--help"], ["verify", "--n", "2"],
@@ -913,7 +928,7 @@ def test_no_command_imports_scipy():
     runs = report["runs"]
     assert [(r["rc"], r["loaded"]) for r in runs[:len(exact)]] == [(0, []), (0, []), (2, []),
                                                                      (2, [])]
-    with_numpy = ["dataclasses", "inspect", "numpy"]
+    with_numpy = ["inspect", "numpy"]
     layers = with_numpy + ["wsdlab.ambient", "wsdlab.maps", "wsdlab.metgeo", "wsdlab.reduction"]
     # limit-kahler projects nothing: its divisor offset is sample-free
     no_maps = with_numpy + ["wsdlab.ambient", "wsdlab.metgeo", "wsdlab.reduction"]
@@ -1196,10 +1211,10 @@ def test_sweeps_and_probes_build_no_point_objects(monkeypatch, tmp_path, argv):
     # samples go through the checks, the projections and the metric weights
     # as arrays
     built = []
-    def counted(self, post=maps.CPnPoint.__post_init__):
-        built.append(type(self).__name__)
-        post(self)
-    monkeypatch.setattr(maps.CPnPoint, "__post_init__", counted)
+    def counted(cls, *fields, new=maps.CPnPoint.__new__):
+        built.append(cls.__name__)
+        return new(cls, *fields)
+    monkeypatch.setattr(maps.CPnPoint, "__new__", counted)
     rc, _ = run(tmp_path, *argv, "--samples", "12")
     assert rc == 0
     assert built == []

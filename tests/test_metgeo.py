@@ -657,6 +657,23 @@ def test_pi1_fiber_supremum_past_the_doubles(n, rho2):
             mg.pi1_fiber_bound(LevelSetSpec(n, 1e300, rho2))
 
 
+@pytest.mark.parametrize("n", [143, 144, 160, 200])
+def test_base_suprema_where_n_to_the_n_leaves_the_doubles(n):
+    # n^n is above the largest double from n = 144, and c = e^{-4 pi^2 rho2^2}
+    # is subnormal near the threshold from n = 142, so k = n^n c is formed as
+    # (n c^{1/n})^n there.  At 1.001 to 1.05 times the threshold the offsets
+    # and the pi2 supremum are within 1e-15 relative of the 50-digit helpers
+    # (1.8e-16 at worst read), and the pi1 one within 2e-14 (6.6e-15 at
+    # worst, n = 144 at 1.001): the KKT root amplifies k's error near the
+    # threshold, where t- and t+ close in
+    for factor in (1.001, 1.01, 1.05):
+        rho2 = factor * feasibility_threshold(n)
+        got = mg.base_suprema(n, rho2)
+        want = divisor_offsets_mp(n, rho2) + fiber_suprema_mp(n, rho2)
+        for name, value, ref, bound in zip(got._fields, got, want, (1e-15, 1e-15, 2e-14, 1e-15)):
+            assert abs(mpmath.mpf(value) - ref) <= bound * ref, (n, factor, name)
+
+
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_pi2_fiber_supremum_is_pi_at_odd_n(n):
     # m = n + 1 even: sqrt(1 - (m mod 2) / S) is 1 at every base point
