@@ -11,13 +11,14 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = ["ambient", "cli", "maps", "metgeo", "polytope", "reduction", "__version__"]
+__all__ = ["ambient", "cli", "maps", "metgeo", "params", "polytope", "reduction", "__version__"]
 
 # the layers load on first attribute access (PEP 562), so `import
-# wsdlab.polytope` and `import wsdlab.cli` load no numpy.  cli is no layer:
-# `import wsdlab.cli` and `from wsdlab import *` load it as a submodule, and
-# `python -m wsdlab.cli` warns if the package has loaded it already
-_LAYERS = frozenset({"ambient", "maps", "metgeo", "polytope", "reduction"})
+# wsdlab.polytope`, `import wsdlab.params` and `import wsdlab.cli` load no
+# numpy.  cli is no layer: `import wsdlab.cli` and `from wsdlab import *`
+# load it as a submodule, and `python -m wsdlab.cli` warns if the package
+# has loaded it already
+_LAYERS = frozenset({"ambient", "maps", "metgeo", "params", "polytope", "reduction"})
 
 
 def __getattr__(name):

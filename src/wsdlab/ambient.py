@@ -14,18 +14,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
-# the package's one source of these constants; every other module imports them
-TWO_PI = 2.0 * math.pi
-PI2 = math.pi**2
-FOUR_PI2 = 4.0 * math.pi**2
-# 2 pi^2 to 35 digits, for exponents such as log c / 2n formed exactly
-_TWO_PI2 = Fraction("19.739208802178717237668981999752302")
-_TINY = np.finfo(float).tiny  # the smallest normal double
+# PI2 is bound here for gate 5's chart-exponent mutant, which imports it from ambient
+from .params import FOUR_PI2, PI2, TWO_PI
 
 
 def moment_map(r) -> tuple[np.ndarray, np.ndarray]:
@@ -42,30 +37,6 @@ def moment_map(r) -> tuple[np.ndarray, np.ndarray]:
     return mu1.reshape(r.shape[:-1]), mu2.reshape(r.shape[:-1])
 
 
-def convert_parameters(n: int, k1: float, k2: float) -> tuple[float, float]:
-    """Level-set parameters (k1, k2) to radii parameters (rho1, rho2)."""
-    if k1 >= 0:
-        raise ValueError("k1 must be negative")
-    rho1 = math.sqrt(-k1 / math.pi)
-    rad = (n + 1) / FOUR_PI2 * math.log(-k1 / math.pi) + k2 / math.pi
-    if rad < 0:
-        raise ValueError("parameters outside the (rho1, rho2) chart: negative radicand")
-    return rho1, math.sqrt(rad)
-
-
-def convert_parameters_inverse(n: int, rho1: float, rho2: float) -> tuple[float, float]:
-    if rho1 <= 0:
-        raise ValueError("rho1 must be positive")
-    k1 = -math.pi * rho1 * rho1
-    k2 = math.pi * rho2 * rho2 - (n + 1) / TWO_PI * math.log(rho1)
-    return k1, k2
-
-
-def feasibility_threshold(n: int) -> float:
-    """Smallest rho2 with a non-empty level set: rho2^2 = (n+1) log(n+1) / 4pi^2."""
-    return math.sqrt((n + 1) * math.log(n + 1)) / TWO_PI
-
-
 def torus_metric_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal coefficients of the metric on the two angle blocks at radii r
     of any shape: (4 pi^2 r^2 on dtheta^2, 1 / (4 pi^2 r^2) on deta^2).
@@ -79,7 +50,7 @@ def torus_metric_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if theta_w.max(initial=0.0) == math.inf:
         raise ArithmeticError(f"radius squared overflow at r = {float(np.max(r)):.3e}: 4 pi^2 r^2 "
                               "is above the largest double, rho1 is too large for the torus metric")
-    if theta_w.min(initial=math.inf) < _TINY:
+    if theta_w.min(initial=math.inf) < sys.float_info.min:
         raise ArithmeticError(
             f"radius squared underflow at r = {float(np.min(r)):.3e}: 4 pi^2 r^2 is below "
             "the smallest normal double, rho1 is too small or rho2 too deep for the torus metric")
@@ -89,7 +60,7 @@ def torus_metric_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # each package form as sum_i c_i(r) dx_i ^ dy_i: blocks (x, y), 0 = theta,
 # 1 = r, 2 = eta, and the coefficient row c(r).  omega1 = 2pi sum r_i dr_i^dtheta_i,
 # omega2 = (1/2pi) sum (1/r_i) dr_i^deta_i, omegaD = sum dtheta_i^deta_i.
-_FORMS = {
+FORMS = {
     "omega1": (1, 0, lambda r: TWO_PI * r),
     "omega2": (1, 2, lambda r: 1.0 / (TWO_PI * r)),
     "omegaD": (0, 2, np.ones_like),
@@ -98,7 +69,7 @@ _FORMS = {
 
 def form_coefficients(form: str, r) -> np.ndarray:
     """Coefficient row c(r) of one package form at radii r of any shape (..., m)."""
-    return _FORMS[form][2](np.asarray(r, dtype=float))
+    return FORMS[form][2](np.asarray(r, dtype=float))
 
 
 def _form_stack(form: str, r: np.ndarray) -> np.ndarray:
@@ -106,7 +77,7 @@ def _form_stack(form: str, r: np.ndarray) -> np.ndarray:
     r (..., m), frame ordered (d/dtheta_0.., d/dr_0.., d/deta_0..): the dense
     input of the closedness stencil."""
     m = r.shape[-1]
-    x, y, coef = _FORMS[form]
+    x, y, coef = FORMS[form]
     i = np.arange(m)
     c = coef(r)
     w = np.zeros(r.shape[:-1] + (3 * m, 3 * m))
@@ -189,10 +160,10 @@ def closedness_residuals(form, r, h) -> np.ndarray:
     if callable(form):
         def stack(shifted):  # (B, m, m) radius rows -> (B, m, 3m, 3m) matrices
             return form(shifted.reshape(-1, m)).reshape(shifted.shape[:2] + (3 * m, 3 * m))
-    elif form in _FORMS:
+    elif form in FORMS:
         stack = functools.partial(_form_stack, form)
     else:
-        raise ValueError(f"unknown form {form!r}, expected one of {tuple(_FORMS)} or a callable")
+        raise ValueError(f"unknown form {form!r}, expected one of {tuple(FORMS)} or a callable")
     _check_fd_step(r, h)
     dim, delta = 3 * m, h * np.eye(m)
     a, b, c = np.array(list(itertools.combinations(range(dim), 3)), dtype=np.intp).T

@@ -16,9 +16,10 @@ import json
 import math
 import sys
 
-# the exact layer is standard-library only; each numeric command imports
-# numpy and the numeric layers in its own body, so `--help`, a rejected argv
-# and polytope-report load none of them
+# the exact layer and params are standard-library only; the other commands
+# import params, and numpy with the numeric layers, in their own bodies, so
+# `--help`, a rejected argv and polytope-report load none of them, and
+# limit-kahler, whose columns are facts of the parameters, loads params alone
 from . import __version__
 from .polytope import (has_property_sd, kernel_data, lattice_maps, simplex_pair,
                        verify_duality_identities)
@@ -54,17 +55,21 @@ def _sweep_text(fmt: str, command: str, rows: list[tuple], config: dict) -> str:
     return buf.getvalue()
 
 
-def _parse_grid(text: str):
-    """lo:hi:count, logarithmically spaced."""
-    import numpy as np
-
+def _parse_grid(text: str) -> list[float]:
+    """lo:hi:count, logarithmically spaced, as a sorted list: the points
+    10^(log10 lo + i step), step = (log10 hi - log10 lo) / (count - 1), with
+    both endpoints exact (numpy's geomspace rounds the same sums)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be lo:hi:count, got {text!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1 or not (0 < lo < math.inf and 0 < hi < math.inf):
         raise ValueError("grid endpoints must be positive and finite, and count >= 1")
-    return np.geomspace(lo, hi, count)
+    if count == 1:
+        return [lo]
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / (count - 1)
+    return sorted([lo, *(10.0 ** (a + i * step) for i in range(1, count - 1)), hi])
 
 
 def _parse_list(text: str) -> list[float]:
@@ -114,8 +119,9 @@ def _check(name: str, residual: float, tol: float, ok: bool = True) -> dict:
 def cmd_verify(args) -> int:
     import numpy as np
 
-    from .reduction import (LevelSetSpec, induced_structure, omega_d_degenerate_block,
-                            sample_base, verify_wsd_axioms)
+    from .params import LevelSetSpec
+    from .reduction import (induced_structure, omega_d_degenerate_block, sample_base,
+                            verify_wsd_axioms)
 
     spec = LevelSetSpec(args.n, args.rho1, args.rho2)
     base_r = sample_base(spec, args.samples, args.seed)
@@ -212,10 +218,11 @@ def _csv_layout(command: str) -> tuple[str, tuple[str, ...]]:
 #
 # The exact columns are formed from fiber_bound and from suprema over the
 # whole base that (n, rho2) alone fixes, the divisor offsets and the largest
-# fiber diameters (metgeo.base_suprema, once per rho2), each scaled by rho1
+# fiber diameters (params.base_suprema, once per rho2), each scaled by rho1
 # or 1/rho1 at a grid point.  So limit-kahler, whose columns are all exact
-# or echo, draws and solves nothing: it accepts --samples and --seed, which
-# the benchmark's fibers workload passes, and echoes them.  limit-complex
+# or echo, draws and solves nothing, and runs on params alone, without
+# numpy: it accepts --samples and --seed, which the benchmark's fibers
+# workload passes, and echoes them.  limit-complex
 # draws its sample once, before its loops: a sample's random numbers depend
 # on (seed, index) alone.  Its radii at a grid point are rho1 times a shape
 # that rho2 alone fixes, and the pi2 modulus sqrt(-u / 2 pi^2) reads only
@@ -241,11 +248,10 @@ def _scaled(value: float, name: str, rho1: float) -> float:
 
 
 def cmd_limit_kahler(args) -> int:
-    from .metgeo import base_suprema, pi1_fiber_bound
-    from .reduction import LevelSetSpec
+    from .params import LevelSetSpec, base_suprema, pi1_fiber_bound
 
     rho2s = _parse_list(args.rho2)
-    grid = sorted(map(float, _parse_grid(args.grid)))
+    grid = _parse_grid(args.grid)
     rows = []
     for rho2 in rho2s:
         # the bounds first: each is at least 4 pi^2 times the pi1 supremum, so
@@ -270,11 +276,12 @@ def cmd_limit_complex(args) -> int:
     import numpy as np
 
     from .maps import pi2_image_residual, project_pi2
-    from .metgeo import base_suprema, degenerate_limit, degenerate_ngh
-    from .reduction import LevelSetSpec, draw_directions, draw_torus, log_shape, solve_base
+    from .metgeo import degenerate_limit, degenerate_ngh
+    from .params import LevelSetSpec, base_suprema
+    from .reduction import draw_directions, draw_torus, log_shape, solve_base
 
     rho2s = _parse_list(args.rho2)
-    grid = np.sort(_parse_grid(args.grid))[::-1]
+    grid = _parse_grid(args.grid)[::-1]
     directions = draw_directions(args.n, args.samples, args.seed)
     torus_t = draw_torus(args.n, args.samples, args.seed)[:, args.n:]
     rows = []
@@ -283,7 +290,7 @@ def cmd_limit_complex(args) -> int:
         sup = base_suprema(args.n, rho2)
         res = float(np.max(pi2_image_residual(project_pi2(log_shape(shape), torus_t))))
         limit = degenerate_limit(shape, torus_t, rho2)
-        for rho1 in map(float, grid):
+        for rho1 in grid:
             fiber = _scaled(rho1 * sup.pi2_fiber, "fiber_diam_max", rho1)
             ngh = degenerate_ngh(limit, rho1)
             cells = (fiber, fiber / rho1, res, rho2 * sup.h2, ngh.lower, ngh.upper)
@@ -306,11 +313,11 @@ def cmd_limit_complex(args) -> int:
 def cmd_boundary(args) -> int:
     import numpy as np
 
-    from .ambient import feasibility_threshold
     from .metgeo import chord_eccentricities
-    from .reduction import LevelSetSpec, draw_directions, solve_base
+    from .params import LevelSetSpec, feasibility_threshold
+    from .reduction import draw_directions, solve_base
 
-    grid = np.sort(_parse_grid(args.grid))[::-1]
+    grid = _parse_grid(args.grid)[::-1]
     rho1 = args.rho1
     if not rho1 > 0:
         raise ValueError("rho1 must be positive")
@@ -318,7 +325,7 @@ def cmd_boundary(args) -> int:
     thr2 = feasibility_threshold(args.n) ** 2
     rows = []
     for delta in grid:
-        rho2 = math.sqrt(thr2 * (1.0 + float(delta)))
+        rho2 = math.sqrt(thr2 * (1.0 + delta))
         shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
         d = float(np.max(chord_eccentricities(shape)))
         diam = 0.0 if d == 0 else _scaled(rho1 * d, "base_diam", rho1)
@@ -426,24 +433,28 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.n < 1:
         ap.error(f"--n must be >= 1, got {args.n}")
-    # the numeric layers' own failure types, known once a numeric command has
-    # loaded them; nothing else raises them, and () matches nothing
-    empty, linalg = (), ()
+    # numpy's failure type, known once a numeric command has loaded numpy;
+    # nothing else raises it, and () matches nothing
+    linalg = ()
     try:
         _check_scalars(args)
-        if args.fn is cmd_polytope_report:  # exact integers, no numpy
+        if args.fn is cmd_polytope_report:  # exact integers
             return args.fn(args)
-        import numpy as np
-
-        from .reduction import EmptyLevelSet
-        empty, linalg = (EmptyLevelSet,), (np.linalg.LinAlgError,)
-        # a float overflow, division by zero or nan is a numerical failure,
-        # never a warning followed by a result computed from it
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.fn(args)
-    except empty as exc:
-        print(f"empty level set: {exc}", file=sys.stderr)
-        return 2
+        from .params import EmptyLevelSet
+        try:
+            # facts of the parameters: math raises OverflowError and
+            # ZeroDivisionError itself, and _scaled refuses an inf
+            if args.fn is cmd_limit_kahler:
+                return args.fn(args)
+            import numpy as np
+            linalg = (np.linalg.LinAlgError,)
+            # a float overflow, division by zero or nan is a numerical failure,
+            # never a warning followed by a result computed from it
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return args.fn(args)
+        except EmptyLevelSet as exc:
+            print(f"empty level set: {exc}", file=sys.stderr)
+            return 2
     except (RuntimeError, ArithmeticError, *linalg) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

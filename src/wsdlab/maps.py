@@ -23,10 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambient import (FOUR_PI2, PI2, TWO_PI, convert_parameters, convert_parameters_inverse,
-                      form_coefficients, moment_map, torus_metric_weights)
+from .ambient import form_coefficients, moment_map, torus_metric_weights
+from .params import (FOUR_PI2, PI2, TWO_PI, LevelSetSpec, convert_parameters,
+                     convert_parameters_inverse)
 from .polytope import lattice_maps
-from .reduction import LevelSetSpec
 
 
 @lru_cache(maxsize=32)

@@ -1,8 +1,8 @@
 """Finite-sample metric geometry: the distances of the two projective charts,
-diameters, Gromov-Hausdorff bounds, flat-torus diameters, the exact
-suprema over the base (each projection's distance to the anticanonical
-divisor and largest fiber, base_suprema), and the degenerate metric's limit
-torus, bracketed in closed form with no graph search.
+diameters, Gromov-Hausdorff bounds, flat-torus diameters, and the degenerate
+metric's limit torus, bracketed in closed form with no graph search.  The
+sample-free suprema over the base are facts of the parameters
+(params.base_suprema).
 
 The quotient chart has one distance kernel, hn_matrix, over the dual-simplex
 phase group; hn_distance reads its two-row case (no command calls either),
@@ -26,13 +26,13 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .ambient import FOUR_PI2, PI2, TWO_PI, torus_metric_weights
-from .reduction import LevelSetSpec, _rising_root, _small_root, require_regular
+from .ambient import torus_metric_weights
+# pi1_fiber_bound is bound here for gate 6, which reads it as metgeo.pi1_fiber_bound
+from .params import FOUR_PI2, TWO_PI, LevelSetSpec, pi1_fiber_bound, require_regular
 
 
 class FiniteMetricSample(NamedTuple("FiniteMetricSample", [("dist", np.ndarray)])):
@@ -356,114 +356,6 @@ def pi1_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
     return root_lattice_covering_radius(torus_metric_weights(base_r)[1])
 
 
-def pi1_fiber_bound(spec: LevelSetSpec) -> float:
-    """Closed-form fiber-diameter bound pi n^{-(n-1)/2} e^{2 pi^2 rho2^2} / rho1.
-
-    Raises ArithmeticError where the bound leaves the doubles: the exponential
-    alone overflows from rho2 ~ 6.0.
-    """
-    n = spec.n
-    try:
-        bound = math.pi * n ** (-(n - 1) / 2.0) * math.exp(2.0 * PI2 * spec.rho2**2) / spec.rho1
-    except OverflowError:
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise ArithmeticError(f"fiber bound pi n^(-(n-1)/2) e^(2 pi^2 rho2^2) / rho1 overflows "
-                              f"at rho2 = {spec.rho2:.6g}, rho1 = {spec.rho1:.6g}")
-    return bound
-
-
-# -- the sample-free suprema over the base --------------------------------------
-
-class BaseSuprema(NamedTuple):
-    """base_suprema's four facts of (n, rho2), at unit scale."""
-
-    h1: float
-    h2: float
-    pi1_fiber: float
-    pi2_fiber: float
-
-
-def base_suprema(n: int, rho2: float) -> BaseSuprema:
-    """(h1, h2, pi1_fiber, pi2_fiber): the sup over the pi1 resp. pi2 image of
-    the distance to the divisor {z_j = 0}, and the sup over the base of the
-    pi1 resp. pi2 fiber-torus diameter, at unit scale: rho1 h1, rho2 h2,
-    pi1_fiber / rho1 and rho1 pi2_fiber at the images' scales.  Each is
-    exact and reads no sample; the offsets are one side of the Hausdorff
-    distance.
-
-    Offsets.  That distance is arcsin(|z_j| / |z|) (Bengtsson and Zyczkowski,
-    Geometry of Quantum States, CUP 2006, ch. 4) and every set is
-    torus-invariant, so take q = x^2 on B = {sum q = 1, sum log q = log c},
-    c = e^{-4 pi^2 rho2^2}, m = n+1.  For tau <= 1/m the concave sum log q is,
-    on the simplex {sum q = 1, q >= tau}, smallest at its vertices
-    (tau, .., tau, 1 - n tau) and largest at the centre, -m log m > log c
-    (regularity).  So B meets it iff tau^n (1 - n tau) <= c, a side rising on
-    (0, 1/m]: sup_B min q is the root t- < 1/m of t^n (1 - n t) = c, and
-    h1 = arcsin(sqrt(t-)).  Alike on {sum q = 1, q <= T}, T in [1/m, 1/n),
-    where q >= 1 - n T > 0 and T^n (1 - n T) falls: inf_B max q is the root
-    t+ > 1/m.  Under pi2 |z_j|^2 = -log q_j / 4 pi^2 and |z| = rho2, so
-    h2 = arcsin(sqrt(-log t+) / (2 pi rho2)).
-
-    Fibers.  At radii rho1 x both fiber lattices are A_n, with the weights
-    1 / (4 pi^2 rho1^2 q_i) (pi1) and 4 pi^2 rho1^2 q_i (pi2), so
-    root_lattice_covering_radius gives, with S = sum 1/q_i and p = m mod 2,
-    sqrt(S - p) / (4 pi rho1) and pi rho1 sqrt(1 - p / S): both rise with S.
-    B is compact (every q_i >= c), so S has a maximum on it, and there the
-    constraint gradients 1 and 1/q are independent (only the centre, which
-    is not on B, makes them parallel): a KKT point.  With
-    L = S - lam (sum q - 1) - mu (sum log q - log c), each 1/q_i is a root of
-    P^2 + mu P + lam = 0, so q takes two values s < l (one is the centre),
-    and mu = -(1/s + 1/l).  If two coordinates a, b equal s, then e_a - e_b
-    is tangent to B (sum v = 0, sum v / q = 0), and on it the Lagrangian
-    Hessian diag(2 / q^3 + mu / q^2) is 2 (1/s - 1/l) / s^2 > 0, so that
-    point is no maximum.  So the maximum is (l, .., l, s), n l + s = 1,
-    l^n s = c, l > s: l = t+, s = d = 1 - n t+, S_max = n^2 / (1 - d) + 1/d.
-
-    sqrt(t-) is _small_root's, as in reduction.solve_base at n = 1; t+ =
-    (1 - d) / n, d = k e^y, y / n + log1p(-d) = 0, so -log t+ = log n -
-    log1p(-d) stays exact at n = 1.  k = n^n c is that product where c is
-    normal and n^n a double (n <= 143).  Elsewhere it is (n c^{1/n})^n,
-    c^{1/n} = e^{2h} e^{2 (half - h)}, half = log c / 2n exact and h its
-    double, so no factor leaves the normal doubles (n c^{1/n} < 1 on a
-    regular level set) and k's error is a few times n ulp; the root d
-    amplifies it near the threshold, where t- and t+ close in.  As
-    1/d = ((1 - d) / n)^n / c, the pi1 supremum is
-    c^{-1/2} n^{-n/2} (1 - d)^{n/2} sqrt(1 + n^2 d / (1 - d) - p d) / 4 pi,
-    and c^{-1/2} = e^{-log c / 2} is e^b e^{-log c / 2 - b}, b the
-    exponent rounded once and the remainder exact, as _small_root forms
-    c^{1/2n}: so it is within 8 eps at every depth (6.5 eps at worst at
-    n = 1..8 against a 50-digit search), where a rounded log c would cost
-    eps |log c|.  It stays finite after d underflows (rho2 ~5.5) and is inf
-    where e^{-log c / 2} leaves the doubles (rho2 ~5.997), as
-    pi1_fiber_bound does at every rho1.
-    Raises EmptyLevelSet unless the level set is regular, and OverflowError
-    where log c / 2 leaves the doubles (rho2 ~1e153).
-    """
-    require_regular(LevelSetSpec(n, 1.0, rho2))
-    root, half = _small_root(n, rho2)  # sqrt(t-), log c / 2n exactly
-    h = float(half)
-    c = math.exp(2.0 * n * h)
-    if c >= np.finfo(float).tiny and n ** n <= sys.float_info.max:
-        k = n ** n * c
-    else:  # (n c^{1/n})^n: from n = 144 on, or where c is subnormal
-        base = n * math.exp(2.0 * h)
-        k = base ** n * math.exp(2.0 * n * float(half - Fraction(h))) if base else 0.0
-    d = k * math.exp(_rising_root(1.0 / n, k))  # 1 - n t+
-    if n == 1:  # t+ = 1 - t-: -log t+ ~ t- leaves the doubles before its root does
-        t = root * root
-        mod = root * math.sqrt(-math.log1p(-t) / t) if t else root
-    else:
-        mod = math.sqrt(math.log(n) - math.log1p(-d))
-    p, grow = (n + 1) % 2, d * n * n / (1.0 - d)  # S = (1 + grow) / d
-    b = float(-n * half)  # -log c / 2 = 2 pi^2 rho2^2, rounded once
-    pi1 = (math.exp(b) * n ** (-0.5 * n) / (4.0 * math.pi) * math.sqrt(1.0 + grow - p * d)
-           * math.exp(0.5 * n * math.log1p(-d) + float(-n * half - Fraction(b)))
-           if b < math.log(np.finfo(float).max) else math.inf)
-    return BaseSuprema(math.asin(root), math.asin(mod / (TWO_PI * rho2)), pi1,
-                       math.pi * math.sqrt(1.0 - p * d / (1.0 + grow)))
-
-
 # -- the degenerate metric's limit torus -----------------------------------------
 
 def _row_blocks(count: int):
@@ -584,12 +476,15 @@ def limit_torus_bounds(torus_t: np.ndarray, rho2: float) -> tuple[np.ndarray, np
     m < 6,000.  Elsewhere r is 1, which certifies no pair, as min v <= l1.
     A block's pairs outside K share one bisection, which works row by row,
     and their f_hi replace f_lo in a copy of the block before its maxima;
-    with none outside K, f_hi is f_lo and shares its maxima."""
+    with none outside K, f_hi is f_lo and shares its maxima.
+    Raises EmptyLevelSet unless the level set of (n, rho2) is regular, n read
+    from the width of t: at the threshold K is one point, below it empty."""
     cols = np.ascontiguousarray(np.asarray(torus_t, dtype=float).T)
+    require_regular(LevelSetSpec(len(cols), 1.0, rho2))
     m, count = len(cols) + 1, cols.shape[1]
     log_c = -FOUR_PI2 * rho2 * rho2
     root = math.exp(log_c / m)
-    ratio = root * (1 + 1e-9) if root >= np.finfo(float).tiny and m < 6000 else 1.0
+    ratio = root * (1 + 1e-9) if root >= sys.float_info.min and m < 6000 else 1.0
     ecc_lo, ecc_hi = np.zeros((2, count))
     for r0, r1 in _row_blocks(count):
         diff = cols[:, None, r0:] - cols[:, r0:r1, None]

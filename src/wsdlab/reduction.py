@@ -33,88 +33,14 @@ that row alone.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ambient import (
-    _FORMS,
-    _TWO_PI2,
-    FOUR_PI2,
-    PI2,
-    TWO_PI,
-    convert_parameters_inverse,
-    feasibility_threshold,
-    torus_metric_weights,
-)
+from .ambient import FORMS, torus_metric_weights
+from .params import PI2, TWO_PI, LevelSetSpec, require_regular, small_root
 
 DEGENERACY_GUARD = 1e-8  # relative margin on |X1|^2 |X2|^2 - (n+1)^2
-
-
-class LevelSetSpec(NamedTuple("LevelSetSpec", [("n", int), ("rho1", float), ("rho2", float)])):
-    """The level set of the doubled torus over R^{n+1} with scale rho1 and
-    profile width rho2; its moment levels (k1, k2) are derived from them.  A
-    named tuple that checks its fields however it is built."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, n, rho1, rho2):
-        if int(n) < 1:
-            raise ValueError("n must be >= 1")
-        if not (math.isfinite(rho1) and math.isfinite(rho2)):
-            raise ValueError(f"rho1 and rho2 must be finite, got {rho1}, {rho2}")
-        if not rho1 > 0:
-            raise ValueError("rho1 must be positive")
-        if not rho2 > 0:
-            raise ValueError("rho2 must be positive")
-        return super().__new__(cls, n, rho1, rho2)
-
-    @property
-    def k1(self) -> float:
-        return convert_parameters_inverse(self.n, self.rho1, self.rho2)[0]
-
-    @property
-    def k2(self) -> float:
-        return convert_parameters_inverse(self.n, self.rho1, self.rho2)[1]
-
-
-class EmptyLevelSet(ValueError):
-    """The level set is not regular, so it has no sample to solve for."""
-
-
-def feasibility(spec: LevelSetSpec) -> str:
-    """Classify the level set as "empty", "degenerate", or "regular".
-
-    Non-empty iff (-k1/pi) e^{4 pi k2/(n+1)} >= n+1, with equality the single
-    r-orbit where the two moment differentials align.  In logs the statistic
-    is 4 pi^2 rho2^2/(n+1) vs log(n+1), which does not depend on the overall
-    scale rho1, so it is taken from rho2 alone.  A rho2 whose statistic
-    leaves the doubles is far above the threshold, and regular.
-    """
-    m = spec.n + 1
-    try:
-        lhs = FOUR_PI2 * spec.rho2**2 / m
-    except OverflowError:  # rho2^2 itself leaves the doubles
-        lhs = math.inf
-    if lhs == math.inf:
-        return "regular"
-    rhs = math.log(m)
-    band = 1e-12 * max(1.0, abs(lhs), abs(rhs))
-    if lhs < rhs - band:
-        return "empty"
-    if lhs <= rhs + band:
-        return "degenerate"
-    return "regular"
-
-
-def require_regular(spec: LevelSetSpec) -> None:
-    """Raise EmptyLevelSet unless the level set is regular."""
-    cls = feasibility(spec)
-    if cls != "regular":
-        raise EmptyLevelSet(f"n={spec.n} rho2={spec.rho2:.6g} classified {cls!r} "
-                            f"(threshold {feasibility_threshold(spec.n):.6g})")
 
 
 # numpy's SeedSequence constants: a pool of 4 uint32 words, 16-bit xorshift
@@ -291,36 +217,6 @@ def draw_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
     return d
 
 
-def _rising_root(a: float, k: float) -> float:
-    """The smallest root y >= 0 of the concave f(y) = a y + log1p(-k e^y),
-    f(0) <= 0 < max f: Newton from 0 rises monotonically onto it, since each
-    tangent lies above f, and stops once a step no longer raises y."""
-    y = 0.0
-    while True:
-        e = k * math.exp(y)
-        y_new = y - (a * y + math.log1p(-e)) * (1.0 - e) / (a * (1.0 - e) - e)
-        if not y_new > y:
-            return y
-        y = y_new
-
-
-def _small_root(n: int, rho2: float) -> tuple[float, Fraction]:
-    """(sqrt(t-), half): t- < 1/(n+1) the small root of t^n (1 - n t) = c,
-    c = e^{-4 pi^2 rho2^2}, the least coordinate square over the base, and
-    half = log c / 2n as an exact Fraction (2 pi^2 to 35 digits).  t- =
-    c^{1/n} e^y, n y + log1p(-n t-) = 0, and c^{1/2n} = e^h e^{half - h},
-    h = half rounded, is formed exactly: the float product -4 pi^2 rho2^2 is
-    off by ~1.5 ulp of |log c|.  Where e^h is 0 so is sqrt(t-), returned
-    before the residual (> 709 from rho2 ~1e9) overflows."""
-    half = -_TWO_PI2 * Fraction(rho2) ** 2 / n
-    h = float(half)
-    scale = math.exp(h)
-    if scale == 0.0:
-        return 0.0, half
-    y = _rising_root(n, n * math.exp(2.0 * h))
-    return scale * math.exp(float(half - Fraction(h)) + 0.5 * y), half
-
-
 def _radii_underflow(spec: LevelSetSpec) -> ArithmeticError:
     return ArithmeticError(f"base radii underflow at rho2 = {spec.rho2:.6g}: "
                            "a radius rounds to 0 in double precision")
@@ -335,10 +231,11 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     Its centre u = L/m (m = n+1) lies strictly inside the sphere exactly when
     the spec is regular, so every sum-zero direction d meets the base once,
     at a ray parameter t > 0 solved per row (`_log_ray_roots`).  For n = 1
-    it is (hi, lo) and (lo, hi), alternated: lo = sqrt(t-) from _small_root,
-    as in metgeo.base_suprema, and hi = sqrt(1 - lo^2).  Either way the rows are
-    rho1 times the shape the solve finds from rho2 alone, so they are bitwise
-    spec.rho1 times the rows of the spec with rho1 = 1.
+    it is (hi, lo) and (lo, hi), alternated: lo = sqrt(t-) from
+    params.small_root, as in params.base_suprema, and hi = sqrt(1 - lo^2).
+    Either way the rows are rho1 times the shape the solve finds from rho2
+    alone, so they are bitwise spec.rho1 times the rows of the spec with
+    rho1 = 1.
 
     Raises EmptyLevelSet unless the spec is regular, and ArithmeticError when
     a radius underflows to 0, which happens for rho2 of about 8 and beyond.
@@ -355,7 +252,7 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
         raise _radii_underflow(spec)
 
     if spec.n == 1:
-        lo = _small_root(1, spec.rho2)[0]
+        lo = small_root(1, spec.rho2)[0]
         hi = math.sqrt(1.0 - lo * lo)
         pts = np.array([[hi, lo], [lo, hi]]) * rho1
         if not np.all(pts > 0):
@@ -477,10 +374,10 @@ def induced_structure(r: np.ndarray) -> InducedStructure:
         half = pair(a, weight, b)
         return half - np.swapaxes(half, 1, 2)
 
-    frames = (th, rr, et)  # the block order of ambient._FORMS
+    frames = (th, rr, et)  # the block order of ambient.FORMS
     g = pair(th, theta_w, th) + np.swapaxes(rr, 1, 2) @ rr + pair(et, eta_w, et)
     return InducedStructure(g, **{name: form(frames[x], coef(r), frames[y])
-                                  for name, (x, y, coef) in _FORMS.items()})
+                                  for name, (x, y, coef) in FORMS.items()})
 
 
 class DegenerateBlock(NamedTuple):

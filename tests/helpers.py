@@ -44,7 +44,7 @@ def fresh_stream(seed: int, idx: int, *tag: int) -> np.random.Generator:
 
 @lru_cache(maxsize=None)
 def divisor_offsets_mp(n: int, rho2: float) -> tuple:
-    """Reference: the unit-scale divisor offsets (h1, h2) of metgeo.base_suprema
+    """Reference: the unit-scale divisor offsets (h1, h2) of params.base_suprema
     as mpmath numbers with 50 digits past the integer part of log c, from
     mpmath's bracketed roots of t^n (1 - n t) = c, c = e^{-4 pi^2 rho2^2} taken
     exactly at the double rho2: t- as s = log t- in [log c / n, (log c + log m) / n],
@@ -87,7 +87,7 @@ def kkt_log_sums_mp(n: int, rho2: float, digits: int = 50) -> tuple:
 
 
 def fiber_suprema_mp(n: int, rho2: float, digits: int = 50) -> tuple:
-    """Reference: metgeo.base_suprema's (pi1_fiber, pi2_fiber) as mpmath
+    """Reference: params.base_suprema's (pi1_fiber, pi2_fiber) as mpmath
     numbers, root_lattice_covering_radius's closed form at the largest S of
     kkt_log_sums_mp: sqrt(S - p) / (4 pi) and pi sqrt(1 - p / S),
     p = (n + 1) mod 2."""

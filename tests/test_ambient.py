@@ -9,17 +9,15 @@ from scipy.optimize import brentq
 from helpers import dense_tensors
 from wsdlab import ambient
 from wsdlab.ambient import (
-    TWO_PI,
     adapted_frame_check,
     closedness_residuals,
-    convert_parameters,
-    convert_parameters_inverse,
-    feasibility_threshold,
     form_coefficients,
     leaf_volume,
     moment_map,
     torus_metric_weights,
 )
+from wsdlab.params import (TWO_PI, convert_parameters, convert_parameters_inverse,
+                           feasibility_threshold)
 
 PI = math.pi
 

@@ -12,17 +12,17 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wsdlab
-from wsdlab import cli, maps, metgeo, reduction
-from wsdlab.ambient import feasibility_threshold
+from wsdlab import cli, maps, metgeo, params, reduction
 from wsdlab.cli import main
-from wsdlab.reduction import (LevelSetSpec, draw_directions, draw_torus, log_shape, sample_base,
-                              solve_base)
+from wsdlab.params import LevelSetSpec, feasibility_threshold
+from wsdlab.reduction import draw_directions, draw_torus, log_shape, sample_base, solve_base
 
 from helpers import (cross_hausdorff, divisor_offsets_mp, fiber_suprema_mp, gathered_pair_bounds,
                      pi2_fiber_diameters)
@@ -517,7 +517,7 @@ def test_sweeps_print_where_the_radii_left_the_doubles(command, grid, capsys):
     assert main([command, "--n", "2", "--rho2", "0.7", "--grid", grid]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    sup = metgeo.base_suprema(2, 0.7)
+    sup = params.base_suprema(2, 0.7)
     for row in rows_of(out):
         assert all(math.isfinite(float(cell)) for key, cell in row.items() if key != "version")
         rho1 = float(row["rho1"])
@@ -674,6 +674,63 @@ NAMED_CAUSES = [re.compile(p) for p in (
 
 def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# every --grid a golden digest runs: the pure-Python grid gives numpy's
+# geomspace points bitwise on each
+GOLDEN_GRIDS = ["1:1e3:4", "1:1e3:3", "1e-3:1:4", "1e-3:1:3", "1e-4:1e-1:7"]
+
+
+@pytest.mark.parametrize("text", GOLDEN_GRIDS)
+def test_grid_is_geomspace_bitwise_on_the_golden_grids(text):
+    lo, hi, count = text.split(":")
+    got = cli._parse_grid(text)
+    assert all(type(x) is float for x in got)
+    assert got == np.geomspace(float(lo), float(hi), int(count)).tolist()
+
+
+def test_grid_point_off_geomspace_is_the_correctly_rounded_one():
+    # on the benchmark's 1:1e3:7 the grid differs from numpy's geomspace in
+    # one point, 10^2.5 (step 1/2 is exact): 0.49 ulp from the 50-digit value
+    # against numpy's 0.51 ulp
+    got = cli._parse_grid("1:1e3:7")
+    want = np.geomspace(1.0, 1e3, 7).tolist()
+    assert [i for i in range(7) if got[i] != want[i]] in ([], [5])
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(10) ** mpmath.mpf("2.5")
+        assert got[5] == float(exact)
+        assert abs(got[5] - exact) <= abs(want[5] - exact)
+
+
+def _grid_bound_ulps(lo: float, hi: float) -> float:
+    """The stated error of a grid point in units of 2^-52 relative: the
+    exponent y = log10 lo + i step carries about 7 roundings of
+    M = max(1, |log10 lo|, |log10 hi|) (two logs, the difference, the step,
+    its multiple, the sum), ln 10 times that in the power, plus the power's
+    own ulp: 1 + 8 M.  A 3,000-grid scan over [1e-300, 1e300] read 4.3 M at
+    worst."""
+    return 1.0 + 8.0 * max(1.0, abs(math.log10(lo)), abs(math.log10(hi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=_log_uniform(-300.0, 300.0), hi=_log_uniform(-300.0, 300.0),
+       count=st.integers(1, 40))
+@example(lo=1.0, hi=1e3, count=7)
+@example(lo=1e-310, hi=1e300, count=5)
+@example(lo=2.0, hi=2.0, count=3)
+def test_grid_is_exact_at_the_ends_and_holds_a_50_digit_reference(lo, hi, count):
+    got = cli._parse_grid(f"{lo!r}:{hi!r}:{count}")
+    assert len(got) == count and all(type(x) is float for x in got)
+    assert got == sorted(got)
+    assert [got[0], got[-1]] == ([lo, lo] if count == 1 else sorted([lo, hi]))
+    # strictly monotone where the points lie far apart against their error
+    bound = _grid_bound_ulps(lo, hi)
+    if count > 1 and abs(math.log10(hi) - math.log10(lo)) > (count - 1) * 1e-12 * bound:
+        assert all(a < b for a, b in zip(got, got[1:]))
+    with mpmath.workdps(50):
+        a, b = mpmath.log10(lo), mpmath.log10(hi)
+        ref = sorted(mpmath.power(10, a + i * (b - a) / max(count - 1, 1)) for i in range(count))
+        assert all(abs(x - r) <= bound * 2.0**-52 * r for x, r in zip(got, ref))
 
 
 @st.composite
@@ -879,7 +936,7 @@ IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
 
 WATCHED = ["dataclasses", "inspect", "numpy", "scipy", "wsdlab.ambient", "wsdlab.maps",
-           "wsdlab.metgeo", "wsdlab.reduction"]
+           "wsdlab.metgeo", "wsdlab.params", "wsdlab.reduction"]
 
 def loaded():
     return [m for m in WATCHED if m in sys.modules]
@@ -903,17 +960,18 @@ print(json.dumps(report))
 
 def test_no_command_imports_scipy():
     # imports are most of a cold start: the exact layer, --help and a rejected
-    # argv load no numpy and no numeric layer, and no command loads scipy
-    # (limit-complex's limit bracket is closed form, no graph search).  Every
-    # record is a named tuple, so no argv loads dataclasses; the exact argvs
-    # load no inspect either, and numpy loads it.  The numeric layers' first
-    # import happens inside a command, within the CLI's np.errstate(raise),
-    # and may neither warn nor raise there
+    # argv load no numpy and no numeric layer, limit-kahler, whose columns
+    # are facts of the parameters, loads params alone, and no command loads
+    # scipy (limit-complex's limit bracket is closed form, no graph search).
+    # Every record is a named tuple, so no argv loads dataclasses; the
+    # numpy-free argvs load no inspect either, and numpy loads it.  The
+    # numeric layers' first import happens inside a command, within the
+    # CLI's np.errstate(raise), and may neither warn nor raise there
     exact = [["polytope-report", "--n", "2"], ["--help"], ["verify", "--n", "2"],
              ["verify", "--n", "2", "--rho2", "0.5", "--samples", "0"]]
     numeric = [
-        ["verify", "--n", "2", "--rho2", "0.5", "--samples", "4"],
         ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "6"],
+        ["verify", "--n", "2", "--rho2", "0.5", "--samples", "4"],
         ["boundary", "--side", "all", "--n", "2", "--grid", "0.1:1:2", "--samples", "4"],
         ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "0.1:1:2", "--samples", "12"],
     ]
@@ -929,12 +987,16 @@ def test_no_command_imports_scipy():
     assert [(r["rc"], r["loaded"]) for r in runs[:len(exact)]] == [(0, []), (0, []), (2, []),
                                                                      (2, [])]
     with_numpy = ["inspect", "numpy"]
-    layers = with_numpy + ["wsdlab.ambient", "wsdlab.maps", "wsdlab.metgeo", "wsdlab.reduction"]
-    # limit-kahler projects nothing: its divisor offset is sample-free
-    no_maps = with_numpy + ["wsdlab.ambient", "wsdlab.metgeo", "wsdlab.reduction"]
+    layers = with_numpy + ["wsdlab.ambient", "wsdlab.maps", "wsdlab.metgeo", "wsdlab.params",
+                           "wsdlab.reduction"]
+    # a run keeps what the runs before it loaded: limit-kahler after verify
+    # adds nothing, so it runs first here on its own
     assert [(r["rc"], r["err"], r["loaded"]) for r in runs[len(exact):]] == [
-        (0, "", with_numpy + ["wsdlab.ambient", "wsdlab.reduction"]),
-        (0, "", no_maps), (0, "", no_maps), (0, "", layers),
+        (0, "", ["wsdlab.params"]),
+        (0, "", with_numpy + ["wsdlab.ambient", "wsdlab.params", "wsdlab.reduction"]),
+        (0, "", with_numpy + ["wsdlab.ambient", "wsdlab.metgeo", "wsdlab.params",
+                              "wsdlab.reduction"]),
+        (0, "", layers),
     ]
 
 
@@ -949,7 +1011,7 @@ names = {}
 exec("from wsdlab import *", names)
 print(json.dumps({
     "same": [getattr(wsdlab, m) is importlib.import_module("wsdlab." + m)
-             for m in ("ambient", "maps", "metgeo", "polytope", "reduction")],
+             for m in ("ambient", "maps", "metgeo", "params", "polytope", "reduction")],
     "unbound": [name for name in wsdlab.__all__ if name not in names],
     "cli": names["cli"] is sys.modules["wsdlab.cli"],
     "unknown": hasattr(wsdlab, "no_such_layer"),
@@ -957,7 +1019,7 @@ print(json.dumps({
 """
     proc = _fresh_process("-W", "error", "-c", script)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert json.loads(proc.stdout) == {"same": [True] * 5, "unbound": [], "cli": True,
+    assert json.loads(proc.stdout) == {"same": [True] * 6, "unbound": [], "cli": True,
                                        "unknown": False}
     with pytest.raises(AttributeError, match="no attribute 'no_such_layer'"):
         wsdlab.no_such_layer
@@ -1011,7 +1073,7 @@ def test_sweeps_solve_each_shape_once_per_rho2(monkeypatch, tmp_path, argv, rho2
             return fresh(*args)
         return counted
 
-    for module, name in ((reduction, "solve_base"), (metgeo, "base_suprema"),
+    for module, name in ((reduction, "solve_base"), (params, "base_suprema"),
                          (metgeo, "degenerate_limit")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     rc, _ = run(tmp_path, *argv, "--n", "2", "--grid", grid, "--samples", "12")
@@ -1092,7 +1154,7 @@ def test_every_column_reads_what_its_kind_says(tmp_path, command):
 def _sampled_suprema(monkeypatch, tmp_path):
     """A mutant runner whose sweep takes its fiber suprema back from the
     sample its argv would draw, the largest fiber over it."""
-    exact = metgeo.base_suprema
+    exact = params.base_suprema
     drawn = {}
 
     def sampled(n, rho2):
@@ -1105,7 +1167,7 @@ def _sampled_suprema(monkeypatch, tmp_path):
         drawn["argv"] = int(argv[argv.index("--samples") + 1]), int(argv[argv.index("--seed") + 1])
         return run(tmp_path, *argv)
 
-    monkeypatch.setattr(metgeo, "base_suprema", sampled)
+    monkeypatch.setattr(params, "base_suprema", sampled)
     return recording
 
 
@@ -1228,7 +1290,7 @@ def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
     limit bracket pair by pair at that rho1, without the per-sample
     eccentricities and the units of max(1, rho1^2) the command reads.  None
     where that computation fails."""
-    grid = np.sort(cli._parse_grid(grid_text))[::-1]
+    grid = cli._parse_grid(grid_text)[::-1]
     directions = draw_directions(n, samples, seed)
     torus_t = draw_torus(n, samples, seed)[:, n:]
     rows = []
@@ -1236,8 +1298,7 @@ def _limit_complex_oracle(n, rho2s, grid_text, samples, seed):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for rho2 in rho2s:
                 for rho1 in grid:
-                    rows.append(_oracle_row(n, float(rho1), rho2, directions, torus_t,
-                                            samples, seed))
+                    rows.append(_oracle_row(n, rho1, rho2, directions, torus_t, samples, seed))
     except (ArithmeticError, ValueError):
         return None
     config = {"n": n, "rho2": list(rho2s), "grid": grid_text,
@@ -1360,12 +1421,12 @@ def _limit_kahler_oracle(n, rho2s, grid_text, samples, seed):
     fiber column a 50-digit search of the pi1 supremum over the base, over
     rho1, and the image offset rho1 times the arcsine of a 50-digit mpmath
     root.  None where a printed value leaves the normal doubles."""
-    grid = np.sort(cli._parse_grid(grid_text))
+    grid = cli._parse_grid(grid_text)
     rows = []
     try:
         for rho2 in rho2s:
-            for rho1 in map(float, grid):
-                bound = metgeo.pi1_fiber_bound(LevelSetSpec(n, rho1, rho2))
+            for rho1 in grid:
+                bound = params.pi1_fiber_bound(LevelSetSpec(n, rho1, rho2))
                 fiber = _normal(float(fiber_suprema_mp(n, rho2)[0] / rho1))
                 h_img = _normal(float(rho1 * divisor_offsets_mp(n, rho2)[0]))
                 h_tot = h_img + fiber

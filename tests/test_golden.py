@@ -43,7 +43,7 @@ GOLDEN = [
     # hausdorff_image, hausdorff_total and hausdorff_norm cells and the
     # hausdorff_image comment line changed.  Every sweep digest, limit-kahler
     # and limit-complex, was re-recorded again when fiber_diam_max became the
-    # exact supremum over the base (metgeo.base_suprema) in place of the
+    # exact supremum over the base (params.base_suprema) in place of the
     # largest fiber over the sample: only the fiber_diam_max, fiber_ratio,
     # hausdorff_total, hausdorff_norm and c_witness cells and the
     # fiber_diam_max comment lines changed

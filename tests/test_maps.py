@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import dense_pullback, dense_tensors
 from wsdlab import maps, metgeo
-from wsdlab.ambient import closedness_residuals, feasibility_threshold, moment_map
+from wsdlab.ambient import closedness_residuals, moment_map
 from wsdlab.maps import (
     CPnPoint,
     alpha_deform,
@@ -22,8 +22,9 @@ from wsdlab.maps import (
     psi_pullback_residuals,
 )
 from wsdlab.metgeo import _quotient_phases, fubini_study_distance, hn_distance
+from wsdlab.params import LevelSetSpec, feasibility, feasibility_threshold
 from wsdlab.polytope import lattice_maps
-from wsdlab.reduction import LevelSetSpec, draw_torus, feasibility, log_shape, sample_base
+from wsdlab.reduction import draw_torus, log_shape, sample_base
 
 PI = math.pi
 

@@ -13,11 +13,12 @@ from helpers import (cross_hausdorff, divisor_offsets_mp, fiber_suprema_mp, gath
                      kkt_log_sums_mp, per_phase_hn_matrix, pi2_fiber_diameters)
 
 from wsdlab import metgeo as mg
-from wsdlab.ambient import feasibility_threshold, torus_metric_weights
+from wsdlab import params
+from wsdlab.ambient import torus_metric_weights
 from wsdlab.maps import CPnPoint, project_pi2
+from wsdlab.params import EmptyLevelSet, LevelSetSpec, feasibility, feasibility_threshold
 from wsdlab.polytope import _eliminate, kernel_data, lattice_maps
-from wsdlab.reduction import (EmptyLevelSet, LevelSetSpec, draw_directions, draw_torus, feasibility,
-                              log_shape, sample_base, solve_base)
+from wsdlab.reduction import draw_directions, draw_torus, log_shape, sample_base, solve_base
 
 
 def _sphere_rows(count, n, seed, lam=1.0):
@@ -510,7 +511,7 @@ def test_fiber_tori_and_closed_form_bound():
         base_r = sample_base(spec, 8, seed=21)
         d1 = mg.pi1_fiber_diameters(base_r)
         assert d1.shape == (8,)
-        assert np.all(d1 <= mg.pi1_fiber_bound(spec) * (1 + 1e-9))
+        assert np.all(d1 <= params.pi1_fiber_bound(spec) * (1 + 1e-9))
         d2 = pi2_fiber_diameters(base_r)
         assert d2.shape == (8,)
         assert np.all(d2 > 0)
@@ -523,7 +524,7 @@ def test_fiber_bound_scale():
     da = float(mg.pi1_fiber_diameters(sample_base(a, 1, seed=3)[0]))
     db = float(mg.pi1_fiber_diameters(sample_base(b, 1, seed=3)[0]))
     assert db == pytest.approx(da / 4.0, rel=1e-9)
-    assert mg.pi1_fiber_bound(b) == pytest.approx(mg.pi1_fiber_bound(a) / 4.0, rel=1e-12)
+    assert params.pi1_fiber_bound(b) == pytest.approx(params.pi1_fiber_bound(a) / 4.0, rel=1e-12)
 
 
 # -- distance to the anticanonical divisor --------------------------------------
@@ -543,7 +544,7 @@ def test_divisor_offsets_match_a_50_digit_root(n):
     # rho2 ~1e9 the rounding residual of log c / 2n alone exceeds 709, while
     # the sqrt(t-) it scales is 0: h1 is 0 there, and so is h2 at n = 1
     for rho2 in _rho2_ladder(n) + [1e10, 1.3e11, 2.7e40, 5.9e152]:
-        for got, want in zip(mg.base_suprema(n, rho2)[:2], divisor_offsets_mp(n, rho2)):
+        for got, want in zip(params.base_suprema(n, rho2)[:2], divisor_offsets_mp(n, rho2)):
             assert abs(mpmath.mpf(got) - want) <= max(1e-13 * want, 2 * 2.0 ** -1074), (n, rho2)
 
 
@@ -551,7 +552,7 @@ def test_divisor_offsets_need_a_regular_level_set():
     thr = feasibility_threshold(2)
     for rho2 in (0.5 * thr, thr):
         with pytest.raises(EmptyLevelSet, match="classified"):
-            mg.base_suprema(2, rho2)
+            params.base_suprema(2, rho2)
 
 
 @pytest.mark.parametrize("rho2", [0.45, 0.7, 2.5, 6.0])
@@ -561,7 +562,7 @@ def test_divisor_offsets_at_n1_are_the_sampled_pair(rho2):
     # for z the pi2 image of the log-shape
     shape = sample_base(LevelSetSpec(1, 1.0, rho2), 2)
     lo = shape[0, 1]
-    h1, h2 = mg.base_suprema(1, rho2)[:2]
+    h1, h2 = params.base_suprema(1, rho2)[:2]
     assert h1 == math.asin(lo)  # one root for both
     torus_t = np.zeros((2, 1))
     if rho2 < 6:
@@ -582,7 +583,7 @@ def test_divisor_offsets_bound_every_sample_and_are_attained(n, excess, seed):
     # rho2^2 exceeds the threshold by 10^excess of itself.  The roots are read
     # back from the offsets: t- = sin(h1)^2 and -log t+ = (2 pi rho2 sin h2)^2
     rho2 = feasibility_threshold(n) * math.sqrt(1.0 + 10.0 ** excess)
-    h1, h2 = mg.base_suprema(n, rho2)[:2]
+    h1, h2 = params.base_suprema(n, rho2)[:2]
     t_lo = math.sin(h1) ** 2
     t_hi = math.exp(-(2 * math.pi * rho2 * math.sin(h2)) ** 2)
     assert t_lo < 1 / (n + 1) < t_hi
@@ -633,7 +634,7 @@ def test_fiber_suprema_are_the_largest_kkt_candidate(n):
             if feasibility(LevelSetSpec(n, 1.0, rho2)) == "regular"]
     assert band
     for rho2 in points + band:
-        sup = mg.base_suprema(n, rho2)
+        sup = params.base_suprema(n, rho2)
         pi1, pi2 = fiber_suprema_mp(n, rho2)
         assert abs(mpmath.mpf(sup.pi1_fiber) - pi1) <= 8 * _EPS * pi1, (n, rho2)
         assert abs(mpmath.mpf(sup.pi2_fiber) - pi2) <= _EPS * pi2, (n, rho2)
@@ -647,14 +648,14 @@ def test_pi1_fiber_supremum_past_the_doubles(n, rho2):
     # (rho2 ~5.5), and is inf from where e^{2 pi^2 rho2^2} leaves them
     # (rho2 ~5.997), as pi1_fiber_bound does at every rho1, although it is
     # finite a little further at n >= 2 (to rho2 6.02 at n = 6)
-    got = mg.base_suprema(n, rho2).pi1_fiber
+    got = params.base_suprema(n, rho2).pi1_fiber
     if 2 * math.pi**2 * rho2**2 < math.log(np.finfo(float).max):
         want = fiber_suprema_mp(n, rho2)[0]
         assert abs(mpmath.mpf(got) - want) <= 8 * _EPS * want
     else:
         assert got == math.inf
         with pytest.raises(ArithmeticError, match="fiber bound"):
-            mg.pi1_fiber_bound(LevelSetSpec(n, 1e300, rho2))
+            params.pi1_fiber_bound(LevelSetSpec(n, 1e300, rho2))
 
 
 @pytest.mark.parametrize("n", [143, 144, 160, 200])
@@ -668,7 +669,7 @@ def test_base_suprema_where_n_to_the_n_leaves_the_doubles(n):
     # threshold, where t- and t+ close in
     for factor in (1.001, 1.01, 1.05):
         rho2 = factor * feasibility_threshold(n)
-        got = mg.base_suprema(n, rho2)
+        got = params.base_suprema(n, rho2)
         want = divisor_offsets_mp(n, rho2) + fiber_suprema_mp(n, rho2)
         for name, value, ref, bound in zip(got._fields, got, want, (1e-15, 1e-15, 2e-14, 1e-15)):
             assert abs(mpmath.mpf(value) - ref) <= bound * ref, (n, factor, name)
@@ -678,7 +679,7 @@ def test_base_suprema_where_n_to_the_n_leaves_the_doubles(n):
 def test_pi2_fiber_supremum_is_pi_at_odd_n(n):
     # m = n + 1 even: sqrt(1 - (m mod 2) / S) is 1 at every base point
     for rho2 in (feasibility_threshold(n) * 1.01, 1.0, 3.0, 7.0):
-        assert mg.base_suprema(n, rho2).pi2_fiber == math.pi
+        assert params.base_suprema(n, rho2).pi2_fiber == math.pi
 
 
 # 60 examples, about 0.1 s
@@ -693,7 +694,7 @@ def test_fiber_suprema_bound_every_sample(n, excess, count, seed):
     # log c in both, within 4 eps max(1, |log c|) (n = 1 samples the two
     # extremal points themselves; 30 eps at worst in 3,000 scratch draws)
     rho2 = feasibility_threshold(n) * math.sqrt(1.0 + 10.0 ** excess)
-    sup = mg.base_suprema(n, rho2)
+    sup = params.base_suprema(n, rho2)
     shape = sample_base(LevelSetSpec(n, 1.0, rho2), count, seed)
     shape /= np.linalg.norm(shape, axis=1)[:, None]
     log_c = 4 * math.pi**2 * rho2 * rho2
@@ -889,6 +890,17 @@ def test_limit_torus_bounds_hold_the_support_function_gauge(rho2):
     if rho2 == 0.45:
         f_lo, f_hi = mg.limit_torus_bounds(np.array([[0.0, 0.0], [0.1, 0.0]]), rho2)
         assert f_hi[0] > f_lo[0] * (1 + 1e-4)
+
+
+@pytest.mark.parametrize("excess", [1.05, 1.0, 0.5])
+def test_limit_torus_bounds_refuses_a_level_set_that_is_not_regular(excess):
+    # n is the width of t: (N, 4) rows at 1.05 times the n = 2 threshold lie
+    # below the n = 4 one, where K is empty and the bisection would take the
+    # log of a negative number.  At the n = 4 threshold itself K is one point
+    torus_t = draw_torus(4, 20, 0)[:, 4:]
+    n = 2 if excess == 1.05 else 4
+    with pytest.raises(EmptyLevelSet, match="n=4 .* classified '(empty|degenerate)'"):
+        mg.limit_torus_bounds(torus_t, feasibility_threshold(n) * excess)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])

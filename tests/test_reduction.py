@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_tensors, divisor_offsets_mp, fresh_stream
-from wsdlab.ambient import FOUR_PI2, convert_parameters, feasibility_threshold, moment_map
+from wsdlab.ambient import moment_map
+from wsdlab.params import (FOUR_PI2, EmptyLevelSet, LevelSetSpec, convert_parameters, feasibility,
+                           feasibility_threshold)
 from wsdlab.reduction import (
-    EmptyLevelSet,
-    LevelSetSpec,
     _philox_words,
     _stream_keys,
     draw_directions,
     draw_torus,
-    feasibility,
     induced_structure,
     log_shape,
     omega_d_degenerate_block,

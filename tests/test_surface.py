@@ -20,9 +20,13 @@ imports `dataclasses`, and every class is a named tuple or an exception.  A
 named tuple that checks its fields in `__new__` also routes `_make`, which
 `_replace` calls, through its constructor, so no path builds a record that
 skips the check.
+
+A module imports only public names from another package module, and
+`params`, the facts of the parameters, imports the standard library alone.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +35,8 @@ import pytest
 import wsdlab
 from wsdlab.maps import CPnPoint
 from wsdlab.metgeo import FiniteMetricSample, FlatTorusSpec
+from wsdlab.params import LevelSetSpec
 from wsdlab.polytope import Polytope
-from wsdlab.reduction import LevelSetSpec
 
 PACKAGE = Path(wsdlab.__file__).parent
 GATES = Path(__file__).with_name("test_acceptance.py")
@@ -212,3 +216,36 @@ def test_checking_record_rejects_a_bad_field_on_every_path(cls, good, name, bad,
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+
+
+def _private_imports(trees) -> list[str]:
+    """`module: from .other import _name` of every relative import of a
+    private name; a dunder such as __version__ is public."""
+    return [f"{module}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+def _beyond_stdlib(tree) -> list[str]:
+    """Every module the tree imports outside the standard library, relative
+    imports included."""
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    return [m for m in modules if m.partition(".")[0] not in sys.stdlib_module_names]
+
+
+def test_no_module_imports_a_private_name_from_another():
+    assert _private_imports(_trees()) == []
+    # negative control: the import the rule exists to refuse
+    planted = {"reduction": ast.parse("from .ambient import FORMS, _FORMS\nfrom . import __version__")}
+    assert _private_imports(planted) == ["reduction: from .ambient import _FORMS"]
+
+
+def test_params_imports_the_standard_library_alone():
+    assert _beyond_stdlib(_trees()["params"]) == []
+    planted = ast.parse("import math\nimport numpy as np\nfrom .ambient import PI2")
+    assert _beyond_stdlib(planted) == ["numpy", ".ambient"]
