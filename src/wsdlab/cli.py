@@ -16,10 +16,11 @@ import json
 import math
 import sys
 
-# the exact layer and params are standard-library only; the other commands
-# import params, and numpy with the numeric layers, in their own bodies, so
-# `--help`, a rejected argv and polytope-report load none of them, and
-# limit-kahler, whose columns are facts of the parameters, loads params alone
+# the exact layer runs on ints and imports no fractions; the other commands
+# import params (with its fractions), and numpy with the numeric layers, in
+# their own bodies, so `--help`, a rejected argv and polytope-report load none
+# of them, and limit-kahler, whose columns are facts of the parameters, loads
+# params alone
 from . import __version__
 from .polytope import (has_property_sd, kernel_data, lattice_maps, simplex_pair,
                        verify_duality_identities)

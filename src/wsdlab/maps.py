@@ -37,12 +37,13 @@ def _torus_embeddings(n: int) -> dict[str, np.ndarray]:
             "eta": np.array(maps.primal_t, dtype=float)}
 
 
-def embedded_angles(n: int, torus: np.ndarray, block: str) -> np.ndarray:
-    """Ambient angles, before reduction mod 1, of torus rows (..., n):
-    theta = F_theta s for block "theta", eta = F_eta t for block "eta".  Each
-    row is its own matrix-vector product, so a stack gives each row's bits."""
+def embedded_angles(torus: np.ndarray, block: str) -> np.ndarray:
+    """Ambient angles, before reduction mod 1, of torus rows (..., n), n read
+    from the rows' width: theta = F_theta s for block "theta", eta = F_eta t
+    for block "eta".  Each row is its own matrix-vector product, so a stack
+    gives each row's bits."""
     x = np.asarray(torus, dtype=float)
-    return np.matmul(_torus_embeddings(n)[block], x[..., None])[..., 0]
+    return np.matmul(_torus_embeddings(x.shape[-1])[block], x[..., None])[..., 0]
 
 
 def _as_complex(z, label: str) -> np.ndarray:
@@ -79,7 +80,7 @@ class CPnPoint(NamedTuple("CPnPoint", [("z", np.ndarray), ("lam", float)])):
 def project_pi1(base_r, torus_s) -> np.ndarray:
     """First projection z_i = r_i e^{2 pi i theta_i}, theta = F_theta s: the
     representatives lie on the rho1-sphere, or the unit sphere for r / rho1."""
-    theta = np.mod(embedded_angles(np.shape(torus_s)[-1], torus_s, "theta"), 1.0)
+    theta = np.mod(embedded_angles(torus_s, "theta"), 1.0)
     return np.asarray(base_r, dtype=float) * np.exp(2j * math.pi * theta)
 
 
@@ -111,7 +112,7 @@ def project_pi2(u, torus_t) -> np.ndarray:
         # coordinate's log rounded to 0 (via log_shape: the other squares underflowed)
         raise ArithmeticError("the pi2 modulus vanishes: a log-shape coordinate rounded to 0")
     mod = np.sqrt(-u / (2.0 * PI2))
-    eta = np.mod(embedded_angles(np.shape(torus_t)[-1], torus_t, "eta"), 1.0)
+    eta = np.mod(embedded_angles(torus_t, "eta"), 1.0)
     return mod * np.exp(-2j * math.pi * eta)
 
 

@@ -1,8 +1,8 @@
 """Exact lattice-polytope layer: the reflexive simplex pair and its torus maps.
 
-Everything in this module runs over Python ints and Fractions.  No floats:
-the duality identities, the kernel orders and the property-SD verdict are
-exact facts about the lattices, checked exactly.
+Everything in this module runs over Python ints alone, with no floats and
+no rationals.  The duality identities, the kernel orders and the property-SD
+verdict are exact facts about the lattices, checked exactly.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -191,13 +190,13 @@ def kernel_data(mat: Sequence[Sequence[int]]) -> SubgroupData:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear algebra helpers.
+# Exact elimination over the integers (Bareiss).
 
 
-def _eliminate(rows) -> tuple[int, int, list[Fraction] | None]:
+def _eliminate(rows) -> tuple[int, int, list[int] | None]:
     """Gauss-Jordan elimination over Q, fraction free: (rank, det, null vector).
 
-    Entries are integers, each read through operator.index, so a Fraction
+    Entries are integers, each read through operator.index, so a rational
     or a float raises TypeError instead of being truncated.  Bareiss's
     fraction-free Gauss-Jordan runs on Python ints: every row other than the
     pivot row becomes (p x - f y) / p_prev, with p the pivot, f the row's
@@ -207,8 +206,11 @@ def _eliminate(rows) -> tuple[int, int, list[Fraction] | None]:
     the last pivot.
 
     The null vector comes from the first column without a pivot (None when
-    every column has one).  On square input det is the determinant: the last
-    pivot signed by the row swaps, or 0 when some column has no pivot.  On
+    every column has one).  It holds ints: the last pivot at that free
+    column and minus each pivot row's free-column entry at the row's pivot
+    column, the rational null vector with 1 at the free column times the
+    last pivot.  On square input det is the determinant: the last pivot
+    signed by the row swaps, or 0 when some column has no pivot.  On
     non-square input det means nothing, and no caller reads it.
     """
     a = [[operator.index(x) for x in row] for row in rows]
@@ -238,31 +240,25 @@ def _eliminate(rows) -> tuple[int, int, list[Fraction] | None]:
     free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
         return rank, det, None
-    null = [Fraction(0)] * n
-    null[free] = Fraction(1)
+    null = [0] * n
+    null[free] = prev
     for r, pc in enumerate(pivots):
-        null[pc] = Fraction(-a[r][free], prev)
+        null[pc] = -a[r][free]
     return rank, det, null
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    den = math.lcm(*(f.denominator for f in vec))
-    ints = [int(f * den) for f in vec]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    g = math.gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
 # ---------------------------------------------------------------------------
-# Polar duality via exact facet enumeration.
+# Exact facet enumeration.
 
 
 class Facet(NamedTuple):
     normal: tuple[int, ...]   # primitive inward data: <normal, x> <= offset on P
     offset: int
-
-
-class DegenerateDualError(ValueError):
-    """Raised when the origin is not strictly interior, so polar duality breaks."""
 
 
 def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
@@ -297,23 +293,6 @@ def enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
             continue
         facets.add(Facet(c, b))
     return tuple(sorted(facets))
-
-
-def dual_polytope(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
-    """Vertices of the polar dual {y : <y, x> >= -1 on p}, one per facet of p.
-
-    Requires the origin strictly inside p; otherwise the polar body is
-    unbounded or degenerate and DegenerateDualError is raised.
-    """
-    facets = enumerate_facets(p)
-    if any(f.offset <= 0 for f in facets):
-        raise DegenerateDualError(
-            "origin is not strictly interior, polar dual is unbounded or degenerate"
-        )
-    verts = tuple(
-        tuple(Fraction(-c, f.offset) for c in f.normal) for f in facets
-    )
-    return tuple(sorted(verts))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +375,15 @@ class SdVerdict(NamedTuple):
 
 def has_property_sd(p: Polytope) -> SdVerdict:
     """Self-duality test: integral polar dual, matching vertex counts, finite
-    kernel.  The polar of a full-dimensional polytope with the origin
-    strictly inside is again one, so the spans' dimensions always match.
+    kernel, all read from the facets <c, x> <= b of p.  The polar of a
+    full-dimensional polytope with the origin strictly inside is again one,
+    so the spans' dimensions always match.
+
+    The origin is strictly inside iff every offset b is positive, and then
+    each facet gives one dual vertex -c / b.  That vertex is integral iff
+    b = 1: (c, b) is primitive, so a b dividing every entry of c divides
+    gcd(c, b) = 1.  Hence the dual is a lattice polytope iff every offset is
+    1 (Batyrev's reflexive polytopes), and its vertices are then the -c.
 
     The kernel clause composes the vertex maps of p and its dual with both
     vertex lists in lexicographic order; for simplices this reproduces the
@@ -407,21 +393,20 @@ def has_property_sd(p: Polytope) -> SdVerdict:
     if p.dim > MAX_SD_DIM and p.vertex_count != p.dim + 1:
         raise ValueError(f"property SD check limited to dim <= {MAX_SD_DIM} "
                          "for polytopes other than simplices")
-    try:
-        dual = dual_polytope(p)
-    except DegenerateDualError as exc:
-        return SdVerdict(False, str(exc))
+    facets = enumerate_facets(p)
+    if any(f.offset <= 0 for f in facets):
+        return SdVerdict(False, "origin is not strictly interior, "
+                         "polar dual is unbounded or degenerate")
 
     notes = []
-    if any(f.denominator != 1 for v in dual for f in v):
+    if any(f.offset != 1 for f in facets):
         notes.append("dual has non-integer vertices")
-    if len(dual) != p.vertex_count:
-        notes.append(f"vertex counts differ ({p.vertex_count} vs {len(dual)})")
+    if len(facets) != p.vertex_count:
+        notes.append(f"vertex counts differ ({p.vertex_count} vs {len(facets)})")
     if notes:
         return SdVerdict(False, "; ".join(notes))
 
-    # dual_polytope returns its vertices sorted
-    u = tuple(tuple(f.numerator for f in v) for v in dual)
+    u = tuple(sorted(tuple(-c for c in f.normal) for f in facets))
     kd = kernel_data(_matmul_int(tuple(zip(*u)), tuple(sorted(p.vertices))))
     diag = "property SD holds" if kd.is_finite else \
         "composite kernel has positive-dimensional part"

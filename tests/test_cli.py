@@ -935,8 +935,8 @@ def test_a_rejected_argv_leaves_the_next_call_as_in_a_fresh_process(monkeypatch,
 IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
 
-WATCHED = ["dataclasses", "inspect", "numpy", "scipy", "wsdlab.ambient", "wsdlab.maps",
-           "wsdlab.metgeo", "wsdlab.params", "wsdlab.reduction"]
+WATCHED = ["dataclasses", "decimal", "fractions", "inspect", "numpy", "scipy", "wsdlab.ambient",
+           "wsdlab.maps", "wsdlab.metgeo", "wsdlab.params", "wsdlab.reduction"]
 
 def loaded():
     return [m for m in WATCHED if m in sys.modules]
@@ -960,8 +960,9 @@ print(json.dumps(report))
 
 def test_no_command_imports_scipy():
     # imports are most of a cold start: the exact layer, --help and a rejected
-    # argv load no numpy and no numeric layer, limit-kahler, whose columns
-    # are facts of the parameters, loads params alone, and no command loads
+    # argv load no numpy, no numeric layer and no fractions (the exact layer
+    # runs on ints alone), limit-kahler, whose columns are facts of the
+    # parameters, loads params alone with its fractions, and no command loads
     # scipy (limit-complex's limit bracket is closed form, no graph search).
     # Every record is a named tuple, so no argv loads dataclasses; the
     # numpy-free argvs load no inspect either, and numpy loads it.  The
@@ -986,13 +987,14 @@ def test_no_command_imports_scipy():
     runs = report["runs"]
     assert [(r["rc"], r["loaded"]) for r in runs[:len(exact)]] == [(0, []), (0, []), (2, []),
                                                                      (2, [])]
-    with_numpy = ["inspect", "numpy"]
+    exact_params = ["decimal", "fractions"]
+    with_numpy = exact_params + ["inspect", "numpy"]
     layers = with_numpy + ["wsdlab.ambient", "wsdlab.maps", "wsdlab.metgeo", "wsdlab.params",
                            "wsdlab.reduction"]
     # a run keeps what the runs before it loaded: limit-kahler after verify
     # adds nothing, so it runs first here on its own
     assert [(r["rc"], r["err"], r["loaded"]) for r in runs[len(exact):]] == [
-        (0, "", ["wsdlab.params"]),
+        (0, "", exact_params + ["wsdlab.params"]),
         (0, "", with_numpy + ["wsdlab.ambient", "wsdlab.params", "wsdlab.reduction"]),
         (0, "", with_numpy + ["wsdlab.ambient", "wsdlab.metgeo", "wsdlab.params",
                               "wsdlab.reduction"]),

@@ -303,12 +303,12 @@ def test_embedded_angles_are_vertex_combinations():
     # eta = F_eta t with rows the dual vertices; a stack gives each row's bits
     rows = np.array(lattice_maps(2).dual_t, dtype=float)
     assert np.array_equal(rows, [[2, -1], [-1, 2], [-1, -1]])
-    assert np.array_equal(embedded_angles(2, [0.25, 0.5], "theta"), rows @ [0.25, 0.5])
-    assert not np.any(embedded_angles(2, [0.0, 0.0], "eta"))
+    assert np.array_equal(embedded_angles([0.25, 0.5], "theta"), rows @ [0.25, 0.5])
+    assert not np.any(embedded_angles([0.0, 0.0], "eta"))
     torus = draw_torus(3, 7, seed=5)
     for block, cols, matrix in (("theta", slice(0, 3), "dual_t"), ("eta", slice(3, 6), "primal_t")):
         f = np.array(getattr(lattice_maps(3), matrix), dtype=float)
-        stacked = embedded_angles(3, torus[:, cols], block)
+        stacked = embedded_angles(torus[:, cols], block)
         assert np.array_equal(stacked, [f @ x for x in torus[:, cols]])
 
 

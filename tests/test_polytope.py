@@ -13,13 +13,11 @@ from scipy.spatial import ConvexHull
 
 from wsdlab import polytope
 from wsdlab.polytope import (
-    DegenerateDualError,
     DualityReport,
     Facet,
     Polytope,
     SubgroupData,
     _eliminate,
-    dual_polytope,
     enumerate_facets,
     has_property_sd,
     kernel_data,
@@ -201,28 +199,25 @@ def test_connected_generators_span_real_kernel():
     assert all(sum(row) == 0 for row in m)
 
 
+def polar_vertices(p):
+    """The polar dual's vertices -c / b, one per facet <c, x> <= b of p."""
+    return sorted(tuple(-c for c in f.normal) for f in enumerate_facets(p))
+
+
 def test_dual_polytope_of_simplices():
+    # each simplex of the pair is the other's polar dual: every facet sits at
+    # lattice distance 1, and the facets' -normals are the other's vertices
     for n in range(1, 5):
-        p, d = simplex_pair(n)
-        dv = dual_polytope(p)
-        assert sorted(tuple(int(f) for f in v) for v in dv) == sorted(d.vertices)
-        pv = dual_polytope(d)
-        assert sorted(tuple(int(f) for f in v) for v in pv) == sorted(p.vertices)
+        for p, d in (simplex_pair(n), simplex_pair(n)[::-1]):
+            assert {f.offset for f in enumerate_facets(p)} == {1}
+            assert polar_vertices(p) == sorted(d.vertices)
 
 
 def test_facet_enumeration_square():
     sq = Polytope(((1, 1), (-1, 1), (-1, -1), (1, -1)))
     facets = enumerate_facets(sq)
-    assert len(facets) == 4
-    dv = dual_polytope(sq)
-    assert sorted(dv) == sorted(
-        [
-            (Fraction(1), Fraction(0)),
-            (Fraction(-1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(0), Fraction(-1)),
-        ]
-    )
+    assert len(facets) == 4 and all(f.offset == 1 for f in facets)
+    assert polar_vertices(sq) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
 def _unit_hyperplanes(pairs):
@@ -289,9 +284,7 @@ def test_property_sd_square_diagnostic():
     verdict = has_property_sd(sq)
     assert verdict.holds
     assert verdict.diagnostic == "property SD holds (kernel order 8)"
-    assert sorted(tuple(int(x) for x in v) for v in dual_polytope(sq)) == sorted(
-        [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    )
+    assert polar_vertices(sq) == sorted([(1, 0), (-1, 0), (0, 1), (0, -1)])
 
 
 def test_property_sd_rejects_origin_on_boundary():
@@ -310,9 +303,37 @@ def test_property_sd_scaled_simplex_fails_integrality():
     assert "non-integer" in verdict.diagnostic
 
 
-def test_dual_polytope_raises_without_interior_origin():
-    with pytest.raises(DegenerateDualError):
-        dual_polytope(Polytope(((0, 0), (1, 0), (0, 1))))
+@st.composite
+def point_sets_around_the_origin(draw):
+    """Full-dimensional integer point sets of dim 1-3 with the origin strictly
+    inside: drawn points plus minus their sum, so the origin is the mean of
+    them all, a combination with positive weights, hence interior."""
+    n = draw(st.integers(1, 3))
+    bound = draw(st.sampled_from([1, 2, 5]))
+    points = draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * n),
+                           min_size=n, max_size=n + 3, unique=True))
+    points = list(dict.fromkeys(points + [tuple(-sum(col) for col in zip(*points))]))
+    assume(Polytope(points).affine_rank() == n)
+    return Polytope(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=point_sets_around_the_origin())
+@example(p=simplex_pair(3)[0])
+@example(p=Polytope(((4, -2), (-2, 4), (-2, -2))))
+def test_dual_is_integral_exactly_when_every_facet_sits_at_distance_one(p):
+    # the polar dual's vertices as rationals -c / b, built here only as the
+    # reference: each is the vertex of {y : <y, x> >= -1 on p} that is dual
+    # to its facet, and some is non-integral exactly when some offset is not 1
+    facets = enumerate_facets(p)
+    assert all(f.offset > 0 for f in facets)
+    dual = [tuple(Fraction(-c, f.offset) for c in f.normal) for f in facets]
+    for y in dual:
+        vals = [sum(a * b for a, b in zip(y, v)) for v in p.vertices]
+        assert min(vals) == -1 and vals.count(-1) >= p.dim
+    non_integral = any(x.denominator != 1 for y in dual for x in y)
+    assert non_integral == any(f.offset != 1 for f in facets)
+    assert ("non-integer" in has_property_sd(p).diagnostic) == non_integral
 
 
 def test_property_sd_dimension_guard_still_limits_other_polytopes():
@@ -328,8 +349,8 @@ def test_not_full_dimensional_rejected():
 
 
 def test_exact_layer_imports_no_numpy_and_holds_no_float():
-    # the module's "No floats" rule: standard-library imports only, no float
-    # literal and no float(...) call
+    # the module's ints-only rule: standard-library imports only, no
+    # fractions import, no float literal and no float(...) call
     tree = ast.parse(Path(polytope.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -338,6 +359,7 @@ def test_exact_layer_imports_no_numpy_and_holds_no_float():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or "").split(".")[0])
     assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
+    assert "fractions" not in imported
     floats = [node.lineno for node in ast.walk(tree)
               if isinstance(node, ast.Constant) and isinstance(node.value, float)
               or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -410,21 +432,24 @@ def integer_matrices(draw, max_rows=6, max_cols=6):
 @settings(max_examples=200, deadline=None)
 @given(rows=integer_matrices())
 def test_eliminate_matches_fraction_gauss_jordan(rows):
+    # the null vector is all ints, a nonzero multiple of the reference's
     rank, det, null = _eliminate(rows)
     want_rank, want_det, want_null = fraction_gauss_jordan(rows)
     assert rank == want_rank
-    assert null == want_null
     if len(rows) == len(rows[0]):
         assert det == want_det
     assert type(det) is int
+    assert (null is None) == (want_null is None)
     if null is not None:
-        assert all(isinstance(x, Fraction) for x in null)
+        assert all(type(x) is int for x in null)
+        scale = next(Fraction(x, y) for x, y in zip(null, want_null) if y)
+        assert scale != 0 and null == [scale * y for y in want_null]
         assert all(sum(x * y for x, y in zip(row, null)) == 0 for row in rows)
 
 
 def test_eliminate_edge_shapes():
     assert _eliminate([]) == (0, 1, None)
-    assert _eliminate([[0, 0]]) == (0, 0, [Fraction(1), Fraction(0)])
+    assert _eliminate([[0, 0]]) == (0, 0, [1, 0])
     assert _eliminate([[3, 2], [6, 6]]) == (2, 6, None)
     # a row swap flips the sign
     assert _eliminate([[0, 2], [5, 4]])[1] == -10
