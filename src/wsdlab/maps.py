@@ -18,7 +18,6 @@ coefficient rows over radius stacks.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -29,21 +28,16 @@ from .params import (FOUR_PI2, PI2, TWO_PI, LevelSetSpec, convert_parameters,
 from .polytope import lattice_maps
 
 
-@lru_cache(maxsize=32)
-def _torus_embeddings(n: int) -> dict[str, np.ndarray]:
-    """The theta and eta embeddings: rows are primal resp. dual vertices."""
-    maps = lattice_maps(n)
-    return {"theta": np.array(maps.dual_t, dtype=float),
-            "eta": np.array(maps.primal_t, dtype=float)}
-
-
 def embedded_angles(torus: np.ndarray, block: str) -> np.ndarray:
     """Ambient angles, before reduction mod 1, of torus rows (..., n), n read
     from the rows' width: theta = F_theta s for block "theta", eta = F_eta t
-    for block "eta".  Each row is its own matrix-vector product, so a stack
-    gives each row's bits."""
+    for block "eta", F_theta rows the primal and F_eta rows the dual
+    vertices.  Each row is its own matrix-vector product, so a stack gives
+    each row's bits."""
     x = np.asarray(torus, dtype=float)
-    return np.matmul(_torus_embeddings(x.shape[-1])[block], x[..., None])[..., 0]
+    maps = lattice_maps(x.shape[-1])
+    rows = np.array({"theta": maps.dual_t, "eta": maps.primal_t}[block], dtype=float)
+    return np.matmul(rows, x[..., None])[..., 0]
 
 
 def _as_complex(z, label: str) -> np.ndarray:

@@ -210,8 +210,7 @@ def base_suprema(n: int, rho2: float) -> BaseSuprema:
 
     sqrt(t-) is small_root's, as in reduction.solve_base at n = 1; t+ =
     (1 - d) / n, d = k e^y, y / n + log1p(-d) = 0, so -log t+ = log n -
-    log1p(-d) stays exact at n = 1.  k = n^n c is that product where c is
-    normal and n^n a double (n <= 143).  Elsewhere it is (n c^{1/n})^n,
+    log1p(-d) stays exact at n = 1.  k = n^n c is formed as (n c^{1/n})^n,
     c^{1/n} = e^{2h} e^{2 (half - h)}, half = log c / 2n exact and h its
     double, so no factor leaves the normal doubles (n c^{1/n} < 1 on a
     regular level set) and k's error is a few times n ulp; the root d
@@ -231,12 +230,8 @@ def base_suprema(n: int, rho2: float) -> BaseSuprema:
     require_regular(LevelSetSpec(n, 1.0, rho2))
     root, half = small_root(n, rho2)  # sqrt(t-), log c / 2n exactly
     h = float(half)
-    c = math.exp(2.0 * n * h)
-    if c >= sys.float_info.min and n ** n <= sys.float_info.max:
-        k = n ** n * c
-    else:  # (n c^{1/n})^n: from n = 144 on, or where c is subnormal
-        base = n * math.exp(2.0 * h)
-        k = base ** n * math.exp(2.0 * n * float(half - Fraction(h))) if base else 0.0
+    base = n * math.exp(2.0 * h)  # n c^{1/n}
+    k = base ** n * math.exp(2.0 * n * float(half - Fraction(h))) if base else 0.0
     d = k * math.exp(_rising_root(1.0 / n, k))  # 1 - n t+
     if n == 1:  # t+ = 1 - t-: -log t+ ~ t- leaves the doubles before its root does
         t = root * root

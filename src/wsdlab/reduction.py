@@ -87,8 +87,10 @@ def _stream_keys(seed: int, idx: np.ndarray, *tag: int) -> np.ndarray:
     gives, one row per index, from one pass of numpy's mixing algorithm over
     uint32 columns (one column per entropy word).
 
-    Raises ValueError for an index outside [0, 2**32): a larger one would
-    take two entropy words, and the column layout gives the index one.
+    The entropy must fit numpy's four-word pool: the seed takes one or two
+    words, the index one, each tag at least one.  Raises ValueError for an
+    index outside [0, 2**32), as a larger one would take two words, and for
+    more than four words in all.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() > _WORD):
@@ -99,16 +101,15 @@ def _stream_keys(seed: int, idx: np.ndarray, *tag: int) -> np.ndarray:
 
     entropy = ([column(w) for w in _words(int(seed) % (1 << 63))] + [idx.astype(np.uint32)]
                + [column(w) for p in tag for w in _words(int(p))])
+    if len(entropy) > _POOL_SIZE:
+        raise ValueError(f"stream entropy must fit {_POOL_SIZE} words, got {len(entropy)}")
     entropy += [column(0)] * (_POOL_SIZE - len(entropy))
     hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    pool = [hashmix(word) for word in entropy]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
     out = _hasher(_INIT_B, _MULT_B)
     lo0, hi0, lo1, hi1 = (out(word).astype(np.uint64) for word in pool)
     # generate_state(2, np.uint64) joins its four words little-endian
@@ -444,7 +445,7 @@ def omega_d_degenerate_block(r: np.ndarray) -> DegenerateBlock:
         a_solve=sol[:, [0, 2, 1, 3]],
         a_closed=np.stack([m / denom, -big_b / denom, -big_a / denom, m / denom], axis=1),
         pairing=np.sum(z * w, axis=1),
-        pairing_closed=m * (s - prod) / prod,
+        pairing_closed=m * ((s - prod) / prod),
         pairing_quoted=m / prod,
         restricted_norm_closed=m / (prod - s),
         norm2_Z=np.sum(theta_w * z * z, axis=1),

@@ -399,9 +399,10 @@ def test_sweep_deterministic(tmp_path):
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "1e-3:inf:2", "--samples", "4"],
     ["limit-kahler", "--n", "2", "--rho2", "0.6", "--grid", "1:10:2", "--samples", "1"],
     ["limit-complex", "--n", "2", "--rho2", "0.6", "--grid", "0.1:1:2", "--samples", "1"],
+    ["limit-kahler", "--n", "2", "--rho2", ","],
 ], ids=["verify-samples-0", "kahler-samples-0", "rho2-nan", "rho2-inf", "rho1-nan",
         "tol-inf", "tol-0", "tol-negative", "rho2-list-nan", "grid-inf", "kahler-samples-1",
-        "complex-samples-1"])
+        "complex-samples-1", "rho2-list-empty"])
 def test_rejects_unusable_input_with_one_line(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -758,6 +759,18 @@ def cli_argvs(draw):
     return argv + ["--rho2", repr(rho2), "--grid", grid]
 
 
+# verify argvs whose samples have |X1|^2 |X2|^2 within a factor n+1 of the
+# largest double
+LARGEST_PRODUCT_ARGVS = [
+    ["verify", "--n", "4", "--samples", "2", "--seed", "20", "--rho1", "1.0",
+     "--rho2", "6.3984375"],
+    ["verify", "--n", "4", "--samples", "5", "--seed", "289",
+     "--rho1", "4.818990023586954e+22", "--rho2", "6.29637304414364"],
+    ["verify", "--n", "6", "--samples", "12", "--seed", "993",
+     "--rho1", "5.087831139054931e+75", "--rho2", "6.413225098593454"],
+]
+
+
 def _reject_constant(token):
     raise ValueError(f"non-JSON constant {token}")
 
@@ -777,6 +790,9 @@ def _reject_constant(token):
                "--grid", "1e300:1.7e308:3"])
 @example(argv=["limit-complex", "--n", "3", "--rho2", "0.7", "--samples", "2",
                "--grid", "1e300:1.7e308:3"])
+@example(argv=LARGEST_PRODUCT_ARGVS[0])
+@example(argv=LARGEST_PRODUCT_ARGVS[1])
+@example(argv=LARGEST_PRODUCT_ARGVS[2])
 def test_every_argv_gives_a_result_or_one_named_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
@@ -803,6 +819,19 @@ def test_every_argv_gives_a_result_or_one_named_line(argv):
             except ValueError:
                 continue
             assert math.isfinite(value), row
+
+
+@pytest.mark.parametrize("argv", LARGEST_PRODUCT_ARGVS, ids=lambda argv: f"seed-{argv[6]}")
+def test_verify_near_the_largest_product_reports_its_verdict(argv, capsys):
+    # the degenerate block's closed pairing stays finite, so the report is
+    # written: wsd_axioms fails this deep (ROADMAP item 1), the two block
+    # checks pass
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    rep = json.loads(out, parse_constant=_reject_constant)
+    assert {c["name"]: c["pass"] for c in rep["checks"]} == {
+        "wsd_axioms": False, "aij_consistency": True, "restricted_norm": True}
 
 
 def test_verify_non_finite_residual_is_strict_json(monkeypatch, capsys):
@@ -1002,10 +1031,10 @@ def test_no_command_imports_scipy():
     ]
 
 
-def test_package_loads_its_layers_on_first_access():
-    # wsdlab binds its layers lazily: each name is the module the import
-    # system loads, `import *` binds all of __all__ without a warning, and a
-    # name that is no layer stays an AttributeError
+def test_package_binds_its_layers_through_the_import_system():
+    # `from wsdlab import *` binds all of __all__ without a warning, each name
+    # the module the import system loads, and a name that is no layer stays
+    # an AttributeError
     script = """
 import importlib, json, sys
 import wsdlab

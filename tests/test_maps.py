@@ -379,6 +379,9 @@ def test_complex_structure_properties():
         assert np.array_equal(complex_structure_at(np.tile(r, (2, 1)), lam1, lam2)[1], c)
     with pytest.raises(ValueError, match="singular"):
         complex_structure_at([1.0, 0.0], 1.0, 1.0)
+    for lam1, lam2 in ((0.0, 1.0), (1.0, -0.5)):
+        with pytest.raises(ValueError, match="lam1 and lam2 must be positive"):
+            complex_structure_at([1.0, 2.0], lam1, lam2)
 
 
 def test_complex_structure_large_limit_trend():

@@ -117,6 +117,10 @@ def test_gh_identity_point_and_scaling():
     lo, hi = mg.gh_bounds(a, _abstract(t * a.dist))
     assert lo == pytest.approx(0.5 * (t - 1) * mg.diameter(a), rel=1e-12)
     assert lo <= hi
+    empty = _abstract(np.zeros((0, 0)))
+    for x, y in ((empty, pt), (pt, empty)):
+        with pytest.raises(ValueError, match="needs nonempty samples"):
+            mg.gh_bounds(x, y)
 
 
 def _brute_gh(da, db):
@@ -334,8 +338,12 @@ def test_flat_torus_spec_tests_rank_on_the_basis():
         got = mg.flat_torus_diameter(mg.FlatTorusSpec(_root_basis(2), np.array(w)))
         exact = _mp_split_vertex_radius(w)
         assert abs(got - exact) <= 1e-15 * exact
-    with pytest.raises(ValueError, match="independent columns"):
-        mg.FlatTorusSpec(np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]), np.ones(3))
+    # dependent columns, and the shapes refused before any rank is taken: a
+    # 1-D basis, no columns, more columns than rows
+    for b in (np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]), np.ones(3), np.zeros((3, 0)),
+              np.ones((2, 3))):
+        with pytest.raises(ValueError, match="independent columns"):
+            mg.FlatTorusSpec(b, np.ones(b.shape[0]))
 
 
 def test_mode_ordering_and_rejection():
@@ -658,15 +666,38 @@ def test_pi1_fiber_supremum_past_the_doubles(n, rho2):
             params.pi1_fiber_bound(LevelSetSpec(n, 1e300, rho2))
 
 
+# 72 points, n in {1..6, 8, 12}, rho2 from 1.0001 to 4 times the threshold and
+# at most 5.5, where the pi1 supremum's S still is a double
+_SUPREMA_GRID = [(n, f * feasibility_threshold(n)) for n in (1, 2, 3, 4, 5, 6, 8, 12)
+                 for f in (1.0001, 1.001, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 4.0)
+                 if f * feasibility_threshold(n) <= 5.5]
+
+
+def test_base_suprema_ulps_against_60_digit_oracles():
+    # every fact within a few ulps of the references, on the grid: at worst
+    # 18.7 (h1), 6.6 (h2), 2.9 (pi1) and 0.98 (pi2) ulp, h1 and h2 at n = 2,
+    # 1.0001 times the threshold, where the root d amplifies k's rounding.
+    # k = n^n c from a once-rounded log c read pi1 7.3 ulp off at n = 12
+    assert len(_SUPREMA_GRID) == 72
+    worst = dict.fromkeys(params.BaseSuprema._fields, 0.0)
+    for n, rho2 in _SUPREMA_GRID:
+        want = divisor_offsets_mp(n, rho2) + fiber_suprema_mp(n, rho2, digits=60)
+        for name, got, ref in zip(worst, params.base_suprema(n, rho2), want):
+            ulps = float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref))
+            worst[name] = max(worst[name], ulps)
+    assert worst["h1"] <= 20 and worst["h2"] <= 8, worst
+    assert worst["pi1_fiber"] <= 4 and worst["pi2_fiber"] <= 2, worst
+
+
 @pytest.mark.parametrize("n", [143, 144, 160, 200])
 def test_base_suprema_where_n_to_the_n_leaves_the_doubles(n):
     # n^n is above the largest double from n = 144, and c = e^{-4 pi^2 rho2^2}
-    # is subnormal near the threshold from n = 142, so k = n^n c is formed as
-    # (n c^{1/n})^n there.  At 1.001 to 1.05 times the threshold the offsets
-    # and the pi2 supremum are within 1e-15 relative of the 50-digit helpers
-    # (1.8e-16 at worst read), and the pi1 one within 2e-14 (6.6e-15 at
-    # worst, n = 144 at 1.001): the KKT root amplifies k's error near the
-    # threshold, where t- and t+ close in
+    # is subnormal near the threshold from n = 142; k = n^n c is formed as
+    # (n c^{1/n})^n, so neither enters.  At 1.001 to 1.05 times the
+    # threshold the offsets and the pi2 supremum are within 1e-15 relative of
+    # the 50-digit helpers (1.8e-16 at worst read), and the pi1 one within
+    # 2e-14 (6.6e-15 at worst, n = 144 at 1.001): the KKT root amplifies k's
+    # error near the threshold, where t- and t+ close in
     for factor in (1.001, 1.01, 1.05):
         rho2 = factor * feasibility_threshold(n)
         got = params.base_suprema(n, rho2)

@@ -253,6 +253,19 @@ def test_stream_keys_reject_indices_outside_one_word():
     assert _stream_keys(5, np.array([], dtype=np.int64)).shape == (0, 2)
 
 
+def test_stream_keys_reject_entropy_past_the_pool():
+    # a two-word seed, the index and a tag fill numpy's four-word pool, as do
+    # a one-word seed, the index and two tags; a fifth word would need
+    # SeedSequence's extra mixing rounds, which the column pass does not run
+    idx = np.arange(3)
+    for seed, tag in ((1 << 40, (1,)), (5, (1, 2))):
+        ref = [np.random.SeedSequence((seed, i, *tag)).generate_state(2, np.uint64) for i in idx]
+        assert np.array_equal(_stream_keys(seed, idx, *tag), np.array(ref))
+    for seed, tag in ((1 << 40, (1, 2)), (5, (1 << 40, 1)), (5, (1, 2, 3))):
+        with pytest.raises(ValueError, match="stream entropy must fit 4 words, got 5"):
+            _stream_keys(seed, idx, *tag)
+
+
 _UINT64 = st.one_of(st.sampled_from([0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]),
                     st.integers(0, (1 << 64) - 1))
 
@@ -611,6 +624,50 @@ def test_degenerate_block_code_path_agreement():
         # Cauchy-Schwarz: P > (n+1)^2 off the equal-radii locus
         assert blk.restricted_norm_closed[0] > 0
         assert blk.norm2_Z[0] * blk.norm2_W[0] > 0
+
+
+@st.composite
+def _radii_near_the_largest_product(draw):
+    """Radii r (N, m) with P = sum r^2 sum 1/r^2 = |X1|^2 |X2|^2 in [max/100,
+    max), max the largest double: each row is e^{lam u}, u spanning [-1, 1],
+    and lam solved by bisection on log P = logsumexp(2 lam u) +
+    logsumexp(-2 lam u), which rises in lam (P = sum_ij cosh(2 lam (u_i - u_j)))."""
+    m = draw(st.integers(2, 7))
+    top = math.log(np.finfo(float).max)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+        u[:2] = -1.0, 1.0  # the span; the other coordinates lie between
+        u = u[np.argsort(draw(st.permutations(range(m))))]
+        target = draw(st.floats(top - math.log(100.0) + 1e-9, top - 1e-9))
+
+        def log_p(lam):
+            return float(np.logaddexp.reduce(2 * lam * u) + np.logaddexp.reduce(-2 * lam * u))
+        lo, hi = 0.0, top
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if log_p(mid) < target else (lo, mid)
+        rows.append(np.exp(lo * u))
+    return np.array(rows)
+
+
+# 100 examples, about 0.6 s
+@settings(max_examples=100, deadline=None)
+@given(r=_radii_near_the_largest_product())
+def test_degenerate_block_stays_finite_near_the_largest_product(r):
+    # P within a factor 100 of the largest double: the closed pairing
+    # m (m^2 - P) / P divides before it multiplies, so no float overflows
+    # where the CLI raises on one, and it is ~ -m as P / m^2 is huge
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        blk = omega_d_degenerate_block(r)
+        norm = blk.restricted_norm
+        residuals = blk.aij_residual, blk.norm_residual
+    m = r.shape[1]
+    big_p = m / blk.pairing_quoted
+    assert np.all(big_p >= np.finfo(float).max / 101)
+    assert np.allclose(blk.pairing_closed, -m, rtol=1e-12, atol=0)
+    for arr in (norm, *residuals, *blk):
+        assert np.all(np.isfinite(arr))
 
 
 def test_degenerate_block_guard():
