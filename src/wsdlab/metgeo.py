@@ -4,10 +4,10 @@ metric's limit torus, bracketed in closed form with no graph search.  The
 sample-free suprema over the base are facts of the parameters
 (params.base_suprema).
 
-The quotient chart has one distance kernel, hn_matrix, over the dual-simplex
-phase group; hn_distance reads its two-row case (no command calls either),
-and fubini_study_distance stays a scalar arccos formula, the independent
-reference the kernel is tested against.
+The quotient chart's distance is one two-point formula, hn_distance, a
+least angle over the dual-simplex phase group (acceptance gate 4 reads it;
+no command does), and fubini_study_distance stays a scalar arccos formula,
+the independent reference it is tested against.
 
 Every flat-torus diameter is one covering-radius formula,
 root_lattice_covering_radius for the weighted root lattice A_n: both fiber
@@ -61,32 +61,18 @@ def diameter(s: FiniteMetricSample) -> float:
 
 # -- pairwise distance helpers for the two projective charts -----------------
 
-# entries per block of the pair and phase kernels (limit_torus_bounds,
-# chord_eccentricities, hn_matrix), sized for the allocator: at n = 2 the
-# largest block temporary, (n + 1) x 2^12 float64, is 96 KiB, below glibc's
-# default 128 KiB mmap and trim thresholds, so the blocks reuse heap pages
-# instead of mapping and faulting in fresh ones.  A pass of limit-complex
+# entries per block of the two pair kernels (limit_torus_bounds and
+# chord_eccentricities), sized for the allocator: at n = 2 the largest block
+# temporary, (n + 1) x 2^12 float64, is 96 KiB, below glibc's default
+# 128 KiB mmap and trim thresholds, so the blocks reuse heap pages instead
+# of mapping and faulting in fresh ones.  A pass of limit-complex
 # n = 2 at 400 samples plus boundary took ~1,800 minor faults at 2^14,
 # ~1,300 at 2^13 and none at 2^12 (nor limit_torus_bounds at n = 5); 2^11
 # was slower again
 _BLOCK_PAIRS = 1 << 12
 
 
-def _angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Principal angles (B, N, M) between the unit rows of u (N, m) and those
-    of each v[b] (B, M, m).  arccos is ill conditioned near 0, so nearly
-    aligned pairs are redone through the projection residual."""
-    g = np.conj(u) @ np.swapaxes(v, 1, 2)
-    cos = np.clip(np.abs(g), 0.0, 1.0)
-    ang = np.arccos(cos)
-    bb, ii, jj = np.nonzero(cos > 0.9999)
-    if ii.size:
-        resid = v[bb, jj] - u[ii] * g[bb, ii, jj][:, None]
-        ang[bb, ii, jj] = np.arcsin(np.clip(np.linalg.norm(resid, axis=1), 0.0, 1.0))
-    return ang
-
-
-# the quotient kernels enumerate the phase group: 262,144 phases at n = 7,
+# the quotient distance enumerates the phase group: 262,144 phases at n = 7,
 # 4,782,969 at n = 8
 _MAX_PHASE_N = 7
 
@@ -113,28 +99,6 @@ def _quotient_phases(n: int) -> np.ndarray:
     return a / m
 
 
-def hn_matrix(z: np.ndarray, rho: float) -> np.ndarray:
-    """Quotient distances between the rows of z (N, n+1), n read from its
-    width: the finite phase group is minimized out exactly; the circle
-    factor is a global phase the overlap ignores.  Raises ValueError on a row
-    whose norm is zero or not finite, and for n outside 1.._MAX_PHASE_N."""
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are refused next
-        norm = np.linalg.norm(z, axis=1)
-    if not np.all((norm > 0) & (norm < math.inf)):
-        raise ValueError("hn_matrix needs rows of finite, nonzero norm")
-    u = z / norm[:, None]
-    phases = _quotient_phases(z.shape[1] - 1)
-    step = max(1, _BLOCK_PAIRS // (len(u) ** 2 or 1))
-    best = np.full((len(u), len(u)), math.inf)
-    for p0 in range(0, len(phases), step):
-        moved = u * np.exp(2j * math.pi * phases[p0:p0 + step])[:, None, :]
-        best = np.minimum(best, np.min(_angles(u, moved), axis=0))
-    d = rho * best
-    np.fill_diagonal(d, 0.0)
-    return 0.5 * (d + d.T)
-
-
 def _common_scale(p, q) -> float:
     """sqrt(lam) of two maps.CPnPoint of one dimension n at the same scale lam."""
     if p.n != q.n:
@@ -154,9 +118,26 @@ def fubini_study_distance(z, w) -> float:
 
 def hn_distance(p, q) -> float:
     """Quotient distance between two maps.CPnPoint at the same scale lam:
-    entry [0, 1] of hn_matrix on the two rows, at scale sqrt(lam)."""
+    sqrt(lam) times the least angle between the unit representative u of p
+    and v e^{2 pi i g}, v that of q, over the rows g of the phase group; the
+    circle factor is a global phase the overlap ignores.  arccos is ill
+    conditioned near 0, so a nearly aligned best pair is redone through the
+    projection residual.  Raises ValueError on a representative whose norm
+    is zero or not finite (a finite z whose norm leaves the doubles), and
+    for n outside 1.._MAX_PHASE_N."""
     rho = _common_scale(p, q)
-    return float(hn_matrix(np.stack([p.z, q.z]), rho)[0, 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # such norms are refused next
+        norms = (np.linalg.norm(p.z), np.linalg.norm(q.z))
+    if not all(0 < norm < math.inf for norm in norms):
+        raise ValueError("the quotient distance needs representatives of finite, nonzero norm")
+    u, v = p.z / norms[0], q.z / norms[1]
+    moved = v * np.exp(2j * math.pi * _quotient_phases(p.n))
+    overlap = moved @ np.conj(u)
+    k = int(np.argmax(np.abs(overlap)))
+    cos = abs(overlap[k])
+    if cos > 0.9999:
+        return rho * math.asin(min(1.0, float(np.linalg.norm(moved[k] - u * overlap[k]))))
+    return rho * math.acos(min(1.0, cos))
 
 
 # -- Gromov-Hausdorff bounds ---------------------------------------------------

@@ -5,25 +5,35 @@ shared constants, the change to the moment levels (k1, k2) and back, the
 feasibility threshold and the regularity check (`LevelSetSpec`,
 `feasibility`, `require_regular`), the closed-form fiber bound
 (`pi1_fiber_bound`) and the four suprema over the base (`base_suprema`),
-each solved from one scalar root.  Every number here is a `math` or
-`Fraction` computation, so the layers above import their constants and specs
+each solved from one scalar root.  Every number here is a `math` or exact
+integer computation, so the layers above import their constants and specs
 from here, and `limit-kahler`, whose columns are all such facts, runs
-without numpy.
+without numpy, `fractions` or `decimal`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 # the package's one source of these constants; every other module imports them
 TWO_PI = 2.0 * math.pi
 PI2 = math.pi**2
 FOUR_PI2 = 4.0 * math.pi**2
-# 2 pi^2 to 35 digits, for exponents such as log c / 2n formed exactly
-_TWO_PI2 = Fraction("19.739208802178717237668981999752302")
+# 2 pi^2 to 35 digits as an integer ratio, for exponents such as log c / 2n
+# formed exactly
+_TWO_PI2 = (19739208802178717237668981999752302, 10**33)
+
+
+def _exact_minus(num: int, den: int, x: float) -> float:
+    """num / den - x, den > 0, rounded once.  With x = p / q exactly
+    (x.as_integer_ratio()), the difference is the rational
+    (num q - p den) / (den q), and int / int true division rounds it
+    correctly, as float() of a Fraction does: so this is
+    float(Fraction(num, den) - Fraction(x)) bit for bit, in ints alone."""
+    p, q = x.as_integer_ratio()
+    return (num * q - p * den) / (den * q)
 
 
 def convert_parameters(n: int, k1: float, k2: float) -> tuple[float, float]:
@@ -128,21 +138,23 @@ def _rising_root(a: float, k: float) -> float:
         y = y_new
 
 
-def small_root(n: int, rho2: float) -> tuple[float, Fraction]:
+def small_root(n: int, rho2: float) -> tuple[float, tuple[int, int]]:
     """(sqrt(t-), half): t- < 1/(n+1) the small root of t^n (1 - n t) = c,
     c = e^{-4 pi^2 rho2^2}, the least coordinate square over the base, and
-    half = log c / 2n as an exact Fraction (2 pi^2 to 35 digits).  t- =
+    half = log c / 2n exactly, as an integer pair (num, den), den > 0 (2 pi^2
+    to 35 digits, rho2 from its integer ratio).  t- =
     c^{1/n} e^y, n y + log1p(-n t-) = 0, and c^{1/2n} = e^h e^{half - h},
     h = half rounded, is formed exactly: the float product -4 pi^2 rho2^2 is
     off by ~1.5 ulp of |log c|.  Where e^h is 0 so is sqrt(t-), returned
     before the residual (> 709 from rho2 ~1e9) overflows."""
-    half = -_TWO_PI2 * Fraction(rho2) ** 2 / n
-    h = float(half)
+    a, b = rho2.as_integer_ratio()
+    half = (-_TWO_PI2[0] * a * a, _TWO_PI2[1] * b * b * n)
+    h = half[0] / half[1]
     scale = math.exp(h)
     if scale == 0.0:
         return 0.0, half
     y = _rising_root(n, n * math.exp(2.0 * h))
-    return scale * math.exp(float(half - Fraction(h)) + 0.5 * y), half
+    return scale * math.exp(_exact_minus(*half, h) + 0.5 * y), half
 
 
 def pi1_fiber_bound(spec: LevelSetSpec) -> float:
@@ -229,9 +241,9 @@ def base_suprema(n: int, rho2: float) -> BaseSuprema:
     """
     require_regular(LevelSetSpec(n, 1.0, rho2))
     root, half = small_root(n, rho2)  # sqrt(t-), log c / 2n exactly
-    h = float(half)
+    h = half[0] / half[1]
     base = n * math.exp(2.0 * h)  # n c^{1/n}
-    k = base ** n * math.exp(2.0 * n * float(half - Fraction(h))) if base else 0.0
+    k = base ** n * math.exp(2.0 * n * _exact_minus(*half, h)) if base else 0.0
     d = k * math.exp(_rising_root(1.0 / n, k))  # 1 - n t+
     if n == 1:  # t+ = 1 - t-: -log t+ ~ t- leaves the doubles before its root does
         t = root * root
@@ -239,9 +251,9 @@ def base_suprema(n: int, rho2: float) -> BaseSuprema:
     else:
         mod = math.sqrt(math.log(n) - math.log1p(-d))
     p, grow = (n + 1) % 2, d * n * n / (1.0 - d)  # S = (1 + grow) / d
-    b = float(-n * half)  # -log c / 2 = 2 pi^2 rho2^2, rounded once
+    b = -n * half[0] / half[1]  # -log c / 2 = 2 pi^2 rho2^2, rounded once
     pi1 = (math.exp(b) * n ** (-0.5 * n) / (4.0 * math.pi) * math.sqrt(1.0 + grow - p * d)
-           * math.exp(0.5 * n * math.log1p(-d) + float(-n * half - Fraction(b)))
+           * math.exp(0.5 * n * math.log1p(-d) + _exact_minus(-n * half[0], half[1], b))
            if b < math.log(sys.float_info.max) else math.inf)
     return BaseSuprema(math.asin(root), math.asin(mod / (TWO_PI * rho2)), pi1,
                        math.pi * math.sqrt(1.0 - p * d / (1.0 + grow)))

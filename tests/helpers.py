@@ -136,9 +136,10 @@ def gathered_pair_bounds(torus_t, rho2):
 
 
 def per_phase_hn_matrix(z, rho):
-    """Reference: metgeo.hn_matrix with one (N, N) product per phase of the
-    group, the minimum kept across phases, and the nearly aligned pairs of
-    each phase redone through the projection residual."""
+    """Reference: the quotient distances between the rows of z (N, n+1) at
+    scale rho, one (N, N) product per phase of the group, the minimum kept
+    across phases, and the nearly aligned pairs of each phase redone through
+    the projection residual."""
     u = z / np.linalg.norm(z, axis=1)[:, None]
     best = None
     for phase in metgeo._quotient_phases(z.shape[1] - 1):

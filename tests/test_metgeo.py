@@ -2,6 +2,7 @@ import heapq
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -51,13 +52,14 @@ def _triangle_defect(d):
 
 
 def _cpn(z):
-    # at n = 1 the phase group is trivial, so hn_matrix is the CP^1 distance
-    return mg.FiniteMetricSample(mg.hn_matrix(z, 1.0))
+    # at n = 1 the phase group is trivial, so the quotient distance is the
+    # CP^1 distance
+    return mg.FiniteMetricSample(per_phase_hn_matrix(z, 1.0))
 
 
 def test_triangle_defect_on_projective_samples():
-    assert _triangle_defect(mg.hn_matrix(_sphere_rows(40, 1, seed=1), 1.0)) <= 1e-9
-    assert _triangle_defect(mg.hn_matrix(_sphere_rows(30, 2, seed=2), 1.0)) <= 1e-9
+    assert _triangle_defect(per_phase_hn_matrix(_sphere_rows(40, 1, seed=1), 1.0)) <= 1e-9
+    assert _triangle_defect(per_phase_hn_matrix(_sphere_rows(30, 2, seed=2), 1.0)) <= 1e-9
 
 
 def test_diameter_basics():
@@ -80,8 +82,8 @@ def test_cp1_diameter_monte_carlo():
 def test_hausdorff_identity_and_containment():
     # cross distances are the off-diagonal block of the stacked rows' matrix
     z = _sphere_rows(25, 2, seed=4)
-    assert cross_hausdorff(mg.hn_matrix(np.vstack([z, z]), 1.0)[:25, 25:]) < 1e-12
-    cross = mg.hn_matrix(np.vstack([z, z, _sphere_rows(15, 2, seed=5)]), 1.0)[:25, 25:]
+    assert cross_hausdorff(per_phase_hn_matrix(np.vstack([z, z]), 1.0)[:25, 25:]) < 1e-12
+    cross = per_phase_hn_matrix(np.vstack([z, z, _sphere_rows(15, 2, seed=5)]), 1.0)[:25, 25:]
     # z is inside the larger set, so only the larger set's far side counts
     assert np.max(np.min(cross, axis=1)) < 1e-12
     assert cross_hausdorff(cross) == np.max(np.min(cross, axis=0))
@@ -94,7 +96,7 @@ def test_hausdorff_parallel_circles():
     phases = np.exp(2j * math.pi * np.arange(64) / 64)
     circ = lambda a: np.stack([np.full(64, math.cos(a), dtype=complex),
                                math.sin(a) * phases], axis=1)
-    both = mg.hn_matrix(np.vstack([circ(a0), circ(a0 + delta)]), 1.0)
+    both = per_phase_hn_matrix(np.vstack([circ(a0), circ(a0 + delta)]), 1.0)
     h = cross_hausdorff(both[:64, 64:])
     assert abs(h - delta) < 3e-3
 
@@ -689,6 +691,21 @@ def test_base_suprema_ulps_against_60_digit_oracles():
     assert worst["pi1_fiber"] <= 4 and worst["pi2_fiber"] <= 2, worst
 
 
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-10**80, 10**80), den=st.integers(1, 10**80),
+       x=st.floats(allow_nan=False, allow_infinity=False), near=st.booleans())
+@example(num=-params._TWO_PI2[0] * 7, den=params._TWO_PI2[1] * 10 * 3, x=0.0, near=True)
+def test_exact_minus_is_the_rounded_rational_difference(num, den, x, near):
+    # the exponents' residuals num / den - x, in ints alone, are the Fraction
+    # difference rounded once, bit for bit (repr tells -0.0 from 0.0); near
+    # takes x as num / den rounded, the residual base_suprema forms, where
+    # the difference cancels
+    if near:
+        x = num / den
+    want = float(Fraction(num, den) - Fraction(x))
+    assert repr(params._exact_minus(num, den, x)) == repr(want)
+
+
 @pytest.mark.parametrize("n", [143, 144, 160, 200])
 def test_base_suprema_where_n_to_the_n_leaves_the_doubles(n):
     # n^n is above the largest double from n = 144, and c = e^{-4 pi^2 rho2^2}
@@ -733,9 +750,8 @@ def test_fiber_suprema_bound_every_sample(n, excess, count, seed):
     assert np.max(pi2_fiber_diameters(shape)) <= sup.pi2_fiber * (1 + 4 * _EPS)
 
 
-def test_hn_matrix_matches_pointwise_quotient_distance():
+def test_hn_distance_matches_the_scalar_distance_minimized_by_hand():
     z = _sphere_rows(6, 2, seed=15, lam=1.0)
-    d = mg.hn_matrix(z, 1.0)
     for i in range(6):
         for j in range(i + 1, 6):
             # independent reference: the scalar projective distance minimized
@@ -743,7 +759,7 @@ def test_hn_matrix_matches_pointwise_quotient_distance():
             ref = min(mg.fubini_study_distance(CPnPoint(z[i], 1.0),
                                                CPnPoint(z[j] * np.exp(2j * math.pi * g), 1.0))
                       for g in mg._quotient_phases(2))
-            assert abs(d[i, j] - ref) < 1e-9
+            assert abs(mg.hn_distance(CPnPoint(z[i], 1.0), CPnPoint(z[j], 1.0)) - ref) < 1e-9
 
 
 def test_quotient_phases_are_the_dual_kernel_components():
@@ -765,15 +781,21 @@ def test_quotient_phases_are_the_dual_kernel_components():
             assert {tuple(row) for row in (kernel - kernel[:, -1:]) % (n + 1)} == classes
 
 
-def test_hn_matrix_refuses_rows_it_cannot_measure():
-    z = _sphere_rows(3, 2, seed=6)
-    # a zero row, non-finite entries, and a norm that overflows the doubles
-    for bad in ([0, 0, 0], [np.nan, 1, 0], [0, np.inf, 0], [1e200, 1e200, 0]):
-        with pytest.raises(ValueError, match="rows of finite, nonzero norm"):
-            mg.hn_matrix(np.vstack([z, bad]), 1.0)
-    # n is read from the width: one column is n = 0
+def test_hn_distance_refuses_representatives_it_cannot_measure():
+    p = CPnPoint(_sphere_rows(1, 2, seed=6)[0], 1.0)
+    # a zero representative and non-finite entries are refused by CPnPoint
+    for bad in ([0, 0, 0], [np.nan, 1, 0], [0, np.inf, 0]):
+        with pytest.raises(ValueError, match="finite, nonzero representative"):
+            CPnPoint(bad, 1.0)
+    # finite entries whose norm overflows, or underflows to 0, by the distance
+    for bad in ([1e200, 1e200, 0], [1e-200, 1e-200, 0]):
+        with pytest.raises(ValueError, match="representatives of finite, nonzero norm"):
+            mg.hn_distance(p, CPnPoint(bad, 1.0))
+        with pytest.raises(ValueError, match="representatives of finite, nonzero norm"):
+            mg.hn_distance(CPnPoint(bad, 1.0), p)
+    # the phase group starts at n = 1
     with pytest.raises(ValueError, match=r"for n in 1\.\.7 only, got n = 0"):
-        mg.hn_matrix(z[:, :1], 1.0)
+        mg._quotient_phases(0)
 
 
 def test_hn_distance_vanishes_on_phase_group_orbits():
@@ -802,16 +824,20 @@ def _rows_with_orbit_pairs(n, seed):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hn_matrix_blocks_equal_the_per_phase_minimum(n):
-    # phases minimized in blocks give the per-phase loop's matrix bitwise,
-    # the arcsin branch of the orbit pairs included
+    # hn_distance, one product over the whole phase group, reads the
+    # per-phase loop's off-diagonal entries to rounding, the arcsin branch of
+    # the orbit pairs included
     z = _rows_with_orbit_pairs(n, seed=20 + n)
-    d = mg.hn_matrix(z, 1.3)
-    assert np.array_equal(d, per_phase_hn_matrix(z, 1.3))
-    assert d[0, 3] < 1e-12 and d[0, 4] < 1e-12
+    want = per_phase_hn_matrix(z, 1.0)
+    got = {(i, j): mg.hn_distance(CPnPoint(z[i], 1.0), CPnPoint(z[j], 1.0))
+           for i, j in itertools.combinations(range(len(z)), 2)}
+    for (i, j), d in got.items():
+        assert abs(d - want[i, j]) <= 1e-15
+    assert got[0, 3] < 1e-12 and got[0, 4] < 1e-12
 
 
 def test_hn_distance_answers_at_the_largest_phase_group():
-    # n = 7: 262,144 phases, minimized in blocks
+    # n = 7: 262,144 phases, minimized in one product
     p, q = (CPnPoint(z, 1.0) for z in _sphere_rows(2, 7, seed=9))
     moved = CPnPoint(p.z * np.exp(2j * math.pi * mg._quotient_phases(7)[12345]), 1.0)
     assert 0.0 < mg.hn_distance(p, q) <= math.pi / 2
@@ -984,17 +1010,16 @@ def test_limit_torus_prefilter_never_changes_a_bound(n, excess, count, seed, rep
 @pytest.mark.parametrize("block", [1, 7, mg._BLOCK_PAIRS, 1 << 16])
 def test_block_size_is_a_pure_performance_choice(block, monkeypatch):
     # every kernel sized by _BLOCK_PAIRS returns the same bits at any block
-    # size, one pair (or phase) per block included; n = 2 at 1.001x the
-    # threshold puts most pairs outside K
+    # size, one pair per block included; n = 2 at 1.001x the threshold puts
+    # most pairs outside K
     torus_t = {n: draw_torus(n, 90, n)[:, n:] for n in (2, 5)}
     points = np.random.default_rng(5).uniform(-1.0, 1.0, (90, 3))
-    z = _rows_with_orbit_pairs(5, seed=11)
 
     def kernels():
         return (*mg.limit_torus_bounds(torus_t[2], feasibility_threshold(2) * 1.001),
                 *mg.limit_torus_bounds(torus_t[2], 0.6),
                 *mg.limit_torus_bounds(torus_t[5], feasibility_threshold(5) * 1.05),
-                mg.chord_eccentricities(points), mg.hn_matrix(z, 1.0))
+                mg.chord_eccentricities(points))
 
     want = kernels()
     monkeypatch.setattr(mg, "_BLOCK_PAIRS", block)
