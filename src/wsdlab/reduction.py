@@ -455,7 +455,13 @@ def omega_d_degenerate_block(r: np.ndarray) -> DegenerateBlock:
 
 class AxiomReport(NamedTuple):
     """Per-sample results of `verify_wsd_axioms`: each residual, the worst of
-    them, the kernel dimension and the conditioning are (N,) arrays."""
+    them, the kernel dimension and the conditioning are (N,) arrays.
+
+    `omega_d_restricted_conditioning` is the ratio of the smallest to the
+    largest singular value of omegaD on ker omega1 + ker omega2 where the
+    SVDs ran, and a certified lower bound on that ratio, (1 - eta)/(1 + eta),
+    on the rows the block residuals settle (see `verify_wsd_axioms`).
+    """
 
     residuals: dict
     worst: np.ndarray
@@ -464,9 +470,13 @@ class AxiomReport(NamedTuple):
     passed: np.ndarray
 
 
+_KERNEL_RTOL = 1e-8  # a singular value is kernel at <= this times max(sigma_0, 1)
+_UNIT_ROUNDOFF = 2.0**-53
+
+
 def _kernel_mask(sv: np.ndarray) -> np.ndarray:
     """Per row of singular values (descending), the numerical-kernel ones."""
-    return ~(sv > 1e-8 * np.maximum(sv[:, :1], 1.0))
+    return ~(sv > _KERNEL_RTOL * np.maximum(sv[:, :1], 1.0))
 
 
 def _canonical_blocks(mf: int) -> list[np.ndarray]:
@@ -482,6 +492,47 @@ def _canonical_blocks(mf: int) -> list[np.ndarray]:
     return targets
 
 
+def _svd_checks(omega1: np.ndarray, omega2: np.ndarray,
+                omega_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, dim(ker omega1 cap ker omega2) and the conditioning of omegaD
+    on ker omega1 + ker omega2, from five batched SVDs.
+
+    Kernels whose dimension varies between rows are reduced with masks:
+    masked columns are zero, so each row's result is the one it gives alone.
+    """
+    num = len(omega1)
+    stacked = np.concatenate([omega1, omega2], axis=1)
+    kernel_dim = np.sum(_kernel_mask(np.linalg.svd(stacked, compute_uv=False)), axis=1)
+
+    kernels = []
+    for form in (omega1, omega2):
+        _, sv, vt = np.linalg.svd(form)
+        kernels.append(np.swapaxes(vt, 1, 2) * _kernel_mask(sv)[:, None, :])
+    q, sv, _ = np.linalg.svd(np.concatenate(kernels, axis=2), full_matrices=False)
+    keep = ~_kernel_mask(sv)
+    basis = q * keep[:, None, :]
+    restricted = np.swapaxes(basis, 1, 2) @ omega_d @ basis
+    sv_d = np.linalg.svd(restricted, compute_uv=False)
+    rank = np.sum(keep, axis=1)
+    smallest = sv_d[np.arange(num), np.maximum(rank - 1, 0)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conditioning = np.where(sv_d[:, 0] > 0, smallest / sv_d[:, 0], 0.0)
+    return kernel_dim, np.where(rank > 0, conditioning, 1.0)
+
+
+def _certificate(eps: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows whose largest block residual eps settles `_svd_checks` at
+    frame dimension d, and the certified conditioning bound on those rows,
+    with the constants of the proof in `verify_wsd_axioms`.  A NaN or
+    infinite eps certifies nothing."""
+    rho = 8.0 * d**3 * _UNIT_ROUNDOFF
+    certified = eps <= (_KERNEL_RTOL - 7.0 * rho) / (4.0 * d)
+    e = d * eps[certified]
+    g = 2.0 * math.sqrt(2.0) * (4.0 * e + 7.0 * rho) + rho
+    eta = e * (1.0 + g)**2 + g * (2.0 + g) + 3.0 * rho
+    return certified, (1.0 - eta) / (1.0 + eta)
+
+
 def verify_wsd_axioms(s: InducedStructure, tol: float = 1e-8) -> AxiomReport:
     """Check the pointwise axioms on restricted stacks; report only.
 
@@ -490,9 +541,53 @@ def verify_wsd_axioms(s: InducedStructure, tol: float = 1e-8) -> AxiomReport:
     (c) ker omega1 intersects ker omega2 in the 2 degenerate directions and
         omegaD stays nondegenerate on ker omega1 + ker omega2.
 
-    Kernels whose dimension varies between samples are reduced with masks:
-    masked columns are zero, so each sample's result is the one it gives
-    alone.
+    A row passes when its worst residual is < tol, the kernel dimension is 2
+    and the conditioning is > 1e-9.  Check (c) runs `_svd_checks` only on the
+    rows the block residuals of (b) do not settle; every other row gets
+    kernel_dim 2, the count the SVDs would give, and the conditioning bound
+    (1 - eta)/(1 + eta), at or below what they would give.
+
+    Proof (Stewart and Sun, Matrix Perturbation Theory, 1990, ch. IV).  Let
+    d = 3 mf + 2 (mf = n - 1), u = 2**-53 and C1, C2, CD the canonical blocks
+    (`_canonical_blocks`).  Each form is F = C + E, and eps, the largest of
+    the three block residuals, bounds every |E_ij| up to a relative u, so
+    ||E||_2 <= ||E||_F <= e = d eps for all three (a zero diagonal would give
+    sqrt(d (d - 1)) eps, but a caller's stack need not have one).  Let
+    rho = 8 d^3 u.  Every matrix below has 2-norm <= 2, so rho covers, per
+    step, the backward error of LAPACK's SVD (the exact SVD of X + dX, up to
+    factors within rho of orthonormal, ||dX||_2 <= p u ||X||_2 with p <= 4 d^3),
+    the rounding of the products basis^T omegaD basis, and the relative
+    rounding of e itself.  C1 and C2 are partial isometries: C^T C is the
+    orthogonal projector off ker C, so ||C v|| is the distance of a unit v
+    from ker C.  Certify a row when gamma = 4 e + 7 rho <= 1e-8.
+    1. The stacked [C1; C2] has singular values sqrt 2 (mf), 1 (2 mf) and
+       0 (2).  By Weyl's inequality the computed ones of [F1; F2] lie within
+       sqrt 2 e + rho <= gamma of those, and the mask's threshold 1e-8
+       max(sigma_0, 1) lies in [1e-8, 2e-8]: the two small ones are kernel,
+       the rest are not, so kernel_dim = 2.
+    2. Each Ck has singular values 1 (2 mf) and 0 (mf + 2), so the mask keeps
+       exactly mf + 2 right singular vectors of Fk, and they span the bottom
+       singular subspace V of Fk + dFk.  ||Ck V|| <= ||(Fk + dFk) V|| +
+       ||Ek + dFk|| <= 2 (e + rho) = s bounds sin theta(V, ker Ck) (Wedin's
+       theorem with gap 1), so some orthonormal basis Kk Qk of ker Ck lies
+       within sqrt 2 s + rho of the computed kernel columns.
+    3. B = [K1 Q1, K2 Q2] has B B^T = P1 + P2, with singular values sqrt 2
+       (the z, w plane), 1 (y1, y2: 2 mf) and 0 (x: mf), range W = span(y1,
+       y2, z, w) and ||B^T v|| >= ||P_W v||.  The computed concatenation lies
+       within sqrt 2 (sqrt 2 s + rho) + rho <= 2 s + 3 rho = gamma of B, so
+       the mask keeps exactly 2 mf + 2 columns, and the bottom mf left
+       singular vectors U of the perturbed matrix have ||P_W U|| <=
+       ||B^T U|| <= 2 gamma: the kept basis lies within g = 2 sqrt 2 gamma +
+       rho of G Q, G the coordinate basis of W and Q orthogonal.
+    4. G^T CD G is orthogonal, so (G Q)^T CD (G Q) has every singular value
+       1.  The computed restriction differs from it by at most e (1 + g)^2
+       (from E_D) plus g (2 + g) (from the basis) plus 2 rho (products and
+       SVD), so the computed conditioning is >= (1 - eta)/(1 + eta) with
+       eta = e (1 + g)^2 + g (2 + g) + 3 rho, the last rho for the quotient.
+    For n = 1, d = 2 and C1 = C2 = 0: every singular value in steps 1 and 2
+    is <= gamma <= 1e-8, at or below the threshold because of its floor
+    max(sigma_0, 1), so both are kernel; ker Ck and W are the whole plane,
+    s = 0 and CD = z^w is orthogonal, and steps 3 and 4 hold as stated.
     """
     num, d = s.g.shape[:2]
     mf = (d - 2) // 3
@@ -503,24 +598,16 @@ def verify_wsd_axioms(s: InducedStructure, tol: float = 1e-8) -> AxiomReport:
     for name, canon in zip(("omega1", "omega2", "omegaD"), _canonical_blocks(mf)):
         residuals[f"{name}_block"] = np.max(np.abs(getattr(s, name) - canon), axis=(1, 2))
 
-    stacked = np.concatenate([s.omega1, s.omega2], axis=1)
-    kernel_dim = np.sum(_kernel_mask(np.linalg.svd(stacked, compute_uv=False)), axis=1)
-
-    kernels = []
-    for form in (s.omega1, s.omega2):
-        _, sv, vt = np.linalg.svd(form)
-        kernels.append(np.swapaxes(vt, 1, 2) * _kernel_mask(sv)[:, None, :])
-    q, sv, _ = np.linalg.svd(np.concatenate(kernels, axis=2), full_matrices=False)
-    keep = ~_kernel_mask(sv)
-    basis = q * keep[:, None, :]
-    restricted = np.swapaxes(basis, 1, 2) @ s.omegaD @ basis
-    sv_d = np.linalg.svd(restricted, compute_uv=False)
-    rank = np.sum(keep, axis=1)
-    smallest = sv_d[np.arange(num), np.maximum(rank - 1, 0)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conditioning = np.where(sv_d[:, 0] > 0, smallest / sv_d[:, 0], 0.0)
-    conditioning = np.where(rank > 0, conditioning, 1.0)
+    eps = np.max([residuals[f"{name}_block"] for name in ("omega1", "omega2", "omegaD")], axis=0)
+    certified, bound = _certificate(eps, d)
+    kernel_dim = np.full(num, 2)
+    conditioning = np.empty(num)
+    conditioning[certified] = bound
+    rest = ~certified
+    if np.any(rest):
+        kernel_dim[rest], conditioning[rest] = _svd_checks(s.omega1[rest], s.omega2[rest],
+                                                           s.omegaD[rest])
 
     worst = np.max(np.stack(list(residuals.values())), axis=0)
-    passed = (worst <= tol) & (kernel_dim == 2) & (conditioning > 1e-9)
+    passed = (worst < tol) & (kernel_dim == 2) & (conditioning > 1e-9)
     return AxiomReport(residuals, worst, kernel_dim, conditioning, passed)

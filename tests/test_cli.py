@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
@@ -180,6 +181,21 @@ def test_verify_runs_down_to_the_radius_squared_guard(capsys):
     argv = ["verify", "--n", "2", "--rho1", "1.778279e-153", "--rho2", "0.5", "--samples", "20"]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n,digest", [
+    ("2", "6ef965d38d23521a5be568458c73ed4db218a3a0e0ef5e3abbaac18fe02ce675"),
+    ("3", "761c8e73e8aa0c43b21b9bfeed0de116ccaec87891f25fc52210efd3cc2ad068"),
+])
+def test_verify_at_the_benchmark_size_runs_no_svd(monkeypatch, capsys, n, digest):
+    # the block residuals certify every sample here, so no SVD runs and the
+    # report is the one the five-SVD check printed (digest recorded with it)
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert main(["verify", "--n", n, "--rho2", "0.5", "--samples", "150"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_verify_deterministic(tmp_path):

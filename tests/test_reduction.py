@@ -5,7 +5,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_tensors, divisor_offsets_mp, fresh_stream
@@ -13,8 +13,12 @@ from wsdlab.ambient import moment_map
 from wsdlab.params import (FOUR_PI2, EmptyLevelSet, LevelSetSpec, convert_parameters, feasibility,
                            feasibility_threshold)
 from wsdlab.reduction import (
+    InducedStructure,
+    _canonical_blocks,
+    _certificate,
     _philox_words,
     _stream_keys,
+    _svd_checks,
     draw_directions,
     draw_torus,
     induced_structure,
@@ -551,6 +555,57 @@ def test_negative_control_omega_d_conditioning(n):
     assert np.all(verify_wsd_axioms(st).omega_d_restricted_conditioning > 0.9)
 
 
+def test_axiom_pass_is_strict_at_tol():
+    # a row passes at worst < tol, the CLI's rule, so the worst row fails at
+    # a tol equal to its own residual
+    stacks = induced_structure(sample_base(LevelSetSpec(2, 1.0, 0.5), 6, seed=3))
+    rep = verify_wsd_axioms(stacks)
+    top = float(np.max(rep.worst))
+    at_top = verify_wsd_axioms(stacks, tol=top)
+    assert not at_top.passed[np.argmax(rep.worst)]
+    assert np.array_equal(at_top.passed, rep.worst < top)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), count=st.integers(1, 6), seed=st.integers(0, (1 << 32) - 1),
+       tol=st.sampled_from([1e-8, 10.0]))
+def test_certificate_agrees_with_the_svd_oracle(n, count, seed, tol):
+    # canonical blocks plus antisymmetric errors whose largest entry is
+    # log-uniform in [1e-17, 1], one size per row: the certified rows get the
+    # SVDs' kernel_dim and verdict, and a conditioning at or below theirs
+    rng = np.random.default_rng(seed)
+    d = 3 * (n - 1) + 2
+    size = 10.0 ** rng.uniform(-17.0, 0.0, count)
+    forms = []
+    for canon in _canonical_blocks(n - 1):
+        e = rng.standard_normal((count, d, d))
+        e -= np.swapaxes(e, 1, 2)
+        forms.append(canon + e * (size / np.max(np.abs(e), axis=(1, 2)))[:, None, None])
+    stacks = InducedStructure(np.broadcast_to(np.eye(d), (count, d, d)), *forms)
+    rep = verify_wsd_axioms(stacks, tol=tol)
+    kernel_dim, conditioning = _svd_checks(*forms)
+    certified, _ = _certificate(_block_eps(stacks), d)
+    assert np.array_equal(rep.kernel_dim, kernel_dim)
+    assert np.array_equal(rep.passed, (rep.worst < tol) & (kernel_dim == 2) & (conditioning > 1e-9))
+    got = rep.omega_d_restricted_conditioning
+    assert np.all(got[certified] <= conditioning[certified])
+    assert np.array_equal(got[~certified], conditioning[~certified])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_are_never_certified(bad):
+    stacks = induced_structure(sample_base(LevelSetSpec(2, 1.0, 0.5), 3, seed=3))
+    omega1 = stacks.omega1.copy()
+    omega1[1, 0, 1], omega1[1, 1, 0] = bad, -bad
+    stacks = stacks._replace(omega1=omega1)
+    certified, _ = _certificate(_block_eps(stacks), stacks.g.shape[1])
+    assert certified.tolist() == [True, False, True]
+    if np.isnan(bad):
+        # the row reaches the SVDs, which refuse it
+        with pytest.raises(np.linalg.LinAlgError):
+            verify_wsd_axioms(stacks)
+
+
 # the closed forms fall to 1e-25 and below at n = 2, rho2 = 2.5, so a
 # residual floored at 1 there would pass any pairing
 @pytest.mark.parametrize("n,rho2", [(2, 0.5), (3, 0.5), (2, 2.5)])
@@ -570,12 +625,34 @@ def test_negative_control_restricted_norm(n, rho2):
     assert np.all(bad.norm_residual > 1e-9)
 
 
+def _block_eps(stacks):
+    """Per row, the largest of the three block residuals."""
+    canon = _canonical_blocks((stacks.g.shape[1] - 2) // 3)
+    return np.max([np.max(np.abs(f - c), axis=(1, 2))
+                   for f, c in zip(stacks[1:], canon)], axis=0)
+
+
+# a batch at n = 2, rho2 = 1.2 whose rows the certificate partly settles
+_MIXED = {"spec": (2, 1.2), "seed": 0, "count": 8}
+
+
+def test_pinned_batch_mixes_certified_and_svd_rows():
+    n, rho2 = _MIXED["spec"]
+    stacks = induced_structure(sample_base(LevelSetSpec(n, 1.0, rho2), _MIXED["count"],
+                                           seed=_MIXED["seed"]))
+    certified, _ = _certificate(_block_eps(stacks), stacks.g.shape[1])
+    assert 0 < np.sum(certified) < len(certified)
+
+
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 6), data=st.data(), seed=st.integers(0, (1 << 31) - 1),
-       count=st.integers(1, 8))
-def test_rows_equal_single_row_calls(n, data, seed, count):
-    # deep rho2 included: there the kernel dimensions differ between samples
-    rho2 = data.draw(st.floats(1.01 * feasibility_threshold(n), 2.5))
+@given(spec=st.integers(1, 6).flatmap(
+           lambda n: st.tuples(st.just(n), st.floats(1.01 * feasibility_threshold(n), 2.5))),
+       seed=st.integers(0, (1 << 31) - 1), count=st.integers(1, 8))
+@example(**_MIXED)
+def test_rows_equal_single_row_calls(spec, seed, count):
+    # deep rho2 included: there the kernel dimensions differ between samples,
+    # and a batch holds rows the certificate settles next to rows it does not
+    n, rho2 = spec
     r = sample_base(LevelSetSpec(n, 1.0, rho2), count, seed=seed)
     stacks = induced_structure(r)
     rep = verify_wsd_axioms(stacks)
