@@ -306,16 +306,18 @@ def cmd_limit_complex(args) -> int:
 #
 # The one probed side is the threshold: as rho2^2 falls to the feasibility
 # threshold, the base sample pinches to a single orbit.  The base at rho1 is
-# bitwise rho1 times its rho1 = 1 rows (solve_base), so each excess solves the
-# shape alone and the printed diameter is rho1 times the shape's diameter d,
+# bitwise rho1 times its rho1 = 1 rows (solve_base), so the shapes of the
+# whole grid come from one stacked solve (reduction.solve_shapes), taken in
+# grid order, and the printed diameter is rho1 times the shape's diameter d,
 # a scaled cell like the sweeps' (_scaled); a shape of diameter 0 prints 0.
+# A grid point that fails exits 2 with its own line, the first in that order.
 
 def cmd_boundary(args) -> int:
     import numpy as np
 
     from .metgeo import chord_eccentricities
-    from .params import LevelSetSpec, feasibility_threshold
-    from .reduction import draw_directions, solve_base
+    from .params import feasibility_threshold
+    from .reduction import draw_directions, solve_shapes
 
     grid = _parse_grid(args.grid)[::-1]
     rho1 = args.rho1
@@ -323,10 +325,9 @@ def cmd_boundary(args) -> int:
         raise ValueError("rho1 must be positive")
     directions = draw_directions(args.n, args.samples, args.seed)
     thr2 = feasibility_threshold(args.n) ** 2
+    rho2s = [math.sqrt(thr2 * (1.0 + delta)) for delta in grid]
     rows = []
-    for delta in grid:
-        rho2 = math.sqrt(thr2 * (1.0 + delta))
-        shape = solve_base(LevelSetSpec(args.n, 1.0, rho2), directions)
+    for delta, rho2, shape in zip(grid, rho2s, solve_shapes(args.n, rho2s, directions)):
         d = float(np.max(chord_eccentricities(shape)))
         diam = 0.0 if d == 0 else _scaled(rho1 * d, "base_diam", rho1)
         rows.append(("T", args.n, _e(delta), _e(rho1), _e(rho2), args.samples, args.seed,

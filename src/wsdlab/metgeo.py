@@ -61,15 +61,16 @@ def diameter(s: FiniteMetricSample) -> float:
 
 # -- pairwise distance helpers for the two projective charts -----------------
 
-# entries per block of the two pair kernels (limit_torus_bounds and
-# chord_eccentricities), sized for the allocator: at n = 2 the largest block
-# temporary, (n + 1) x 2^12 float64, is 96 KiB, below glibc's default
-# 128 KiB mmap and trim thresholds, so the blocks reuse heap pages instead
-# of mapping and faulting in fresh ones.  A pass of limit-complex
-# n = 2 at 400 samples plus boundary took ~1,800 minor faults at 2^14,
-# ~1,300 at 2^13 and none at 2^12 (nor limit_torus_bounds at n = 5); 2^11
-# was slower again
-_BLOCK_PAIRS = 1 << 12
+# bytes of the largest temporary of a block of either pair kernel, sized for
+# the allocator: 96 KiB stays below glibc's default 128 KiB mmap and trim
+# thresholds, so the blocks reuse heap pages instead of mapping and faulting
+# in fresh ones.  Each kernel derives its pairs per block from it and the
+# float64 planes of that temporary (_row_blocks): limit_torus_bounds' is
+# (n + 1) x pairs, 2^12 pairs at n = 2 and 2^11 at n = 5, and
+# chord_eccentricities' one plane, 12,288 pairs.  A pass of limit-complex
+# n = 2 at 400 samples plus boundary took ~1,800 minor faults at 2^14 pairs
+# of n = 2 (192 KiB per block), ~1,300 at 2^13 and none at this budget
+_BLOCK_BYTES = 96 << 10
 
 
 # the quotient distance enumerates the phase group: 262,144 phases at n = 7,
@@ -339,11 +340,19 @@ def pi1_fiber_diameters(base_r: np.ndarray) -> np.ndarray:
 
 # -- the degenerate metric's limit torus -----------------------------------------
 
-def _row_blocks(count: int):
-    """(r0, r1) row blocks of about _BLOCK_PAIRS pairs against the columns r0:."""
+def _block_pairs(planes: int) -> int:
+    """Pairs per block whose `planes` float64 planes fit _BLOCK_BYTES (one at least)."""
+    return max(1, _BLOCK_BYTES // (8 * planes))
+
+
+def _row_blocks(count: int, planes: int):
+    """(r0, r1) row blocks against the columns r0: whose temporaries of
+    `planes` float64 planes, (r1 - r0) x (count - r0) pairs each, fit
+    _BLOCK_BYTES, one row per block at least."""
+    pairs = _block_pairs(planes)
     r0 = 0
     while r0 < count:
-        r1 = min(count, r0 + max(1, _BLOCK_PAIRS // (count - r0)))
+        r1 = min(count, r0 + max(1, pairs // (count - r0)))
         yield r0, r1
         r0 = r1
 
@@ -357,7 +366,7 @@ def chord_eccentricities(points: np.ndarray) -> np.ndarray:
     transposed pairs."""
     cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     ecc = np.zeros(cols.shape[1])
-    for r0, r1 in _row_blocks(len(ecc)):
+    for r0, r1 in _row_blocks(len(ecc), 1):
         acc = 0.0
         for c in cols:
             d = c[None, r0:] - c[r0:r1, None]
@@ -467,7 +476,7 @@ def limit_torus_bounds(torus_t: np.ndarray, rho2: float) -> tuple[np.ndarray, np
     root = math.exp(log_c / m)
     ratio = root * (1 + 1e-9) if root >= sys.float_info.min and m < 6000 else 1.0
     ecc_lo, ecc_hi = np.zeros((2, count))
-    for r0, r1 in _row_blocks(count):
+    for r0, r1 in _row_blocks(count, m):
         diff = cols[:, None, r0:] - cols[:, r0:r1, None]
         v = np.abs(_l1_lattice_vectors(diff - np.floor(diff)))
         l1 = np.triu(np.sum(v, axis=0), 1)  # keep i < j: v and -v give one bound

@@ -16,8 +16,10 @@ set.  `stream_rows` derives every index's key in one SeedSequence-equivalent
 array pass and runs Philox4x64-10 over every (index, block) counter in one
 more, bitwise equal to a fresh generator per index.  A sweep over many level
 sets therefore draws them once (`draw_directions`, `draw_torus`) and hands
-the read-only rows to the per-spec solve (`solve_base`) and, as arrays, to
-the projections in maps.
+the read-only rows to the solve and, as arrays, to the projections in maps.
+The solve runs one Newton loop over every (level set, direction) ray of a
+sweep (`solve_shapes`, which yields each level set's shape in turn);
+`solve_base` is its one-spec case, times rho1.
 A sample is those arrays and nothing more: radii (N, n+1) from `solve_base`
 or its one-spec composition `sample_base`, and torus rows (N, 2n) from
 `draw_torus`, s in the first n columns and t in the last n.
@@ -177,31 +179,41 @@ def stream_rows(seed: int, count: int, width: int, low: float, high: float,
     return rows
 
 
-def _log_ray_roots(centre: float, d: np.ndarray) -> np.ndarray:
-    """Per row of d, the root t > 0 of logsumexp(2 (centre + t d)) = 0.
+def _log_ray_roots(centres: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per level set k and row i of d, the root t > 0 of
+    logsumexp(2 (centres[k] + t d_i)) = 0, as a (K, N) array.
 
-    Requires centre < 0 with m e^{2 centre} < 1 and max d > 0.  The function
-    is convex and increasing in t on the root's side, so Newton started at
-    t = -centre / max d (where the largest term is e^0 and the function is
-    >= 0) decreases t monotonically onto the root.  Each row stops on its own
-    test, the first step that no longer lowers t, so a row's result does not
-    depend on the rest of the batch.
+    Requires every centre < 0 with m e^{2 centre} < 1 and max d_i > 0.  The
+    function is convex and increasing in t on the root's side, so Newton
+    started at t = -centre / max d (where the largest term is e^0 and the
+    function is >= 0) decreases t monotonically onto the root.  One loop runs
+    over every (level set, row) ray; each stops on its own test, the first
+    step that no longer lowers t, and sums over its own n+1 entries, so a
+    ray's result does not depend on the rest of the batch.
     """
-    t = -centre / np.max(d, axis=1)
-    live = np.arange(len(d))
+    count = len(centres)
+    # the live rays' centres, directions and parameters, compacted as rays
+    # stop; each step is 2 (centre + t d) and its softmax, formed in place
+    cl = np.repeat(centres, len(d))
+    dl = np.tile(d, (count, 1))
+    t = tl = -cl / np.tile(np.max(d, axis=1), count)
+    live = np.arange(len(t))
     while live.size:
-        dl, tl = d[live], t[live]
-        a = 2.0 * (centre + tl[:, None] * dl)
+        a = tl[:, None] * dl
+        a += cl[:, None]
+        a *= 2.0
         top = np.max(a, axis=1)
-        e = np.exp(a - top[:, None])
+        a -= top[:, None]
+        e = np.exp(a, out=a)
         s = np.sum(e, axis=1)
         f = top + np.log(s)
-        slope = 2.0 * np.sum(e * dl, axis=1) / s
+        e *= dl
+        slope = 2.0 * np.sum(e, axis=1) / s
         t_new = tl - f / slope
         down = t_new < tl
-        t[live[down]] = t_new[down]
-        live = live[down]
-    return t
+        live, cl, dl, tl = live[down], cl[down], dl[down], t_new[down]
+        t[live] = tl
+    return t.reshape(count, len(d))
 
 
 def draw_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
@@ -223,6 +235,74 @@ def _radii_underflow(spec: LevelSetSpec) -> ArithmeticError:
                            "a radius rounds to 0 in double precision")
 
 
+def _log_centre(spec: LevelSetSpec) -> float:
+    """L/m, the centre of the base in log coordinates, L = -2 pi^2 rho2^2 and
+    m = n+1.  Raises EmptyLevelSet unless the spec is regular, and
+    ArithmeticError where L leaves the doubles."""
+    require_regular(spec)
+    try:
+        log_target = -2.0 * PI2 * spec.rho2**2
+    except OverflowError:  # rho2^2 itself leaves the doubles
+        log_target = -math.inf
+    if log_target == -math.inf:
+        raise _radii_underflow(spec)
+    return log_target / (spec.n + 1)
+
+
+def solve_shapes(n: int, rho2s, directions: np.ndarray):
+    """Yield, for each rho2 of `rho2s` in turn, the base shape of the level
+    set (n, 1, rho2): the (N, n+1) rows `solve_base` gives at rho1 = 1, bitwise.
+
+    For n >= 2 every (level set, direction) ray goes through one Newton loop
+    (`_log_ray_roots`), on the first request, so a K-point sweep costs one
+    loop instead of K.  A level set that `solve_base` refuses raises its
+    error when its turn comes, once every shape before it is yielded, so a
+    caller that handles each shape before it takes the next reports the
+    first failing point in order, with that point's own line, as a loop of
+    `solve_base` calls would.
+    """
+    count = len(directions)
+    if n == 1:
+        for rho2 in rho2s:
+            spec = LevelSetSpec(n, 1.0, rho2)
+            _log_centre(spec)  # its checks alone: the base is enumerated
+            lo = small_root(1, rho2)[0]
+            hi = math.sqrt(1.0 - lo * lo)
+            pts = np.array([[hi, lo], [lo, hi]])
+            if not np.all(pts > 0):
+                raise _radii_underflow(spec)
+            yield pts[np.arange(count) % 2]
+        return
+
+    # the level sets up to the first one that fails before its solve; each
+    # ray's root lies just below its Newton start -centre / max d, so where a
+    # start leaves the doubles the radii round to 0
+    reach = np.max(directions, axis=1)
+    specs, centres, failure = [], [], None
+    for rho2 in rho2s:
+        try:
+            spec = LevelSetSpec(n, 1.0, rho2)
+            centre = _log_centre(spec)
+            with np.errstate(over="ignore"):
+                if not np.all(-centre / reach < math.inf):
+                    raise _radii_underflow(spec)
+        except (ValueError, ArithmeticError) as exc:
+            failure = exc
+            break
+        specs.append(spec)
+        centres.append(centre)
+    if specs:
+        centres = np.array(centres)
+        t = _log_ray_roots(centres, directions)
+        shapes = np.exp(centres[:, None, None] + t[:, :, None] * directions)
+        for spec, shape in zip(specs, shapes):
+            if not np.all(shape > 0):
+                raise _radii_underflow(spec)
+            yield shape
+    if failure is not None:
+        raise failure
+
+
 def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     """Radii vectors on the base constraint set, one row r in R^{n+1} per row
     of `directions` (from `draw_directions(spec.n, count, seed)`).
@@ -234,40 +314,14 @@ def solve_base(spec: LevelSetSpec, directions: np.ndarray) -> np.ndarray:
     at a ray parameter t > 0 solved per row (`_log_ray_roots`).  For n = 1
     it is (hi, lo) and (lo, hi), alternated: lo = sqrt(t-) from
     params.small_root, as in params.base_suprema, and hi = sqrt(1 - lo^2).
-    Either way the rows are rho1 times the shape the solve finds from rho2
-    alone, so they are bitwise spec.rho1 times the rows of the spec with
-    rho1 = 1.
+    Either way the rows are spec.rho1 times the shape the solve finds from
+    rho2 alone (`solve_shapes` of the one level set), so they are bitwise
+    spec.rho1 times the rows of the spec with rho1 = 1.
 
     Raises EmptyLevelSet unless the spec is regular, and ArithmeticError when
     a radius underflows to 0, which happens for rho2 of about 8 and beyond.
     """
-    require_regular(spec)
-    count = len(directions)
-    m = spec.n + 1
-    rho1 = spec.rho1
-    try:
-        log_target = -2.0 * PI2 * spec.rho2**2
-    except OverflowError:  # rho2^2 itself leaves the doubles
-        log_target = -math.inf
-    if log_target == -math.inf:
-        raise _radii_underflow(spec)
-
-    if spec.n == 1:
-        lo = small_root(1, spec.rho2)[0]
-        hi = math.sqrt(1.0 - lo * lo)
-        pts = np.array([[hi, lo], [lo, hi]]) * rho1
-        if not np.all(pts > 0):
-            raise _radii_underflow(spec)
-        return pts[np.arange(count) % 2]
-
-    centre = log_target / m
-    # each ray's root lies just below its Newton start -centre / max d, so
-    # where a start leaves the doubles the radii round to 0
-    with np.errstate(over="ignore"):
-        if not np.all(-centre / np.max(directions, axis=1) < math.inf):
-            raise _radii_underflow(spec)
-    t = _log_ray_roots(centre, directions)
-    out = rho1 * np.exp(centre + t[:, None] * directions)
+    out = spec.rho1 * next(solve_shapes(spec.n, (spec.rho2,), directions))
     if not np.all(out > 0):
         raise _radii_underflow(spec)
     return out
@@ -545,7 +599,9 @@ def verify_wsd_axioms(s: InducedStructure, tol: float = 1e-8) -> AxiomReport:
     and the conditioning is > 1e-9.  Check (c) runs `_svd_checks` only on the
     rows the block residuals of (b) do not settle; every other row gets
     kernel_dim 2, the count the SVDs would give, and the conditioning bound
-    (1 - eta)/(1 + eta), at or below what they would give.
+    (1 - eta)/(1 + eta), at or below what they would give.  A non-finite
+    form entry certifies nothing; its row raises ArithmeticError before any
+    SVD runs.
 
     Proof (Stewart and Sun, Matrix Perturbation Theory, 1990, ch. IV).  Let
     d = 3 mf + 2 (mf = n - 1), u = 2**-53 and C1, C2, CD the canonical blocks
@@ -605,8 +661,14 @@ def verify_wsd_axioms(s: InducedStructure, tol: float = 1e-8) -> AxiomReport:
     conditioning[certified] = bound
     rest = ~certified
     if np.any(rest):
-        kernel_dim[rest], conditioning[rest] = _svd_checks(s.omega1[rest], s.omega2[rest],
-                                                           s.omegaD[rest])
+        forms = s.omega1[rest], s.omega2[rest], s.omegaD[rest]
+        # LAPACK's SVD raises on a NaN and may never return on an infinity
+        finite = np.all(np.isfinite(np.concatenate(forms, axis=1)), axis=(1, 2))
+        if not np.all(finite):
+            row = np.flatnonzero(rest)[np.argmin(finite)]
+            raise ArithmeticError(f"non-finite form entry in row {row}: the kernel and "
+                                  "conditioning checks need finite forms")
+        kernel_dim[rest], conditioning[rest] = _svd_checks(*forms)
 
     worst = np.max(np.stack(list(residuals.values())), axis=0)
     passed = (worst < tol) & (kernel_dim == 2) & (conditioning > 1e-9)

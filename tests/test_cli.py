@@ -324,6 +324,42 @@ def test_verify_has_no_format_option():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,err", [
+    # the grid runs from its largest excess down: 1e3 (rho2 = 9.14, whose
+    # radii underflow) fails before 1e-30, within the threshold's band
+    (["--samples", "20", "--grid", "1e-30:1e3:3"],
+     "numerical failure: base radii underflow at rho2 = 9.14155: "
+     "a radius rounds to 0 in double precision"),
+    # 1e-1's diameter leaves the normal doubles before 1e-30 is reached
+    (["--samples", "8", "--rho1", "1e-320", "--grid", "1e-30:1e-1:2"],
+     "numerical failure: base_diam leaves the normal doubles at rho1 = 9.99989e-321"),
+], ids=["underflow-before-threshold", "scaled-before-threshold"])
+def test_boundary_reports_the_first_failing_grid_point(argv, err, capsys):
+    # the shapes of the whole grid come from one solve, and each grid point
+    # still fails in grid order with its own line
+    assert main(["boundary", "--n", "2", *argv]) == 2
+    assert capsys.readouterr() == ("", err + "\n")
+
+
+def test_boundary_solves_its_grid_once(monkeypatch, tmp_path):
+    calls = []
+    stacked = reduction.solve_shapes
+
+    def counted(n, rho2s, directions):
+        calls.append(list(rho2s))
+        return stacked(n, rho2s, directions)
+
+    def refused(*args):
+        raise AssertionError("boundary solved a grid point alone")
+
+    monkeypatch.setattr(reduction, "solve_shapes", counted)
+    monkeypatch.setattr(reduction, "solve_base", refused)
+    rc, text = run(tmp_path, "boundary", "--n", "3", "--grid", "1e-4:1e-1:5", "--samples", "12")
+    assert rc == 0
+    printed = [row["rho2"] for row in rows_of(text)]
+    assert [list(map(cli._e, rho2s)) for rho2s in calls] == [printed]
+
+
 def test_boundary_has_no_rho2_option():
     # side T takes its rho2 from the threshold excess
     with pytest.raises(SystemExit) as exc:
@@ -479,6 +515,35 @@ def test_sampler_failure_exits_2_with_one_line(capsys):
     assert out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# verify on its sample with omega1[1, 0, 1] = inf, and with omega1[1, 1, 0] =
+# -inf as well: numpy's batched SVD raised a bare LinAlgError on the first
+# stack and never returned on the second
+_NON_FINITE_VERIFY = """
+import sys
+import numpy as np
+from wsdlab import cli, reduction
+fresh = reduction.induced_structure
+def corrupted(r):
+    s = fresh(r)
+    omega1 = s.omega1.copy()
+    omega1[1, 0, 1] = np.inf
+    if sys.argv[1] == "both":
+        omega1[1, 1, 0] = -np.inf
+    return s._replace(omega1=omega1)
+reduction.induced_structure = corrupted
+sys.exit(cli.main(["verify", "--n", "2", "--rho2", "0.5", "--samples", "3"]))
+"""
+
+
+@pytest.mark.parametrize("entries", ["first", "both"])
+def test_verify_refuses_non_finite_forms_before_any_svd(entries):
+    # a subprocess with a timeout, so that a regression fails instead of hanging
+    proc = _fresh_process("-c", _NON_FINITE_VERIFY, entries)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("numerical failure: non-finite form entry in row 1: the kernel "
+                           "and conditioning checks need finite forms\n")
 
 
 @pytest.mark.parametrize("rho2", ["1e154", "1e200", "1e308"])

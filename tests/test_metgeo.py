@@ -846,18 +846,20 @@ def test_hn_distance_answers_at_the_largest_phase_group():
 
 # -- chords ------------------------------------------------------------------------
 
-_STEP = math.isqrt(mg._BLOCK_PAIRS)  # rows in the first row block of a square count
+# rows in the chord kernel's first row block of a square count: its one
+# plane of pairs fits the byte budget
+_STEP = math.isqrt(mg._block_pairs(1))
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), count=st.integers(1, 300), dim=st.integers(1, 7))
+@given(seed=st.integers(0, 10**6), count=st.integers(1, 400), dim=st.integers(1, 7))
 @example(seed=1, count=_STEP - 1, dim=3)
 @example(seed=2, count=_STEP, dim=3)
 @example(seed=3, count=_STEP + 1, dim=7)
 @example(seed=4, count=3 * _STEP + 1, dim=1)
 def test_chord_eccentricities_are_the_broadcast_row_maxima(seed, count, dim):
     # the all-pairs broadcast, summed along its last axis, is the reference;
-    # up to 300 rows span several row blocks (the examples straddle their
+    # up to 400 rows span several row blocks (the examples straddle their
     # edges), each pair met once, and below 8 coordinates numpy adds a row
     # in turn, as the kernel does
     pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, dim))
@@ -963,13 +965,14 @@ def test_limit_torus_bounds_refuses_a_level_set_that_is_not_regular(excess):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
 @pytest.mark.parametrize("near", [True, False])
 def test_limit_torus_bounds_blocks_equal_the_gathered_pairs(n, near):
-    # one row block holds up to `step` x `step` pairs: counts around it and
-    # past three of them cross the block edges.  At 1.001x the threshold most
-    # pairs lie outside K, so every block feeds the one bisection; at n = 7
+    # one row block holds up to `step` x `step` pairs, n + 1 planes of them
+    # within the byte budget: counts around it and past three of them cross
+    # the block edges.  At 1.001x the threshold most pairs lie outside K, so
+    # every block feeds the one bisection; at n = 7
     # a move's n + 1 = 8 entries, which numpy would add pairwise along a row,
     # are added in turn on both sides.  The row maxima are those of the
     # gathered (N, N) bounds, bitwise
-    step = math.isqrt(mg._BLOCK_PAIRS)
+    step = math.isqrt(mg._block_pairs(n + 1))
     rho2 = feasibility_threshold(n) * 1.001 if near else 0.55 + 0.05 * n
     for count in (1, 2, step - 1, step, step + 1, 3 * step + 1):
         torus_t = draw_torus(n, count, count)[:, n:]
@@ -1007,11 +1010,11 @@ def test_limit_torus_prefilter_never_changes_a_bound(n, excess, count, seed, rep
     assert np.array_equal(ecc_hi, np.max(f_hi, axis=1))
 
 
-@pytest.mark.parametrize("block", [1, 7, mg._BLOCK_PAIRS, 1 << 16])
-def test_block_size_is_a_pure_performance_choice(block, monkeypatch):
-    # every kernel sized by _BLOCK_PAIRS returns the same bits at any block
-    # size, one pair per block included; n = 2 at 1.001x the threshold puts
-    # most pairs outside K
+@pytest.mark.parametrize("budget", [1, 7, mg._BLOCK_BYTES, 1 << 16, 1 << 22])
+def test_block_size_is_a_pure_performance_choice(budget, monkeypatch):
+    # every kernel sized by _BLOCK_BYTES returns the same bits at any budget,
+    # one pair per block included (a budget below one pair's 8 bytes); n = 2
+    # at 1.001x the threshold puts most pairs outside K
     torus_t = {n: draw_torus(n, 90, n)[:, n:] for n in (2, 5)}
     points = np.random.default_rng(5).uniform(-1.0, 1.0, (90, 3))
 
@@ -1022,9 +1025,25 @@ def test_block_size_is_a_pure_performance_choice(block, monkeypatch):
                 mg.chord_eccentricities(points))
 
     want = kernels()
-    monkeypatch.setattr(mg, "_BLOCK_PAIRS", block)
+    monkeypatch.setattr(mg, "_BLOCK_BYTES", budget)
     for got, ref in zip(kernels(), want):
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("planes", [1, 3, 4, 5, 6, 7])
+def test_row_blocks_fit_the_byte_budget(planes):
+    # chords take one plane of pairs, limit_torus_bounds n + 1 at n = 2..6:
+    # every row block covers the pairs (i, j >= i) once, in order, and its
+    # temporaries of `planes` float64 planes fit the budget unless the block
+    # is the one-row minimum
+    for count in range(1, 1001):
+        blocks = list(mg._row_blocks(count, planes))
+        assert [r0 for r0, _ in blocks] == [0] + [r1 for _, r1 in blocks[:-1]]
+        assert blocks[-1][1] == count
+        for r0, r1 in blocks:
+            size = 8 * planes * (r1 - r0) * (count - r0)
+            assert size <= mg._BLOCK_BYTES or r1 - r0 == 1
+    assert mg._block_pairs(3) == 1 << 12  # n = 2: 3 x 4,096 float64 = 96 KiB
 
 
 def test_limit_torus_bounds_memory_stays_in_blocks():
